@@ -1,45 +1,35 @@
-//! Incremental per-file artifact cache for the analyzer.
+//! The analyzer's result cache: one entry per cache directory.
 //!
-//! The whole-workspace analysis does strictly per-file work twice per file
-//! — parsing function-summary fragments and the site/pair pass — plus one
-//! whole-tree step (summary propagation) that depends on *every* file.
-//! The cache stores both per-file artifacts under
-//! `.tsvd-analyze-cache/`, keyed so staleness is impossible by
-//! construction:
+//! Everything interprocedural in the analysis (summary propagation) depends
+//! on every file, so the only state of the tree whose result can be reused
+//! without re-deriving anything is *exactly the same tree*. The cache
+//! therefore holds one entry — the merged [`AnalysisReport`] of the last
+//! analyzed tree — keyed by the **workspace digest**: a hash over every
+//! analyzed file's `(relative path, content hash)`, in analysis order. An
+//! unchanged tree replays the entry; any edit, addition, deletion, rename or
+//! reordering changes the digest, misses, and overwrites it.
 //!
-//! - **Fragment entries** (pre-propagation [`FnSummary`] lists) are keyed
-//!   by `(schema version, relative path, content hash)` — they depend on
-//!   one file's bytes only.
-//! - **Analysis entries** (the full [`FileAnalysis`]) additionally carry
-//!   the **workspace digest** — a hash over every analyzed file's `(path,
-//!   content hash)` — because interprocedural summaries let any other
-//!   file's edit change this file's materialized sites.
-//!
-//! A fully unchanged workspace therefore hits the analysis cache for every
-//! file and skips summary construction entirely; one edited file re-parses
-//! and re-analyzes everything's *analysis* (the digest changed) but reuses
-//! every other file's fragment parse.
-//!
-//! Every entry is self-describing JSON validated against all key fields on
-//! load. Any mismatch — stale schema, path collision, content change,
-//! foreign digest — and any parse failure (truncated write, corruption)
-//! is a silent miss: the caller falls back to fresh analysis and
-//! overwrites the entry. The cache can never panic the analyzer and never
-//! serves stale output.
+//! The entry ([`ENTRY_FILE`]) is two lines: a header `{schema, ws_digest}`,
+//! then the report as compact JSON. The header is validated *before* the
+//! payload is parsed, so a stale entry costs one short line. Any read
+//! anomaly — missing file, stale schema, foreign digest, truncated write,
+//! corruption, valid JSON of the wrong shape — is a silent miss: the caller
+//! analyzes afresh and overwrites the entry. The cache can never panic the
+//! analyzer and never serves stale output.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize, Value};
-use tsvd_core::OpKind;
+use serde::{Deserialize, Serialize};
 
-use crate::analysis::FileAnalysis;
-use crate::callgraph::{CallEdge, FnSummary, GuardMode, Param, ParamOp};
-use crate::report::{AwaitPoint, Escape, StaticPair, StaticSite};
+use crate::report::AnalysisReport;
 
-/// Cache entry layout version. Bump on any change to what entries hold or
-/// how keys are derived; old entries then miss and are overwritten.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Entry layout version. Bump on any change to what the entry holds, how
+/// the digest is derived, or what the analysis means; old entries then miss
+/// and are overwritten.
+pub const SCHEMA_VERSION: u32 = 2;
+
+/// File name of the one entry inside the cache directory.
+pub const ENTRY_FILE: &str = "entry.jsonl";
 
 /// FNV-1a 64-bit over raw bytes: cheap, dependency-free, and stable across
 /// platforms and runs (unlike `DefaultHasher`, which is seeded).
@@ -57,19 +47,25 @@ pub fn content_hash(src: &str) -> String {
     format!("{:016x}", fnv1a(src.as_bytes()))
 }
 
-/// The whole-workspace digest: every `(relative path, content hash)` pair,
-/// sorted by path, hashed. Order-independent of the caller's file list.
-pub fn workspace_digest(files: &[(&str, &str)]) -> String {
-    let mut sorted: Vec<&(&str, &str)> = files.iter().collect();
-    sorted.sort();
+/// The whole-workspace digest over `(relative path, source)` pairs. It is
+/// order-sensitive on purpose: the report lists findings in input-file
+/// order, so the same files in another order are a different result.
+pub fn workspace_digest<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
     let mut acc = String::new();
-    for (rel, hash) in sorted {
+    for (rel, src) in files {
         acc.push_str(rel);
         acc.push('\0');
-        acc.push_str(hash);
+        acc.push_str(&content_hash(src));
         acc.push('\n');
     }
     format!("{:016x}", fnv1a(acc.as_bytes()))
+}
+
+/// First line of the entry: everything needed to accept or reject it.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct Header {
+    schema: u32,
+    ws_digest: String,
 }
 
 /// The on-disk cache. `dir: None` disables it: every load misses, every
@@ -85,442 +81,46 @@ impl Cache {
         Cache { dir }
     }
 
-    /// Where the fragment entry for `rel` lives (`None` when disabled).
-    /// Entries are named by the *path* hash; the content hash lives inside
-    /// the entry, so an edited file overwrites its own entry instead of
-    /// accumulating one per revision.
-    pub fn fragment_path(&self, rel: &str) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("frag-{:016x}.json", fnv1a(rel.as_bytes()))))
+    /// Where the entry lives (`None` when disabled).
+    pub fn entry_path(&self) -> Option<PathBuf> {
+        self.dir.as_ref().map(|d| d.join(ENTRY_FILE))
     }
 
-    /// Where the analysis entry for `rel` lives (`None` when disabled).
-    pub fn analysis_path(&self, rel: &str) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("file-{:016x}.json", fnv1a(rel.as_bytes()))))
-    }
-
-    /// Loads `rel`'s pre-propagation summaries if an entry matches the
-    /// schema, path, and content hash exactly.
-    pub fn load_fragments(&self, rel: &str, content_hash: &str) -> Option<Vec<FnSummary>> {
-        let payload = self.load_entry(
-            &self.fragment_path(rel)?,
-            "fragments",
-            rel,
-            content_hash,
-            None,
-        )?;
-        let Value::Array(items) = payload else {
-            return None;
+    /// The stored report, if the entry was written by this schema for
+    /// exactly the workspace `ws_digest` names.
+    pub fn load(&self, ws_digest: &str) -> Option<AnalysisReport> {
+        let text = std::fs::read_to_string(self.entry_path()?).ok()?;
+        let (header, payload) = text.split_once('\n')?;
+        let expected = Header {
+            schema: SCHEMA_VERSION,
+            ws_digest: ws_digest.to_string(),
         };
-        items.iter().map(summary_from_value).collect()
-    }
-
-    /// Stores `rel`'s pre-propagation summaries. Best-effort: IO errors
-    /// are swallowed (a cache that cannot write is just a slow cache).
-    pub fn store_fragments(&self, rel: &str, content_hash: &str, fragments: &[FnSummary]) {
-        let Some(path) = self.fragment_path(rel) else {
-            return;
-        };
-        let payload = Value::Array(fragments.iter().map(summary_to_value).collect());
-        self.store_entry(&path, "fragments", rel, content_hash, None, payload);
-    }
-
-    /// Loads `rel`'s full per-file analysis if an entry matches schema,
-    /// path, content hash, *and* workspace digest exactly.
-    pub fn load_analysis(
-        &self,
-        rel: &str,
-        content_hash: &str,
-        ws_digest: &str,
-    ) -> Option<FileAnalysis> {
-        let payload = self.load_entry(
-            &self.analysis_path(rel)?,
-            "analysis",
-            rel,
-            content_hash,
-            Some(ws_digest),
-        )?;
-        analysis_from_value(&payload)
-    }
-
-    /// Stores `rel`'s full per-file analysis under the workspace digest.
-    pub fn store_analysis(
-        &self,
-        rel: &str,
-        content_hash: &str,
-        ws_digest: &str,
-        analysis: &FileAnalysis,
-    ) {
-        let Some(path) = self.analysis_path(rel) else {
-            return;
-        };
-        self.store_entry(
-            &path,
-            "analysis",
-            rel,
-            content_hash,
-            Some(ws_digest),
-            analysis_to_value(analysis),
-        );
-    }
-
-    /// Reads and validates one entry; any mismatch or parse failure is a
-    /// miss.
-    fn load_entry(
-        &self,
-        path: &Path,
-        kind: &str,
-        rel: &str,
-        content_hash: &str,
-        ws_digest: Option<&str>,
-    ) -> Option<Value> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let Ok(Value::Object(m)) = serde_json::from_str::<Value>(&text) else {
-            return None;
-        };
-        if m.get("schema") != Some(&Value::UInt(u64::from(SCHEMA_VERSION)))
-            || m.get("kind") != Some(&Value::Str(kind.to_string()))
-            || m.get("rel") != Some(&Value::Str(rel.to_string()))
-            || m.get("content_hash") != Some(&Value::Str(content_hash.to_string()))
-        {
+        if serde_json::from_str::<Header>(header).ok()? != expected {
             return None;
         }
-        if let Some(d) = ws_digest {
-            if m.get("ws_digest") != Some(&Value::Str(d.to_string())) {
-                return None;
-            }
-        }
-        m.get("payload").cloned()
+        serde_json::from_str(payload).ok()
     }
 
-    /// Writes one entry crash-safely (temp file + rename): a reader racing
-    /// the write sees either the old entry or the new one, never a torn
-    /// hybrid — and a torn *crash* leftover fails validation anyway.
-    fn store_entry(
-        &self,
-        path: &Path,
-        kind: &str,
-        rel: &str,
-        content_hash: &str,
-        ws_digest: Option<&str>,
-        payload: Value,
-    ) {
-        let mut m = BTreeMap::new();
-        m.insert("schema".to_string(), Value::UInt(u64::from(SCHEMA_VERSION)));
-        m.insert("kind".to_string(), Value::Str(kind.to_string()));
-        m.insert("rel".to_string(), Value::Str(rel.to_string()));
-        m.insert(
-            "content_hash".to_string(),
-            Value::Str(content_hash.to_string()),
-        );
-        if let Some(d) = ws_digest {
-            m.insert("ws_digest".to_string(), Value::Str(d.to_string()));
-        }
-        m.insert("payload".to_string(), payload);
-        let Ok(json) = serde_json::to_string(&Value::Object(m)) else {
+    /// Stores `report` as the entry for `ws_digest`, crash-safely (see
+    /// [`tsvd_core::save_atomic`]). Best-effort: IO errors are swallowed (a
+    /// cache that cannot write is just a slow cache).
+    pub fn store(&self, ws_digest: &str, report: &AnalysisReport) {
+        let Some(dir) = &self.dir else {
             return;
         };
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, json).is_ok() && std::fs::rename(&tmp, path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        let header = Header {
+            schema: SCHEMA_VERSION,
+            ws_digest: ws_digest.to_string(),
+        };
+        let (Ok(header), Ok(payload)) = (
+            serde_json::to_string(&header),
+            serde_json::to_string(report),
+        ) else {
+            return;
+        };
+        let _ = std::fs::create_dir_all(dir);
+        let _ = tsvd_core::save_atomic(&dir.join(ENTRY_FILE), format!("{header}\n{payload}\n"));
     }
-}
-
-// ---------------------------------------------------------------------------
-// Manual (de)serialization for the callgraph types: their `&'static str`
-// class names come from the shared API table, so strings resolve back
-// through `tsvd_core::access::api_classes()` instead of deriving.
-
-fn class_to_value(class: Option<&'static str>) -> Value {
-    match class {
-        Some(c) => Value::Str(c.to_string()),
-        None => Value::Null,
-    }
-}
-
-fn class_from_value(v: &Value) -> Option<Option<&'static str>> {
-    match v {
-        Value::Null => Some(None),
-        Value::Str(s) => tsvd_core::access::api_classes()
-            .into_iter()
-            .find(|c| *c == s.as_str())
-            .map(Some),
-        _ => None,
-    }
-}
-
-fn kind_to_value(kind: OpKind) -> Value {
-    Value::Str(
-        match kind {
-            OpKind::Read => "read",
-            OpKind::Write => "write",
-        }
-        .to_string(),
-    )
-}
-
-fn kind_from_value(v: &Value) -> Option<OpKind> {
-    match v {
-        Value::Str(s) if s == "read" => Some(OpKind::Read),
-        Value::Str(s) if s == "write" => Some(OpKind::Write),
-        _ => None,
-    }
-}
-
-fn mode_to_value(mode: GuardMode) -> Value {
-    Value::Str(
-        match mode {
-            GuardMode::Exclusive => "exclusive",
-            GuardMode::Shared => "shared",
-        }
-        .to_string(),
-    )
-}
-
-fn mode_from_value(v: &Value) -> Option<GuardMode> {
-    match v {
-        Value::Str(s) if s == "exclusive" => Some(GuardMode::Exclusive),
-        Value::Str(s) if s == "shared" => Some(GuardMode::Shared),
-        _ => None,
-    }
-}
-
-fn u32_from(v: &Value) -> Option<u32> {
-    match v {
-        Value::UInt(u) => u32::try_from(*u).ok(),
-        _ => None,
-    }
-}
-
-fn usize_from(v: &Value) -> Option<usize> {
-    match v {
-        Value::UInt(u) => usize::try_from(*u).ok(),
-        _ => None,
-    }
-}
-
-fn str_from(v: &Value) -> Option<String> {
-    match v {
-        Value::Str(s) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn summary_to_value(s: &FnSummary) -> Value {
-    let mut m = BTreeMap::new();
-    m.insert("file".to_string(), Value::Str(s.file.clone()));
-    m.insert("name".to_string(), Value::Str(s.name.clone()));
-    m.insert(
-        "params".to_string(),
-        Value::Array(
-            s.params
-                .iter()
-                .map(|p| {
-                    let mut pm = BTreeMap::new();
-                    pm.insert("name".to_string(), Value::Str(p.name.clone()));
-                    pm.insert("class".to_string(), class_to_value(p.class));
-                    pm.insert("lock".to_string(), Value::Bool(p.lock));
-                    Value::Object(pm)
-                })
-                .collect(),
-        ),
-    );
-    m.insert("returns_class".to_string(), class_to_value(s.returns_class));
-    m.insert(
-        "ops".to_string(),
-        Value::Array(
-            s.ops
-                .iter()
-                .map(|op| {
-                    let mut om = BTreeMap::new();
-                    om.insert("param".to_string(), Value::UInt(op.param as u64));
-                    om.insert("class".to_string(), Value::Str(op.class.to_string()));
-                    om.insert("method".to_string(), Value::Str(op.method.clone()));
-                    om.insert("kind".to_string(), kind_to_value(op.kind));
-                    om.insert("file".to_string(), Value::Str(op.file.clone()));
-                    om.insert("line".to_string(), Value::UInt(u64::from(op.line)));
-                    om.insert("col".to_string(), Value::UInt(u64::from(op.col)));
-                    om.insert(
-                        "spawned".to_string(),
-                        match op.spawned {
-                            Some((rid, multi)) => {
-                                Value::Array(vec![Value::UInt(u64::from(rid)), Value::Bool(multi)])
-                            }
-                            None => Value::Null,
-                        },
-                    );
-                    om.insert(
-                        "lock_param".to_string(),
-                        match op.lock_param {
-                            Some((idx, mode)) => {
-                                Value::Array(vec![Value::UInt(idx as u64), mode_to_value(mode)])
-                            }
-                            None => Value::Null,
-                        },
-                    );
-                    om.insert("hops".to_string(), Value::UInt(u64::from(op.hops)));
-                    Value::Object(om)
-                })
-                .collect(),
-        ),
-    );
-    m.insert(
-        "calls".to_string(),
-        Value::Array(
-            s.calls
-                .iter()
-                .map(|c| {
-                    let mut cm = BTreeMap::new();
-                    cm.insert("callee".to_string(), Value::Str(c.callee.clone()));
-                    cm.insert(
-                        "args".to_string(),
-                        Value::Array(
-                            c.args
-                                .iter()
-                                .map(|a| match a {
-                                    Some(s) => Value::Str(s.clone()),
-                                    None => Value::Null,
-                                })
-                                .collect(),
-                        ),
-                    );
-                    Value::Object(cm)
-                })
-                .collect(),
-        ),
-    );
-    Value::Object(m)
-}
-
-fn summary_from_value(v: &Value) -> Option<FnSummary> {
-    let m = v.as_object()?;
-    let params = match m.get("params")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|p| {
-                let pm = p.as_object()?;
-                Some(Param {
-                    name: str_from(pm.get("name")?)?,
-                    class: class_from_value(pm.get("class")?)?,
-                    lock: matches!(pm.get("lock")?, Value::Bool(true)),
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        _ => return None,
-    };
-    let ops = match m.get("ops")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|o| {
-                let om = o.as_object()?;
-                Some(ParamOp {
-                    param: usize_from(om.get("param")?)?,
-                    class: class_from_value(om.get("class")?)??,
-                    method: str_from(om.get("method")?)?,
-                    kind: kind_from_value(om.get("kind")?)?,
-                    file: str_from(om.get("file")?)?,
-                    line: u32_from(om.get("line")?)?,
-                    col: u32_from(om.get("col")?)?,
-                    spawned: match om.get("spawned")? {
-                        Value::Null => None,
-                        Value::Array(a) if a.len() == 2 => {
-                            Some((u32_from(&a[0])?, matches!(&a[1], Value::Bool(true))))
-                        }
-                        _ => return None,
-                    },
-                    lock_param: match om.get("lock_param")? {
-                        Value::Null => None,
-                        Value::Array(a) if a.len() == 2 => {
-                            Some((usize_from(&a[0])?, mode_from_value(&a[1])?))
-                        }
-                        _ => return None,
-                    },
-                    hops: u32_from(om.get("hops")?)?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        _ => return None,
-    };
-    let calls = match m.get("calls")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|c| {
-                let cm = c.as_object()?;
-                Some(CallEdge {
-                    callee: str_from(cm.get("callee")?)?,
-                    args: match cm.get("args")? {
-                        Value::Array(a) => a
-                            .iter()
-                            .map(|x| match x {
-                                Value::Null => Some(None),
-                                Value::Str(s) => Some(Some(s.clone())),
-                                _ => None,
-                            })
-                            .collect::<Option<Vec<_>>>()?,
-                        _ => return None,
-                    },
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        _ => return None,
-    };
-    Some(FnSummary {
-        file: str_from(m.get("file")?)?,
-        name: str_from(m.get("name")?)?,
-        params,
-        returns_class: class_from_value(m.get("returns_class")?)?,
-        ops,
-        calls,
-    })
-}
-
-fn analysis_to_value(fa: &FileAnalysis) -> Value {
-    let mut m = BTreeMap::new();
-    m.insert(
-        "escapes".to_string(),
-        Value::Array(fa.escapes.iter().map(Serialize::to_value).collect()),
-    );
-    m.insert(
-        "sites".to_string(),
-        Value::Array(fa.sites.iter().map(Serialize::to_value).collect()),
-    );
-    m.insert(
-        "pairs".to_string(),
-        Value::Array(fa.pairs.iter().map(Serialize::to_value).collect()),
-    );
-    m.insert(
-        "pruned_pairs".to_string(),
-        Value::Array(fa.pruned_pairs.iter().map(Serialize::to_value).collect()),
-    );
-    m.insert(
-        "awaits".to_string(),
-        Value::Array(fa.awaits.iter().map(Serialize::to_value).collect()),
-    );
-    Value::Object(m)
-}
-
-fn analysis_from_value(v: &Value) -> Option<FileAnalysis> {
-    fn vec_of<T: Deserialize>(v: &Value) -> Option<Vec<T>> {
-        match v {
-            Value::Array(items) => items.iter().map(|x| T::from_value(x).ok()).collect(),
-            _ => None,
-        }
-    }
-    let m = v.as_object()?;
-    Some(FileAnalysis {
-        escapes: vec_of::<Escape>(m.get("escapes")?)?,
-        sites: vec_of::<StaticSite>(m.get("sites")?)?,
-        pairs: vec_of::<StaticPair>(m.get("pairs")?)?,
-        pruned_pairs: vec_of::<StaticPair>(m.get("pruned_pairs")?)?,
-        awaits: vec_of::<AwaitPoint>(m.get("awaits")?)?,
-    })
 }
 
 #[cfg(test)]
@@ -529,8 +129,48 @@ mod tests {
 
     fn tmp_cache(tag: &str) -> (PathBuf, Cache) {
         let dir = std::env::temp_dir().join(format!("tsvd_cache_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::remove_dir_all(&dir).ok();
         (dir.clone(), Cache::new(Some(dir)))
+    }
+
+    /// A report with every record list populated: one unguarded spawn pair,
+    /// one join-ordered (pruned) pair, a raw-collection escape, an await.
+    fn sample_report() -> AnalysisReport {
+        let src = "use std::collections::HashMap;\n\
+                   use tsvd_collections::Dictionary;\n\
+                   async fn f(pool: &Pool) {\n\
+                       let raw = HashMap::new();\n\
+                       let d = Dictionary::new();\n\
+                       let d1 = d.clone();\n\
+                       pool.spawn(move || d1.set(1, 1));\n\
+                       d.set(2, 2);\n\
+                       let e = Dictionary::new();\n\
+                       let e1 = e.clone();\n\
+                       let worker = pool.spawn(move || e1.set(3, 3));\n\
+                       let _ = worker.join();\n\
+                       e.set(4, 4);\n\
+                       tick().await;\n\
+                   }\n";
+        let fa = crate::analysis::analyze_file("x.rs", src);
+        let report = AnalysisReport {
+            files_scanned: 1,
+            escapes: fa.escapes,
+            sites: fa.sites,
+            pairs: fa.pairs,
+            pruned_pairs: fa.pruned_pairs,
+            awaits: fa.awaits,
+            ..AnalysisReport::default()
+        };
+        assert!(
+            !(report.escapes.is_empty()
+                || report.sites.is_empty()
+                || report.pairs.is_empty()
+                || report.pruned_pairs.is_empty()
+                || report.awaits.is_empty()),
+            "fixture must populate every record list: {}",
+            report.to_jsonl()
+        );
+        report
     }
 
     #[test]
@@ -541,53 +181,70 @@ mod tests {
     }
 
     #[test]
-    fn workspace_digest_is_order_independent() {
-        let a = workspace_digest(&[("a.rs", "1111"), ("b.rs", "2222")]);
-        let b = workspace_digest(&[("b.rs", "2222"), ("a.rs", "1111")]);
-        assert_eq!(a, b);
-        let c = workspace_digest(&[("a.rs", "1111"), ("b.rs", "3333")]);
-        assert_ne!(a, c, "content change must change the digest");
+    fn workspace_digest_covers_content_path_membership_and_order() {
+        let base = workspace_digest([("a.rs", "fn a() {}"), ("b.rs", "fn b() {}")]);
+        assert_eq!(
+            base,
+            workspace_digest([("a.rs", "fn a() {}"), ("b.rs", "fn b() {}")]),
+            "a pure function of its input"
+        );
+        for (what, other) in [
+            (
+                "content",
+                vec![("a.rs", "fn a() {}"), ("b.rs", "fn c() {}")],
+            ),
+            ("rename", vec![("a.rs", "fn a() {}"), ("c.rs", "fn b() {}")]),
+            ("removal", vec![("a.rs", "fn a() {}")]),
+            (
+                "addition",
+                vec![("a.rs", "fn a() {}"), ("b.rs", "fn b() {}"), ("c.rs", "")],
+            ),
+            ("order", vec![("b.rs", "fn b() {}"), ("a.rs", "fn a() {}")]),
+        ] {
+            assert_ne!(base, workspace_digest(other), "{what} must change it");
+        }
     }
 
     #[test]
-    fn fragments_round_trip_through_the_cache() {
-        let (dir, cache) = tmp_cache("frag");
-        let src = "use tsvd_collections::Dictionary;\n\
-                   fn bump(d: &Dictionary<u64, u64>) { d.set(1, 1); }\n";
-        let frags = crate::callgraph::Summaries::file_fragments("src/a.rs", src);
-        assert_eq!(frags.len(), 1);
-        let hash = content_hash(src);
-        assert!(cache.load_fragments("src/a.rs", &hash).is_none(), "cold");
-        cache.store_fragments("src/a.rs", &hash, &frags);
-        let back = cache.load_fragments("src/a.rs", &hash).expect("warm");
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].name, "bump");
-        assert_eq!(back[0].ops.len(), frags[0].ops.len());
-        assert_eq!(back[0].params.len(), frags[0].params.len());
-        assert_eq!(back[0].params[0].class, frags[0].params[0].class);
-        // A different content hash must miss.
-        assert!(cache
-            .load_fragments("src/a.rs", "0000000000000000")
-            .is_none());
+    fn report_round_trips_and_gates_on_workspace_digest() {
+        let (dir, cache) = tmp_cache("roundtrip");
+        let report = sample_report();
+        assert!(cache.load("digest-1").is_none(), "cold");
+        cache.store("digest-1", &report);
+        let back = cache.load("digest-1").expect("warm hit");
+        assert_eq!(back.to_jsonl(), report.to_jsonl());
+        assert_eq!(back.pairs, report.pairs);
+        assert_eq!(back.sites, report.sites);
+        assert_eq!(back.escapes, report.escapes);
+        assert_eq!(back.pruned_pairs, report.pruned_pairs);
+        assert_eq!(back.awaits, report.awaits);
+        // Same entry, different workspace: any file's edit could have
+        // changed the summaries every file's analysis depends on.
+        assert!(cache.load("digest-2").is_none());
+        // A store for another workspace replaces the entry, never adds one.
+        cache.store("digest-2", &AnalysisReport::default());
+        assert!(cache.load("digest-1").is_none());
+        assert!(cache.load("digest-2").is_some());
+        assert_eq!(std::fs::read_dir(&dir).expect("read_dir").count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn disabled_cache_is_inert() {
         let cache = Cache::new(None);
-        assert!(cache.fragment_path("a.rs").is_none());
-        cache.store_fragments("a.rs", "1234", &[]);
-        assert!(cache.load_fragments("a.rs", "1234").is_none());
+        assert!(cache.entry_path().is_none());
+        cache.store("1234", &AnalysisReport::default());
+        assert!(cache.load("1234").is_none());
     }
 
     #[test]
     fn stale_schema_entries_are_rejected() {
-        // A hash-collision-shaped stale entry: every key field matches
-        // except the schema version — exactly what an old build's entry
-        // looks like after an upgrade. It must miss, not load.
+        // Every header field matches except the schema version — exactly
+        // what another build's entry looks like after an upgrade. It must
+        // miss, not load.
         let (dir, cache) = tmp_cache("schema");
-        cache.store_fragments("a.rs", "1234", &[]);
-        let path = cache.fragment_path("a.rs").expect("path");
+        cache.store("1234", &sample_report());
+        let path = cache.entry_path().expect("path");
         let text = std::fs::read_to_string(&path).expect("read");
         let bumped = text.replace(
             &format!("\"schema\":{SCHEMA_VERSION}"),
@@ -595,70 +252,40 @@ mod tests {
         );
         assert_ne!(text, bumped, "fixture must actually change the schema");
         std::fs::write(&path, bumped).expect("write");
-        assert!(cache.load_fragments("a.rs", "1234").is_none());
+        assert!(cache.load("1234").is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_and_truncated_entries_miss_without_panicking() {
         let (dir, cache) = tmp_cache("corrupt");
-        cache.store_fragments("a.rs", "1234", &[]);
-        let path = cache.fragment_path("a.rs").expect("path");
-        // Truncated mid-write.
+        cache.store("1234", &sample_report());
+        let path = cache.entry_path().expect("path");
         let text = std::fs::read_to_string(&path).expect("read");
-        std::fs::write(&path, &text[..text.len() / 2]).expect("write");
-        assert!(cache.load_fragments("a.rs", "1234").is_none());
-        // Outright garbage.
+        assert!(cache.load("1234").is_some(), "intact entry hits");
+        // Truncated mid-payload (the header survives and matches), inside
+        // the header, and to nothing.
+        let header_len = text.find('\n').expect("two lines");
+        for cut in [text.len() / 2, text.len() - 2, header_len / 2, 0] {
+            std::fs::write(&path, &text[..cut]).expect("write");
+            assert!(cache.load("1234").is_none(), "cut at {cut}");
+        }
+        // Outright garbage, as the whole file and as the payload.
         std::fs::write(&path, b"\x00\xff not json at all").expect("write");
-        assert!(cache.load_fragments("a.rs", "1234").is_none());
-        // Valid JSON, wrong shape.
-        std::fs::write(&path, "[1, 2, 3]").expect("write");
-        assert!(cache.load_fragments("a.rs", "1234").is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn entries_for_another_path_or_kind_are_rejected() {
-        // Defends the name-by-path-hash scheme: even if two paths collided
-        // into one file name, the embedded `rel` would still mismatch.
-        let (dir, cache) = tmp_cache("rel");
-        cache.store_fragments("a.rs", "1234", &[]);
-        let frag = cache.fragment_path("a.rs").expect("path");
-        let other = cache.fragment_path("b.rs").expect("path");
-        std::fs::copy(&frag, &other).expect("copy");
-        assert!(cache.load_fragments("b.rs", "1234").is_none());
-        // An analysis load must not accept a fragments entry either.
-        let analysis = cache.analysis_path("a.rs").expect("path");
-        std::fs::copy(&frag, &analysis).expect("copy");
-        assert!(cache.load_analysis("a.rs", "1234", "d").is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn analysis_entries_round_trip_and_gate_on_workspace_digest() {
-        let (dir, cache) = tmp_cache("analysis");
-        let src = "use tsvd_collections::Dictionary;\n\
-                   fn f(pool: &Pool) {\n\
-                       let d = Dictionary::new();\n\
-                       let d1 = d.clone();\n\
-                       pool.spawn(move || d1.set(1, 1));\n\
-                       d.set(2, 2);\n\
-                   }\n";
-        let fa = crate::analysis::analyze_file("x.rs", src);
-        assert!(!fa.pairs.is_empty(), "fixture must produce a pair");
-        let hash = content_hash(src);
-        cache.store_analysis("x.rs", &hash, "digest-1", &fa);
-        let back = cache
-            .load_analysis("x.rs", &hash, "digest-1")
-            .expect("warm hit");
-        assert_eq!(back.pairs, fa.pairs);
-        assert_eq!(back.sites, fa.sites);
-        assert_eq!(back.escapes, fa.escapes);
-        assert_eq!(back.pruned_pairs, fa.pruned_pairs);
-        assert_eq!(back.awaits, fa.awaits);
-        // Same file, different workspace: another file's edit could have
-        // changed the summaries this file's analysis depends on.
-        assert!(cache.load_analysis("x.rs", &hash, "digest-2").is_none());
+        assert!(cache.load("1234").is_none());
+        let header = &text[..=header_len];
+        std::fs::write(&path, format!("{header}not json at all\n")).expect("write");
+        assert!(cache.load("1234").is_none());
+        // Valid JSON, wrong shape: whole file, header, payload.
+        for wrong in [
+            "[1, 2, 3]".to_string(),
+            format!("[1, 2, 3]\n{}", &text[header_len + 1..]),
+            format!("{header}[1, 2, 3]\n"),
+            format!("{header}{{\"files_scanned\":\"many\"}}\n"),
+        ] {
+            std::fs::write(&path, &wrong).expect("write");
+            assert!(cache.load("1234").is_none(), "{wrong:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

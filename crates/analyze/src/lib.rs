@@ -58,15 +58,15 @@ pub use cache::Cache;
 pub use callgraph::Summaries;
 pub use report::{AnalysisReport, Escape, StaticPair, StaticSite};
 
-/// Knobs for the incremental parallel analysis engine. The output is
-/// byte-identical for every combination: thread count only changes which
-/// worker computes a file, the cache only changes whether a file is
-/// computed at all, and results always merge in input-file order.
+/// Knobs for the analysis engine. The output is byte-identical for every
+/// combination: thread count only changes which worker computes a file,
+/// the cache only changes whether the tree is analyzed at all, and results
+/// always merge in input-file order.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
     /// Worker threads for the per-file pass; `0` or `1` runs inline.
     pub threads: usize,
-    /// Artifact cache directory; `None` disables caching entirely.
+    /// Result cache directory; `None` disables caching entirely.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -92,8 +92,10 @@ pub fn analyze_paths(root: &Path, files: &[String]) -> io::Result<AnalysisReport
     analyze_paths_with(root, files, &AnalyzeOptions::default())
 }
 
-/// [`analyze_paths`] with explicit engine options: an artifact cache and a
-/// file-level thread pool (see [`AnalyzeOptions`] and [`cache`]).
+/// [`analyze_paths`] with explicit engine options: a result cache and a
+/// file-level thread pool (see [`AnalyzeOptions`] and [`cache`]). The
+/// report comes back as analyzed — [`AnalysisReport::apply_allowlist`] is
+/// the caller's step, so the cached entry never bakes one allowlist in.
 pub fn analyze_paths_with(
     root: &Path,
     files: &[String],
@@ -118,82 +120,29 @@ pub fn analyze_paths_with(
             }
         }
     }
-    let cache = Cache::new(opts.cache_dir.clone());
-    let hashes: Vec<String> = sources
-        .iter()
-        .map(|(_, src)| cache::content_hash(src))
-        .collect();
-    let keyed: Vec<(&str, &str)> = sources
-        .iter()
-        .zip(&hashes)
-        .map(|((rel, _), hash)| (rel.as_str(), hash.as_str()))
-        .collect();
-    let ws_digest = cache::workspace_digest(&keyed);
-    // First pass: take every per-file analysis the cache already holds for
-    // exactly this workspace state. An unchanged workspace hits on every
-    // file here and skips summary construction entirely.
-    let mut analyses: Vec<Option<FileAnalysis>> = sources
-        .iter()
-        .zip(&hashes)
-        .map(|((rel, _), hash)| cache.load_analysis(rel, hash, &ws_digest))
-        .collect();
-    let misses: Vec<usize> = (0..sources.len())
-        .filter(|&i| analyses[i].is_none())
-        .collect();
-    if !misses.is_empty() {
-        // Whole-tree function summaries before any per-file pass, so helper
-        // calls resolve across files of the same crate. Per-file parse
-        // fragments are cache-backed; propagation always reruns (it is
-        // global). Fragments feed in input-file order — propagation's
-        // output ordering, and therefore every downstream byte, depends
-        // only on that order, never on which fragments were cached.
-        let summaries = Summaries::from_fragments(sources.iter().zip(&hashes).flat_map(
-            |((rel, src), hash)| match cache.load_fragments(rel, hash) {
-                Some(fragments) => fragments,
-                None => {
-                    let fragments = Summaries::file_fragments(rel, src);
-                    cache.store_fragments(rel, hash, &fragments);
-                    fragments
-                }
-            },
-        ));
-        let workers = opts.threads.max(1).min(misses.len());
-        if workers <= 1 {
-            for &i in &misses {
-                let (rel, src) = &sources[i];
-                let fa = analysis::analyze_file_with(rel, src, &summaries);
-                cache.store_analysis(rel, &hashes[i], &ws_digest, &fa);
-                analyses[i] = Some(fa);
-            }
-        } else {
-            // File-level fan-out: workers pull indices from a shared
-            // counter and park results in per-file slots. Scheduling
-            // order varies with thread count; the slot vector (indexed by
-            // miss position, not completion order) erases it again.
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<FileAnalysis>>> =
-                misses.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = misses.get(k) else { break };
-                        let (rel, src) = &sources[i];
-                        let fa = analysis::analyze_file_with(rel, src, &summaries);
-                        cache.store_analysis(rel, &hashes[i], &ws_digest, &fa);
-                        *slots[k].lock().expect("analysis slot poisoned") = Some(fa);
-                    });
-                }
-            });
-            for (k, &i) in misses.iter().enumerate() {
-                analyses[i] = slots[k].lock().expect("analysis slot poisoned").take();
-            }
-        }
+    // The digest covers readable files only, so it cannot tell two runs
+    // apart that differ in what they had to skip: a run with a skipped
+    // file neither trusts the entry nor writes one.
+    let cache = Cache::new(opts.cache_dir.clone().filter(|_| report.files_skipped == 0));
+    let ws_digest = cache::workspace_digest(
+        sources
+            .iter()
+            .map(|(rel, src)| (rel.as_str(), src.as_str())),
+    );
+    if let Some(hit) = cache.load(&ws_digest) {
+        return Ok(hit);
     }
-    // Merge in input-file order regardless of cache state or which worker
-    // finished first.
-    for fa in analyses.into_iter() {
-        let fa = fa.expect("every source file analyzed");
+    // Whole-tree function summaries before any per-file pass, so helper
+    // calls resolve across files of the same crate. Fragments feed in
+    // input-file order — propagation's output ordering, and therefore every
+    // downstream byte, depends only on that order.
+    let summaries = Summaries::from_fragments(
+        sources
+            .iter()
+            .flat_map(|(rel, src)| Summaries::file_fragments(rel, src)),
+    );
+    // Merge in input-file order regardless of which worker finished first.
+    for fa in analyze_files(&sources, &summaries, opts.threads) {
         report.files_scanned += 1;
         report.escapes.extend(fa.escapes);
         report.sites.extend(fa.sites);
@@ -204,7 +153,45 @@ pub fn analyze_paths_with(
     dedupe_pairs(&mut report.pairs);
     dedupe_pairs(&mut report.pruned_pairs);
     drop_pruned_twins(&mut report.pruned_pairs, &report.pairs);
+    cache.store(&ws_digest, &report);
     Ok(report)
+}
+
+/// The per-file pass over every source, results in input order.
+fn analyze_files(
+    sources: &[(String, String)],
+    summaries: &Summaries,
+    threads: usize,
+) -> Vec<FileAnalysis> {
+    let analyze = |(rel, src): &(String, String)| analysis::analyze_file_with(rel, src, summaries);
+    let workers = threads.min(sources.len());
+    if workers <= 1 {
+        return sources.iter().map(analyze).collect();
+    }
+    // File-level fan-out: workers pull indices from a shared counter and
+    // park results in per-file slots. Scheduling order varies with thread
+    // count; the slot vector (indexed by file, not completion order)
+    // erases it again.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<FileAnalysis>>> =
+        sources.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(source) = sources.get(i) else { break };
+                *slots[i].lock().expect("analysis slot poisoned") = Some(analyze(source));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("analysis slot poisoned")
+                .expect("every source file analyzed")
+        })
+        .collect()
 }
 
 /// The orientation-independent identity of a pair: normalized site order.

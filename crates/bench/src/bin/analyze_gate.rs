@@ -1,18 +1,25 @@
-//! CI regression gate for the incremental static-analysis engine.
+//! CI regression gate for the static-analysis engine and its result cache.
 //!
-//! `analyze_gate --write BENCH_analyze.json` measures cold (empty cache)
-//! and warm (fully cached) analysis of a deterministic synthetic workspace
-//! and persists the results; `--check BENCH_analyze.json [--quick]`
-//! re-measures and fails (exit 1) if the gated ratios regressed by more
-//! than 15% — or if an absolute invariant no longer holds.
+//! `analyze_gate --write BENCH_analyze.json` measures an uncached pass, a
+//! cold pass (empty cache, store included), a warm pass (unchanged tree) and
+//! an edit pass (one file changed since the cache was filled) over a
+//! deterministic synthetic workspace and persists the results; `--check
+//! BENCH_analyze.json [--quick]` re-measures and fails (exit 1) if a gated
+//! ratio regressed by more than 15% — or if an absolute invariant no longer
+//! holds.
 //!
 //! Raw milliseconds are machine-dependent, so the stored numbers that gate
-//! CI are *normalized*: each mode's time is divided by the same run's cold
-//! single-threaded time. Two invariants are enforced on every run:
+//! CI are *normalized*: each row's time is divided by the same run's
+//! uncached single-threaded time — the one row the cache cannot move, so a
+//! faster or slower cache shows in its own rows and nowhere else. Three
+//! invariants are enforced on every run:
 //! - a warm run must be at least [`MIN_WARM_SPEEDUP`]× faster than a cold
-//!   run (the point of caching per-file artifacts at all);
-//! - every measured configuration — cold/warm, any thread count — must
-//!   produce byte-identical JSONL output.
+//!   run (the point of having a cache at all);
+//! - a cold run and an edit run must each cost at most
+//!   [`MAX_MISS_OVERHEAD`]× an uncached run (a miss may not cost more than
+//!   the cache can ever give back);
+//! - every measured configuration — uncached/cold/warm/edit, any thread
+//!   count — must produce byte-identical JSONL output for its tree.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -21,12 +28,21 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use tsvd_analyze::{analyze_workspace_with, AnalyzeOptions};
 
+/// Bumped when the stored numbers change meaning (2: normalized by
+/// `uncached @ 1`, not `cold @ 1`); `--check` refuses other versions.
+const BENCH_SCHEMA_VERSION: u32 = 2;
+
 /// Minimum cold-time / warm-time ratio, single-threaded. The warm path
 /// skips lexing, summary extraction, propagation, and pair derivation
-/// entirely — it only hashes sources and deserializes cached reports — so
-/// anything below this means the cache stopped short-circuiting the
+/// entirely — it only hashes sources and deserializes the cached report —
+/// so anything below this means the cache stopped short-circuiting the
 /// pipeline.
 const MIN_WARM_SPEEDUP: f64 = 5.0;
+
+/// Maximum cost of a pass that misses the cache (cold or edit), as a
+/// multiple of the uncached pass over the same tree: what a miss adds is
+/// the digest, one failed lookup and one store.
+const MAX_MISS_OVERHEAD: f64 = 1.15;
 
 /// Allowed growth of a normalized ratio before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 1.15;
@@ -40,7 +56,7 @@ struct Entry {
     mode: String,
     threads: u32,
     millis: f64,
-    /// `millis` ÷ the same run's `cold @ 1 thread` time.
+    /// `millis` ÷ the same run's `uncached @ 1 thread` time.
     normalized: f64,
 }
 
@@ -49,27 +65,29 @@ struct BenchFile {
     schema_version: u32,
     mode: String,
     files: u32,
+    /// Cores the measuring machine offered: `cold @ 4` cannot beat
+    /// `cold @ 1` on fewer than two, whatever the engine does.
+    #[serde(default)]
+    nproc: u32,
     /// Cold single-threaded time ÷ warm single-threaded time, re-derived
     /// and re-gated on every run (must stay ≥ `MIN_WARM_SPEEDUP`).
     warm_speedup: f64,
-    /// Per-point measurements. `cold @ 1` is 1.0 by construction; the
+    /// Per-point measurements. `uncached @ 1` is 1.0 by construction; the
     /// other normalized ratios are gated against the stored baseline.
     entries: Vec<Entry>,
 }
 
-struct Params {
-    files: usize,
-    reps: usize,
-}
+/// Rounds per measurement. Odd, so every median is a measured round.
+const ROUNDS: usize = 5;
 
 /// Deterministic synthetic workspace: `files` source files, each with a
 /// guarded helper, an unguarded spawn pair, and a join-ordered region, so
-/// the cold run exercises the lexer, the interprocedural summary pass, HB
+/// a full pass exercises the lexer, the interprocedural summary pass, HB
 /// pruning, and pair derivation on every file. Each file additionally
 /// carries a slab of analysis-inert code (guarded single-op helpers that
 /// produce no pairs) so the cold/warm ratio reflects real source files,
 /// where full lexing and summary extraction dwarf the content hash and the
-/// compact cached artifact a warm run replays.
+/// compact cached report a warm run replays.
 fn build_workspace(root: &Path, files: usize) {
     std::fs::create_dir_all(root).expect("mkdir workspace");
     for i in 0..files {
@@ -110,28 +128,17 @@ fn build_workspace(root: &Path, files: usize) {
     }
 }
 
-/// Best-of-`reps` wall time for one configuration, in milliseconds, plus
-/// the JSONL output (identical across reps by construction — asserted).
-fn measure(root: &Path, cache: Option<&Path>, threads: usize, reps: usize) -> (f64, String) {
+/// Wall time of one pass in one configuration, in milliseconds, plus its
+/// JSONL output.
+fn run_once(root: &Path, cache: Option<&Path>, threads: usize) -> (f64, String) {
     let opts = AnalyzeOptions {
         threads,
         cache_dir: cache.map(|c| c.to_path_buf()),
     };
-    let mut best = f64::INFINITY;
-    let mut jsonl = String::new();
-    for rep in 0..reps {
-        let start = Instant::now();
-        let report = analyze_workspace_with(root, &opts).expect("analyze");
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        best = best.min(elapsed);
-        let rendered = report.to_jsonl();
-        if rep == 0 {
-            jsonl = rendered;
-        } else {
-            assert_eq!(jsonl, rendered, "repeat run changed the output");
-        }
-    }
-    (best, jsonl)
+    let start = Instant::now();
+    let report = analyze_workspace_with(root, &opts).expect("analyze");
+    let elapsed = start.elapsed().as_secs_f64() * 1e3;
+    (elapsed, report.to_jsonl())
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -140,102 +147,146 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn measure_all(params: &Params, mode: &str) -> BenchFile {
+/// Appends one analysis-inert function to the workspace's first file: the
+/// smallest edit that changes the workspace digest.
+fn apply_edit(root: &Path, rep: usize) {
+    let path = root.join("unit_000.rs");
+    let mut src = std::fs::read_to_string(&path).expect("read source");
+    src.push_str(&format!("pub fn edit_{rep}() -> u64 {{ {rep} }}\n"));
+    std::fs::write(&path, src).expect("write source");
+}
+
+/// One round's wall times in milliseconds: every row once, back to back.
+struct Round {
+    /// One per [`COLD_THREADS`] entry.
+    cold: Vec<f64>,
+    warm: f64,
+    edit: f64,
+    uncached: f64,
+}
+
+fn median(values: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = values.collect();
+    v.sort_by(f64::total_cmp);
+    (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
+}
+
+/// Measures [`ROUNDS`] rounds and reports, per row, the median time and the
+/// median of the per-round ratios to that round's uncached pass. Ratios are
+/// taken within a round because this class of machine drifts (a burst after
+/// idle, then 10-35% slower under sustained load): passes run back to back
+/// share the drift, and the median drops the round a hiccup landed in.
+fn measure_all(files: usize, mode: &str) -> BenchFile {
     let root = fresh_dir("ws");
-    build_workspace(&root, params.files);
+    build_workspace(&root, files);
     let cache = fresh_dir("cache");
 
-    let mut entries = Vec::new();
-    let mut outputs: Vec<(String, String)> = Vec::new();
-    let mut record = |label: &str, threads: usize, millis: f64, jsonl: String| {
-        entries.push(Entry {
-            mode: label.to_string(),
-            threads: threads as u32,
-            millis,
-            normalized: 0.0, // filled in below once cold@1 is known
+    // Untimed warm-up, and the first round's reference output.
+    let (_, mut reference) = run_once(&root, None, 1);
+    let mut rounds = Vec::new();
+    for rep in 0..ROUNDS {
+        // Cold: an empty cache, so the pass pays the full pipeline plus the
+        // store.
+        let cold = COLD_THREADS
+            .iter()
+            .map(|&threads| {
+                std::fs::remove_dir_all(&cache).ok();
+                let (millis, out) = run_once(&root, Some(&cache), threads);
+                assert_eq!(out, reference, "cold @ {threads} output differs");
+                millis
+            })
+            .collect();
+        // Warm: the unchanged tree the last cold pass just stored.
+        let (warm, out) = run_once(&root, Some(&cache), 1);
+        assert_eq!(out, reference, "warm @ 1 output differs");
+        // Edit: one file changed since the cache was filled, so the pass
+        // misses, re-analyzes and replaces the entry.
+        apply_edit(&root, rep);
+        let (edit, edited) = run_once(&root, Some(&cache), 1);
+        // Uncached, on the edited tree: the unit, and the reference for the
+        // edit above and for the next round.
+        let (uncached, out) = run_once(&root, None, 1);
+        assert_eq!(edited, out, "edit @ 1 output differs");
+        reference = out;
+        rounds.push(Round {
+            cold,
+            warm,
+            edit,
+            uncached,
         });
-        outputs.push((format!("{label} @ {threads}"), jsonl));
-    };
-
-    // Uncached single-threaded reference, then cold (cache-filling) and
-    // warm (all-hit) runs. The cold measurement deletes the cache before
-    // every rep so each rep pays the full pipeline plus the stores.
-    for &threads in COLD_THREADS {
-        let mut best = f64::INFINITY;
-        let mut jsonl = String::new();
-        for rep in 0..params.reps {
-            std::fs::remove_dir_all(&cache).ok();
-            let (ms, out) = measure(&root, Some(&cache), threads, 1);
-            best = best.min(ms);
-            if rep == 0 {
-                jsonl = out;
-            } else {
-                assert_eq!(jsonl, out, "cold repeat changed the output");
-            }
-        }
-        record("cold", threads, best, jsonl);
-    }
-    // The cache is now fully populated by the last cold rep.
-    let (warm_ms, warm_out) = measure(&root, Some(&cache), 1, params.reps);
-    record("warm", 1, warm_ms, warm_out);
-    let (nocache_ms, nocache_out) = measure(&root, None, 1, params.reps);
-    record("uncached", 1, nocache_ms, nocache_out);
-
-    let reference = &outputs[0].1;
-    for (label, out) in &outputs[1..] {
-        assert_eq!(
-            out, reference,
-            "{label} output differs from {}",
-            outputs[0].0
-        );
     }
     std::fs::remove_dir_all(&root).ok();
     std::fs::remove_dir_all(&cache).ok();
 
-    let cold_1 = entries
-        .iter()
-        .find(|e| e.mode == "cold" && e.threads == 1)
-        .map(|e| e.millis)
-        .expect("cold @ 1 measured");
-    for e in &mut entries {
-        e.normalized = e.millis / cold_1;
+    let row = |mode: &str, threads: usize, pick: &dyn Fn(&Round) -> f64| {
+        let entry = Entry {
+            mode: mode.to_string(),
+            threads: threads as u32,
+            millis: median(rounds.iter().map(pick)),
+            normalized: median(rounds.iter().map(|r| pick(r) / r.uncached)),
+        };
         eprintln!(
-            "  {:<9} {} thr: {:>8.2} ms ({:.3}x cold@1)",
-            e.mode, e.threads, e.millis, e.normalized
+            "  {:<9} {} thr: {:>8.2} ms ({:.3}x uncached@1)",
+            entry.mode, entry.threads, entry.millis, entry.normalized
         );
+        entry
+    };
+    let mut entries = vec![row("uncached", 1, &|r| r.uncached)];
+    for (i, &threads) in COLD_THREADS.iter().enumerate() {
+        entries.push(row("cold", threads, &|r| r.cold[i]));
     }
-    let warm = entries
-        .iter()
-        .find(|e| e.mode == "warm" && e.threads == 1)
-        .map(|e| e.millis)
-        .expect("warm @ 1 measured");
+    entries.push(row("warm", 1, &|r| r.warm));
+    entries.push(row("edit", 1, &|r| r.edit));
     BenchFile {
-        schema_version: 1,
+        schema_version: BENCH_SCHEMA_VERSION,
         mode: mode.to_string(),
-        files: params.files as u32,
-        warm_speedup: cold_1 / warm,
+        files: files as u32,
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
+        // `COLD_THREADS[0]` is the single-threaded cold pass.
+        warm_speedup: median(rounds.iter().map(|r| r.cold[0] / r.warm)),
         entries,
     }
 }
 
-/// Machine-independent invariant, enforced on write and check alike.
+/// Machine-independent invariants, enforced on write and check alike.
 fn check_invariants(current: &BenchFile) -> Result<(), String> {
+    let mut failures = Vec::new();
     let s = current.warm_speedup;
     if !(s.is_finite() && s >= MIN_WARM_SPEEDUP) {
-        return Err(format!(
+        failures.push(format!(
             "warm analysis is only {s:.1}x faster than cold, need >= \
              {MIN_WARM_SPEEDUP:.0}x: the cache is no longer short-circuiting \
              the pipeline"
         ));
     }
-    eprintln!("invariants: warm run {s:.1}x faster than cold (need {MIN_WARM_SPEEDUP:.0}x)");
-    Ok(())
+    for mode in ["cold", "edit"] {
+        let x = current
+            .entries
+            .iter()
+            .find(|e| e.mode == mode && e.threads == 1)
+            .map_or(f64::NAN, |e| e.normalized);
+        if !(x.is_finite() && x <= MAX_MISS_OVERHEAD) {
+            failures.push(format!(
+                "a {mode} pass costs {x:.3}x an uncached pass, allowed \
+                 {MAX_MISS_OVERHEAD:.2}x: missing the cache costs more than \
+                 not having one"
+            ));
+        }
+    }
+    if failures.is_empty() {
+        eprintln!(
+            "invariants: warm run {s:.1}x faster than cold (need {MIN_WARM_SPEEDUP:.0}x); \
+             cold and edit within {MAX_MISS_OVERHEAD:.2}x of uncached"
+        );
+        Ok(())
+    } else {
+        Err(failures.join("\n"))
+    }
 }
 
-/// Normalized-ratio comparison against the stored baseline. Only the warm
-/// and parallel-cold ratios can regress meaningfully; `cold @ 1` is the
-/// unit and `uncached @ 1` tracks it by construction, but both are checked
-/// anyway — the loop is uniform and a drifting unit shows up elsewhere.
+/// Normalized-ratio comparison against the stored baseline. `uncached @ 1`
+/// is the unit (1.0 on both sides) and is checked anyway — the loop is
+/// uniform.
 fn check_against(stored: &BenchFile, current: &BenchFile) -> Result<(), String> {
     let mut failures = Vec::new();
     for base in &stored.entries {
@@ -252,7 +303,7 @@ fn check_against(stored: &BenchFile, current: &BenchFile) -> Result<(), String> 
         };
         if cur.normalized > base.normalized * REGRESSION_TOLERANCE {
             failures.push(format!(
-                "{} @ {} regressed: {:.3}x cold@1 (baseline {:.3}x, tolerance {:.0}%)",
+                "{} @ {} regressed: {:.3}x uncached@1 (baseline {:.3}x, tolerance {:.0}%)",
                 base.mode,
                 base.threads,
                 cur.normalized,
@@ -273,13 +324,6 @@ fn check_against(stored: &BenchFile, current: &BenchFile) -> Result<(), String> 
     }
 }
 
-fn write_atomically(path: &str, file: &BenchFile) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(file).expect("bench file serializes");
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, json + "\n")?;
-    std::fs::rename(&tmp, path)
-}
-
 fn usage() -> ExitCode {
     eprintln!("usage: analyze_gate (--write PATH | --check PATH) [--quick]");
     ExitCode::from(2)
@@ -298,27 +342,18 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    let (params, mode) = if quick {
-        (Params { files: 48, reps: 3 }, "quick")
-    } else {
-        (
-            Params {
-                files: 120,
-                reps: 5,
-            },
-            "full",
-        )
-    };
+    let (files, mode) = if quick { (48, "quick") } else { (120, "full") };
 
     match (write_path, check_path) {
         (Some(path), None) => {
             eprintln!("measuring ({mode} mode) ...");
-            let current = measure_all(&params, mode);
+            let current = measure_all(files, mode);
             if let Err(e) = check_invariants(&current) {
                 eprintln!("REFUSING to write a failing baseline:\n{e}");
                 return ExitCode::FAILURE;
             }
-            if let Err(e) = write_atomically(&path, &current) {
+            let json = serde_json::to_string_pretty(&current).expect("bench file serializes");
+            if let Err(e) = tsvd_core::save_atomic(Path::new(&path), json + "\n") {
                 eprintln!("failed to write {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -336,8 +371,16 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
+            if stored.schema_version != BENCH_SCHEMA_VERSION {
+                eprintln!(
+                    "baseline {path} has schema {} (this gate writes {BENCH_SCHEMA_VERSION}): \
+                     its ratios are in another unit; regenerate it with --write",
+                    stored.schema_version
+                );
+                return ExitCode::FAILURE;
+            }
             eprintln!("measuring ({mode} mode) ...");
-            let current = measure_all(&params, mode);
+            let current = measure_all(files, mode);
             let mut failed = false;
             if let Err(e) = check_invariants(&current) {
                 eprintln!("INVARIANT FAILURE:\n{e}");

@@ -23,6 +23,7 @@
 //!   cores, giving `8 × t1/t8 ≈ 8`; a serializing one inflates `t8` and the
 //!   projection collapses toward 1.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use serde::{Deserialize, Serialize};
@@ -266,13 +267,6 @@ fn check_against(stored: &BenchFile, current: &BenchFile) -> Result<(), String> 
     }
 }
 
-fn write_atomically(path: &str, file: &BenchFile) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(file).expect("bench file serializes");
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, json + "\n")?;
-    std::fs::rename(&tmp, path)
-}
-
 fn usage() -> ExitCode {
     eprintln!("usage: oncall_gate (--write PATH | --check PATH) [--quick]");
     ExitCode::from(2)
@@ -317,7 +311,8 @@ fn main() -> ExitCode {
                 eprintln!("REFUSING to write a failing baseline:\n{e}");
                 return ExitCode::FAILURE;
             }
-            if let Err(e) = write_atomically(&path, &current) {
+            let json = serde_json::to_string_pretty(&current).expect("bench file serializes");
+            if let Err(e) = tsvd_core::save_atomic(Path::new(&path), json + "\n") {
                 eprintln!("failed to write {path}: {e}");
                 return ExitCode::FAILURE;
             }

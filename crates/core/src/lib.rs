@@ -44,6 +44,7 @@ pub mod gate;
 pub mod hb_infer;
 pub mod near_miss;
 pub mod phase;
+pub mod record;
 pub mod report;
 pub mod rng;
 pub mod runtime;
@@ -62,6 +63,7 @@ pub use clock::{now_ns, Clock, ManualClock, RealClock};
 pub use config::TsvdConfig;
 pub use context::ContextId;
 pub use gate::HotGate;
+pub use record::save_atomic;
 pub use report::{ReportSink, Violation};
 pub use runtime::Runtime;
 pub use sink::{DurableSink, ViolationRecord, VIOLATION_SCHEMA_VERSION};

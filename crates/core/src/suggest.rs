@@ -98,9 +98,10 @@ pub fn to_jsonl(records: &[SuggestionRecord]) -> String {
     out
 }
 
-/// Writes records to `path` as JSONL.
+/// Writes records to `path` as JSONL, crash-safely (see
+/// [`save_atomic`](crate::record::save_atomic)).
 pub fn save(records: &[SuggestionRecord], path: &Path) -> io::Result<()> {
-    std::fs::write(path, to_jsonl(records))
+    crate::record::save_atomic(path, to_jsonl(records))
 }
 
 /// Loads a suggestions JSONL file. Unparseable lines (a torn tail from a

@@ -237,30 +237,13 @@ impl TrapFileData {
             .collect()
     }
 
-    /// Writes the snapshot as JSON, crash-safely: the JSON goes to a
-    /// temporary file in the same directory first and is atomically renamed
-    /// over `path`, so a crash mid-save leaves either the old trap file or
-    /// the new one — never a truncated hybrid.
+    /// Writes the snapshot as JSON, crash-safely (see
+    /// [`save_atomic`](crate::record::save_atomic)): a crash mid-save leaves
+    /// either the old trap file or the new one — never a truncated hybrid.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "trap file has no name"))?;
-        // Same directory as the target: rename(2) is only atomic within a
-        // filesystem. The pid suffix keeps concurrent savers from clobbering
-        // each other's temporaries.
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(format!(".tmp.{}", std::process::id()));
-        let tmp = match dir {
-            Some(d) => d.join(&tmp_name),
-            None => std::path::PathBuf::from(&tmp_name),
-        };
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })
+        crate::record::save_atomic(path, json)
     }
 
     /// Loads a snapshot from JSON. A *missing* file is an error (callers

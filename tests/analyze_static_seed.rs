@@ -12,7 +12,8 @@
 //! analyzer's `file:line:column` output matches what `#[track_caller]`
 //! records at run time — the pairs only pre-arm if the site ids agree.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 use tsvd::prelude::*;
 use tsvd_core::{PairOrigin, TrapFileData};
@@ -21,11 +22,35 @@ use tsvd_core::{PairOrigin, TrapFileData};
 /// compiles from the workspace root).
 const SELF_PATH: &str = "tests/analyze_static_seed.rs";
 
+/// Serialises this file's runtime-driving tests. Each of them asserts on
+/// what two tasks do inside a few milliseconds of wall clock, and cargo runs
+/// a file's tests on parallel threads: on a two-core box they pre-empt each
+/// other's schedules. One at a time, each has the machine to itself.
+static RUNTIME_TESTS: Mutex<()> = Mutex::new(());
+
+fn serialised() -> MutexGuard<'static, ()> {
+    // A failed test poisons the mutex; the `()` inside cannot be left
+    // half-updated, so the others carry on and report on their own merits.
+    RUNTIME_TESTS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn config(seed_shift: u64) -> TsvdConfig {
     let mut config = TsvdConfig::paper().scaled(0.05);
     config.seed = config.seed.wrapping_add(seed_shift);
     config
 }
+
+/// How far the second task's access trails the first's. `on_call` checks
+/// for a live trap and only then sets its own, so two accesses that arrive
+/// inside that window (~10 µs) both sleep and neither catches the other —
+/// a miss that says nothing about seeding. Two pool workers released
+/// together land in it for 0 seeds of 100 on an idle box and for up to 32
+/// of 100 while both cores are still hot from a build, which is when tier-1
+/// runs (EXPERIMENTS.md, PR 12). The stagger is far outside the window and far inside every delay
+/// and near-miss window used below (5 ms and up).
+const STAGGER: Duration = Duration::from_millis(1);
 
 /// One test run: two tasks, one conflicting `Dictionary.set` each.
 fn run_workload_once(rt: &Arc<Runtime>) {
@@ -34,7 +59,10 @@ fn run_workload_once(rt: &Arc<Runtime>) {
     let d1 = d.clone();
     let d2 = d.clone();
     let a = pool.spawn(move || d1.set(1, 1));
-    let b = pool.spawn(move || d2.set(2, 2));
+    let b = pool.spawn(move || {
+        std::thread::sleep(STAGGER);
+        d2.set(2, 2)
+    });
     a.wait();
     b.wait();
 }
@@ -65,6 +93,7 @@ fn static_priors() -> TrapFileData {
 
 #[test]
 fn unseeded_first_run_cannot_catch_a_once_per_run_pair() {
+    let _serial = serialised();
     for attempt in 0..10 {
         let rt = Runtime::tsvd(config(attempt));
         run_workload_once(&rt);
@@ -79,6 +108,7 @@ fn unseeded_first_run_cannot_catch_a_once_per_run_pair() {
 
 #[test]
 fn statically_seeded_first_run_catches_it() {
+    let _serial = serialised();
     let priors = static_priors();
     let mut first_catch = None;
     for attempt in 0..10 {
@@ -112,9 +142,11 @@ fn statically_seeded_first_run_catches_it() {
 
 #[test]
 fn statically_seeded_mean_runs_to_first_violation_stays_at_one() {
+    let _serial = serialised();
     let priors = static_priors();
     const SEEDS: u64 = 100;
     let mut total_runs = 0u32;
+    let mut retried: Vec<(u64, u32)> = Vec::new();
     for seed in 0..SEEDS {
         let mut carried = priors.clone();
         let mut runs = 0u32;
@@ -139,17 +171,21 @@ fn statically_seeded_mean_runs_to_first_violation_stays_at_one() {
             assert!(runs < 10, "seed {seed}: no violation after 10 runs");
         }
         total_runs += runs;
+        if runs > 1 {
+            retried.push((seed, runs));
+        }
     }
     let mean = f64::from(total_runs) / SEEDS as f64;
     assert!(
         mean <= 1.01,
         "statically seeded runs-to-first-violation regressed: mean {mean} > 1.01 \
-         over {SEEDS} seeds"
+         over {SEEDS} seeds; (seed, runs) that needed more than one: {retried:?}"
     );
 }
 
 #[test]
 fn dynamic_detector_needs_the_second_run_the_priors_remove() {
+    let _serial = serialised();
     // Run 1, unseeded: the near miss arms the pair but nothing traps.
     // Arming needs both tasks inside the near-miss window, so under a
     // loaded parallel test run the scheduler can push them apart; retry
@@ -191,6 +227,7 @@ fn run_options_static_priors_reach_module_runtimes() {
     use tsvd::harness::runner::{run_module_once, DetectorKind, RunOptions};
     use tsvd::workloads::module::{Expectation, Module};
 
+    let _serial = serialised();
     let priors = static_priors();
     let mut options = RunOptions::with_static_priors(priors.clone());
     options.config = config(7);

@@ -9,7 +9,13 @@
 //! Raw nanoseconds-per-access are machine-dependent, so the stored numbers
 //! that gate CI are *normalized*: each point is divided by the same run's
 //! `noop @ 1 thread` time for the same shape. That ratio is "detector cost
-//! in units of bare-instrumentation cost" and transfers across machines.
+//! in units of bare-instrumentation cost" and transfers across machines —
+//! as long as the threads really ran at once. Eight threads time-sharing one
+//! core never contend; on eight cores they do, and the same code reads
+//! several times slower. Every file therefore records the `nproc` it was
+//! measured on, and `--check` compares only the rows both machines could
+//! run in parallel (`threads ≤ min(nproc)` of the two files), naming the
+//! rows it skipped.
 //!
 //! Two absolute invariants are enforced on every run (write and check),
 //! both on the read-only high-cardinality shape where a batched runtime
@@ -66,10 +72,12 @@ struct Entry {
 }
 
 /// Gate unit: the geometric mean of one detector's normalized ratios
-/// across all thread counts of one shape. Single (shape, detector,
-/// threads) points on a loaded CI runner are too noisy to gate at 15%;
-/// averaging the four thread counts is, while still catching any real
-/// hot-path regression (which moves every thread count together).
+/// across the thread counts of one shape (all of them here; `--check`
+/// re-derives it over the rows comparable between the two machines).
+/// Single (shape, detector, threads) points on a loaded CI runner are too
+/// noisy to gate at 15%; averaging the thread counts is not, while still
+/// catching any real hot-path regression (which moves every thread count
+/// together).
 #[derive(Debug, Serialize, Deserialize)]
 struct Aggregate {
     shape: String,
@@ -81,6 +89,12 @@ struct Aggregate {
 struct BenchFile {
     schema_version: u32,
     mode: String,
+    /// Cores the measuring machine offered. Rows with more threads than
+    /// this time-shared cores instead of contending for cache lines, so
+    /// they compare only against rows measured the same way. Absent in
+    /// files written before it was recorded: only 1-thread rows compare.
+    #[serde(default)]
+    nproc: u32,
     /// Projected 1→8 scaling for `tsvd_batched` on `highcard_ro`
     /// (`min(8, 8 × t1/t8)`), re-derived and re-gated on every check.
     projected_scaling_8: f64,
@@ -138,30 +152,35 @@ fn measure_all(params: &Params, mode: &str) -> BenchFile {
     BenchFile {
         schema_version: 1,
         mode: mode.to_string(),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
         projected_scaling_8,
         entries,
         aggregates,
     }
 }
 
+/// Geometric mean of one detector's normalized ratios on one shape, over
+/// the rows with at most `max_threads` threads.
+fn geomean(entries: &[Entry], shape: &str, detector: &str, max_threads: u32) -> Option<f64> {
+    let logs: Vec<f64> = entries
+        .iter()
+        .filter(|e| e.shape == shape && e.detector == detector && e.threads <= max_threads)
+        .map(|e| e.normalized.ln())
+        .collect();
+    (!logs.is_empty()).then(|| (logs.iter().sum::<f64>() / logs.len() as f64).exp())
+}
+
 fn aggregate(entries: &[Entry]) -> Vec<Aggregate> {
     let mut out: Vec<Aggregate> = Vec::new();
     for shape in SHAPES {
         for &(name, _) in DETECTORS {
-            let ratios: Vec<f64> = entries
-                .iter()
-                .filter(|e| e.shape == shape.name && e.detector == name)
-                .map(|e| e.normalized)
-                .collect();
-            if ratios.is_empty() {
-                continue;
+            if let Some(normalized_geomean) = geomean(entries, shape.name, name, u32::MAX) {
+                out.push(Aggregate {
+                    shape: shape.name.to_string(),
+                    detector: name.to_string(),
+                    normalized_geomean,
+                });
             }
-            let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-            out.push(Aggregate {
-                shape: shape.name.to_string(),
-                detector: name.to_string(),
-                normalized_geomean: geomean,
-            });
         }
     }
     out
@@ -227,15 +246,32 @@ fn check_invariants(current: &BenchFile) -> Result<(), String> {
     Ok(())
 }
 
-/// Aggregate normalized-ratio comparison against the stored baseline.
+/// Aggregate normalized-ratio comparison against the stored baseline, over
+/// the rows both machines ran in parallel.
 fn check_against(stored: &BenchFile, current: &BenchFile) -> Result<(), String> {
+    let comparable = stored.nproc.min(current.nproc).max(1);
+    let skipped: Vec<String> = THREADS
+        .iter()
+        .filter(|&&t| t as u32 > comparable)
+        .map(|t| t.to_string())
+        .collect();
+    if !skipped.is_empty() {
+        let written_on = match stored.nproc {
+            0 => "an unrecorded number of".to_string(),
+            n => n.to_string(),
+        };
+        eprintln!(
+            "baseline: written on {written_on} core(s), this machine has {}: comparing rows \
+             with threads <= {comparable}, skipping the {}-thread rows",
+            current.nproc,
+            skipped.join("/")
+        );
+    }
     let mut failures = Vec::new();
     for base in &stored.aggregates {
-        let Some(cur) = current
-            .aggregates
-            .iter()
-            .find(|a| a.shape == base.shape && a.detector == base.detector)
-        else {
+        let side =
+            |file: &BenchFile| geomean(&file.entries, &base.shape, &base.detector, comparable);
+        let (Some(was), Some(now)) = (side(stored), side(current)) else {
             failures.push(format!(
                 "{}/{} missing from current run",
                 base.shape, base.detector
@@ -243,14 +279,12 @@ fn check_against(stored: &BenchFile, current: &BenchFile) -> Result<(), String> 
             continue;
         };
         // Regressions only: getting faster than the baseline is fine.
-        if cur.normalized_geomean > base.normalized_geomean * REGRESSION_TOLERANCE {
+        if now > was * REGRESSION_TOLERANCE {
             failures.push(format!(
-                "{}/{} regressed: {:.2}x noop@1 across threads \
-                 (baseline {:.2}x, tolerance {:.0}%)",
+                "{}/{} regressed: {now:.2}x noop@1 across threads <= {comparable} \
+                 (baseline {was:.2}x, tolerance {:.0}%)",
                 base.shape,
                 base.detector,
-                cur.normalized_geomean,
-                base.normalized_geomean,
                 (REGRESSION_TOLERANCE - 1.0) * 100.0
             ));
         }

@@ -10,14 +10,14 @@
 //!
 //! `probability` is consulted on every access at an armed site, so the
 //! table is an epoch-pinned immutable snapshot (see [`crate::epoch`]):
-//! readers never lock, writers (arm, decay, remove — rare) serialize on a
-//! mutex and publish copy-on-write snapshots. An atomic armed-count keeps
-//! the empty table — no pair armed yet — free of even the epoch pin.
+//! readers never lock. Mutations read before they write — re-arming a site
+//! already at 1 or removing an absent one publishes nothing; an effective
+//! arm, decay or remove serializes and publishes a copy-on-write snapshot.
+//! An atomic armed-count keeps the empty table — no pair armed yet — free
+//! of even the epoch pin.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
 
 use crate::audit;
 use crate::epoch::EpochPtr;
@@ -26,7 +26,6 @@ use crate::site::SiteId;
 /// Per-location delay probabilities with multiplicative decay.
 pub struct DecayTable {
     snapshot: EpochPtr<HashMap<SiteId, f64>>,
-    writer: Mutex<()>,
     armed: AtomicUsize,
     factor: f64,
     floor: f64,
@@ -37,42 +36,45 @@ impl DecayTable {
     pub fn new(factor: f64, floor: f64) -> Self {
         DecayTable {
             snapshot: EpochPtr::new(HashMap::new()),
-            writer: Mutex::new(()),
             armed: AtomicUsize::new(0),
             factor: factor.clamp(0.0, 1.0),
             floor: floor.clamp(0.0, 1.0),
         }
     }
 
-    /// Clone-mutate-swap under the writer lock, then republish the armed
-    /// count from the new snapshot's size.
-    fn write<R>(&self, mutate: impl FnOnce(&mut HashMap<SiteId, f64>) -> R) -> R {
-        audit::note_lock();
-        let _w = self.writer.lock();
-        let mut next = self.snapshot.read(Clone::clone);
-        let result = mutate(&mut next);
-        audit::note_shared_write();
-        self.armed.store(next.len(), Ordering::Release);
-        self.snapshot.swap(next);
-        result
+    /// [`EpochPtr::update`], republishing the armed count from the new
+    /// snapshot's size.
+    fn write<R>(
+        &self,
+        noop: impl Fn(&HashMap<SiteId, f64>) -> Option<R>,
+        mutate: impl FnOnce(&mut HashMap<SiteId, f64>) -> R,
+    ) -> R {
+        self.snapshot.update(noop, |next| {
+            let result = mutate(next);
+            audit::note_shared_write();
+            self.armed.store(next.len(), Ordering::Release);
+            result
+        })
     }
 
     /// (Re)arms `site` at probability 1. Called when a dangerous pair
     /// containing `site` enters the trap set.
     pub fn arm(&self, site: SiteId) {
-        self.write(|probs| {
-            probs.insert(site, 1.0);
-        });
+        self.write(
+            |probs| (probs.get(&site) == Some(&1.0)).then_some(()),
+            |probs| {
+                probs.insert(site, 1.0);
+            },
+        );
     }
 
     /// Arms every site in `sites` at probability 1 with a single snapshot
     /// publish — the bulk path for trap file imports.
     pub fn arm_many(&self, sites: impl IntoIterator<Item = SiteId>) {
-        self.write(|probs| {
-            for site in sites {
-                probs.insert(site, 1.0);
-            }
-        });
+        self.write(
+            |_| None,
+            |probs| probs.extend(sites.into_iter().map(|s| (s, 1.0))),
+        );
     }
 
     /// Returns the current delay probability of `site` (0 if unknown).
@@ -89,25 +91,31 @@ impl DecayTable {
     /// Returns `true` if the probability dropped below the floor and the
     /// caller should evict the location's pairs from the trap set.
     pub fn decay(&self, site: SiteId) -> bool {
-        self.write(|probs| {
-            let Some(p) = probs.get_mut(&site) else {
-                return false;
-            };
-            *p *= 1.0 - self.factor;
-            if *p < self.floor && self.factor > 0.0 {
-                probs.remove(&site);
-                true
-            } else {
-                false
-            }
-        })
+        self.write(
+            |probs| (!probs.contains_key(&site)).then_some(false),
+            |probs| {
+                let Some(p) = probs.get_mut(&site) else {
+                    return false;
+                };
+                *p *= 1.0 - self.factor;
+                if *p < self.floor && self.factor > 0.0 {
+                    probs.remove(&site);
+                    true
+                } else {
+                    false
+                }
+            },
+        )
     }
 
     /// Removes `site` outright (e.g. a violation was already found there).
     pub fn remove(&self, site: SiteId) {
-        self.write(|probs| {
-            probs.remove(&site);
-        });
+        self.write(
+            |probs| (!probs.contains_key(&site)).then_some(()),
+            |probs| {
+                probs.remove(&site);
+            },
+        );
     }
 
     /// Number of armed locations (stats).

@@ -195,12 +195,12 @@ pub fn pin() -> Guard {
 
 /// An atomic pointer to an immutable snapshot, reclaimed through epochs.
 ///
-/// Readers call [`read`](EpochPtr::read) (pin + load + borrow); writers
-/// build a replacement value and [`swap`](EpochPtr::swap) it in. Writers
-/// must be externally serialized (the owning structure holds a writer
-/// mutex); readers need no coordination at all.
+/// Readers call [`read`](EpochPtr::read) (pin + load + borrow) and need no
+/// coordination at all; writers go through [`update`](EpochPtr::update),
+/// which serializes them on the pointer's own mutex.
 pub struct EpochPtr<T: Send + Sync + 'static> {
     ptr: AtomicPtr<T>,
+    writer: Mutex<()>,
 }
 
 impl<T: Send + Sync + 'static> EpochPtr<T> {
@@ -208,6 +208,7 @@ impl<T: Send + Sync + 'static> EpochPtr<T> {
     pub fn new(value: T) -> EpochPtr<T> {
         EpochPtr {
             ptr: AtomicPtr::new(Box::into_raw(Box::new(value))),
+            writer: Mutex::new(()),
         }
     }
 
@@ -221,13 +222,36 @@ impl<T: Send + Sync + 'static> EpochPtr<T> {
         f(unsafe { &*ptr })
     }
 
+    /// Read before write. `noop` answers from a snapshot when the update
+    /// would change nothing; it is asked on the pinned current snapshot
+    /// first — no lock, no clone, nothing published — and again under the
+    /// writer mutex, where a racing update is decided. Only an update that
+    /// does change the value clones it, applies `mutate` to the clone, and
+    /// swaps the clone in.
+    pub fn update<R>(&self, noop: impl Fn(&T) -> Option<R>, mutate: impl FnOnce(&mut T) -> R) -> R
+    where
+        T: Clone,
+    {
+        if let Some(unchanged) = self.read(&noop) {
+            return unchanged;
+        }
+        audit::note_lock();
+        let _w = self.writer.lock();
+        let mut next = match self.read(|v| noop(v).ok_or_else(|| v.clone())) {
+            Ok(unchanged) => return unchanged,
+            Err(clone) => clone,
+        };
+        let result = mutate(&mut next);
+        audit::note_shared_write();
+        self.swap(next);
+        result
+    }
+
     /// Publishes `value` as the new snapshot and retires the old one.
-    ///
-    /// Callers must serialize swaps (e.g. under the structure's writer
-    /// mutex): two racing swaps would both retire — and eventually free —
-    /// distinct predecessors, which is safe, but the surviving snapshot
-    /// would be whichever swap lost the race, losing the other's update.
-    pub fn swap(&self, value: T) {
+    /// Private: racing swaps built on one predecessor would both be memory
+    /// safe, but the survivor would lose the other's update, so writers go
+    /// through [`update`](EpochPtr::update), which serializes them.
+    fn swap(&self, value: T) {
         let fresh = Box::into_raw(Box::new(value));
         let old = self.ptr.swap(fresh, Ordering::AcqRel);
         // SAFETY: `old` came from `Box::into_raw` in `new` or a previous

@@ -18,14 +18,25 @@
 //! If several delays qualify, the edge is attributed to the most recently
 //! finished one. By transitivity, the next `k_hb` accesses of `Thd2` are also
 //! treated as happening after `loc1`.
+//!
+//! `on_access` runs on every instrumented call, so there is no global lock:
+//! per-context state is lock-striped by context, and the delay history and
+//! inferred-edge set are read-mostly, each mirrored by an atomic count so
+//! the common call — a short gap, or no delay finished yet — and
+//! `is_inferred` on an empty set touch neither.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
+use crate::audit;
 use crate::context::ContextId;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
+
+/// Lock stripes over the per-context state.
+const STRIPES: usize = 16;
 
 /// A finished delay injection, kept for causality attribution.
 #[derive(Debug, Clone, Copy)]
@@ -49,17 +60,16 @@ struct ThreadState {
     pending_source: Option<(SiteId, usize)>,
 }
 
-struct Inner {
-    delays: VecDeque<DelayRecord>,
-    threads: HashMap<ContextId, ThreadState>,
-    /// All edges inferred so far, as normalized pairs. A pair in this set is
-    /// never re-added to the trap set.
-    inferred: std::collections::HashSet<SitePair>,
-}
-
 /// Happens-before inference engine.
 pub struct HbInference {
-    inner: Mutex<Inner>,
+    threads: Box<[Mutex<HashMap<ContextId, ThreadState>>]>,
+    delays: RwLock<VecDeque<DelayRecord>>,
+    /// All edges inferred so far, as normalized pairs. A pair in this set is
+    /// never re-added to the trap set.
+    inferred: RwLock<HashSet<SitePair>>,
+    /// Lengths of `delays` and `inferred`, readable without their locks.
+    delay_count: AtomicUsize,
+    inferred_count: AtomicUsize,
     /// `δ_hb · delay_time` in nanoseconds.
     gap_ns: u64,
     /// `k_hb`.
@@ -73,11 +83,11 @@ impl HbInference {
     /// transitivity window `k_hb`, and delay-record retention.
     pub fn new(gap_ns: u64, transitivity: usize, delay_history: usize) -> Self {
         HbInference {
-            inner: Mutex::new(Inner {
-                delays: VecDeque::new(),
-                threads: HashMap::new(),
-                inferred: std::collections::HashSet::new(),
-            }),
+            threads: (0..STRIPES).map(|_| Mutex::default()).collect(),
+            delays: RwLock::default(),
+            inferred: RwLock::default(),
+            delay_count: AtomicUsize::new(0),
+            inferred_count: AtomicUsize::new(0),
             gap_ns,
             transitivity,
             delay_history: delay_history.max(1),
@@ -92,76 +102,91 @@ impl HbInference {
     /// delay — otherwise two simultaneously trapped threads would infer a
     /// bogus HB edge between their racy locations and prune the real pair.
     pub fn record_delay(&self, delay: DelayRecord) {
-        let mut inner = self.inner.lock();
-        let state = inner.threads.entry(delay.context).or_default();
-        state.last_access_ns = Some(state.last_access_ns.unwrap_or(0).max(delay.end_ns));
-        inner.delays.push_back(delay);
-        while inner.delays.len() > self.delay_history {
-            inner.delays.pop_front();
+        {
+            audit::note_lock();
+            let mut threads = self.threads[delay.context.0 as usize % STRIPES].lock();
+            let state = threads.entry(delay.context).or_default();
+            state.last_access_ns = Some(state.last_access_ns.unwrap_or(0).max(delay.end_ns));
         }
+        audit::note_lock();
+        let mut delays = self.delays.write();
+        delays.push_back(delay);
+        while delays.len() > self.delay_history {
+            delays.pop_front();
+        }
+        audit::note_shared_write();
+        self.delay_count.store(delays.len(), Ordering::Release);
     }
 
     /// Observes an access by `context` at `site` at time `now_ns`, returning
     /// the site pairs newly inferred to be HB-ordered (and therefore to be
     /// pruned from the trap set).
     pub fn on_access(&self, context: ContextId, site: SiteId, now_ns: u64) -> Vec<SitePair> {
-        let mut inner = self.inner.lock();
-        let mut new_pairs = Vec::new();
-
-        let state = inner.threads.entry(context).or_default();
-        let last = state.last_access_ns;
-        state.last_access_ns = Some(now_ns);
+        audit::note_lock();
+        let mut threads = self.threads[context.0 as usize % STRIPES].lock();
+        let state = threads.entry(context).or_default();
+        let last = state.last_access_ns.replace(now_ns);
 
         // Transitivity: this access inherits a previously inferred source.
-        let mut source_for_this_access: Option<SiteId> = None;
+        let mut source = None;
         if let Some((src, remaining)) = state.pending_source {
-            source_for_this_access = Some(src);
-            state.pending_source = if remaining > 1 {
-                Some((src, remaining - 1))
-            } else {
-                None
-            };
+            source = Some(src);
+            state.pending_source = (remaining > 1).then_some((src, remaining - 1));
         }
 
         // Fresh inference: long gap overlapping a finished delay by another
         // context.
         if let Some(t0) = last {
-            if now_ns.saturating_sub(t0) >= self.gap_ns && self.gap_ns > 0 {
+            if self.gap_ns > 0
+                && now_ns.saturating_sub(t0) >= self.gap_ns
+                && self.delay_count.load(Ordering::Acquire) > 0
+            {
+                audit::note_lock();
                 // Attribute to the most recently *finished* qualifying delay.
-                let hit = inner
+                let hit = self
                     .delays
+                    .read()
                     .iter()
                     .filter(|d| d.context != context)
                     .filter(|d| t0 <= d.end_ns && d.start_ns <= now_ns)
                     .max_by_key(|d| d.end_ns)
-                    .copied();
-                if let Some(d) = hit {
-                    let state = inner.threads.entry(context).or_default();
-                    source_for_this_access = Some(d.site);
+                    .map(|d| d.site);
+                if let Some(src) = hit {
+                    source = Some(src);
                     if self.transitivity > 0 {
-                        state.pending_source = Some((d.site, self.transitivity));
+                        state.pending_source = Some((src, self.transitivity));
                     }
                 }
             }
         }
+        drop(threads);
 
-        if let Some(src) = source_for_this_access {
-            let pair = SitePair::new(src, site);
-            if inner.inferred.insert(pair) {
-                new_pairs.push(pair);
-            }
+        let Some(src) = source else {
+            return Vec::new();
+        };
+        let pair = SitePair::new(src, site);
+        audit::note_lock();
+        let mut inferred = self.inferred.write();
+        if !inferred.insert(pair) {
+            return Vec::new();
         }
-        new_pairs
+        audit::note_shared_write();
+        self.inferred_count.store(inferred.len(), Ordering::Release);
+        vec![pair]
     }
 
     /// Returns `true` if `pair` has been inferred HB-ordered.
     pub fn is_inferred(&self, pair: SitePair) -> bool {
-        self.inner.lock().inferred.contains(&pair)
+        if self.inferred_count.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        audit::note_lock();
+        self.inferred.read().contains(&pair)
     }
 
     /// Total number of inferred edges (stats).
     pub fn inferred_count(&self) -> usize {
-        self.inner.lock().inferred.len()
+        self.inferred_count.load(Ordering::Acquire)
     }
 }
 
@@ -378,6 +403,28 @@ mod tests {
     }
 
     #[test]
+    fn contexts_sharing_a_stripe_keep_separate_state() {
+        let e = engine();
+        let (t2, t18) = (ContextId(2), ContextId(2 + STRIPES as u64));
+        e.on_access(t2, site(20), ms_to_ns(10));
+        e.record_delay(DelayRecord {
+            site: site(1),
+            context: ContextId(1),
+            start_ns: ms_to_ns(20),
+            end_ns: ms_to_ns(120),
+        });
+        e.on_access(t18, site(30), ms_to_ns(125));
+        // Same stripe, different contexts: one was blocked across the
+        // delay, the other's previous access came after it ended.
+        assert_eq!(
+            e.on_access(t2, site(21), ms_to_ns(130)),
+            vec![SitePair::new(site(1), site(21))]
+        );
+        assert!(e.on_access(t18, site(31), ms_to_ns(131)).is_empty());
+        assert_eq!(e.inferred_count(), 1);
+    }
+
+    #[test]
     fn delay_history_is_bounded() {
         let e = HbInference::new(ms_to_ns(50), 2, 4);
         for i in 0..100 {
@@ -388,6 +435,6 @@ mod tests {
                 end_ns: i + 1,
             });
         }
-        assert!(e.inner.lock().delays.len() <= 4);
+        assert!(e.delays.read().len() <= 4);
     }
 }

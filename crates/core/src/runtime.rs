@@ -36,9 +36,9 @@ pub struct Runtime {
     sink: ReportSink,
     stats: RuntimeStats,
     config: TsvdConfig,
-    /// Phase buffer used only for coverage statistics (the TSVD strategy
-    /// keeps its own for planning).
-    coverage_phase: PhaseBuffer,
+    /// The run's one phase ring (§3.4.3): an inline call records its context
+    /// once; the verdict feeds coverage and the strategy's planning alike.
+    phase: PhaseBuffer,
     /// Time-based coverage concurrency estimate for *batched* events (see
     /// [`crate::phase::ContextRecency`]).
     coverage_recency: ContextRecency,
@@ -94,7 +94,7 @@ impl Runtime {
             traps,
             sink: ReportSink::new(),
             stats: RuntimeStats::with_shards(config.stats_shards),
-            coverage_phase: PhaseBuffer::new(config.phase_buffer),
+            phase: PhaseBuffer::new(config.phase_buffer),
             coverage_recency: ContextRecency::new(config.phase_buffer, config.near_miss_window_ns),
             gate,
             batching,
@@ -176,7 +176,7 @@ impl Runtime {
             return;
         }
 
-        let concurrent = self.coverage_phase.record_and_check(access.context);
+        let concurrent = self.phase.record_and_check(access.context);
         self.stats.record_call(site, concurrent);
 
         if self.trace {
@@ -226,7 +226,7 @@ impl Runtime {
         // should_delay: the strategy decides where and when. The strategy
         // always sees the access (near-miss and HB state keep learning),
         // but a degraded runtime never injects the delay.
-        if let Some(delay_ns) = self.strategy.on_access(&access) {
+        if let Some(delay_ns) = self.strategy.on_access(&access, concurrent) {
             if self.watchdog.is_degraded() {
                 if self.trace {
                     eprintln!(
@@ -315,12 +315,11 @@ impl Runtime {
         if thread_exit {
             self.stats.record_thread_exit_flush();
         }
-        self.stats.record_calls_bulk(events.len() as u64);
         for access in events {
             let concurrent = self
                 .coverage_recency
                 .note_and_check(access.context, access.time_ns);
-            self.stats.record_coverage(access.site, concurrent);
+            self.stats.record_call(access.site, concurrent);
         }
         self.strategy.on_batch(events);
     }
@@ -642,6 +641,42 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).ok();
         panic!("no collision caught in 5 attempts");
+    }
+
+    #[test]
+    fn one_phase_observation_gates_arming_and_coverage_alike() {
+        let mut c = cfg();
+        c.phase_buffer = 4;
+        c.enable_windowing = false; // Near misses independent of wall time.
+        c.max_delay_per_run_ns = 0; // Plan, never sleep.
+        let rt = Runtime::tsvd(c);
+        let (a, b, elsewhere) = (crate::site!(), crate::site!(), crate::site!());
+        let call = |ctx: u64, obj: u64, site: SiteId| {
+            let _g = context::enter(context::ContextId(ctx));
+            rt.on_call(ObjId(obj), site, "x.write", OpKind::Write);
+        };
+        let armed = || rt.export_trap_file().expect("tsvd exports").pairs.len();
+
+        call(1, 7, a);
+        // Context 2 runs alone until context 1 has left the 4-slot ring...
+        for _ in 0..4 {
+            call(2, 8, elsewhere);
+        }
+        // ...so its near miss with context 1's write is seen in a
+        // sequential phase: not armed, not counted as concurrent coverage.
+        call(2, 7, b);
+        assert_eq!(armed(), 0);
+        // Context 1 returns: two contexts in the ring, the same near miss arms.
+        call(1, 7, a);
+        assert_eq!(armed(), 1);
+        let concurrent_hits = |site: SiteId| {
+            let cov = rt.stats().coverage();
+            cov.iter()
+                .find(|(s, _)| *s == site)
+                .map(|(_, c)| c.concurrent_hits)
+        };
+        assert_eq!(concurrent_hits(b), Some(0));
+        assert_eq!(concurrent_hits(a), Some(1), "the second call at `a` only");
     }
 
     #[test]

@@ -122,6 +122,11 @@ impl SiteId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The site whose [`index`](SiteId::index) is `index`.
+    pub(crate) fn from_index(index: usize) -> SiteId {
+        SiteId(u32::try_from(index).expect("a site index fits u32"))
+    }
 }
 
 impl fmt::Display for SiteId {

@@ -6,24 +6,24 @@
 //! code was only ever exercised sequentially. The §5.5 resource evaluation
 //! additionally needs memory estimates for the tracking state.
 //!
-//! `record_call` runs on every instrumented access, so coverage is kept in
-//! sharded read-mostly maps of atomic cells: after a site's first visit,
-//! recording is a shared (read) lock plus two relaxed `fetch_add`s — the
-//! write lock is taken exactly once per distinct site. The per-context
-//! delay ledger is sharded by context so concurrent delayers don't share a
-//! lock.
+//! `record_call` runs on every instrumented access, so coverage is a
+//! grow-only table of atomic cells indexed by the dense [`SiteId::index`]:
+//! two pointer loads and one or two relaxed `fetch_add`s — no lock word, no
+//! hashing, no reference count. It grows on first touch in 1 KiB chunks, so
+//! a runtime pays for the sites it executes, not for the process-wide site
+//! count (a suite builds a runtime per module). The call total is the sum
+//! of the cells' hits. The per-context delay ledger is sharded by context
+//! so concurrent delayers don't share a lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::audit;
 use crate::context::ContextId;
 use crate::site::SiteId;
-
-const DEFAULT_SHARDS: usize = 16;
 
 /// Per-site coverage: how often a TSVD point ran at all, and how often it
 /// ran inside a concurrent phase.
@@ -41,12 +41,61 @@ struct CovCell {
     concurrent_hits: AtomicU64,
 }
 
-/// One coverage shard: read-mostly map from site to its atomic counters.
-type CovShard = RwLock<HashMap<SiteId, Arc<CovCell>>>;
+/// Cells per coverage chunk (1 KiB).
+const CHUNK: usize = 64;
+/// Directory rows: enough for every `u32` site index.
+const ROWS: usize = 27;
+/// A directory slot: one lazily allocated chunk.
+type Chunk = OnceLock<Box<[CovCell; CHUNK]>>;
+
+/// The coverage table. Chunk `c` holds sites `64c .. 64c + 64` and sits in
+/// directory row `⌊log2(c + 1)⌋`; row `r` has `2^r` slots, so the directory
+/// doubles row by row. Rows and chunks are allocated when first touched and
+/// never move, which is what lets cells be reached without any lock.
+#[derive(Default)]
+struct Coverage {
+    rows: [OnceLock<Box<[Chunk]>>; ROWS],
+}
+
+impl Coverage {
+    fn cell(&self, site: SiteId) -> &CovCell {
+        let n = site.index() / CHUNK + 1;
+        let row = n.ilog2() as usize;
+        let slots =
+            self.rows[row].get_or_init(|| (0..1usize << row).map(|_| OnceLock::new()).collect());
+        let chunk = slots[n - (1 << row)]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| CovCell::default())));
+        &chunk[site.index() % CHUNK]
+    }
+
+    /// Every site executed at least once, in index order.
+    fn hits(&self) -> impl Iterator<Item = (SiteId, SiteCoverage)> + '_ {
+        let chunks = self.rows.iter().enumerate().flat_map(|(row, slots)| {
+            let slots = slots.get().into_iter().flat_map(|s| s.iter());
+            slots
+                .enumerate()
+                .map(move |(slot, chunk)| ((1 << row) - 1 + slot, chunk))
+        });
+        let cells = chunks.flat_map(|(c, chunk)| {
+            let cells = chunk.get().into_iter().flat_map(|cells| cells.iter());
+            cells
+                .enumerate()
+                .map(move |(i, cell)| (SiteId::from_index(c * CHUNK + i), cell))
+        });
+        cells.filter_map(|(site, cell)| {
+            let hits = cell.hits.load(Ordering::Relaxed);
+            let concurrent_hits = cell.concurrent_hits.load(Ordering::Relaxed);
+            let coverage = SiteCoverage {
+                hits,
+                concurrent_hits,
+            };
+            (hits > 0).then_some((site, coverage))
+        })
+    }
+}
 
 /// Counters shared by the runtime and its strategy.
 pub struct RuntimeStats {
-    on_calls: AtomicU64,
     delays_injected: AtomicU64,
     delay_total_ns: AtomicU64,
     traps_caught: AtomicU64,
@@ -60,13 +109,7 @@ pub struct RuntimeStats {
     /// Flushes performed by a thread-local buffer's exit destructor.
     thread_exit_flushes: AtomicU64,
     delay_shards: Box<[Mutex<HashMap<ContextId, u64>>]>,
-    coverage_shards: Box<[CovShard]>,
-}
-
-impl Default for RuntimeStats {
-    fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
+    coverage: Coverage,
 }
 
 fn shard_of(key: u64, len: usize) -> usize {
@@ -75,16 +118,10 @@ fn shard_of(key: u64, len: usize) -> usize {
 }
 
 impl RuntimeStats {
-    /// Creates zeroed counters with the default shard count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates zeroed counters with `shards` shards (clamped to ≥ 1).
+    /// Creates zeroed counters; `shards` (≥ 1) stripes the delay ledger.
     pub fn with_shards(shards: usize) -> Self {
         let shards = shards.max(1);
         RuntimeStats {
-            on_calls: AtomicU64::new(0),
             delays_injected: AtomicU64::new(0),
             delay_total_ns: AtomicU64::new(0),
             traps_caught: AtomicU64::new(0),
@@ -94,46 +131,14 @@ impl RuntimeStats {
             batch_events_flushed: AtomicU64::new(0),
             thread_exit_flushes: AtomicU64::new(0),
             delay_shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            coverage_shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            coverage: Coverage::default(),
         }
     }
 
     /// Records one `OnCall` entry at `site`, noting phase concurrency.
     pub fn record_call(&self, site: SiteId, concurrent: bool) {
-        self.on_calls.fetch_add(1, Ordering::Relaxed);
-        self.record_coverage(site, concurrent);
-    }
-
-    /// Bulk-counts `n` `OnCall` entries with one counter update. Batch
-    /// flushes use this plus per-event [`RuntimeStats::record_coverage`]
-    /// instead of `n` [`RuntimeStats::record_call`]s.
-    pub fn record_calls_bulk(&self, n: u64) {
         audit::note_shared_write();
-        self.on_calls.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records site coverage for one access without touching the call
-    /// counter (see [`RuntimeStats::record_calls_bulk`]).
-    pub fn record_coverage(&self, site: SiteId, concurrent: bool) {
-        audit::note_lock();
-        audit::note_shared_write();
-        let shard =
-            &self.coverage_shards[shard_of(site.index() as u64, self.coverage_shards.len())];
-        {
-            // Steady state: shared lock, two relaxed adds. The cell is
-            // bumped under the read guard so no `Arc` refcount traffic is
-            // paid per call.
-            let map = shard.read();
-            if let Some(cell) = map.get(&site) {
-                cell.hits.fetch_add(1, Ordering::Relaxed);
-                if concurrent {
-                    cell.concurrent_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-        }
-        // First visit to this site: the only write-lock take.
-        let cell = shard.write().entry(site).or_default().clone();
+        let cell = self.coverage.cell(site);
         cell.hits.fetch_add(1, Ordering::Relaxed);
         if concurrent {
             cell.concurrent_hits.fetch_add(1, Ordering::Relaxed);
@@ -175,9 +180,9 @@ impl RuntimeStats {
         self.thread_exit_flushes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total `OnCall` entries.
+    /// Total `OnCall` entries: the sum of every site's hits.
     pub fn on_calls(&self) -> u64 {
-        self.on_calls.load(Ordering::Relaxed)
+        self.coverage.hits().map(|(_, c)| c.hits).sum()
     }
 
     /// Total delays injected.
@@ -231,7 +236,7 @@ impl RuntimeStats {
 
     /// Number of distinct TSVD points executed.
     pub fn sites_covered(&self) -> usize {
-        self.coverage_shards.iter().map(|s| s.read().len()).sum()
+        self.coverage.hits().count()
     }
 
     /// Number of TSVD points that ever ran in a concurrent phase.
@@ -240,36 +245,13 @@ impl RuntimeStats {
     /// spots" the paper's coverage report surfaces: code only ever tested
     /// sequentially.
     pub fn sites_covered_concurrently(&self) -> usize {
-        self.coverage_shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|c| c.concurrent_hits.load(Ordering::Relaxed) > 0)
-                    .count()
-            })
-            .sum()
+        let concurrent = |(_, c): &(SiteId, SiteCoverage)| c.concurrent_hits > 0;
+        self.coverage.hits().filter(concurrent).count()
     }
 
-    /// Per-site coverage snapshot.
+    /// Per-site coverage snapshot, in site-index order.
     pub fn coverage(&self) -> Vec<(SiteId, SiteCoverage)> {
-        self.coverage_shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|(&site, cell)| {
-                        (
-                            site,
-                            SiteCoverage {
-                                hits: cell.hits.load(Ordering::Relaxed),
-                                concurrent_hits: cell.concurrent_hits.load(Ordering::Relaxed),
-                            },
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+        self.coverage.hits().collect()
     }
 }
 
@@ -288,7 +270,7 @@ mod tests {
 
     #[test]
     fn call_and_coverage_counting() {
-        let s = RuntimeStats::new();
+        let s = RuntimeStats::with_shards(4);
         s.record_call(site(1), false);
         s.record_call(site(1), true);
         s.record_call(site(2), false);
@@ -299,7 +281,7 @@ mod tests {
 
     #[test]
     fn delay_accounting_per_context() {
-        let s = RuntimeStats::new();
+        let s = RuntimeStats::with_shards(4);
         s.record_delay(ContextId(1), 100);
         s.record_delay(ContextId(1), 50);
         s.record_delay(ContextId(2), 10);
@@ -312,7 +294,7 @@ mod tests {
 
     #[test]
     fn catch_and_sync_counters() {
-        let s = RuntimeStats::new();
+        let s = RuntimeStats::with_shards(4);
         s.record_catch();
         s.record_sync();
         s.record_sync();
@@ -322,7 +304,7 @@ mod tests {
 
     #[test]
     fn batching_counters_accumulate() {
-        let s = RuntimeStats::new();
+        let s = RuntimeStats::with_shards(4);
         s.record_drain_request();
         s.record_batch_flush(3);
         s.record_batch_flush(5);
@@ -334,22 +316,44 @@ mod tests {
     }
 
     #[test]
-    fn coverage_snapshot_merges_shards_exactly() {
-        // Exact counts across many sites: sharding must never drop or
-        // double-count a hit.
+    fn coverage_is_exact_across_chunks_whatever_the_touch_order() {
+        // Sites far apart in index land in different chunks and directory
+        // rows; touching the highest first must not disturb the lower ones.
         let s = RuntimeStats::with_shards(4);
+        let sites: Vec<SiteId> = (0..300).map(|n| site(100 + n)).collect();
+        assert!(sites[299].index() - sites[0].index() >= 4 * CHUNK);
         for round in 0..3 {
-            for n in 100..164 {
-                s.record_call(site(n), round == 0);
+            for &site in sites.iter().rev() {
+                s.record_call(site, round == 0);
             }
         }
-        assert_eq!(s.sites_covered(), 64);
-        assert_eq!(s.sites_covered_concurrently(), 64);
+        assert_eq!(s.on_calls(), 900);
+        assert_eq!(s.sites_covered(), 300);
+        assert_eq!(s.sites_covered_concurrently(), 300);
         let cov = s.coverage();
-        assert_eq!(cov.len(), 64);
+        let mut covered: Vec<SiteId> = cov.iter().map(|(site, _)| *site).collect();
+        covered.sort();
+        assert_eq!(covered, sites);
         for (_, c) in cov {
             assert_eq!(c.hits, 3);
             assert_eq!(c.concurrent_hits, 1);
         }
+    }
+
+    #[test]
+    fn a_fresh_table_owns_no_heap() {
+        // A suite builds a runtime per module: nothing may be allocated
+        // for sites that runtime never executes.
+        let s = RuntimeStats::with_shards(4);
+        assert!(s.coverage.rows.iter().all(|row| row.get().is_none()));
+        s.record_call(site(1), false);
+        let chunks: usize = s
+            .coverage
+            .rows
+            .iter()
+            .filter_map(|row| row.get())
+            .map(|slots| slots.iter().filter(|c| c.get().is_some()).count())
+            .sum();
+        assert_eq!(chunks, 1, "one executed site allocates one 1 KiB chunk");
     }
 }

@@ -36,7 +36,7 @@ impl Strategy for DynamicRandom {
         "dynamic-random"
     }
 
-    fn on_access(&self, _access: &Access) -> Option<u64> {
+    fn on_access(&self, _access: &Access, _concurrent: bool) -> Option<u64> {
         let mut rng = self.rng.lock();
         if rng.gen::<f64>() < self.probability {
             // "The thread sleeps for a random amount of time" (§3.2).
@@ -72,7 +72,7 @@ mod tests {
         cfg.dynamic_random_p = 0.2;
         let s = DynamicRandom::new(&cfg);
         let fires = (0..10_000)
-            .filter(|_| s.on_access(&access()).is_some())
+            .filter(|_| s.on_access(&access(), true).is_some())
             .count();
         assert!(
             (1_500..2_500).contains(&fires),
@@ -85,7 +85,7 @@ mod tests {
         let mut cfg = TsvdConfig::for_testing();
         cfg.dynamic_random_p = 0.0;
         let s = DynamicRandom::new(&cfg);
-        assert!((0..1_000).all(|_| s.on_access(&access()).is_none()));
+        assert!((0..1_000).all(|_| s.on_access(&access(), true).is_none()));
     }
 
     #[test]
@@ -94,7 +94,7 @@ mod tests {
         cfg.dynamic_random_p = 1.0;
         let s = DynamicRandom::new(&cfg);
         for _ in 0..100 {
-            let d = s.on_access(&access()).expect("p = 1 always fires");
+            let d = s.on_access(&access(), true).expect("p = 1 always fires");
             assert!(d >= cfg.delay_ns / 2 && d <= cfg.delay_ns);
         }
     }
@@ -105,8 +105,8 @@ mod tests {
         cfg.dynamic_random_p = 0.5;
         let a = DynamicRandom::new(&cfg);
         let b = DynamicRandom::new(&cfg);
-        let seq_a: Vec<Option<u64>> = (0..50).map(|_| a.on_access(&access())).collect();
-        let seq_b: Vec<Option<u64>> = (0..50).map(|_| b.on_access(&access())).collect();
+        let seq_a: Vec<Option<u64>> = (0..50).map(|_| a.on_access(&access(), true)).collect();
+        let seq_b: Vec<Option<u64>> = (0..50).map(|_| b.on_access(&access(), true)).collect();
         assert_eq!(seq_a, seq_b);
     }
 }

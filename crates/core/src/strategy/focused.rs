@@ -41,7 +41,7 @@ impl Strategy for Focused {
         "focused"
     }
 
-    fn on_access(&self, access: &Access) -> Option<u64> {
+    fn on_access(&self, access: &Access, _concurrent: bool) -> Option<u64> {
         self.pair.contains(access.site).then_some(self.delay_ns)
     }
 
@@ -78,22 +78,22 @@ mod tests {
     fn delays_only_at_the_target_pair() {
         let cfg = TsvdConfig::for_testing();
         let f = Focused::new(&cfg, SitePair::new(site(1), site(2)), 3);
-        assert_eq!(f.on_access(&acc(site(1))), Some(cfg.delay_ns * 3));
-        assert_eq!(f.on_access(&acc(site(2))), Some(cfg.delay_ns * 3));
-        assert_eq!(f.on_access(&acc(site(3))), None);
+        assert_eq!(f.on_access(&acc(site(1)), true), Some(cfg.delay_ns * 3));
+        assert_eq!(f.on_access(&acc(site(2)), true), Some(cfg.delay_ns * 3));
+        assert_eq!(f.on_access(&acc(site(3)), true), None);
     }
 
     #[test]
     fn same_location_pair_fires_at_its_site() {
         let cfg = TsvdConfig::for_testing();
         let f = Focused::new(&cfg, SitePair::new(site(9), site(9)), 1);
-        assert_eq!(f.on_access(&acc(site(9))), Some(cfg.delay_ns));
+        assert_eq!(f.on_access(&acc(site(9)), true), Some(cfg.delay_ns));
     }
 
     #[test]
     fn factor_is_clamped_to_at_least_one() {
         let cfg = TsvdConfig::for_testing();
         let f = Focused::new(&cfg, SitePair::new(site(1), site(2)), 0);
-        assert_eq!(f.on_access(&acc(site(1))), Some(cfg.delay_ns));
+        assert_eq!(f.on_access(&acc(site(1)), true), Some(cfg.delay_ns));
     }
 }

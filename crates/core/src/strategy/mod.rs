@@ -83,9 +83,11 @@ pub trait Strategy: Send + Sync {
     /// Short name for reports ("tsvd", "datacollider", ...).
     fn name(&self) -> &'static str;
 
-    /// Called on every TSVD point, after the trap check. Returns the delay
-    /// to inject right before the access, or `None` to proceed immediately.
-    fn on_access(&self, access: &Access) -> Option<u64>;
+    /// Called on every TSVD point, after the trap check, with the runtime's
+    /// phase observation for the call (§3.4.3: did more than one context run
+    /// the most recent TSVD points?). Returns the delay to inject right
+    /// before the access, or `None` to proceed immediately.
+    fn on_access(&self, access: &Access, concurrent: bool) -> Option<u64>;
 
     /// Called after an injected delay finished. `caught` reports whether a
     /// conflicting access collided with the trap during the sleep.
@@ -107,11 +109,12 @@ pub trait Strategy: Send + Sync {
     /// order. Delays are never requested for replayed events — by
     /// construction nothing was armed when they were recorded.
     ///
-    /// Default: replay through [`on_access`](Strategy::on_access), dropping
-    /// any delay decision.
+    /// Default: replay through [`on_access`](Strategy::on_access) as if in a
+    /// concurrent phase (a strategy that gates on the phase overrides this),
+    /// dropping any delay decision.
     fn on_batch(&self, events: &[Access]) {
         for access in events {
-            let _ = self.on_access(access);
+            let _ = self.on_access(access, true);
         }
     }
 

@@ -16,7 +16,7 @@ impl Strategy for Noop {
         "noop"
     }
 
-    fn on_access(&self, _access: &Access) -> Option<u64> {
+    fn on_access(&self, _access: &Access, _concurrent: bool) -> Option<u64> {
         None
     }
 
@@ -47,7 +47,7 @@ mod tests {
             time_ns: 0,
         };
         for _ in 0..100 {
-            assert_eq!(s.on_access(&access), None);
+            assert_eq!(s.on_access(&access, true), None);
         }
     }
 }

@@ -64,7 +64,7 @@ impl Strategy for StaticRandom {
         "datacollider"
     }
 
-    fn on_access(&self, access: &Access) -> Option<u64> {
+    fn on_access(&self, access: &Access, _concurrent: bool) -> Option<u64> {
         let mut inner = self.inner.lock();
         if inner.seen_set.insert(access.site) {
             inner.seen.push(access.site);
@@ -116,9 +116,9 @@ mod tests {
     fn fires_only_on_armed_sites() {
         let s = StaticRandom::new(&cfg());
         // First ever access arms (post-registration), never fires.
-        assert!(s.on_access(&access(site(1))).is_none());
+        assert!(s.on_access(&access(site(1)), true).is_none());
         // With one known site and one slot, site(1) must now be armed.
-        assert!(s.on_access(&access(site(1))).is_some());
+        assert!(s.on_access(&access(site(1)), true).is_some());
     }
 
     #[test]
@@ -130,13 +130,13 @@ mod tests {
         let cold = site(11);
         let mut hot_fires = 0u32;
         let mut cold_fires = 0u32;
-        s.on_access(&access(hot));
-        s.on_access(&access(cold));
+        s.on_access(&access(hot), true);
+        s.on_access(&access(cold), true);
         for i in 0..2_000u32 {
-            if s.on_access(&access(hot)).is_some() {
+            if s.on_access(&access(hot), true).is_some() {
                 hot_fires += 1;
             }
-            if i % 100 == 0 && s.on_access(&access(cold)).is_some() {
+            if i % 100 == 0 && s.on_access(&access(cold), true).is_some() {
                 cold_fires += 1;
             }
         }
@@ -156,7 +156,7 @@ mod tests {
         c.armed_sites = 3;
         let s = StaticRandom::new(&c);
         for n in 0..5u32 {
-            s.on_access(&access(site(20 + n)));
+            s.on_access(&access(site(20 + n)), true);
         }
         assert_eq!(s.inner.lock().armed.len(), 3);
     }

@@ -24,7 +24,7 @@ use crate::decay::DecayTable;
 use crate::gate::HotGate;
 use crate::hb_infer::{DelayRecord, HbInference};
 use crate::near_miss::{NearMissTracker, SitePair};
-use crate::phase::{ContextRecency, PhaseBuffer};
+use crate::phase::ContextRecency;
 use crate::strategy::Strategy;
 use crate::trap_file::TrapFileData;
 use crate::trapset::TrapSet;
@@ -32,7 +32,6 @@ use crate::trapset::TrapSet;
 /// The TSVD delay-injection strategy.
 pub struct Tsvd {
     near_miss: NearMissTracker,
-    phase: PhaseBuffer,
     /// Time-based phase estimate for *replayed* (batched) events: a burst
     /// flush of one thread's buffer would flood the count-based ring with a
     /// single context, so batched events consult event timestamps instead.
@@ -68,7 +67,6 @@ impl Tsvd {
                 config.max_tracked_objects,
                 config.near_miss_shards,
             ),
-            phase: PhaseBuffer::new(config.phase_buffer),
             recency: ContextRecency::new(config.phase_buffer, window.unwrap_or(u64::MAX)),
             hb: config.enable_hb_inference.then(|| {
                 HbInference::new(
@@ -111,10 +109,10 @@ impl Strategy for Tsvd {
         "tsvd"
     }
 
-    fn on_access(&self, access: &Access) -> Option<u64> {
-        // Concurrent-phase inference: record every TSVD point; with the
+    fn on_access(&self, access: &Access, concurrent: bool) -> Option<u64> {
+        // Concurrent-phase inference is the runtime's observation; with the
         // ablation switch off, every phase counts as concurrent.
-        let concurrent = self.phase.record_and_check(access.context) || !self.phase_detection;
+        let concurrent = concurrent || !self.phase_detection;
 
         // HB inference: prune pairs whose locations this access proves (by
         // delay propagation) to be ordered.
@@ -311,10 +309,12 @@ mod tests {
     fn near_miss_in_concurrent_phase_arms_pair_and_delays() {
         let s = Tsvd::new(&config());
         // Two contexts interleave: concurrent phase.
-        assert!(s.on_access(&acc(1, 7, site(1), OpKind::Write, 0)).is_none());
+        assert!(s
+            .on_access(&acc(1, 7, site(1), OpKind::Write, 0), true)
+            .is_none());
         // Near miss at t = 1 ms: pair armed; the *current* access's site is
         // in the trap set, so TSVD may delay right now (same-run injection).
-        let d = s.on_access(&acc(2, 7, site(2), OpKind::Write, 1));
+        let d = s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
         assert!(d.is_some(), "newly armed site should delay immediately");
         assert_eq!(s.trap_set_len(), 1);
         assert!(s.is_armed(SitePair::new(site(1), site(2))));
@@ -322,16 +322,13 @@ mod tests {
 
     #[test]
     fn sequential_phase_blocks_arming() {
-        let mut c = config();
-        c.phase_buffer = 4;
-        let s = Tsvd::new(&c);
-        // Only context 1 executes for a while: sequential phase.
-        for i in 0..8 {
-            s.on_access(&acc(1, 7, site(1), OpKind::Write, i));
-        }
-        // Context 2 arrives; the pair *does* arm because its own access
-        // makes the buffer concurrent (two distinct contexts in window).
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 8));
+        let s = Tsvd::new(&config());
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), false);
+        // A near miss observed in a sequential phase arms nothing...
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), false);
+        assert_eq!(s.trap_set_len(), 0);
+        // ...the same near miss in a concurrent phase does.
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 2), true);
         assert_eq!(s.trap_set_len(), 1);
     }
 
@@ -340,31 +337,33 @@ mod tests {
         let mut c = config();
         c.enable_phase_detection = false;
         let s = Tsvd::new(&c);
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), false);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), false);
         assert_eq!(s.trap_set_len(), 1);
     }
 
     #[test]
     fn no_pair_without_conflict() {
         let s = Tsvd::new(&config());
-        s.on_access(&acc(1, 7, site(1), OpKind::Read, 0));
-        assert!(s.on_access(&acc(2, 7, site(2), OpKind::Read, 1)).is_none());
+        s.on_access(&acc(1, 7, site(1), OpKind::Read, 0), true);
+        assert!(s
+            .on_access(&acc(2, 7, site(2), OpKind::Read, 1), true)
+            .is_none());
         assert_eq!(s.trap_set_len(), 0);
     }
 
     #[test]
     fn violation_prunes_pair_permanently() {
         let s = Tsvd::new(&config());
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
         let pair = SitePair::new(site(1), site(2));
         assert!(s.is_armed(pair));
         s.on_violation(pair);
         assert!(!s.is_armed(pair));
         // Rediscovery of the same near miss must not re-arm it.
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 10));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 11));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 10), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 11), true);
         assert!(!s.is_armed(pair));
     }
 
@@ -374,8 +373,8 @@ mod tests {
         c.decay_factor = 0.5;
         c.decay_floor = 0.3;
         let s = Tsvd::new(&c);
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
         assert_eq!(s.trap_set_len(), 1);
         let a = acc(1, 7, site(1), OpKind::Write, 2);
         // Two fruitless delays at site(1): 1.0 → 0.5 → 0.25 < 0.3 → evict.
@@ -390,8 +389,8 @@ mod tests {
         let mut c = config();
         c.decay_floor = 0.9;
         let s = Tsvd::new(&c);
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
         let a = acc(1, 7, site(1), OpKind::Write, 2);
         for _ in 0..10 {
             s.on_delay_complete(&a, 0, 1, true);
@@ -403,8 +402,8 @@ mod tests {
     fn hb_inference_prunes_pair() {
         let s = Tsvd::new(&config()); // gap = 50 ms, k_hb = 5
                                       // Arm the pair {site(1), site(2)} via a near miss.
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
         assert!(s.is_armed(SitePair::new(site(1), site(2))));
         // Context 1 delays at site(1) from 10 ms to 110 ms...
         s.on_delay_complete(
@@ -415,15 +414,15 @@ mod tests {
         );
         // ...and context 2's next access (gap 109 ms ≥ 50 ms, overlapping
         // the delay) is at site(2): HB inferred, pair pruned.
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 110));
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 110), true);
         assert!(
             !s.is_armed(SitePair::new(site(1), site(2))),
             "HB-inferred pair must leave the trap set"
         );
         assert!(s.inferred_hb_edges() >= 1);
         // And the near miss does not re-arm it.
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 111));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 112));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 111), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 112), true);
         assert!(!s.is_armed(SitePair::new(site(1), site(2))));
     }
 
@@ -432,15 +431,15 @@ mod tests {
         let mut c = config();
         c.enable_hb_inference = false;
         let s = Tsvd::new(&c);
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
         s.on_delay_complete(
             &acc(1, 7, site(1), OpKind::Write, 10),
             ms_to_ns(10),
             ms_to_ns(110),
             false,
         );
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 110));
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 110), true);
         assert!(s.is_armed(SitePair::new(site(1), site(2))));
         assert_eq!(s.inferred_hb_edges(), 0);
     }
@@ -448,14 +447,14 @@ mod tests {
     #[test]
     fn trap_file_round_trip_prearms_pairs() {
         let s1 = Tsvd::new(&config());
-        s1.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
-        s1.on_access(&acc(2, 7, site(2), OpKind::Write, 1));
+        s1.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
+        s1.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
         let file = s1.export_trap_file().expect("tsvd persists state");
         let s2 = Tsvd::new(&config());
         s2.import_trap_file(&file);
         assert!(s2.is_armed(SitePair::new(site(1), site(2))));
         // Imported pairs delay on their very first occurrence.
-        let d = s2.on_access(&acc(9, 99, site(1), OpKind::Write, 0));
+        let d = s2.on_access(&acc(9, 99, site(1), OpKind::Write, 0), true);
         assert!(d.is_some());
     }
 
@@ -567,8 +566,8 @@ mod tests {
         assert_eq!(s.trap_set_len(), 1, "budget caps the import");
         // A run-time near miss still arms a second pair: the budget rations
         // seeds, not discovery.
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
         assert_eq!(s.trap_set_len(), 2);
     }
 
@@ -579,21 +578,21 @@ mod tests {
         c.adaptive_delay_cap = 4.0;
         c.decay_factor = 0.0; // Keep P at 1 so every hit delays.
         let s = Tsvd::new(&c);
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
         let base = s
-            .on_access(&acc(2, 7, site(2), OpKind::Write, 1))
+            .on_access(&acc(2, 7, site(2), OpKind::Write, 1), true)
             .expect("armed");
         // Two fruitless delays double the site's next delay, capped at 4x.
         let a = acc(2, 7, site(2), OpKind::Write, 2);
         s.on_delay_complete(&a, 0, 1, false);
-        assert_eq!(s.on_access(&a), Some(base * 2));
+        assert_eq!(s.on_access(&a, true), Some(base * 2));
         s.on_delay_complete(&a, 2, 3, false);
-        assert_eq!(s.on_access(&a), Some(base * 4));
+        assert_eq!(s.on_access(&a, true), Some(base * 4));
         s.on_delay_complete(&a, 4, 5, false);
-        assert_eq!(s.on_access(&a), Some(base * 4), "cap holds");
+        assert_eq!(s.on_access(&a, true), Some(base * 4), "cap holds");
         // A catch resets the multiplier.
         s.on_delay_complete(&a, 6, 7, true);
-        assert_eq!(s.on_access(&a), Some(base));
+        assert_eq!(s.on_access(&a, true), Some(base));
     }
 
     #[test]
@@ -601,11 +600,11 @@ mod tests {
         let mut c = config();
         c.decay_factor = 0.0;
         let s = Tsvd::new(&c);
-        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
         let a = acc(2, 7, site(2), OpKind::Write, 1);
-        let base = s.on_access(&a).expect("armed");
+        let base = s.on_access(&a, true).expect("armed");
         s.on_delay_complete(&a, 0, 1, false);
-        assert_eq!(s.on_access(&a), Some(base));
+        assert_eq!(s.on_access(&a, true), Some(base));
     }
 
     #[test]
@@ -613,7 +612,7 @@ mod tests {
         let s = Tsvd::new(&config());
         for i in 0..100 {
             assert!(s
-                .on_access(&acc(1, i, site(50), OpKind::Write, i))
+                .on_access(&acc(1, i, site(50), OpKind::Write, i), true)
                 .is_none());
         }
     }

@@ -103,7 +103,7 @@ impl Strategy for TsvdHb {
         "tsvd-hb"
     }
 
-    fn on_access(&self, access: &Access) -> Option<u64> {
+    fn on_access(&self, access: &Access, _concurrent: bool) -> Option<u64> {
         let mut armed_any = false;
         {
             let mut st = self.state.lock();
@@ -290,8 +290,8 @@ mod tests {
     fn concurrent_conflicting_accesses_arm_pair() {
         let s = strategy();
         // Two unrelated contexts (no fork edge): concurrent by definition.
-        s.on_access(&acc(1, 7, site(1), OpKind::Write));
-        let d = s.on_access(&acc(2, 7, site(2), OpKind::Write));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write), true);
+        let d = s.on_access(&acc(2, 7, site(2), OpKind::Write), true);
         assert_eq!(s.trap_set_len(), 1);
         assert!(d.is_some(), "armed site delays in the same run");
     }
@@ -301,12 +301,12 @@ mod tests {
         let s = strategy();
         // Parent (1) accesses, then forks child (2): the child inherits the
         // parent's clock, so the accesses are HB-ordered — no pair.
-        s.on_access(&acc(1, 7, site(1), OpKind::Write));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write), true);
         s.on_sync(&SyncEvent::Fork {
             parent: ContextId(1),
             child: ContextId(2),
         });
-        s.on_access(&acc(2, 7, site(2), OpKind::Write));
+        s.on_access(&acc(2, 7, site(2), OpKind::Write), true);
         assert_eq!(s.trap_set_len(), 0, "fork-ordered accesses must not arm");
     }
 
@@ -317,8 +317,8 @@ mod tests {
             parent: ContextId(1),
             child: ContextId(2),
         });
-        s.on_access(&acc(1, 7, site(1), OpKind::Write));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write), true);
         assert_eq!(s.trap_set_len(), 1);
     }
 
@@ -329,7 +329,7 @@ mod tests {
             parent: ContextId(1),
             child: ContextId(2),
         });
-        s.on_access(&acc(2, 7, site(2), OpKind::Write));
+        s.on_access(&acc(2, 7, site(2), OpKind::Write), true);
         s.on_sync(&SyncEvent::TaskEnd {
             context: ContextId(2),
         });
@@ -338,7 +338,7 @@ mod tests {
             target: ContextId(2),
         });
         // Parent accesses after joining the child: ordered, no pair.
-        s.on_access(&acc(1, 7, site(1), OpKind::Write));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write), true);
         assert_eq!(s.trap_set_len(), 0, "join-ordered accesses must not arm");
     }
 
@@ -351,7 +351,7 @@ mod tests {
             context: ContextId(1),
             lock: 99,
         });
-        s.on_access(&acc(1, 7, site(1), OpKind::Write));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write), true);
         s.on_sync(&SyncEvent::LockRelease {
             context: ContextId(1),
             lock: 99,
@@ -360,7 +360,7 @@ mod tests {
             context: ContextId(2),
             lock: 99,
         });
-        s.on_access(&acc(2, 7, site(2), OpKind::Write));
+        s.on_access(&acc(2, 7, site(2), OpKind::Write), true);
         s.on_sync(&SyncEvent::LockRelease {
             context: ContextId(2),
             lock: 99,
@@ -379,7 +379,7 @@ mod tests {
             context: ContextId(1),
             lock: 1,
         });
-        s.on_access(&acc(1, 7, site(1), OpKind::Write));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write), true);
         s.on_sync(&SyncEvent::LockRelease {
             context: ContextId(1),
             lock: 1,
@@ -388,15 +388,15 @@ mod tests {
             context: ContextId(2),
             lock: 2,
         });
-        s.on_access(&acc(2, 7, site(2), OpKind::Write));
+        s.on_access(&acc(2, 7, site(2), OpKind::Write), true);
         assert_eq!(s.trap_set_len(), 1, "distinct locks do not synchronize");
     }
 
     #[test]
     fn read_read_never_arms() {
         let s = strategy();
-        s.on_access(&acc(1, 7, site(1), OpKind::Read));
-        s.on_access(&acc(2, 7, site(2), OpKind::Read));
+        s.on_access(&acc(1, 7, site(1), OpKind::Read), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Read), true);
         assert_eq!(s.trap_set_len(), 0);
     }
 
@@ -406,7 +406,7 @@ mod tests {
         cfg.hb_access_history = 2;
         let s = TsvdHb::new(&cfg);
         for i in 0..10u64 {
-            s.on_access(&acc(1, 7, site(10 + i as u32), OpKind::Write));
+            s.on_access(&acc(1, 7, site(10 + i as u32), OpKind::Write), true);
         }
         let st = s.state.lock();
         assert!(st.obj_hist.get(&ObjId(7)).expect("tracked").len() <= 2);
@@ -415,8 +415,8 @@ mod tests {
     #[test]
     fn violation_prunes_pair() {
         let s = strategy();
-        s.on_access(&acc(1, 7, site(1), OpKind::Write));
-        s.on_access(&acc(2, 7, site(2), OpKind::Write));
+        s.on_access(&acc(1, 7, site(1), OpKind::Write), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write), true);
         let pair = SitePair::new(site(1), site(2));
         assert!(s.is_armed(pair));
         s.on_violation(pair);
@@ -448,7 +448,7 @@ mod tests {
             parent: ContextId(1),
             child: ContextId(2),
         });
-        s.on_access(&acc(2, 7, site(40), OpKind::Write));
+        s.on_access(&acc(2, 7, site(40), OpKind::Write), true);
         s.on_sync(&SyncEvent::TaskEnd {
             context: ContextId(2),
         });
@@ -463,15 +463,15 @@ mod tests {
         });
         // The lost edge means this access *may* arm a pair — allowed — but
         // nothing panics and the trap set stays consistent.
-        s.on_access(&acc(1, 7, site(41), OpKind::Write));
+        s.on_access(&acc(1, 7, site(41), OpKind::Write), true);
         assert!(s.trap_set_len() <= 1);
     }
 
     #[test]
     fn trap_file_round_trip() {
         let s1 = strategy();
-        s1.on_access(&acc(1, 7, site(1), OpKind::Write));
-        s1.on_access(&acc(2, 7, site(2), OpKind::Write));
+        s1.on_access(&acc(1, 7, site(1), OpKind::Write), true);
+        s1.on_access(&acc(2, 7, site(2), OpKind::Write), true);
         let file = s1.export_trap_file().expect("persists");
         let s2 = strategy();
         s2.import_trap_file(&file);

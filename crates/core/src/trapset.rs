@@ -9,17 +9,16 @@
 //! `contains_site` is consulted on every instrumented access once any pair
 //! is armed, so the set is kept as an immutable snapshot behind an
 //! [`EpochPtr`]: readers pin the epoch (one store to their own slot), load
-//! the pointer, and look up without any lock; writers (arming and pruning —
-//! rare) serialize on a mutex, clone the snapshot, mutate the clone, and
-//! swap it in, retiring the predecessor to the epoch collector. An atomic
-//! pair count still lets the empty set — a fresh run before any near miss —
-//! answer without even pinning.
+//! the pointer, and look up without any lock. Mutations read before they
+//! write ([`EpochPtr::update`]): near misses rediscover the same pairs on
+//! nearly every armed call, and a mutation that would change nothing takes
+//! no lock and publishes nothing; one that does is decided under the writer
+//! mutex and publishes a copy-on-write snapshot. An atomic pair count still
+//! lets the empty set — a fresh run — answer without even pinning.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
 
 use crate::audit;
 use crate::epoch::EpochPtr;
@@ -37,6 +36,11 @@ struct Snapshot {
 }
 
 impl Snapshot {
+    /// `true` when adding `pair` would change nothing.
+    fn settled(&self, pair: SitePair) -> bool {
+        self.pairs.contains(&pair) || self.found.contains(&pair)
+    }
+
     fn insert(&mut self, pair: SitePair) -> bool {
         if self.found.contains(&pair) {
             return false;
@@ -67,15 +71,14 @@ impl Snapshot {
 
 /// Thread-safe set of dangerous pairs with per-site membership counts.
 ///
-/// Readers are lock-free (epoch-pinned snapshot loads); writers serialize
-/// on an internal mutex and publish copy-on-write snapshots. When a
+/// Readers and no-op mutations are lock-free (epoch-pinned snapshot loads);
+/// effective writers serialize and publish copy-on-write snapshots. When a
 /// [`HotGate`] is attached, the pair count is mirrored into the gate's
 /// activity word so the runtime's batched fast path shuts off the moment
 /// any pair arms.
 #[derive(Default)]
 pub struct TrapSet {
     snapshot: EpochPtr<Snapshot>,
-    writer: Mutex<()>,
     pair_count: AtomicUsize,
     gate: OnceLock<Arc<HotGate>>,
 }
@@ -92,43 +95,33 @@ impl TrapSet {
         let _ = self.gate.set(gate);
     }
 
-    /// Clone-mutate-swap under the writer lock. `mutate` returns the op's
-    /// result plus how many pairs were added (+) or removed (−); the count
-    /// delta is mirrored into the pair counter and the attached gate.
-    fn write<R>(&self, mutate: impl FnOnce(&mut Snapshot) -> (R, isize)) -> R {
-        audit::note_lock();
-        let _w = self.writer.lock();
-        let mut next = self.snapshot.read(Clone::clone);
-        let (result, delta) = mutate(&mut next);
-        if delta != 0 {
-            audit::note_shared_write();
-            match delta {
-                d if d > 0 => {
-                    self.pair_count.fetch_add(d as usize, Ordering::Release);
-                    if let Some(gate) = self.gate.get() {
-                        gate.add_activity(d as u64);
-                    }
-                }
-                d => {
-                    self.pair_count.fetch_sub((-d) as usize, Ordering::Release);
-                    if let Some(gate) = self.gate.get() {
-                        gate.sub_activity((-d) as u64);
-                    }
+    /// [`EpochPtr::update`], mirroring a change in the number of pairs into
+    /// the pair counter and the attached gate.
+    fn write<R>(
+        &self,
+        noop: impl Fn(&Snapshot) -> Option<R>,
+        mutate: impl FnOnce(&mut Snapshot) -> R,
+    ) -> R {
+        self.snapshot.update(noop, |next| {
+            let before = next.pairs.len();
+            let result = mutate(next);
+            let after = next.pairs.len();
+            if after != before {
+                audit::note_shared_write();
+                self.pair_count.store(after, Ordering::Release);
+                if let Some(gate) = self.gate.get() {
+                    gate.add_activity(after.saturating_sub(before) as u64);
+                    gate.sub_activity(before.saturating_sub(after) as u64);
                 }
             }
-        }
-        audit::note_shared_write();
-        self.snapshot.swap(next);
-        result
+            result
+        })
     }
 
     /// Adds `pair` unless it was already found buggy. Returns `true` if the
     /// pair is newly inserted.
     pub fn add(&self, pair: SitePair) -> bool {
-        self.write(|s| {
-            let inserted = s.insert(pair);
-            (inserted, inserted as isize)
-        })
+        self.write(|s| s.settled(pair).then_some(false), |s| s.insert(pair))
     }
 
     /// Adds every pair in `candidates` (in order) that is not already
@@ -137,54 +130,64 @@ impl TrapSet {
     /// publish regardless of how many pairs arm — the bulk path for trap
     /// file imports.
     pub fn add_many(&self, candidates: &[SitePair], max_len: usize) -> Vec<SitePair> {
-        self.write(|s| {
-            let mut inserted = Vec::new();
-            for &pair in candidates {
-                if s.pairs.len() >= max_len {
-                    break;
+        self.write(
+            |s| {
+                (s.pairs.len() >= max_len || candidates.iter().all(|&p| s.settled(p)))
+                    .then(Vec::new)
+            },
+            |s| {
+                let mut inserted = Vec::new();
+                for &pair in candidates {
+                    if s.pairs.len() >= max_len {
+                        break;
+                    }
+                    if s.insert(pair) {
+                        inserted.push(pair);
+                    }
                 }
-                if s.insert(pair) {
-                    inserted.push(pair);
-                }
-            }
-            let n = inserted.len() as isize;
-            (inserted, n)
-        })
+                inserted
+            },
+        )
     }
 
     /// Removes `pair` (HB-inferred prune). Returns `true` if it was present.
     pub fn remove(&self, pair: SitePair) -> bool {
-        self.write(|s| {
-            let removed = s.delete(pair);
-            (removed, -(removed as isize))
-        })
+        self.write(
+            |s| (!s.pairs.contains(&pair)).then_some(false),
+            |s| s.delete(pair),
+        )
     }
 
     /// Marks `pair` as found buggy: removes it and blocks re-insertion.
     pub fn mark_found(&self, pair: SitePair) {
-        self.write(|s| {
-            s.found.insert(pair);
-            let removed = s.delete(pair);
-            ((), -(removed as isize))
-        })
+        self.write(
+            // A found pair is never in `pairs`: `insert` refuses it.
+            |s| s.found.contains(&pair).then_some(()),
+            |s| {
+                s.found.insert(pair);
+                s.delete(pair);
+            },
+        )
     }
 
     /// Removes every pair containing `site` (decay eviction), returning the
     /// removed pairs.
     pub fn remove_site(&self, site: SiteId) -> Vec<SitePair> {
-        self.write(|s| {
-            let doomed: Vec<SitePair> = s
-                .pairs
-                .iter()
-                .filter(|p| p.contains(site))
-                .copied()
-                .collect();
-            for pair in &doomed {
-                s.delete(*pair);
-            }
-            let n = doomed.len() as isize;
-            (doomed, -n)
-        })
+        self.write(
+            |s| (!s.site_refs.contains_key(&site)).then(Vec::new),
+            |s| {
+                let doomed: Vec<SitePair> = s
+                    .pairs
+                    .iter()
+                    .filter(|p| p.contains(site))
+                    .copied()
+                    .collect();
+                for pair in &doomed {
+                    s.delete(*pair);
+                }
+                doomed
+            },
+        )
     }
 
     /// Returns `true` if `site` participates in at least one pair.
@@ -381,6 +384,184 @@ mod tests {
         assert_eq!(HotGate::activity(gate.load()), 2);
         t.remove_site(site(30));
         assert_eq!(HotGate::activity(gate.load()), 0);
+    }
+
+    /// The obvious implementation the snapshot protocol must agree with.
+    #[derive(Default)]
+    struct Model {
+        pairs: HashSet<SitePair>,
+        found: HashSet<SitePair>,
+    }
+
+    impl Model {
+        fn add(&mut self, pair: SitePair) -> bool {
+            !self.found.contains(&pair) && self.pairs.insert(pair)
+        }
+
+        fn add_many(&mut self, candidates: &[SitePair], max_len: usize) -> Vec<SitePair> {
+            let mut inserted = Vec::new();
+            for &pair in candidates {
+                if self.pairs.len() >= max_len {
+                    break;
+                }
+                if self.add(pair) {
+                    inserted.push(pair);
+                }
+            }
+            inserted
+        }
+
+        fn remove_site(&mut self, site: SiteId) -> Vec<SitePair> {
+            let doomed: Vec<SitePair> = self
+                .pairs
+                .iter()
+                .filter(|p| p.contains(site))
+                .copied()
+                .collect();
+            for pair in &doomed {
+                self.pairs.remove(pair);
+            }
+            doomed
+        }
+    }
+
+    /// Seeded differential: the same SplitMix64 stream of mutations drives a
+    /// `TrapSet` and the model; every return value and every observable must
+    /// agree after every operation, whether the operation took the
+    /// read-only answer or the clone-and-swap.
+    #[test]
+    fn agrees_with_a_hash_set_model_on_seeded_op_streams() {
+        use crate::rng::SplitMix64;
+        const SITES: u64 = 12; // 78 possible pairs: most ops are no-ops.
+        const OPS: usize = 10_000;
+        let sites: Vec<SiteId> = (0..SITES as u32).map(|n| site(500 + n)).collect();
+        for seed in [1u64, 2, 3, 5, 8, 13] {
+            let mut rng = SplitMix64::new(seed);
+            let pair = |rng: &mut SplitMix64| {
+                SitePair::new(
+                    sites[rng.below(SITES) as usize],
+                    sites[rng.below(SITES) as usize],
+                )
+            };
+            let set = TrapSet::new();
+            let mut model = Model::default();
+            for op in 0..OPS {
+                let at = format!("seed {seed}, op {op}");
+                match rng.below(16) {
+                    0..=6 => {
+                        let p = pair(&mut rng);
+                        assert_eq!(set.add(p), model.add(p), "add, {at}");
+                    }
+                    7 | 8 => {
+                        let batch: Vec<SitePair> =
+                            (0..rng.below(6)).map(|_| pair(&mut rng)).collect();
+                        let budget = rng.below(90) as usize;
+                        assert_eq!(
+                            set.add_many(&batch, budget),
+                            model.add_many(&batch, budget),
+                            "add_many, {at}"
+                        );
+                    }
+                    9..=12 => {
+                        let p = pair(&mut rng);
+                        assert_eq!(set.remove(p), model.pairs.remove(&p), "remove, {at}");
+                    }
+                    13 => {
+                        let p = pair(&mut rng);
+                        set.mark_found(p);
+                        model.found.insert(p);
+                        model.pairs.remove(&p);
+                    }
+                    _ => {
+                        let s = sites[rng.below(SITES) as usize];
+                        let (mut got, mut want) = (set.remove_site(s), model.remove_site(s));
+                        got.sort();
+                        want.sort();
+                        assert_eq!(got, want, "remove_site, {at}");
+                    }
+                }
+                assert_eq!(set.len(), model.pairs.len(), "len, {at}");
+                let probe = pair(&mut rng);
+                assert_eq!(
+                    set.contains(probe),
+                    model.pairs.contains(&probe),
+                    "contains, {at}"
+                );
+                let s = sites[rng.below(SITES) as usize];
+                assert_eq!(
+                    set.contains_site(s),
+                    model.pairs.iter().any(|p| p.contains(s)),
+                    "contains_site, {at}"
+                );
+            }
+            assert!(!model.found.is_empty(), "seed {seed} must mark pairs found");
+            for &p in &model.found {
+                assert!(
+                    !set.contains(p) && !set.add(p),
+                    "found pair re-armed, seed {seed}"
+                );
+            }
+            let mut armed = set.pairs();
+            armed.sort();
+            let mut want: Vec<SitePair> = model.pairs.iter().copied().collect();
+            want.sort();
+            assert_eq!(armed, want, "final membership, seed {seed}");
+            set.assert_snapshot_consistent();
+        }
+    }
+
+    /// `T` threads keep re-adding the benchmark's 904 pairs — real inserts
+    /// at first, then nearly always the read-only answer — while one thread
+    /// marks a fixed subset found and keeps evicting a fixed site until the
+    /// adders are done. Found pairs are sticky and the evictor has the last
+    /// word, so whatever the interleaving the final membership is exactly
+    /// "all minus that subset"; a lost update in either direction (a stale
+    /// clone swapped in, a no-op answered from a retired snapshot) breaks it.
+    #[test]
+    fn racing_readds_and_prunes_converge_to_all_minus_the_pruned() {
+        const ADDERS: usize = 3;
+        let sites: Vec<SiteId> = (0..64).map(|n| site(600 + n)).collect();
+        // Every write site (the first 16) against every site at or after it.
+        let all: Vec<SitePair> = (0..16)
+            .flat_map(|w| (w..64).map(move |s| (w, s)))
+            .map(|(w, s)| SitePair::new(sites[w], sites[s]))
+            .collect();
+        assert_eq!(all.len(), 904);
+        let found: Vec<SitePair> = all.iter().copied().step_by(7).collect();
+        let evicted = sites[3];
+        let pruned = |p: &SitePair| found.contains(p) || p.contains(evicted);
+
+        let set = TrapSet::new();
+        let start = std::sync::Barrier::new(ADDERS + 1);
+        let adders_done = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..ADDERS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..10 {
+                        for &p in &all {
+                            set.add(p);
+                        }
+                    }
+                    adders_done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                for &p in &found {
+                    set.mark_found(p);
+                }
+                while adders_done.load(Ordering::SeqCst) < ADDERS {
+                    set.remove_site(evicted);
+                }
+                set.remove_site(evicted);
+            });
+        });
+        for &p in &all {
+            assert_eq!(set.contains(p), !pruned(&p), "{p:?}");
+        }
+        assert_eq!(set.len(), all.iter().filter(|p| !pruned(p)).count());
+        set.assert_snapshot_consistent();
     }
 
     /// Interleaving stress for the epoch swap: reader threads hammer the

@@ -4,11 +4,13 @@
 //! shared analysis structures, never *which* observations do — and every
 //! buffered observation is delivered before (or because) a trap goes live.
 
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::Duration;
 
 use tsvd_core::context::{self, ContextId};
 use tsvd_core::near_miss::SitePair;
+use tsvd_core::site::SiteData;
 use tsvd_core::trap_file::{PairOrigin, TrapFileData};
 use tsvd_core::{ObjId, OpKind, Runtime, SiteId, TsvdConfig};
 
@@ -157,19 +159,97 @@ fn thread_exit_flushes_the_local_buffer() {
     cfg.batch_capacity = 1_000;
     let rt = Runtime::tsvd(cfg);
     let site = tsvd_core::site!();
-    std::thread::scope(|scope| {
-        let rt = &rt;
-        scope.spawn(move || {
+    // A spawned thread's `join` returns only after its TLS destructors have
+    // run; `thread::scope` returns as soon as the closure does, which is
+    // before the exit flush.
+    let worker = {
+        let rt = rt.clone();
+        std::thread::spawn(move || {
             for i in 0..5 {
                 rt.on_call(ObjId(i), site, "x.write", OpKind::Write);
             }
             assert_eq!(rt.thread_buffered_events(), 5);
             // No explicit flush: the TLS destructor must deliver these.
-        });
-    });
+        })
+    };
+    worker.join().expect("worker panicked");
     assert_eq!(rt.stats().on_calls(), 5, "exit flush delivers every event");
     assert!(rt.stats().thread_exit_flushes() >= 1);
     assert_eq!(rt.stats().batch_events_flushed(), 5);
+}
+
+/// `on_calls` has no counter of its own: it is the sum of the coverage
+/// cells. It must equal the calls issued whichever way they were delivered,
+/// and the per-site snapshot must match a recount — including once the
+/// table has grown past its first chunk, high site indices first.
+#[test]
+fn on_calls_and_coverage_are_exact_over_every_delivery_path() {
+    const THREADS: usize = 4;
+    const CALLS: usize = 1_000;
+    // 200 sites span at least four 64-cell chunks of the coverage table.
+    let sites: Vec<SiteId> = (0..200)
+        .map(|n| {
+            SiteId::intern(SiteData {
+                file: "coverage_delivery_test.rs",
+                line: n + 1,
+                column: 1,
+            })
+        })
+        .collect();
+    let spread = sites.last().expect("non-empty").index() - sites[0].index();
+    assert!(spread >= 199, "sites must not share one chunk");
+
+    // (delivery, batch_capacity, flush before exiting?)
+    for (delivery, capacity, flush) in [
+        ("inline", 0, false),
+        ("batched flush", 64, true),
+        ("thread-exit flush", 10 * CALLS, false),
+    ] {
+        let mut cfg = deterministic_config();
+        cfg.batch_capacity = capacity;
+        let rt = Runtime::tsvd(cfg);
+        // Joining a spawned thread waits for its TLS destructors, and so
+        // for the exit flush.
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (rt, sites) = (rt.clone(), sites.clone());
+                std::thread::spawn(move || {
+                    let mut issued: HashMap<SiteId, u64> = HashMap::new();
+                    // Largest index first; a private object per thread, so
+                    // nothing arms and a batching runtime keeps buffering.
+                    for &site in sites.iter().rev().cycle().skip(t).take(CALLS) {
+                        rt.on_call(ObjId(t as u64), site, "x.read", OpKind::Read);
+                        *issued.entry(site).or_default() += 1;
+                    }
+                    if flush {
+                        rt.flush_thread_events();
+                    }
+                    issued
+                })
+            })
+            .collect();
+        let mut recount: HashMap<SiteId, u64> = HashMap::new();
+        for worker in workers {
+            for (site, n) in worker.join().expect("worker panicked") {
+                *recount.entry(site).or_default() += n;
+            }
+        }
+
+        let stats = rt.stats();
+        assert_eq!(stats.on_calls(), (THREADS * CALLS) as u64, "{delivery}");
+        assert_eq!(stats.sites_covered(), recount.len(), "{delivery}");
+        let coverage: HashMap<SiteId, u64> = stats
+            .coverage()
+            .into_iter()
+            .map(|(site, c)| (site, c.hits))
+            .collect();
+        assert_eq!(coverage, recount, "{delivery}");
+        match delivery {
+            "inline" => assert_eq!(stats.batch_flushes(), 0),
+            "batched flush" => assert!(stats.batch_flushes() >= (THREADS * CALLS / 64) as u64),
+            _ => assert_eq!(stats.thread_exit_flushes(), THREADS as u64),
+        }
+    }
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! Proof that the batched zero-trap `OnCall` path performs zero lock
-//! acquisitions and zero shared-memory writes.
+//! acquisitions and zero shared-memory writes, and that the armed path's
+//! no-op mutations — what a rediscovered near miss asks for — take no lock
+//! and publish nothing.
 //!
 //! Every lock acquisition and shared write on the runtime's access paths is
 //! annotated with `audit::note_lock` / `audit::note_shared_write` (see
@@ -10,7 +12,12 @@
 
 #![cfg(feature = "hotpath_audit")]
 
-use tsvd_core::{audit, ObjId, OpKind, Runtime, TsvdConfig};
+use tsvd_core::context::{self, ContextId};
+use tsvd_core::decay::DecayTable;
+use tsvd_core::hb_infer::HbInference;
+use tsvd_core::near_miss::SitePair;
+use tsvd_core::trapset::TrapSet;
+use tsvd_core::{audit, epoch, ObjId, OpKind, Runtime, TsvdConfig};
 
 #[test]
 fn zero_trap_batched_path_performs_no_locks_and_no_shared_writes() {
@@ -57,8 +64,8 @@ fn zero_trap_batched_path_performs_no_locks_and_no_shared_writes() {
 #[test]
 fn inline_path_is_visible_to_the_audit() {
     // Without batching every call takes the inline path, which by design
-    // uses locks (near-miss shards, coverage maps) and shared writes
-    // (counters, phase ring). The audit must see them.
+    // uses locks (near-miss and HB-inference stripes) and shared writes
+    // (coverage cell, phase ring). The audit must see them.
     let rt = Runtime::tsvd(TsvdConfig::for_testing());
     assert!(!rt.is_batching());
     let site = tsvd_core::site!();
@@ -71,4 +78,89 @@ fn inline_path_is_visible_to_the_audit() {
         "inline path locks per call"
     );
     assert!(audit::shared_writes() >= 10);
+}
+
+#[test]
+fn noop_mutations_take_no_lock_and_publish_nothing() {
+    let (a, b, c) = (tsvd_core::site!(), tsvd_core::site!(), tsvd_core::site!());
+    let (armed, absent) = (SitePair::new(a, b), SitePair::new(a, c));
+    let traps = TrapSet::new();
+    let decay = DecayTable::new(0.5, 0.05);
+    let hb = HbInference::new(1_000_000, 5, 64);
+    audit::reset();
+    assert!(traps.add(armed));
+    decay.arm(a);
+    decay.arm(b);
+    assert!(
+        audit::lock_acquisitions() >= 3 && audit::shared_writes() >= 3,
+        "arming takes the writer locks and publishes snapshots"
+    );
+
+    let rediscover = || {
+        assert!(!traps.add(armed), "already armed");
+        assert!(!traps.remove(absent), "never armed");
+        decay.arm(a); // already at 1.0
+        assert!(!hb.is_inferred(armed), "nothing inferred yet");
+    };
+
+    // Each of the three snapshot answers pins the epoch — one store to this
+    // thread's own slot, what any snapshot read costs — and nothing else is
+    // written; the empty inferred set is answered from its atomic count.
+    audit::reset();
+    rediscover();
+    assert_eq!(
+        audit::lock_acquisitions(),
+        0,
+        "no-op mutations lock nothing"
+    );
+    assert_eq!(audit::shared_writes(), 3, "exactly the three epoch pins");
+
+    // Under a pin already held, the same answers write nothing at all.
+    let pin = epoch::pin();
+    audit::reset();
+    rediscover();
+    assert_eq!(audit::lock_acquisitions(), 0);
+    assert_eq!(audit::shared_writes(), 0);
+    drop(pin);
+
+    // Control: the same calls, when they do change something, are visible.
+    audit::reset();
+    assert!(traps.remove(armed));
+    decay.remove(a);
+    assert_eq!(audit::lock_acquisitions(), 2, "effective writes lock");
+    assert!(audit::shared_writes() >= 2);
+}
+
+#[test]
+fn armed_steady_state_locks_only_its_own_two_stripes() {
+    // Two logical contexts alternate writes on one object through two
+    // sites: the near miss arms the pair, and from then on every call
+    // rediscovers it. Zero delay budget: the path plans but never sleeps.
+    let mut cfg = TsvdConfig::for_testing();
+    cfg.max_delay_per_run_ns = 0;
+    let rt = Runtime::tsvd(cfg);
+    let (a, b) = (tsvd_core::site!(), tsvd_core::site!());
+    let round = || {
+        for (ctx, site) in [(7_001, a), (7_002, b)] {
+            let _g = context::enter(ContextId(ctx));
+            rt.on_call(ObjId(1), site, "x.write", OpKind::Write);
+        }
+    };
+    for _ in 0..8 {
+        round();
+    }
+    let armed = rt.export_trap_file().expect("tsvd exports").pairs.len();
+    assert_eq!(armed, 1, "the alternation arms exactly {{a, b}}");
+
+    audit::reset();
+    for _ in 0..100 {
+        round();
+    }
+    assert_eq!(
+        audit::lock_acquisitions(),
+        2 * 200,
+        "per call: the context's HB stripe and the object's near-miss stripe — \
+         no trap-set or decay writer lock, no coverage lock, no global HB mutex"
+    );
+    assert_eq!(rt.stats().on_calls(), 216);
 }

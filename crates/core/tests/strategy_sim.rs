@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use tsvd_core::access::{Access, ObjId, OpKind};
 use tsvd_core::context::ContextId;
 use tsvd_core::near_miss::SitePair;
+use tsvd_core::phase::PhaseBuffer;
 use tsvd_core::site::{SiteData, SiteId};
 use tsvd_core::strategy::{Strategy as DetectorStrategy, SyncEvent, Tsvd, TsvdHb};
 use tsvd_core::TsvdConfig;
@@ -48,6 +49,8 @@ fn event() -> impl Strategy<Value = Event> {
 fn drive(strategy: &dyn DetectorStrategy, events: &[Event]) -> Vec<SitePair> {
     let mut found = Vec::new();
     let mut now: u64 = 0;
+    // The phase observation the runtime would make for each access.
+    let phase = PhaseBuffer::new(TsvdConfig::for_testing().phase_buffer);
     for e in events {
         now += 1_000; // 1 µs steps: everything is inside the 2 ms window.
         match *e {
@@ -60,7 +63,7 @@ fn drive(strategy: &dyn DetectorStrategy, events: &[Event]) -> Vec<SitePair> {
                     kind: if w { OpKind::Write } else { OpKind::Read },
                     time_ns: now,
                 };
-                let _ = strategy.on_access(&access);
+                let _ = strategy.on_access(&access, phase.record_and_check(access.context));
             }
             Event::DelayDone(c, s, caught) => {
                 let access = Access {
@@ -124,7 +127,7 @@ proptest! {
             kind: OpKind::Write,
             time_ns: 10_000_000,
         };
-        prop_assert_eq!(s.on_access(&fresh), None);
+        prop_assert_eq!(s.on_access(&fresh, true), None);
     }
 
     /// TSVD-HB holds the same invariants under the same streams (plus sync

@@ -72,7 +72,7 @@ impl tsvd::core::Strategy for PanickingStrategy {
         "panicking"
     }
 
-    fn on_access(&self, _access: &tsvd::core::Access) -> Option<u64> {
+    fn on_access(&self, _access: &tsvd::core::Access, _concurrent: bool) -> Option<u64> {
         Some(100_000) // 0.1 ms: enough to arm a real trap.
     }
 

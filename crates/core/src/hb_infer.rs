@@ -20,17 +20,19 @@
 //! treated as happening after `loc1`.
 //!
 //! `on_access` runs on every instrumented call, so there is no global lock:
-//! per-context state is lock-striped by context, and the delay history and
-//! inferred-edge set are read-mostly, each mirrored by an atomic count so
-//! the common call — a short gap, or no delay finished yet — and
-//! `is_inferred` on an empty set touch neither.
+//! per-context state is lock-striped by context, each stripe on a cache
+//! line of its own so that neighbouring contexts' calls share nothing, and
+//! the delay history and inferred-edge set are read-mostly, each mirrored by
+//! an atomic count so the common call — a short gap, or no delay finished
+//! yet — and `is_inferred` on an empty set touch neither.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::audit;
+use crate::chunks::Stripe;
 use crate::context::ContextId;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
@@ -62,7 +64,7 @@ struct ThreadState {
 
 /// Happens-before inference engine.
 pub struct HbInference {
-    threads: Box<[Mutex<HashMap<ContextId, ThreadState>>]>,
+    threads: Box<[Stripe<HashMap<ContextId, ThreadState>>]>,
     delays: RwLock<VecDeque<DelayRecord>>,
     /// All edges inferred so far, as normalized pairs. A pair in this set is
     /// never re-added to the trap set.
@@ -83,7 +85,7 @@ impl HbInference {
     /// transitivity window `k_hb`, and delay-record retention.
     pub fn new(gap_ns: u64, transitivity: usize, delay_history: usize) -> Self {
         HbInference {
-            threads: (0..STRIPES).map(|_| Mutex::default()).collect(),
+            threads: (0..STRIPES).map(|_| Stripe::default()).collect(),
             delays: RwLock::default(),
             inferred: RwLock::default(),
             delay_count: AtomicUsize::new(0),
@@ -187,6 +189,15 @@ impl HbInference {
     /// Total number of inferred edges (stats).
     pub fn inferred_count(&self) -> usize {
         self.inferred_count.load(Ordering::Acquire)
+    }
+
+    /// Bytes held (for the §5.5 resource report): one state per context ever
+    /// seen — none is ever removed — the retained delay records, the edges.
+    pub fn approx_bytes(&self) -> usize {
+        let states: usize = self.threads.iter().map(|s| s.lock().capacity()).sum();
+        states * std::mem::size_of::<(ContextId, ThreadState)>()
+            + self.delays.read().capacity() * std::mem::size_of::<DelayRecord>()
+            + self.inferred.read().capacity() * std::mem::size_of::<SitePair>()
     }
 }
 
@@ -422,6 +433,33 @@ mod tests {
         );
         assert!(e.on_access(t18, site(31), ms_to_ns(131)).is_empty());
         assert_eq!(e.inferred_count(), 1);
+    }
+
+    #[test]
+    fn stripes_are_whole_lines_and_held_bytes_grow_with_contexts() {
+        let e = engine();
+        let stripe = std::mem::size_of_val(&e.threads[0]);
+        assert_eq!(stripe % 64, 0);
+        assert_eq!(std::mem::align_of_val(&e.threads[0]) % 64, 0);
+        assert_eq!(e.approx_bytes(), 0, "nothing seen, nothing held");
+        // Nothing ever removes a context's state: the report must show it.
+        let mut last = 0;
+        for round in 1..=4u64 {
+            for ctx in 0..100 {
+                e.on_access(ContextId(round * 1_000 + ctx), site(20), ms_to_ns(1));
+            }
+            let held = e.approx_bytes();
+            let floor = 100 * round as usize * std::mem::size_of::<ThreadState>();
+            assert!(held >= last.max(floor), "{held} after round {round}");
+            last = held;
+        }
+        e.record_delay(DelayRecord {
+            site: site(1),
+            context: ContextId(1),
+            start_ns: 0,
+            end_ns: 1,
+        });
+        assert!(e.approx_bytes() >= last + std::mem::size_of::<DelayRecord>());
     }
 
     #[test]

@@ -35,6 +35,7 @@
 pub mod access;
 pub mod audit;
 pub mod batch;
+mod chunks;
 pub mod clock;
 pub mod config;
 pub mod context;

@@ -6,23 +6,26 @@
 //! locations involved becomes a dangerous-pair candidate that delay injection
 //! will later try to convert into a real, caught violation.
 //!
-//! The tracker is written to on every instrumented access, so the object
-//! table is lock-striped by object id: concurrent accesses to different
-//! objects take different locks. The memory bound is likewise per shard —
-//! when a shard is full, a clock (second-chance) hand evicts its own
-//! coldest object. Filling the table with fresh objects therefore never
-//! wipes the histories of hot objects in other shards, and repeatedly
-//! accessed objects in the *same* shard survive a pass of the hand.
+//! The tracker is written to on every instrumented access, so the object is
+//! the unit of locking: a table of cache-line-sized slots, one object per
+//! slot, each behind its own small mutex. A call on an object no other
+//! thread calls therefore writes no line another thread writes. The table is
+//! direct-mapped by the low bits of the object id. Ids are a dense
+//! process-wide counter, so objects created together sit in neighbouring
+//! slots of the same lazily allocated chunks, and live objects cannot
+//! collide until the counter has wrapped the table; hashing the id would
+//! scatter a module's twenty objects over twenty chunks. That is also the
+//! memory bound: a newcomer whose slot is held by another object takes it
+//! over, unless the resident has been accessed since it was last challenged
+//! (its second chance), so churn through one slot never wipes a hot object's
+//! history, nor any other slot's.
 
-use std::collections::{HashMap, VecDeque};
-
-use parking_lot::Mutex;
+use std::collections::VecDeque;
 
 use crate::access::{Access, ObjId, OpKind};
+use crate::chunks::{ChunkTable, Stripe};
 use crate::context::ContextId;
 use crate::site::SiteId;
-
-const DEFAULT_SHARDS: usize = 16;
 
 /// An unordered pair of static program locations.
 ///
@@ -77,29 +80,28 @@ struct HistEntry {
     time_ns: u64,
 }
 
+#[derive(Default)]
 struct ObjHistory {
+    /// The object this slot tracks, if any.
+    resident: Option<ObjId>,
     hist: VecDeque<HistEntry>,
-    /// Second-chance bit: set on every access, cleared when the clock hand
-    /// passes over the object.
+    /// Second-chance bit: set when the resident is accessed again, cleared
+    /// when a newcomer challenges it for the slot.
     hot: bool,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<ObjId, ObjHistory>,
-    /// Clock order over this shard's objects.
-    order: VecDeque<ObjId>,
-}
+/// One object's history, locked on its own, alone on its cache line.
+type Slot = Stripe<ObjHistory>;
 
 /// Per-object bounded access history with near-miss extraction.
 pub struct NearMissTracker {
-    shards: Box<[Mutex<Shard>]>,
+    slots: ChunkTable<Slot>,
+    /// Slots minus one: the bound on tracked objects, a power of two.
+    mask: usize,
     /// `N_nm`: entries kept per object.
     history: usize,
     /// `T_nm` in nanoseconds; `None` disables windowing (Table 3 ablation).
     window_ns: Option<u64>,
-    /// Bound on distinct objects tracked per shard.
-    per_shard_objects: usize,
 }
 
 impl NearMissTracker {
@@ -107,124 +109,55 @@ impl NearMissTracker {
     /// conflicting accesses within `window_ns` as near misses. Passing
     /// `None` for `window_ns` disables the window (ablation mode): any two
     /// conflicting accesses in the retained history form a near miss.
+    /// At most `max_objects`, rounded down to a power of two, are tracked.
     pub fn new(history: usize, window_ns: Option<u64>, max_objects: usize) -> Self {
-        Self::with_shards(history, window_ns, max_objects, DEFAULT_SHARDS)
+        NearMissTracker {
+            slots: ChunkTable::default(),
+            mask: (1 << max_objects.clamp(1, 1 << 30).ilog2()) - 1,
+            history: history.max(1),
+            window_ns,
+        }
     }
 
-    /// Like [`NearMissTracker::new`] with an explicit lock-stripe count.
-    /// The stripe count is clamped to `max_objects` so the total object
-    /// bound (`max_objects`, split evenly across stripes) always holds.
+    /// [`NearMissTracker::new`]; `_shards` is ignored. The table had lock
+    /// stripes once and `benchmark/` still names this constructor.
     pub fn with_shards(
         history: usize,
         window_ns: Option<u64>,
         max_objects: usize,
-        shards: usize,
+        _shards: usize,
     ) -> Self {
-        let max_objects = max_objects.max(1);
-        let shards = shards.clamp(1, max_objects);
-        NearMissTracker {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            history: history.max(1),
-            window_ns,
-            per_shard_objects: (max_objects / shards).max(1),
-        }
-    }
-
-    fn shard_index(&self, obj: ObjId) -> usize {
-        let h = obj.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % self.shards.len()
+        Self::new(history, window_ns, max_objects)
     }
 
     /// Records `access` and returns the dangerous pairs it forms with
-    /// retained history entries (deduplicated within this call).
+    /// retained history entries (deduplicated within this call). An access
+    /// that loses its slot to a recently used resident goes unrecorded.
     pub fn record(&self, access: &Access) -> Vec<SitePair> {
         crate::audit::note_lock();
-        let mut guard = self.shards[self.shard_index(access.obj)].lock();
-        Self::record_in_shard(
-            &mut guard,
-            access,
-            self.history,
-            self.window_ns,
-            self.per_shard_objects,
-        )
-    }
-
-    /// Records a batch of accesses, locking each stripe once per batch
-    /// instead of once per event. Events are bucketed by stripe and replayed
-    /// in original order within each bucket; per-object history outcomes are
-    /// identical to calling [`NearMissTracker::record`] event by event,
-    /// because an object's history lives entirely in one stripe and the
-    /// near-miss window compares recorded timestamps, not arrival order.
-    ///
-    /// `sink(index, pairs)` is invoked for every event (by its index in
-    /// `events`) that formed at least one dangerous pair.
-    pub fn record_batch(&self, events: &[Access], mut sink: impl FnMut(usize, Vec<SitePair>)) {
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (index, access) in events.iter().enumerate() {
-            buckets[self.shard_index(access.obj)].push(index);
+        let mut slot = self.slots.get(access.obj.0 as usize & self.mask).lock();
+        let slot = &mut *slot;
+        if slot.resident == Some(access.obj) {
+            slot.hot = true;
+        } else if std::mem::take(&mut slot.hot) {
+            return Vec::new();
+        } else {
+            // Vacant, or the resident had its chance. The newcomer starts
+            // cold, so one-shot objects never outlast a challenge.
+            slot.resident = Some(access.obj);
+            slot.hist.clear();
+            slot.hist.reserve_exact(self.history);
         }
-        for (shard_index, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            crate::audit::note_lock();
-            let mut guard = self.shards[shard_index].lock();
-            for index in bucket {
-                let pairs = Self::record_in_shard(
-                    &mut guard,
-                    &events[index],
-                    self.history,
-                    self.window_ns,
-                    self.per_shard_objects,
-                );
-                if !pairs.is_empty() {
-                    sink(index, pairs);
-                }
-            }
-        }
-    }
-
-    fn record_in_shard(
-        shard: &mut Shard,
-        access: &Access,
-        history: usize,
-        window_ns: Option<u64>,
-        per_shard_objects: usize,
-    ) -> Vec<SitePair> {
-        // Single map lookup on the hot (existing-object) path: with many
-        // live objects the lookup is a cache miss, so a `contains_key` +
-        // `get_mut` sequence would double the dominant cost of recording.
-        let shard = &mut *shard;
-        let mut is_new = false;
-        let entry = match shard.map.entry(access.obj) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let entry = e.into_mut();
-                entry.hot = true;
-                entry
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                // New objects start cold so a churn of one-shot objects
-                // cannot strip proven-hot ones of their second chance
-                // within one pass of the clock hand (eviction runs below,
-                // once this entry's borrow is released).
-                is_new = true;
-                shard.order.push_back(access.obj);
-                v.insert(ObjHistory {
-                    hist: VecDeque::with_capacity(history),
-                    hot: false,
-                })
-            }
-        };
 
         let mut pairs = Vec::new();
-        for prev in entry.hist.iter() {
+        for prev in slot.hist.iter() {
             if prev.context == access.context {
                 continue;
             }
             if !prev.kind.conflicts_with(access.kind) {
                 continue;
             }
-            if let Some(window) = window_ns {
+            if let Some(window) = self.window_ns {
                 if access.time_ns.abs_diff(prev.time_ns) > window {
                     continue;
                 }
@@ -235,61 +168,44 @@ impl NearMissTracker {
             }
         }
 
-        entry.hist.push_back(HistEntry {
+        if slot.hist.len() == self.history {
+            slot.hist.pop_front();
+        }
+        slot.hist.push_back(HistEntry {
             context: access.context,
             site: access.site,
             kind: access.kind,
             time_ns: access.time_ns,
         });
-        while entry.hist.len() > history {
-            entry.hist.pop_front();
-        }
-
-        if is_new {
-            // Per-shard memory bound: the clock hand evicts this shard's
-            // coldest object, giving recently touched ones a second chance.
-            // The just-inserted object is exempt (it is cold by design and
-            // must survive its own insertion).
-            while shard.map.len() > per_shard_objects {
-                let Some(victim) = shard.order.pop_front() else {
-                    break;
-                };
-                if victim == access.obj {
-                    shard.order.push_back(victim);
-                    continue;
-                }
-                match shard.map.get_mut(&victim) {
-                    Some(e) if e.hot => {
-                        e.hot = false;
-                        shard.order.push_back(victim);
-                    }
-                    _ => {
-                        shard.map.remove(&victim);
-                    }
-                }
-            }
-        }
         pairs
     }
 
-    /// Approximate number of bytes retained (for the §5.5 resource report).
+    /// [`NearMissTracker::record`] for each of `events` in order.
+    /// `sink(index, pairs)` is invoked for every event (by its index in
+    /// `events`) that formed at least one dangerous pair.
+    pub fn record_batch(&self, events: &[Access], mut sink: impl FnMut(usize, Vec<SitePair>)) {
+        for (index, access) in events.iter().enumerate() {
+            let pairs = self.record(access);
+            if !pairs.is_empty() {
+                sink(index, pairs);
+            }
+        }
+    }
+
+    /// Bytes held (for the §5.5 resource report): every allocated slot,
+    /// resident or not, plus the histories' heap blocks.
     pub fn approx_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock();
-                s.map.len() * std::mem::size_of::<(ObjId, ObjHistory)>()
-                    + s.map
-                        .values()
-                        .map(|v| v.hist.capacity() * std::mem::size_of::<HistEntry>())
-                        .sum::<usize>()
-            })
-            .sum()
+        let held = |(_, slot): (usize, &Slot)| {
+            let entries = slot.lock().hist.capacity();
+            std::mem::size_of::<Slot>() + entries * std::mem::size_of::<HistEntry>()
+        };
+        self.slots.allocated().map(held).sum()
     }
 
     /// Number of objects currently tracked.
     pub fn tracked_objects(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        let resident = |(_, slot): &(usize, &Slot)| slot.lock().resident.is_some();
+        self.slots.allocated().filter(resident).count()
     }
 }
 
@@ -318,7 +234,7 @@ mod tests {
     }
 
     fn tracker() -> NearMissTracker {
-        NearMissTracker::new(5, Some(100 * 1_000_000), 1024)
+        NearMissTracker::new(5, Some(WINDOW), 1024)
     }
 
     #[test]
@@ -396,86 +312,188 @@ mod tests {
         assert_eq!(pairs.len(), 1, "same pair reported once per call");
     }
 
-    #[test]
-    fn object_table_is_bounded() {
-        let t = NearMissTracker::new(5, Some(100 * 1_000_000), 4);
-        for obj in 0..16u64 {
-            t.record(&acc(1, obj, site(1), OpKind::Write, 0));
-        }
-        assert!(t.tracked_objects() <= 4);
-    }
+    const WINDOW: u64 = 100 * 1_000_000;
 
-    #[test]
-    fn full_table_still_pairs_unrelated_hot_objects() {
-        // Regression: the old eviction cleared the WHOLE table when the
-        // object cap was reached, wiping hot objects' histories. With
-        // per-shard eviction, flooding other shards must leave a hot
-        // object's history intact so its near miss still pairs.
-        let t = NearMissTracker::with_shards(5, Some(100 * 1_000_000), 8, 4);
-        let hot = ObjId(0);
-        let hot_shard = t.shard_index(hot);
-        t.record(&acc(1, 0, site(1), OpKind::Write, 0));
-        let mut flooded = 0;
-        let mut candidate = 1u64;
-        while flooded < 32 {
-            if t.shard_index(ObjId(candidate)) != hot_shard {
-                t.record(&acc(1, candidate, site(2), OpKind::Write, 1));
-                flooded += 1;
+    /// The tracker's contract, as plainly as it can be written: an
+    /// unbounded map of per-object histories with the same history bound
+    /// and window.
+    #[derive(Default)]
+    struct Model(std::collections::HashMap<ObjId, VecDeque<Access>>);
+
+    impl Model {
+        fn record(&mut self, access: &Access, history: usize) -> Vec<SitePair> {
+            let hist = self.0.entry(access.obj).or_default();
+            let mut pairs = Vec::new();
+            for prev in hist.iter() {
+                let pair = SitePair::new(prev.site, access.site);
+                if prev.context != access.context
+                    && prev.kind.conflicts_with(access.kind)
+                    && access.time_ns.abs_diff(prev.time_ns) <= WINDOW
+                    && !pairs.contains(&pair)
+                {
+                    pairs.push(pair);
+                }
             }
-            candidate += 1;
+            hist.push_back(*access);
+            if hist.len() > history {
+                hist.pop_front();
+            }
+            pairs
         }
-        let pairs = t.record(&acc(2, 0, site(3), OpKind::Read, 2));
-        assert_eq!(pairs, vec![SitePair::new(site(1), site(3))]);
     }
 
-    #[test]
-    fn hot_object_survives_in_shard_eviction() {
-        // One stripe, tiny cap: a stream of one-shot objects churns through
-        // the shard, but the clock hand's second chance keeps the
-        // repeatedly-touched object alive.
-        let t = NearMissTracker::with_shards(5, Some(100 * 1_000_000), 4, 1);
-        t.record(&acc(1, 7, site(1), OpKind::Write, 0));
-        for obj in 100..116u64 {
-            t.record(&acc(1, obj, site(2), OpKind::Write, 1));
-            t.record(&acc(1, 7, site(1), OpKind::Write, 1)); // Keep 7 hot.
-        }
-        assert!(t.tracked_objects() <= 4);
-        let pairs = t.record(&acc(2, 7, site(3), OpKind::Read, 2));
-        assert!(
-            pairs.contains(&SitePair::new(site(1), site(3))),
-            "hot object's history must survive the churn"
-        );
-    }
-
-    #[test]
-    fn batch_recording_matches_sequential() {
-        // The same event stream through `record_batch` must attribute
-        // exactly the pairs `record` attributes, event by event, even
-        // though the batch path visits stripes out of event order.
-        let seq = tracker();
-        let bat = tracker();
-        let events: Vec<Access> = (0..48u64)
-            .map(|i| {
-                let kind = if i % 2 == 0 {
+    /// `n` seeded accesses over objects `first .. first + objects`: three
+    /// contexts, eight sites, a third writes, time advancing 0.2 ms a step
+    /// on average (an object's retained accesses fall on both sides of the
+    /// 100 ms window) and now and then stepping back, as batched replays do.
+    fn stream(seed: u64, first: u64, objects: u64, n: usize) -> Vec<Access> {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let mut now = 1_000 * 1_000_000u64;
+        (0..n)
+            .map(|_| {
+                now += rng.below(400_000);
+                let time_ns = now - rng.below(3) / 2 * rng.below(150_000_000);
+                let kind = if rng.below(3) == 0 {
                     OpKind::Write
                 } else {
                     OpKind::Read
                 };
-                acc(1 + i % 3, i % 7, site((i % 5) as u32), kind, i)
+                Access {
+                    context: ContextId(1 + rng.below(3)),
+                    obj: ObjId(first + rng.below(objects)),
+                    site: site(rng.below(8) as u32),
+                    op_name: "t.op",
+                    kind,
+                    time_ns,
+                }
             })
+            .collect()
+    }
+
+    /// The pairs each access of `events` formed, call by call.
+    fn pairs_of(t: &NearMissTracker, events: &[Access]) -> Vec<Vec<SitePair>> {
+        events.iter().map(|a| t.record(a)).collect()
+    }
+
+    #[test]
+    fn slot_table_matches_the_reference_model_call_by_call() {
+        for seed in 11..17u64 {
+            let history = 1 + (seed % 5) as usize;
+            // 200 live objects straddling the wrap of a 256-slot table.
+            let events = stream(seed, 156, 200, 12_000);
+            let mut model = Model::default();
+            let expected: Vec<Vec<SitePair>> =
+                events.iter().map(|a| model.record(a, history)).collect();
+            let formed = expected.iter().filter(|p| !p.is_empty()).count();
+            assert!(formed > 1_000, "seed {seed}: only {formed} calls paired");
+
+            let inline = NearMissTracker::new(history, Some(WINDOW), 256);
+            assert_eq!(pairs_of(&inline, &events), expected, "seed {seed}");
+            assert_eq!(inline.tracked_objects(), model.0.len());
+
+            let batched = NearMissTracker::new(history, Some(WINDOW), 256);
+            let mut got = vec![Vec::new(); events.len()];
+            batched.record_batch(&events, |index, pairs| got[index] = pairs);
+            assert_eq!(got, expected, "seed {seed}, record_batch");
+        }
+    }
+
+    #[test]
+    fn threads_on_disjoint_objects_see_what_one_thread_would() {
+        // Neighbouring slots, one table, four threads released together:
+        // each thread's pairs must be those of its stream run alone.
+        let streams: Vec<Vec<Access>> = (0..4)
+            .map(|t| stream(90 + t, 1 + 64 * t, 64, 10_000))
             .collect();
-        let mut expected = Vec::new();
-        for (index, access) in events.iter().enumerate() {
-            let pairs = seq.record(access);
-            if !pairs.is_empty() {
-                expected.push((index, pairs));
+        let shared = NearMissTracker::new(5, Some(WINDOW), 1024);
+        let gate = std::sync::Barrier::new(streams.len());
+        let got: Vec<Vec<Vec<SitePair>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = streams
+                .iter()
+                .map(|events| {
+                    let (shared, gate) = (&shared, &gate);
+                    scope.spawn(move || {
+                        gate.wait();
+                        pairs_of(shared, events)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
+        });
+        for (events, got) in streams.iter().zip(got) {
+            let alone = NearMissTracker::new(5, Some(WINDOW), 1024);
+            assert_eq!(got, pairs_of(&alone, events));
+        }
+        assert_eq!(shared.tracked_objects(), 256);
+    }
+
+    #[test]
+    fn colliding_ids_never_exceed_the_bound() {
+        // Capacity rounds 6 down to 4; ids `id`, `id + 4`, `id + 8`, …
+        // fight over slot `id`.
+        let t = NearMissTracker::with_shards(5, Some(WINDOW), 6, 99);
+        for round in 0..50u64 {
+            for id in 0..4u64 {
+                t.record(&acc(1, id + 4 * round, site(1), OpKind::Write, round));
+                assert!(t.tracked_objects() <= 4);
             }
         }
-        assert!(!expected.is_empty(), "the stream must form pairs");
-        let mut got = Vec::new();
-        bat.record_batch(&events, |index, pairs| got.push((index, pairs)));
-        got.sort_by_key(|(index, _)| *index);
-        assert_eq!(got, expected);
+        assert_eq!(t.tracked_objects(), 4);
+    }
+
+    #[test]
+    fn a_resident_touched_between_challenges_keeps_its_slot_and_history() {
+        let t = NearMissTracker::new(5, Some(WINDOW), 4);
+        t.record(&acc(1, 7, site(1), OpKind::Write, 0));
+        for challenger in (11..200u64).step_by(4) {
+            t.record(&acc(1, 7, site(1), OpKind::Write, 1)); // Keeps 7 hot.
+            let lost = t.record(&acc(2, challenger, site(2), OpKind::Write, 1));
+            assert!(lost.is_empty(), "an untracked access pairs with nothing");
+        }
+        assert_eq!(t.tracked_objects(), 1);
+        let pairs = t.record(&acc(2, 7, site(3), OpKind::Read, 2));
+        assert_eq!(pairs, vec![SitePair::new(site(1), site(3))]);
+    }
+
+    #[test]
+    fn an_untouched_resident_is_replaced_and_the_newcomer_starts_empty() {
+        let t = NearMissTracker::new(5, Some(WINDOW), 4);
+        t.record(&acc(1, 7, site(1), OpKind::Write, 0));
+        t.record(&acc(1, 7, site(1), OpKind::Write, 1));
+        // The first challenge spends 7's second chance, the next one wins.
+        assert!(t.record(&acc(2, 11, site(2), OpKind::Write, 2)).is_empty());
+        assert!(
+            t.record(&acc(2, 11, site(2), OpKind::Write, 3)).is_empty(),
+            "7's writes by context 1 must not pair with 11's by context 2"
+        );
+        let pairs = t.record(&acc(1, 11, site(3), OpKind::Write, 4));
+        assert_eq!(pairs, vec![SitePair::new(site(2), site(3))]);
+        // A resident never accessed again loses to its first challenger,
+        // and nothing of it is remembered when it comes back: context 1's
+        // write to 7 would pair with context 2's otherwise.
+        let t = NearMissTracker::new(5, Some(WINDOW), 4);
+        t.record(&acc(1, 7, site(1), OpKind::Write, 0));
+        t.record(&acc(2, 11, site(2), OpKind::Write, 1));
+        assert!(t.record(&acc(2, 7, site(3), OpKind::Write, 2)).is_empty());
+    }
+
+    #[test]
+    fn a_fresh_table_owns_no_chunk_and_slots_are_whole_lines() {
+        let t = NearMissTracker::new(5, Some(WINDOW), 1 << 16);
+        assert_eq!(t.approx_bytes(), 0);
+        assert_eq!(t.tracked_objects(), 0);
+        t.record(&acc(1, 40_000, site(1), OpKind::Write, 0));
+        let slot = std::mem::size_of::<Slot>();
+        assert_eq!(
+            t.approx_bytes(),
+            crate::chunks::CHUNK * slot + 5 * std::mem::size_of::<HistEntry>(),
+            "one chunk of slots and one history"
+        );
+        assert_eq!(slot % 64, 0);
+        assert_eq!(std::mem::align_of::<Slot>() % 64, 0);
     }
 
     #[test]

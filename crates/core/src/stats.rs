@@ -17,11 +17,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
 
 use crate::audit;
+use crate::chunks::{ChunkTable, Stripe};
 use crate::context::ContextId;
 use crate::site::SiteId;
 
@@ -41,59 +39,6 @@ struct CovCell {
     concurrent_hits: AtomicU64,
 }
 
-/// Cells per coverage chunk (1 KiB).
-const CHUNK: usize = 64;
-/// Directory rows: enough for every `u32` site index.
-const ROWS: usize = 27;
-/// A directory slot: one lazily allocated chunk.
-type Chunk = OnceLock<Box<[CovCell; CHUNK]>>;
-
-/// The coverage table. Chunk `c` holds sites `64c .. 64c + 64` and sits in
-/// directory row `⌊log2(c + 1)⌋`; row `r` has `2^r` slots, so the directory
-/// doubles row by row. Rows and chunks are allocated when first touched and
-/// never move, which is what lets cells be reached without any lock.
-#[derive(Default)]
-struct Coverage {
-    rows: [OnceLock<Box<[Chunk]>>; ROWS],
-}
-
-impl Coverage {
-    fn cell(&self, site: SiteId) -> &CovCell {
-        let n = site.index() / CHUNK + 1;
-        let row = n.ilog2() as usize;
-        let slots =
-            self.rows[row].get_or_init(|| (0..1usize << row).map(|_| OnceLock::new()).collect());
-        let chunk = slots[n - (1 << row)]
-            .get_or_init(|| Box::new(std::array::from_fn(|_| CovCell::default())));
-        &chunk[site.index() % CHUNK]
-    }
-
-    /// Every site executed at least once, in index order.
-    fn hits(&self) -> impl Iterator<Item = (SiteId, SiteCoverage)> + '_ {
-        let chunks = self.rows.iter().enumerate().flat_map(|(row, slots)| {
-            let slots = slots.get().into_iter().flat_map(|s| s.iter());
-            slots
-                .enumerate()
-                .map(move |(slot, chunk)| ((1 << row) - 1 + slot, chunk))
-        });
-        let cells = chunks.flat_map(|(c, chunk)| {
-            let cells = chunk.get().into_iter().flat_map(|cells| cells.iter());
-            cells
-                .enumerate()
-                .map(move |(i, cell)| (SiteId::from_index(c * CHUNK + i), cell))
-        });
-        cells.filter_map(|(site, cell)| {
-            let hits = cell.hits.load(Ordering::Relaxed);
-            let concurrent_hits = cell.concurrent_hits.load(Ordering::Relaxed);
-            let coverage = SiteCoverage {
-                hits,
-                concurrent_hits,
-            };
-            (hits > 0).then_some((site, coverage))
-        })
-    }
-}
-
 /// Counters shared by the runtime and its strategy.
 pub struct RuntimeStats {
     delays_injected: AtomicU64,
@@ -108,8 +53,9 @@ pub struct RuntimeStats {
     batch_events_flushed: AtomicU64,
     /// Flushes performed by a thread-local buffer's exit destructor.
     thread_exit_flushes: AtomicU64,
-    delay_shards: Box<[Mutex<HashMap<ContextId, u64>>]>,
-    coverage: Coverage,
+    delay_shards: Box<[Stripe<HashMap<ContextId, u64>>]>,
+    /// Indexed by [`SiteId::index`]; one chunk is 1 KiB.
+    coverage: ChunkTable<CovCell>,
 }
 
 fn shard_of(key: u64, len: usize) -> usize {
@@ -130,15 +76,28 @@ impl RuntimeStats {
             batch_flushes: AtomicU64::new(0),
             batch_events_flushed: AtomicU64::new(0),
             thread_exit_flushes: AtomicU64::new(0),
-            delay_shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            coverage: Coverage::default(),
+            delay_shards: (0..shards).map(|_| Stripe::default()).collect(),
+            coverage: ChunkTable::default(),
         }
+    }
+
+    /// Every site executed at least once, in index order.
+    fn hits(&self) -> impl Iterator<Item = (SiteId, SiteCoverage)> + '_ {
+        self.coverage.allocated().filter_map(|(index, cell)| {
+            let hits = cell.hits.load(Ordering::Relaxed);
+            let concurrent_hits = cell.concurrent_hits.load(Ordering::Relaxed);
+            let coverage = SiteCoverage {
+                hits,
+                concurrent_hits,
+            };
+            (hits > 0).then_some((SiteId::from_index(index), coverage))
+        })
     }
 
     /// Records one `OnCall` entry at `site`, noting phase concurrency.
     pub fn record_call(&self, site: SiteId, concurrent: bool) {
         audit::note_shared_write();
-        let cell = self.coverage.cell(site);
+        let cell = self.coverage.get(site.index());
         cell.hits.fetch_add(1, Ordering::Relaxed);
         if concurrent {
             cell.concurrent_hits.fetch_add(1, Ordering::Relaxed);
@@ -182,7 +141,7 @@ impl RuntimeStats {
 
     /// Total `OnCall` entries: the sum of every site's hits.
     pub fn on_calls(&self) -> u64 {
-        self.coverage.hits().map(|(_, c)| c.hits).sum()
+        self.hits().map(|(_, c)| c.hits).sum()
     }
 
     /// Total delays injected.
@@ -236,7 +195,7 @@ impl RuntimeStats {
 
     /// Number of distinct TSVD points executed.
     pub fn sites_covered(&self) -> usize {
-        self.coverage.hits().count()
+        self.hits().count()
     }
 
     /// Number of TSVD points that ever ran in a concurrent phase.
@@ -246,12 +205,12 @@ impl RuntimeStats {
     /// sequentially.
     pub fn sites_covered_concurrently(&self) -> usize {
         let concurrent = |(_, c): &(SiteId, SiteCoverage)| c.concurrent_hits > 0;
-        self.coverage.hits().filter(concurrent).count()
+        self.hits().filter(concurrent).count()
     }
 
     /// Per-site coverage snapshot, in site-index order.
     pub fn coverage(&self) -> Vec<(SiteId, SiteCoverage)> {
-        self.coverage.hits().collect()
+        self.hits().collect()
     }
 }
 
@@ -321,7 +280,7 @@ mod tests {
         // rows; touching the highest first must not disturb the lower ones.
         let s = RuntimeStats::with_shards(4);
         let sites: Vec<SiteId> = (0..300).map(|n| site(100 + n)).collect();
-        assert!(sites[299].index() - sites[0].index() >= 4 * CHUNK);
+        assert!(sites[299].index() - sites[0].index() >= 4 * crate::chunks::CHUNK);
         for round in 0..3 {
             for &site in sites.iter().rev() {
                 s.record_call(site, round == 0);
@@ -338,22 +297,5 @@ mod tests {
             assert_eq!(c.hits, 3);
             assert_eq!(c.concurrent_hits, 1);
         }
-    }
-
-    #[test]
-    fn a_fresh_table_owns_no_heap() {
-        // A suite builds a runtime per module: nothing may be allocated
-        // for sites that runtime never executes.
-        let s = RuntimeStats::with_shards(4);
-        assert!(s.coverage.rows.iter().all(|row| row.get().is_none()));
-        s.record_call(site(1), false);
-        let chunks: usize = s
-            .coverage
-            .rows
-            .iter()
-            .filter_map(|row| row.get())
-            .map(|slots| slots.iter().filter(|c| c.get().is_some()).count())
-            .sum();
-        assert_eq!(chunks, 1, "one executed site allocates one 1 KiB chunk");
     }
 }

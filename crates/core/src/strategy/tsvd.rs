@@ -61,11 +61,10 @@ impl Tsvd {
             .enable_windowing
             .then_some(config.near_miss_window_ns);
         Tsvd {
-            near_miss: NearMissTracker::with_shards(
+            near_miss: NearMissTracker::new(
                 config.near_miss_history,
                 window,
                 config.max_tracked_objects,
-                config.near_miss_shards,
             ),
             recency: ContextRecency::new(config.phase_buffer, window.unwrap_or(u64::MAX)),
             hb: config.enable_hb_inference.then(|| {
@@ -194,8 +193,7 @@ impl Strategy for Tsvd {
         // count-based phase ring with a single context; the time-based
         // recency table consults event timestamps instead. It is
         // order-sensitive within a context, so flags are computed in event
-        // order before the shard-grouped near-miss pass below reorders
-        // delivery across objects.
+        // order before anything else replays.
         let concurrent: Vec<bool> = events
             .iter()
             .map(|a| self.recency.note_and_check(a.context, a.time_ns) || !self.phase_detection)
@@ -209,11 +207,10 @@ impl Strategy for Tsvd {
             }
         }
 
-        // Shard-grouped recording: each near-miss stripe is locked once per
-        // batch instead of once per event. Relative order of HB pruning and
-        // pair discovery *within one batch* shifts, which is harmless —
-        // near misses rediscover pairs continuously and HB prunes re-fire
-        // on later accesses, so the steady state is unchanged.
+        // Relative order of HB pruning and pair discovery *within one
+        // batch* shifts, which is harmless — near misses rediscover pairs
+        // continuously and HB prunes re-fire on later accesses, so the
+        // steady state is unchanged.
         self.near_miss.record_batch(events, |index, pairs| {
             if !concurrent[index] {
                 return;
@@ -264,8 +261,10 @@ impl Strategy for Tsvd {
     }
 
     fn memory_bytes(&self) -> usize {
-        // Near-miss histories dominate; trap set and decay table are tiny.
+        // Near-miss histories dominate; trap set and decay table are tiny;
+        // HB inference grows with the contexts seen.
         self.near_miss.approx_bytes()
+            + self.hb.as_ref().map_or(0, |hb| hb.approx_bytes())
             + self.traps.len() * std::mem::size_of::<SitePair>()
             + self.decay.armed_count() * 16
     }
@@ -605,6 +604,28 @@ mod tests {
         let base = s.on_access(&a, true).expect("armed");
         s.on_delay_complete(&a, 0, 1, false);
         assert_eq!(s.on_access(&a, true), Some(base));
+    }
+
+    #[test]
+    fn memory_report_counts_hb_inference_state() {
+        // §5.5: one HB state per task context ever seen, none ever removed.
+        // A report of the near-miss table alone would not move here.
+        let s = Tsvd::new(&config());
+        s.on_access(&acc(0, 7, site(1), OpKind::Read, 0), true);
+        let before = s.memory_bytes();
+        for ctx in 1..=1_000 {
+            s.on_access(&acc(ctx, 7, site(1), OpKind::Read, ctx), true);
+        }
+        assert!(s.memory_bytes() >= before + 1_000 * 24);
+        let mut c = config();
+        c.enable_hb_inference = false;
+        let off = Tsvd::new(&c);
+        off.on_access(&acc(0, 7, site(1), OpKind::Read, 0), true);
+        let before = off.memory_bytes();
+        for ctx in 1..=1_000 {
+            off.on_access(&acc(ctx, 7, site(1), OpKind::Read, ctx), true);
+        }
+        assert_eq!(off.memory_bytes(), before, "one object, one full history");
     }
 
     #[test]

@@ -23,6 +23,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::access::{Access, ObjId};
 use crate::audit;
+use crate::chunks::Stripe;
 use crate::gate::HotGate;
 
 const DEFAULT_SHARDS: usize = 16;
@@ -110,7 +111,7 @@ impl TrapEntry {
 
 /// The global table of live traps, sharded by object id.
 pub struct TrapTable {
-    shards: Box<[Mutex<Vec<Arc<TrapEntry>>>]>,
+    shards: Box<[Stripe<Vec<Arc<TrapEntry>>>]>,
     /// Live traps across all shards. Zero — the common case — makes
     /// [`check_for_trap`](TrapTable::check_for_trap) lock-free.
     live: AtomicUsize,
@@ -134,7 +135,7 @@ impl TrapTable {
     /// Creates an empty table with `shards` shards (clamped to ≥ 1).
     pub fn with_shards(shards: usize) -> Self {
         TrapTable {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..shards.max(1)).map(|_| Stripe::default()).collect(),
             live: AtomicUsize::new(0),
             gate: OnceLock::new(),
         }
@@ -149,7 +150,7 @@ impl TrapTable {
 
     /// The shard holding traps for `obj`. A conflict requires the same
     /// object, so a trap is only ever relevant to exactly one shard.
-    fn shard(&self, obj: ObjId) -> &Mutex<Vec<Arc<TrapEntry>>> {
+    fn shard(&self, obj: ObjId) -> &Stripe<Vec<Arc<TrapEntry>>> {
         let h = obj.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.shards[(h >> 32) as usize % self.shards.len()]
     }

@@ -1,7 +1,8 @@
 //! Proof that the batched zero-trap `OnCall` path performs zero lock
 //! acquisitions and zero shared-memory writes, and that the armed path's
 //! no-op mutations — what a rediscovered near miss asks for — take no lock
-//! and publish nothing.
+//! and publish nothing, and that a call on an object no other thread calls
+//! locks only what is its own and leaves the phase ring alone between bursts.
 //!
 //! Every lock acquisition and shared write on the runtime's access paths is
 //! annotated with `audit::note_lock` / `audit::note_shared_write` (see
@@ -64,7 +65,7 @@ fn zero_trap_batched_path_performs_no_locks_and_no_shared_writes() {
 #[test]
 fn inline_path_is_visible_to_the_audit() {
     // Without batching every call takes the inline path, which by design
-    // uses locks (near-miss and HB-inference stripes) and shared writes
+    // uses locks (the object's near-miss slot, the context's HB stripe) and shared writes
     // (coverage cell, phase ring). The audit must see them.
     let rt = Runtime::tsvd(TsvdConfig::for_testing());
     assert!(!rt.is_batching());
@@ -159,8 +160,60 @@ fn armed_steady_state_locks_only_its_own_two_stripes() {
     assert_eq!(
         audit::lock_acquisitions(),
         2 * 200,
-        "per call: the context's HB stripe and the object's near-miss stripe — \
+        "per call: the context's HB stripe and the object's near-miss slot — \
          no trap-set or decay writer lock, no coverage lock, no global HB mutex"
     );
     assert_eq!(rt.stats().on_calls(), 216);
+}
+
+#[test]
+fn private_object_in_a_concurrent_phase_locks_its_own_two_and_visits_the_ring_once_a_burst() {
+    // Two threads, each on objects only it calls, in lockstep rounds of one
+    // burst (k = phase_buffer / 2 calls) each, so that both stay in the
+    // ring and every call is made in a concurrent phase.
+    const ROUNDS: u64 = 50;
+    let cfg = TsvdConfig::for_testing();
+    let k = cfg.phase_buffer as u64 / 2;
+    let rt = Runtime::tsvd(cfg);
+    let site = tsvd_core::site!();
+    let step = std::sync::Barrier::new(2);
+    let run = |first_obj: u64| {
+        let round = |r: u64| {
+            step.wait();
+            for i in 0..k {
+                let obj = ObjId(first_obj + (r * k + i) % 32);
+                rt.on_call(obj, site, "x.write", OpKind::Write);
+            }
+        };
+        (0..4).for_each(round); // Fill the ring, the slots, the stripes.
+        audit::reset();
+        (4..4 + ROUNDS).for_each(round);
+        (audit::lock_acquisitions(), audit::shared_writes())
+    };
+    let (mine, theirs) = std::thread::scope(|scope| {
+        let other = scope.spawn(|| run(1_000));
+        (run(2_000), other.join().expect("no panic"))
+    });
+    let calls = ROUNDS * k;
+    for (locks, writes) in [mine, theirs] {
+        assert_eq!(locks, 2 * calls, "own HB stripe, own object slot");
+        // One coverage cell per call, one ring visit per burst.
+        let ring_visits = writes - calls;
+        assert!(
+            (1..=calls / k + 1).contains(&ring_visits),
+            "{ring_visits} ring visits in {calls} calls, k = {k}"
+        );
+    }
+    let cov = rt.stats().coverage();
+    let hits = cov.iter().find(|(s, _)| *s == site).expect("covered").1;
+    assert_eq!(hits.hits, 2 * (4 + ROUNDS) * k);
+    assert!(
+        hits.concurrent_hits >= 2 * calls,
+        "every audited call was made in a concurrent phase"
+    );
+    assert_eq!(
+        rt.export_trap_file().expect("tsvd exports").pairs.len(),
+        0,
+        "private objects arm nothing"
+    );
 }

@@ -16,26 +16,19 @@
 //!   production shape (many locks, many callsites) that stresses table
 //!   growth, eviction, and shard distribution rather than one hot entry.
 //! - `oncall_scaling_highcard_ro/*`: the 64Ki shape with reads only — no
-//!   conflicting pair ever forms, so a batched runtime never leaves the
-//!   zero-shared-write fast path. This is the pure fast-path measurement.
-//!
-//! The `tsvd_batched` / `noop_batched` detectors run the same analysis with
-//! thread-local event batching enabled (`batch_capacity > 0`).
+//!   conflicting pair ever forms and nothing ever arms. This is the
+//!   zero-trap path on its own.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tsvd_bench::{
-    make_sites, no_delay_config, noop_batched, run_workers, tsvd_batched, AccessMix, Factory,
-};
+use tsvd_bench::{make_sites, no_delay_config, run_workers, AccessMix, Factory};
 use tsvd_core::Runtime;
 
 const DETECTORS: &[(&str, Factory)] = &[
     ("noop", Runtime::noop),
-    ("noop_batched", noop_batched),
     ("dynamic_random", Runtime::dynamic_random),
     ("tsvd", Runtime::tsvd),
-    ("tsvd_batched", tsvd_batched),
     ("tsvd_hb", Runtime::tsvd_hb),
 ];
 

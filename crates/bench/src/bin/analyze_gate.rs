@@ -6,7 +6,8 @@
 //! deterministic synthetic workspace and persists the results; `--check
 //! BENCH_analyze.json [--quick]` re-measures and fails (exit 1) if a gated
 //! ratio regressed by more than 15% — or if an absolute invariant no longer
-//! holds.
+//! holds. The command line, the baseline file handling and the comparison
+//! are `tsvd_bench::gate`'s.
 //!
 //! Raw milliseconds are machine-dependent, so the stored numbers that gate
 //! CI are *normalized*: each row's time is divided by the same run's
@@ -27,10 +28,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use tsvd_analyze::{analyze_workspace_with, AnalyzeOptions};
-
-/// Bumped when the stored numbers change meaning (2: normalized by
-/// `uncached @ 1`, not `cold @ 1`); `--check` refuses other versions.
-const BENCH_SCHEMA_VERSION: u32 = 2;
+use tsvd_bench::gate::{self, median, Baseline, Row};
 
 /// Minimum cold-time / warm-time ratio, single-threaded. The warm path
 /// skips lexing, summary extraction, propagation, and pair derivation
@@ -43,9 +41,6 @@ const MIN_WARM_SPEEDUP: f64 = 5.0;
 /// multiple of the uncached pass over the same tree: what a miss adds is
 /// the digest, one failed lookup and one store.
 const MAX_MISS_OVERHEAD: f64 = 1.15;
-
-/// Allowed growth of a normalized ratio before `--check` fails.
-const REGRESSION_TOLERANCE: f64 = 1.15;
 
 /// Thread counts exercised for the cold run (warm runs are IO-bound and
 /// gate only at 1 thread).
@@ -165,17 +160,8 @@ struct Round {
     uncached: f64,
 }
 
-fn median(values: impl Iterator<Item = f64>) -> f64 {
-    let mut v: Vec<f64> = values.collect();
-    v.sort_by(f64::total_cmp);
-    (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
-}
-
 /// Measures [`ROUNDS`] rounds and reports, per row, the median time and the
-/// median of the per-round ratios to that round's uncached pass. Ratios are
-/// taken within a round because this class of machine drifts (a burst after
-/// idle, then 10-35% slower under sustained load): passes run back to back
-/// share the drift, and the median drops the round a hiccup landed in.
+/// median of the per-round ratios to that round's uncached pass.
 fn measure_all(files: usize, mode: &str) -> BenchFile {
     let root = fresh_dir("ws");
     build_workspace(&root, files);
@@ -238,165 +224,81 @@ fn measure_all(files: usize, mode: &str) -> BenchFile {
     entries.push(row("warm", 1, &|r| r.warm));
     entries.push(row("edit", 1, &|r| r.edit));
     BenchFile {
-        schema_version: BENCH_SCHEMA_VERSION,
+        schema_version: BenchFile::SCHEMA_VERSION,
         mode: mode.to_string(),
         files: files as u32,
-        nproc: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
+        nproc: gate::nproc(),
         // `COLD_THREADS[0]` is the single-threaded cold pass.
         warm_speedup: median(rounds.iter().map(|r| r.cold[0] / r.warm)),
         entries,
     }
 }
 
-/// Machine-independent invariants, enforced on write and check alike.
-fn check_invariants(current: &BenchFile) -> Result<(), String> {
-    let mut failures = Vec::new();
-    let s = current.warm_speedup;
-    if !(s.is_finite() && s >= MIN_WARM_SPEEDUP) {
-        failures.push(format!(
-            "warm analysis is only {s:.1}x faster than cold, need >= \
-             {MIN_WARM_SPEEDUP:.0}x: the cache is no longer short-circuiting \
-             the pipeline"
-        ));
-    }
-    for mode in ["cold", "edit"] {
-        let x = current
-            .entries
-            .iter()
-            .find(|e| e.mode == mode && e.threads == 1)
-            .map_or(f64::NAN, |e| e.normalized);
-        if !(x.is_finite() && x <= MAX_MISS_OVERHEAD) {
-            failures.push(format!(
-                "a {mode} pass costs {x:.3}x an uncached pass, allowed \
-                 {MAX_MISS_OVERHEAD:.2}x: missing the cache costs more than \
-                 not having one"
-            ));
+impl Baseline for BenchFile {
+    const NAME: &'static str = "analyze";
+    const UNIT: &'static str = "uncached@1";
+    /// 2: normalized by `uncached @ 1`, not `cold @ 1`.
+    const SCHEMA_VERSION: u32 = 2;
+
+    fn measure(quick: bool) -> BenchFile {
+        if quick {
+            measure_all(48, "quick")
+        } else {
+            measure_all(120, "full")
         }
     }
-    if failures.is_empty() {
-        eprintln!(
-            "invariants: warm run {s:.1}x faster than cold (need {MIN_WARM_SPEEDUP:.0}x); \
-             cold and edit within {MAX_MISS_OVERHEAD:.2}x of uncached"
-        );
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
-}
 
-/// Normalized-ratio comparison against the stored baseline. `uncached @ 1`
-/// is the unit (1.0 on both sides) and is checked anyway — the loop is
-/// uniform.
-fn check_against(stored: &BenchFile, current: &BenchFile) -> Result<(), String> {
-    let mut failures = Vec::new();
-    for base in &stored.entries {
-        let Some(cur) = current
-            .entries
-            .iter()
-            .find(|e| e.mode == base.mode && e.threads == base.threads)
-        else {
+    fn nproc(&self) -> u32 {
+        self.nproc
+    }
+
+    fn check_invariants(&self) -> Result<String, String> {
+        let mut failures = Vec::new();
+        let s = self.warm_speedup;
+        if !(s.is_finite() && s >= MIN_WARM_SPEEDUP) {
             failures.push(format!(
-                "{} @ {} missing from current run",
-                base.mode, base.threads
+                "warm analysis is only {s:.1}x faster than cold, need >= \
+                 {MIN_WARM_SPEEDUP:.0}x: the cache is no longer short-circuiting \
+                 the pipeline"
             ));
-            continue;
+        }
+        for mode in ["cold", "edit"] {
+            let x = self
+                .entries
+                .iter()
+                .find(|e| e.mode == mode && e.threads == 1)
+                .map_or(f64::NAN, |e| e.normalized);
+            if !(x.is_finite() && x <= MAX_MISS_OVERHEAD) {
+                failures.push(format!(
+                    "a {mode} pass costs {x:.3}x an uncached pass, allowed \
+                     {MAX_MISS_OVERHEAD:.2}x: missing the cache costs more than \
+                     not having one"
+                ));
+            }
+        }
+        if failures.is_empty() {
+            Ok(format!(
+                "warm run {s:.1}x faster than cold (need {MIN_WARM_SPEEDUP:.0}x); \
+                 cold and edit within {MAX_MISS_OVERHEAD:.2}x of uncached"
+            ))
+        } else {
+            Err(failures.join("\n"))
+        }
+    }
+
+    /// Every entry, `uncached @ 1` — the unit, 1.0 on both sides — included.
+    /// `cold @ 4` is a ratio to a pass on the same machine whatever its
+    /// cores, so it compares everywhere.
+    fn rows(&self) -> Vec<Row> {
+        let row = |e: &Entry| Row {
+            label: format!("{} @ {}", e.mode, e.threads),
+            normalized: e.normalized,
+            needs_cores: 1,
         };
-        if cur.normalized > base.normalized * REGRESSION_TOLERANCE {
-            failures.push(format!(
-                "{} @ {} regressed: {:.3}x uncached@1 (baseline {:.3}x, tolerance {:.0}%)",
-                base.mode,
-                base.threads,
-                cur.normalized,
-                base.normalized,
-                (REGRESSION_TOLERANCE - 1.0) * 100.0
-            ));
-        }
+        self.entries.iter().map(row).collect()
     }
-    if failures.is_empty() {
-        eprintln!(
-            "baseline: {} entries within {:.0}% of stored normalized ratios",
-            stored.entries.len(),
-            (REGRESSION_TOLERANCE - 1.0) * 100.0
-        );
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
-fn usage() -> ExitCode {
-    eprintln!("usage: analyze_gate (--write PATH | --check PATH) [--quick]");
-    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let mut write_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--write" => write_path = args.next(),
-            "--check" => check_path = args.next(),
-            "--quick" => quick = true,
-            _ => return usage(),
-        }
-    }
-    let (files, mode) = if quick { (48, "quick") } else { (120, "full") };
-
-    match (write_path, check_path) {
-        (Some(path), None) => {
-            eprintln!("measuring ({mode} mode) ...");
-            let current = measure_all(files, mode);
-            if let Err(e) = check_invariants(&current) {
-                eprintln!("REFUSING to write a failing baseline:\n{e}");
-                return ExitCode::FAILURE;
-            }
-            let json = serde_json::to_string_pretty(&current).expect("bench file serializes");
-            if let Err(e) = tsvd_core::save_atomic(Path::new(&path), json + "\n") {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path}");
-            ExitCode::SUCCESS
-        }
-        (None, Some(path)) => {
-            let stored: BenchFile = match std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
-            {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("failed to load baseline {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if stored.schema_version != BENCH_SCHEMA_VERSION {
-                eprintln!(
-                    "baseline {path} has schema {} (this gate writes {BENCH_SCHEMA_VERSION}): \
-                     its ratios are in another unit; regenerate it with --write",
-                    stored.schema_version
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!("measuring ({mode} mode) ...");
-            let current = measure_all(files, mode);
-            let mut failed = false;
-            if let Err(e) = check_invariants(&current) {
-                eprintln!("INVARIANT FAILURE:\n{e}");
-                failed = true;
-            }
-            if let Err(e) = check_against(&stored, &current) {
-                eprintln!("REGRESSION vs {path}:\n{e}");
-                failed = true;
-            }
-            if failed {
-                ExitCode::FAILURE
-            } else {
-                eprintln!("analyze gate: OK");
-                ExitCode::SUCCESS
-            }
-        }
-        _ => usage(),
-    }
+    gate::run::<BenchFile>()
 }

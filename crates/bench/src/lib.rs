@@ -4,10 +4,11 @@
 //! regression gate (`src/bin/oncall_gate.rs`) drive the same worker loop so
 //! their numbers are comparable: `iters` accesses split across `threads`
 //! workers, each walking its own stride of the object/site space, timed from
-//! barrier release to last join. Thread spawn cost is excluded; the
-//! thread-exit flush of a batched runtime's local buffer is *included*
-//! (workers exit inside the timed region), so batching cannot hide work by
-//! leaving it in thread-local buffers.
+//! barrier release to last join. Thread spawn cost is excluded.
+//!
+//! [`gate`] is the `--write | --check` skeleton the two CI gate bins share.
+
+pub mod gate;
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -15,11 +16,6 @@ use std::time::{Duration, Instant};
 
 use tsvd_core::site::{SiteData, SiteId};
 use tsvd_core::{ObjId, OpKind, Runtime, TsvdConfig};
-
-/// Batch capacity used by the `*_batched` factory wrappers. Large enough
-/// that a quiescent worker flushes only at thread exit for typical bench
-/// iteration counts per sample; small enough to keep drain latency bounded.
-pub const BENCH_BATCH_CAPACITY: usize = 256;
 
 /// A runtime constructor, so detector variants can be tabulated.
 pub type Factory = fn(TsvdConfig) -> Arc<Runtime>;
@@ -33,29 +29,14 @@ pub fn no_delay_config() -> TsvdConfig {
     c
 }
 
-/// `Runtime::tsvd` with thread-local batching enabled.
-pub fn tsvd_batched(mut config: TsvdConfig) -> Arc<Runtime> {
-    config.batch_capacity = BENCH_BATCH_CAPACITY;
-    Runtime::tsvd(config)
-}
-
-/// `Runtime::noop` with thread-local batching enabled — isolates the cost
-/// of the buffering machinery itself from the analysis it defers.
-pub fn noop_batched(mut config: TsvdConfig) -> Arc<Runtime> {
-    config.batch_capacity = BENCH_BATCH_CAPACITY;
-    Runtime::noop(config)
-}
-
 /// What mix of operations the workers issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessMix {
     /// 1-in-4 writes, the rest reads: conflicting pairs exist, so a TSVD
-    /// detector arms traps and (for batched runtimes) closes the fast-path
-    /// gate once it does.
+    /// detector arms them and plans delays.
     Mixed,
-    /// Reads only: no conflicting pair ever forms, no trap ever arms, and a
-    /// batched runtime stays on the zero-shared-write path for the whole
-    /// run. This is the shape that measures the fast path itself.
+    /// Reads only: no conflicting pair ever forms and nothing ever arms.
+    /// This is the shape that measures the zero-trap path itself.
     ReadOnly,
 }
 
@@ -110,10 +91,48 @@ pub fn make_sites(n: u32) -> Arc<Vec<SiteId>> {
     )
 }
 
-/// Runs `iters` total accesses split across `threads` workers and returns
-/// the wall-clock span from the first worker starting to the last worker
-/// finishing. Each worker walks its own stride of the object/site space so
-/// the access stream is deterministic per thread count.
+/// Words in the kernel's `cpu_set_t` (1024 CPUs).
+const CPU_SET_WORDS: usize = 16;
+
+extern "C" {
+    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+}
+
+/// Pins the calling thread to the `slot`-th CPU this process may run on
+/// (wrapping). The scheduler likes to put a thread next to whoever woke it:
+/// unpinned, the workers a barrier releases together spend minutes at a
+/// time sharing one CPU, where they never contend, and a 2-thread row reads
+/// 1.0x its 1-thread row in one run and 1.6x in the next. Pinning makes
+/// "`T` threads" mean `T` CPUs, up to the CPUs there are. Best effort: if
+/// the kernel refuses, the thread stays where it was.
+fn pin_current_thread(slot: usize) {
+    let mut allowed = [0u64; CPU_SET_WORDS];
+    // SAFETY: `allowed` is a writable buffer of exactly the size passed, the
+    // layout `sched_getaffinity` documents for `cpu_set_t`; pid 0 names the
+    // calling thread.
+    if unsafe { sched_getaffinity(0, std::mem::size_of_val(&allowed), allowed.as_mut_ptr()) } != 0 {
+        return;
+    }
+    let cpus: Vec<usize> = (0..CPU_SET_WORDS * 64)
+        .filter(|cpu| allowed[cpu / 64] >> (cpu % 64) & 1 == 1)
+        .collect();
+    if cpus.is_empty() {
+        return;
+    }
+    let cpu = cpus[slot % cpus.len()];
+    let mut only = [0u64; CPU_SET_WORDS];
+    only[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `only` is a readable buffer of exactly the size passed, in the
+    // `cpu_set_t` layout, naming one CPU the kernel just reported as allowed.
+    let _ = unsafe { sched_setaffinity(0, std::mem::size_of_val(&only), only.as_ptr()) };
+}
+
+/// Runs `iters` total accesses split across `threads` workers, worker `t`
+/// pinned to the `t`-th CPU, and returns the wall-clock span from the first
+/// worker starting to the last worker finishing. Each worker walks its own
+/// stride of the object/site space so the access stream is deterministic
+/// per thread count.
 ///
 /// Every worker takes its own start/end timestamps; the span is
 /// `max(end) − min(start)`. Timing from the coordinating thread would
@@ -139,6 +158,7 @@ pub fn run_workers(
                 // Offset each worker so they collide on objects rather than
                 // marching in lockstep over disjoint ranges.
                 let mut i = (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                pin_current_thread(t);
                 gate.wait();
                 let start = Instant::now();
                 for _ in 0..per_thread {
@@ -169,32 +189,22 @@ pub fn run_workers(
     }
 }
 
-/// Minimum per-access nanoseconds over `reps` repetitions of
-/// `run_workers(threads, iters)` on a fresh runtime per rep (so table state
-/// from a previous rep can't skew the next), with a warm-up long enough to
-/// populate the per-object tracking tables (the high-cardinality shapes
-/// touch 64Ki objects; measuring during table growth would make short runs
-/// systematically slower per access than long ones).
-///
-/// The minimum — not the median — because this feeds a regression *gate*:
-/// the fastest rep is the one least perturbed by scheduler noise and is by
-/// far the most reproducible statistic on a loaded or single-core machine,
-/// while still moving whenever the code genuinely gets slower.
+/// Per-access nanoseconds of one `run_workers(threads, iters)` on a fresh
+/// runtime (so table state from a previous measurement can't skew this one),
+/// after a warm-up long enough to populate the per-object tracking tables
+/// (the high-cardinality shapes touch 64Ki objects; measuring during table
+/// growth would make short runs systematically slower per access than long
+/// ones).
 pub fn measure_per_access_ns(
     factory: Factory,
     threads: usize,
     iters: u64,
     shape: &Shape,
     sites: &Arc<Vec<SiteId>>,
-    reps: usize,
 ) -> f64 {
-    (0..reps.max(1))
-        .map(|_| {
-            let rt = factory(no_delay_config());
-            let warmup = (iters / 8).max(2 * (shape.obj_mask + 1)).max(1);
-            run_workers(&rt, threads, warmup, shape.obj_mask, sites, shape.mix);
-            let wall = run_workers(&rt, threads, iters, shape.obj_mask, sites, shape.mix);
-            wall.as_nanos() as f64 / iters as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+    let rt = factory(no_delay_config());
+    let warmup = (iters / 8).max(2 * (shape.obj_mask + 1)).max(1);
+    run_workers(&rt, threads, warmup, shape.obj_mask, sites, shape.mix);
+    let wall = run_workers(&rt, threads, iters, shape.obj_mask, sites, shape.mix);
+    wall.as_nanos() as f64 / iters as f64
 }

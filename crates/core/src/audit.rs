@@ -1,7 +1,8 @@
 //! Hot-path audit: proof-grade counting of locks and shared writes.
 //!
-//! The batched zero-trap `on_call` path claims to perform *no* lock
-//! acquisitions and *no* shared-memory writes. Claims like that rot silently
+//! `on_call` claims exact counts: two locks and two shared writes on the
+//! zero-trap path, no global lock on the armed one, no lock and nothing
+//! published by a mutation that changes nothing. Claims like that rot silently
 //! as code evolves, so every lock acquisition and every shared-memory store
 //! or RMW on the runtime's access path is annotated with a call to
 //! [`note_lock`] or [`note_shared_write`]. With the `hotpath_audit` cargo
@@ -25,9 +26,8 @@ thread_local! {
 /// calling thread. No-op unless the `hotpath_audit` feature is enabled.
 #[inline(always)]
 pub fn note_lock() {
-    // `try_with`: notes can fire from thread-exit destructors (the local
-    // event buffer flushes on TLS teardown), after the counter TLS may
-    // already be gone.
+    // `try_with`: a note fired from another thread-local's destructor can
+    // come after the counter TLS is already gone.
     #[cfg(feature = "hotpath_audit")]
     let _ = LOCKS.try_with(|c| c.set(c.get() + 1));
 }

@@ -139,13 +139,8 @@ pub struct TsvdConfig {
     #[serde(default = "default_trap_import_budget")]
     pub trap_import_budget: usize,
 
-    // --- Hot-path batching (implementation, not a paper knob) ----------------
-    /// Capacity of each thread-local event buffer on the zero-trap fast
-    /// path. While the runtime is quiescent (no trap armed, no armed pair)
-    /// the hot path appends accesses to this buffer instead of touching any
-    /// shared structure, flushing at trap checks, synchronization points,
-    /// buffer-full, and thread exit. `0` (the default) disables batching:
-    /// every access is analyzed inline, exactly the pre-batching behavior.
+    /// Ignored, any value: `Runtime::on_call` has one path and buffers
+    /// nothing. The field stays only because `benchmark/` reads it.
     #[serde(default)]
     pub batch_capacity: usize,
 
@@ -369,6 +364,11 @@ mod tests {
         c = TsvdConfig::paper();
         c.near_miss_shards = 0;
         assert!(c.validate().is_ok(), "ignored, so never invalid");
+        for capacity in [0, 1, 256, usize::MAX] {
+            c = TsvdConfig::paper();
+            c.batch_capacity = capacity;
+            assert!(c.validate().is_ok(), "ignored, so never invalid");
+        }
         c = TsvdConfig::paper();
         c.stats_shards = 0;
         assert!(c.validate().is_err());
@@ -424,7 +424,18 @@ mod tests {
         assert_eq!(back.run_deadline_ns, u64::MAX);
         assert!(back.durable_sink.is_none());
         assert_eq!(back.trap_import_budget, usize::MAX);
-        assert_eq!(back.batch_capacity, 0, "batching defaults to off");
+        assert_eq!(back.batch_capacity, 0);
+        // ...and one persisted while `batch_capacity` still selected a path
+        // loads too: the value is kept and read by nothing.
+        match &mut value {
+            serde::Value::Object(map) => {
+                map.insert("batch_capacity".into(), serde::Value::UInt(256));
+            }
+            other => panic!("expected object, got {other:?}"),
+        }
+        let back = <TsvdConfig as serde::Deserialize>::from_value(&value).expect("deserialize");
+        assert_eq!(back.batch_capacity, 256);
+        assert!(back.validate().is_ok());
     }
 
     #[test]

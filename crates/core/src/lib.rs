@@ -34,14 +34,12 @@
 
 pub mod access;
 pub mod audit;
-pub mod batch;
 mod chunks;
 pub mod clock;
 pub mod config;
 pub mod context;
 pub mod decay;
 pub mod epoch;
-pub mod gate;
 pub mod hb_infer;
 pub mod near_miss;
 pub mod phase;
@@ -63,7 +61,6 @@ pub use access::{classify_op, Access, ApiEntry, ObjId, OpKind, API_TABLE};
 pub use clock::{now_ns, Clock, ManualClock, RealClock};
 pub use config::TsvdConfig;
 pub use context::ContextId;
-pub use gate::HotGate;
 pub use record::save_atomic;
 pub use report::{ReportSink, Violation};
 pub use runtime::Runtime;

@@ -180,18 +180,6 @@ impl NearMissTracker {
         pairs
     }
 
-    /// [`NearMissTracker::record`] for each of `events` in order.
-    /// `sink(index, pairs)` is invoked for every event (by its index in
-    /// `events`) that formed at least one dangerous pair.
-    pub fn record_batch(&self, events: &[Access], mut sink: impl FnMut(usize, Vec<SitePair>)) {
-        for (index, access) in events.iter().enumerate() {
-            let pairs = self.record(access);
-            if !pairs.is_empty() {
-                sink(index, pairs);
-            }
-        }
-    }
-
     /// Bytes held (for the §5.5 resource report): every allocated slot,
     /// resident or not, plus the histories' heap blocks.
     pub fn approx_bytes(&self) -> usize {
@@ -345,7 +333,8 @@ mod tests {
     /// `n` seeded accesses over objects `first .. first + objects`: three
     /// contexts, eight sites, a third writes, time advancing 0.2 ms a step
     /// on average (an object's retained accesses fall on both sides of the
-    /// 100 ms window) and now and then stepping back, as batched replays do.
+    /// 100 ms window) and now and then stepping back, as two threads' clock
+    /// reads may.
     fn stream(seed: u64, first: u64, objects: u64, n: usize) -> Vec<Access> {
         let mut rng = crate::rng::SplitMix64::new(seed);
         let mut now = 1_000 * 1_000_000u64;
@@ -387,14 +376,9 @@ mod tests {
             let formed = expected.iter().filter(|p| !p.is_empty()).count();
             assert!(formed > 1_000, "seed {seed}: only {formed} calls paired");
 
-            let inline = NearMissTracker::new(history, Some(WINDOW), 256);
-            assert_eq!(pairs_of(&inline, &events), expected, "seed {seed}");
-            assert_eq!(inline.tracked_objects(), model.0.len());
-
-            let batched = NearMissTracker::new(history, Some(WINDOW), 256);
-            let mut got = vec![Vec::new(); events.len()];
-            batched.record_batch(&events, |index, pairs| got[index] = pairs);
-            assert_eq!(got, expected, "seed {seed}, record_batch");
+            let table = NearMissTracker::new(history, Some(WINDOW), 256);
+            assert_eq!(pairs_of(&table, &events), expected, "seed {seed}");
+            assert_eq!(table.tracked_objects(), model.0.len());
         }
     }
 

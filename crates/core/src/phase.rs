@@ -138,76 +138,6 @@ impl PhaseBuffer {
     }
 }
 
-/// Time-based concurrency estimation for *replayed* (batched) events.
-///
-/// The count-based [`PhaseBuffer`] assumes events arrive roughly in real
-/// time: a burst replay of one thread's local buffer would flood the ring
-/// with a single context and make genuinely concurrent execution look
-/// sequential. For flushed events the question is therefore asked against
-/// wall-clock instead: *was a different context active within the window
-/// around this event's timestamp?* The table keeps the last-seen timestamp
-/// per recent context in a small fixed array of atomic slots; races are
-/// benign for the same reason the phase ring's are.
-pub struct ContextRecency {
-    slots: Box<[RecencySlot]>,
-    horizon_ns: u64,
-}
-
-struct RecencySlot {
-    context: AtomicU64,
-    at_ns: AtomicU64,
-}
-
-impl ContextRecency {
-    /// Creates a table of `capacity` recent contexts; two events of
-    /// different contexts within `horizon_ns` of each other count as
-    /// concurrent. `u64::MAX` disables the window (ablation parity with
-    /// `enable_windowing = false`).
-    pub fn new(capacity: usize, horizon_ns: u64) -> Self {
-        ContextRecency {
-            slots: (0..capacity.max(2))
-                .map(|_| RecencySlot {
-                    context: AtomicU64::new(EMPTY),
-                    at_ns: AtomicU64::new(0),
-                })
-                .collect(),
-            horizon_ns,
-        }
-    }
-
-    /// Records that `context` executed a TSVD point at `time_ns` and
-    /// returns whether another context was active within the horizon.
-    pub fn note_and_check(&self, context: ContextId, time_ns: u64) -> bool {
-        audit::note_shared_write();
-        let mut other_recent = false;
-        let mut own_slot = None;
-        let mut oldest = (0usize, u64::MAX);
-        for (i, slot) in self.slots.iter().enumerate() {
-            let c = slot.context.load(Ordering::Relaxed);
-            let t = slot.at_ns.load(Ordering::Relaxed);
-            if c == EMPTY {
-                // Empty slots are the preferred landing spot.
-                if oldest.1 > 0 {
-                    oldest = (i, 0);
-                }
-                continue;
-            }
-            if c == context.0 {
-                own_slot = Some(i);
-            } else if time_ns.abs_diff(t) <= self.horizon_ns {
-                other_recent = true;
-            }
-            if t < oldest.1 {
-                oldest = (i, t);
-            }
-        }
-        let idx = own_slot.unwrap_or(oldest.0);
-        self.slots[idx].context.store(context.0, Ordering::Relaxed);
-        self.slots[idx].at_ns.store(time_ns, Ordering::Relaxed);
-        other_recent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,52 +318,6 @@ mod tests {
         // A ring built after another was dropped is not mistaken for it.
         let first = PhaseBuffer::new(16).id;
         assert_ne!(PhaseBuffer::new(16).id, first);
-    }
-
-    #[test]
-    fn recency_single_context_is_sequential() {
-        let r = ContextRecency::new(8, 1_000);
-        for t in 0..10 {
-            assert!(!r.note_and_check(ContextId(1), t * 100));
-        }
-    }
-
-    #[test]
-    fn recency_two_contexts_within_horizon_are_concurrent() {
-        let r = ContextRecency::new(8, 1_000);
-        assert!(!r.note_and_check(ContextId(1), 5_000));
-        assert!(r.note_and_check(ContextId(2), 5_500));
-        // Replay order doesn't matter: an *older* timestamp within the
-        // horizon of a recorded one is also concurrent.
-        assert!(r.note_and_check(ContextId(3), 4_800));
-    }
-
-    #[test]
-    fn recency_distant_contexts_are_sequential() {
-        let r = ContextRecency::new(8, 1_000);
-        assert!(!r.note_and_check(ContextId(1), 0));
-        assert!(
-            !r.note_and_check(ContextId(2), 10_000),
-            "gap exceeds horizon"
-        );
-    }
-
-    #[test]
-    fn recency_infinite_horizon_matches_windowing_ablation() {
-        let r = ContextRecency::new(8, u64::MAX);
-        assert!(!r.note_and_check(ContextId(1), 0));
-        assert!(r.note_and_check(ContextId(2), u64::MAX / 2));
-    }
-
-    #[test]
-    fn recency_evicts_oldest_context() {
-        let r = ContextRecency::new(2, 100);
-        r.note_and_check(ContextId(1), 1_000);
-        r.note_and_check(ContextId(2), 2_000);
-        r.note_and_check(ContextId(3), 3_000); // evicts ctx 1 (oldest)
-                                               // ctx 1's trace is gone: an event near its old timestamp sees only
-                                               // contexts 2 and 3, both outside the horizon.
-        assert!(!r.note_and_check(ContextId(4), 1_010));
     }
 
     #[test]

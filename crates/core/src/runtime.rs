@@ -9,17 +9,15 @@
 //! events through [`Runtime::on_sync`] (consumed only by TSVD-HB).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::access::{Access, ObjId, OpKind};
 use crate::audit;
-use crate::batch::{self, Offer};
 use crate::clock::now_ns;
 use crate::config::TsvdConfig;
 use crate::context;
-use crate::gate::HotGate;
-use crate::phase::{ContextRecency, PhaseBuffer};
+use crate::phase::PhaseBuffer;
 use crate::report::{Party, ReportSink, Violation};
 use crate::sink::DurableSink;
 use crate::site::SiteId;
@@ -36,19 +34,9 @@ pub struct Runtime {
     sink: ReportSink,
     stats: RuntimeStats,
     config: TsvdConfig,
-    /// The run's one phase ring (§3.4.3): an inline call records its context
-    /// once; the verdict feeds coverage and the strategy's planning alike.
+    /// The run's one phase ring (§3.4.3): a call records its context once;
+    /// the verdict feeds coverage and the strategy's planning alike.
     phase: PhaseBuffer,
-    /// Time-based coverage concurrency estimate for *batched* events (see
-    /// [`crate::phase::ContextRecency`]).
-    coverage_recency: ContextRecency,
-    /// Single-word quiescence gate read by the batched fast path.
-    gate: Arc<HotGate>,
-    /// `true` iff `batch_capacity > 0` and the strategy opted in.
-    batching: bool,
-    /// Self-reference handed to thread-local buffers so their exit
-    /// destructors can flush back into this runtime.
-    weak_self: Weak<Runtime>,
     run_delay_ns: AtomicU64,
     /// Liveness monitor for injected delays (see [`crate::watchdog`]).
     watchdog: Watchdog,
@@ -82,23 +70,12 @@ impl Runtime {
                 }
             }
         });
-        // Gate wiring: every structure whose armed state must close the
-        // zero-trap fast path mirrors itself into one shared activity word.
-        let gate = Arc::new(HotGate::new());
-        strategy.attach_gate(&gate);
-        let traps = Arc::new(TrapTable::with_shards(config.trap_shards));
-        traps.attach_gate(gate.clone());
-        let batching = config.batch_capacity > 0 && strategy.supports_batching();
-        Arc::new_cyclic(|weak| Runtime {
+        Arc::new(Runtime {
             strategy,
-            traps,
+            traps: Arc::new(TrapTable::with_shards(config.trap_shards)),
             sink: ReportSink::new(),
             stats: RuntimeStats::with_shards(config.stats_shards),
             phase: PhaseBuffer::new(config.phase_buffer),
-            coverage_recency: ContextRecency::new(config.phase_buffer, config.near_miss_window_ns),
-            gate,
-            batching,
-            weak_self: weak.clone(),
             watchdog: Watchdog::new(&config),
             durable,
             config,
@@ -168,14 +145,6 @@ impl Runtime {
             time_ns: now_ns(),
         };
 
-        // Zero-trap fast path: while the gate is quiescent (no trap live,
-        // no pair armed, no drain pending) the access is captured in a
-        // thread-local buffer — one relaxed atomic load, no lock, no shared
-        // write — and analyzed at the next flush point.
-        if self.batching && batch::offer(self, &access) == Offer::Buffered {
-            return;
-        }
-
         let concurrent = self.phase.record_and_check(access.context);
         self.stats.record_call(site, concurrent);
 
@@ -235,14 +204,6 @@ impl Runtime {
                     );
                 }
             } else if self.delay_budget_allows(access.context, delay_ns) {
-                // Force-drain: bump the gate's drain epoch *before* the trap
-                // goes live, so every thread still buffering flushes its
-                // pre-arm observations at its next touch point — even if the
-                // trap is long gone by then.
-                if self.batching {
-                    self.gate.request_drain();
-                    self.stats.record_drain_request();
-                }
                 // RAII from here: the guard clears the trap and restores the
                 // live count even if anything below unwinds; the scope keeps
                 // the watchdog's delayed counters balanced the same way.
@@ -287,71 +248,9 @@ impl Runtime {
 
     /// Reports a synchronization event (fork/join/lock). TSVD ignores these
     /// by design; TSVD-HB builds its vector clocks from them.
-    ///
-    /// Synchronization is a flush point: buffered accesses are delivered
-    /// first, so ordering evidence never arrives ahead of the accesses that
-    /// preceded it on this thread.
     pub fn on_sync(&self, event: SyncEvent) {
-        if self.batching {
-            batch::flush_current(self);
-        }
         self.stats.record_sync();
         self.strategy.on_sync(&event);
-    }
-
-    /// Flushes the calling thread's local event buffer into the shared
-    /// analysis structures. Pool workers call this before idling or
-    /// exiting; it is a no-op when batching is off or nothing is buffered.
-    pub fn flush_thread_events(&self) {
-        if self.batching {
-            batch::flush_current(self);
-        }
-    }
-
-    /// Delivers a drained thread-local buffer: coverage and statistics for
-    /// every event, then the strategy's batch replay.
-    pub(crate) fn apply_batch(&self, events: &[Access], thread_exit: bool) {
-        self.stats.record_batch_flush(events.len() as u64);
-        if thread_exit {
-            self.stats.record_thread_exit_flush();
-        }
-        for access in events {
-            let concurrent = self
-                .coverage_recency
-                .note_and_check(access.context, access.time_ns);
-            self.stats.record_call(access.site, concurrent);
-        }
-        self.strategy.on_batch(events);
-    }
-
-    /// The runtime's quiescence gate (read by the batched fast path).
-    pub(crate) fn gate(&self) -> &HotGate {
-        &self.gate
-    }
-
-    /// Capacity of each thread-local event buffer.
-    pub(crate) fn batch_capacity(&self) -> usize {
-        self.config.batch_capacity
-    }
-
-    /// A weak self-reference for thread-local buffers.
-    pub(crate) fn weak_self(&self) -> Weak<Runtime> {
-        self.weak_self.clone()
-    }
-
-    /// `true` when the thread-local batching fast path is active.
-    pub fn is_batching(&self) -> bool {
-        self.batching
-    }
-
-    /// Events currently buffered on the *calling thread* for this runtime
-    /// (tests and diagnostics).
-    pub fn thread_buffered_events(&self) -> usize {
-        if self.batching {
-            batch::buffered_len(self)
-        } else {
-            0
-        }
     }
 
     fn delay_budget_allows(&self, ctx: context::ContextId, delay_ns: u64) -> bool {
@@ -677,6 +576,62 @@ mod tests {
         };
         assert_eq!(concurrent_hits(b), Some(0));
         assert_eq!(concurrent_hits(a), Some(1), "the second call at `a` only");
+    }
+
+    /// `on_calls` has no counter of its own: it is the sum of the coverage
+    /// cells. It must equal the calls issued, and the per-site snapshot a
+    /// recount, with four threads growing the table past its first chunk
+    /// together, high site indices first.
+    #[test]
+    fn on_calls_and_coverage_are_exact_across_threads() {
+        const THREADS: usize = 4;
+        const CALLS: usize = 1_000;
+        // 200 sites span at least four 64-cell chunks of the coverage table.
+        let sites: Vec<SiteId> = (0..200)
+            .map(|n| {
+                SiteId::intern(crate::site::SiteData {
+                    file: "coverage_threads_test.rs",
+                    line: n + 1,
+                    column: 1,
+                })
+            })
+            .collect();
+        assert!(sites[199].index() - sites[0].index() >= 199);
+        let rt = Runtime::tsvd(cfg());
+        // Calls issued per site, by position in `sites`.
+        let mut recount = vec![0u64; sites.len()];
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (rt, sites) = (&rt, &sites);
+                    scope.spawn(move || {
+                        let mut issued = vec![0u64; sites.len()];
+                        // A private object per thread: nothing arms or delays.
+                        for at in (0..sites.len()).rev().cycle().skip(t).take(CALLS) {
+                            rt.on_call(ObjId(t as u64), sites[at], "x.read", OpKind::Read);
+                            issued[at] += 1;
+                        }
+                        issued
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let issued = worker.join().expect("worker panicked");
+                for (total, n) in recount.iter_mut().zip(issued) {
+                    *total += n;
+                }
+            }
+        });
+        let stats = rt.stats();
+        assert_eq!(stats.on_calls(), (THREADS * CALLS) as u64);
+        assert_eq!(stats.sites_covered(), sites.len());
+        let expected: Vec<(SiteId, u64)> = sites.iter().copied().zip(recount).collect();
+        let coverage: Vec<(SiteId, u64)> = stats
+            .coverage()
+            .into_iter()
+            .map(|(site, c)| (site, c.hits))
+            .collect();
+        assert_eq!(coverage, expected, "in site-index order");
     }
 
     #[test]

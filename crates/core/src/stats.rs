@@ -45,14 +45,6 @@ pub struct RuntimeStats {
     delay_total_ns: AtomicU64,
     traps_caught: AtomicU64,
     sync_events: AtomicU64,
-    /// Buffer drains requested by trap arming events (hot-gate epoch bumps).
-    drain_requests: AtomicU64,
-    /// Local event buffers flushed into the shared analysis structures.
-    batch_flushes: AtomicU64,
-    /// Total events delivered through those flushes.
-    batch_events_flushed: AtomicU64,
-    /// Flushes performed by a thread-local buffer's exit destructor.
-    thread_exit_flushes: AtomicU64,
     delay_shards: Box<[Stripe<HashMap<ContextId, u64>>]>,
     /// Indexed by [`SiteId::index`]; one chunk is 1 KiB.
     coverage: ChunkTable<CovCell>,
@@ -72,10 +64,6 @@ impl RuntimeStats {
             delay_total_ns: AtomicU64::new(0),
             traps_caught: AtomicU64::new(0),
             sync_events: AtomicU64::new(0),
-            drain_requests: AtomicU64::new(0),
-            batch_flushes: AtomicU64::new(0),
-            batch_events_flushed: AtomicU64::new(0),
-            thread_exit_flushes: AtomicU64::new(0),
             delay_shards: (0..shards).map(|_| Stripe::default()).collect(),
             coverage: ChunkTable::default(),
         }
@@ -122,23 +110,6 @@ impl RuntimeStats {
         self.sync_events.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a buffer-drain request (trap arming bumped the gate epoch).
-    pub fn record_drain_request(&self) {
-        self.drain_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one local-buffer flush delivering `events` batched events.
-    pub fn record_batch_flush(&self, events: u64) {
-        self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        self.batch_events_flushed
-            .fetch_add(events, Ordering::Relaxed);
-    }
-
-    /// Records a flush triggered by a thread's exit destructor.
-    pub fn record_thread_exit_flush(&self) {
-        self.thread_exit_flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Total `OnCall` entries: the sum of every site's hits.
     pub fn on_calls(&self) -> u64 {
         self.hits().map(|(_, c)| c.hits).sum()
@@ -162,26 +133,6 @@ impl RuntimeStats {
     /// Total synchronization events observed.
     pub fn sync_events(&self) -> u64 {
         self.sync_events.load(Ordering::Relaxed)
-    }
-
-    /// Total buffer-drain requests issued by trap arming.
-    pub fn drain_requests(&self) -> u64 {
-        self.drain_requests.load(Ordering::Relaxed)
-    }
-
-    /// Total local-buffer flushes into the shared structures.
-    pub fn batch_flushes(&self) -> u64 {
-        self.batch_flushes.load(Ordering::Relaxed)
-    }
-
-    /// Total events delivered through batch flushes.
-    pub fn batch_events_flushed(&self) -> u64 {
-        self.batch_events_flushed.load(Ordering::Relaxed)
-    }
-
-    /// Total flushes performed by thread-exit destructors.
-    pub fn thread_exit_flushes(&self) -> u64 {
-        self.thread_exit_flushes.load(Ordering::Relaxed)
     }
 
     /// Delay injected by `context` so far (for the per-thread budget).
@@ -259,19 +210,6 @@ mod tests {
         s.record_sync();
         assert_eq!(s.traps_caught(), 1);
         assert_eq!(s.sync_events(), 2);
-    }
-
-    #[test]
-    fn batching_counters_accumulate() {
-        let s = RuntimeStats::with_shards(4);
-        s.record_drain_request();
-        s.record_batch_flush(3);
-        s.record_batch_flush(5);
-        s.record_thread_exit_flush();
-        assert_eq!(s.drain_requests(), 1);
-        assert_eq!(s.batch_flushes(), 2);
-        assert_eq!(s.batch_events_flushed(), 8);
-        assert_eq!(s.thread_exit_flushes(), 1);
     }
 
     #[test]

@@ -28,11 +28,8 @@ pub use static_random::StaticRandom;
 pub use tsvd::Tsvd;
 pub use tsvd_hb::TsvdHb;
 
-use std::sync::Arc;
-
 use crate::access::Access;
 use crate::context::ContextId;
-use crate::gate::HotGate;
 use crate::near_miss::SitePair;
 use crate::trap_file::TrapFileData;
 
@@ -92,36 +89,6 @@ pub trait Strategy: Send + Sync {
     /// Called after an injected delay finished. `caught` reports whether a
     /// conflicting access collided with the trap during the sleep.
     fn on_delay_complete(&self, access: &Access, start_ns: u64, end_ns: u64, caught: bool);
-
-    /// Whether the runtime may buffer quiescent-phase accesses thread-locally
-    /// and deliver them later through [`on_batch`](Strategy::on_batch).
-    ///
-    /// Only strategies whose analysis is insensitive to *when* an observation
-    /// arrives — as long as it arrives before the next trap is armed — can
-    /// opt in. Strategies that decide delays probabilistically per access
-    /// (DynamicRandom, StaticRandom) must keep the inline path.
-    fn supports_batching(&self) -> bool {
-        false
-    }
-
-    /// Delivers a flushed thread-local buffer of accesses recorded while the
-    /// runtime was quiescent (no trap armed, no armed pair), in recording
-    /// order. Delays are never requested for replayed events — by
-    /// construction nothing was armed when they were recorded.
-    ///
-    /// Default: replay through [`on_access`](Strategy::on_access) as if in a
-    /// concurrent phase (a strategy that gates on the phase overrides this),
-    /// dropping any delay decision.
-    fn on_batch(&self, events: &[Access]) {
-        for access in events {
-            let _ = self.on_access(access, true);
-        }
-    }
-
-    /// Hands the strategy the runtime's [`HotGate`] so it can mirror armed
-    /// state (trap-set pairs, live traps) into the gate's activity count.
-    /// Default: ignored — correct for strategies that never arm anything.
-    fn attach_gate(&self, _gate: &Arc<HotGate>) {}
 
     /// Called for every synchronization event. Default: ignored (the whole
     /// point of TSVD).

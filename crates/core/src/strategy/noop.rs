@@ -21,12 +21,6 @@ impl Strategy for Noop {
     }
 
     fn on_delay_complete(&self, _access: &Access, _start_ns: u64, _end_ns: u64, _caught: bool) {}
-
-    fn supports_batching(&self) -> bool {
-        true
-    }
-
-    fn on_batch(&self, _events: &[Access]) {}
 }
 
 #[cfg(test)]

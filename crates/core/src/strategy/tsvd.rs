@@ -12,8 +12,6 @@
 //! run (§3.4.6); the trap set additionally persists to a trap file so a
 //! second run can trap pairs on their first occurrence.
 
-use std::sync::Arc;
-
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,10 +19,8 @@ use rand::{Rng, SeedableRng};
 use crate::access::Access;
 use crate::config::TsvdConfig;
 use crate::decay::DecayTable;
-use crate::gate::HotGate;
 use crate::hb_infer::{DelayRecord, HbInference};
 use crate::near_miss::{NearMissTracker, SitePair};
-use crate::phase::ContextRecency;
 use crate::strategy::Strategy;
 use crate::trap_file::TrapFileData;
 use crate::trapset::TrapSet;
@@ -32,10 +28,6 @@ use crate::trapset::TrapSet;
 /// The TSVD delay-injection strategy.
 pub struct Tsvd {
     near_miss: NearMissTracker,
-    /// Time-based phase estimate for *replayed* (batched) events: a burst
-    /// flush of one thread's buffer would flood the count-based ring with a
-    /// single context, so batched events consult event timestamps instead.
-    recency: ContextRecency,
     hb: Option<HbInference>,
     decay: DecayTable,
     traps: TrapSet,
@@ -66,7 +58,6 @@ impl Tsvd {
                 window,
                 config.max_tracked_objects,
             ),
-            recency: ContextRecency::new(config.phase_buffer, window.unwrap_or(u64::MAX)),
             hb: config.enable_hb_inference.then(|| {
                 HbInference::new(
                     config.hb_gap_ns(),
@@ -179,59 +170,6 @@ impl Strategy for Tsvd {
                 self.traps.remove_site(access.site);
             }
         }
-    }
-
-    fn supports_batching(&self) -> bool {
-        // Near-miss discovery, phase inference, and HB pruning all work on
-        // recorded timestamps; nothing delays during quiescence, so replay
-        // order-with-timestamps is as good as inline delivery.
-        true
-    }
-
-    fn on_batch(&self, events: &[Access]) {
-        // Batched events arrive in bursts per thread, which would flood the
-        // count-based phase ring with a single context; the time-based
-        // recency table consults event timestamps instead. It is
-        // order-sensitive within a context, so flags are computed in event
-        // order before anything else replays.
-        let concurrent: Vec<bool> = events
-            .iter()
-            .map(|a| self.recency.note_and_check(a.context, a.time_ns) || !self.phase_detection)
-            .collect();
-
-        if let Some(hb) = &self.hb {
-            for access in events {
-                for pair in hb.on_access(access.context, access.site, access.time_ns) {
-                    self.traps.remove(pair);
-                }
-            }
-        }
-
-        // Relative order of HB pruning and pair discovery *within one
-        // batch* shifts, which is harmless — near misses rediscover pairs
-        // continuously and HB prunes re-fire on later accesses, so the
-        // steady state is unchanged.
-        self.near_miss.record_batch(events, |index, pairs| {
-            if !concurrent[index] {
-                return;
-            }
-            for pair in pairs {
-                if self.hb.as_ref().is_some_and(|hb| hb.is_inferred(pair)) {
-                    continue;
-                }
-                if self.traps.add(pair) {
-                    self.decay.arm(pair.first);
-                    self.decay.arm(pair.second);
-                }
-            }
-        });
-        // No should_delay: by construction nothing was armed while these
-        // events were being buffered, and any pair armed *by* this replay
-        // takes effect for the very next inline access.
-    }
-
-    fn attach_gate(&self, gate: &Arc<HotGate>) {
-        self.traps.attach_gate(gate.clone());
     }
 
     fn on_violation(&self, pair: SitePair) {

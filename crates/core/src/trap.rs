@@ -16,7 +16,7 @@
 //! object*, so a checker only ever needs its own object's shard.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -24,7 +24,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::access::{Access, ObjId};
 use crate::audit;
 use crate::chunks::Stripe;
-use crate::gate::HotGate;
 
 const DEFAULT_SHARDS: usize = 16;
 
@@ -115,9 +114,6 @@ pub struct TrapTable {
     /// Live traps across all shards. Zero — the common case — makes
     /// [`check_for_trap`](TrapTable::check_for_trap) lock-free.
     live: AtomicUsize,
-    /// Optional hot gate mirroring the live count into the batching fast
-    /// path's activity word (see [`crate::gate`]).
-    gate: OnceLock<Arc<HotGate>>,
 }
 
 impl Default for TrapTable {
@@ -137,15 +133,7 @@ impl TrapTable {
         TrapTable {
             shards: (0..shards.max(1)).map(|_| Stripe::default()).collect(),
             live: AtomicUsize::new(0),
-            gate: OnceLock::new(),
         }
-    }
-
-    /// Attaches the runtime's hot gate so every live-trap transition is
-    /// mirrored into its activity count. At most one gate per table; later
-    /// calls are ignored.
-    pub fn attach_gate(&self, gate: Arc<HotGate>) {
-        let _ = self.gate.set(gate);
     }
 
     /// The shard holding traps for `obj`. A conflict requires the same
@@ -164,9 +152,6 @@ impl TrapTable {
         // having happened just before the trap was set.
         audit::note_shared_write();
         self.live.fetch_add(1, Ordering::SeqCst);
-        if let Some(gate) = self.gate.get() {
-            gate.add_activity(1);
-        }
         audit::note_lock();
         self.shard(entry.access.obj).lock().push(entry.clone());
         entry
@@ -183,9 +168,6 @@ impl TrapTable {
         if removed > 0 {
             audit::note_shared_write();
             self.live.fetch_sub(removed, Ordering::SeqCst);
-            if let Some(gate) = self.gate.get() {
-                gate.sub_activity(removed as u64);
-            }
         }
     }
 
@@ -430,25 +412,6 @@ mod tests {
             assert!(!t.cancel(), "every trap was cancelled exactly once");
         }
         assert_eq!(table.cancel_all(), 0);
-    }
-
-    #[test]
-    fn attached_gate_tracks_live_traps() {
-        let table = TrapTable::new();
-        let gate = Arc::new(HotGate::new());
-        table.attach_gate(gate.clone());
-        let seen = HotGate::epoch(gate.load());
-        assert!(HotGate::is_quiescent(gate.load(), seen));
-        let trap = table.set_trap(acc(1, 7, OpKind::Write), None);
-        assert!(
-            !HotGate::is_quiescent(gate.load(), seen),
-            "a live trap must close the gate"
-        );
-        table.clear_trap(&trap);
-        assert!(
-            HotGate::is_quiescent(gate.load(), seen),
-            "clearing the last trap must reopen the gate"
-        );
     }
 
     #[test]

@@ -18,11 +18,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 
 use crate::audit;
 use crate::epoch::EpochPtr;
-use crate::gate::HotGate;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
 
@@ -72,15 +70,11 @@ impl Snapshot {
 /// Thread-safe set of dangerous pairs with per-site membership counts.
 ///
 /// Readers and no-op mutations are lock-free (epoch-pinned snapshot loads);
-/// effective writers serialize and publish copy-on-write snapshots. When a
-/// [`HotGate`] is attached, the pair count is mirrored into the gate's
-/// activity word so the runtime's batched fast path shuts off the moment
-/// any pair arms.
+/// effective writers serialize and publish copy-on-write snapshots.
 #[derive(Default)]
 pub struct TrapSet {
     snapshot: EpochPtr<Snapshot>,
     pair_count: AtomicUsize,
-    gate: OnceLock<Arc<HotGate>>,
 }
 
 impl TrapSet {
@@ -89,14 +83,8 @@ impl TrapSet {
         Self::default()
     }
 
-    /// Mirrors pair-count changes into `gate`'s activity word. May be
-    /// called at most once; later calls are ignored.
-    pub fn attach_gate(&self, gate: Arc<HotGate>) {
-        let _ = self.gate.set(gate);
-    }
-
     /// [`EpochPtr::update`], mirroring a change in the number of pairs into
-    /// the pair counter and the attached gate.
+    /// the pair counter.
     fn write<R>(
         &self,
         noop: impl Fn(&Snapshot) -> Option<R>,
@@ -109,10 +97,6 @@ impl TrapSet {
             if after != before {
                 audit::note_shared_write();
                 self.pair_count.store(after, Ordering::Release);
-                if let Some(gate) = self.gate.get() {
-                    gate.add_activity(after.saturating_sub(before) as u64);
-                    gate.sub_activity(before.saturating_sub(after) as u64);
-                }
             }
             result
         })
@@ -269,6 +253,7 @@ fn decref(refs: &mut HashMap<SiteId, usize>, site: SiteId) {
 mod tests {
     use super::*;
     use crate::site::SiteData;
+    use std::sync::Arc;
 
     fn site(n: u32) -> SiteId {
         SiteId::intern(SiteData {
@@ -372,18 +357,6 @@ mod tests {
         assert!(!t.contains(found), "found pairs never re-arm");
         assert!(!t.contains(SitePair::new(site(26), site(27))));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn attached_gate_mirrors_pair_count() {
-        let t = TrapSet::new();
-        let gate = Arc::new(HotGate::new());
-        t.attach_gate(gate.clone());
-        t.add(SitePair::new(site(30), site(31)));
-        t.add(SitePair::new(site(30), site(32)));
-        assert_eq!(HotGate::activity(gate.load()), 2);
-        t.remove_site(site(30));
-        assert_eq!(HotGate::activity(gate.load()), 0);
     }
 
     /// The obvious implementation the snapshot protocol must agree with.

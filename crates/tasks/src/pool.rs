@@ -85,10 +85,6 @@ impl PoolInner {
                 while let Ok(job) = rx.recv() {
                     job();
                 }
-                // Deliver any batched observations before the thread dies.
-                if let Some(rt) = &runtime {
-                    rt.flush_thread_events();
-                }
             })
             .expect("spawn relief worker");
     }
@@ -154,12 +150,6 @@ impl Pool {
                         // Drains until every sender (pool handle) is gone.
                         while let Ok(job) = rx.recv() {
                             job();
-                        }
-                        // Deliver any batched observations before the worker
-                        // exits (TLS teardown would also flush, but doing it
-                        // here keeps the runtime borrowable and ordered).
-                        if let Some(rt) = &runtime {
-                            rt.flush_thread_events();
                         }
                     })
                     .expect("spawn pool worker")

@@ -125,27 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_use_flushes_batched_events() {
-        // Synchronization is a flush point: events buffered on the hot path
-        // must land in the shared structures before the lock edge does.
-        use tsvd_core::{ObjId, OpKind};
-        let mut cfg = TsvdConfig::for_testing();
-        cfg.batch_capacity = 64;
-        let rt = Runtime::tsvd(cfg);
-        assert!(rt.is_batching());
-        for i in 0..5 {
-            rt.on_call(ObjId(i), tsvd_core::site!(), "t.op", OpKind::Write);
-        }
-        assert_eq!(rt.thread_buffered_events(), 5, "quiescent calls buffer");
-        assert_eq!(rt.stats().on_calls(), 0);
-        let m = TsvdMutex::with_runtime(0u32, rt.clone());
-        let _g = m.lock();
-        assert_eq!(rt.thread_buffered_events(), 0, "lock acquire flushed");
-        assert_eq!(rt.stats().on_calls(), 5);
-        assert_eq!(rt.stats().batch_flushes(), 1);
-    }
-
-    #[test]
     fn uninstrumented_mutex_emits_nothing() {
         let m = TsvdMutex::new(1u32);
         let _ = *m.lock();

@@ -147,7 +147,8 @@ pub struct TsvdConfig {
     // --- Robustness: durable violation sink ---------------------------------
     /// Write-ahead violation log: every caught violation is appended to this
     /// JSONL file the moment it is caught, so a later test-process crash
-    /// cannot lose a confirmed TSV. `None` disables the sink.
+    /// cannot lose a confirmed TSV. The file appears with the first catch;
+    /// a run that catches nothing leaves none. `None` disables the sink.
     #[serde(default)]
     pub durable_sink: Option<std::path::PathBuf>,
     /// `fsync` the durable sink after each appended violation (maximum

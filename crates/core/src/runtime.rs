@@ -8,7 +8,7 @@
 //! collision as a [`Violation`]. The task substrate feeds fork/join/lock
 //! events through [`Runtime::on_sync`] (consumed only by TSVD-HB).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,6 +42,8 @@ pub struct Runtime {
     watchdog: Watchdog,
     /// Write-ahead violation log, when configured.
     durable: Option<DurableSink>,
+    /// A durable append failed and was logged; later failures stay quiet.
+    durable_failed: AtomicBool,
     /// Opt-in event tracing to stderr (`TSVD_TRACE=1`).
     trace: bool,
 }
@@ -78,6 +80,7 @@ impl Runtime {
             phase: PhaseBuffer::new(config.phase_buffer),
             watchdog: Watchdog::new(&config),
             durable,
+            durable_failed: AtomicBool::new(false),
             config,
             run_delay_ns: AtomicU64::new(0),
             trace: std::env::var_os("TSVD_TRACE").is_some_and(|v| v == "1"),
@@ -183,9 +186,17 @@ impl Runtime {
             };
             // Write-ahead: the durable record lands before the in-memory
             // report, so a crash right after the catch still preserves it.
+            // The sink opens its file here, on the first catch, so this is
+            // also where an unopenable path is found out: said once, and
+            // the violation is still reported in memory.
             if let Some(durable) = &self.durable {
                 if let Err(e) = durable.append(&violation) {
-                    eprintln!("tsvd: durable sink append failed: {e}");
+                    if !self.durable_failed.swap(true, Ordering::Relaxed) {
+                        eprintln!(
+                            "tsvd: durable sink append failed ({e}); \
+                             violations are reported in memory only"
+                        );
+                    }
                 }
             }
             self.strategy.on_violation(violation.pair());
@@ -508,17 +519,13 @@ mod tests {
         assert_eq!(rt.live_traps(), 0);
     }
 
-    #[test]
-    fn durable_sink_records_catches_write_ahead() {
-        let dir = std::env::temp_dir().join(format!("tsvd_rt_sink_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("violations.jsonl");
-        let mut c = cfg();
-        c.dynamic_random_p = 1.0;
-        c.durable_sink = Some(path.clone());
-        let delay = Duration::from_nanos(c.delay_ns);
+    /// Two writes to one object a quarter of a delay apart, every call
+    /// delayed: the second walks into the first's trap. Scheduling can
+    /// spoil a try, so up to five fresh runtimes from `make`.
+    fn forced_catch(make: impl Fn() -> Arc<Runtime>) -> Arc<Runtime> {
         for _attempt in 0..5 {
-            let rt = Runtime::dynamic_random(c.clone());
+            let rt = make();
+            let delay = Duration::from_nanos(rt.config().delay_ns);
             let obj = ObjId(0xFEED);
             std::thread::scope(|scope| {
                 let rt1 = &rt;
@@ -529,17 +536,117 @@ mod tests {
                 rt.on_call(obj, crate::site!(), "x.write", OpKind::Write);
             });
             if rt.reports().unique_bugs() > 0 {
-                let records = crate::sink::DurableSink::load(&path).expect("load sink");
-                assert!(
-                    records.len() >= rt.reports().total_occurrences(),
-                    "durable log must be a superset of in-memory reports"
-                );
-                std::fs::remove_dir_all(&dir).ok();
-                return;
+                return rt;
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
         panic!("no collision caught in 5 attempts");
+    }
+
+    fn sink_config(path: &std::path::Path) -> TsvdConfig {
+        let mut c = cfg();
+        c.dynamic_random_p = 1.0;
+        c.durable_sink = Some(path.to_path_buf());
+        c
+    }
+
+    /// `DynamicRandom`, plus a look at both sinks from `on_violation` —
+    /// which `on_call` runs after the durable append and before
+    /// `ReportSink::report`.
+    struct Witness {
+        inner: DynamicRandom,
+        path: std::path::PathBuf,
+        runtime: Arc<std::sync::OnceLock<std::sync::Weak<Runtime>>>,
+        /// (records in the file, occurrences in memory) at each violation.
+        seen: Arc<parking_lot::Mutex<Vec<(usize, usize)>>>,
+    }
+
+    impl Strategy for Witness {
+        fn name(&self) -> &'static str {
+            "witness"
+        }
+        fn on_access(&self, access: &Access, concurrent: bool) -> Option<u64> {
+            self.inner.on_access(access, concurrent)
+        }
+        fn on_delay_complete(&self, access: &Access, start_ns: u64, end_ns: u64, caught: bool) {
+            self.inner
+                .on_delay_complete(access, start_ns, end_ns, caught);
+        }
+        fn on_violation(&self, _pair: crate::near_miss::SitePair) {
+            let on_disk = DurableSink::load(&self.path).map_or(0, |r| r.len());
+            let rt = self.runtime.get().and_then(std::sync::Weak::upgrade);
+            let in_memory = rt.map_or(0, |rt| rt.reports().total_occurrences());
+            self.seen.lock().push((on_disk, in_memory));
+        }
+    }
+
+    #[test]
+    fn durable_sink_records_catches_write_ahead() {
+        let dir = std::env::temp_dir().join(format!("tsvd_rt_sink_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("violations.jsonl");
+        let c = sink_config(&path);
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let rt = forced_catch(|| {
+            assert!(!path.exists(), "no catch so far, so no file so far");
+            seen.lock().clear();
+            let runtime = Arc::new(std::sync::OnceLock::new());
+            let rt = Runtime::new(
+                c.clone(),
+                Box::new(Witness {
+                    inner: DynamicRandom::new(&c),
+                    path: path.clone(),
+                    runtime: runtime.clone(),
+                    seen: seen.clone(),
+                }),
+            );
+            runtime.set(Arc::downgrade(&rt)).expect("set once");
+            rt
+        });
+        let seen = seen.lock().clone();
+        assert_eq!(seen.len(), rt.reports().total_occurrences());
+        for (on_disk, in_memory) in seen {
+            assert!(
+                on_disk > in_memory,
+                "the record is in its file ({on_disk}) before the report is held ({in_memory})"
+            );
+        }
+        let records = DurableSink::load(&path).expect("load sink");
+        assert!(
+            records.len() >= rt.reports().total_occurrences(),
+            "durable log must be a superset of in-memory reports"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sink_whose_parent_cannot_be_made_is_dropped_at_start_and_detection_goes_on() {
+        let dir = std::env::temp_dir().join(format!("tsvd_rt_noparent_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(dir.join("file"), "not a directory").expect("write");
+        let c = sink_config(&dir.join("file/under/violations.jsonl"));
+        let rt = forced_catch(|| Runtime::dynamic_random(c.clone()));
+        assert!(rt.durable.is_none(), "said once, in `Runtime::new`");
+        assert!(!rt.durable_failed.load(Ordering::Relaxed));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sink_that_cannot_be_opened_is_found_at_the_first_catch_and_detection_goes_on() {
+        // A directory squatting on the sink's name: nothing is wrong until
+        // the first append tries to open it.
+        let path = std::env::temp_dir().join(format!("tsvd_rt_isdir_{}", std::process::id()));
+        std::fs::create_dir_all(&path).expect("mkdir");
+        let c = sink_config(&path);
+        let rt = forced_catch(|| {
+            let rt = Runtime::dynamic_random(c.clone());
+            assert!(rt.durable.is_some(), "start-up has nothing to object to");
+            assert!(!rt.durable_failed.load(Ordering::Relaxed));
+            rt
+        });
+        // `forced_catch` returned, so the violation is reported in memory.
+        assert!(rt.durable_failed.load(Ordering::Relaxed), "logged, once");
+        rt.flush_durable_sink();
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]

@@ -15,13 +15,20 @@
 //! durability; the default trades that for speed, relying on the OS page
 //! cache surviving process death.
 //!
+//! The contract, in three clauses: **a file exists iff a record was
+//! appended** (the first append opens it, so a run that catches nothing
+//! leaves nothing to open, sync or harvest, and every reader treats a
+//! missing sink as an empty one); **every appended record is synced by
+//! [`DurableSink::flush`]** (which costs nothing when nothing was appended
+//! since the last sync); **append precedes report**.
+//!
 //! Creating a sink also installs (once, chained) a process-wide panic hook
 //! that syncs every live sink before the panic propagates, so even
 //! panic-aborts flush pending data.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
@@ -97,15 +104,37 @@ pub fn normalize_pair(a: &str, b: &str) -> (String, String) {
 }
 
 struct SinkFile {
-    file: Mutex<File>,
+    path: PathBuf,
     fsync: bool,
+    state: Mutex<SinkState>,
+}
+
+#[derive(Default)]
+struct SinkState {
+    /// `None` until the first append.
+    file: Option<File>,
+    /// A record was written since the last successful sync.
+    unsynced: bool,
 }
 
 impl SinkFile {
     fn sync(&self) {
-        // Best effort: a failed sync during a panic must not double-panic.
-        let _ = self.file.lock().sync_data();
+        let mut state = self.state.lock();
+        if !state.unsynced {
+            return;
+        }
+        // Best effort: a failed sync during a panic must not double-panic;
+        // it stays owed to the next flush.
+        if state.file.as_ref().is_some_and(|f| sync_data(f).is_ok()) {
+            state.unsynced = false;
+        }
     }
+}
+
+fn sync_data(file: &File) -> std::io::Result<()> {
+    #[cfg(test)]
+    tests::SYNCS.with(|n| n.set(n.get() + 1));
+    file.sync_data()
 }
 
 /// Append-only JSONL violation log (see module docs).
@@ -114,19 +143,20 @@ pub struct DurableSink {
 }
 
 impl DurableSink {
-    /// Opens `path` for appending, creating it (and any missing parent
-    /// directories) if needed, and registers the sink with the panic-hook
-    /// flush list.
+    /// Prepares a sink at `path`: creates any missing parent directories
+    /// and registers the sink with the panic-hook flush list. The file
+    /// itself is opened (created, or reopened for appending) by the first
+    /// append, so a path that cannot be opened surfaces there.
     pub fn create(path: &Path, fsync: bool) -> std::io::Result<DurableSink> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
         let inner = Arc::new(SinkFile {
-            file: Mutex::new(file),
+            path: path.to_path_buf(),
             fsync,
+            state: Mutex::default(),
         });
         register_for_panic_flush(&inner);
         Ok(DurableSink { inner })
@@ -144,17 +174,29 @@ impl DurableSink {
         let mut line = serde_json::to_string(record)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         line.push('\n');
-        let mut file = self.inner.file.lock();
+        let mut state = self.inner.state.lock();
+        let SinkState { file, unsynced } = &mut *state;
+        let file = match file {
+            Some(file) => file,
+            None => file.insert(
+                OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.inner.path)?,
+            ),
+        };
         // One write call per record keeps appends atomic with respect to
         // other writers of this handle and bounds crash damage to one line.
         file.write_all(line.as_bytes())?;
+        *unsynced = true;
         if self.inner.fsync {
-            file.sync_data()?;
+            sync_data(file)?;
+            *unsynced = false;
         }
         Ok(())
     }
 
-    /// Forces buffered data to disk.
+    /// Syncs every record appended since the last sync; free otherwise.
     pub fn flush(&self) {
         self.inner.sync();
     }
@@ -218,6 +260,15 @@ mod tests {
     use crate::report::Party;
     use crate::site::{SiteData, SiteId};
 
+    thread_local! {
+        /// `sync_data` calls made by this thread — this test, that is.
+        pub(super) static SYNCS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn syncs() -> usize {
+        SYNCS.with(std::cell::Cell::get)
+    }
+
     fn site(line: u32) -> SiteId {
         SiteId::intern(SiteData {
             file: "sink_test.rs",
@@ -266,6 +317,75 @@ mod tests {
         assert_eq!(records[0].time_ns, 42);
         assert!(records[0].read_write);
         assert_eq!(records[0].op_trapped, "x.write");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_sink_that_never_appended_leaves_no_file_and_never_syncs() {
+        let dir = temp_dir("lazy");
+        let path = dir.join("deep/er/violations.jsonl");
+        let before = syncs();
+        {
+            let sink = DurableSink::create(&path, true).expect("create");
+            assert!(dir.join("deep/er").is_dir(), "create makes the parent");
+            sink.flush();
+            sink.inner.sync(); // what the panic hook calls
+        }
+        assert!(!path.exists(), "a file exists iff a record was appended");
+        assert_eq!(syncs(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn flush_syncs_only_what_has_not_been_synced() {
+        let dir = temp_dir("dirty");
+        let path = dir.join("violations.jsonl");
+        let sink = DurableSink::create(&path, false).expect("create");
+        let before = syncs();
+        sink.append(&violation(1, 2)).expect("append");
+        assert_eq!(
+            std::fs::read_to_string(&path)
+                .expect("read")
+                .lines()
+                .count(),
+            1,
+            "the first append opened the file and wrote its line"
+        );
+        sink.append(&violation(3, 4)).expect("append");
+        assert_eq!(syncs(), before, "without fsync an append does not sync");
+        sink.flush();
+        assert_eq!(syncs(), before + 1, "one sync covers both appends");
+        sink.flush();
+        sink.flush();
+        assert_eq!(syncs(), before + 1, "nothing new: flush is a no-op");
+        sink.append(&violation(5, 6)).expect("append");
+        sink.flush();
+        assert_eq!(syncs(), before + 2);
+
+        // With fsync every append syncs itself and leaves flush nothing.
+        let eager = DurableSink::create(&dir.join("eager.jsonl"), true).expect("create");
+        let before = syncs();
+        eager.append(&violation(1, 2)).expect("append");
+        eager.append(&violation(3, 4)).expect("append");
+        eager.flush();
+        assert_eq!(syncs(), before + 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unopenable_path_fails_at_the_first_append_not_at_create() {
+        let dir = temp_dir("unopenable");
+        // A directory squatting on the sink's own name: the parent exists,
+        // so `create` has nothing to object to; the open cannot succeed.
+        let path = dir.join("violations.jsonl");
+        std::fs::create_dir_all(&path).expect("mkdir");
+        let sink = DurableSink::create(&path, false).expect("create");
+        assert!(sink.append(&violation(1, 2)).is_err());
+        assert!(sink.append(&violation(1, 2)).is_err(), "and keeps failing");
+        sink.flush();
+        // A parent that cannot be made is still a create-time error.
+        std::fs::write(dir.join("file"), "x").expect("write");
+        assert!(DurableSink::create(&dir.join("file/under/v.jsonl"), false).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,6 +6,7 @@
 //! occurrence — which is how TSVD catches bugs whose TSVD point executes
 //! only once per test (11 of the 53 Table-2 bugs).
 
+use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
@@ -173,19 +174,24 @@ impl TrapFileData {
         self.origins.push(origin);
     }
 
-    /// Merges `other` into `self`, deduplicating textual pairs. A pair
-    /// present in both keeps `self`'s origin, confidence, and evidence.
-    pub fn merge(&mut self, other: &TrapFileData) {
-        for (i, pair) in other.pairs.iter().enumerate() {
-            if !self.pairs.contains(pair) {
-                self.push_full(
-                    pair.clone(),
-                    other.origin(i),
-                    other.confidence(i),
-                    other.hb_evidence(i),
-                );
-            }
+    /// Merges `other` into `self`, deduplicating textual pairs, and returns
+    /// how many pairs it added — `0` means `self` is unchanged, so a caller
+    /// that persists `self` has nothing to write. A pair present in both
+    /// keeps `self`'s origin, confidence, and evidence.
+    pub fn merge(&mut self, other: &TrapFileData) -> usize {
+        let mut known: HashSet<&(String, String)> = self.pairs.iter().collect();
+        let fresh: Vec<usize> = (0..other.pairs.len())
+            .filter(|&i| known.insert(&other.pairs[i]))
+            .collect();
+        for &i in &fresh {
+            self.push_full(
+                other.pairs[i].clone(),
+                other.origin(i),
+                other.confidence(i),
+                other.hb_evidence(i),
+            );
         }
+        fresh.len()
     }
 
     /// Re-interns the pair at `index`, or `None` if its text is corrupt.
@@ -370,10 +376,63 @@ mod tests {
             (site(52).to_string(), site(53).to_string()),
             PairOrigin::Dynamic,
         );
-        a.merge(&b);
+        assert_eq!(a.merge(&b), 1, "one pair was new");
         assert_eq!(a.pairs.len(), 2, "shared pair must not duplicate");
         assert_eq!(a.origin(0), PairOrigin::Static, "self's origin wins");
         assert_eq!(a.origin(1), PairOrigin::Dynamic);
+        let merged = a.clone();
+        assert_eq!(a.merge(&b), 0, "a subset adds nothing");
+        assert_eq!(a.merge(&TrapFileData::default()), 0);
+        assert_eq!(a, merged, "and changes nothing");
+    }
+
+    /// `merge` as it was before it counted: a linear `contains` per pair.
+    fn merge_by_scan(into: &mut TrapFileData, other: &TrapFileData) {
+        for (i, pair) in other.pairs.iter().enumerate() {
+            if !into.pairs.contains(pair) {
+                into.push_full(
+                    pair.clone(),
+                    other.origin(i),
+                    other.confidence(i),
+                    other.hb_evidence(i),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_matches_the_linear_scan_it_replaced_on_random_pair_sets() {
+        let mut rng = crate::rng::SplitMix64::new(0x7AA9_F11E);
+        // Few distinct pairs, so sets overlap, repeat a pair within one
+        // file, and mix default with explicit metadata.
+        let random_file = |rng: &mut crate::rng::SplitMix64| {
+            let mut data = TrapFileData::default();
+            for _ in 0..rng.next() % 12 {
+                let pair = (
+                    format!("m.rs:{}:1", rng.next() % 6),
+                    format!("m.rs:{}:2", rng.next() % 6),
+                );
+                match rng.next() % 3 {
+                    0 => data.push(pair, PairOrigin::Dynamic),
+                    1 => data.push_with_confidence(pair, PairOrigin::Static, 0.5),
+                    _ => data.push_full(pair, PairOrigin::Static, 0.25, "window-scope"),
+                }
+            }
+            data
+        };
+        for round in 0..1_000 {
+            let (base, delta) = (random_file(&mut rng), random_file(&mut rng));
+            let (mut fast, mut scan) = (base.clone(), base.clone());
+            let added = fast.merge(&delta);
+            merge_by_scan(&mut scan, &delta);
+            assert_eq!(fast, scan, "round {round}");
+            assert_eq!(added, fast.pairs.len() - base.pairs.len(), "round {round}");
+            assert_eq!(
+                serde_json::to_string_pretty(&fast).expect("json"),
+                serde_json::to_string_pretty(&scan).expect("json"),
+                "round {round}: identical files"
+            );
+        }
     }
 
     #[test]
@@ -501,17 +560,19 @@ mod tests {
     fn merge_keeps_self_confidence_for_shared_pairs() {
         let pair = (site(70).to_string(), site(71).to_string());
         let mut a = TrapFileData::default();
-        a.push_with_confidence(pair.clone(), PairOrigin::Static, 0.9);
+        a.push_full(pair.clone(), PairOrigin::Static, 0.9, "window-scope");
         let mut b = TrapFileData::default();
-        b.push_with_confidence(pair, PairOrigin::Static, 0.2);
+        b.push_full(pair, PairOrigin::Dynamic, 0.2, "channel-partial");
         b.push_with_confidence(
             (site(72).to_string(), site(73).to_string()),
             PairOrigin::Static,
             0.4,
         );
-        a.merge(&b);
+        assert_eq!(a.merge(&b), 1);
         assert_eq!(a.pairs.len(), 2);
         assert!((a.confidence(0) - 0.9).abs() < 1e-9, "self's grade wins");
+        assert_eq!(a.origin(0), PairOrigin::Static, "and self's origin");
+        assert_eq!(a.hb_evidence(0), "window-scope", "and self's evidence");
         assert!(
             (a.confidence(1) - 0.4).abs() < 1e-9,
             "new pair keeps other's"

@@ -1,8 +1,9 @@
 //! The fleet daemon: supervised multi-process suite execution.
 //!
-//! One event loop owns all scheduling state; accept/reader/tick threads
-//! only funnel [`Event`]s into it, so every decision is serialized and
-//! every decision is written to the [`crate::ledger`] *before* it takes
+//! One event loop owns all scheduling state and the only clock: it blocks
+//! on its event channel until the next 25 ms tick is due, and accept/reader
+//! threads only funnel [`Event`]s into it, so every decision is serialized
+//! and every decision is written to the [`crate::ledger`] *before* it takes
 //! effect (write-ahead). Supervision duties:
 //!
 //! - **liveness**: workers heartbeat; a worker silent past the hang
@@ -41,6 +42,12 @@ use crate::runner::ModuleOutcome;
 use crate::suites::SuiteSpec;
 use crate::wire::{read_frame, write_frame, Frame};
 use crate::worker::sink_file_name;
+
+/// How often the event loop looks at liveness, respawns and wave progress
+/// when no event makes it look sooner.
+const TICK: Duration = Duration::from_millis(25);
+/// How long a clean finish waits for workers to exit before killing them.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
 
 /// Fleet run configuration.
 #[derive(Debug, Clone)]
@@ -130,6 +137,23 @@ pub struct FleetReport {
     pub deaths: usize,
     /// Wall-clock nanoseconds of this daemon invocation.
     pub wall_ns: u64,
+    /// Share of `workers x wall_ns` that workers spent inside modules (the
+    /// sum of every done frame's `wall_ns`); the rest is the fleet's own.
+    pub busy_share: f64,
+    /// Mean microseconds a worker spent on an assignment outside the
+    /// module itself: assign written to done read, minus the done frame's
+    /// `wall_ns` — frames, suite lookup, runtime and sink set-up, streaming.
+    pub worker_fixed_us: f64,
+    /// Mean microseconds from reading a worker's done frame to writing its
+    /// next assignment — ledger, trap file, dispatch, and at a wave's end
+    /// the wait for the other workers.
+    pub turnaround_us: f64,
+    /// The merged trap set as the daemon last held it; the trap file on
+    /// disk holds the same.
+    pub traps: TrapFileData,
+    /// Times this invocation wrote the trap file: once per done frame that
+    /// brought a pair the set did not have.
+    pub trap_file_writes: usize,
     /// `true` if the stop-after-completions test hook ended the run early.
     pub stopped_early: bool,
     /// Ledger path (for `verify` / `--resume`).
@@ -182,13 +206,14 @@ enum Event {
         worker: usize,
         incarnation: u64,
         frame: Frame,
+        /// When the reader thread had it, before any wait in the channel.
+        read_at: Instant,
     },
     Eof {
         worker: usize,
         incarnation: u64,
         reason: String,
     },
-    Tick,
 }
 
 struct Slot {
@@ -196,6 +221,11 @@ struct Slot {
     child: Option<Child>,
     stream: Option<UnixStream>,
     current: Option<(usize, usize, u32)>,
+    /// When `current`'s assign frame was written.
+    assigned_at: Instant,
+    /// When this incarnation's latest done frame was read, until the next
+    /// assignment is written.
+    done_at: Option<Instant>,
     last_seen: Instant,
     consecutive_deaths: u32,
     spawn_failures: u32,
@@ -210,6 +240,8 @@ impl Slot {
             child: None,
             stream: None,
             current: None,
+            assigned_at: Instant::now(),
+            done_at: None,
             last_seen: Instant::now(),
             consecutive_deaths: 0,
             spawn_failures: 0,
@@ -233,8 +265,26 @@ struct Daemon {
     attempts: HashMap<(usize, usize), u32>,
     violations: HashSet<(usize, (String, String))>,
     traps: TrapFileData,
+    trap_file_writes: usize,
     retries: usize,
     deaths: usize,
+    begun: Instant,
+    spent: WorkerTime,
+}
+
+/// Where worker time went, summed over the done frames and assignments of
+/// this invocation (see the [`FleetReport`] fields it becomes).
+#[derive(Default)]
+struct WorkerTime {
+    dones: u32,
+    busy: Duration,
+    fixed: Duration,
+    turnarounds: u32,
+    turnaround: Duration,
+}
+
+fn mean_us(total: Duration, samples: u32) -> f64 {
+    total.as_secs_f64() * 1e6 / f64::from(samples.max(1))
 }
 
 /// Runs (or resumes) a fleet and blocks until it finishes, degrades to
@@ -289,17 +339,18 @@ pub fn run_fleet(options: FleetOptions) -> Result<FleetReport, FleetError> {
         attempts: HashMap::new(),
         violations: HashSet::new(),
         traps: TrapFileData::default(),
+        trap_file_writes: 0,
         retries: 0,
         deaths: 0,
+        begun,
+        spent: WorkerTime::default(),
     };
     if let Some(state) = state {
         daemon.adopt(state)?;
     }
     daemon.seed_queue();
 
-    let mut report = daemon.supervise()?;
-    report.wall_ns = u64::try_from(begun.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    Ok(report)
+    daemon.supervise()
 }
 
 impl Daemon {
@@ -382,7 +433,6 @@ impl Daemon {
         // Accept thread: every connection gets a reader thread that parses
         // the Hello itself, so a half-open connection can never block the
         // accept loop.
-        let accept_tx = tx.clone();
         let accept_flag = accepting.clone();
         let accept_handle = std::thread::Builder::new()
             .name("tsvd-fleet-accept".into())
@@ -392,24 +442,10 @@ impl Daemon {
                         return;
                     }
                     let Ok(conn) = conn else { continue };
-                    let tx = accept_tx.clone();
+                    let tx = tx.clone();
                     let _ = std::thread::Builder::new()
                         .name("tsvd-fleet-reader".into())
                         .spawn(move || reader_thread(conn, tx));
-                }
-            })?;
-
-        // Tick thread: drives timeouts, respawns, and wave advancement.
-        let tick_tx = tx.clone();
-        let tick_flag = accepting.clone();
-        let tick_handle = std::thread::Builder::new()
-            .name("tsvd-fleet-tick".into())
-            .spawn(move || {
-                while tick_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(25));
-                    if tick_tx.send(Event::Tick).is_err() {
-                        return;
-                    }
                 }
             })?;
 
@@ -420,16 +456,14 @@ impl Daemon {
 
         let outcome = self.event_loop(&rx);
 
-        // Teardown (both clean finish and early stop): stop the helper
-        // threads, shut workers down, then run the final sweep — only
-        // after every worker is gone can the sink union be stable.
+        // Teardown (both clean finish and early stop): stop accepting, shut
+        // workers down, then run the final sweep — only after every worker
+        // is gone can the sink union be stable.
         accepting.store(false, Ordering::Relaxed);
         let _ = UnixStream::connect(&socket); // unblock accept()
         let _ = accept_handle.join();
-        drop(rx);
-        let _ = tick_handle.join();
         let finished = matches!(outcome, Ok(false));
-        self.shutdown_workers(finished);
+        self.shutdown_workers(finished, &rx);
         let _ = std::fs::remove_file(&socket);
         let stopped_early = outcome?;
         if !stopped_early {
@@ -439,17 +473,23 @@ impl Daemon {
                 quarantined: self.quarantined.len(),
             }))?;
         }
-        self.save_traps();
 
         let mut quarantined: Vec<usize> = self.quarantined.iter().copied().collect();
         quarantined.sort_unstable();
+        let wall = self.begun.elapsed();
+        let capacity = wall.as_secs_f64() * self.opts.workers.max(1) as f64;
         Ok(FleetReport {
             completed: self.done.len(),
             quarantined,
             violations: self.violations.len(),
             retries: self.retries,
             deaths: self.deaths,
-            wall_ns: 0,
+            wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+            busy_share: self.spent.busy.as_secs_f64() / capacity,
+            worker_fixed_us: mean_us(self.spent.fixed, self.spent.dones),
+            turnaround_us: mean_us(self.spent.turnaround, self.spent.turnarounds),
+            traps: self.traps.clone(),
+            trap_file_writes: self.trap_file_writes,
             stopped_early,
             ledger: self.opts.ledger.clone(),
         })
@@ -458,6 +498,7 @@ impl Daemon {
     /// The serialized decision loop. Returns `Ok(true)` if the stop-after
     /// test hook ended the run early, `Ok(false)` on a clean finish.
     fn event_loop(&mut self, rx: &mpsc::Receiver<Event>) -> Result<bool, FleetError> {
+        let mut next_tick = Instant::now() + TICK;
         loop {
             if self.run_finished() {
                 return Ok(false);
@@ -471,35 +512,40 @@ impl Daemon {
                     return Ok(true);
                 }
             }
-            let event = match rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(ev) => ev,
-                Err(mpsc::RecvTimeoutError::Timeout) => Event::Tick,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(FleetError::Ledger("event channel closed".to_string()))
-                }
-            };
-            match event {
-                Event::Hello {
+            // The one clock: a tick when it is due, however busy the
+            // channel; otherwise sleep on the channel until it is.
+            let now = Instant::now();
+            if now >= next_tick {
+                next_tick = now + TICK;
+                self.on_tick()?;
+                continue;
+            }
+            match rx.recv_timeout(next_tick - now) {
+                Ok(Event::Hello {
                     worker,
                     incarnation,
                     pid,
                     stream,
-                } => self.on_hello(worker, incarnation, pid, stream)?,
-                Event::Frame {
+                }) => self.on_hello(worker, incarnation, pid, stream)?,
+                Ok(Event::Frame {
                     worker,
                     incarnation,
                     frame,
-                } => self.on_frame(worker, incarnation, frame)?,
-                Event::Eof {
+                    read_at,
+                }) => self.on_frame(worker, incarnation, frame, read_at)?,
+                Ok(Event::Eof {
                     worker,
                     incarnation,
                     reason,
-                } => {
+                }) => {
                     if self.slot_is_current(worker, incarnation) {
                         self.on_death(worker, &reason)?;
                     }
                 }
-                Event::Tick => self.on_tick()?,
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(FleetError::Ledger("event channel closed".to_string()))
+                }
             }
         }
     }
@@ -544,6 +590,7 @@ impl Daemon {
         worker: usize,
         incarnation: u64,
         frame: Frame,
+        read_at: Instant,
     ) -> Result<(), FleetError> {
         if !self.slot_is_current(worker, incarnation) {
             return Ok(());
@@ -554,7 +601,7 @@ impl Daemon {
             Frame::Violation(v) => {
                 self.record_violation(v.index, &v.record)?;
             }
-            Frame::Done(done) => self.on_done(worker, done)?,
+            Frame::Done(done) => self.on_done(worker, done, read_at)?,
             other => {
                 self.log(format_args!("ignoring unexpected frame {other:?}"));
             }
@@ -585,15 +632,28 @@ impl Daemon {
         Ok(())
     }
 
-    fn on_done(&mut self, worker: usize, done: crate::wire::Done) -> Result<(), FleetError> {
-        if self.slots[worker].current != Some((done.wave, done.index, done.attempt)) {
+    fn on_done(
+        &mut self,
+        worker: usize,
+        done: crate::wire::Done,
+        read_at: Instant,
+    ) -> Result<(), FleetError> {
+        let slot = &mut self.slots[worker];
+        if slot.current != Some((done.wave, done.index, done.attempt)) {
             self.log(format_args!(
                 "worker {worker} reported unassigned work (wave {} module {}); ignoring",
                 done.wave, done.index
             ));
             return Ok(());
         }
-        self.slots[worker].current = None;
+        slot.current = None;
+        slot.done_at = Some(read_at);
+        let busy = Duration::from_nanos(done.wall_ns);
+        self.spent.dones += 1;
+        self.spent.busy += busy;
+        self.spent.fixed += read_at
+            .saturating_duration_since(slot.assigned_at)
+            .saturating_sub(busy);
         let outcome = ModuleOutcome::parse(&done.outcome).unwrap_or(ModuleOutcome::Panicked);
         let key = (done.wave, done.index);
         let failed = outcome != ModuleOutcome::Completed;
@@ -627,8 +687,10 @@ impl Daemon {
             on_calls: done.on_calls,
         }))?;
         self.done.insert(key);
-        if let Some(delta) = &done.traps {
-            self.traps.merge(delta);
+        // The trap file equals the in-memory set at every done: written
+        // when a merge grew the set, and only then.
+        let added = done.traps.as_ref().map_or(0, |t| self.traps.merge(t));
+        if added > 0 {
             self.save_traps();
         }
         self.advance_wave_if_exhausted()?;
@@ -642,6 +704,7 @@ impl Daemon {
         let slot = &mut self.slots[worker];
         let incarnation = slot.incarnation;
         let current = slot.current.take();
+        slot.done_at = None;
         if let Some(child) = &mut slot.child {
             let _ = child.kill();
             let _ = child.wait();
@@ -796,11 +859,14 @@ impl Daemon {
                 .as_mut()
                 .map(|s| write_frame(s, &frame).is_ok())
                 .unwrap_or(false);
-            if ok {
-                slot.current = Some((wave, index, attempt));
-            } else {
+            slot.current = Some((wave, index, attempt));
+            slot.assigned_at = Instant::now();
+            if let Some(done_at) = slot.done_at.take() {
+                self.spent.turnarounds += 1;
+                self.spent.turnaround += slot.assigned_at.saturating_duration_since(done_at);
+            }
+            if !ok {
                 // The socket died under us; the death handler re-queues.
-                slot.current = Some((wave, index, attempt));
                 self.on_death(worker, "assign write failed")?;
             }
         }
@@ -915,23 +981,32 @@ impl Daemon {
         self.log(format_args!("worker slot {worker} retired: {why}"));
     }
 
-    fn shutdown_workers(&mut self, graceful: bool) {
+    /// Ends every worker. A clean finish asks (`Shutdown`), then waits for
+    /// each exit as an event — a connected worker's reader reports `Eof`
+    /// when the process closes its socket, which it does by exiting — and
+    /// kills whatever is still there after [`SHUTDOWN_GRACE`]. An early
+    /// stop kills outright.
+    fn shutdown_workers(&mut self, graceful: bool, rx: &mpsc::Receiver<Event>) {
         if graceful {
-            for slot in &mut self.slots {
-                if let Some(stream) = &mut slot.stream {
-                    let _ = write_frame(stream, &Frame::Shutdown);
-                }
+            for stream in self.slots.iter_mut().filter_map(|s| s.stream.as_mut()) {
+                let _ = write_frame(stream, &Frame::Shutdown);
             }
-            let deadline = Instant::now() + Duration::from_secs(3);
-            for slot in &mut self.slots {
-                if let Some(child) = &mut slot.child {
-                    while Instant::now() < deadline {
-                        match child.try_wait() {
-                            Ok(Some(_)) => break,
-                            Ok(None) => std::thread::sleep(Duration::from_millis(20)),
-                            Err(_) => break,
+            let deadline = Instant::now() + SHUTDOWN_GRACE;
+            let connected = |s: &Slot| s.child.is_some() && s.stream.is_some();
+            while self.slots.iter().any(connected) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match rx.recv_timeout(left) {
+                    Ok(Event::Eof {
+                        worker,
+                        incarnation,
+                        ..
+                    }) if self.slot_is_current(worker, incarnation) => {
+                        if let Some(mut child) = self.slots[worker].child.take() {
+                            let _ = child.wait();
                         }
                     }
+                    Ok(_) => {}
+                    Err(_) => break,
                 }
             }
         }
@@ -972,7 +1047,8 @@ impl Daemon {
         Ok(())
     }
 
-    fn save_traps(&self) {
+    fn save_traps(&mut self) {
+        self.trap_file_writes += 1;
         let path = Ledger::traps_path(&self.opts.ledger);
         if let Err(e) = self.traps.save(&path) {
             self.log(format_args!("trap file save failed: {e}"));
@@ -1006,6 +1082,7 @@ fn reader_thread(conn: UnixStream, tx: mpsc::Sender<Event>) {
                         worker,
                         incarnation,
                         frame,
+                        read_at: Instant::now(),
                     })
                     .is_err()
                 {

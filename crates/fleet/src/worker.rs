@@ -163,7 +163,7 @@ pub fn serve_worker(opts: &WorkerOptions) -> Result<(), String> {
 
         // Stream the sink back — reading the file we just wrote (rather
         // than in-memory reports) guarantees frames ⊆ sink, the invariant
-        // reconciliation checks.
+        // reconciliation checks. No file: the module caught nothing.
         let records = DurableSink::load(&sink_path).unwrap_or_default();
         let done = done_frame(&run, &assign, &sink_path);
         let mut w = writer.lock();
@@ -214,6 +214,7 @@ fn execute(
     };
     let import = (!traps.pairs.is_empty()).then_some(traps);
     let run = run_module_once(module, DetectorKind::Tsvd, &options, import);
+    // Syncs what the module's catches appended; free when it caught none.
     run.runtime.flush_durable_sink();
     Execution {
         outcome: run.outcome.as_str(),

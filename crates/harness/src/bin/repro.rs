@@ -178,12 +178,16 @@ fn run_fleet_cmd(args: &[String]) -> ! {
     let fleet_secs = report.wall_ns as f64 / 1e9;
     println!(
         "fleet: {} module execution(s) done, {} violation pair(s), {} retr(ies), \
-         {} worker death(s), {} quarantined, {fleet_secs:.1}s",
+         {} worker death(s), {} quarantined, {fleet_secs:.1}s; workers busy {:.0}% \
+         (+{:.0} us fixed per execution, {:.0} us to the next assignment)",
         report.completed,
         report.violations,
         report.retries,
         report.deaths,
         report.quarantined.len(),
+        report.busy_share * 100.0,
+        report.worker_fixed_us,
+        report.turnaround_us,
     );
 
     // Reconciliation: the ledger must agree *exactly* with the union of

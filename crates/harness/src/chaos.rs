@@ -146,7 +146,7 @@ pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosReport, ChaosFailure> {
     // so reconciliation happens per iteration inside chaos_iteration; the
     // final count lands here.)
     if let Some(path) = &options.config.durable_sink {
-        report.durable_records = DurableSink::load(path)
+        report.durable_records = load_sink(path)
             .map_err(|e| ChaosFailure(format!("durable sink unreadable: {e}")))?
             .len();
         if report.durable_records < report.violations {
@@ -226,11 +226,19 @@ fn chaos_iteration(
     }
 }
 
+/// A sink's records; no file means no catch yet, which is not an error.
+fn load_sink(path: &Path) -> std::io::Result<Vec<tsvd_core::ViolationRecord>> {
+    match DurableSink::load(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        loaded => loaded,
+    }
+}
+
 /// Verifies a durable sink against a runtime's in-memory reports: every
 /// in-memory violation pair must appear in the sink file (the write-ahead
 /// guarantee). Returns the number of durable records.
 pub fn reconcile_sink(rt: &Runtime, path: &Path) -> Result<usize, String> {
-    let records = DurableSink::load(path).map_err(|e| format!("load {}: {e}", path.display()))?;
+    let records = load_sink(path).map_err(|e| format!("load {}: {e}", path.display()))?;
     let on_disk: std::collections::HashSet<(String, String)> =
         records.iter().map(|r| r.pair_key()).collect();
     for v in rt.reports().violations() {

@@ -4,10 +4,12 @@
 //! Each test gets its own temp directory (ledger + socket + sinks) so they
 //! can run concurrently.
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
-use tsvd_fleet::ledger::{replay, verify, Ledger};
-use tsvd_fleet::{run_fleet, ChaosPlan, FleetError, FleetOptions, SuiteSpec};
+use tsvd_core::{DurableSink, TrapFileData};
+use tsvd_fleet::ledger::{parse_sink_name, replay, verify, Ledger, LedgerEvent};
+use tsvd_fleet::{run_fleet, ChaosPlan, FleetError, FleetOptions, FleetReport, SuiteSpec};
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tsvd_fleet_e2e_{tag}_{}", std::process::id()));
@@ -35,6 +37,44 @@ fn assert_reconciled(ledger: &std::path::Path) -> tsvd_fleet::VerifySummary {
     }
 }
 
+/// The sink contract as the directory shows it: a file exists iff a record
+/// was appended. Returns the module index of every sink file.
+fn assert_no_empty_sink(sink_dir: &Path) -> Vec<usize> {
+    let mut indices = Vec::new();
+    for entry in std::fs::read_dir(sink_dir).expect("read sink dir") {
+        let entry = entry.expect("entry");
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let (_wave, index, _attempt) =
+            parse_sink_name(&name).unwrap_or_else(|| panic!("foreign file {name} in sink dir"));
+        assert!(
+            entry.metadata().expect("metadata").len() > 0,
+            "{name} is zero-length: an execution that caught nothing made a file"
+        );
+        let records = DurableSink::load(&entry.path()).expect("load sink");
+        assert!(!records.is_empty(), "{name} holds no record");
+        indices.push(index);
+    }
+    indices
+}
+
+/// The trap file equals the daemon's set, and was written at most once per
+/// pair this invocation added to the `had` it started from.
+fn assert_trap_file_is_the_daemons_set(report: &FleetReport, had: usize) {
+    let path = Ledger::traps_path(&report.ledger);
+    let on_disk = match TrapFileData::load(&path) {
+        Ok(data) => data,
+        Err(_) if report.traps.pairs.is_empty() => TrapFileData::default(),
+        Err(e) => panic!("trap file {}: {e}", path.display()),
+    };
+    assert_eq!(on_disk, report.traps);
+    assert!(
+        report.trap_file_writes <= report.traps.pairs.len() - had,
+        "{} writes for {} new pair(s)",
+        report.trap_file_writes,
+        report.traps.pairs.len() - had
+    );
+}
+
 #[test]
 fn fleet_runs_a_suite_and_reconciles_exactly() {
     // 25 modules covers one full generator cycle, so planted bugs exist.
@@ -57,6 +97,75 @@ fn fleet_runs_a_suite_and_reconciles_exactly() {
     let summary = assert_reconciled(&report.ledger);
     assert_eq!(summary.done, 50);
     assert_eq!(summary.violations, summary.sink_pairs);
+
+    // Only an execution that caught something left a sink: the modules
+    // with a sink file are the modules with a violation in the ledger
+    // (whose lines are per module, not per wave), and most of the 50
+    // executions left none.
+    let sunk: BTreeSet<usize> = assert_no_empty_sink(&dir.join("sinks"))
+        .into_iter()
+        .collect();
+    let events = Ledger::load(&report.ledger).expect("load ledger");
+    let violating: BTreeSet<usize> = events
+        .iter()
+        .filter_map(|e| match e {
+            LedgerEvent::Violation(v) => Some(v.index),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sunk, violating);
+    assert!(
+        violating.len() < 25,
+        "the std suite has clean modules, and they leave no sink"
+    );
+
+    assert!(report.traps.pairs.len() > 1, "near misses arm pairs");
+    assert_trap_file_is_the_daemons_set(&report, 0);
+
+    // Where a worker-second went: three finite numbers, one of them a share.
+    assert!(report.busy_share > 0.0 && report.busy_share <= 1.0);
+    assert!(report.worker_fixed_us.is_finite() && report.worker_fixed_us >= 0.0);
+    assert!(report.turnaround_us.is_finite() && report.turnaround_us > 0.0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_supervisor_keeps_no_clock_thread() {
+    // The event loop times its own ticks. Watch this process's thread names
+    // (Linux keeps 15 bytes of each) while a fleet runs: its accept thread
+    // must show up — which proves the watching works — and a tick thread
+    // must not.
+    fn thread_names() -> Vec<String> {
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return Vec::new();
+        };
+        tasks
+            .flatten()
+            .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
+            .map(|name| name.trim().to_string())
+            .collect()
+    }
+    if thread_names().is_empty() {
+        return; // no procfs: nothing to watch
+    }
+    let (mut opts, dir) = options(
+        "clock",
+        SuiteSpec::Std {
+            modules: 25,
+            seed: 0x54494E59,
+        },
+    );
+    opts.waves = 1;
+    let fleet = std::thread::spawn(move || run_fleet(opts).expect("fleet run"));
+    let mut seen = BTreeSet::new();
+    while !fleet.is_finished() {
+        seen.extend(thread_names());
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let report = fleet.join().expect("join");
+    assert_eq!(report.completed, 25);
+    assert!(seen.contains("tsvd-fleet-acce"), "saw only {seen:?}");
+    assert!(!seen.contains("tsvd-fleet-tick"), "saw {seen:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -100,8 +209,13 @@ fn chaos_kills_lose_no_modules_and_no_violations() {
         }
     }
     // No violation lost: harvest + dedup means the ledger equals the sink
-    // union exactly (assert_reconciled already proved set equality).
+    // union exactly (assert_reconciled already proved set equality) —
+    // although a killed worker aborts right after the module ran, with
+    // nobody left to flush its sink, and a clean module has no sink at all.
     assert_eq!(summary.violations, summary.sink_pairs);
+    assert!(summary.sink_pairs > 0);
+    assert_no_empty_sink(&dir.join("sinks"));
+    assert_trap_file_is_the_daemons_set(&report, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -155,6 +269,8 @@ fn resume_after_daemon_crash_reruns_no_completed_module() {
     assert!(first.stopped_early);
     assert!(first.completed >= 5);
     assert!(first.completed < 12, "the stop hook must fire mid-run");
+    // A daemon that stops cold leaves the trap file as of its last done.
+    assert_trap_file_is_the_daemons_set(&first, 0);
 
     // Phase 2: resume from the ledger alone.
     opts.stop_after_completions = None;
@@ -162,6 +278,11 @@ fn resume_after_daemon_crash_reruns_no_completed_module() {
     let second = run_fleet(opts).expect("resumed run");
     assert!(!second.stopped_early);
     assert_eq!(second.completed, 12, "all modules resolved after resume");
+    // The resumed daemon starts from that file and keeps it equal to its
+    // set, writing only for pairs the first daemon had not seen.
+    let had = first.traps.pairs.len();
+    assert_eq!(second.traps.pairs[..had], first.traps.pairs[..]);
+    assert_trap_file_is_the_daemons_set(&second, had);
 
     // The verifier's assign-after-done invariant is the proof that resume
     // re-ran zero completed modules; duplicate-done catches double counts.

@@ -33,8 +33,9 @@
 //!   *multi-instance*: its body races with itself.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use tsvd_core::access::classify_op;
+use tsvd_core::access::{api_class, classify_op};
 use tsvd_core::OpKind;
 
 use crate::callgraph::{call_args, GuardMode, Summaries};
@@ -125,7 +126,7 @@ fn concurrency_evidence(toks: &[Token]) -> Option<String> {
         if t.kind != TokKind::Ident {
             continue;
         }
-        match t.text.as_str() {
+        match t.text {
             "tsvd_tasks" => return Some("uses tsvd_tasks".to_string()),
             "spawn" | "spawn_fast" | "parallel_for_each" | "parallel_invoke" | "scope"
                 if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) =>
@@ -165,7 +166,7 @@ impl Import {
             && self
                 .path
                 .last()
-                .is_some_and(|leaf| tsvd_core::access::api_classes().contains(&leaf.as_str()))
+                .is_some_and(|leaf| api_class(leaf).is_some())
     }
 
     /// The path without its leaf: the module the name came from.
@@ -218,12 +219,12 @@ fn collect_use_tree(
             if t.text == "as" {
                 *i += 1;
                 if let Some(a) = toks.get(*i) {
-                    alias = Some(a.text.clone());
+                    alias = Some(a.text.to_string());
                     *i += 1;
                 }
                 continue;
             }
-            prefix.push(t.text.clone());
+            prefix.push(t.text.to_string());
             *i += 1;
         } else if t.is_punct(':') {
             *i += 1; // each `::` lexes as two `:` tokens
@@ -302,14 +303,14 @@ fn find_escapes(
             continue;
         }
         // Fully qualified: std::collections::T or <...>::raw::T.
-        if RAW_TYPES.contains(&t.text.as_str()) {
+        if RAW_TYPES.contains(&t.text) {
             if let Some(prefix) = qualified_prefix(toks, i) {
-                if prefix.ends_with(&["std".to_string(), "collections".to_string()][..]) {
-                    push(t, &t.text, "std::collections".to_string());
+                if prefix.ends_with(&["std", "collections"]) {
+                    push(t, t.text, "std::collections".to_string());
                     continue;
                 }
-                if prefix.last().is_some_and(|s| s == "raw") {
-                    push(t, &t.text, "tsvd_collections::raw".to_string());
+                if prefix.last() == Some(&"raw") {
+                    push(t, t.text, "tsvd_collections::raw".to_string());
                     continue;
                 }
             }
@@ -318,9 +319,9 @@ fn find_escapes(
         let followed_by_path = toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
             && toks.get(i + 2).is_some_and(|b| b.is_punct(':'));
         if followed_by_path {
-            if let Some(imp) = imports.get(&t.text) {
+            if let Some(imp) = imports.get(t.text) {
                 if imp.is_raw() {
-                    push(t, &t.text, imp.module_path());
+                    push(t, t.text, imp.module_path());
                 }
             }
         }
@@ -329,7 +330,7 @@ fn find_escapes(
 }
 
 /// The `::`-separated ident segments immediately before token `i`, if any.
-fn qualified_prefix(toks: &[Token], i: usize) -> Option<Vec<String>> {
+fn qualified_prefix<'src>(toks: &[Token<'src>], i: usize) -> Option<Vec<&'src str>> {
     let mut segs = Vec::new();
     let mut j = i;
     while j >= 2 && toks[j - 1].is_punct(':') && toks[j - 2].is_punct(':') {
@@ -338,7 +339,7 @@ fn qualified_prefix(toks: &[Token], i: usize) -> Option<Vec<String>> {
             break;
         }
         j -= 1;
-        segs.push(toks[j].text.clone());
+        segs.push(toks[j].text);
     }
     if segs.is_empty() {
         None
@@ -449,12 +450,12 @@ fn find_sites(
     // One fresh region per (call token, callee file, callee region id), so
     // every op a single call materializes from the same spawned task lands
     // in the same region, while two calls get distinct regions.
-    let mut spawn_region_map: HashMap<(usize, String, u32), u32> = HashMap::new();
+    let mut spawn_region_map: HashMap<(usize, Arc<str>, u32), u32> = HashMap::new();
 
     for i in 0..toks.len() {
         let t = &toks[i];
         match t.kind {
-            TokKind::Ident => match t.text.as_str() {
+            TokKind::Ident => match t.text {
                 "fn" => {
                     cur_fn += 1;
                     bindings.clear();
@@ -493,7 +494,7 @@ fn find_sites(
                     // is gone). The handle a spawn RHS binds is recorded
                     // later, at the spawn call's own paren.
                     if let Some(name) = single_let_name(toks, i) {
-                        pass.hb.forget_handle(&name);
+                        pass.hb.forget_handle(name);
                     }
                 }
                 _ => {}
@@ -506,7 +507,7 @@ fn find_sites(
                         && toks[i - 2].is_punct('.')
                         && toks[i - 3].kind == TokKind::Ident
                     {
-                        if let Some(b) = bindings.get(&toks[i - 3].text) {
+                        if let Some(b) = bindings.get(toks[i - 3].text) {
                             let method = &toks[i - 1];
                             let op = format!("{}.{}", b.class, method.text);
                             if let Some(kind) = classify_op(&op) {
@@ -519,7 +520,7 @@ fn find_sites(
                                         column: method.col,
                                         receiver: b.root.clone(),
                                         class: b.class.to_string(),
-                                        method: method.text.clone(),
+                                        method: method.text.to_string(),
                                         kind: kind_str(kind).to_string(),
                                         region,
                                         guards: guard_strings(&active),
@@ -538,7 +539,7 @@ fn find_sites(
                         // whoever holds the receiver. The send itself is an
                         // HB event on the channel.
                         if toks[i - 1].is_ident("send") {
-                            if let Some(chan) = locks.sender_channel(&toks[i - 3].text) {
+                            if let Some(chan) = locks.sender_channel(toks[i - 3].text) {
                                 if let Some(root) = call_args(toks, i)
                                     .first()
                                     .and_then(|a| a.as_deref())
@@ -560,7 +561,7 @@ fn find_sites(
                         // (`try_recv` deliberately is not: it can return
                         // before the send).
                         if toks[i - 1].is_ident("recv") {
-                            if let Some(chan) = locks.receiver_channel(&toks[i - 3].text) {
+                            if let Some(chan) = locks.receiver_channel(toks[i - 3].text) {
                                 pass.hb.recvs.push(ChanEvent {
                                     chan,
                                     tok: i,
@@ -574,7 +575,7 @@ fn find_sites(
                         // `h.join()` on a spawn handle seals that region.
                         if toks[i - 1].is_ident("join") {
                             pass.hb.on_join(
-                                &toks[i - 3].text,
+                                toks[i - 3].text,
                                 i,
                                 ambient_region(&parens),
                                 scope_chain(&braces),
@@ -586,7 +587,7 @@ fn find_sites(
                     let spawn_ident = toks
                         .get(i.wrapping_sub(1))
                         .filter(|p| p.kind == TokKind::Ident)
-                        .map(|p| p.text.as_str());
+                        .map(|p| p.text);
                     let is_spawn = match spawn_ident {
                         Some(s) if SPAWN_CALLS.contains(&s) => true,
                         Some("run" | "run_with_hook") => {
@@ -652,7 +653,7 @@ fn find_sites(
                                     let region = match op.spawned {
                                         None => caller_region,
                                         Some((rid, op_multi)) => {
-                                            let key = (i, op.file.clone(), rid);
+                                            let key = (i, Arc::clone(&op.file), rid);
                                             *spawn_region_map.entry(key).or_insert_with(|| {
                                                 let id = pass.regions.len() as u32;
                                                 pass.regions.push(Region {
@@ -688,7 +689,7 @@ fn find_sites(
                                     }
                                     pass.sites.push(SiteCtx {
                                         site: StaticSite {
-                                            file: op.file.clone(),
+                                            file: op.file.to_string(),
                                             line: op.line,
                                             column: op.col,
                                             receiver: b.root.clone(),
@@ -762,7 +763,7 @@ fn spawn_handle(toks: &[Token], open: usize) -> Option<String> {
         let_idx = let_idx.checked_sub(1)?;
     }
     if toks[let_idx].is_ident("let") {
-        Some(name.text.clone())
+        Some(name.text.to_string())
     } else {
         None
     }
@@ -824,19 +825,19 @@ fn handle_let(
     }
     if locks.on_let(toks, let_idx, depth) {
         if let Some(name) = single_let_name(toks, let_idx) {
-            bindings.remove(&name);
+            bindings.remove(name);
         }
         return;
     }
     if let Some(name) = single_let_name(toks, let_idx) {
-        bindings.remove(&name);
-        locks.forget(&name);
+        bindings.remove(name);
+        locks.forget(name);
     }
 }
 
 /// The name bound by `let [mut] NAME [: T] = ...`, `None` for tuple or
 /// value-less (`let x;`) forms.
-fn single_let_name(toks: &[Token], let_idx: usize) -> Option<String> {
+fn single_let_name<'src>(toks: &[Token<'src>], let_idx: usize) -> Option<&'src str> {
     let mut i = let_idx + 1;
     if toks.get(i)?.is_ident("mut") {
         i += 1;
@@ -848,7 +849,7 @@ fn single_let_name(toks: &[Token], let_idx: usize) -> Option<String> {
     i += 1;
     while i < toks.len() {
         if toks[i].is_punct('=') {
-            return Some(name.text.clone());
+            return Some(name.text);
         }
         if toks[i].is_punct(';') {
             return None;
@@ -876,12 +877,12 @@ fn parse_ctor_return(
     if callee.kind != TokKind::Ident || !toks.get(i + 1)?.is_punct('(') {
         return None;
     }
-    let class = summaries.lookup(file, &callee.text)?.returns_class?;
+    let class = summaries.lookup(file, callee.text)?.returns_class?;
     Some((
-        name.clone(),
+        name.to_string(),
         Binding {
             class,
-            root: name,
+            root: name.to_string(),
             hops: 1,
         },
     ))
@@ -918,8 +919,8 @@ fn parse_let(
         && toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
         && toks.get(i + 2).is_some_and(|t| t.is_ident("clone"))
     {
-        let src = bindings.get(&toks[i].text)?;
-        return Some((name.text.clone(), src.clone()));
+        let src = bindings.get(toks[i].text)?;
+        return Some((name.text.to_string(), src.clone()));
     }
     // Aliasing `Arc::clone(&SRC)`.
     if toks.get(i).is_some_and(|t| t.is_ident("Arc"))
@@ -932,8 +933,8 @@ fn parse_let(
         if toks.get(j).is_some_and(|t| t.is_punct('&')) {
             j += 1;
         }
-        let src = bindings.get(&toks.get(j)?.text)?;
-        return Some((name.text.clone(), src.clone()));
+        let src = bindings.get(toks.get(j)?.text)?;
+        return Some((name.text.to_string(), src.clone()));
     }
     // Constructor path: collect `A::B::C` segments up to `(` or `<`,
     // unwrapping at most one `Arc::new(` shell.
@@ -942,7 +943,7 @@ fn parse_let(
         while i < toks.len() {
             let t = &toks[i];
             if t.kind == TokKind::Ident {
-                segs.push(&t.text);
+                segs.push(t.text);
                 i += 1;
             } else if t.is_punct(':') {
                 i += 1;
@@ -977,9 +978,7 @@ fn parse_let(
         return None;
     }
     let class_seg = segs.last()?;
-    let class = tsvd_core::access::api_classes()
-        .into_iter()
-        .find(|c| c == class_seg)?;
+    let class = api_class(class_seg)?;
     // Qualified paths carry their own provenance; bare class names lean on
     // imports. `HashSet` is the one name std shares, so a bare `HashSet`
     // with no import evidence stays unclassified rather than guessed.
@@ -994,10 +993,10 @@ fn parse_let(
         return None;
     }
     Some((
-        name.text.clone(),
+        name.text.to_string(),
         Binding {
             class,
-            root: name.text.clone(),
+            root: name.text.to_string(),
             hops: 0,
         },
     ))
@@ -1221,7 +1220,7 @@ pub fn instrumented_op_literals(src: &str) -> Vec<(String, OpKind)> {
             } else {
                 OpKind::Read
             };
-            out.push((op.text.clone(), kind));
+            out.push((op.text.to_string(), kind));
         }
     }
     out

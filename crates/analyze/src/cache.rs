@@ -10,16 +10,18 @@
 //! reordering changes the digest, misses, and overwrites it.
 //!
 //! The entry ([`ENTRY_FILE`]) is two lines: a header `{schema, ws_digest}`,
-//! then the report as compact JSON. The header is validated *before* the
-//! payload is parsed, so a stale entry costs one short line. Any read
+//! then the report as compact JSON. The header is compared, byte for byte,
+//! with the one this build would write *before* the payload is read, so a
+//! stale entry costs one short line. Any read
 //! anomaly — missing file, stale schema, foreign digest, truncated write,
 //! corruption, valid JSON of the wrong shape — is a silent miss: the caller
 //! analyzes afresh and overwrites the entry. The cache can never panic the
 //! analyzer and never serves stale output.
 
+use std::io::Read;
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::AnalysisReport;
 
@@ -62,10 +64,35 @@ pub fn workspace_digest<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>)
 }
 
 /// First line of the entry: everything needed to accept or reject it.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct Header {
     schema: u32,
     ws_digest: String,
+}
+
+/// The header line, newline included, of this build's entry for `ws_digest`.
+fn header_line(ws_digest: &str) -> Option<String> {
+    let mut line = serde_json::to_string(&Header {
+        schema: SCHEMA_VERSION,
+        ws_digest: ws_digest.to_string(),
+    })
+    .ok()?;
+    line.push('\n');
+    Some(line)
+}
+
+/// Reads an entry: as many bytes as the expected header line has, and the
+/// payload only when they are that line.
+fn read_entry(mut entry: impl Read, ws_digest: &str) -> Option<AnalysisReport> {
+    let expected = header_line(ws_digest)?;
+    let mut header = vec![0; expected.len()];
+    entry.read_exact(&mut header).ok()?;
+    if header != expected.as_bytes() {
+        return None;
+    }
+    let mut payload = String::new();
+    entry.read_to_string(&mut payload).ok()?;
+    serde_json::from_str(&payload).ok()
 }
 
 /// The on-disk cache. `dir: None` disables it: every load misses, every
@@ -89,16 +116,7 @@ impl Cache {
     /// The stored report, if the entry was written by this schema for
     /// exactly the workspace `ws_digest` names.
     pub fn load(&self, ws_digest: &str) -> Option<AnalysisReport> {
-        let text = std::fs::read_to_string(self.entry_path()?).ok()?;
-        let (header, payload) = text.split_once('\n')?;
-        let expected = Header {
-            schema: SCHEMA_VERSION,
-            ws_digest: ws_digest.to_string(),
-        };
-        if serde_json::from_str::<Header>(header).ok()? != expected {
-            return None;
-        }
-        serde_json::from_str(payload).ok()
+        read_entry(std::fs::File::open(self.entry_path()?).ok()?, ws_digest)
     }
 
     /// Stores `report` as the entry for `ws_digest`, crash-safely (see
@@ -108,18 +126,16 @@ impl Cache {
         let Some(dir) = &self.dir else {
             return;
         };
-        let header = Header {
-            schema: SCHEMA_VERSION,
-            ws_digest: ws_digest.to_string(),
-        };
-        let (Ok(header), Ok(payload)) = (
-            serde_json::to_string(&header),
-            serde_json::to_string(report),
-        ) else {
+        // One buffer: the payload is serialized once and the header line
+        // moved in front of it in place.
+        let (Some(header), Ok(mut entry)) = (header_line(ws_digest), serde_json::to_string(report))
+        else {
             return;
         };
+        entry.insert_str(0, &header);
+        entry.push('\n');
         let _ = std::fs::create_dir_all(dir);
-        let _ = tsvd_core::save_atomic(&dir.join(ENTRY_FILE), format!("{header}\n{payload}\n"));
+        let _ = tsvd_core::save_atomic(&dir.join(ENTRY_FILE), entry);
     }
 }
 
@@ -226,6 +242,65 @@ mod tests {
         assert!(cache.load("digest-1").is_none());
         assert!(cache.load("digest-2").is_some());
         assert_eq!(std::fs::read_dir(&dir).expect("read_dir").count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Counts the bytes handed out by the reader it wraps.
+    struct Counted<R> {
+        inner: R,
+        bytes: usize,
+    }
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.bytes += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_miss_reads_the_header_line_and_nothing_else() {
+        let (dir, cache) = tmp_cache("header_only");
+        let report = sample_report();
+        cache.store("digest-1", &report);
+        let text = std::fs::read(cache.entry_path().expect("path")).expect("read");
+        let header_len = text.iter().position(|&b| b == b'\n').expect("two lines") + 1;
+        assert!(
+            text.len() > 10 * header_len,
+            "the payload dwarfs the header"
+        );
+        // Same-length digest (the real case: digests are 16 hex digits),
+        // a longer one, a shorter one, and the entry of another schema.
+        let other_schema = String::from_utf8(text.clone())
+            .expect("utf-8")
+            .replace(
+                &format!("\"schema\":{SCHEMA_VERSION}"),
+                &format!("\"schema\":{}", SCHEMA_VERSION + 1),
+            )
+            .into_bytes();
+        for (entry, digest) in [
+            (&text, "digest-2"),
+            (&text, "digest-10"),
+            (&text, "digest"),
+            (&other_schema, "digest-1"),
+        ] {
+            let mut counted = Counted {
+                inner: entry.as_slice(),
+                bytes: 0,
+            };
+            assert!(read_entry(&mut counted, digest).is_none(), "{digest}");
+            let expected = header_line(digest).expect("header").len();
+            assert_eq!(counted.bytes, expected, "{digest}: header bytes only");
+        }
+        // The hit reads everything and returns what was stored.
+        let mut counted = Counted {
+            inner: text.as_slice(),
+            bytes: 0,
+        };
+        let back = read_entry(&mut counted, "digest-1").expect("hit");
+        assert_eq!(counted.bytes, text.len());
+        assert_eq!(back.to_jsonl(), report.to_jsonl());
         std::fs::remove_dir_all(&dir).ok();
     }
 

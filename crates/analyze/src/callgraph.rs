@@ -15,8 +15,9 @@
 //! unique global match; ambiguous names are skipped rather than guessed.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use tsvd_core::access::classify_op;
+use tsvd_core::access::{api_class, classify_op};
 use tsvd_core::OpKind;
 
 use crate::analysis::{MULTI_SPAWN_CALLS, SPAWN_CALLS};
@@ -65,8 +66,9 @@ pub struct ParamOp {
     pub kind: OpKind,
     /// Where the access happens — the *callee's* file and the method
     /// ident's position, i.e. exactly what `#[track_caller]` reports when
-    /// the wrapper executes.
-    pub file: String,
+    /// the wrapper executes. One allocation per file, shared by every
+    /// summary and op that names it.
+    pub file: Arc<str>,
     /// 1-based line of the method ident.
     pub line: u32,
     /// 1-based column of the method ident.
@@ -94,7 +96,7 @@ pub struct CallEdge {
 #[derive(Debug, Clone, Default)]
 pub struct FnSummary {
     /// File the `fn` item lives in (root-relative, forward slashes).
-    pub file: String,
+    pub file: Arc<str>,
     /// Bare function name.
     pub name: String,
     /// Declared parameters, in order.
@@ -104,14 +106,19 @@ pub struct FnSummary {
     pub returns_class: Option<&'static str>,
     /// Accesses to wrapper-typed parameters, own body and propagated.
     pub ops: Vec<ParamOp>,
-    /// Outgoing calls with bare-ident arguments.
+    /// Outgoing calls with bare-ident arguments: what propagation walks.
+    /// Empty in a closed [`Summaries`] — nothing reads an edge once the ops
+    /// it carries have been copied to the caller.
     pub calls: Vec<CallEdge>,
 }
 
 /// All function summaries of one analysis run, indexed by bare name.
 #[derive(Debug, Default)]
 pub struct Summaries {
-    by_name: HashMap<String, Vec<FnSummary>>,
+    /// Every summary, in fragment order.
+    all: Vec<FnSummary>,
+    /// Bare name → positions in `all`, ascending.
+    by_name: HashMap<String, Vec<usize>>,
 }
 
 impl Summaries {
@@ -127,14 +134,15 @@ impl Summaries {
     }
 
     /// Parses one file's pre-propagation function summaries — the per-file
-    /// unit the incremental cache stores, independent of every other file.
+    /// unit of the fan-out, independent of every other file.
     pub fn file_fragments(file: &str, src: &str) -> Vec<FnSummary> {
+        let file: Arc<str> = Arc::from(file);
         let toks = tokenize(src);
         let mut out = Vec::new();
         let mut i = 0;
         while i < toks.len() {
             if toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
-                if let Some((summary, next)) = parse_fn(file, &toks, i) {
+                if let Some((summary, next)) = parse_fn(&file, &toks, i) {
                     out.push(summary);
                     i = next;
                     continue;
@@ -145,19 +153,25 @@ impl Summaries {
         out
     }
 
-    /// Assembles a summary set from per-file fragments (fresh or cached)
-    /// and transitively closes it. Propagation is a whole-tree fixed point,
-    /// so it always reruns — only the parse is cacheable per file.
+    /// Assembles a summary set from per-file fragments and transitively
+    /// closes it. Propagation is a whole-tree fixed point, so it runs once
+    /// over everything — only the parse is per file.
     pub fn from_fragments(fragments: impl IntoIterator<Item = FnSummary>) -> Self {
-        let mut by_name: HashMap<String, Vec<FnSummary>> = HashMap::new();
-        for summary in fragments {
-            by_name
-                .entry(summary.name.clone())
-                .or_default()
-                .push(summary);
+        let all: Vec<FnSummary> = fragments.into_iter().collect();
+        let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, summary) in all.iter().enumerate() {
+            match by_name.get_mut(&summary.name) {
+                Some(indices) => indices.push(i),
+                None => {
+                    by_name.insert(summary.name.clone(), vec![i]);
+                }
+            }
         }
-        let mut s = Summaries { by_name };
+        let mut s = Summaries { all, by_name };
         s.propagate();
+        for summary in &mut s.all {
+            summary.calls = Vec::new();
+        }
         s
     }
 
@@ -166,107 +180,91 @@ impl Summaries {
     /// wrong summary is worse than no summary.
     pub fn lookup(&self, file: &str, name: &str) -> Option<&FnSummary> {
         let all = self.by_name.get(name)?;
-        let mut same_file = all.iter().filter(|s| s.file == file);
-        if let (Some(s), None) = (same_file.next(), same_file.next()) {
-            return Some(s);
+        let mut same_file = all.iter().filter(|&&i| &*self.all[i].file == file);
+        if let (Some(&i), None) = (same_file.next(), same_file.next()) {
+            return Some(&self.all[i]);
         }
         if let [only] = all.as_slice() {
-            return Some(only);
+            return Some(&self.all[*only]);
         }
         None
     }
 
     /// Number of summarized functions (tests / stats).
     pub fn len(&self) -> usize {
-        self.by_name.values().map(Vec::len).sum()
+        self.all.len()
     }
 
     /// Whether no function was summarized.
     pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty()
+        self.all.is_empty()
     }
 
     /// Transitive closure: a call passing my parameter onward inherits the
     /// callee's ops on it, one hop further out. Bounded fixed point —
     /// recursion and cycles converge because the (param, site) dedupe key
-    /// stops re-insertion and hops cap at [`MAX_HOPS`].
+    /// stops re-insertion and hops cap at [`MAX_HOPS`]. A round reads every
+    /// callee as the last round left it: gains are collected against the
+    /// unchanged set, then applied.
     fn propagate(&mut self) {
         for _round in 0..MAX_HOPS {
-            let snapshot = self.by_name.clone();
+            let gains: Vec<Vec<ParamOp>> = self.all.iter().map(|s| self.gains(s)).collect();
             let mut changed = false;
-            for summaries in self.by_name.values_mut() {
-                for summary in summaries.iter_mut() {
-                    let calls = summary.calls.clone();
-                    for call in &calls {
-                        let resolved = lookup_in(&snapshot, &summary.file, &call.callee);
-                        let Some(callee) = resolved else {
-                            continue;
-                        };
-                        for op in &callee.ops {
-                            if op.hops + 1 > MAX_HOPS {
-                                continue;
-                            }
-                            let Some(arg) = call.args.get(op.param).and_then(|a| a.as_deref())
-                            else {
-                                continue;
-                            };
-                            let Some(pidx) = summary.params.iter().position(|p| p.name == arg)
-                            else {
-                                continue;
-                            };
-                            if summary.params[pidx].class != Some(op.class) {
-                                continue;
-                            }
-                            let lock_param = op.lock_param.and_then(|(q, mode)| {
-                                let lock_arg = call.args.get(q)?.as_deref()?;
-                                let lp = summary
-                                    .params
-                                    .iter()
-                                    .position(|p| p.name == lock_arg && p.lock)?;
-                                Some((lp, mode))
-                            });
-                            let dup = summary.ops.iter().any(|o| {
-                                o.param == pidx
-                                    && o.file == op.file
-                                    && o.line == op.line
-                                    && o.col == op.col
-                            });
-                            if dup {
-                                continue;
-                            }
-                            summary.ops.push(ParamOp {
-                                param: pidx,
-                                lock_param,
-                                hops: op.hops + 1,
-                                ..op.clone()
-                            });
-                            changed = true;
-                        }
-                    }
-                }
+            for (summary, gained) in self.all.iter_mut().zip(gains) {
+                changed |= !gained.is_empty();
+                summary.ops.extend(gained);
             }
             if !changed {
                 break;
             }
         }
     }
-}
 
-/// Non-borrowing variant of [`Summaries::lookup`] for the propagation loop.
-fn lookup_in<'a>(
-    by_name: &'a HashMap<String, Vec<FnSummary>>,
-    file: &str,
-    name: &str,
-) -> Option<&'a FnSummary> {
-    let all = by_name.get(name)?;
-    let mut same_file = all.iter().filter(|s| s.file == file);
-    if let (Some(s), None) = (same_file.next(), same_file.next()) {
-        return Some(s);
+    /// The ops `summary` inherits this round through its outgoing calls, in
+    /// call order then callee-op order, each (param, site) once.
+    fn gains(&self, summary: &FnSummary) -> Vec<ParamOp> {
+        let mut gained: Vec<ParamOp> = Vec::new();
+        for call in &summary.calls {
+            let Some(callee) = self.lookup(&summary.file, &call.callee) else {
+                continue;
+            };
+            for op in &callee.ops {
+                if op.hops + 1 > MAX_HOPS {
+                    continue;
+                }
+                let Some(arg) = call.args.get(op.param).and_then(|a| a.as_deref()) else {
+                    continue;
+                };
+                let Some(pidx) = summary.params.iter().position(|p| p.name == arg) else {
+                    continue;
+                };
+                if summary.params[pidx].class != Some(op.class) {
+                    continue;
+                }
+                let dup = summary.ops.iter().chain(&gained).any(|o| {
+                    o.param == pidx && o.file == op.file && o.line == op.line && o.col == op.col
+                });
+                if dup {
+                    continue;
+                }
+                let lock_param = op.lock_param.and_then(|(q, mode)| {
+                    let lock_arg = call.args.get(q)?.as_deref()?;
+                    let lp = summary
+                        .params
+                        .iter()
+                        .position(|p| p.name == lock_arg && p.lock)?;
+                    Some((lp, mode))
+                });
+                gained.push(ParamOp {
+                    param: pidx,
+                    lock_param,
+                    hops: op.hops + 1,
+                    ..op.clone()
+                });
+            }
+        }
+        gained
     }
-    if let [only] = all.as_slice() {
-        return Some(only);
-    }
-    None
 }
 
 /// Index of the `)` matching the `(` at `open`.
@@ -310,16 +308,12 @@ fn type_class(toks: &[Token]) -> Option<&'static str> {
     }
     toks.iter()
         .filter(|t| t.kind == TokKind::Ident)
-        .find_map(|t| {
-            tsvd_core::access::api_classes()
-                .into_iter()
-                .find(|c| *c == t.text)
-        })
+        .find_map(|t| api_class(t.text))
 }
 
 fn type_is_lock(toks: &[Token]) -> bool {
     toks.iter()
-        .any(|t| t.kind == TokKind::Ident && LOCK_TYPES.contains(&t.text.as_str()))
+        .any(|t| t.kind == TokKind::Ident && LOCK_TYPES.contains(&t.text))
 }
 
 /// Parses the parameter list between (exclusive) the fn's parens.
@@ -352,7 +346,7 @@ fn parse_params(toks: &[Token]) -> Vec<Param> {
         let Some(name) = name else { continue };
         let ty = &slice[colon + 1..];
         params.push(Param {
-            name: name.text.clone(),
+            name: name.text.to_string(),
             class: type_class(ty),
             lock: type_is_lock(ty),
         });
@@ -394,10 +388,10 @@ pub(crate) fn call_args(toks: &[Token], open: usize) -> Vec<Option<String>> {
 fn bare_arg_name(toks: &[Token]) -> Option<String> {
     let idents: Vec<&Token> = toks.iter().filter(|t| t.kind == TokKind::Ident).collect();
     match idents.as_slice() {
-        [x] if toks.len() <= 3 => Some(x.text.clone()),
-        [x, m] if m.is_ident("clone") => Some(x.text.clone()),
-        [m, x] if m.is_ident("mut") => Some(x.text.clone()),
-        [a, c, x] if a.is_ident("Arc") && c.is_ident("clone") => Some(x.text.clone()),
+        [x] if toks.len() <= 3 => Some(x.text.to_string()),
+        [x, m] if m.is_ident("clone") => Some(x.text.to_string()),
+        [m, x] if m.is_ident("mut") => Some(x.text.to_string()),
+        [a, c, x] if a.is_ident("Arc") && c.is_ident("clone") => Some(x.text.to_string()),
         _ => None,
     }
 }
@@ -405,8 +399,8 @@ fn bare_arg_name(toks: &[Token]) -> Option<String> {
 /// Parses one `fn` item starting at `fn_idx`; returns the summary and the
 /// token index scanning should resume from (just inside the body, so
 /// nested items are discovered by the outer scan).
-fn parse_fn(file: &str, toks: &[Token], fn_idx: usize) -> Option<(FnSummary, usize)> {
-    let name = toks.get(fn_idx + 1)?.text.clone();
+fn parse_fn(file: &Arc<str>, toks: &[Token], fn_idx: usize) -> Option<(FnSummary, usize)> {
+    let name = toks.get(fn_idx + 1)?.text.to_string();
     let mut i = fn_idx + 2;
     if toks.get(i)?.is_punct('<') {
         let mut depth = 1usize;
@@ -434,7 +428,7 @@ fn parse_fn(file: &str, toks: &[Token], fn_idx: usize) -> Option<(FnSummary, usi
         if toks[i].is_punct(';') {
             // Trait-method declaration: signature only, no body.
             let summary = FnSummary {
-                file: file.to_string(),
+                file: Arc::clone(file),
                 name,
                 params,
                 ..FnSummary::default()
@@ -466,7 +460,7 @@ fn parse_fn(file: &str, toks: &[Token], fn_idx: usize) -> Option<(FnSummary, usi
     let body_close = matching_brace(toks, body_open)?;
 
     let mut summary = FnSummary {
-        file: file.to_string(),
+        file: Arc::clone(file),
         name,
         params,
         returns_class,
@@ -503,7 +497,7 @@ fn summarize_body(summary: &mut FnSummary, toks: &[Token], body_open: usize, bod
     while i < body_close {
         let t = &toks[i];
         match t.kind {
-            TokKind::Ident => match t.text.as_str() {
+            TokKind::Ident => match t.text {
                 // Nested items get their own summary from the outer scan;
                 // attributing their body to this fn would be wrong.
                 "fn" => {
@@ -545,7 +539,7 @@ fn summarize_body(summary: &mut FnSummary, toks: &[Token], body_open: usize, bod
                         && toks[i - 2].is_punct('.')
                         && toks[i - 3].kind == TokKind::Ident
                     {
-                        if let Some(&pidx) = param_idx.get(toks[i - 3].text.as_str()) {
+                        if let Some(&pidx) = param_idx.get(toks[i - 3].text) {
                             if let Some(class) = summary.params[pidx].class {
                                 let method = &toks[i - 1];
                                 let op = format!("{class}.{}", method.text);
@@ -559,9 +553,9 @@ fn summarize_body(summary: &mut FnSummary, toks: &[Token], body_open: usize, bod
                                     summary.ops.push(ParamOp {
                                         param: pidx,
                                         class,
-                                        method: method.text.clone(),
+                                        method: method.text.to_string(),
                                         kind,
-                                        file: summary.file.clone(),
+                                        file: Arc::clone(&summary.file),
                                         line: method.line,
                                         col: method.col,
                                         spawned,
@@ -576,7 +570,7 @@ fn summarize_body(summary: &mut FnSummary, toks: &[Token], body_open: usize, bod
                     let prev_ident = toks
                         .get(i.wrapping_sub(1))
                         .filter(|p| p.kind == TokKind::Ident)
-                        .map(|p| p.text.as_str());
+                        .map(|p| p.text);
                     let after_path =
                         i >= 2 && (toks[i - 2].is_punct('.') || toks[i - 2].is_punct(':'));
                     let is_spawn = prev_ident.is_some_and(|s| SPAWN_CALLS.contains(&s));
@@ -644,7 +638,7 @@ fn parse_param_guard(
         return None;
     }
     let method = toks.get(i + 2)?;
-    let mode = match method.text.as_str() {
+    let mode = match method.text {
         "lock" | "write" => GuardMode::Exclusive,
         "read" => GuardMode::Shared,
         _ => return None,
@@ -652,7 +646,7 @@ fn parse_param_guard(
     if !toks.get(i + 3)?.is_punct('(') {
         return None;
     }
-    let pidx = *param_idx.get(recv.text.as_str())?;
+    let pidx = *param_idx.get(recv.text)?;
     Some((pidx, mode))
 }
 
@@ -662,6 +656,255 @@ mod tests {
 
     fn build_one(src: &str) -> Summaries {
         Summaries::build(&[("a.rs".to_string(), src.to_string())])
+    }
+
+    /// `propagate` as it was: every round deep-clones the whole map and
+    /// mutates each summary in place against that snapshot. Kept as the
+    /// oracle for the two-phase version.
+    fn propagate_by_snapshot(by_name: &mut HashMap<String, Vec<FnSummary>>) {
+        fn lookup_in<'a>(
+            by_name: &'a HashMap<String, Vec<FnSummary>>,
+            file: &str,
+            name: &str,
+        ) -> Option<&'a FnSummary> {
+            let all = by_name.get(name)?;
+            let mut same_file = all.iter().filter(|s| &*s.file == file);
+            if let (Some(s), None) = (same_file.next(), same_file.next()) {
+                return Some(s);
+            }
+            if let [only] = all.as_slice() {
+                return Some(only);
+            }
+            None
+        }
+        for _round in 0..MAX_HOPS {
+            let snapshot = by_name.clone();
+            let mut changed = false;
+            for summaries in by_name.values_mut() {
+                for summary in summaries.iter_mut() {
+                    let calls = summary.calls.clone();
+                    for call in &calls {
+                        let resolved = lookup_in(&snapshot, &summary.file, &call.callee);
+                        let Some(callee) = resolved else {
+                            continue;
+                        };
+                        for op in &callee.ops {
+                            if op.hops + 1 > MAX_HOPS {
+                                continue;
+                            }
+                            let Some(arg) = call.args.get(op.param).and_then(|a| a.as_deref())
+                            else {
+                                continue;
+                            };
+                            let Some(pidx) = summary.params.iter().position(|p| p.name == arg)
+                            else {
+                                continue;
+                            };
+                            if summary.params[pidx].class != Some(op.class) {
+                                continue;
+                            }
+                            let lock_param = op.lock_param.and_then(|(q, mode)| {
+                                let lock_arg = call.args.get(q)?.as_deref()?;
+                                let lp = summary
+                                    .params
+                                    .iter()
+                                    .position(|p| p.name == lock_arg && p.lock)?;
+                                Some((lp, mode))
+                            });
+                            let dup = summary.ops.iter().any(|o| {
+                                o.param == pidx
+                                    && o.file == op.file
+                                    && o.line == op.line
+                                    && o.col == op.col
+                            });
+                            if dup {
+                                continue;
+                            }
+                            summary.ops.push(ParamOp {
+                                param: pidx,
+                                lock_param,
+                                hops: op.hops + 1,
+                                ..op.clone()
+                            });
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// Everything propagation decides about one summary, `ops` order
+    /// included (`calls` are its input, and a closed set drops them).
+    fn closed_form(s: &FnSummary) -> String {
+        format!(
+            "{} {} {:?} {:?} {:#?}",
+            s.file, s.name, s.params, s.returns_class, s.ops
+        )
+    }
+
+    /// Closes `files` both ways and compares summary by summary; returns
+    /// the ops propagation added, so callers can tell a real check from a
+    /// vacuous one.
+    fn assert_propagation_matches_the_snapshot_oracle(
+        what: &str,
+        files: &[(String, String)],
+    ) -> Vec<ParamOp> {
+        let fragments: Vec<FnSummary> = files
+            .iter()
+            .flat_map(|(file, src)| Summaries::file_fragments(file, src))
+            .collect();
+        let mut oracle: HashMap<String, Vec<FnSummary>> = HashMap::new();
+        for summary in fragments.iter().cloned() {
+            oracle
+                .entry(summary.name.clone())
+                .or_default()
+                .push(summary);
+        }
+        propagate_by_snapshot(&mut oracle);
+        let closed = Summaries::from_fragments(fragments);
+        assert_eq!(closed.by_name.len(), oracle.len(), "{what}: names");
+        for (name, indices) in &closed.by_name {
+            let got: Vec<String> = indices
+                .iter()
+                .map(|&i| closed_form(&closed.all[i]))
+                .collect();
+            let want: Vec<String> = oracle[name].iter().map(closed_form).collect();
+            assert_eq!(got, want, "{what}: fn {name}");
+        }
+        assert!(closed.all.iter().all(|s| s.calls.is_empty()));
+        let ops = closed.all.iter().flat_map(|s| &s.ops);
+        ops.filter(|op| op.hops > 0).cloned().collect()
+    }
+
+    #[test]
+    fn two_phase_propagation_equals_the_snapshot_version_on_the_fixture_tree() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let files: Vec<(String, String)> = crate::walk::rust_files(&root)
+            .expect("walk fixtures")
+            .iter()
+            .map(|rel| {
+                let src = std::fs::read_to_string(root.join(rel)).expect("read fixture");
+                (crate::walk::to_forward_slashes(rel), src)
+            })
+            .collect();
+        assert_eq!(files.len(), 11);
+        assert_propagation_matches_the_snapshot_oracle("fixtures", &files);
+    }
+
+    /// One random tree of helper functions: a small pool of names (so the
+    /// same name lands in one file twice, or in two files), collection,
+    /// lock and plain parameters, guarded and unguarded and spawned
+    /// accesses, and calls — to itself, backwards and forwards — passing
+    /// its own parameters on in random positions.
+    fn random_call_graph(rng: &mut crate::testrand::Seeded) -> Vec<(String, String)> {
+        const NAMES: &[&str] = &[
+            "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q",
+            "r", "s", "t", "u", "v", "relay", "leaf",
+        ];
+        const TYPES: &[&str] = &[
+            "&Dictionary<u64, u64>",
+            "&Dictionary<u64, u64>",
+            "Arc<Dictionary<u64, u64>>",
+            "Arc<List<u64>>",
+            "&TsvdMutex<u32>",
+            "u64",
+        ];
+        const METHODS: &[&str] = &["set(1, 1)", "get(&1)", "add(2)", "len()", "clear()"];
+        let files = 1 + rng.below(3);
+        (0..files)
+            .map(|f| {
+                let mut src = String::new();
+                for _ in 0..4 + rng.below(9) {
+                    let name = NAMES[rng.below(NAMES.len())];
+                    let params: Vec<(String, &str)> = (0..1 + rng.below(4))
+                        .map(|p| {
+                            // Half the second parameters are locks, so a
+                            // guard often survives a positional hand-on.
+                            let lock_slot = p == 1 && rng.below(2) == 0;
+                            let ty = if lock_slot {
+                                TYPES[4]
+                            } else {
+                                TYPES[rng.below(TYPES.len())]
+                            };
+                            (format!("p{p}"), ty)
+                        })
+                        .collect();
+                    let decl: Vec<String> =
+                        params.iter().map(|(n, t)| format!("{n}: {t}")).collect();
+                    src.push_str(&format!("fn {name}({}) {{\n", decl.join(", ")));
+                    // Guards go first and on a lock when there is one, so
+                    // some of what follows is held under it.
+                    for (p, _) in params.iter().filter(|(_, t)| t.contains("Mutex")) {
+                        if rng.below(2) == 0 {
+                            src.push_str(&format!("    let g = {p}.lock();\n"));
+                        }
+                    }
+                    for _ in 0..1 + rng.below(8) {
+                        let (p, _) = &params[rng.below(params.len())];
+                        match rng.below(8) {
+                            0 => src.push_str(&format!("    let g = {p}.read();\n")),
+                            1 => src.push_str(&format!("    {p}.{};\n", METHODS[rng.below(5)])),
+                            2 => src.push_str(&format!(
+                                "    pool.spawn(move || {p}.{});\n",
+                                METHODS[rng.below(5)]
+                            )),
+                            _ => {
+                                let args: Vec<String> = (0..1 + rng.below(4))
+                                    .map(|k| match rng.below(6) {
+                                        0 => "7".to_string(),
+                                        // Its own parameter of that position.
+                                        1 | 2 => format!("&p{}", k.min(params.len() - 1)),
+                                        3 => {
+                                            format!("{}.clone()", params[rng.below(params.len())].0)
+                                        }
+                                        _ => format!("&{}", params[rng.below(params.len())].0),
+                                    })
+                                    .collect();
+                                let callee = NAMES[rng.below(NAMES.len())];
+                                src.push_str(&format!("    {callee}({});\n", args.join(", ")));
+                            }
+                        }
+                    }
+                    src.push_str("}\n");
+                }
+                (format!("f{f}.rs"), src)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_phase_propagation_equals_the_snapshot_version_on_random_call_graphs() {
+        let mut rng = crate::testrand::Seeded::new(0x7073_7664_5f32_3300);
+        let mut propagated: Vec<ParamOp> = Vec::new();
+        let mut graphs_that_propagate = 0;
+        for graph in 0..200 {
+            let files = random_call_graph(&mut rng);
+            let added =
+                assert_propagation_matches_the_snapshot_oracle(&format!("graph {graph}"), &files);
+            graphs_that_propagate += usize::from(!added.is_empty());
+            propagated.extend(added);
+        }
+        // The generator reaches what the comparison is for: many rounds,
+        // guards carried across a hop, tasks spawned inside a callee.
+        let deepest = propagated.iter().map(|op| op.hops).max();
+        let guarded = propagated.iter().filter(|op| op.lock_param.is_some());
+        let spawned = propagated.iter().filter(|op| op.spawned.is_some());
+        assert!(
+            graphs_that_propagate >= 100
+                && propagated.len() >= 700
+                && deepest >= Some(4)
+                && guarded.clone().count() >= 20
+                && spawned.clone().count() >= 100,
+            "{} ops propagated in {graphs_that_propagate} of 200 graphs, deepest {deepest:?}, \
+             {} guarded, {} spawned",
+            propagated.len(),
+            guarded.count(),
+            spawned.count()
+        );
     }
 
     #[test]

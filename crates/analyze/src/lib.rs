@@ -46,7 +46,8 @@ pub mod report;
 pub mod score;
 pub mod walk;
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,7 +65,8 @@ pub use report::{AnalysisReport, Escape, StaticPair, StaticSite};
 /// always merge in input-file order.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
-    /// Worker threads for the per-file pass; `0` or `1` runs inline.
+    /// Worker threads for the two per-file stages (fragments, then the
+    /// per-file analysis); `0` or `1` runs inline.
     pub threads: usize,
     /// Result cache directory; `None` disables caching entirely.
     pub cache_dir: Option<PathBuf>,
@@ -136,13 +138,15 @@ pub fn analyze_paths_with(
     // calls resolve across files of the same crate. Fragments feed in
     // input-file order — propagation's output ordering, and therefore every
     // downstream byte, depends only on that order.
-    let summaries = Summaries::from_fragments(
-        sources
-            .iter()
-            .flat_map(|(rel, src)| Summaries::file_fragments(rel, src)),
-    );
+    let fragments = fan_out(&sources, opts.threads, |(rel, src)| {
+        Summaries::file_fragments(rel, src)
+    });
+    let summaries = Summaries::from_fragments(fragments.into_iter().flatten());
     // Merge in input-file order regardless of which worker finished first.
-    for fa in analyze_files(&sources, &summaries, opts.threads) {
+    let analyses = fan_out(&sources, opts.threads, |(rel, src)| {
+        analysis::analyze_file_with(rel, src, &summaries)
+    });
+    for fa in analyses {
         report.files_scanned += 1;
         report.escapes.extend(fa.escapes);
         report.sites.extend(fa.sites);
@@ -157,83 +161,205 @@ pub fn analyze_paths_with(
     Ok(report)
 }
 
-/// The per-file pass over every source, results in input order.
-fn analyze_files(
-    sources: &[(String, String)],
-    summaries: &Summaries,
-    threads: usize,
-) -> Vec<FileAnalysis> {
-    let analyze = |(rel, src): &(String, String)| analysis::analyze_file_with(rel, src, summaries);
-    let workers = threads.min(sources.len());
+/// `f` over every item on up to `threads` workers (`0` or `1` runs inline),
+/// results in input order. Workers pull indices from a shared counter and
+/// park results in per-item slots: scheduling order varies with thread
+/// count; the slot vector (indexed by item, not completion order) erases it
+/// again.
+///
+/// Workers are joined by handle, not left to the scope's own wait: that
+/// wait ends when the closures have returned, a moment before the threads
+/// have exited, and the allocator hands a thread's arena on only once the
+/// thread is gone. Results outlive their worker in its arena, so a second
+/// fan-out that started in that moment was given fresh arenas while the old
+/// ones were still held — `peak_rss_mb` 33–36 MiB one run in eight, against
+/// 29–30 (EXPERIMENTS.md "PR 23").
+fn fan_out<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = threads.min(items.len());
     if workers <= 1 {
-        return sources.iter().map(analyze).collect();
+        return items.iter().map(f).collect();
     }
-    // File-level fan-out: workers pull indices from a shared counter and
-    // park results in per-file slots. Scheduling order varies with thread
-    // count; the slot vector (indexed by file, not completion order)
-    // erases it again.
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<FileAnalysis>>> =
-        sources.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        *slots[i].lock().expect("fan-out slot poisoned") = Some(f(item));
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(source) = sources.get(i) else { break };
-                *slots[i].lock().expect("analysis slot poisoned") = Some(analyze(source));
-            });
+        let spawned: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        for worker in spawned {
+            worker.join().expect("fan-out worker panicked");
         }
     });
     slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .expect("analysis slot poisoned")
-                .expect("every source file analyzed")
+                .expect("fan-out slot poisoned")
+                .expect("every item visited")
         })
         .collect()
 }
 
 /// The orientation-independent identity of a pair: normalized site order.
-fn pair_key(p: &StaticPair) -> (String, String) {
+fn pair_key(p: &StaticPair) -> (&str, &str) {
     if p.first <= p.second {
-        (p.first.clone(), p.second.clone())
+        (&p.first, &p.second)
     } else {
-        (p.second.clone(), p.first.clone())
+        (&p.second, &p.first)
     }
 }
 
 /// Collapses duplicate site pairs, keeping the highest confidence (the
-/// strongest evidence wins when two paths found the pair). Keys are
-/// orientation-normalized, so the same pair pruned via two different guard
-/// roots — which can surface it in either site order — collapses too.
+/// strongest evidence wins when two paths found the pair) at the position
+/// of the pair's first occurrence. Keys are orientation-normalized, so the
+/// same pair pruned via two different guard roots — which can surface it in
+/// either site order — collapses too.
 fn dedupe_pairs(pairs: &mut Vec<StaticPair>) {
-    let mut best: Vec<StaticPair> = Vec::new();
-    for p in pairs.drain(..) {
-        let key = pair_key(&p);
-        match best.iter_mut().find(|q| pair_key(q) == key) {
-            Some(q) => {
-                if p.confidence > q.confidence {
-                    *q = p;
+    // `best[k]` is the index in `pairs` of the record kept at output
+    // position `k`; `position` finds `k` by pair identity.
+    let mut best: Vec<usize> = Vec::new();
+    let mut position: HashMap<(&str, &str), usize> = HashMap::new();
+    for (i, p) in pairs.iter().enumerate() {
+        match position.entry(pair_key(p)) {
+            Entry::Occupied(at) => {
+                let kept = &mut best[*at.get()];
+                if p.confidence > pairs[*kept].confidence {
+                    *kept = i;
                 }
             }
-            None => best.push(p),
+            Entry::Vacant(at) => {
+                at.insert(best.len());
+                best.push(i);
+            }
         }
     }
-    *pairs = best;
+    let mut records: Vec<Option<StaticPair>> = pairs.drain(..).map(Some).collect();
+    pairs.extend(best.into_iter().filter_map(|i| records[i].take()));
 }
 
 /// Drops pruned records whose pair also survives in the kept list: a pair
 /// one file's evidence prunes but another path still arms must be reported
 /// once, as kept — a pruned twin would double-count it in the scoreboard.
 fn drop_pruned_twins(pruned: &mut Vec<StaticPair>, kept: &[StaticPair]) {
-    let kept_keys: HashSet<(String, String)> = kept.iter().map(pair_key).collect();
+    let kept_keys: HashSet<(&str, &str)> = kept.iter().map(pair_key).collect();
     pruned.retain(|p| !kept_keys.contains(&pair_key(p)));
+}
+
+/// The tests' random numbers: `tsvd_core`'s seeded generator, indexing in
+/// `usize`.
+#[cfg(test)]
+pub(crate) mod testrand {
+    pub(crate) struct Seeded(tsvd_core::rng::SplitMix64);
+
+    impl Seeded {
+        pub(crate) fn new(seed: u64) -> Self {
+            Seeded(tsvd_core::rng::SplitMix64::new(seed))
+        }
+
+        /// An index below `n` (`n > 0`).
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            self.0.below(n as u64) as usize
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Condvar;
+
+    /// `dedupe_pairs` as it was: every pair compared with every kept pair.
+    fn dedupe_pairs_by_scan(pairs: &mut Vec<StaticPair>) {
+        let mut best: Vec<StaticPair> = Vec::new();
+        for p in pairs.drain(..) {
+            let key = pair_key(&p);
+            match best.iter().position(|q| pair_key(q) == key) {
+                Some(at) => {
+                    if p.confidence > best[at].confidence {
+                        best[at] = p;
+                    }
+                }
+                None => best.push(p),
+            }
+        }
+        *pairs = best;
+    }
+
+    #[test]
+    fn index_map_dedupe_equals_the_quadratic_one() {
+        let mut rng = testrand::Seeded::new(0x6465_6475_7065_3233);
+        let mut collapsed = 0;
+        for list in 0..1000 {
+            // Few sites, so most lists repeat a pair, in both orientations
+            // and with equal as well as different confidences.
+            let sites = 2 + rng.below(6);
+            let mut pairs: Vec<StaticPair> = (0..rng.below(40))
+                .map(|n| StaticPair {
+                    first: format!("f.rs:{}:1", rng.below(sites)),
+                    second: format!("f.rs:{}:1", rng.below(sites)),
+                    confidence: rng.below(4) as f64 / 4.0,
+                    // Tells apart two records of one pair and confidence.
+                    guard: format!("record-{n}"),
+                    receiver: String::new(),
+                    class: String::new(),
+                    first_op: String::new(),
+                    second_op: String::new(),
+                    reason: String::new(),
+                    provenance: String::new(),
+                    hb_evidence: String::new(),
+                })
+                .collect();
+            let mut expected = pairs.clone();
+            dedupe_pairs_by_scan(&mut expected);
+            collapsed += pairs.len() - expected.len();
+            dedupe_pairs(&mut pairs);
+            assert_eq!(pairs, expected, "list {list}");
+        }
+        assert!(collapsed > 5000, "only {collapsed} duplicates generated");
+    }
+
+    #[test]
+    fn fan_out_returns_input_order() {
+        let double = |n: &usize| n * 2;
+        assert_eq!(fan_out(&[], 4, double), Vec::<usize>::new());
+        assert_eq!(fan_out(&[21], 4, double), vec![42]);
+        let items: Vec<usize> = (0..100).collect();
+        let expected: Vec<usize> = items.iter().map(double).collect();
+        for threads in [0, 1, 2, 7, 100, 1000] {
+            assert_eq!(
+                fan_out(&items, threads, double),
+                expected,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_order_is_the_inputs_even_when_completion_order_is_reversed() {
+        // As many workers as items, so every item is in flight at once, and
+        // item `i` returns only after every later item has: completion order
+        // is exactly the reverse of input order, by construction.
+        const N: usize = 6;
+        let finished = (Mutex::new(0usize), Condvar::new());
+        let completion_order = Mutex::new(Vec::new());
+        let items: Vec<usize> = (0..N).collect();
+        let out = fan_out(&items, N, |&i| {
+            let (count, wake) = &finished;
+            let mut done = count.lock().expect("lock");
+            while *done < N - 1 - i {
+                done = wake.wait(done).expect("wait");
+            }
+            completion_order.lock().expect("lock").push(i);
+            *done += 1;
+            wake.notify_all();
+            i * 10
+        });
+        assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
+        let order = completion_order.into_inner().expect("lock");
+        assert_eq!(order, vec![5, 4, 3, 2, 1, 0]);
+    }
 
     #[test]
     fn workspace_analysis_end_to_end() {
@@ -392,11 +518,10 @@ fn main() {
         )
         .expect("write");
         let report = analyze_workspace(&dir).expect("analyze");
-        let key = |p: &StaticPair| pair_key(p);
-        let kept: Vec<_> = report.pairs.iter().map(key).collect();
+        let kept: Vec<_> = report.pairs.iter().map(pair_key).collect();
         for p in &report.pruned_pairs {
             assert!(
-                !kept.contains(&key(p)),
+                !kept.contains(&pair_key(p)),
                 "pruned twin of a kept pair survived: {:?}",
                 (&p.first, &p.second)
             );

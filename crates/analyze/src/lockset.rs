@@ -134,7 +134,7 @@ impl LockTracker {
         if name_tok.kind != TokKind::Ident {
             return false;
         }
-        let name = name_tok.text.clone();
+        let name = name_tok.text.to_string();
         i += 1;
         while i < toks.len() && !toks[i].is_punct('=') {
             if toks[i].is_punct(';') {
@@ -170,7 +170,7 @@ impl LockTracker {
         if recv.kind != TokKind::Ident || !toks.get(i + 1)?.is_punct('.') {
             return None;
         }
-        let mode = match toks.get(i + 2)?.text.as_str() {
+        let mode = match toks.get(i + 2)?.text {
             "lock" | "write" => GuardMode::Exclusive,
             "read" => GuardMode::Shared,
             _ => return None,
@@ -178,7 +178,7 @@ impl LockTracker {
         if !toks.get(i + 3)?.is_punct('(') {
             return None;
         }
-        let root = self.locks.get(&recv.text)?.clone();
+        let root = self.locks.get(recv.text)?.clone();
         Some((root, mode))
     }
 
@@ -188,7 +188,7 @@ impl LockTracker {
             && toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
             && toks.get(i + 2).is_some_and(|t| t.is_ident("clone"))
         {
-            return self.locks.get(&toks[i].text).cloned();
+            return self.locks.get(toks[i].text).cloned();
         }
         // `Arc::clone(&SRC)`
         if toks.get(i).is_some_and(|t| t.is_ident("Arc"))
@@ -202,7 +202,7 @@ impl LockTracker {
                 j += 1;
             }
             let src = toks.get(j)?;
-            return self.locks.get(&src.text).cloned();
+            return self.locks.get(src.text).cloned();
         }
         None
     }
@@ -230,8 +230,8 @@ impl LockTracker {
             if toks[i].is_ident("channel") && toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
                 let id = self.next_channel;
                 self.next_channel += 1;
-                self.senders.insert(tx.text.clone(), id);
-                self.receivers.insert(rx.text.clone(), id);
+                self.senders.insert(tx.text.to_string(), id);
+                self.receivers.insert(rx.text.to_string(), id);
                 return true;
             }
             i += 1;
@@ -246,7 +246,7 @@ fn rhs_is_lock_ctor(toks: &[Token], i: usize) -> bool {
     let mut j = i;
     while j < toks.len() && !toks[j].is_punct(';') {
         if toks[j].kind == TokKind::Ident
-            && LOCK_TYPES.contains(&toks[j].text.as_str())
+            && LOCK_TYPES.contains(&toks[j].text)
             && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
             && toks.get(j + 2).is_some_and(|t| t.is_punct(':'))
         {

@@ -5,6 +5,8 @@
 //! and each operation is classified as a read or a write by the thread-safety
 //! contract of the instrumented API (§2.2).
 
+use std::sync::OnceLock;
+
 use crate::context::ContextId;
 use crate::site::SiteId;
 
@@ -174,20 +176,35 @@ pub fn read_api_count() -> usize {
     API_TABLE.iter().filter(|e| e.kind == OpKind::Read).count()
 }
 
+/// The distinct instrumented class names, sorted: derived from
+/// [`API_TABLE`] once per process.
+fn class_table() -> &'static [&'static str] {
+    static CLASSES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    CLASSES.get_or_init(|| {
+        let mut classes: Vec<&str> = API_TABLE
+            .iter()
+            .filter_map(|e| e.name.split('.').next())
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
+        classes
+    })
+}
+
 /// The distinct instrumented class names, sorted.
 pub fn api_classes() -> Vec<&'static str> {
-    let mut classes: Vec<&str> = API_TABLE
-        .iter()
-        .filter_map(|e| e.name.split('.').next())
-        .collect();
-    classes.sort_unstable();
-    classes.dedup();
-    classes
+    class_table().to_vec()
+}
+
+/// The instrumented class called exactly `name`, as the table spells it.
+pub fn api_class(name: &str) -> Option<&'static str> {
+    let classes = class_table();
+    classes.binary_search(&name).ok().map(|i| classes[i])
 }
 
 /// Number of distinct instrumented classes.
 pub fn class_count() -> usize {
-    api_classes().len()
+    class_table().len()
 }
 
 #[cfg(test)]
@@ -237,6 +254,50 @@ mod tests {
         assert_eq!(write_api_count(), 50);
         assert_eq!(read_api_count(), 54);
         assert_eq!(API_TABLE.len(), 104);
+    }
+
+    /// What `api_class` replaced: a linear scan of the table itself.
+    fn api_class_by_scan(name: &str) -> Option<&'static str> {
+        API_TABLE
+            .iter()
+            .filter_map(|e| e.name.split('.').next())
+            .find(|c| *c == name)
+    }
+
+    #[test]
+    fn api_class_agrees_with_a_scan_of_the_table() {
+        let classes = api_classes();
+        assert!(classes.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+        for class in &classes {
+            assert_eq!(api_class(class), Some(*class));
+            // Every proper prefix and suffix, and a one-character extension:
+            // near misses on both sides of each table entry.
+            for cut in 0..class.len() {
+                for probe in [&class[..cut], &class[cut + 1..]] {
+                    assert_eq!(api_class(probe), api_class_by_scan(probe), "{probe:?}");
+                }
+            }
+            let longer = format!("{class}s");
+            assert_eq!(api_class(&longer), api_class_by_scan(&longer));
+        }
+        // 1 000 identifiers from a fixed-seed generator, a quarter of them
+        // real class names so both outcomes are exercised.
+        let mut rng = crate::rng::SplitMix64::new(0x6170_695f_636c_6173);
+        let mut below = move |n: usize| rng.below(n as u64) as usize;
+        let alphabet = b"ABDLQSabcdeikrtuy_0";
+        let mut hits = 0;
+        for _ in 0..1000 {
+            let ident = if below(4) == 0 {
+                classes[below(classes.len())].to_string()
+            } else {
+                (0..1 + below(12))
+                    .map(|_| char::from(alphabet[below(alphabet.len())]))
+                    .collect()
+            };
+            assert_eq!(api_class(&ident), api_class_by_scan(&ident), "{ident:?}");
+            hits += usize::from(api_class(&ident).is_some());
+        }
+        assert!((150..400).contains(&hits), "{hits} hits of 1000");
     }
 
     #[test]

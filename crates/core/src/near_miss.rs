@@ -303,14 +303,21 @@ mod tests {
     const WINDOW: u64 = 100 * 1_000_000;
 
     /// The tracker's contract, as plainly as it can be written: an
-    /// unbounded map of per-object histories with the same history bound
+    /// unbounded list of per-object histories with the same history bound
     /// and window.
     #[derive(Default)]
-    struct Model(std::collections::HashMap<ObjId, VecDeque<Access>>);
+    struct Model(Vec<(ObjId, Vec<Access>)>);
 
     impl Model {
         fn record(&mut self, access: &Access, history: usize) -> Vec<SitePair> {
-            let hist = self.0.entry(access.obj).or_default();
+            let at = match self.0.iter().position(|(obj, _)| *obj == access.obj) {
+                Some(at) => at,
+                None => {
+                    self.0.push((access.obj, Vec::new()));
+                    self.0.len() - 1
+                }
+            };
+            let hist = &mut self.0[at].1;
             let mut pairs = Vec::new();
             for prev in hist.iter() {
                 let pair = SitePair::new(prev.site, access.site);
@@ -322,9 +329,9 @@ mod tests {
                     pairs.push(pair);
                 }
             }
-            hist.push_back(*access);
+            hist.push(*access);
             if hist.len() > history {
-                hist.pop_front();
+                hist.remove(0);
             }
             pairs
         }

@@ -200,14 +200,16 @@ mod tests {
 
     /// Ring entries per context, as `(context, count)` sorted by context.
     fn holdings(b: &PhaseBuffer) -> Vec<(u64, usize)> {
-        let mut counts = std::collections::BTreeMap::new();
-        for slot in b.slots.iter() {
-            let v = slot.load(Ordering::Relaxed);
-            if v != EMPTY {
-                *counts.entry(v).or_insert(0) += 1;
-            }
-        }
-        counts.into_iter().collect()
+        let mut held: Vec<u64> = b
+            .slots
+            .iter()
+            .map(|slot| slot.load(Ordering::Relaxed))
+            .filter(|&v| v != EMPTY)
+            .collect();
+        held.sort_unstable();
+        held.chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
+            .collect()
     }
 
     fn cursor(b: &PhaseBuffer) -> usize {

@@ -157,15 +157,20 @@ fn the_supervisor_keeps_no_clock_thread() {
     );
     opts.waves = 1;
     let fleet = std::thread::spawn(move || run_fleet(opts).expect("fleet run"));
-    let mut seen = BTreeSet::new();
+    let mut seen: Vec<String> = Vec::new();
     while !fleet.is_finished() {
-        seen.extend(thread_names());
+        for name in thread_names() {
+            if !seen.contains(&name) {
+                seen.push(name);
+            }
+        }
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     let report = fleet.join().expect("join");
     assert_eq!(report.completed, 25);
-    assert!(seen.contains("tsvd-fleet-acce"), "saw only {seen:?}");
-    assert!(!seen.contains("tsvd-fleet-tick"), "saw {seen:?}");
+    let saw = |name: &str| seen.iter().any(|s| s == name);
+    assert!(saw("tsvd-fleet-acce"), "saw only {seen:?}");
+    assert!(!saw("tsvd-fleet-tick"), "saw {seen:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

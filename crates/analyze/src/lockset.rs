@@ -85,11 +85,6 @@ impl LockTracker {
         self.locks.get(name).map(String::as_str)
     }
 
-    /// Whether `name` is a registered channel sender.
-    pub fn is_sender(&self, name: &str) -> bool {
-        self.senders.contains_key(name)
-    }
-
     /// Channel id behind a sender binding, if tracked.
     pub fn sender_channel(&self, name: &str) -> Option<u32> {
         self.senders.get(name).copied()
@@ -330,8 +325,8 @@ mod tests {
         let lets = let_indices(&toks);
         assert!(lt.on_let(&toks, lets[0], 0));
         assert!(!lt.on_let(&toks, lets[1], 0));
-        assert!(lt.is_sender("tx"));
-        assert!(!lt.is_sender("rx"));
+        assert!(lt.sender_channel("tx").is_some());
+        assert!(lt.sender_channel("rx").is_none());
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Shared measurement harness for the `OnCall` scaling benchmarks.
-//!
-//! Both the Criterion bench (`benches/oncall_scaling.rs`) and the CI
-//! regression gate (`src/bin/oncall_gate.rs`) drive the same worker loop so
-//! their numbers are comparable: `iters` accesses split across `threads`
-//! workers, each walking its own stride of the object/site space, timed from
-//! barrier release to last join. Thread spawn cost is excluded.
+//! The measurement behind the `OnCall` regression gate
+//! (`src/bin/oncall_gate.rs`): `iters` accesses split across `threads`
+//! pinned workers, each walking its own stride of the object/site space,
+//! timed from barrier release to last join. Thread spawn cost is excluded.
+//! The gate is the only caller; the benchmark of record's `core.on_call.*`
+//! probes time the same call on their own loop.
 //!
 //! [`gate`] is the `--write | --check` skeleton the two CI gate bins share.
 
@@ -23,7 +22,7 @@ pub type Factory = fn(TsvdConfig) -> Arc<Runtime>;
 /// The config every scaling measurement uses: zero delay budget, so the
 /// planner still runs but no sleep is ever admitted and the numbers are
 /// pure analysis + synchronization cost.
-pub fn no_delay_config() -> TsvdConfig {
+fn no_delay_config() -> TsvdConfig {
     let mut c = TsvdConfig::for_testing();
     c.max_delay_per_run_ns = 0;
     c
@@ -44,7 +43,7 @@ pub enum AccessMix {
 /// an access mix.
 #[derive(Debug, Clone, Copy)]
 pub struct Shape {
-    /// Stable name used in bench group ids and the gate's JSON.
+    /// Stable name used in the gate's JSON.
     pub name: &'static str,
     /// Objects are `1 + (i & obj_mask)`: 0x7 = 8 hot objects, 0xFFFF = 64Ki.
     pub obj_mask: u64,
@@ -82,7 +81,7 @@ pub fn make_sites(n: u32) -> Arc<Vec<SiteId>> {
         (0..n)
             .map(|i| {
                 SiteId::intern(SiteData {
-                    file: "oncall_scaling.rs",
+                    file: "oncall_gate.rs",
                     line: i + 1,
                     column: 1,
                 })
@@ -139,7 +138,7 @@ fn pin_current_thread(slot: usize) {
 /// undercount badly on machines with fewer cores than workers: after the
 /// release barrier the scheduler can run the workers for milliseconds
 /// before the coordinator gets the CPU back to read the clock.
-pub fn run_workers(
+fn run_workers(
     rt: &Arc<Runtime>,
     threads: usize,
     iters: u64,

@@ -114,11 +114,6 @@ impl Collector {
         let now = self.epoch.load(Ordering::SeqCst);
         self.garbage.lock().retain(|g| g.retired_at + 2 > now);
     }
-
-    /// Pending retired allocations (tests and diagnostics).
-    pub fn garbage_len(&self) -> usize {
-        self.garbage.lock().len()
-    }
 }
 
 static COLLECTOR: OnceLock<Collector> = OnceLock::new();

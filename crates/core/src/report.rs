@@ -249,11 +249,12 @@ pub struct BugExport {
 }
 
 impl ReportExport {
-    /// Writes the export as pretty JSON.
+    /// Writes the export as pretty JSON, atomically (see
+    /// [`save_atomic`](crate::record::save_atomic)).
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
+        crate::record::save_atomic(path, json)
     }
 
     /// Loads an export from JSON.

@@ -17,6 +17,7 @@
 mod dynamic_random;
 mod focused;
 mod noop;
+mod plan;
 mod static_random;
 mod tsvd;
 mod tsvd_hb;

@@ -18,19 +18,16 @@
 use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use tsvd_vc::ImmutableVc;
 
 use crate::access::{Access, ObjId, OpKind};
 use crate::config::TsvdConfig;
 use crate::context::ContextId;
-use crate::decay::DecayTable;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
+use crate::strategy::plan::DelayPlan;
 use crate::strategy::{Strategy, SyncEvent};
 use crate::trap_file::TrapFileData;
-use crate::trapset::TrapSet;
 
 /// One remembered access for the race check: context, its local timestamp
 /// at the access, the location, and the read/write kind.
@@ -59,17 +56,12 @@ struct ClockState {
     obj_hist: HashMap<ObjId, VecDeque<ObjAccess>>,
 }
 
-/// The TSVD-HB strategy.
+/// The TSVD-HB strategy: vector clocks and per-object access histories in
+/// front of the shared [`DelayPlan`].
 pub struct TsvdHb {
     state: Mutex<ClockState>,
-    traps: TrapSet,
-    decay: DecayTable,
-    delay_ns: u64,
     history: usize,
-    /// Cap on pairs armed from imported trap files (see
-    /// [`TsvdConfig::trap_import_budget`]).
-    import_budget: usize,
-    rng: Mutex<SmallRng>,
+    plan: DelayPlan,
 }
 
 impl TsvdHb {
@@ -78,23 +70,19 @@ impl TsvdHb {
     pub fn new(config: &TsvdConfig) -> Self {
         TsvdHb {
             state: Mutex::new(ClockState::default()),
-            traps: TrapSet::new(),
-            decay: DecayTable::new(config.decay_factor, config.decay_floor),
-            delay_ns: config.delay_ns,
             history: config.hb_access_history.max(1),
-            import_budget: config.trap_import_budget,
-            rng: Mutex::new(SmallRng::seed_from_u64(config.seed ^ 0x4B48)),
+            plan: DelayPlan::new(config, 0x4B48),
         }
     }
 
     /// Current number of dangerous pairs (stats / tests).
     pub fn trap_set_len(&self) -> usize {
-        self.traps.len()
+        self.plan.len()
     }
 
     /// Returns `true` if `pair` is currently armed.
     pub fn is_armed(&self, pair: SitePair) -> bool {
-        self.traps.contains(pair)
+        self.plan.is_armed(pair)
     }
 }
 
@@ -104,7 +92,6 @@ impl Strategy for TsvdHb {
     }
 
     fn on_access(&self, access: &Access, _concurrent: bool) -> Option<u64> {
-        let mut armed_any = false;
         {
             let mut st = self.state.lock();
             // Optimization 1: increment the local component here, at the
@@ -121,16 +108,12 @@ impl Strategy for TsvdHb {
             // context C with stamp s is ordered before us iff our clock has
             // caught up to it (vc[C] >= s); otherwise the two are concurrent.
             let hist = st.obj_hist.entry(access.obj).or_default();
-            let mut new_pairs = Vec::new();
             for prev in hist.iter() {
-                if prev.context == access.context {
-                    continue;
-                }
-                if !prev.kind.conflicts_with(access.kind) {
-                    continue;
-                }
-                if vc.get(prev.context.0) < prev.stamp {
-                    new_pairs.push(SitePair::new(prev.site, access.site));
+                if prev.context != access.context
+                    && prev.kind.conflicts_with(access.kind)
+                    && vc.get(prev.context.0) < prev.stamp
+                {
+                    self.plan.arm(SitePair::new(prev.site, access.site));
                 }
             }
             hist.push_back(ObjAccess {
@@ -142,33 +125,12 @@ impl Strategy for TsvdHb {
             while hist.len() > self.history {
                 hist.pop_front();
             }
-            for pair in new_pairs {
-                if self.traps.add(pair) {
-                    self.decay.arm(pair.first);
-                    self.decay.arm(pair.second);
-                    armed_any = true;
-                }
-            }
         }
-        let _ = armed_any;
-
-        if self.traps.contains_site(access.site) {
-            let p = self.decay.probability(access.site);
-            if p >= 1.0 || self.rng.lock().gen::<f64>() < p {
-                return Some(self.delay_ns);
-            }
-        }
-        None
+        self.plan.should_delay(access.site)
     }
 
     fn on_delay_complete(&self, access: &Access, _start_ns: u64, _end_ns: u64, caught: bool) {
-        if !caught {
-            // Per-location decay, as in TSVD (see tsvd.rs for why the
-            // partner is not punished for this site's fruitless delays).
-            if self.decay.decay(access.site) {
-                self.traps.remove_site(access.site);
-            }
-        }
+        self.plan.delay_done(access.site, caught);
     }
 
     fn on_sync(&self, event: &SyncEvent) {
@@ -222,27 +184,15 @@ impl Strategy for TsvdHb {
     }
 
     fn on_violation(&self, pair: SitePair) {
-        self.traps.mark_found(pair);
+        self.plan.found(pair);
     }
 
     fn export_trap_file(&self) -> Option<TrapFileData> {
-        Some(TrapFileData::from_pairs(&self.traps.pairs()))
+        Some(self.plan.export())
     }
 
     fn import_trap_file(&self, data: &TrapFileData) {
-        // Same confidence-first rationing as the flagship strategy.
-        for index in data.arming_order() {
-            if self.traps.len() >= self.import_budget {
-                break;
-            }
-            let Some(pair) = data.pair_at(index) else {
-                continue;
-            };
-            if self.traps.add(pair) {
-                self.decay.arm(pair.first);
-                self.decay.arm(pair.second);
-            }
-        }
+        self.plan.import(data);
     }
 
     fn memory_bytes(&self) -> usize {
@@ -255,6 +205,7 @@ impl Strategy for TsvdHb {
                 .values()
                 .map(|h| h.len() * std::mem::size_of::<ObjAccess>())
                 .sum::<usize>()
+            + self.plan.memory_bytes()
     }
 }
 

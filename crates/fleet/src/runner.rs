@@ -69,12 +69,6 @@ pub struct RunOptions {
     pub threads: usize,
     /// Number of test runs (trap files carry over between runs).
     pub runs: usize,
-    /// Extension (beyond the paper): one *shared* trap file for the whole
-    /// suite instead of one per module. In a monorepo, modules exercise the
-    /// same library code, so a dangerous pair learned while testing one
-    /// module pre-arms the same static locations everywhere else — even
-    /// within run 1, for modules scheduled later.
-    pub shared_trap_file: bool,
     /// Wall-clock deadline for a single module execution. When set, each
     /// module runs on a watched thread; blowing the deadline abandons the
     /// runtime (delays cancelled, injection off) and records a
@@ -94,7 +88,6 @@ impl RunOptions {
             config: TsvdConfig::paper().scaled(0.02),
             threads: 2,
             runs: 2,
-            shared_trap_file: false,
             module_deadline: Some(Duration::from_secs(30)),
             static_priors: None,
         }
@@ -322,7 +315,6 @@ pub fn run_suite(suite: &[Module], kind: DetectorKind, options: &RunOptions) -> 
         panics: 0,
     };
     let mut trap_files: HashMap<String, TrapFileData> = HashMap::new();
-    let mut shared: TrapFileData = TrapFileData::default();
 
     for run_idx in 0..options.runs {
         let mut agg = RunAggregate::default();
@@ -336,11 +328,7 @@ pub fn run_suite(suite: &[Module], kind: DetectorKind, options: &RunOptions) -> 
             .seed
             .wrapping_add((run_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         for module in suite {
-            let import = if options.shared_trap_file {
-                Some(&shared)
-            } else {
-                trap_files.get(module.name())
-            };
+            let import = trap_files.get(module.name());
             let run = run_module_once(module, kind, &run_options, import);
             let (rt, wall_ns) = (run.runtime, run.wall_ns);
             match run.outcome {
@@ -363,16 +351,7 @@ pub fn run_suite(suite: &[Module], kind: DetectorKind, options: &RunOptions) -> 
                 }
             }
             if let Some(tf) = rt.export_trap_file() {
-                if options.shared_trap_file {
-                    // Merge, deduplicating textual pairs.
-                    for pair in tf.pairs {
-                        if !shared.pairs.contains(&pair) {
-                            shared.pairs.push(pair);
-                        }
-                    }
-                } else {
-                    trap_files.insert(module.name().to_owned(), tf);
-                }
+                trap_files.insert(module.name().to_owned(), tf);
             }
         }
         outcome.runs.push(agg);
@@ -424,7 +403,6 @@ mod tests {
             config: TsvdConfig::paper().scaled(0.02),
             threads: 2,
             runs: 2,
-            shared_trap_file: false,
             module_deadline: Some(Duration::from_secs(30)),
             static_priors: None,
         }

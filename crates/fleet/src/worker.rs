@@ -208,7 +208,6 @@ fn execute(
         config,
         threads: opts.threads,
         runs: 1,
-        shared_trap_file: false,
         module_deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
         static_priors: None,
     };

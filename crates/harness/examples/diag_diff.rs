@@ -21,7 +21,6 @@ fn main() {
         config: TsvdConfig::paper().scaled(0.02),
         threads: 2,
         runs: 2,
-        shared_trap_file: false,
         module_deadline: Some(std::time::Duration::from_secs(30)),
         static_priors: None,
     };

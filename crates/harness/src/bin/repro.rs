@@ -8,8 +8,8 @@
 //! ```
 
 use tsvd_harness::experiments::{
-    coverage, ext_adaptive, ext_shared, fig8, fig9, fneg, resources, table1, table2, table3,
-    table4, validate, ExpOpts,
+    coverage, ext_adaptive, fig8, fig9, fneg, resources, table1, table2, table3, table4, validate,
+    ExpOpts,
 };
 use tsvd_harness::report::Table;
 
@@ -230,7 +230,6 @@ fn run_fleet_cmd(args: &[String]) -> ! {
             },
             threads,
             runs: waves,
-            shared_trap_file: false,
             module_deadline: Some(std::time::Duration::from_millis(deadline_ms)),
             static_priors: None,
         };
@@ -361,7 +360,7 @@ fn run_analyze_cmd(args: &[String]) -> ! {
 
     print!("{}", report.render_human());
     if let Some(p) = &jsonl_path {
-        if let Err(e) = std::fs::write(p, report.to_jsonl()) {
+        if let Err(e) = tsvd_core::save_atomic(p, report.to_jsonl()) {
             eprintln!("repro analyze: cannot write {}: {e}", p.display());
             std::process::exit(2);
         }
@@ -592,7 +591,7 @@ fn run_score_cmd(args: &[String]) -> ! {
     print!("{}", report.render_human());
     if let Some(p) = &jsonl_path {
         let line = serde_json::to_string(&report.to_json_value()).unwrap_or_default();
-        if let Err(e) = std::fs::write(p, line + "\n") {
+        if let Err(e) = tsvd_core::save_atomic(p, line + "\n") {
             eprintln!("repro analyze --score: cannot write {}: {e}", p.display());
             std::process::exit(2);
         }
@@ -740,13 +739,7 @@ fn main() {
         "fig9" => emit("fig9", fig9::run(&opts.with_modules(opts.modules.min(100)))),
         "fneg" => emit("fneg", fneg::run(&opts.with_modules(opts.modules.min(100)))),
         "resources" => emit("resources", resources::run(&opts)),
-        "ext" => {
-            emit("ext_adaptive", ext_adaptive::run(&opts));
-            emit(
-                "ext_shared",
-                ext_shared::run(&opts.with_modules(opts.modules.min(100))),
-            );
-        }
+        "ext" => emit("ext_adaptive", ext_adaptive::run(&opts)),
         "validate" => emit(
             "validate",
             validate::run(&opts.with_modules(opts.modules.min(100))),
@@ -770,10 +763,6 @@ fn main() {
             emit("fneg", fneg::run(&opts.with_modules(opts.modules.min(100))));
             emit("resources", resources::run(&opts));
             emit("ext_adaptive", ext_adaptive::run(&opts));
-            emit(
-                "ext_shared",
-                ext_shared::run(&opts.with_modules(opts.modules.min(100))),
-            );
             emit(
                 "validate",
                 validate::run(&opts.with_modules(opts.modules.min(100))),

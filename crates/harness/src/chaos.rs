@@ -18,9 +18,10 @@
 //!    are delayed, pushing the pool toward the all-blocked starvation the
 //!    watchdog exists to break.
 //!
-//! After the storm, [`run_chaos`] verifies the invariants and — when a
-//! durable sink is configured — reconciles it against the in-memory
-//! reports: every surviving in-memory violation must already be on disk.
+//! After each iteration's storm, [`run_chaos`] verifies the invariants and
+//! — when a durable sink is configured — reconciles it pair by pair against
+//! that iteration's in-memory reports ([`reconcile_sink`]): every surviving
+//! in-memory violation must already be on disk.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -138,23 +139,24 @@ pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosReport, ChaosFailure> {
             report.degraded_iterations += 1;
         }
 
+        // Invariant 3: the durable sink, when configured, holds every pair
+        // this iteration's in-memory reports saw. Chaos keeps one sink across
+        // iterations (each runtime appends to it), so the last iteration's
+        // reconciliation also yields the final record count.
         rt.flush_durable_sink();
+        if let Some(path) = &options.config.durable_sink {
+            report.durable_records = reconcile_sink(&rt, path)
+                .map_err(|e| ChaosFailure(format!("iteration {iteration}: {e}")))?;
+        }
     }
 
-    // Invariant 3: the durable sink, when configured, holds every pair the
-    // in-memory reports ever saw. (Chaos keeps one sink across iterations,
-    // so reconciliation happens per iteration inside chaos_iteration; the
-    // final count lands here.)
-    if let Some(path) = &options.config.durable_sink {
-        report.durable_records = load_sink(path)
-            .map_err(|e| ChaosFailure(format!("durable sink unreadable: {e}")))?
-            .len();
-        if report.durable_records < report.violations {
-            return Err(ChaosFailure(format!(
-                "durable sink has {} records but {} violations were reported",
-                report.durable_records, report.violations
-            )));
-        }
+    // One record per catch, repeats included: pair-wise presence above, and
+    // no occurrence dropped here.
+    if options.config.durable_sink.is_some() && report.durable_records < report.violations {
+        return Err(ChaosFailure(format!(
+            "durable sink has {} records but {} violations were reported",
+            report.durable_records, report.violations
+        )));
     }
 
     Ok(report)
@@ -238,10 +240,13 @@ fn load_sink(path: &Path) -> std::io::Result<Vec<tsvd_core::ViolationRecord>> {
 /// in-memory violation pair must appear in the sink file (the write-ahead
 /// guarantee). Returns the number of durable records.
 pub fn reconcile_sink(rt: &Runtime, path: &Path) -> Result<usize, String> {
+    // Memory first, disk second: a catch landing in between is on disk
+    // before it is in memory, so it can only add to the side read later.
+    let in_memory = rt.reports().violations();
     let records = load_sink(path).map_err(|e| format!("load {}: {e}", path.display()))?;
     let on_disk: std::collections::HashSet<(String, String)> =
         records.iter().map(|r| r.pair_key()).collect();
-    for v in rt.reports().violations() {
+    for v in in_memory {
         let key = normalize_pair(&v.trapped.site.to_string(), &v.hitter.site.to_string());
         if !on_disk.contains(&key) {
             return Err(format!(
@@ -279,6 +284,64 @@ mod tests {
             assert!(report.durable_records >= report.violations);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A catch at lines `a` / `b` of a file no storm touches.
+    fn violation(a: u32, b: u32) -> tsvd_core::Violation {
+        use tsvd_core::report::Party;
+        use tsvd_core::site::SiteData;
+        use tsvd_core::{ContextId, ObjId, OpKind, SiteId};
+        let party = |line: u32, context: u64| Party {
+            site: SiteId::intern(SiteData {
+                file: "chaos_reconcile_test.rs",
+                line,
+                column: 1,
+            }),
+            context: ContextId(context),
+            op_name: "Dictionary.set",
+            kind: OpKind::Write,
+            stack: None,
+        };
+        tsvd_core::Violation {
+            trapped: party(a, 1),
+            hitter: party(b, 2),
+            obj: ObjId(7),
+            time_ns: 0,
+        }
+    }
+
+    #[test]
+    fn reconcile_wants_the_pair_on_disk_not_a_matching_count() {
+        let dir = std::env::temp_dir().join(format!("tsvd_chaos_pairs_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("violations.jsonl");
+        let sink = DurableSink::create(&path, false).expect("sink");
+        sink.append(&violation(1, 2)).expect("append");
+        sink.append(&violation(3, 4)).expect("append");
+
+        // Two records on disk, two violations in memory — one of them at a
+        // pair the disk never saw. Counting records cannot tell.
+        let rt = Runtime::noop(TsvdConfig::for_testing());
+        rt.reports().report(violation(2, 1));
+        assert_eq!(reconcile_sink(&rt, &path), Ok(2), "pairs are unordered");
+        rt.reports().report(violation(5, 6));
+        let err = reconcile_sink(&rt, &path).expect_err("pair 5 / 6 is not on disk");
+        assert!(err.contains("missing from the durable sink"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn chaos_fails_when_the_sink_lacks_a_reported_pair() {
+        // A sink that takes every append and keeps none of them.
+        let mut options = ChaosOptions::standard();
+        options.iterations = 50; // The first iteration that catches anything ends the run.
+        options.config.durable_sink = Some("/dev/null".into());
+        let failure = run_chaos(&options).expect_err("a reported pair is not on disk");
+        assert!(
+            failure.0.contains("missing from the durable sink"),
+            "{failure}"
+        );
     }
 
     #[test]

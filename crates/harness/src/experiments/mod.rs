@@ -4,7 +4,6 @@
 
 pub mod coverage;
 pub mod ext_adaptive;
-pub mod ext_shared;
 pub mod fig8;
 pub mod fig9;
 pub mod fneg;
@@ -58,7 +57,6 @@ impl ExpOpts {
             config: self.config(),
             threads: self.threads,
             runs: self.runs,
-            shared_trap_file: false,
             module_deadline: Some(std::time::Duration::from_secs(30)),
             static_priors: None,
         }

@@ -17,7 +17,6 @@ fn per_family_delays() {
         config: TsvdConfig::paper().scaled(0.02),
         threads: 2,
         runs: 1,
-        shared_trap_file: false,
         module_deadline: Some(std::time::Duration::from_secs(30)),
         static_priors: None,
     };

@@ -28,11 +28,6 @@ impl ModuleCtx {
             beat,
         }
     }
-
-    /// Sleeps for `n` beats (scenario-relative time).
-    pub fn sleep_beats(&self, n: u32) {
-        std::thread::sleep(self.beat * n);
-    }
 }
 
 /// Ground truth about a module's bug content.

@@ -1,7 +1,9 @@
 //! Robustness: the no-false-positive guarantee holds across arbitrary
 //! seeds and scales, and detection results stay sane under repetition.
 
-use tsvd::harness::runner::{check_no_false_positives, run_suite, DetectorKind, RunOptions};
+use tsvd::harness::runner::{
+    check_no_false_positives, run_module_once, run_suite, DetectorKind, RunOptions,
+};
 use tsvd::prelude::*;
 use tsvd::workloads::suite::{build_suite, SuiteConfig};
 
@@ -12,7 +14,6 @@ fn options(seed_shift: u64) -> RunOptions {
         config,
         threads: 2,
         runs: 1,
-        shared_trap_file: false,
         module_deadline: Some(std::time::Duration::from_secs(30)),
         static_priors: None,
     }
@@ -33,7 +34,7 @@ fn no_false_positives_across_seeds() {
 }
 
 #[test]
-fn shared_trap_file_never_creates_false_positives() {
+fn pooled_trap_files_never_create_false_positives() {
     // Pre-arming every module with everyone's pairs injects delays in
     // clean modules too; the trap mechanism must still never report there.
     let suite = build_suite(SuiteConfig {
@@ -41,10 +42,19 @@ fn shared_trap_file_never_creates_false_positives() {
         seed: 0x5EED,
     });
     let mut o = options(0);
-    o.shared_trap_file = true;
-    o.runs = 2;
+    // Run 1: each module on its own; pool what every one of them exports.
+    let mut pooled = tsvd::core::TrapFileData::default();
+    for module in &suite {
+        let rt = run_module_once(module, DetectorKind::Tsvd, &o, None).runtime;
+        if let Some(exported) = rt.export_trap_file() {
+            pooled.merge(&exported);
+        }
+    }
+    assert!(!pooled.pairs.is_empty(), "run 1 armed nothing to pool");
+    // Run 2: the union reaches every module's runtime as static priors.
+    o.static_priors = Some(pooled);
     let outcome = run_suite(&suite, DetectorKind::Tsvd, &o);
-    check_no_false_positives(&suite, &outcome).expect("shared trap file stays sound");
+    check_no_false_positives(&suite, &outcome).expect("pooled trap files stay sound");
 }
 
 #[test]
@@ -55,7 +65,7 @@ fn repeated_single_module_runs_are_stable() {
     let m = tsvd::workloads::scenarios::paper_examples::dict_racy(8);
     let o = options(0);
     for _ in 0..6 {
-        let rt = tsvd::harness::runner::run_module_once(&m, DetectorKind::Tsvd, &o, None).runtime;
+        let rt = run_module_once(&m, DetectorKind::Tsvd, &o, None).runtime;
         assert!(rt.reports().unique_bugs() <= 2);
         for v in rt.reports().violations() {
             assert!(v.trapped.op_name.starts_with("Dictionary."));

@@ -13,7 +13,6 @@ fn options(runs: usize) -> RunOptions {
         config: TsvdConfig::paper().scaled(0.02),
         threads: 2,
         runs,
-        shared_trap_file: false,
         module_deadline: Some(std::time::Duration::from_secs(30)),
         static_priors: None,
     }

@@ -1,10 +1,62 @@
 //! Building blocks for tables a hot call indexes without a table-wide lock:
-//! [`Stripe`], a mutex alone on its cache line, and [`ChunkTable`], a
-//! grow-only array allocated 64 elements at a time.
+//! [`Stripe`], a mutex alone on its cache line; [`ChunkTable`], a grow-only
+//! array allocated 64 elements at a time; and [`IdHasher`], the hasher of
+//! every map keyed by an id (`IdMap`, `IdSet`).
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 use parking_lot::{Mutex, MutexGuard};
+
+/// FxHash's multiplier: odd, so multiplying by it loses nothing.
+const ID_MUL: u64 = 0xF135_7AEA_2E62_A9C5;
+
+/// Hasher for keys made of integers the process counted out itself —
+/// `SiteId`, `SitePair`, `ContextId`, `ObjId`, lock ids: one add and one
+/// multiply per word, and a rotate at the end that brings the product's
+/// best-mixed middle bits down to the low bits hashbrown picks a bucket
+/// with (its control byte reads the top seven). The std hasher's defence
+/// against chosen keys is wasted here: these keys are never input.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(ID_MUL);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` keyed by ids, hashed by [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A `HashSet` of ids, hashed by [`IdHasher`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// Which of `stripes` stripes holds `id`.
+pub(crate) fn stripe_of(id: u64, stripes: usize) -> usize {
+    let mut hasher = IdHasher::default();
+    hasher.write_u64(id);
+    (hasher.finish() % stripes as u64) as usize
+}
 
 /// A mutex and what it guards on a cache line of their own: locking one
 /// element of an array of these never takes a neighbour's line from the
@@ -40,7 +92,21 @@ pub(crate) struct ChunkTable<T> {
 impl<T: Default> ChunkTable<T> {
     /// Element `index` (below `2^32`), default-initialised with the rest of
     /// its chunk on first touch.
+    #[inline]
     pub(crate) fn get(&self, index: usize) -> &T {
+        let n = index / CHUNK + 1;
+        let row = n.ilog2() as usize;
+        let slots = self.rows[row].get();
+        match slots.and_then(|slots| slots[n - (1 << row)].get()) {
+            Some(chunk) => &chunk[index % CHUNK],
+            None => self.first_touch(index),
+        }
+    }
+
+    /// [`get`](Self::get) of an element whose row or chunk is not yet
+    /// allocated: out of line, so the common call stays small.
+    #[cold]
+    fn first_touch(&self, index: usize) -> &T {
         let n = index / CHUNK + 1;
         let row = n.ilog2() as usize;
         let slots =
@@ -89,6 +155,64 @@ mod tests {
             .filter(|(_, v)| *v > 0)
             .collect();
         assert_eq!(touched, vec![(0, 1), (63, 64), (64, 65), (70_000, 70_001)]);
+    }
+
+    /// Every hash distinct, and the bits hashbrown reads flat within ±25 %:
+    /// the low eight (the bucket of a 256-bucket table) and the top seven
+    /// (the control byte). A hasher that clusters either turns probing
+    /// linear.
+    fn assert_spread(mut hashes: Vec<u64>, what: &str) {
+        let flat = |bins: usize, bin: &dyn Fn(u64) -> usize| {
+            let mut counts = vec![0usize; bins];
+            for &h in &hashes {
+                counts[bin(h)] += 1;
+            }
+            let mean = hashes.len() as f64 / bins as f64;
+            let (lo, hi) = (counts.iter().min(), counts.iter().max());
+            let (lo, hi) = (*lo.expect("bins") as f64, *hi.expect("bins") as f64);
+            assert!(
+                lo >= 0.75 * mean && hi <= 1.25 * mean,
+                "{what}: {bins} bins of mean {mean} hold {lo}..{hi}"
+            );
+        };
+        flat(256, &|h| (h & 0xFF) as usize);
+        flat(128, &|h| (h >> 57) as usize);
+        let n = hashes.len();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), n, "{what}: colliding hashes");
+    }
+
+    #[test]
+    fn id_hashes_are_distinct_and_spread_over_the_bits_hashbrown_reads() {
+        use crate::access::ObjId;
+        use crate::near_miss::SitePair;
+        use crate::site::SiteId;
+        use std::hash::BuildHasher;
+        let ids = BuildHasherDefault::<IdHasher>::default();
+        let sites: Vec<SiteId> = (0..1 << 16).map(SiteId::from_index).collect();
+        assert_spread(sites.iter().map(|s| ids.hash_one(s)).collect(), "sites");
+        // i <= j < 362: 65 703 pairs.
+        let pairs = (0..362).flat_map(|i| (i..362).map(move |j| (i, j)));
+        let pairs = pairs.map(|(i, j)| ids.hash_one(SitePair::new(sites[i], sites[j])));
+        assert_spread(pairs.collect(), "site pairs");
+        let contexts = (0..1u64 << 16).map(|c| ids.hash_one(crate::context::ContextId(c)));
+        assert_spread(contexts.collect(), "contexts");
+        // Object ids are addresses: aligned, so their low bits never vary.
+        let objects = (0..1u64 << 16).map(|i| ids.hash_one(ObjId(0x7F3A_0000_0000 + 64 * i)));
+        assert_spread(objects.collect(), "objects 64 bytes apart");
+    }
+
+    #[test]
+    fn stripes_of_dense_ids_are_even() {
+        let mut counts = [0usize; 16];
+        for id in 0..1_600 {
+            counts[stripe_of(id, 16)] += 1;
+        }
+        assert!(
+            counts.iter().all(|&n| (75..=125).contains(&n)),
+            "{counts:?}"
+        );
     }
 
     #[test]

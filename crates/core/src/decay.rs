@@ -16,16 +16,16 @@
 //! An atomic armed-count keeps the empty table — no pair armed yet — free
 //! of even the epoch pin.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::audit;
+use crate::chunks::IdMap;
 use crate::epoch::EpochPtr;
 use crate::site::SiteId;
 
 /// Per-location delay probabilities with multiplicative decay.
 pub struct DecayTable {
-    snapshot: EpochPtr<HashMap<SiteId, f64>>,
+    snapshot: EpochPtr<IdMap<SiteId, f64>>,
     armed: AtomicUsize,
     factor: f64,
     floor: f64,
@@ -35,7 +35,7 @@ impl DecayTable {
     /// Creates a table with the given decay factor and removal floor.
     pub fn new(factor: f64, floor: f64) -> Self {
         DecayTable {
-            snapshot: EpochPtr::new(HashMap::new()),
+            snapshot: EpochPtr::new(IdMap::default()),
             armed: AtomicUsize::new(0),
             factor: factor.clamp(0.0, 1.0),
             floor: floor.clamp(0.0, 1.0),
@@ -46,8 +46,8 @@ impl DecayTable {
     /// snapshot's size.
     fn write<R>(
         &self,
-        noop: impl Fn(&HashMap<SiteId, f64>) -> Option<R>,
-        mutate: impl FnOnce(&mut HashMap<SiteId, f64>) -> R,
+        noop: impl Fn(&IdMap<SiteId, f64>) -> Option<R>,
+        mutate: impl FnOnce(&mut IdMap<SiteId, f64>) -> R,
     ) -> R {
         self.snapshot.update(noop, |next| {
             let result = mutate(next);

@@ -26,13 +26,13 @@
 //! an atomic count so the common call — a short gap, or no delay finished
 //! yet — and `is_inferred` on an empty set touch neither.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 
 use crate::audit;
-use crate::chunks::Stripe;
+use crate::chunks::{IdMap, IdSet, Stripe};
 use crate::context::ContextId;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
@@ -64,11 +64,11 @@ struct ThreadState {
 
 /// Happens-before inference engine.
 pub struct HbInference {
-    threads: Box<[Stripe<HashMap<ContextId, ThreadState>>]>,
+    threads: Box<[Stripe<IdMap<ContextId, ThreadState>>]>,
     delays: RwLock<VecDeque<DelayRecord>>,
     /// All edges inferred so far, as normalized pairs. A pair in this set is
     /// never re-added to the trap set.
-    inferred: RwLock<HashSet<SitePair>>,
+    inferred: RwLock<IdSet<SitePair>>,
     /// Lengths of `delays` and `inferred`, readable without their locks.
     delay_count: AtomicUsize,
     inferred_count: AtomicUsize,

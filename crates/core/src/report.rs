@@ -7,12 +7,13 @@
 //! paper's conservative unique-bug key, while also tracking distinct
 //! stack-trace pairs and per-bug occurrence counts (Table 1 statistics).
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::access::OpKind;
+use crate::chunks::{IdMap, IdSet};
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
 
@@ -69,8 +70,8 @@ type StackPair = (Arc<str>, Arc<str>);
 #[derive(Default)]
 struct SinkInner {
     all: Vec<Violation>,
-    occurrences: HashMap<SitePair, usize>,
-    stack_pairs: HashMap<SitePair, std::collections::HashSet<StackPair>>,
+    occurrences: IdMap<SitePair, usize>,
+    stack_pairs: IdMap<SitePair, HashSet<StackPair>>,
 }
 
 /// Collects violations and aggregates unique-bug statistics.
@@ -112,7 +113,7 @@ impl ReportSink {
     /// Number of distinct static locations involved in any bug.
     pub fn unique_locations(&self) -> usize {
         let inner = self.inner.lock();
-        let mut sites = std::collections::HashSet::new();
+        let mut sites = IdSet::default();
         for pair in inner.occurrences.keys() {
             sites.insert(pair.first);
             sites.insert(pair.second);
@@ -157,7 +158,7 @@ impl ReportSink {
         if inner.occurrences.is_empty() {
             return 0.0;
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         let mut rw = 0usize;
         for v in &inner.all {
             if seen.insert(v.pair()) && v.is_read_write() {
@@ -186,7 +187,7 @@ impl ReportSink {
     /// and stack traces; §4).
     pub fn export(&self) -> ReportExport {
         let inner = self.inner.lock();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         let mut bugs = Vec::new();
         for v in &inner.all {
             let pair = v.pair();

@@ -686,12 +686,13 @@ mod tests {
     }
 
     /// `on_calls` has no counter of its own: it is the sum of the coverage
-    /// cells. It must equal the calls issued, and the per-site snapshot a
-    /// recount, with four threads growing the table past its first chunk
-    /// together, high site indices first.
+    /// cells of every plane. It must equal the calls issued, and the
+    /// per-site snapshot a recount in site-index order, with three threads
+    /// to a plane growing the tables past their first chunk together, high
+    /// site indices first.
     #[test]
     fn on_calls_and_coverage_are_exact_across_threads() {
-        const THREADS: usize = 4;
+        const THREADS: usize = 3 * crate::stats::PLANES;
         const CALLS: usize = 1_000;
         // 200 sites span at least four 64-cell chunks of the coverage table.
         let sites: Vec<SiteId> = (0..200)

@@ -16,12 +16,11 @@
 //! | [`found`](DelayPlan::found) | armed → caught: pruned for good, never re-armed | §3.4.1 |
 //! | [`export`](DelayPlan::export) | what is still armed, for the next run | §3.4.6 |
 
-use std::collections::HashMap;
-
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::chunks::IdMap;
 use crate::config::TsvdConfig;
 use crate::decay::DecayTable;
 use crate::near_miss::SitePair;
@@ -38,7 +37,7 @@ pub(super) struct DelayPlan {
     delay_ns: u64,
     /// Extension: per-site delay multipliers (see
     /// [`TsvdConfig::adaptive_delay`]). `None` when the extension is off.
-    adaptive: Option<Mutex<HashMap<SiteId, u32>>>,
+    adaptive: Option<Mutex<IdMap<SiteId, u32>>>,
     adaptive_cap: u32,
     /// Cap on pairs armed from imported trap files (see
     /// [`TsvdConfig::trap_import_budget`]). Dynamically discovered pairs
@@ -55,7 +54,7 @@ impl DelayPlan {
             decay: DecayTable::new(config.decay_factor, config.decay_floor),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed ^ salt)),
             delay_ns: config.delay_ns,
-            adaptive: config.adaptive_delay.then(|| Mutex::new(HashMap::new())),
+            adaptive: config.adaptive_delay.then(Mutex::default),
             adaptive_cap: config.adaptive_delay_cap.max(1.0) as u32,
             import_budget: config.trap_import_budget,
         }

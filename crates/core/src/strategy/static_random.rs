@@ -11,21 +11,20 @@
 //! knows the full static site list from binary analysis, whereas here a site
 //! becomes eligible the first time it executes.
 
-use std::collections::HashSet;
-
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::access::Access;
+use crate::chunks::IdSet;
 use crate::config::TsvdConfig;
 use crate::site::SiteId;
 use crate::strategy::Strategy;
 
 struct Inner {
     seen: Vec<SiteId>,
-    seen_set: HashSet<SiteId>,
-    armed: HashSet<SiteId>,
+    seen_set: IdSet<SiteId>,
+    armed: IdSet<SiteId>,
     rng: SmallRng,
 }
 
@@ -42,8 +41,8 @@ impl StaticRandom {
         StaticRandom {
             inner: Mutex::new(Inner {
                 seen: Vec::new(),
-                seen_set: HashSet::new(),
-                armed: HashSet::new(),
+                seen_set: IdSet::default(),
+                armed: IdSet::default(),
                 rng: SmallRng::seed_from_u64(config.seed ^ 0xDA7A),
             }),
             delay_ns: config.delay_ns,

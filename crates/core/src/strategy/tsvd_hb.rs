@@ -15,12 +15,13 @@
 //! 3. a join whose source clock is reference-equal to the receiver skips the
 //!    element-wise max (`join` short-circuits on pointer equality).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 use tsvd_vc::ImmutableVc;
 
 use crate::access::{Access, ObjId, OpKind};
+use crate::chunks::IdMap;
 use crate::config::TsvdConfig;
 use crate::context::ContextId;
 use crate::near_miss::SitePair;
@@ -48,12 +49,12 @@ const MAX_FINAL_CLOCKS: usize = 8_192;
 
 #[derive(Default)]
 struct ClockState {
-    clocks: HashMap<ContextId, ImmutableVc>,
-    final_clocks: HashMap<ContextId, ImmutableVc>,
+    clocks: IdMap<ContextId, ImmutableVc>,
+    final_clocks: IdMap<ContextId, ImmutableVc>,
     /// Insertion order of `final_clocks`, for FIFO eviction.
     final_order: VecDeque<ContextId>,
-    lock_clocks: HashMap<u64, ImmutableVc>,
-    obj_hist: HashMap<ObjId, VecDeque<ObjAccess>>,
+    lock_clocks: IdMap<u64, ImmutableVc>,
+    obj_hist: IdMap<ObjId, VecDeque<ObjAccess>>,
 }
 
 /// The TSVD-HB strategy: vector clocks and per-object access histories in

@@ -23,7 +23,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::access::{Access, ObjId};
 use crate::audit;
-use crate::chunks::Stripe;
+use crate::chunks::{stripe_of, Stripe};
 
 const DEFAULT_SHARDS: usize = 16;
 
@@ -139,8 +139,7 @@ impl TrapTable {
     /// The shard holding traps for `obj`. A conflict requires the same
     /// object, so a trap is only ever relevant to exactly one shard.
     fn shard(&self, obj: ObjId) -> &Stripe<Vec<Arc<TrapEntry>>> {
-        let h = obj.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 32) as usize % self.shards.len()]
+        &self.shards[stripe_of(obj.0, self.shards.len())]
     }
 
     /// Registers a trap for `access` and returns its handle.

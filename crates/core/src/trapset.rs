@@ -16,21 +16,21 @@
 //! mutex and publishes a copy-on-write snapshot. An atomic pair count still
 //! lets the empty set — a fresh run — answer without even pinning.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::audit;
+use crate::chunks::{IdMap, IdSet};
 use crate::epoch::EpochPtr;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
 
 #[derive(Default, Clone)]
 struct Snapshot {
-    pairs: HashSet<SitePair>,
+    pairs: IdSet<SitePair>,
     /// How many pairs each site participates in (for O(1) eligibility).
-    site_refs: HashMap<SiteId, usize>,
+    site_refs: IdMap<SiteId, usize>,
     /// Pairs at which a violation has already been caught; never re-added.
-    found: HashSet<SitePair>,
+    found: IdSet<SitePair>,
 }
 
 impl Snapshot {
@@ -225,7 +225,7 @@ impl TrapSet {
     #[cfg(test)]
     fn assert_snapshot_consistent(&self) {
         self.snapshot.read(|s| {
-            let mut derived: HashMap<SiteId, usize> = HashMap::new();
+            let mut derived: IdMap<SiteId, usize> = IdMap::default();
             for p in &s.pairs {
                 *derived.entry(p.first).or_insert(0) += 1;
                 if p.second != p.first {
@@ -240,7 +240,7 @@ impl TrapSet {
     }
 }
 
-fn decref(refs: &mut HashMap<SiteId, usize>, site: SiteId) {
+fn decref(refs: &mut IdMap<SiteId, usize>, site: SiteId) {
     if let Some(n) = refs.get_mut(&site) {
         *n = n.saturating_sub(1);
         if *n == 0 {
@@ -253,6 +253,7 @@ fn decref(refs: &mut HashMap<SiteId, usize>, site: SiteId) {
 mod tests {
     use super::*;
     use crate::site::SiteData;
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn site(n: u32) -> SiteId {

@@ -27,8 +27,9 @@ fn quiescent_single_thread_call_takes_two_locks_and_makes_two_shared_writes() {
     let rt = Runtime::tsvd(TsvdConfig::for_testing());
     let site = tsvd_core::site!();
 
-    // Warm-up: clock origin, context TLS, the coverage chunk and the HB
-    // stripe's entry for this context are one-time set-up, not per-call work.
+    // Warm-up: clock origin, context TLS, this thread's coverage plane and
+    // its chunk, and the HB stripe's entry for this context are one-time
+    // set-up, not per-call work.
     rt.on_call(ObjId(1), site, "x.write", OpKind::Write);
 
     audit::reset();
@@ -44,8 +45,8 @@ fn quiescent_single_thread_call_takes_two_locks_and_makes_two_shared_writes() {
         audit::shared_writes(),
         2 * N,
         "per call: one phase-ring visit (a sequential phase visits on every \
-         call) and the site's coverage cell — no epoch pin, no trap-table \
-         word, nothing published"
+         call) and the site's cell in this thread's coverage plane — no epoch \
+         pin, no trap-table word, nothing published"
     );
     assert_eq!(rt.stats().on_calls(), N + 1);
     let armed = rt.export_trap_file().expect("tsvd exports").pairs.len();
@@ -168,7 +169,8 @@ fn private_object_in_a_concurrent_phase_locks_its_own_two_and_visits_the_ring_on
     let calls = ROUNDS * k;
     for (locks, writes) in [mine, theirs] {
         assert_eq!(locks, 2 * calls, "own HB stripe, own object slot");
-        // One coverage cell per call, one ring visit per burst.
+        // One cell of this thread's coverage plane per call, one ring visit
+        // per burst.
         let ring_visits = writes - calls;
         assert!(
             (1..=calls / k + 1).contains(&ring_visits),

@@ -31,6 +31,10 @@
 //!   `.run`/`.run_with_hook` in files that mention `Task`). A region inside
 //!   a loop, or started by `parallel_for_each`/`parallel_invoke`, is
 //!   *multi-instance*: its body races with itself.
+//! - **Structure** is one [`ScopeTree`] per file, built after lexing: a
+//!   site's region is the nearest spawn paren around it, its guards are
+//!   the ones whose block encloses it, its loop flag and its HB dominance
+//!   are block queries. The walk itself keeps no depth counter.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -39,10 +43,11 @@ use tsvd_core::access::{api_class, classify_op};
 use tsvd_core::OpKind;
 
 use crate::callgraph::{call_args, GuardMode, Summaries};
-use crate::hb::{ChanEvent, HbEndpoint, HbEvidence, HbIndex, RegionHb};
+use crate::hb::{ChanEvent, HbEvidence, HbIndex, Point, RegionHb};
 use crate::lexer::{tokenize, TokKind, Token};
 use crate::lockset::LockTracker;
 use crate::report::{site_text, AwaitPoint, Escape, StaticPair, StaticSite};
+use crate::scope::{ScopeTree, ROOT};
 
 /// Raw (uninstrumented) collection type names worth flagging.
 const RAW_TYPES: &[&str] = &[
@@ -95,6 +100,7 @@ pub fn analyze_file(file: &str, src: &str) -> FileAnalysis {
 /// it is embedded verbatim in site texts.
 pub fn analyze_file_with(file: &str, src: &str, summaries: &Summaries) -> FileAnalysis {
     let toks = tokenize(src);
+    let tree = ScopeTree::build(&toks);
     let evidence = concurrency_evidence(&toks);
     let imports = collect_imports(&toks);
     let use_ranges = use_statement_ranges(&toks);
@@ -102,8 +108,8 @@ pub fn analyze_file_with(file: &str, src: &str, summaries: &Summaries) -> FileAn
     if let Some(ev) = &evidence {
         out.escapes = find_escapes(file, &toks, &imports, &use_ranges, ev);
     }
-    let pass = find_sites(file, &toks, &imports, summaries);
-    let derived = derive_pairs(&pass.sites, &pass.regions, &pass.channeled, &pass.hb);
+    let pass = find_sites(file, &toks, &tree, &imports, summaries);
+    let derived = derive_pairs(&pass.sites, &pass.channeled, &pass.hb);
     out.pairs = derived.kept;
     out.pruned_pairs = derived.pruned;
     out.awaits = pass
@@ -353,66 +359,45 @@ fn qualified_prefix<'src>(toks: &[Token<'src>], i: usize) -> Option<Vec<&'src st
 #[derive(Debug)]
 struct SiteCtx {
     site: StaticSite,
-    region: u32,
-    tok_index: usize,
+    /// Where the access happens: its token (for a materialized op, the
+    /// call's `(`), region, `fn` item and block.
+    at: Point,
     kind: OpKind,
     /// Locks held at the site, strongest mode per root.
     locks: Vec<(String, GuardMode)>,
     /// Provenance distance: call hops between the binding's constructor
     /// evidence (plus the op's own propagation depth) and the site.
     hops: u32,
-    /// Which `fn` item the site appears in (HB facts are per-function).
-    fn_id: u32,
-    /// Enclosing-brace chain at the site (HB dominance test input).
-    scopes: Vec<u32>,
 }
 
-/// A concurrency region: one spawn-call extent.
 #[derive(Debug)]
-struct Region {
-    /// Token index of the spawn call's opening paren.
-    start_tok: usize,
-    /// Whether the region body can run against itself.
-    multi: bool,
-}
-
-#[derive(Debug, Default)]
-struct SitePass {
+struct SitePass<'t> {
     sites: Vec<SiteCtx>,
-    /// Index 0 is the implicit top-level region.
-    regions: Vec<Region>,
     /// Receiver roots sent through an mpsc channel (ownership transfer).
     channeled: HashSet<String>,
-    /// Happens-before facts gathered during the same walk.
-    hb: HbIndex,
+    /// Happens-before facts gathered during the same walk, the
+    /// concurrency regions among them (index 0 is the top level).
+    hb: HbIndex<'t>,
 }
 
-/// One paren-stack entry.
-#[derive(Debug, Clone, Copy)]
-enum Paren {
-    /// A spawn call extent: its body is this concurrency region.
-    Region(u32),
-    /// A `scope(...)` call extent (index into the HB scope list).
-    Scope(usize),
-    /// Any other paren.
-    Plain,
-}
-
-/// The innermost enclosing spawn region, 0 at top level.
-fn ambient_region(parens: &[Paren]) -> u32 {
-    parens
-        .iter()
-        .rev()
-        .find_map(|p| match p {
-            Paren::Region(id) => Some(*id),
-            _ => None,
+/// Token `i` of `fn` item `fn_id` as a [`Point`]. Its region is the
+/// innermost spawn region it is in, 0 at top level: the nearest paren
+/// around `i` that a spawn call's region starts at (a synthetic region
+/// starts at a plain call's paren, so it never matches).
+fn point_at(tree: &ScopeTree, regions: &[RegionHb], fn_id: u32, i: usize) -> Point {
+    let region = tree
+        .parens_around(i)
+        .find_map(|open| {
+            let id = regions.binary_search_by_key(&open, |r| r.spawn.tok).ok()?;
+            (!regions[id].synthetic).then_some(id as u32)
         })
-        .unwrap_or(0)
-}
-
-/// The enclosing-brace id chain, outermost first.
-fn scope_chain(braces: &[(u32, bool)]) -> Vec<u32> {
-    braces.iter().map(|&(id, _)| id).collect()
+        .unwrap_or(0);
+    Point {
+        tok: i,
+        region,
+        fn_id,
+        block: tree.block_at(i),
+    }
 }
 
 /// What a tracked binding denotes.
@@ -426,27 +411,22 @@ struct Binding {
     hops: u32,
 }
 
-fn find_sites(
+fn find_sites<'t>(
     file: &str,
     toks: &[Token],
+    tree: &'t ScopeTree,
     imports: &HashMap<String, Import>,
     summaries: &Summaries,
-) -> SitePass {
+) -> SitePass<'t> {
     let file_has_task = toks.iter().any(|t| t.is_ident("Task"));
-    let mut pass = SitePass::default();
-    pass.regions.push(Region {
-        start_tok: 0,
-        multi: false,
-    });
-    pass.hb.regions.push(RegionHb::default());
+    let mut pass = SitePass {
+        sites: Vec::new(),
+        channeled: HashSet::new(),
+        hb: HbIndex::new(tree),
+    };
     let mut bindings: HashMap<String, Binding> = HashMap::new();
     let mut locks = LockTracker::new();
-    let mut parens: Vec<Paren> = Vec::new();
-    // Brace stack entries: (scope id, is-loop-body).
-    let mut braces: Vec<(u32, bool)> = Vec::new();
-    let mut next_scope: u32 = 0;
     let mut cur_fn: u32 = 0;
-    let mut pending_loop = false;
     // One fresh region per (call token, callee file, callee region id), so
     // every op a single call materializes from the same spawned task lands
     // in the same region, while two calls get distinct regions.
@@ -454,8 +434,8 @@ fn find_sites(
 
     for i in 0..toks.len() {
         let t = &toks[i];
-        match t.kind {
-            TokKind::Ident => match t.text {
+        if t.kind == TokKind::Ident {
+            match t.text {
                 "fn" => {
                     cur_fn += 1;
                     bindings.clear();
@@ -464,19 +444,6 @@ fn find_sites(
                 }
                 "await" if i > 0 && toks[i - 1].is_punct('.') => {
                     pass.hb.awaits.push((t.line, t.col));
-                }
-                "for" | "while" | "loop" => {
-                    // `impl Trait for Type` also uses `for`; a loop keyword
-                    // in statement position follows a brace, semicolon, or
-                    // nothing.
-                    let stmt_pos = i == 0
-                        || matches!(&toks[i - 1], p if p.is_punct('{')
-                            || p.is_punct('}')
-                            || p.is_punct(';')
-                            || p.is_punct(')'));
-                    if stmt_pos {
-                        pending_loop = true;
-                    }
                 }
                 "let" => {
                     handle_let(
@@ -487,7 +454,7 @@ fn find_sites(
                         summaries,
                         &mut bindings,
                         &mut locks,
-                        braces.len(),
+                        tree.block_at(i),
                     );
                     // A rebinding `let` also retires any spawn handle of
                     // the same name (the binding the join would resolve to
@@ -498,237 +465,172 @@ fn find_sites(
                     }
                 }
                 _ => {}
-            },
-            TokKind::Punct => match t.text.as_bytes().first() {
-                Some(b'(') => {
-                    // Instrumented call site: `recv . method (`.
-                    if i >= 3
-                        && toks[i - 1].kind == TokKind::Ident
-                        && toks[i - 2].is_punct('.')
-                        && toks[i - 3].kind == TokKind::Ident
+            }
+            continue;
+        }
+        if !t.is_punct('(') {
+            continue;
+        }
+        let here = |regions: &[RegionHb]| point_at(tree, regions, cur_fn, i);
+        // Instrumented call site: `recv . method (`.
+        if i >= 3
+            && toks[i - 1].kind == TokKind::Ident
+            && toks[i - 2].is_punct('.')
+            && toks[i - 3].kind == TokKind::Ident
+        {
+            if let Some(b) = bindings.get(toks[i - 3].text) {
+                let method = &toks[i - 1];
+                let op = format!("{}.{}", b.class, method.text);
+                if let Some(kind) = classify_op(&op) {
+                    let at = here(&pass.hb.regions);
+                    let active = locks.active(tree, at.block);
+                    pass.sites.push(SiteCtx {
+                        site: StaticSite {
+                            file: file.to_string(),
+                            line: method.line,
+                            column: method.col,
+                            receiver: b.root.clone(),
+                            class: b.class.to_string(),
+                            method: method.text.to_string(),
+                            kind: kind_str(kind).to_string(),
+                            region: at.region,
+                            guards: guard_strings(&active),
+                        },
+                        at,
+                        kind,
+                        locks: active,
+                        hops: b.hops,
+                    });
+                }
+            }
+            // Channel transfer: `tx.send(x)` hands x's root to whoever
+            // holds the receiver. The send itself is an HB event on the
+            // channel; a blocking `rx.recv()` is the matching one
+            // (`try_recv` deliberately is not: it can return before the
+            // send).
+            if toks[i - 1].is_ident("send") {
+                if let Some(chan) = locks.sender_channel(toks[i - 3].text) {
+                    if let Some(root) = call_args(toks, tree, i)
+                        .first()
+                        .and_then(|a| a.as_deref())
+                        .and_then(|a| bindings.get(a).map(|b| b.root.clone()))
                     {
-                        if let Some(b) = bindings.get(toks[i - 3].text) {
-                            let method = &toks[i - 1];
-                            let op = format!("{}.{}", b.class, method.text);
-                            if let Some(kind) = classify_op(&op) {
-                                let region = ambient_region(&parens);
-                                let active = locks.active();
-                                pass.sites.push(SiteCtx {
-                                    site: StaticSite {
-                                        file: file.to_string(),
-                                        line: method.line,
-                                        column: method.col,
-                                        receiver: b.root.clone(),
-                                        class: b.class.to_string(),
-                                        method: method.text.to_string(),
-                                        kind: kind_str(kind).to_string(),
-                                        region,
-                                        guards: guard_strings(&active),
-                                    },
-                                    region,
-                                    tok_index: i,
-                                    kind,
-                                    locks: active,
-                                    hops: b.hops,
-                                    fn_id: cur_fn,
-                                    scopes: scope_chain(&braces),
-                                });
-                            }
-                        }
-                        // Channel transfer: `tx.send(x)` hands x's root to
-                        // whoever holds the receiver. The send itself is an
-                        // HB event on the channel.
-                        if toks[i - 1].is_ident("send") {
-                            if let Some(chan) = locks.sender_channel(toks[i - 3].text) {
-                                if let Some(root) = call_args(toks, i)
-                                    .first()
-                                    .and_then(|a| a.as_deref())
-                                    .and_then(|a| bindings.get(a).map(|b| b.root.clone()))
-                                {
-                                    pass.channeled.insert(root);
-                                }
-                                pass.hb.sends.push(ChanEvent {
-                                    chan,
-                                    tok: i,
-                                    region: ambient_region(&parens),
-                                    fn_id: cur_fn,
-                                    scopes: scope_chain(&braces),
-                                    in_loop: braces.iter().any(|&(_, l)| l),
-                                });
-                            }
-                        }
-                        // A blocking `rx.recv()` is the matching HB event
-                        // (`try_recv` deliberately is not: it can return
-                        // before the send).
-                        if toks[i - 1].is_ident("recv") {
-                            if let Some(chan) = locks.receiver_channel(toks[i - 3].text) {
-                                pass.hb.recvs.push(ChanEvent {
-                                    chan,
-                                    tok: i,
-                                    region: ambient_region(&parens),
-                                    fn_id: cur_fn,
-                                    scopes: scope_chain(&braces),
-                                    in_loop: braces.iter().any(|&(_, l)| l),
-                                });
-                            }
-                        }
-                        // `h.join()` on a spawn handle seals that region.
-                        if toks[i - 1].is_ident("join") {
-                            pass.hb.on_join(
-                                toks[i - 3].text,
-                                i,
-                                ambient_region(&parens),
-                                scope_chain(&braces),
-                                braces.iter().any(|&(_, l)| l),
-                            );
-                        }
+                        pass.channeled.insert(root);
                     }
-                    // Spawn call: this paren extent is a new region.
-                    let spawn_ident = toks
-                        .get(i.wrapping_sub(1))
-                        .filter(|p| p.kind == TokKind::Ident)
-                        .map(|p| p.text);
-                    let is_spawn = match spawn_ident {
-                        Some(s) if SPAWN_CALLS.contains(&s) => true,
-                        Some("run" | "run_with_hook") => {
-                            file_has_task && i >= 2 && toks[i - 2].is_punct('.')
-                        }
-                        _ => false,
-                    };
-                    if is_spawn {
-                        let in_loop = braces.iter().any(|&(_, l)| l);
-                        let multi =
-                            in_loop || spawn_ident.is_some_and(|s| MULTI_SPAWN_CALLS.contains(&s));
-                        let id = pass.regions.len() as u32;
-                        pass.regions.push(Region {
-                            start_tok: i,
-                            multi,
-                        });
-                        pass.hb.regions.push(RegionHb {
-                            start_tok: i,
-                            parent_region: ambient_region(&parens),
-                            fn_id: cur_fn,
-                            multi,
-                            synthetic: false,
-                            scopes: scope_chain(&braces),
-                            handle: None,
-                            join: None,
-                        });
-                        if let Some(name) = spawn_handle(toks, i) {
-                            pass.hb.bind_handle(name, id);
-                        }
-                        parens.push(Paren::Region(id));
-                    } else if spawn_ident == Some("scope") {
-                        // A scoped-thread block: every region spawned inside
-                        // these parens completes at the closing paren.
-                        let sid = pass.hb.open_scope(
-                            i,
-                            ambient_region(&parens),
-                            cur_fn,
-                            scope_chain(&braces),
-                            braces.iter().any(|&(_, l)| l),
-                        );
-                        parens.push(Paren::Scope(sid));
-                    } else {
-                        // Interprocedural: a plain call to a summarized fn
-                        // materializes its wrapper accesses here.
-                        let after_path =
-                            i >= 2 && (toks[i - 2].is_punct('.') || toks[i - 2].is_punct(':'));
-                        if let Some(callee) = spawn_ident.filter(|_| !after_path) {
-                            if let Some(sum) = summaries.lookup(file, callee) {
-                                let argv = call_args(toks, i);
-                                let caller_region = ambient_region(&parens);
-                                let in_loop = braces.iter().any(|&(_, l)| l);
-                                let call_scopes = scope_chain(&braces);
-                                for op in &sum.ops {
-                                    let Some(Some(arg)) = argv.get(op.param) else {
-                                        continue;
-                                    };
-                                    let Some(b) = bindings.get(arg.as_str()) else {
-                                        continue;
-                                    };
-                                    if b.class != op.class {
-                                        continue;
-                                    }
-                                    let region = match op.spawned {
-                                        None => caller_region,
-                                        Some((rid, op_multi)) => {
-                                            let key = (i, Arc::clone(&op.file), rid);
-                                            *spawn_region_map.entry(key).or_insert_with(|| {
-                                                let id = pass.regions.len() as u32;
-                                                pass.regions.push(Region {
-                                                    start_tok: i,
-                                                    multi: op_multi || in_loop,
-                                                });
-                                                // Synthetic: the spawn lives
-                                                // in the callee, so nothing
-                                                // in this file can seal it.
-                                                pass.hb.regions.push(RegionHb {
-                                                    start_tok: i,
-                                                    parent_region: caller_region,
-                                                    fn_id: cur_fn,
-                                                    multi: op_multi || in_loop,
-                                                    synthetic: true,
-                                                    scopes: call_scopes.clone(),
-                                                    handle: None,
-                                                    join: None,
-                                                });
-                                                id
-                                            })
-                                        }
-                                    };
-                                    let mut site_locks = locks.active();
-                                    if let Some((q, mode)) = op.lock_param {
-                                        if let Some(root) = argv
-                                            .get(q)
-                                            .and_then(|a| a.as_deref())
-                                            .and_then(|a| locks.lock_root(a))
-                                        {
-                                            push_lock(&mut site_locks, root.to_string(), mode);
-                                        }
-                                    }
-                                    pass.sites.push(SiteCtx {
-                                        site: StaticSite {
-                                            file: op.file.to_string(),
-                                            line: op.line,
-                                            column: op.col,
-                                            receiver: b.root.clone(),
-                                            class: op.class.to_string(),
-                                            method: op.method.clone(),
-                                            kind: kind_str(op.kind).to_string(),
-                                            region,
-                                            guards: guard_strings(&site_locks),
-                                        },
-                                        region,
-                                        tok_index: i,
-                                        kind: op.kind,
-                                        locks: site_locks,
-                                        hops: b.hops + op.hops + 1,
-                                        fn_id: cur_fn,
-                                        scopes: call_scopes.clone(),
-                                    });
-                                }
-                            }
-                        }
-                        parens.push(Paren::Plain);
+                    pass.hb.sends.push(ChanEvent {
+                        chan,
+                        at: here(&pass.hb.regions),
+                    });
+                }
+            }
+            if toks[i - 1].is_ident("recv") {
+                if let Some(chan) = locks.receiver_channel(toks[i - 3].text) {
+                    pass.hb.recvs.push(ChanEvent {
+                        chan,
+                        at: here(&pass.hb.regions),
+                    });
+                }
+            }
+            // `h.join()` on a spawn handle seals that region.
+            if toks[i - 1].is_ident("join") {
+                pass.hb.on_join(toks[i - 3].text, here(&pass.hb.regions));
+            }
+        }
+        // Spawn call: this paren extent is a new region.
+        let spawn_ident = toks
+            .get(i.wrapping_sub(1))
+            .filter(|p| p.kind == TokKind::Ident)
+            .map(|p| p.text);
+        let is_spawn = match spawn_ident {
+            Some(s) if SPAWN_CALLS.contains(&s) => true,
+            Some("run" | "run_with_hook") => file_has_task && i >= 2 && toks[i - 2].is_punct('.'),
+            _ => false,
+        };
+        if is_spawn {
+            let spawn = here(&pass.hb.regions);
+            let multi = tree.in_loop(spawn.block, ROOT)
+                || spawn_ident.is_some_and(|s| MULTI_SPAWN_CALLS.contains(&s));
+            let id = pass.hb.regions.len() as u32;
+            pass.hb.regions.push(RegionHb {
+                spawn,
+                multi,
+                ..RegionHb::default()
+            });
+            if let Some(name) = spawn_handle(toks, i) {
+                pass.hb.bind_handle(name, id);
+            }
+        } else if spawn_ident == Some("scope") {
+            // A scoped-thread block: every region spawned inside these
+            // parens completes at the closing paren.
+            pass.hb.scopes.push(here(&pass.hb.regions));
+        } else {
+            // Interprocedural: a plain call to a summarized fn
+            // materializes its wrapper accesses here.
+            let after_path = i >= 2 && (toks[i - 2].is_punct('.') || toks[i - 2].is_punct(':'));
+            let Some(sum) = spawn_ident
+                .filter(|_| !after_path)
+                .and_then(|callee| summaries.lookup(file, callee))
+            else {
+                continue;
+            };
+            let argv = call_args(toks, tree, i);
+            let call = here(&pass.hb.regions);
+            let in_loop = tree.in_loop(call.block, ROOT);
+            for op in &sum.ops {
+                let Some(Some(arg)) = argv.get(op.param) else {
+                    continue;
+                };
+                let Some(b) = bindings.get(arg.as_str()) else {
+                    continue;
+                };
+                if b.class != op.class {
+                    continue;
+                }
+                let region = match op.spawned {
+                    None => call.region,
+                    Some((rid, op_multi)) => {
+                        let key = (i, Arc::clone(&op.file), rid);
+                        *spawn_region_map.entry(key).or_insert_with(|| {
+                            // Synthetic: the spawn lives in the callee, so
+                            // nothing in this file can seal it.
+                            pass.hb.regions.push(RegionHb {
+                                spawn: call,
+                                multi: op_multi || in_loop,
+                                synthetic: true,
+                                ..RegionHb::default()
+                            });
+                            pass.hb.regions.len() as u32 - 1
+                        })
+                    }
+                };
+                let mut site_locks = locks.active(tree, call.block);
+                if let Some((q, mode)) = op.lock_param {
+                    if let Some(root) = argv
+                        .get(q)
+                        .and_then(|a| a.as_deref())
+                        .and_then(|a| locks.lock_root(a))
+                    {
+                        push_lock(&mut site_locks, root.to_string(), mode);
                     }
                 }
-                Some(b')') => {
-                    if let Some(Paren::Scope(sid)) = parens.pop() {
-                        pass.hb.close_scope(sid, i);
-                    }
-                }
-                Some(b'{') => {
-                    braces.push((next_scope, std::mem::take(&mut pending_loop)));
-                    next_scope += 1;
-                }
-                Some(b'}') => {
-                    braces.pop();
-                    locks.on_close_brace(braces.len());
-                }
-                _ => {}
-            },
-            _ => {}
+                pass.sites.push(SiteCtx {
+                    site: StaticSite {
+                        file: op.file.to_string(),
+                        line: op.line,
+                        column: op.col,
+                        receiver: b.root.clone(),
+                        class: op.class.to_string(),
+                        method: op.method.clone(),
+                        kind: kind_str(op.kind).to_string(),
+                        region,
+                        guards: guard_strings(&site_locks),
+                    },
+                    at: Point { region, ..call },
+                    kind: op.kind,
+                    locks: site_locks,
+                    hops: b.hops + op.hops + 1,
+                });
+            }
         }
     }
     pass.hb.finalize();
@@ -811,7 +713,7 @@ fn handle_let(
     summaries: &Summaries,
     bindings: &mut HashMap<String, Binding>,
     locks: &mut LockTracker,
-    depth: usize,
+    block: u32,
 ) {
     if let Some((name, binding)) = parse_let(toks, let_idx, imports, bindings) {
         locks.forget(&name);
@@ -823,7 +725,7 @@ fn handle_let(
         bindings.insert(name, binding);
         return;
     }
-    if locks.on_let(toks, let_idx, depth) {
+    if locks.on_let(toks, let_idx, block) {
         if let Some(name) = single_let_name(toks, let_idx) {
             bindings.remove(name);
         }
@@ -1033,12 +935,8 @@ struct DerivedPairs {
 /// confidence of pairs with weaker ordering evidence (`hb_evidence`);
 /// provenance hops and region distance scale the confidence further (see
 /// DESIGN.md for the formula).
-fn derive_pairs(
-    sites: &[SiteCtx],
-    regions: &[Region],
-    channeled: &HashSet<String>,
-    hb: &HbIndex,
-) -> DerivedPairs {
+fn derive_pairs(sites: &[SiteCtx], channeled: &HashSet<String>, hb: &HbIndex) -> DerivedPairs {
+    let regions = &hb.regions;
     let mut out = DerivedPairs::default();
     let mut seen: Vec<(String, String)> = Vec::new();
     for (ai, a) in sites.iter().enumerate() {
@@ -1049,13 +947,13 @@ fn derive_pairs(
             if a.kind != OpKind::Write && b.kind != OpKind::Write {
                 continue;
             }
-            let (ra, rb) = (a.region as usize, b.region as usize);
+            let (ra, rb) = (a.at.region as usize, b.at.region as usize);
             let reason = if ra != 0 && rb != 0 && ra != rb {
                 "cross-task"
             } else if ra == rb && ra != 0 && regions[ra].multi {
                 "multi-instance-task"
-            } else if (ra == 0 && rb != 0 && regions[rb].start_tok < a.tok_index)
-                || (rb == 0 && ra != 0 && regions[ra].start_tok < b.tok_index)
+            } else if (ra == 0 && rb != 0 && regions[rb].spawn.tok < a.at.tok)
+                || (rb == 0 && ra != 0 && regions[ra].spawn.tok < b.at.tok)
             {
                 "main-vs-spawned"
             } else {
@@ -1084,20 +982,7 @@ fn derive_pairs(
             let hb_verdict = if lock_prune {
                 HbEvidence::None
             } else {
-                hb.relate(
-                    &HbEndpoint {
-                        tok: a.tok_index,
-                        region: a.region,
-                        fn_id: a.fn_id,
-                        scopes: &a.scopes,
-                    },
-                    &HbEndpoint {
-                        tok: b.tok_index,
-                        region: b.region,
-                        fn_id: b.fn_id,
-                        scopes: &b.scopes,
-                    },
-                )
+                hb.relate(&a.at, &b.at)
             };
             let ordered = hb_verdict.is_ordered();
             let prune = lock_prune || ordered;

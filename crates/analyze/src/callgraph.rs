@@ -22,6 +22,7 @@ use tsvd_core::OpKind;
 
 use crate::analysis::{MULTI_SPAWN_CALLS, SPAWN_CALLS};
 use crate::lexer::{tokenize, TokKind, Token};
+use crate::scope::ScopeTree;
 
 /// Synchronization wrapper type names recognized in parameter positions.
 pub const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "TsvdMutex"];
@@ -138,11 +139,12 @@ impl Summaries {
     pub fn file_fragments(file: &str, src: &str) -> Vec<FnSummary> {
         let file: Arc<str> = Arc::from(file);
         let toks = tokenize(src);
+        let tree = ScopeTree::build(&toks);
         let mut out = Vec::new();
         let mut i = 0;
         while i < toks.len() {
             if toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
-                if let Some((summary, next)) = parse_fn(&file, &toks, i) {
+                if let Some((summary, next)) = parse_fn(&file, &toks, &tree, i) {
                     out.push(summary);
                     i = next;
                     continue;
@@ -267,38 +269,6 @@ impl Summaries {
     }
 }
 
-/// Index of the `)` matching the `(` at `open`.
-pub(crate) fn matching_paren(toks: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
-}
-
-/// Index of the `}` matching the `{` at `open`.
-fn matching_brace(toks: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
-}
-
 /// Wrapper class named by a type-annotation token run, if any. `std` or
 /// `raw` segments disqualify — those are the uninstrumented types the
 /// escape lint exists for, not provenance.
@@ -355,8 +325,8 @@ fn parse_params(toks: &[Token]) -> Vec<Param> {
 }
 
 /// Bare-ident argument names by position inside the call parens at `open`.
-pub(crate) fn call_args(toks: &[Token], open: usize) -> Vec<Option<String>> {
-    let Some(close) = matching_paren(toks, open) else {
+pub(crate) fn call_args(toks: &[Token], tree: &ScopeTree, open: usize) -> Vec<Option<String>> {
+    let Some(close) = tree.close_of(open) else {
         return Vec::new();
     };
     let inner = &toks[open + 1..close];
@@ -399,7 +369,12 @@ fn bare_arg_name(toks: &[Token]) -> Option<String> {
 /// Parses one `fn` item starting at `fn_idx`; returns the summary and the
 /// token index scanning should resume from (just inside the body, so
 /// nested items are discovered by the outer scan).
-fn parse_fn(file: &Arc<str>, toks: &[Token], fn_idx: usize) -> Option<(FnSummary, usize)> {
+fn parse_fn(
+    file: &Arc<str>,
+    toks: &[Token],
+    tree: &ScopeTree,
+    fn_idx: usize,
+) -> Option<(FnSummary, usize)> {
     let name = toks.get(fn_idx + 1)?.text.to_string();
     let mut i = fn_idx + 2;
     if toks.get(i)?.is_punct('<') {
@@ -418,7 +393,7 @@ fn parse_fn(file: &Arc<str>, toks: &[Token], fn_idx: usize) -> Option<(FnSummary
         return None;
     }
     let params_open = i;
-    let params_close = matching_paren(toks, params_open)?;
+    let params_close = tree.close_of(params_open)?;
     let params = parse_params(&toks[params_open + 1..params_close]);
 
     i = params_close + 1;
@@ -457,7 +432,7 @@ fn parse_fn(file: &Arc<str>, toks: &[Token], fn_idx: usize) -> Option<(FnSummary
         .map(|s| (s, ret_end.unwrap_or(body_open)))
         .filter(|&(s, e)| s <= e)
         .and_then(|(s, e)| type_class(&toks[s..e]));
-    let body_close = matching_brace(toks, body_open)?;
+    let body_close = tree.close_of(body_open)?;
 
     let mut summary = FnSummary {
         file: Arc::clone(file),
@@ -467,7 +442,7 @@ fn parse_fn(file: &Arc<str>, toks: &[Token], fn_idx: usize) -> Option<(FnSummary
         ops: Vec::new(),
         calls: Vec::new(),
     };
-    summarize_body(&mut summary, toks, body_open, body_close);
+    summarize_body(&mut summary, toks, tree, body_open, body_close);
     Some((summary, body_open + 1))
 }
 
@@ -477,135 +452,111 @@ const CALL_KEYWORDS: &[&str] = &[
 ];
 
 /// Fills `ops` and `calls` from the body extent `(body_open, body_close)`.
-fn summarize_body(summary: &mut FnSummary, toks: &[Token], body_open: usize, body_close: usize) {
+fn summarize_body(
+    summary: &mut FnSummary,
+    toks: &[Token],
+    tree: &ScopeTree,
+    body_open: usize,
+    body_close: usize,
+) {
     let param_idx: HashMap<&str, usize> = summary
         .params
         .iter()
         .enumerate()
         .map(|(i, p)| (p.name.as_str(), i))
         .collect();
-
-    // Same region machinery as the per-file pass, scoped to this body.
-    let mut regions: Vec<bool> = Vec::new(); // region id -> multi
-    let mut parens: Vec<Option<u32>> = Vec::new();
-    let mut braces: Vec<bool> = Vec::new();
-    let mut pending_loop = false;
-    // Active param-lock guards: (brace depth at creation, param, mode).
-    let mut guards: Vec<(usize, usize, GuardMode)> = Vec::new();
+    // The body's own block (an empty body has no token to ask at, and
+    // nothing to summarize either).
+    let body = tree.block_at(body_open + 1);
+    // Spawn calls of this body, as (opening paren, multi); the region id
+    // is the position.
+    let mut spawns: Vec<(usize, bool)> = Vec::new();
+    // Param-lock guards: (block of the `let`, param, mode).
+    let mut guards: Vec<(u32, usize, GuardMode)> = Vec::new();
 
     let mut i = body_open + 1;
     while i < body_close {
         let t = &toks[i];
-        match t.kind {
-            TokKind::Ident => match t.text {
-                // Nested items get their own summary from the outer scan;
-                // attributing their body to this fn would be wrong.
-                "fn" => {
-                    let mut j = i + 1;
-                    while j < body_close && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
-                        j += 1;
-                    }
-                    if j < body_close && toks[j].is_punct('{') {
-                        if let Some(close) = matching_brace(toks, j) {
-                            i = close + 1;
-                            continue;
-                        }
-                    }
-                    i = j + 1;
-                    continue;
-                }
-                "for" | "while" | "loop" => {
-                    let stmt_pos = i == body_open + 1
-                        || matches!(&toks[i - 1], p if p.is_punct('{')
-                            || p.is_punct('}')
-                            || p.is_punct(';')
-                            || p.is_punct(')'));
-                    if stmt_pos {
-                        pending_loop = true;
-                    }
-                }
-                "let" => {
-                    if let Some((param, mode)) = parse_param_guard(toks, i, &param_idx) {
-                        guards.push((braces.len(), param, mode));
-                    }
-                }
-                _ => {}
-            },
-            TokKind::Punct => match t.text.as_bytes().first() {
-                Some(b'(') => {
-                    // Param access: `p . method (`.
-                    if i >= 3
-                        && toks[i - 1].kind == TokKind::Ident
-                        && toks[i - 2].is_punct('.')
-                        && toks[i - 3].kind == TokKind::Ident
-                    {
-                        if let Some(&pidx) = param_idx.get(toks[i - 3].text) {
-                            if let Some(class) = summary.params[pidx].class {
-                                let method = &toks[i - 1];
-                                let op = format!("{class}.{}", method.text);
-                                if let Some(kind) = classify_op(&op) {
-                                    let spawned = parens
-                                        .iter()
-                                        .rev()
-                                        .find_map(|p| *p)
-                                        .map(|id| (id, regions[id as usize]));
-                                    let lock_param = guards.last().map(|&(_, p, m)| (p, m));
-                                    summary.ops.push(ParamOp {
-                                        param: pidx,
-                                        class,
-                                        method: method.text.to_string(),
-                                        kind,
-                                        file: Arc::clone(&summary.file),
-                                        line: method.line,
-                                        col: method.col,
-                                        spawned,
-                                        lock_param,
-                                        hops: 0,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    // Spawn extents and plain calls.
-                    let prev_ident = toks
-                        .get(i.wrapping_sub(1))
-                        .filter(|p| p.kind == TokKind::Ident)
-                        .map(|p| p.text);
-                    let after_path =
-                        i >= 2 && (toks[i - 2].is_punct('.') || toks[i - 2].is_punct(':'));
-                    let is_spawn = prev_ident.is_some_and(|s| SPAWN_CALLS.contains(&s));
-                    if is_spawn {
-                        let in_loop = braces.iter().any(|&l| l);
-                        let multi =
-                            in_loop || prev_ident.is_some_and(|s| MULTI_SPAWN_CALLS.contains(&s));
-                        let id = regions.len() as u32;
-                        regions.push(multi);
-                        parens.push(Some(id));
-                    } else {
-                        if let Some(callee) = prev_ident {
-                            if !after_path && !CALL_KEYWORDS.contains(&callee) {
-                                summary.calls.push(CallEdge {
-                                    callee: callee.to_string(),
-                                    args: call_args(toks, i),
-                                });
-                            }
-                        }
-                        parens.push(None);
+        // Nested items get their own summary from the outer scan;
+        // attributing their body to this fn would be wrong.
+        if t.is_ident("fn") {
+            let mut j = i + 1;
+            while j < body_close && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
+                j += 1;
+            }
+            let item_body = j < body_close && toks[j].is_punct('{');
+            i = match tree.close_of(j).filter(|_| item_body) {
+                Some(close) => close + 1,
+                None => j + 1,
+            };
+            continue;
+        }
+        if t.is_ident("let") {
+            if let Some((param, mode)) = parse_param_guard(toks, i, &param_idx) {
+                guards.push((tree.block_at(i), param, mode));
+            }
+        }
+        if !t.is_punct('(') {
+            i += 1;
+            continue;
+        }
+        // Param access: `p . method (`.
+        if i >= 3
+            && toks[i - 1].kind == TokKind::Ident
+            && toks[i - 2].is_punct('.')
+            && toks[i - 3].kind == TokKind::Ident
+        {
+            if let Some(&pidx) = param_idx.get(toks[i - 3].text) {
+                if let Some(class) = summary.params[pidx].class {
+                    let method = &toks[i - 1];
+                    let op = format!("{class}.{}", method.text);
+                    if let Some(kind) = classify_op(&op) {
+                        let here = tree.block_at(i);
+                        let spawned = tree
+                            .parens_around(i)
+                            .take_while(|&open| open > body_open)
+                            .find_map(|open| {
+                                let id = spawns.binary_search_by_key(&open, |s| s.0).ok()?;
+                                Some((id as u32, spawns[id].1))
+                            });
+                        let lock_param = guards
+                            .iter()
+                            .rev()
+                            .find(|g| tree.dominates(g.0, here))
+                            .map(|&(_, p, m)| (p, m));
+                        summary.ops.push(ParamOp {
+                            param: pidx,
+                            class,
+                            method: method.text.to_string(),
+                            kind,
+                            file: Arc::clone(&summary.file),
+                            line: method.line,
+                            col: method.col,
+                            spawned,
+                            lock_param,
+                            hops: 0,
+                        });
                     }
                 }
-                Some(b')') => {
-                    parens.pop();
-                }
-                Some(b'{') => {
-                    braces.push(std::mem::take(&mut pending_loop));
-                }
-                Some(b'}') => {
-                    braces.pop();
-                    guards.retain(|&(depth, _, _)| depth <= braces.len());
-                }
-                _ => {}
-            },
-            _ => {}
+            }
+        }
+        // Spawn extents and plain calls.
+        let prev_ident = toks
+            .get(i.wrapping_sub(1))
+            .filter(|p| p.kind == TokKind::Ident)
+            .map(|p| p.text);
+        let after_path = i >= 2 && (toks[i - 2].is_punct('.') || toks[i - 2].is_punct(':'));
+        if let Some(callee) = prev_ident {
+            if SPAWN_CALLS.contains(&callee) {
+                let multi =
+                    tree.in_loop(tree.block_at(i), body) || MULTI_SPAWN_CALLS.contains(&callee);
+                spawns.push((i, multi));
+            } else if !after_path && !CALL_KEYWORDS.contains(&callee) {
+                summary.calls.push(CallEdge {
+                    callee: callee.to_string(),
+                    args: call_args(toks, tree, i),
+                });
+            }
         }
         i += 1;
     }
@@ -1013,6 +964,29 @@ mod tests {
             f.ops[1].lock_param.is_none(),
             "guard dropped with its block"
         );
+    }
+
+    #[test]
+    fn a_fn_pointer_type_does_not_leave_the_groups_it_skips_over_open() {
+        // A `fn` token that starts no item still starts a skip to the next
+        // `;` (or item body), and here the skip runs over the closers of
+        // the `match` and of the spawn call. Both still close where the
+        // tree says they do: the guard dies with its block, and the last
+        // access is outside the spawn.
+        let s = build_one(
+            "fn f(d: &Dictionary<u64, u64>, m: &TsvdMutex<u32>, pool: &Pool) {\n\
+             \x20   {\n\
+             \x20       let g = m.lock();\n\
+             \x20       let h = match k { 0 => a as fn(), _ => b as fn() };\n\
+             \x20   }\n\
+             \x20   pool.spawn(a as fn());\n\
+             \x20   d.set(1, 1);\n\
+             }\n",
+        );
+        let f = s.lookup("a.rs", "f").expect("summary");
+        assert_eq!(f.ops.len(), 1);
+        assert_eq!(f.ops[0].lock_param, None);
+        assert_eq!(f.ops[0].spawned, None);
     }
 
     #[test]

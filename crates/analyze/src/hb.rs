@@ -1,5 +1,5 @@
 //! Static happens-before: per-function ordering facts over the same token
-//! stream the site pass walks.
+//! stream and [`ScopeTree`] the site pass walks.
 //!
 //! The pair deriver in [`analysis`](crate::analysis) asks one question the
 //! lockset cannot answer: can these two accesses *overlap in time at all*?
@@ -23,17 +23,23 @@
 //! - **await points** (`.await`) are recorded as task-boundary markers for
 //!   the report; the threads-only runtime draws no edges from them yet.
 //!
-//! Soundness discipline: a completion event only *orders* a later access
-//! when it **dominates** it — its enclosing-brace chain is a prefix of the
-//! access's chain — so a join inside an `if` or a sibling block never
-//! prunes. Events inside loops never complete anything (a loop iteration
-//! breaks textual-order-equals-program-order). Regions materialized from
-//! interprocedural summaries are never considered sealed: the callee's
-//! spawn is invisible to the caller's joins. When the test fails the pair
-//! is *kept* and only its confidence is scaled (window / partial
-//! evidence); pruning requires the full dominance argument.
+//! Every event and access is a [`Point`]: token, region, `fn` item and the
+//! one block it is in. Soundness discipline: a completion event only
+//! *orders* a later access when it **dominates** it — the event's block is
+//! the access's block or an ancestor of it in the tree
+//! ([`ScopeTree::dominates`]) — so a join inside an `if` or a sibling block
+//! never prunes. Events inside loops never complete anything (a loop
+//! iteration breaks textual-order-equals-program-order). A `scope(...)`
+//! call completes at the `)` the tree closes it with; one that never closes
+//! completes nothing. Regions materialized from interprocedural summaries
+//! are never considered sealed: the callee's spawn is invisible to the
+//! caller's joins. When the test fails the pair is *kept* and only its
+//! confidence is scaled (window / partial evidence); pruning requires the
+//! full dominance argument.
 
 use std::collections::HashMap;
+
+use crate::scope::{ScopeTree, ROOT};
 
 /// A directed graph over dense `usize` nodes with BFS reachability.
 ///
@@ -114,57 +120,35 @@ pub enum SealKind {
     Scope,
 }
 
-/// A join call observed on a region's handle.
-#[derive(Debug, Clone)]
-pub struct JoinEvent {
-    /// Token index of the `(` of `h.join(`.
+/// A token as the ordering queries see it: an access, or the `(` of a
+/// spawn, join, `scope(...)`, send or recv call.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Point {
+    /// Token index.
     pub tok: usize,
-    /// Ambient region at the join.
+    /// Region the token runs in (for a spawn: the spawning region).
     pub region: u32,
-    /// Enclosing-brace chain at the join (dominance test input).
-    pub scopes: Vec<u32>,
-    /// Whether any enclosing brace is a loop body.
-    pub in_loop: bool,
-}
-
-/// One `scope(...)` call extent.
-#[derive(Debug, Clone)]
-pub struct ScopeExtent {
-    /// Token index of the call's `(`.
-    pub open_tok: usize,
-    /// Token index of the matching `)` (0 while still open).
-    pub close_tok: usize,
-    /// Ambient region at the call.
-    pub region: u32,
-    /// Function the call appears in.
+    /// Function the token appears in.
     pub fn_id: u32,
-    /// Enclosing-brace chain at the call.
-    pub scopes: Vec<u32>,
-    /// Whether any enclosing brace is a loop body.
-    pub in_loop: bool,
+    /// Block the token is in.
+    pub block: u32,
 }
 
-/// Per-region happens-before facts, parallel to the site pass's region
-/// vector (index = region id; entry 0 is the implicit top level).
+/// Per-region happens-before facts; index = region id, entry 0 is the
+/// implicit top level. Regions are in token order.
 #[derive(Debug, Clone, Default)]
 pub struct RegionHb {
-    /// Token index of the spawn call's `(`.
-    pub start_tok: usize,
-    /// Ambient region at the spawn.
-    pub parent_region: u32,
-    /// Function the spawn appears in.
-    pub fn_id: u32,
+    /// The spawn call's `(`.
+    pub spawn: Point,
     /// Whether the region body can run against itself.
     pub multi: bool,
     /// Materialized from an interprocedural summary: the spawn lives in a
     /// callee, so no completion in this file can seal it.
     pub synthetic: bool,
-    /// Enclosing-brace chain at the spawn.
-    pub scopes: Vec<u32>,
     /// `let h = ...spawn(...)` binding name, if any.
     pub handle: Option<String>,
-    /// `h.join()` observed on the handle.
-    pub join: Option<JoinEvent>,
+    /// The `(` of the first `h.join()` on the handle.
+    pub join: Option<Point>,
 }
 
 /// One channel endpoint use (`tx.send(` / `rx.recv(`).
@@ -172,29 +156,8 @@ pub struct RegionHb {
 pub struct ChanEvent {
     /// Per-function channel id (see [`crate::lockset`]).
     pub chan: u32,
-    /// Token index of the call's `(`.
-    pub tok: usize,
-    /// Ambient region at the call.
-    pub region: u32,
-    /// Function the call appears in.
-    pub fn_id: u32,
-    /// Enclosing-brace chain at the call.
-    pub scopes: Vec<u32>,
-    /// Whether any enclosing brace is a loop body.
-    pub in_loop: bool,
-}
-
-/// One pair endpoint as the ordering queries see it.
-#[derive(Debug, Clone, Copy)]
-pub struct HbEndpoint<'a> {
-    /// Token index of the access.
-    pub tok: usize,
-    /// Region the access runs in.
-    pub region: u32,
-    /// Function the access appears in.
-    pub fn_id: u32,
-    /// Enclosing-brace chain at the access.
-    pub scopes: &'a [u32],
+    /// The call's `(`.
+    pub at: Point,
 }
 
 /// The verdict [`HbIndex::relate`] returns for one pair.
@@ -253,20 +216,20 @@ impl HbEvidence {
 /// provably finished.
 #[derive(Debug, Clone)]
 struct Completion {
-    tok: usize,
-    region: u32,
-    scopes: Vec<u32>,
+    at: Point,
     kind: SealKind,
 }
 
 /// All happens-before facts of one file, built alongside the site pass and
 /// finalized once the walk ends.
-#[derive(Debug, Default)]
-pub struct HbIndex {
+#[derive(Debug)]
+pub struct HbIndex<'t> {
+    /// The file's block structure: closers, loop bodies, dominance.
+    tree: &'t ScopeTree,
     /// Per-region facts; index = region id.
     pub regions: Vec<RegionHb>,
-    /// `scope(...)` call extents.
-    pub scopes: Vec<ScopeExtent>,
+    /// The `(` of every `scope(...)` call; the tree knows its `)`.
+    pub scopes: Vec<Point>,
     /// Channel send events.
     pub sends: Vec<ChanEvent>,
     /// Channel recv events.
@@ -279,12 +242,19 @@ pub struct HbIndex {
     graph: HbGraph,
 }
 
-impl HbIndex {
-    /// An index with the implicit top-level region.
-    pub fn new() -> Self {
-        let mut idx = HbIndex::default();
-        idx.regions.push(RegionHb::default());
-        idx
+impl<'t> HbIndex<'t> {
+    /// An index over `tree`'s file with the implicit top-level region.
+    pub fn new(tree: &'t ScopeTree) -> Self {
+        HbIndex {
+            tree,
+            regions: vec![RegionHb::default()],
+            scopes: Vec::new(),
+            sends: Vec::new(),
+            recvs: Vec::new(),
+            awaits: Vec::new(),
+            handles: HashMap::new(),
+            graph: HbGraph::default(),
+        }
     }
 
     /// Called at each `fn` item boundary: handles are function-local.
@@ -305,55 +275,13 @@ impl HbIndex {
         self.handles.remove(name);
     }
 
-    /// Records `name.join()` at `tok` if `name` is a live handle.
-    pub fn on_join(
-        &mut self,
-        name: &str,
-        tok: usize,
-        region: u32,
-        scopes: Vec<u32>,
-        in_loop: bool,
-    ) {
+    /// Records `name.join()` if `name` is a live handle.
+    pub fn on_join(&mut self, name: &str, join: Point) {
         let Some(&rid) = self.handles.get(name) else {
             return;
         };
         if let Some(r) = self.regions.get_mut(rid as usize) {
-            if r.join.is_none() {
-                r.join = Some(JoinEvent {
-                    tok,
-                    region,
-                    scopes,
-                    in_loop,
-                });
-            }
-        }
-    }
-
-    /// Opens a `scope(...)` call extent; returns its index for the paren
-    /// stack.
-    pub fn open_scope(
-        &mut self,
-        open_tok: usize,
-        region: u32,
-        fn_id: u32,
-        scopes: Vec<u32>,
-        in_loop: bool,
-    ) -> usize {
-        self.scopes.push(ScopeExtent {
-            open_tok,
-            close_tok: 0,
-            region,
-            fn_id,
-            scopes,
-            in_loop,
-        });
-        self.scopes.len() - 1
-    }
-
-    /// Closes the scope extent opened earlier.
-    pub fn close_scope(&mut self, idx: usize, close_tok: usize) {
-        if let Some(s) = self.scopes.get_mut(idx) {
-            s.close_tok = close_tok;
+            r.join.get_or_insert(join);
         }
     }
 
@@ -371,10 +299,10 @@ impl HbIndex {
                 }
                 let rq = &self.regions[q];
                 if rq.synthetic
-                    || rq.fn_id != self.regions[p].fn_id
-                    || c.region != rq.parent_region
-                    || c.tok >= rq.start_tok
-                    || !is_prefix(&c.scopes, &rq.scopes)
+                    || rq.spawn.fn_id != self.regions[p].spawn.fn_id
+                    || c.at.region != rq.spawn.region
+                    || c.at.tok >= rq.spawn.tok
+                    || !self.tree.dominates(c.at.block, rq.spawn.block)
                 {
                     continue;
                 }
@@ -384,7 +312,7 @@ impl HbIndex {
     }
 
     /// The ordering verdict for one pair of endpoints.
-    pub fn relate(&self, a: &HbEndpoint, b: &HbEndpoint) -> HbEvidence {
+    pub fn relate(&self, a: &Point, b: &Point) -> HbEvidence {
         if a.fn_id != b.fn_id || a.region == b.region {
             // Cross-function sites share no completion events; same-region
             // pairs are the multi-instance case, where a region's own seal
@@ -427,7 +355,7 @@ impl HbIndex {
     }
 
     /// Whether everything `x`'s region does provably precedes `y`.
-    fn ordered_before(&self, x: &HbEndpoint, y: &HbEndpoint) -> Option<SealKind> {
+    fn ordered_before(&self, x: &Point, y: &Point) -> Option<SealKind> {
         if x.region == 0 {
             return None;
         }
@@ -443,7 +371,9 @@ impl HbIndex {
                 continue;
             }
             if let Some(c) = self.completion(q as u32) {
-                if c.region == y.region && c.tok < y.tok && is_prefix(&c.scopes, y.scopes) {
+                let at = c.at;
+                if at.region == y.region && at.tok < y.tok && self.tree.dominates(at.block, y.block)
+                {
                     return Some(c.kind);
                 }
             }
@@ -454,18 +384,18 @@ impl HbIndex {
     /// Whether a unique send→recv orders `x` before `y`: `x` precedes the
     /// send in the send's region, `y` follows the recv (dominated) in the
     /// recv's region.
-    fn channel_ordered(&self, x: &HbEndpoint, y: &HbEndpoint) -> bool {
+    fn channel_ordered(&self, x: &Point, y: &Point) -> bool {
         self.unique_channels(x.fn_id).iter().any(|(send, recv)| {
             x.region == send.region
                 && x.tok < send.tok
                 && y.region == recv.region
                 && recv.tok < y.tok
-                && is_prefix(&recv.scopes, y.scopes)
+                && self.tree.dominates(recv.block, y.block)
         })
     }
 
     /// Whether a unique channel touches both endpoints' regions at all.
-    fn channel_links(&self, a: &HbEndpoint, b: &HbEndpoint) -> bool {
+    fn channel_links(&self, a: &Point, b: &Point) -> bool {
         self.unique_channels(a.fn_id).iter().any(|(send, recv)| {
             (a.region == send.region && b.region == recv.region)
                 || (a.region == recv.region && b.region == send.region)
@@ -475,19 +405,21 @@ impl HbIndex {
     /// Channels of `fn_id` with exactly one send and one recv, neither in
     /// a loop — the only shape where one syntactic event is one runtime
     /// event and the recv provably receives that send.
-    fn unique_channels(&self, fn_id: u32) -> Vec<(&ChanEvent, &ChanEvent)> {
-        let mut per_chan: HashMap<u32, (Vec<&ChanEvent>, Vec<&ChanEvent>)> = HashMap::new();
-        for s in self.sends.iter().filter(|e| e.fn_id == fn_id) {
-            per_chan.entry(s.chan).or_default().0.push(s);
+    fn unique_channels(&self, fn_id: u32) -> Vec<(Point, Point)> {
+        let mut per_chan: HashMap<u32, (Vec<Point>, Vec<Point>)> = HashMap::new();
+        for s in self.sends.iter().filter(|e| e.at.fn_id == fn_id) {
+            per_chan.entry(s.chan).or_default().0.push(s.at);
         }
-        for r in self.recvs.iter().filter(|e| e.fn_id == fn_id) {
-            per_chan.entry(r.chan).or_default().1.push(r);
+        for r in self.recvs.iter().filter(|e| e.at.fn_id == fn_id) {
+            per_chan.entry(r.chan).or_default().1.push(r.at);
         }
-        let mut out: Vec<(&ChanEvent, &ChanEvent)> = per_chan
+        let mut out: Vec<(Point, Point)> = per_chan
             .into_values()
             .filter_map(
                 |(sends, recvs)| match (sends.as_slice(), recvs.as_slice()) {
-                    ([s], [r]) if !s.in_loop && !r.in_loop => Some((sends[0], recvs[0])),
+                    (&[s], &[r]) if !self.in_loop(s.block) && !self.in_loop(r.block) => {
+                        Some((s, r))
+                    }
                     _ => None,
                 },
             )
@@ -507,41 +439,33 @@ impl HbIndex {
         }
         if !region.multi {
             if let (Some(join), Some(handle)) = (&region.join, &region.handle) {
-                if !join.in_loop {
+                if !self.in_loop(join.block) {
                     return Some(Completion {
-                        tok: join.tok,
-                        region: join.region,
-                        scopes: join.scopes.clone(),
+                        at: *join,
                         kind: SealKind::Join(handle.clone()),
                     });
                 }
             }
         }
-        // Innermost closed scope extent containing the spawn, same fn.
+        // Innermost closed scope extent containing the spawn, same fn: it
+        // completes at its `)`, in the scope call's region and block.
+        let spawn = region.spawn;
         self.scopes
             .iter()
-            .filter(|s| {
-                s.close_tok != 0
-                    && !s.in_loop
-                    && s.fn_id == region.fn_id
-                    && s.open_tok < region.start_tok
-                    && region.start_tok < s.close_tok
-            })
-            .max_by_key(|s| s.open_tok)
-            .map(|s| Completion {
-                tok: s.close_tok,
-                region: s.region,
-                scopes: s.scopes.clone(),
+            .filter(|s| !self.in_loop(s.block) && s.fn_id == spawn.fn_id && s.tok < spawn.tok)
+            .filter_map(|s| Some((s, self.tree.close_of(s.tok)?)))
+            .filter(|&(_, close)| spawn.tok < close)
+            .max_by_key(|(s, _)| s.tok)
+            .map(|(s, close)| Completion {
+                at: Point { tok: close, ..*s },
                 kind: SealKind::Scope,
             })
     }
-}
 
-/// Whether `prefix` is a prefix of `chain` — the brace-dominance test: an
-/// event whose enclosing-block chain prefixes an access's chain is on
-/// every control-flow path to that access.
-fn is_prefix(prefix: &[u32], chain: &[u32]) -> bool {
-    chain.len() >= prefix.len() && chain[..prefix.len()] == *prefix
+    /// Whether `block` is, or is inside, a loop body.
+    fn in_loop(&self, block: u32) -> bool {
+        self.tree.in_loop(block, ROOT)
+    }
 }
 
 #[cfg(test)]
@@ -618,25 +542,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn is_prefix_matches_dominance_expectations() {
-        assert!(is_prefix(&[], &[1, 2]));
-        assert!(is_prefix(&[1], &[1, 2]));
-        assert!(is_prefix(&[1, 2], &[1, 2]));
-        assert!(!is_prefix(&[1, 2], &[1]));
-        assert!(!is_prefix(&[2], &[1, 2]));
+    /// A tree with one top-level block `{` at token 4 whose `(` at 5 closes
+    /// at 30: `x ( ) ; { ( ... ) }`, padded to the token indices below.
+    fn tree() -> ScopeTree {
+        let mut src = "x ( ) ; { (".to_string();
+        src.push_str(&" a".repeat(24));
+        src.push_str(" ) }");
+        let toks = crate::lexer::tokenize(&src);
+        assert_eq!(toks[30].text, ")");
+        ScopeTree::build(&toks)
     }
+
+    /// A region of fn 1 spawned at token 10, at top level.
+    fn spawned_at_10(multi: bool, synthetic: bool) -> RegionHb {
+        RegionHb {
+            spawn: Point {
+                tok: 10,
+                fn_id: 1,
+                block: 1,
+                ..Point::default()
+            },
+            multi,
+            synthetic,
+            ..RegionHb::default()
+        }
+    }
+
+    /// The `scope(` at token 5 of fn 1, in block 1.
+    const SCOPE_CALL: Point = Point {
+        tok: 5,
+        region: 0,
+        fn_id: 1,
+        block: 1,
+    };
 
     #[test]
     fn join_seals_a_single_instance_region_only() {
-        let mut idx = HbIndex::new();
-        idx.regions.push(RegionHb {
-            start_tok: 10,
-            fn_id: 1,
-            ..RegionHb::default()
-        });
+        let tree = tree();
+        let mut idx = HbIndex::new(&tree);
+        idx.regions.push(spawned_at_10(false, false));
         idx.bind_handle("h".to_string(), 1);
-        idx.on_join("h", 20, 0, vec![7], false);
+        idx.on_join(
+            "h",
+            Point {
+                tok: 20,
+                ..SCOPE_CALL
+            },
+        );
         assert!(idx.completion(1).is_some());
         idx.regions[1].multi = true;
         assert!(
@@ -647,32 +599,21 @@ mod tests {
 
     #[test]
     fn scope_close_seals_even_multi_regions() {
-        let mut idx = HbIndex::new();
-        idx.regions.push(RegionHb {
-            start_tok: 10,
-            fn_id: 1,
-            multi: true,
-            scopes: vec![7, 8],
-            ..RegionHb::default()
-        });
-        let sid = idx.open_scope(5, 0, 1, vec![7], false);
-        idx.close_scope(sid, 30);
+        let tree = tree();
+        let mut idx = HbIndex::new(&tree);
+        idx.regions.push(spawned_at_10(true, false));
+        idx.scopes.push(SCOPE_CALL);
         let c = idx.completion(1).expect("scope seals multi");
         assert_eq!(c.kind, SealKind::Scope);
-        assert_eq!(c.tok, 30);
+        assert_eq!(c.at.tok, 30, "the tree's closer of the scope call");
     }
 
     #[test]
     fn synthetic_regions_are_never_sealed() {
-        let mut idx = HbIndex::new();
-        idx.regions.push(RegionHb {
-            start_tok: 10,
-            fn_id: 1,
-            synthetic: true,
-            ..RegionHb::default()
-        });
-        let sid = idx.open_scope(5, 0, 1, vec![7], false);
-        idx.close_scope(sid, 30);
+        let tree = tree();
+        let mut idx = HbIndex::new(&tree);
+        idx.regions.push(spawned_at_10(false, true));
+        idx.scopes.push(SCOPE_CALL);
         assert!(idx.completion(1).is_none());
     }
 }

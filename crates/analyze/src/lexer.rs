@@ -579,30 +579,9 @@ mod tests {
         }
     }
 
-    /// Every `.rs` file under `dir`, recursively, sorted.
-    fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
-        let mut entries: Vec<_> = std::fs::read_dir(dir)
-            .expect("read_dir")
-            .map(|e| e.expect("dir entry").path())
-            .collect();
-        entries.sort();
-        for path in entries {
-            if path.is_dir() {
-                rust_sources(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
-    }
-
     #[test]
     fn borrowed_tokens_equal_the_owned_lexer_on_every_source_file_of_the_repo() {
-        // `crates/` covers this crate's own `tests/fixtures/` too.
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut files = Vec::new();
-        for dir in ["crates", "tests", "crates/analyze/tests/fixtures"] {
-            rust_sources(&root.join(dir), &mut files);
-        }
+        let files = crate::testrand::repo_sources();
         assert!(files.len() > 100, "found only {} files", files.len());
         for path in files {
             let src = std::fs::read_to_string(&path).expect("source file is UTF-8");
@@ -644,18 +623,8 @@ mod tests {
 
     #[test]
     fn borrowed_tokens_equal_the_owned_lexer_on_seeded_character_soup() {
-        // Short strings over the characters the lexer branches on, so
-        // every quote, hash, slash and backslash meets every neighbour
-        // and the end of input.
-        const SOUP: &[&str] = &[
-            "\"", "'", "\\", "r", "b", "#", "/", "*", "\n", " ", "a", "_", "7", "é", "λ", "(",
-            "//", "/*", "*/", "r#", "br", "'a", "x.y",
-        ];
-        let mut rng = crate::testrand::Seeded::new(0x6c65_7865_7232_3300);
-        for _ in 0..5000 {
-            let src: String = (0..rng.below(24))
-                .map(|_| SOUP[rng.below(SOUP.len())])
-                .collect();
+        use crate::testrand::{soup, LEXER_SOUP};
+        for src in soup(0x6c65_7865_7232_3300, LEXER_SOUP, 5000) {
             assert_same_as_oracle(&format!("{src:?}"), &src);
         }
     }

@@ -43,6 +43,7 @@ pub mod lockset;
 pub mod patch;
 pub mod repair;
 pub mod report;
+pub mod scope;
 pub mod score;
 pub mod walk;
 
@@ -247,10 +248,12 @@ fn drop_pruned_twins(pruned: &mut Vec<StaticPair>, kept: &[StaticPair]) {
     pruned.retain(|p| !kept_keys.contains(&pair_key(p)));
 }
 
-/// The tests' random numbers: `tsvd_core`'s seeded generator, indexing in
-/// `usize`.
+/// The tests' inputs: `tsvd_core`'s seeded generator, indexing in `usize`,
+/// the character soup it draws, and the repository's own sources.
 #[cfg(test)]
 pub(crate) mod testrand {
+    use std::path::{Path, PathBuf};
+
     pub(crate) struct Seeded(tsvd_core::rng::SplitMix64);
 
     impl Seeded {
@@ -262,6 +265,50 @@ pub(crate) mod testrand {
         pub(crate) fn below(&mut self, n: usize) -> usize {
             self.0.below(n as u64) as usize
         }
+    }
+
+    /// The pieces the lexer branches on, so every quote, hash, slash and
+    /// backslash meets every neighbour and the end of input.
+    pub(crate) const LEXER_SOUP: &[&str] = &[
+        "\"", "'", "\\", "r", "b", "#", "/", "*", "\n", " ", "a", "_", "7", "é", "λ", "(", "//",
+        "/*", "*/", "r#", "br", "'a", "x.y",
+    ];
+
+    /// `count` short strings, each up to 23 pieces drawn from `pieces`.
+    pub(crate) fn soup(seed: u64, pieces: &[&str], count: usize) -> Vec<String> {
+        let mut rng = Seeded::new(seed);
+        (0..count)
+            .map(|_| {
+                (0..rng.below(24))
+                    .map(|_| pieces[rng.below(pieces.len())])
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every `.rs` file under the repository's `crates/` and `tests/`
+    /// (this crate's `tests/fixtures/` included), sorted.
+    pub(crate) fn repo_sources() -> Vec<PathBuf> {
+        fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+            let mut entries: Vec<_> = std::fs::read_dir(dir)
+                .expect("read_dir")
+                .map(|e| e.expect("dir entry").path())
+                .collect();
+            entries.sort();
+            for path in entries {
+                if path.is_dir() {
+                    walk(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    out.push(path);
+                }
+            }
+        }
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        for dir in ["crates", "tests"] {
+            walk(&root.join(dir), &mut files);
+        }
+        files
     }
 }
 

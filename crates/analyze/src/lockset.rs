@@ -7,7 +7,8 @@
 //!   `let m2 = m.clone()` and `let m2 = Arc::clone(&m)` — a clone guards
 //!   the same lock, so clones resolve to their root.
 //! - **Guard regions**: `let g = m.lock()` / `.write()` (exclusive) /
-//!   `.read()` (shared), live until the enclosing block closes. Only
+//!   `.read()` (shared), live in the block of the `let` and every block
+//!   it encloses — the guard's block dominates the site. Only
 //!   `let`-bound guards create a region; a temporary like
 //!   `m.lock().push(x)` guards a single expression and is deliberately
 //!   ignored (it cannot span two sites, so it never changes a verdict).
@@ -23,6 +24,7 @@ use std::collections::HashMap;
 pub use crate::callgraph::GuardMode;
 use crate::callgraph::LOCK_TYPES;
 use crate::lexer::{TokKind, Token};
+use crate::scope::ScopeTree;
 
 /// One active guard region.
 #[derive(Debug, Clone)]
@@ -31,8 +33,8 @@ pub struct Guard {
     pub root: String,
     /// Exclusive or shared.
     pub mode: GuardMode,
-    /// Brace depth at the `let`; the guard dies when that block closes.
-    depth: usize,
+    /// Block of the `let`; the guard is held wherever that block dominates.
+    block: u32,
 }
 
 /// Per-function lock/guard/channel state, driven by the site pass.
@@ -64,10 +66,10 @@ impl LockTracker {
         self.next_channel = 0;
     }
 
-    /// The locks currently held, strongest mode per root.
-    pub fn active(&self) -> Vec<(String, GuardMode)> {
+    /// The locks held in block `at`, strongest mode per root.
+    pub fn active(&self, tree: &ScopeTree, at: u32) -> Vec<(String, GuardMode)> {
         let mut out: Vec<(String, GuardMode)> = Vec::new();
-        for g in &self.guards {
+        for g in self.guards.iter().filter(|g| tree.dominates(g.block, at)) {
             match out.iter_mut().find(|(root, _)| *root == g.root) {
                 Some((_, mode)) => {
                     if g.mode == GuardMode::Exclusive {
@@ -95,12 +97,6 @@ impl LockTracker {
         self.receivers.get(name).copied()
     }
 
-    /// Drops guards whose block has closed; `depth` is the brace depth
-    /// *after* the closing `}` was popped.
-    pub fn on_close_brace(&mut self, depth: usize) {
-        self.guards.retain(|g| g.depth <= depth);
-    }
-
     /// Removes a rebound name (shadowing `let` with an untracked RHS).
     pub fn forget(&mut self, name: &str) {
         self.locks.remove(name);
@@ -110,8 +106,8 @@ impl LockTracker {
 
     /// Inspects a `let` statement at `let_idx`; returns `true` when it was
     /// lock-relevant (lock constructor, lock alias, guard, or channel) and
-    /// was consumed. `depth` is the current brace depth.
-    pub fn on_let(&mut self, toks: &[Token], let_idx: usize, depth: usize) -> bool {
+    /// was consumed. `block` is the block the `let` is in.
+    pub fn on_let(&mut self, toks: &[Token], let_idx: usize, block: u32) -> bool {
         let mut i = let_idx + 1;
         let Some(first) = toks.get(i) else {
             return false;
@@ -141,7 +137,7 @@ impl LockTracker {
 
         // Guard: `RECV.lock()/read()/write()` on a tracked lock.
         if let Some((root, mode)) = self.parse_guard_rhs(toks, i) {
-            self.guards.push(Guard { root, mode, depth });
+            self.guards.push(Guard { root, mode, block });
             // The guard binding itself shadows whatever held the name.
             self.forget(&name);
             return true;
@@ -256,86 +252,84 @@ fn rhs_is_lock_ctor(toks: &[Token], i: usize) -> bool {
 mod tests {
     use super::*;
     use crate::lexer::tokenize;
+    use crate::scope::ROOT;
 
-    fn let_indices(toks: &[Token]) -> Vec<usize> {
-        toks.iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_ident("let"))
-            .map(|(i, _)| i)
-            .collect()
+    /// Feeds every `let` of `src` to a fresh tracker, each with its block;
+    /// returns the tracker, the tree and what each `let` returned.
+    fn track(src: &str) -> (LockTracker, ScopeTree, Vec<bool>) {
+        let toks = tokenize(src);
+        let tree = ScopeTree::build(&toks);
+        let mut lt = LockTracker::new();
+        let consumed = (0..toks.len())
+            .filter(|&i| toks[i].is_ident("let"))
+            .map(|i| lt.on_let(&toks, i, tree.block_at(i)))
+            .collect();
+        (lt, tree, consumed)
     }
 
     #[test]
     fn ctor_alias_and_guard_chain() {
-        let toks = tokenize(
+        let (lt, tree, consumed) = track(
             "let m = TsvdMutex::new(0);\n\
              let m2 = m.clone();\n\
              let g = m2.lock();\n",
         );
-        let mut lt = LockTracker::new();
-        for idx in let_indices(&toks) {
-            assert!(lt.on_let(&toks, idx, 0));
-        }
+        assert_eq!(consumed, [true; 3]);
         assert_eq!(lt.lock_root("m2"), Some("m"), "clone aliases the root");
-        let active = lt.active();
+        let active = lt.active(&tree, ROOT);
         assert_eq!(active.len(), 1);
         assert_eq!(active[0], ("m".to_string(), GuardMode::Exclusive));
     }
 
     #[test]
     fn arc_wrapped_ctor_and_arc_clone() {
-        let toks = tokenize(
+        let (lt, tree, consumed) = track(
             "let m = Arc::new(Mutex::new(0));\n\
              let m2 = Arc::clone(&m);\n\
              let g = m2.read();\n",
         );
-        let mut lt = LockTracker::new();
-        for idx in let_indices(&toks) {
-            assert!(lt.on_let(&toks, idx, 0));
-        }
-        assert_eq!(lt.active(), vec![("m".to_string(), GuardMode::Shared)]);
+        assert_eq!(consumed, [true; 3]);
+        assert_eq!(
+            lt.active(&tree, ROOT),
+            vec![("m".to_string(), GuardMode::Shared)]
+        );
     }
 
     #[test]
     fn guard_dies_with_its_block() {
-        let toks = tokenize("let m = TsvdMutex::new(0); let g = m.lock();");
-        let mut lt = LockTracker::new();
-        let lets = let_indices(&toks);
-        lt.on_let(&toks, lets[0], 0);
-        lt.on_let(&toks, lets[1], 2); // guard taken two blocks deep
-        assert_eq!(lt.active().len(), 1);
-        lt.on_close_brace(1); // inner block closed
-        assert!(lt.active().is_empty());
+        let src = "let m = TsvdMutex::new(0); { { let g = m.lock(); { inner } } after }";
+        let (lt, tree, _) = track(src);
+        let toks = tokenize(src);
+        let at = |name: &str| tree.block_at(toks.iter().position(|t| t.is_ident(name)).unwrap());
+        assert_eq!(
+            lt.active(&tree, at("inner")).len(),
+            1,
+            "held in a nested block"
+        );
+        assert!(lt.active(&tree, at("after")).is_empty(), "its block closed");
+        assert!(lt.active(&tree, ROOT).is_empty());
     }
 
     #[test]
     fn non_lock_lets_are_not_consumed() {
-        let toks = tokenize("let d = Dictionary::new(); let x = 5;");
-        let mut lt = LockTracker::new();
-        for idx in let_indices(&toks) {
-            assert!(!lt.on_let(&toks, idx, 0));
-        }
-        assert!(lt.active().is_empty());
+        let (lt, tree, consumed) = track("let d = Dictionary::new(); let x = 5;");
+        assert_eq!(consumed, [false; 2]);
+        assert!(lt.active(&tree, ROOT).is_empty());
     }
 
     #[test]
     fn channel_sender_is_registered() {
-        let toks = tokenize("let (tx, rx) = mpsc::channel(); let y = 1;");
-        let mut lt = LockTracker::new();
-        let lets = let_indices(&toks);
-        assert!(lt.on_let(&toks, lets[0], 0));
-        assert!(!lt.on_let(&toks, lets[1], 0));
+        let (lt, _, consumed) = track("let (tx, rx) = mpsc::channel(); let y = 1;");
+        assert_eq!(consumed, [true, false]);
         assert!(lt.sender_channel("tx").is_some());
         assert!(lt.sender_channel("rx").is_none());
     }
 
     #[test]
     fn channel_endpoints_share_an_id_and_distinct_channels_differ() {
-        let toks = tokenize("let (tx, rx) = mpsc::channel(); let (tx2, rx2) = mpsc::channel();");
-        let mut lt = LockTracker::new();
-        for idx in let_indices(&toks) {
-            assert!(lt.on_let(&toks, idx, 0));
-        }
+        let (mut lt, _, consumed) =
+            track("let (tx, rx) = mpsc::channel(); let (tx2, rx2) = mpsc::channel();");
+        assert_eq!(consumed, [true; 2]);
         assert_eq!(lt.sender_channel("tx"), Some(0));
         assert_eq!(lt.receiver_channel("rx"), Some(0));
         assert_eq!(lt.sender_channel("tx2"), Some(1));
@@ -347,11 +341,10 @@ mod tests {
 
     #[test]
     fn exclusive_beats_shared_on_the_same_root() {
-        let toks = tokenize("let m = RwLock::new(0); let a = m.read(); let b = m.write();");
-        let mut lt = LockTracker::new();
-        for idx in let_indices(&toks) {
-            lt.on_let(&toks, idx, 0);
-        }
-        assert_eq!(lt.active(), vec![("m".to_string(), GuardMode::Exclusive)]);
+        let (lt, tree, _) = track("let m = RwLock::new(0); let a = m.read(); let b = m.write();");
+        assert_eq!(
+            lt.active(&tree, ROOT),
+            vec![("m".to_string(), GuardMode::Exclusive)]
+        );
     }
 }

@@ -305,6 +305,38 @@ fn jsonl_round_trips_every_fixture_record() {
     );
 }
 
+/// The fixture tree's JSONL report and static trap file, byte for byte.
+/// The counts above pin how much is found; this pins what: every site,
+/// region, guard, evidence label and confidence. When an analyzer change
+/// is *meant* to move the output, regenerate both files with
+/// `repro analyze --root crates/analyze/tests/fixtures --no-cache
+/// --jsonl crates/analyze/tests/golden/fixtures.jsonl
+/// --emit-traps crates/analyze/tests/golden/fixtures.traps.json`.
+#[test]
+fn fixture_report_and_trap_file_are_byte_identical_to_the_golden() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let report = analyze_workspace(&fixtures_root()).expect("analyze fixtures");
+    let want = std::fs::read_to_string(golden.join("fixtures.jsonl")).expect("golden jsonl");
+    assert!(
+        report.to_jsonl() == want,
+        "fixture JSONL report differs from tests/golden/fixtures.jsonl:\n{}",
+        report.to_jsonl()
+    );
+
+    let dir = std::env::temp_dir().join(format!("tsvd_analyzer_golden_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let traps = dir.join("traps.json");
+    report.to_trap_file().save(&traps).expect("save trap file");
+    let got = std::fs::read(&traps).expect("read trap file");
+    let want = std::fs::read(golden.join("fixtures.traps.json")).expect("golden trap file");
+    assert!(
+        got == want,
+        "fixture trap file differs from tests/golden/fixtures.traps.json:\n{}",
+        String::from_utf8_lossy(&got)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn score_on_fixture_run_report_meets_the_checked_in_baseline() {
     let report = analyze_workspace(&fixtures_root()).expect("analyze fixtures");

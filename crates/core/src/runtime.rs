@@ -44,8 +44,6 @@ pub struct Runtime {
     durable: Option<DurableSink>,
     /// A durable append failed and was logged; later failures stay quiet.
     durable_failed: AtomicBool,
-    /// Opt-in event tracing to stderr (`TSVD_TRACE=1`).
-    trace: bool,
 }
 
 impl Runtime {
@@ -83,7 +81,6 @@ impl Runtime {
             durable_failed: AtomicBool::new(false),
             config,
             run_delay_ns: AtomicU64::new(0),
-            trace: std::env::var_os("TSVD_TRACE").is_some_and(|v| v == "1"),
         })
     }
 
@@ -151,18 +148,6 @@ impl Runtime {
         let concurrent = self.phase.record_and_check(access.context);
         self.stats.record_call(site, concurrent);
 
-        if self.trace {
-            eprintln!(
-                "[tsvd {}ns] call {} {:?} obj={:?} {} ({})",
-                access.time_ns,
-                access.context,
-                access.kind,
-                access.obj,
-                access.site,
-                access.op_name
-            );
-        }
-
         // check_for_trap: are we colliding with a delayed thread?
         for trap in self.traps.check_for_trap(&access) {
             self.stats.record_catch();
@@ -207,31 +192,13 @@ impl Runtime {
         // always sees the access (near-miss and HB state keep learning),
         // but a degraded runtime never injects the delay.
         if let Some(delay_ns) = self.strategy.on_access(&access, concurrent) {
-            if self.watchdog.is_degraded() {
-                if self.trace {
-                    eprintln!(
-                        "[tsvd {}ns] delay suppressed (passive mode) at {}",
-                        access.time_ns, access.site
-                    );
-                }
-            } else if self.delay_budget_allows(access.context, delay_ns) {
+            if !self.watchdog.is_degraded() && self.delay_budget_allows(access.context, delay_ns) {
                 // RAII from here: the guard clears the trap and restores the
                 // live count even if anything below unwinds; the scope keeps
                 // the watchdog's delayed counters balanced the same way.
                 let entry = self.traps.set_trap(access, self.capture_stack());
                 let guard = TrapGuard::new(&self.traps, entry);
                 let _delay_scope = self.watchdog.delay_scope(&self.traps);
-                if self.trace {
-                    eprintln!(
-                        "[tsvd {}ns] trap set {} {:?} obj={:?} {} for {}ns",
-                        access.time_ns,
-                        access.context,
-                        access.kind,
-                        access.obj,
-                        access.site,
-                        delay_ns
-                    );
-                }
                 let start_ns = now_ns();
                 let caught = guard.entry().sleep(Duration::from_nanos(delay_ns));
                 drop(guard); // Clear the trap before bookkeeping.
@@ -242,17 +209,6 @@ impl Runtime {
                 self.run_delay_ns.fetch_add(slept, Ordering::Relaxed);
                 self.strategy
                     .on_delay_complete(&access, start_ns, end_ns, caught);
-                if self.trace {
-                    eprintln!(
-                        "[tsvd {end_ns}ns] trap end {} {} caught={caught}",
-                        access.context, access.site
-                    );
-                }
-            } else if self.trace {
-                eprintln!(
-                    "[tsvd {}ns] delay blocked by budget at {}",
-                    access.time_ns, access.site
-                );
             }
         }
     }

@@ -8,17 +8,16 @@
 //! on-disk log is always a superset of what any survivor observed.
 //!
 //! Format: JSONL — one [`ViolationRecord`] object per `\n`-terminated line,
-//! appended with a single `write` call each. A crash mid-append leaves at
-//! most one torn final line, which [`DurableSink::load`] skips (with a
-//! warning) instead of discarding the whole file. `durable_sink_fsync`
-//! additionally syncs file data after every append for power-loss
-//! durability; the default trades that for speed, relying on the OS page
-//! cache surviving process death.
+//! written and read through [`crate::record`]: a crash mid-append tears at
+//! most the line being written, which [`DurableSink::load`] skips (with a
+//! warning). `durable_sink_fsync` additionally syncs file data after every
+//! append for power-loss durability; the default trades that for speed,
+//! relying on the OS page cache surviving process death.
 //!
 //! The contract, in three clauses: **a file exists iff a record was
 //! appended** (the first append opens it, so a run that catches nothing
-//! leaves nothing to open, sync or harvest, and every reader treats a
-//! missing sink as an empty one); **every appended record is synced by
+//! leaves nothing to open, sync or harvest, and [`DurableSink::load`] reads
+//! a missing sink as an empty one); **every appended record is synced by
 //! [`DurableSink::flush`]** (which costs nothing when nothing was appended
 //! since the last sync); **append precedes report**.
 //!
@@ -26,13 +25,12 @@
 //! that syncs every live sink before the panic propagates, so even
 //! panic-aborts flush pending data.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
+use crate::record::{read_jsonl, JsonlFile};
 use crate::report::Violation;
 
 /// Schema version stamped on every record this build writes. Version 1
@@ -103,43 +101,9 @@ pub fn normalize_pair(a: &str, b: &str) -> (String, String) {
     }
 }
 
-struct SinkFile {
-    path: PathBuf,
-    fsync: bool,
-    state: Mutex<SinkState>,
-}
-
-#[derive(Default)]
-struct SinkState {
-    /// `None` until the first append.
-    file: Option<File>,
-    /// A record was written since the last successful sync.
-    unsynced: bool,
-}
-
-impl SinkFile {
-    fn sync(&self) {
-        let mut state = self.state.lock();
-        if !state.unsynced {
-            return;
-        }
-        // Best effort: a failed sync during a panic must not double-panic;
-        // it stays owed to the next flush.
-        if state.file.as_ref().is_some_and(|f| sync_data(f).is_ok()) {
-            state.unsynced = false;
-        }
-    }
-}
-
-fn sync_data(file: &File) -> std::io::Result<()> {
-    #[cfg(test)]
-    tests::SYNCS.with(|n| n.set(n.get() + 1));
-    file.sync_data()
-}
-
 /// Append-only JSONL violation log (see module docs).
 pub struct DurableSink {
-    inner: Arc<SinkFile>,
+    inner: Arc<JsonlFile>,
 }
 
 impl DurableSink {
@@ -148,16 +112,7 @@ impl DurableSink {
     /// itself is opened (created, or reopened for appending) by the first
     /// append, so a path that cannot be opened surfaces there.
     pub fn create(path: &Path, fsync: bool) -> std::io::Result<DurableSink> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let inner = Arc::new(SinkFile {
-            path: path.to_path_buf(),
-            fsync,
-            state: Mutex::default(),
-        });
+        let inner = Arc::new(JsonlFile::create(path, fsync)?);
         register_for_panic_flush(&inner);
         Ok(DurableSink { inner })
     }
@@ -171,29 +126,9 @@ impl DurableSink {
 
     /// Appends an already-built record (used by tests and reconciliation).
     pub fn append_record(&self, record: &ViolationRecord) -> std::io::Result<()> {
-        let mut line = serde_json::to_string(record)
+        let line = serde_json::to_string(record)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        line.push('\n');
-        let mut state = self.inner.state.lock();
-        let SinkState { file, unsynced } = &mut *state;
-        let file = match file {
-            Some(file) => file,
-            None => file.insert(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.inner.path)?,
-            ),
-        };
-        // One write call per record keeps appends atomic with respect to
-        // other writers of this handle and bounds crash damage to one line.
-        file.write_all(line.as_bytes())?;
-        *unsynced = true;
-        if self.inner.fsync {
-            sync_data(file)?;
-            *unsynced = false;
-        }
-        Ok(())
+        self.inner.append(line)
     }
 
     /// Syncs every record appended since the last sync; free otherwise.
@@ -201,38 +136,22 @@ impl DurableSink {
         self.inner.sync();
     }
 
-    /// Reads every intact record from a sink file. A torn (unparseable)
-    /// **final** line — the signature of a crash mid-append — is skipped
-    /// with a warning; an unparseable line elsewhere is also skipped, so a
-    /// partially corrupted log still yields its good records.
+    /// Reads every intact record from a sink file, skipping torn lines
+    /// ([`read_jsonl`]). A missing file is an empty sink (no record was ever
+    /// appended); a file that exists but cannot be read is an error.
     pub fn load(path: &Path) -> std::io::Result<Vec<ViolationRecord>> {
-        let text = std::fs::read_to_string(path)?;
-        let mut records = Vec::new();
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<ViolationRecord>(line) {
-                Ok(r) => records.push(r),
-                Err(e) => {
-                    eprintln!(
-                        "tsvd: durable sink {}: skipping unreadable line {}: {}",
-                        path.display(),
-                        idx + 1,
-                        e
-                    );
-                }
-            }
+        match read_jsonl(path, serde_json::from_str::<ViolationRecord>) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+            loaded => loaded,
         }
-        Ok(records)
     }
 }
 
-static FLUSH_REGISTRY: OnceLock<Mutex<Vec<Weak<SinkFile>>>> = OnceLock::new();
+static FLUSH_REGISTRY: OnceLock<Mutex<Vec<Weak<JsonlFile>>>> = OnceLock::new();
 
 /// Installs (once) a chained panic hook that syncs every live sink, then
 /// adds `inner` to the flush list.
-fn register_for_panic_flush(inner: &Arc<SinkFile>) {
+fn register_for_panic_flush(inner: &Arc<JsonlFile>) {
     let registry = FLUSH_REGISTRY.get_or_init(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -259,14 +178,11 @@ mod tests {
     use crate::context::ContextId;
     use crate::report::Party;
     use crate::site::{SiteData, SiteId};
+    use std::fs::OpenOptions;
 
-    thread_local! {
-        /// `sync_data` calls made by this thread — this test, that is.
-        pub(super) static SYNCS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
+    /// `sync_data` calls made by this thread — this test, that is.
     fn syncs() -> usize {
-        SYNCS.with(std::cell::Cell::get)
+        crate::record::SYNCS.with(std::cell::Cell::get)
     }
 
     fn site(line: u32) -> SiteId {
@@ -488,10 +404,56 @@ mod tests {
     }
 
     #[test]
-    fn load_missing_file_is_an_error() {
+    fn load_missing_file_is_empty_and_unreadable_file_is_an_error() {
         let dir = temp_dir("missing");
-        let err = DurableSink::load(&dir.join("nope.jsonl"));
-        assert!(err.is_err());
+        let records = DurableSink::load(&dir.join("nope.jsonl")).expect("no file, no record");
+        assert!(records.is_empty());
+        // A directory squatting on the name: the read fails (EISDIR).
+        std::fs::create_dir_all(dir.join("squat.jsonl")).expect("mkdir");
+        assert!(DurableSink::load(&dir.join("squat.jsonl")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two records, then a writer killed inside the `é` of a path: the
+    /// first byte of its two-byte encoding is the file's last.
+    const TORN_IN_A_CHARACTER: &[u8] = b"{\"location_trapped\":\"caf\xc3";
+
+    fn tear(path: &Path, bytes: &[u8]) {
+        use std::io::Write;
+        let mut f = OpenOptions::new().append(true).open(path).expect("open");
+        f.write_all(bytes).expect("tear");
+    }
+
+    #[test]
+    fn a_tear_inside_a_multi_byte_character_keeps_the_intact_records() {
+        let dir = temp_dir("torn_utf8");
+        let path = dir.join("violations.jsonl");
+        let sink = DurableSink::create(&path, false).expect("create");
+        sink.append(&violation(1, 2)).expect("append");
+        sink.append(&violation(3, 4)).expect("append");
+        tear(&path, TORN_IN_A_CHARACTER);
+        let records = DurableSink::load(&path).expect("load");
+        assert_eq!(records.len(), 2, "one bad byte must not drop the file");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopening_after_a_torn_tail_keeps_the_next_record() {
+        let dir = temp_dir("torn_reopen");
+        let path = dir.join("violations.jsonl");
+        DurableSink::create(&path, false)
+            .and_then(|sink| sink.append(&violation(1, 2)))
+            .expect("append");
+        tear(&path, b"{\"location_trapped\":\"sink_te");
+        let sink = DurableSink::create(&path, false).expect("reopen");
+        sink.append(&violation(3, 4)).expect("append after tear");
+        let records = DurableSink::load(&path).expect("load");
+        let keys: Vec<_> = records.iter().map(ViolationRecord::pair_key).collect();
+        let want: Vec<_> = [violation(1, 2), violation(3, 4)]
+            .iter()
+            .map(|v| ViolationRecord::from_violation(v).pair_key())
+            .collect();
+        assert_eq!(keys, want, "the record appended after the tear is kept");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

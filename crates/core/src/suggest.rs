@@ -5,7 +5,8 @@
 //! fix: a classified pattern, a span anchor in the source, a rendered
 //! unified diff (never applied), and a confidence grade. This module owns
 //! the record schema so the harness, the analyzer, and CI baselines all
-//! round-trip the same shape — one JSON object per line, append-only,
+//! round-trip the same shape — one JSON object per line, saved whole with
+//! [`save_atomic`](crate::record::save_atomic) and read back line by line,
 //! torn-tail tolerant like the violation sink it derives from.
 
 use std::io;
@@ -104,16 +105,11 @@ pub fn save(records: &[SuggestionRecord], path: &Path) -> io::Result<()> {
     crate::record::save_atomic(path, to_jsonl(records))
 }
 
-/// Loads a suggestions JSONL file. Unparseable lines (a torn tail from a
-/// crashed writer, a stray log line) are skipped, mirroring the violation
-/// sink's durability contract: one bad line must not poison the report.
+/// Loads a suggestions JSONL file ([`crate::record::read_jsonl`]): one bad
+/// line (a torn tail, a stray log line) must not poison the report. A
+/// missing file is an error: a baseline that is not there is not empty.
 pub fn load(path: &Path) -> io::Result<Vec<SuggestionRecord>> {
-    let text = std::fs::read_to_string(path)?;
-    Ok(text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str::<SuggestionRecord>(l).ok())
-        .collect())
+    crate::record::read_jsonl(path, serde_json::from_str::<SuggestionRecord>)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use crate::near_miss::SitePair;
+use crate::sink::normalize_pair;
 use crate::site::SiteId;
 
 /// Where a persisted dangerous pair came from.
@@ -178,10 +179,13 @@ impl TrapFileData {
     /// how many pairs it added — `0` means `self` is unchanged, so a caller
     /// that persists `self` has nothing to write. A pair present in both
     /// keeps `self`'s origin, confidence, and evidence.
+    /// `(a, b)` and `(b, a)` are one pair (halves come in the exporting
+    /// process's intern order); an added pair keeps `other`'s orientation.
     pub fn merge(&mut self, other: &TrapFileData) -> usize {
-        let mut known: HashSet<&(String, String)> = self.pairs.iter().collect();
+        let key = |(a, b): &(String, String)| normalize_pair(a, b);
+        let mut known: HashSet<(String, String)> = self.pairs.iter().map(key).collect();
         let fresh: Vec<usize> = (0..other.pairs.len())
-            .filter(|&i| known.insert(&other.pairs[i]))
+            .filter(|&i| known.insert(key(&other.pairs[i])))
             .collect();
         for &i in &fresh {
             self.push_full(
@@ -386,10 +390,29 @@ mod tests {
         assert_eq!(a, merged, "and changes nothing");
     }
 
-    /// `merge` as it was before it counted: a linear `contains` per pair.
+    #[test]
+    fn merge_dedupes_a_pair_in_either_orientation_and_keeps_what_was_written() {
+        let pair = |a: u32, b: u32| (format!("m.rs:{a}:1"), format!("m.rs:{b}:1"));
+        let mut merged = TrapFileData::default();
+        merged.push(pair(2, 1), PairOrigin::Dynamic);
+        let mut delta = TrapFileData::default();
+        delta.push(pair(1, 2), PairOrigin::Dynamic);
+        delta.push(pair(3, 1), PairOrigin::Dynamic);
+        assert_eq!(
+            merged.merge(&delta),
+            1,
+            "(1, 2) is (2, 1) seen the other way"
+        );
+        assert_eq!(merged.pairs, [pair(2, 1), pair(3, 1)]);
+        assert_eq!(merged.merge(&delta), 0, "nothing new, nothing to rewrite");
+    }
+
+    /// `merge` as a linear scan per pair: a pair is known if `into` holds
+    /// it in either orientation.
     fn merge_by_scan(into: &mut TrapFileData, other: &TrapFileData) {
         for (i, pair) in other.pairs.iter().enumerate() {
-            if !into.pairs.contains(pair) {
+            let swapped = (pair.1.clone(), pair.0.clone());
+            if !into.pairs.contains(pair) && !into.pairs.contains(&swapped) {
                 into.push_full(
                     pair.clone(),
                     other.origin(i),
@@ -403,14 +426,15 @@ mod tests {
     #[test]
     fn merge_matches_the_linear_scan_it_replaced_on_random_pair_sets() {
         let mut rng = crate::rng::SplitMix64::new(0x7AA9_F11E);
-        // Few distinct pairs, so sets overlap, repeat a pair within one
-        // file, and mix default with explicit metadata.
+        // Few distinct sites, so sets overlap, repeat a pair within one
+        // file and across files in both orientations, and mix default with
+        // explicit metadata.
         let random_file = |rng: &mut crate::rng::SplitMix64| {
             let mut data = TrapFileData::default();
             for _ in 0..rng.next() % 12 {
                 let pair = (
-                    format!("m.rs:{}:1", rng.next() % 6),
-                    format!("m.rs:{}:2", rng.next() % 6),
+                    format!("m.rs:{}:1", rng.next() % 4),
+                    format!("m.rs:{}:1", rng.next() % 4),
                 );
                 match rng.next() % 3 {
                     0 => data.push(pair, PairOrigin::Dynamic),

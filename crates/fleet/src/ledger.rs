@@ -6,19 +6,18 @@
 //! module leaves the queue), so a daemon killed at any instant leaves a
 //! ledger from which `repro fleet --resume` reconstructs the exact run
 //! state: completed modules are never re-run, deduplicated violations are
-//! never double-counted, in-flight modules are re-queued. The format shares
-//! the durable sink's discipline — append-only JSONL, one `write` per
-//! event, torn-tail-tolerant loading — and the merged trap file that rides
+//! never double-counted, in-flight modules are re-queued. The ledger goes
+//! through the durable sink's record layer ([`tsvd_core::record`]) in the
+//! wire's envelope (tagged `ev`), and the merged trap file that rides
 //! alongside is saved with [`tsvd_core::TrapFileData::save`]'s temp+rename
 //! pattern.
 
 use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io;
 use std::path::{Path, PathBuf};
 
-use parking_lot::Mutex;
 use serde::{Deserialize as _, Serialize as _, Value};
+use tsvd_core::record::{read_jsonl, JsonlFile};
 use tsvd_core::sink::{normalize_pair, DurableSink, ViolationRecord};
 
 use crate::wire::{envelope, open_envelope};
@@ -172,16 +171,17 @@ pub enum LedgerEvent {
 impl LedgerEvent {
     /// Renders the event as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let value = match self {
-            LedgerEvent::Start(p) => envelope_ev("start", p.to_value()),
-            LedgerEvent::Assign(p) => envelope_ev("assign", p.to_value()),
-            LedgerEvent::Violation(p) => envelope_ev("violation", p.to_value()),
-            LedgerEvent::Done(p) => envelope_ev("done", p.to_value()),
-            LedgerEvent::Retry(p) => envelope_ev("retry", p.to_value()),
-            LedgerEvent::Quarantine(p) => envelope_ev("quarantine", p.to_value()),
-            LedgerEvent::Death(p) => envelope_ev("death", p.to_value()),
-            LedgerEvent::Finish(p) => envelope_ev("finish", p.to_value()),
+        let (ev, body) = match self {
+            LedgerEvent::Start(p) => ("start", p.to_value()),
+            LedgerEvent::Assign(p) => ("assign", p.to_value()),
+            LedgerEvent::Violation(p) => ("violation", p.to_value()),
+            LedgerEvent::Done(p) => ("done", p.to_value()),
+            LedgerEvent::Retry(p) => ("retry", p.to_value()),
+            LedgerEvent::Quarantine(p) => ("quarantine", p.to_value()),
+            LedgerEvent::Death(p) => ("death", p.to_value()),
+            LedgerEvent::Finish(p) => ("finish", p.to_value()),
         };
+        let value = envelope("ev", LEDGER_SCHEMA_VERSION, ev, body);
         serde_json::to_string(&value).unwrap_or_default()
     }
 
@@ -210,89 +210,39 @@ fn err(e: serde::Error) -> String {
     e.to_string()
 }
 
-fn envelope_ev(kind: &str, body: Value) -> Value {
-    let mut value = envelope(kind, body);
-    // The wire envelope tags with `kind`; the ledger uses `ev` so a ledger
-    // line can never be confused with a wire frame payload.
-    if let Value::Object(map) = &mut value {
-        if let Some(k) = map.remove("kind") {
-            map.insert("ev".to_string(), k);
-        }
-        map.insert(
-            "v".to_string(),
-            Value::UInt(u64::from(LEDGER_SCHEMA_VERSION)),
-        );
-    }
-    value
-}
-
 /// Append-only event log (see module docs).
 pub struct Ledger {
-    file: Mutex<File>,
-    path: PathBuf,
+    file: JsonlFile,
 }
 
 impl Ledger {
-    /// Creates a fresh ledger, truncating any previous file at `path`.
-    pub fn create(path: &Path) -> std::io::Result<Ledger> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
+    /// Creates a fresh ledger, removing any previous file at `path`.
+    pub fn create(path: &Path) -> io::Result<Ledger> {
+        let file = JsonlFile::create(path, false)?;
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(Ledger { file }),
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(Ledger {
-            file: Mutex::new(file),
-            path: path.to_path_buf(),
-        })
     }
 
     /// Reopens an existing ledger for appending (`--resume`).
-    pub fn open_append(path: &Path) -> std::io::Result<Ledger> {
-        let file = OpenOptions::new().append(true).open(path)?;
+    pub fn open_append(path: &Path) -> io::Result<Ledger> {
         Ok(Ledger {
-            file: Mutex::new(file),
-            path: path.to_path_buf(),
+            file: JsonlFile::create(path, false)?,
         })
     }
 
     /// Appends one event as a single `write` call (write-ahead: call this
     /// *before* acting on the event).
-    pub fn append(&self, event: &LedgerEvent) -> std::io::Result<()> {
-        let mut line = event.to_json();
-        line.push('\n');
-        self.file.lock().write_all(line.as_bytes())
-    }
-
-    /// The ledger's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    pub fn append(&self, event: &LedgerEvent) -> io::Result<()> {
+        self.file.append(event.to_json())
     }
 
     /// Loads every intact event. Unparseable lines — at most the torn tail
     /// of a killed daemon, but any corruption mid-file too — are skipped
-    /// with a warning, mirroring [`DurableSink::load`].
-    pub fn load(path: &Path) -> std::io::Result<Vec<LedgerEvent>> {
-        let text = std::fs::read_to_string(path)?;
-        let mut events = Vec::new();
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match LedgerEvent::from_json(line) {
-                Ok(ev) => events.push(ev),
-                Err(e) => eprintln!(
-                    "tsvd-fleet: ledger {}: skipping unreadable line {}: {e}",
-                    path.display(),
-                    idx + 1
-                ),
-            }
-        }
-        Ok(events)
+    /// with a warning, as [`DurableSink::load`] skips them.
+    pub fn load(path: &Path) -> io::Result<Vec<LedgerEvent>> {
+        read_jsonl(path, LedgerEvent::from_json)
     }
 
     /// Companion path of the atomically-saved merged trap file.
@@ -409,29 +359,41 @@ pub fn parse_sink_name(name: &str) -> Option<(usize, usize, u32)> {
     Some((wave, index, attempt))
 }
 
+/// Every worker sink in `dir` with its module index, in sorted name order:
+/// the one walk behind [`merge_sink_dir`], [`verify`] and the supervisor's
+/// harvest. Other files are passed over and a missing directory holds no
+/// sinks, but an unreadable sink is an error, not an empty one.
+pub(crate) fn read_sink_dir(dir: &Path) -> io::Result<Vec<(usize, Vec<ViolationRecord>)>> {
+    let entries = match std::fs::read_dir(dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        entries => entries?,
+    };
+    let mut sinks = Vec::new();
+    for entry in entries {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        if let Some((_wave, index, _attempt)) = parse_sink_name(&name) {
+            sinks.push((name, index));
+        }
+    }
+    sinks.sort_unstable();
+    sinks
+        .into_iter()
+        .map(|(name, index)| Ok((index, DurableSink::load(&dir.join(name))?)))
+        .collect()
+}
+
 /// Merges every per-execution worker sink in `dir` into one violation
 /// list for downstream consumers (`repro fix` reads this directly).
 /// Files are visited in sorted name order and duplicate pairs are
 /// dropped (a retried module writes the same violation into a fresh
 /// attempt sink), so the merged list is a deterministic function of the
-/// directory contents regardless of filesystem iteration order.
-/// Non-sink-named files and unloadable sinks are skipped — one torn
-/// worker file must not hide the rest of the fleet's catches.
-pub fn merge_sink_dir(dir: &Path) -> std::io::Result<Vec<ViolationRecord>> {
-    let mut names: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name().to_string_lossy().into_owned();
-        if parse_sink_name(&name).is_some() {
-            names.push(name);
-        }
-    }
-    names.sort();
+/// directory contents regardless of filesystem iteration order. A torn
+/// line costs only itself; an unreadable sink fails the merge rather than
+/// hiding its catches.
+pub fn merge_sink_dir(dir: &Path) -> io::Result<Vec<ViolationRecord>> {
     let mut seen: HashSet<(String, String)> = HashSet::new();
     let mut merged = Vec::new();
-    for name in names {
-        let Ok(records) = DurableSink::load(&dir.join(&name)) else {
-            continue;
-        };
+    for (_index, records) in read_sink_dir(dir)? {
         for r in records {
             if seen.insert(r.pair_key()) {
                 merged.push(r);
@@ -532,21 +494,17 @@ pub fn verify(events: &[LedgerEvent], sink_dir: &Path) -> Result<VerifySummary, 
     }
 
     // (4) exact sink reconciliation.
-    let mut sink_pairs: HashSet<(usize, (String, String))> = HashSet::new();
-    if sink_dir.is_dir() {
-        for entry in std::fs::read_dir(sink_dir).map_err(|e| vec![e.to_string()])? {
-            let entry = entry.map_err(|e| vec![e.to_string()])?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some((_wave, index, _attempt)) = parse_sink_name(&name) else {
-                continue;
-            };
-            if let Ok(records) = DurableSink::load(&entry.path()) {
-                for r in records {
-                    sink_pairs.insert((index, r.pair_key()));
-                }
-            }
+    let sinks = match read_sink_dir(sink_dir) {
+        Ok(sinks) => sinks,
+        Err(e) => {
+            errors.push(format!("cannot reconcile: {e}"));
+            return Err(errors);
         }
-    }
+    };
+    let sink_pairs: HashSet<(usize, (String, String))> = sinks
+        .into_iter()
+        .flat_map(|(index, records)| records.into_iter().map(move |r| (index, r.pair_key())))
+        .collect();
     for key in &sink_pairs {
         if !state.violations.contains(key) {
             errors.push(format!(
@@ -581,6 +539,8 @@ pub fn verify(events: &[LedgerEvent], sink_dir: &Path) -> Result<VerifySummary, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
 
     fn start_event(dir: &Path) -> StartEvent {
         StartEvent {
@@ -662,6 +622,105 @@ mod tests {
             ],
             "sorted file order, duplicates dropped"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bytes a writer killed inside the `é` of a path leaves last.
+    const TORN_IN_A_CHARACTER: &[u8] = b"{\"location_trapped\":\"caf\xc3";
+
+    fn tear(path: &Path, bytes: &[u8]) {
+        let mut f = OpenOptions::new().append(true).open(path).expect("open");
+        f.write_all(bytes).expect("tear");
+    }
+
+    fn violation_event(index: usize, r: &ViolationRecord) -> LedgerEvent {
+        let (pair_a, pair_b) = r.pair_key();
+        LedgerEvent::Violation(ViolationEvent {
+            index,
+            pair_a,
+            pair_b,
+            record: r.clone(),
+        })
+    }
+
+    #[test]
+    fn a_sink_torn_inside_a_character_still_reconciles() {
+        let dir = temp_dir("torn_utf8_sink");
+        let records = [
+            vrec("café.rs:1:1", "café.rs:2:2"),
+            vrec("b.rs:3:3", "b.rs:4:4"),
+        ];
+        let sink_path = dir.join("w0_m1_a0.jsonl");
+        let sink = DurableSink::create(&sink_path, false).expect("create");
+        for r in &records {
+            sink.append_record(r).expect("append");
+        }
+        tear(&sink_path, TORN_IN_A_CHARACTER);
+        assert_eq!(DurableSink::load(&sink_path).expect("load").len(), 2);
+        let mut events = vec![LedgerEvent::Start(start_event(&dir))];
+        events.extend(records.iter().map(|r| violation_event(1, r)));
+        let summary = verify(&events, &dir).expect("both pairs reconcile");
+        assert_eq!((summary.violations, summary.sink_pairs), (2, 2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_ledger_torn_inside_a_character_keeps_its_intact_events() {
+        let dir = temp_dir("torn_utf8_ledger");
+        let path = dir.join("ledger.jsonl");
+        let events = vec![
+            LedgerEvent::Start(start_event(&dir)),
+            violation_event(1, &vrec("café.rs:1:1", "café.rs:2:2")),
+        ];
+        let ledger = Ledger::create(&path).expect("create");
+        for ev in &events {
+            ledger.append(ev).expect("append");
+        }
+        tear(&path, b"{\"v\":1,\"ev\":\"violation\",\"pair_a\":\"caf\xc3");
+        assert_eq!(Ledger::load(&path).expect("load"), events);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resuming_after_a_torn_tail_keeps_the_first_event_written() {
+        let dir = temp_dir("torn_resume");
+        let path = dir.join("ledger.jsonl");
+        let start = LedgerEvent::Start(start_event(&dir));
+        Ledger::create(&path)
+            .and_then(|ledger| ledger.append(&start))
+            .expect("append");
+        tear(&path, b"{\"v\":1,\"ev\":\"done\",\"wav");
+        let done = LedgerEvent::Done(done_event(0, 1));
+        Ledger::open_append(&path)
+            .and_then(|ledger| ledger.append(&done))
+            .expect("append after resume");
+        assert_eq!(Ledger::load(&path).expect("load"), [start, done]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_unreadable_sink_is_an_error_and_a_missing_one_is_empty() {
+        let dir = temp_dir("unreadable_sink");
+        DurableSink::create(&dir.join("w0_m0_a0.jsonl"), false)
+            .and_then(|sink| sink.append_record(&vrec("a.rs:1:1", "a.rs:2:2")))
+            .expect("append");
+        // A directory squatting on a sink's name: reading it fails (EISDIR).
+        let squat = dir.join("w0_m1_a0.jsonl");
+        std::fs::create_dir_all(&squat).expect("mkdir");
+        let errors = verify(&[LedgerEvent::Start(start_event(&dir))], &dir).unwrap_err();
+        assert!(
+            errors.iter().any(|e| e.contains("w0_m1_a0.jsonl")),
+            "the error names the file: {errors:?}"
+        );
+        assert!(merge_sink_dir(&dir).is_err());
+        std::fs::remove_dir_all(&squat).expect("rmdir");
+        assert_eq!(merge_sink_dir(&dir).expect("merge").len(), 1);
+        assert!(DurableSink::load(&squat)
+            .expect("no sink, no record")
+            .is_empty());
+        assert!(merge_sink_dir(&dir.join("no-such-dir"))
+            .expect("merge")
+            .is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -34,8 +34,8 @@ use tsvd_core::trap_file::TrapFileData;
 
 use crate::chaos::{ChaosPlan, CHAOS_ENV};
 use crate::ledger::{
-    replay, AssignEvent, DeathEvent, DoneEvent, FinishEvent, Ledger, LedgerEvent, LedgerState,
-    QuarantineEvent, RetryEvent, StartEvent, ViolationEvent, RETRY_REASON_DEATH,
+    read_sink_dir, replay, AssignEvent, DeathEvent, DoneEvent, FinishEvent, Ledger, LedgerEvent,
+    LedgerState, QuarantineEvent, RetryEvent, StartEvent, ViolationEvent, RETRY_REASON_DEATH,
     RETRY_REASON_OUTCOME,
 };
 use crate::runner::ModuleOutcome;
@@ -1020,12 +1020,10 @@ impl Daemon {
         }
     }
 
-    /// Loads one execution's sink and folds every record into the ledger.
+    /// Loads one execution's sink and folds every record into the ledger;
+    /// a sink that cannot be read fails the run.
     fn harvest_sink(&mut self, index: usize, sink: &std::path::Path) -> Result<(), FleetError> {
-        let Ok(records) = DurableSink::load(sink) else {
-            return Ok(()); // the worker died before the sink existed
-        };
-        for record in records {
+        for record in DurableSink::load(sink)? {
             self.record_violation(index, &record)?;
         }
         Ok(())
@@ -1034,15 +1032,10 @@ impl Daemon {
     /// Sweeps the whole sink directory (resume start; run end). After this,
     /// ledger violations are exactly the union of worker sinks.
     fn harvest_all_sinks(&mut self) -> Result<(), FleetError> {
-        let Ok(entries) = std::fs::read_dir(&self.opts.sink_dir) else {
-            return Ok(());
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some((_wave, index, _attempt)) = crate::ledger::parse_sink_name(&name) else {
-                continue;
-            };
-            self.harvest_sink(index, &entry.path())?;
+        for (index, records) in read_sink_dir(&self.opts.sink_dir)? {
+            for record in records {
+                self.record_violation(index, &record)?;
+            }
         }
         Ok(())
     }
@@ -1126,5 +1119,44 @@ mod tests {
         assert!(opts.hang_timeout_ms > 3 * opts.heartbeat_ms);
         assert!(opts.quarantine_kill_limit >= 1);
         assert!(opts.module_attempt_limit >= 1);
+    }
+
+    #[test]
+    fn an_unreadable_sink_fails_the_harvest_and_the_run() {
+        let dir = std::env::temp_dir().join(format!("tsvd_sup_unreadable_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let sinks = dir.join("sinks");
+        // A directory squatting on a sink's name: reading it fails (EISDIR).
+        std::fs::create_dir_all(sinks.join("w0_m1_a0.jsonl")).expect("mkdir");
+        let suite = SuiteSpec::Std {
+            modules: 4,
+            seed: 1,
+        };
+        let mut opts = FleetOptions::standard(suite, dir.join("ledger.jsonl"), sinks.clone());
+        let start = StartEvent {
+            suite: opts.suite.to_arg(),
+            modules: 4,
+            waves: 1,
+            workers: 1,
+            threads: 1,
+            scale: opts.scale,
+            seed: opts.seed,
+            deadline_ms: opts.deadline_ms,
+            quarantine_kill_limit: 3,
+            module_attempt_limit: 2,
+            sink_dir: sinks,
+            chaos: None,
+        };
+        Ledger::create(&opts.ledger)
+            .and_then(|ledger| ledger.append(&LedgerEvent::Start(start)))
+            .expect("ledger");
+        // Resuming harvests every sink before any worker is spawned.
+        opts.resume = true;
+        opts.quiet = true;
+        match run_fleet(opts) {
+            Err(FleetError::Io(e)) => assert!(e.to_string().contains("w0_m1_a0.jsonl"), "{e}"),
+            other => panic!("expected an i/o error naming the sink, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

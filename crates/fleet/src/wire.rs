@@ -106,21 +106,23 @@ pub enum Frame {
     Shutdown,
 }
 
-/// Wraps a payload struct's object map with the `v`/`kind` envelope.
-pub(crate) fn envelope(kind: &str, body: Value) -> Value {
+/// Wraps a payload's object map in the `v` (schema version) / `tag` envelope
+/// shared by frames (tag `kind`) and ledger lines (tag `ev`, so a ledger
+/// line can never be mistaken for a frame payload).
+pub(crate) fn envelope(tag: &str, version: u32, kind: &str, body: Value) -> Value {
     let mut map = match body {
         Value::Object(m) => m,
         _ => std::collections::BTreeMap::new(),
     };
-    map.insert("v".to_string(), Value::UInt(u64::from(WIRE_SCHEMA_VERSION)));
-    map.insert("kind".to_string(), Value::Str(kind.to_string()));
+    map.insert("v".to_string(), Value::UInt(u64::from(version)));
+    map.insert(tag.to_string(), Value::Str(kind.to_string()));
     Value::Object(map)
 }
 
-/// Reads the `v`/`kind` envelope back; errors on unsupported versions.
+/// Reads the envelope back; errors on versions above `max_version`.
 pub(crate) fn open_envelope<'v>(
     value: &'v Value,
-    key: &str,
+    tag: &str,
     max_version: u32,
 ) -> Result<(&'v str, &'v Value), String> {
     let map = value.as_object().ok_or("frame is not a JSON object")?;
@@ -133,23 +135,24 @@ pub(crate) fn open_envelope<'v>(
             "frame schema v{version} is newer than supported v{max_version}"
         ));
     }
-    match map.get(key) {
+    match map.get(tag) {
         Some(Value::Str(kind)) => Ok((kind.as_str(), value)),
-        _ => Err(format!("frame has no `{key}` tag")),
+        _ => Err(format!("frame has no `{tag}` tag")),
     }
 }
 
 impl Frame {
     /// Renders the frame as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let value = match self {
-            Frame::Hello(p) => envelope("hello", p.to_value()),
-            Frame::Assign(p) => envelope("assign", p.to_value()),
-            Frame::Heartbeat => envelope("heartbeat", Value::Object(Default::default())),
-            Frame::Violation(p) => envelope("violation", p.to_value()),
-            Frame::Done(p) => envelope("done", p.to_value()),
-            Frame::Shutdown => envelope("shutdown", Value::Object(Default::default())),
+        let (kind, body) = match self {
+            Frame::Hello(p) => ("hello", p.to_value()),
+            Frame::Assign(p) => ("assign", p.to_value()),
+            Frame::Heartbeat => ("heartbeat", Value::Object(Default::default())),
+            Frame::Violation(p) => ("violation", p.to_value()),
+            Frame::Done(p) => ("done", p.to_value()),
+            Frame::Shutdown => ("shutdown", Value::Object(Default::default())),
         };
+        let value = envelope("kind", WIRE_SCHEMA_VERSION, kind, body);
         serde_json::to_string(&value).unwrap_or_default()
     }
 

@@ -164,7 +164,7 @@ pub fn serve_worker(opts: &WorkerOptions) -> Result<(), String> {
         // Stream the sink back — reading the file we just wrote (rather
         // than in-memory reports) guarantees frames ⊆ sink, the invariant
         // reconciliation checks. No file: the module caught nothing.
-        let records = DurableSink::load(&sink_path).unwrap_or_default();
+        let records = DurableSink::load(&sink_path).map_err(|e| format!("read sink {e}"))?;
         let done = done_frame(&run, &assign, &sink_path);
         let mut w = writer.lock();
         for record in records {

@@ -425,26 +425,19 @@ fn run_fix_cmd(args: &[String]) -> ! {
         usage()
     };
 
-    let violations = if report_path.is_dir() {
-        match tsvd_fleet::merge_sink_dir(&report_path) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!(
-                    "repro fix: cannot merge sink dir {}: {e}",
-                    report_path.display()
-                );
-                std::process::exit(2);
-            }
-        }
+    // A sink that is not there reads as empty, but a report path that is
+    // not there is a typo.
+    let loaded = if !report_path.exists() {
+        Err(format!("no sink or sink dir at {}", report_path.display()))
+    } else if report_path.is_dir() {
+        tsvd_fleet::merge_sink_dir(&report_path).map_err(|e| e.to_string())
     } else {
-        match tsvd_core::DurableSink::load(&report_path) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("repro fix: cannot read sink {}: {e}", report_path.display());
-                std::process::exit(2);
-            }
-        }
+        tsvd_core::DurableSink::load(&report_path).map_err(|e| e.to_string())
     };
+    let violations = loaded.unwrap_or_else(|e| {
+        eprintln!("repro fix: cannot read the report: {e}");
+        std::process::exit(2)
+    });
 
     let static_report = match &static_path {
         Some(p) => match std::fs::read_to_string(p) {

@@ -228,14 +228,6 @@ fn chaos_iteration(
     }
 }
 
-/// A sink's records; no file means no catch yet, which is not an error.
-fn load_sink(path: &Path) -> std::io::Result<Vec<tsvd_core::ViolationRecord>> {
-    match DurableSink::load(path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        loaded => loaded,
-    }
-}
-
 /// Verifies a durable sink against a runtime's in-memory reports: every
 /// in-memory violation pair must appear in the sink file (the write-ahead
 /// guarantee). Returns the number of durable records.
@@ -243,7 +235,7 @@ pub fn reconcile_sink(rt: &Runtime, path: &Path) -> Result<usize, String> {
     // Memory first, disk second: a catch landing in between is on disk
     // before it is in memory, so it can only add to the side read later.
     let in_memory = rt.reports().violations();
-    let records = load_sink(path).map_err(|e| format!("load {}: {e}", path.display()))?;
+    let records = DurableSink::load(path).map_err(|e| format!("load {e}"))?;
     let on_disk: std::collections::HashSet<(String, String)> =
         records.iter().map(|r| r.pair_key()).collect();
     for v in in_memory {

@@ -1,90 +1,22 @@
-//! Monotonic time sources.
+//! The detector's one clock.
 //!
 //! All timing *logic* in the detector (near-miss windows, happens-before
-//! inference, delay accounting) operates on plain nanosecond values, so unit
-//! tests drive it deterministically through a [`ManualClock`] while the
-//! runtime uses the process-wide [`RealClock`].
+//! inference, probability decay, delay accounting) operates on plain
+//! nanosecond stamps, so its unit tests pass synthetic stamps; only the
+//! runtime reads the process-monotonic [`now_ns`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// A monotonic nanosecond time source.
-pub trait Clock: Send + Sync {
-    /// Current time in nanoseconds since an arbitrary fixed origin.
-    fn now_ns(&self) -> u64;
-}
-
-/// Wall-clock backed [`Clock`] with a process-wide origin.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RealClock;
 
 fn origin() -> Instant {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
     *ORIGIN.get_or_init(Instant::now)
 }
 
-impl Clock for RealClock {
-    fn now_ns(&self) -> u64 {
-        u64::try_from(origin().elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// Returns the current process-monotonic time in nanoseconds.
+/// Returns the current process-monotonic time in nanoseconds since an
+/// arbitrary fixed origin.
 pub fn now_ns() -> u64 {
-    RealClock.now_ns()
-}
-
-/// A manually advanced [`Clock`] for deterministic tests.
-///
-/// # Examples
-///
-/// ```
-/// use tsvd_core::{Clock, ManualClock};
-///
-/// let clock = ManualClock::new();
-/// assert_eq!(clock.now_ns(), 0);
-/// clock.advance_ms(5);
-/// assert_eq!(clock.now_ns(), 5_000_000);
-/// ```
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
-
-impl ManualClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a clock at `ns` nanoseconds.
-    pub fn at(ns: u64) -> Self {
-        ManualClock {
-            now: AtomicU64::new(ns),
-        }
-    }
-
-    /// Advances the clock by `ns` nanoseconds.
-    pub fn advance_ns(&self, ns: u64) {
-        self.now.fetch_add(ns, Ordering::SeqCst);
-    }
-
-    /// Advances the clock by `ms` milliseconds.
-    pub fn advance_ms(&self, ms: u64) {
-        self.advance_ns(ms * 1_000_000);
-    }
-
-    /// Sets the clock to an absolute time.
-    pub fn set_ns(&self, ns: u64) {
-        self.now.store(ns, Ordering::SeqCst);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::SeqCst)
-    }
+    u64::try_from(origin().elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Converts milliseconds to nanoseconds.
@@ -95,24 +27,6 @@ pub const fn ms_to_ns(ms: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn real_clock_is_monotonic() {
-        let c = RealClock;
-        let a = c.now_ns();
-        let b = c.now_ns();
-        assert!(b >= a);
-    }
-
-    #[test]
-    fn manual_clock_advances() {
-        let c = ManualClock::at(10);
-        assert_eq!(c.now_ns(), 10);
-        c.advance_ns(5);
-        assert_eq!(c.now_ns(), 15);
-        c.set_ns(100);
-        assert_eq!(c.now_ns(), 100);
-    }
 
     #[test]
     fn ms_conversion() {

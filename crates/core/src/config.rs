@@ -1,11 +1,19 @@
 //! Detector configuration: every tunable the paper sweeps in Figure 9,
-//! plus the ablation switches of Table 3.
+//! the ablation switches of Table 3, the delay budgets of §4, and where the
+//! durable violation sink writes.
 //!
 //! Defaults are the paper's defaults (§5.4): `N_nm = 5`, `T_nm = 100 ms`,
 //! `δ_hb = 0.5`, `k_hb = 5`, phase buffer of 16, 100 ms delays. Because the
 //! algorithm depends only on the *ratios* between its time constants,
 //! [`TsvdConfig::scaled`] shrinks all of them proportionally so that the full
 //! evaluation fits in CI time.
+//!
+//! The delay watchdog has no fields here: it polls once per `beat_ns` and
+//! its other limits are constants (see [`crate::watchdog`]), so it scales
+//! with the time constants but not with a swept delay. Nor is there a run
+//! deadline: a caller that
+//! must bound a run calls [`Runtime::abandon`](crate::Runtime::abandon)
+//! when its own deadline passes.
 
 use serde::{Deserialize, Serialize};
 
@@ -23,9 +31,10 @@ pub struct TsvdConfig {
     pub max_delay_per_context_ns: u64,
     /// Cap on the total delay injected during one run, nanoseconds.
     pub max_delay_per_run_ns: u64,
-    /// Workload pacing hint, nanoseconds: one "beat" of scenario time.
-    /// Kept separate from `delay_ns` so sweeping the delay (Fig. 9 h) does
-    /// not change the workload itself.
+    /// Workload pacing hint, nanoseconds: one "beat" of scenario time, and
+    /// the delay watchdog's poll interval. Kept separate from `delay_ns` so
+    /// sweeping the delay (Fig. 9 h) changes neither the workload nor the
+    /// watchdog.
     pub beat_ns: u64,
     /// Capture a stack trace on each side of a reported violation.
     /// Costly; off by default, on in the examples.
@@ -104,32 +113,6 @@ pub struct TsvdConfig {
     /// Disable concurrent-phase detection ("No concurrent phase detection").
     pub enable_phase_detection: bool,
 
-    // --- Robustness: delay watchdog (runtime hardening, not a paper knob) ---
-    /// Enable the delay watchdog: a monitor that cancels live traps when
-    /// every pool worker is simultaneously delayed/blocked (delay-induced
-    /// starvation) or the run exceeds [`run_deadline_ns`], degrading the
-    /// runtime to passive monitoring instead of hanging the test.
-    ///
-    /// [`run_deadline_ns`]: TsvdConfig::run_deadline_ns
-    #[serde(default = "default_watchdog")]
-    pub watchdog: bool,
-    /// Watchdog poll interval, nanoseconds (scaled with the time constants).
-    #[serde(default = "default_watchdog_poll_ns")]
-    pub watchdog_poll_ns: u64,
-    /// Wall-clock deadline for one runtime's lifetime, nanoseconds. When
-    /// exceeded, the watchdog cancels every live trap and disables further
-    /// injection (detection stays on). `u64::MAX` disables the deadline.
-    #[serde(default = "default_run_deadline_ns")]
-    pub run_deadline_ns: u64,
-    /// Consecutive watchdog polls the starvation condition must persist
-    /// before a trap is cancelled (debounces transient all-blocked states).
-    #[serde(default = "default_watchdog_grace_polls")]
-    pub watchdog_grace_polls: u32,
-    /// Starvation cancellations after which injection degrades to passive
-    /// monitoring for the rest of the run.
-    #[serde(default = "default_watchdog_max_cancellations")]
-    pub watchdog_max_cancellations: u64,
-
     // --- Trap-file import budget --------------------------------------------
     /// Maximum number of pairs armed from an imported trap file. When a
     /// file carries more candidates than the budget allows, the highest-
@@ -155,26 +138,6 @@ pub struct TsvdConfig {
     /// durability; slower when violations are frequent).
     #[serde(default)]
     pub durable_sink_fsync: bool,
-}
-
-fn default_watchdog() -> bool {
-    true
-}
-
-fn default_watchdog_poll_ns() -> u64 {
-    ms_to_ns(25)
-}
-
-fn default_run_deadline_ns() -> u64 {
-    u64::MAX
-}
-
-fn default_watchdog_grace_polls() -> u32 {
-    2
-}
-
-fn default_watchdog_max_cancellations() -> u64 {
-    16
 }
 
 fn default_trap_import_budget() -> usize {
@@ -210,11 +173,6 @@ impl Default for TsvdConfig {
             enable_hb_inference: true,
             enable_windowing: true,
             enable_phase_detection: true,
-            watchdog: default_watchdog(),
-            watchdog_poll_ns: default_watchdog_poll_ns(),
-            run_deadline_ns: default_run_deadline_ns(),
-            watchdog_grace_polls: default_watchdog_grace_polls(),
-            watchdog_max_cancellations: default_watchdog_max_cancellations(),
             trap_import_budget: default_trap_import_budget(),
             batch_capacity: 0,
             durable_sink: None,
@@ -246,8 +204,6 @@ impl TsvdConfig {
         self.max_delay_per_context_ns = scale(self.max_delay_per_context_ns);
         self.max_delay_per_run_ns = scale(self.max_delay_per_run_ns);
         self.beat_ns = scale(self.beat_ns);
-        self.watchdog_poll_ns = scale(self.watchdog_poll_ns);
-        self.run_deadline_ns = scale(self.run_deadline_ns);
         self
     }
 
@@ -268,6 +224,9 @@ impl TsvdConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.delay_ns == 0 {
             return Err("delay_ns must be positive".into());
+        }
+        if self.beat_ns == 0 {
+            return Err("beat_ns must be positive (it paces the watchdog)".into());
         }
         if !(0.0..=1.0).contains(&self.decay_factor) {
             return Err(format!("decay_factor {} not in [0,1]", self.decay_factor));
@@ -293,12 +252,6 @@ impl TsvdConfig {
         if self.adaptive_delay_cap < 1.0 {
             return Err("adaptive_delay_cap must be at least 1".into());
         }
-        if self.watchdog_poll_ns == 0 {
-            return Err("watchdog_poll_ns must be positive".into());
-        }
-        if self.watchdog_grace_polls == 0 {
-            return Err("watchdog_grace_polls must be at least 1".into());
-        }
         if self.trap_import_budget == 0 {
             return Err("trap_import_budget must be at least 1 (usize::MAX disables it)".into());
         }
@@ -309,6 +262,8 @@ impl TsvdConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::watchdog::poll_interval;
+    use std::time::Duration;
 
     #[test]
     fn defaults_match_paper() {
@@ -377,39 +332,45 @@ mod tests {
 
     #[test]
     fn validate_rejects_degenerate_watchdog() {
+        // The watchdog polls once per beat: a zero beat would spin it.
         let mut c = TsvdConfig::paper();
-        c.watchdog_poll_ns = 0;
+        c.beat_ns = 0;
         assert!(c.validate().is_err());
-        c = TsvdConfig::paper();
-        c.watchdog_grace_polls = 0;
-        assert!(c.validate().is_err());
+        c.beat_ns = 1;
+        assert!(c.validate().is_ok());
+        assert!(poll_interval(&c) > Duration::ZERO);
     }
 
     #[test]
     fn scaling_covers_watchdog_constants() {
-        let mut c = TsvdConfig::paper();
-        c.run_deadline_ns = ms_to_ns(10_000);
-        let c = c.scaled(0.01);
-        assert_eq!(c.watchdog_poll_ns, 250_000);
-        assert_eq!(c.run_deadline_ns, 100_000_000);
-        // A disabled deadline stays disabled at any scale.
-        let c = TsvdConfig::paper().scaled(0.01);
-        assert_eq!(c.run_deadline_ns, u64::MAX);
+        assert_eq!(
+            poll_interval(&TsvdConfig::paper()),
+            Duration::from_millis(25)
+        );
+        assert_eq!(
+            poll_interval(&TsvdConfig::paper().scaled(0.02)),
+            Duration::from_micros(500)
+        );
+        assert_eq!(
+            poll_interval(&TsvdConfig::paper().scaled(0.01)),
+            Duration::from_micros(250)
+        );
+        // Sweeping the delay (Fig. 9 h) leaves the poll where it was.
+        for delay_ms in [1, 100, 200] {
+            let mut c = TsvdConfig::paper().scaled(0.02);
+            c.delay_ns = ms_to_ns(delay_ms) / 50;
+            assert_eq!(poll_interval(&c), Duration::from_micros(500));
+        }
     }
 
     #[test]
     fn config_without_robustness_fields_still_deserializes() {
-        // Configs persisted before the watchdog/sink fields existed must
+        // Configs persisted before the import-budget/sink fields existed must
         // load with the defaults instead of erroring.
         let mut value = serde::Serialize::to_value(&TsvdConfig::paper());
         match &mut value {
             serde::Value::Object(map) => {
                 for key in [
-                    "watchdog",
-                    "watchdog_poll_ns",
-                    "run_deadline_ns",
-                    "watchdog_grace_polls",
-                    "watchdog_max_cancellations",
                     "trap_import_budget",
                     "batch_capacity",
                     "durable_sink",
@@ -421,8 +382,6 @@ mod tests {
             other => panic!("expected object, got {other:?}"),
         }
         let back = <TsvdConfig as serde::Deserialize>::from_value(&value).expect("deserialize");
-        assert!(back.watchdog);
-        assert_eq!(back.run_deadline_ns, u64::MAX);
         assert!(back.durable_sink.is_none());
         assert_eq!(back.trap_import_budget, usize::MAX);
         assert_eq!(back.batch_capacity, 0);
@@ -437,6 +396,43 @@ mod tests {
         let back = <TsvdConfig as serde::Deserialize>::from_value(&value).expect("deserialize");
         assert_eq!(back.batch_capacity, 256);
         assert!(back.validate().is_ok());
+    }
+
+    /// `serde_json::to_string(&TsvdConfig::paper())` as written while the
+    /// watchdog still had five fields of its own.
+    const PAPER_WITH_WATCHDOG_FIELDS: &str =
+        "{\"adaptive_delay\":false,\"adaptive_delay_cap\":8.0,\
+         \"armed_sites\":1,\"batch_capacity\":0,\"beat_ns\":25000000,\
+         \"capture_stacks\":false,\"decay_factor\":0.5,\"decay_floor\":0.1,\
+         \"delay_ns\":100000000,\"durable_sink\":null,\
+         \"durable_sink_fsync\":false,\"dynamic_random_p\":0.05,\
+         \"enable_hb_inference\":true,\"enable_phase_detection\":true,\
+         \"enable_windowing\":true,\"hb_access_history\":5,\
+         \"hb_blocking_threshold\":0.5,\"hb_delay_history\":64,\
+         \"hb_inference_window\":5,\"max_delay_per_context_ns\":5000000000,\
+         \"max_delay_per_run_ns\":30000000000,\
+         \"max_tracked_objects\":65536,\"near_miss_history\":5,\
+         \"near_miss_shards\":16,\"near_miss_window_ns\":100000000,\
+         \"phase_buffer\":16,\"run_deadline_ns\":18446744073709551615,\
+         \"seed\":1936024932,\"stats_shards\":16,\
+         \"trap_import_budget\":18446744073709551615,\"trap_shards\":16,\
+         \"watchdog\":true,\"watchdog_grace_polls\":2,\
+         \"watchdog_max_cancellations\":16,\"watchdog_poll_ns\":25000000}";
+
+    #[test]
+    fn config_written_with_the_watchdog_fields_still_loads() {
+        let keys = |json: &str| {
+            let value: serde::Value = serde_json::from_str(json).expect("parse");
+            value.as_object().map_or(0, |map| map.len())
+        };
+        let paper = serde_json::to_string(&TsvdConfig::paper()).expect("serialize");
+        assert_eq!(keys(PAPER_WITH_WATCHDOG_FIELDS), 35);
+        assert_eq!(keys(&paper), 30);
+        // The five retired keys are skipped, and every kept one is read.
+        let back: TsvdConfig =
+            serde_json::from_str(PAPER_WITH_WATCHDOG_FIELDS).expect("unknown keys are skipped");
+        assert!(back.validate().is_ok());
+        assert_eq!(serde_json::to_string(&back).expect("serialize"), paper);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod trapset;
 pub mod watchdog;
 
 pub use access::{classify_op, Access, ApiEntry, ObjId, OpKind, API_TABLE};
-pub use clock::{now_ns, Clock, ManualClock, RealClock};
+pub use clock::now_ns;
 pub use config::TsvdConfig;
 pub use context::ContextId;
 pub use record::save_atomic;

@@ -70,13 +70,14 @@ impl Runtime {
                 }
             }
         });
+        let traps = Arc::new(TrapTable::with_shards(config.trap_shards));
         Arc::new(Runtime {
             strategy,
-            traps: Arc::new(TrapTable::with_shards(config.trap_shards)),
             sink: ReportSink::new(),
             stats: RuntimeStats::with_shards(config.stats_shards),
             phase: PhaseBuffer::new(config.phase_buffer),
-            watchdog: Watchdog::new(&config),
+            watchdog: Watchdog::new(&config, &traps),
+            traps,
             durable,
             durable_failed: AtomicBool::new(false),
             config,
@@ -198,7 +199,7 @@ impl Runtime {
                 // the watchdog's delayed counters balanced the same way.
                 let entry = self.traps.set_trap(access, self.capture_stack());
                 let guard = TrapGuard::new(&self.traps, entry);
-                let _delay_scope = self.watchdog.delay_scope(&self.traps);
+                let _delay_scope = self.watchdog.delay_scope();
                 let start_ns = now_ns();
                 let caught = guard.entry().sleep(Duration::from_nanos(delay_ns));
                 drop(guard); // Clear the trap before bookkeeping.
@@ -314,7 +315,7 @@ impl Runtime {
     /// every sleeping trap owner. The harness calls this when a module
     /// blows its deadline so the wedged run can drain and terminate.
     pub fn abandon(&self) {
-        self.watchdog.degrade(&self.traps);
+        self.watchdog.degrade();
     }
 
     /// Flushes the durable violation sink, if one is configured.

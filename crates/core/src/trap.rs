@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -33,8 +33,6 @@ pub struct TrapEntry {
     pub access: Access,
     /// Stack trace captured when the trap was set (if enabled).
     pub stack: Option<Arc<str>>,
-    /// When the trap was registered (watchdog cancels oldest-first).
-    set_at: Instant,
     state: Mutex<TrapState>,
     wake: Condvar,
 }
@@ -52,7 +50,6 @@ impl TrapEntry {
         Arc::new(TrapEntry {
             access,
             stack,
-            set_at: Instant::now(),
             state: Mutex::new(TrapState::default()),
             wake: Condvar::new(),
         })
@@ -87,11 +84,6 @@ impl TrapEntry {
     /// Returns `true` if a conflicting access hit this trap.
     pub fn was_caught(&self) -> bool {
         self.state.lock().caught
-    }
-
-    /// How long this trap has been live.
-    pub fn age(&self) -> Duration {
-        self.set_at.elapsed()
     }
 
     /// Sleeps for up to `duration`, returning early if the trap is hit.
@@ -206,13 +198,13 @@ impl TrapTable {
         all
     }
 
-    /// Cancels (wakes without marking caught) the `n` oldest live traps.
-    /// Returns how many sleeping owners were actually woken. The owners
-    /// clear their own entries on wake-up, so the table empties through the
-    /// normal path.
+    /// Cancels (wakes without marking caught) the `n` oldest live traps,
+    /// oldest by the stamp of the trapped access. Returns how many sleeping
+    /// owners were actually woken. The owners clear their own entries on
+    /// wake-up, so the table empties through the normal path.
     pub fn cancel_oldest(&self, n: usize) -> usize {
         let mut traps = self.live_traps();
-        traps.sort_by_key(|t| std::cmp::Reverse(t.age()));
+        traps.sort_by_key(|t| t.access.time_ns);
         traps.iter().take(n).filter(|t| t.cancel()).count()
     }
 
@@ -391,10 +383,14 @@ mod tests {
 
     #[test]
     fn cancel_oldest_prefers_the_longest_sleeper() {
-        let table = TrapTable::with_shards(4);
-        let old = table.set_trap(acc(1, 7, OpKind::Write), None);
-        std::thread::sleep(Duration::from_millis(2));
-        let young = table.set_trap(acc(2, 8, OpKind::Write), None);
+        // The younger trap is set first, so table order alone would pick it.
+        let table = TrapTable::with_shards(1);
+        let stamped = |ctx, obj, time_ns| Access {
+            time_ns,
+            ..acc(ctx, obj, OpKind::Write)
+        };
+        let young = table.set_trap(stamped(2, 8, 2_000_000), None);
+        let old = table.set_trap(stamped(1, 7, 1_000_000), None);
         assert_eq!(table.cancel_oldest(1), 1);
         assert!(!old.cancel(), "oldest was already cancelled");
         assert!(young.cancel(), "youngest was left alone");

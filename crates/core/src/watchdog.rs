@@ -7,36 +7,51 @@
 //! delay-induced starvation that blocking synchronization makes possible.
 //!
 //! The watchdog is a per-runtime monitor thread, spawned lazily on the first
-//! injected delay so passive and delay-free runs pay nothing. Every poll it
-//! evaluates two conditions:
+//! injected delay so passive and delay-free runs pay nothing. It polls once
+//! per `beat_ns` and checks for **starvation**:
+//! at least one thread is sleeping in a delay and every registered pool
+//! worker is either delaying or blocked in a join. After the condition
+//! persists for `GRACE_POLLS` consecutive polls, the oldest live trap is
+//! cancelled (its owner wakes early, uncaught). `MAX_CANCELLATIONS` such
+//! cancellations degrade the runtime to **passive monitoring**: no further
+//! delays are injected, but trap checking and near-miss tracking stay on.
 //!
-//! 1. **Starvation** — at least one thread is sleeping in a delay and every
-//!    registered pool worker is either delaying or blocked in a join. After
-//!    the condition persists for `watchdog_grace_polls` consecutive polls,
-//!    the oldest live trap is cancelled (its owner wakes early, uncaught).
-//!    Repeated starvation (`watchdog_max_cancellations`) degrades the
-//!    runtime to **passive monitoring**: no further delays are injected, but
-//!    trap checking and near-miss tracking stay on.
-//! 2. **Run deadline** — the runtime has been alive longer than
-//!    `run_deadline_ns`. The watchdog degrades to passive immediately and
-//!    cancels every live trap, so a wedged run terminates instead of
-//!    holding the suite hostage.
+//! The watchdog does not bound a run's length: a wedged run is stopped by
+//! its caller's deadline through [`Runtime::abandon`], which degrades the
+//! runtime the same way and cancels every live trap.
 //!
 //! Pool workers register themselves via [`Watchdog::register_worker`] (a
 //! thread-local mark + a counter) and report join-blocking through
 //! [`Watchdog::note_blocked`]; the runtime wraps every injected sleep in a
 //! [`DelayScope`]. All counters are plain atomics — the `OnCall` fast path
 //! is untouched except for one relaxed load of the degraded flag.
+//!
+//! [`Runtime::abandon`]: crate::Runtime::abandon
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::TsvdConfig;
 use crate::trap::TrapTable;
+
+/// Consecutive starved polls before a trap is cancelled: debounces the
+/// transient all-blocked states of a pool handing work around.
+pub(crate) const GRACE_POLLS: u32 = 2;
+
+/// Starvation cancellations after which injection degrades to passive
+/// monitoring for the rest of the run.
+pub(crate) const MAX_CANCELLATIONS: u64 = 16;
+
+/// The monitor's poll interval under `config`: one beat, which scales with
+/// the time constants but not with `delay_ns`, so sweeping the delay
+/// (Fig. 9 h) leaves the watchdog's pace alone.
+pub(crate) fn poll_interval(config: &TsvdConfig) -> Duration {
+    Duration::from_nanos(config.beat_ns)
+}
 
 thread_local! {
     /// `true` while the current thread is a registered pool worker.
@@ -51,21 +66,14 @@ pub fn is_worker_thread() -> bool {
 /// Why the watchdog degraded a runtime to passive monitoring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
-    /// Starvation cancellations exceeded `watchdog_max_cancellations`.
+    /// Starvation cancellations reached `MAX_CANCELLATIONS`.
     RepeatedStarvation,
-    /// The runtime outlived `run_deadline_ns`.
-    DeadlineExceeded,
     /// An explicit call to [`Watchdog::degrade`] (harness abandon).
     Abandoned,
 }
 
 struct WatchdogInner {
-    enabled: bool,
     poll: Duration,
-    run_deadline: Option<Duration>,
-    grace_polls: u32,
-    max_cancellations: u64,
-    start: Instant,
     /// Registered runnable pool threads.
     workers: AtomicUsize,
     /// Registered workers currently blocked in a join wait.
@@ -82,7 +90,8 @@ struct WatchdogInner {
     started: AtomicBool,
     shutdown: Mutex<bool>,
     wake: Condvar,
-    traps: Mutex<Weak<TrapTable>>,
+    /// The runtime's trap table, held weakly: the monitor retires with it.
+    traps: Weak<TrapTable>,
 }
 
 impl WatchdogInner {
@@ -93,8 +102,7 @@ impl WatchdogInner {
     fn degrade(&self, reason: DegradeReason) {
         let code = match reason {
             DegradeReason::RepeatedStarvation => 1,
-            DegradeReason::DeadlineExceeded => 2,
-            DegradeReason::Abandoned => 3,
+            DegradeReason::Abandoned => 2,
         };
         // First reason wins; later degrades keep the original diagnosis.
         let _ = self
@@ -105,8 +113,7 @@ impl WatchdogInner {
     fn degrade_reason(&self) -> Option<DegradeReason> {
         match self.degraded.load(Ordering::Relaxed) {
             1 => Some(DegradeReason::RepeatedStarvation),
-            2 => Some(DegradeReason::DeadlineExceeded),
-            3 => Some(DegradeReason::Abandoned),
+            2 => Some(DegradeReason::Abandoned),
             _ => None,
         }
     }
@@ -134,18 +141,12 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// Builds watchdog state from `config` (the monitor thread starts
-    /// lazily, on the first injected delay).
-    pub(crate) fn new(config: &TsvdConfig) -> Watchdog {
+    /// Builds the watchdog of the runtime that owns `traps` (the monitor
+    /// thread starts lazily, on the first injected delay).
+    pub(crate) fn new(config: &TsvdConfig, traps: &Arc<TrapTable>) -> Watchdog {
         Watchdog {
             inner: Arc::new(WatchdogInner {
-                enabled: config.watchdog,
-                poll: Duration::from_nanos(config.watchdog_poll_ns.max(1)),
-                run_deadline: (config.run_deadline_ns != u64::MAX)
-                    .then(|| Duration::from_nanos(config.run_deadline_ns)),
-                grace_polls: config.watchdog_grace_polls.max(1),
-                max_cancellations: config.watchdog_max_cancellations,
-                start: Instant::now(),
+                poll: poll_interval(config),
                 workers: AtomicUsize::new(0),
                 blocked_workers: AtomicUsize::new(0),
                 delayed_workers: AtomicUsize::new(0),
@@ -155,7 +156,7 @@ impl Watchdog {
                 started: AtomicBool::new(false),
                 shutdown: Mutex::new(false),
                 wake: Condvar::new(),
-                traps: Mutex::new(Weak::new()),
+                traps: Arc::downgrade(traps),
             }),
         }
     }
@@ -188,8 +189,8 @@ impl Watchdog {
 
     /// Marks the current thread as sleeping in an injected delay for the
     /// scope of the returned guard, and makes sure the monitor is running.
-    pub(crate) fn delay_scope(&self, traps: &Arc<TrapTable>) -> DelayScope {
-        self.ensure_started(traps);
+    pub(crate) fn delay_scope(&self) -> DelayScope {
+        self.ensure_started();
         let worker = is_worker_thread();
         self.inner.delayed_total.fetch_add(1, Ordering::SeqCst);
         if worker {
@@ -214,12 +215,14 @@ impl Watchdog {
 
     /// Degrades the runtime to passive monitoring and wakes every sleeping
     /// trap owner. Used by the harness to abandon a timed-out module.
-    pub fn degrade(&self, traps: &TrapTable) {
+    pub fn degrade(&self) {
         self.inner.degrade(DegradeReason::Abandoned);
-        let n = traps.cancel_all();
-        self.inner
-            .cancellations
-            .fetch_add(n as u64, Ordering::Relaxed);
+        if let Some(traps) = self.inner.traps.upgrade() {
+            let n = traps.cancel_all();
+            self.inner
+                .cancellations
+                .fetch_add(n as u64, Ordering::Relaxed);
+        }
     }
 
     /// Traps cancelled by the watchdog so far.
@@ -237,12 +240,11 @@ impl Watchdog {
         self.inner.delayed_total.load(Ordering::SeqCst)
     }
 
-    /// Spawns the monitor thread once (no-op when disabled).
-    fn ensure_started(&self, traps: &Arc<TrapTable>) {
-        if !self.inner.enabled || self.inner.started.swap(true, Ordering::SeqCst) {
+    /// Spawns the monitor thread once.
+    fn ensure_started(&self) {
+        if self.inner.started.swap(true, Ordering::SeqCst) {
             return;
         }
-        *self.inner.traps.lock() = Arc::downgrade(traps);
         let inner = self.inner.clone();
         if std::thread::Builder::new()
             .name("tsvd-watchdog".into())
@@ -276,15 +278,9 @@ fn monitor(inner: Arc<WatchdogInner>) {
             }
         }
         // The table is held weakly: if the runtime is gone, so are we.
-        let Some(traps) = inner.traps.lock().upgrade() else {
+        let Some(traps) = inner.traps.upgrade() else {
             return;
         };
-
-        if let Some(deadline) = inner.run_deadline {
-            if !inner.is_degraded() && inner.start.elapsed() >= deadline {
-                inner.degrade(DegradeReason::DeadlineExceeded);
-            }
-        }
 
         if inner.is_degraded() {
             // Passive mode admits no new traps; sweep out any stragglers
@@ -300,12 +296,12 @@ fn monitor(inner: Arc<WatchdogInner>) {
 
         if inner.starved() {
             starved_polls += 1;
-            if starved_polls >= inner.grace_polls {
+            if starved_polls >= GRACE_POLLS {
                 starved_polls = 0;
                 let woken = traps.cancel_oldest(1) as u64;
                 if woken > 0 {
                     let total = inner.cancellations.fetch_add(woken, Ordering::Relaxed) + woken;
-                    if total >= inner.max_cancellations {
+                    if total >= MAX_CANCELLATIONS {
                         inner.degrade(DegradeReason::RepeatedStarvation);
                     }
                 }
@@ -351,11 +347,13 @@ mod tests {
     use super::*;
     use crate::access::{Access, ObjId, OpKind};
     use crate::context::ContextId;
+    use std::time::Instant;
 
-    fn cfg() -> TsvdConfig {
-        let mut c = TsvdConfig::for_testing();
-        c.watchdog_poll_ns = 1_000_000; // 1 ms polls for fast tests.
-        c
+    /// A watchdog over a fresh table, polling every 0.5 ms (2 ms delays).
+    fn watchdog() -> (Arc<Watchdog>, Arc<TrapTable>) {
+        let traps = Arc::new(TrapTable::new());
+        let wd = Watchdog::new(&TsvdConfig::for_testing(), &traps);
+        (Arc::new(wd), traps)
     }
 
     fn acc(ctx: u64, obj: u64) -> Access {
@@ -369,9 +367,38 @@ mod tests {
         }
     }
 
+    /// One registered worker that delays alone (starvation by itself),
+    /// sleeping up to 30 s; returns whether it was caught and how long it
+    /// slept.
+    fn starving_worker(wd: &Arc<Watchdog>, traps: &Arc<TrapTable>, ctx: u64) -> (bool, Duration) {
+        let (wd, traps) = (wd.clone(), traps.clone());
+        std::thread::spawn(move || {
+            let _reg = wd.register_worker();
+            let trap = traps.set_trap(acc(ctx, 7), None);
+            let scope = wd.delay_scope();
+            let start = Instant::now();
+            let caught = trap.sleep(Duration::from_secs(30));
+            drop(scope);
+            traps.clear_trap(&trap);
+            (caught, start.elapsed())
+        })
+        .join()
+        .expect("worker no panic")
+    }
+
+    /// Waits up to 2 s for `done`; the monitor bumps its counters *after*
+    /// waking a sleeper, so they can trail the sleeper's return.
+    fn eventually(done: impl Fn() -> bool) -> bool {
+        let wait = Instant::now();
+        while !done() && wait.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        done()
+    }
+
     #[test]
     fn worker_registration_is_raii_and_thread_local() {
-        let wd = Watchdog::new(&cfg());
+        let (wd, _traps) = watchdog();
         assert_eq!(wd.workers(), 0);
         assert!(!is_worker_thread());
         {
@@ -385,8 +412,7 @@ mod tests {
 
     #[test]
     fn starvation_requires_all_workers_busy() {
-        let wd = Watchdog::new(&cfg());
-        let traps = Arc::new(TrapTable::new());
+        let (wd, _traps) = watchdog();
         // Two workers on other threads, only one delayed: not starved.
         let inner = wd.inner.clone();
         inner.workers.store(2, Ordering::SeqCst);
@@ -402,115 +428,63 @@ mod tests {
         assert!(inner.starved(), "all workers blocked + a delayer counts");
         inner.delayed_total.store(0, Ordering::SeqCst);
         assert!(!inner.starved(), "no delay in flight, nothing to cancel");
-        drop(traps);
     }
 
     #[test]
-    fn deadline_degrades_and_cancels_sleepers() {
-        let mut c = cfg();
-        c.run_deadline_ns = 5_000_000; // 5 ms lifetime.
-        let wd = Watchdog::new(&c);
-        let traps = Arc::new(TrapTable::new());
+    fn degrade_wakes_every_sleeper_and_goes_passive() {
+        // No delay scope, so no monitor: `degrade` reaches the table itself.
+        let (wd, traps) = watchdog();
         let trap = traps.set_trap(acc(1, 7), None);
-        let scope = wd.delay_scope(&traps); // Starts the monitor.
+        let abandoner = {
+            let wd = wd.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                wd.degrade();
+            })
+        };
         let start = Instant::now();
         let caught = trap.sleep(Duration::from_secs(30));
-        drop(scope);
         traps.clear_trap(&trap);
+        abandoner.join().expect("abandoner no panic");
         assert!(!caught);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "deadline must cut a 30 s sleep short"
-        );
-        assert!(wd.is_degraded());
-        assert_eq!(wd.degrade_reason(), Some(DegradeReason::DeadlineExceeded));
-        // The monitor bumps its cancellation counter *after* waking the
-        // sleeper, so give it a moment to land.
-        let wait = Instant::now();
-        while wd.cancellations() == 0 && wait.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(wd.cancellations() >= 1);
-        wd.shutdown();
+        assert!(start.elapsed() < Duration::from_secs(5), "woken early");
+        assert_eq!(wd.degrade_reason(), Some(DegradeReason::Abandoned));
+        assert_eq!(wd.cancellations(), 1);
     }
 
     #[test]
     fn starvation_cancels_the_delay_when_all_workers_sleep() {
-        let mut c = cfg();
-        c.watchdog_grace_polls = 2;
-        let wd = Arc::new(Watchdog::new(&c));
-        let traps = Arc::new(TrapTable::new());
-        // One registered worker, and that worker delays: starvation.
-        let (wd2, traps2) = (wd.clone(), traps.clone());
-        let worker = std::thread::spawn(move || {
-            let _reg = wd2.register_worker();
-            let trap = traps2.set_trap(acc(1, 7), None);
-            let scope = wd2.delay_scope(&traps2);
-            let start = Instant::now();
-            let caught = trap.sleep(Duration::from_secs(30));
-            drop(scope);
-            traps2.clear_trap(&trap);
-            (caught, start.elapsed())
-        });
-        let (caught, slept) = worker.join().expect("worker no panic");
+        let (wd, traps) = watchdog();
+        let (caught, slept) = starving_worker(&wd, &traps, 1);
         assert!(!caught);
         assert!(
             slept < Duration::from_secs(5),
             "watchdog must cancel a starving delay, slept {slept:?}"
         );
-        let wait = Instant::now();
-        while wd.cancellations() == 0 && wait.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(wd.cancellations() >= 1);
+        assert!(eventually(|| wd.cancellations() >= 1));
+        assert!(
+            !wd.is_degraded(),
+            "one cancellation is not repeated starvation"
+        );
         wd.shutdown();
     }
 
     #[test]
     fn repeated_starvation_degrades_to_passive() {
-        let mut c = cfg();
-        c.watchdog_grace_polls = 1;
-        c.watchdog_max_cancellations = 2;
-        let wd = Arc::new(Watchdog::new(&c));
-        let traps = Arc::new(TrapTable::new());
-        for round in 0..3 {
+        let (wd, traps) = watchdog();
+        for round in 0..2 * MAX_CANCELLATIONS {
             if wd.is_degraded() {
                 break;
             }
-            let (wd2, traps2) = (wd.clone(), traps.clone());
-            let worker = std::thread::spawn(move || {
-                let _reg = wd2.register_worker();
-                let trap = traps2.set_trap(acc(round, 7), None);
-                let scope = wd2.delay_scope(&traps2);
-                trap.sleep(Duration::from_secs(10));
-                drop(scope);
-                traps2.clear_trap(&trap);
-            });
-            worker.join().expect("worker no panic");
+            let (caught, slept) = starving_worker(&wd, &traps, round);
+            assert!(!caught && slept < Duration::from_secs(5));
         }
-        let wait = Instant::now();
-        while !wd.is_degraded() && wait.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(wd.is_degraded(), "two cancellations must trip passive mode");
+        assert!(
+            eventually(|| wd.is_degraded()),
+            "{MAX_CANCELLATIONS} cancellations must trip passive mode"
+        );
         assert_eq!(wd.degrade_reason(), Some(DegradeReason::RepeatedStarvation));
+        assert!(wd.cancellations() >= MAX_CANCELLATIONS);
         wd.shutdown();
-    }
-
-    #[test]
-    fn disabled_watchdog_never_spawns_or_cancels() {
-        let mut c = cfg();
-        c.watchdog = false;
-        c.run_deadline_ns = 1; // Would fire instantly if enabled.
-        let wd = Watchdog::new(&c);
-        let traps = Arc::new(TrapTable::new());
-        let trap = traps.set_trap(acc(1, 7), None);
-        let scope = wd.delay_scope(&traps);
-        let caught = trap.sleep(Duration::from_millis(20));
-        drop(scope);
-        traps.clear_trap(&trap);
-        assert!(!caught);
-        assert!(!wd.is_degraded());
-        assert_eq!(wd.cancellations(), 0);
     }
 }

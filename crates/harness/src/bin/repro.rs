@@ -31,44 +31,95 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// One subcommand's command line, read in one pass: `--flag VALUE` pairs,
+/// bare switches and positionals. A flag the subcommand does not take, a
+/// flag missing its value, the wrong number of positionals, and a value
+/// that does not parse as the number asked for each exit 2 with the usage.
+struct Flags {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+    positional: Vec<String>,
+}
+
+impl Flags {
+    /// Reads `args` given the flags that take a value and the bare
+    /// switches (each a space-separated list), and how many positionals the
+    /// subcommand takes. A value is the next argument, whatever it looks like.
+    fn parse(
+        args: &[String],
+        valued: &'static str,
+        switches: &'static str,
+        positionals: usize,
+    ) -> Flags {
+        let mut flags = Flags {
+            values: Vec::new(),
+            switches: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if let Some(flag) = valued.split_whitespace().find(|f| f == arg) {
+                let Some(value) = args.next() else { usage() };
+                flags.values.push((flag, value.clone()));
+            } else if let Some(flag) = switches.split_whitespace().find(|f| f == arg) {
+                flags.switches.push(flag);
+            } else if arg.starts_with("--") {
+                usage();
+            } else {
+                flags.positional.push(arg.clone());
+            }
+        }
+        if flags.positional.len() != positionals {
+            usage();
+        }
+        flags
+    }
+
+    /// The value of `flag`, if given (the last one, if given twice).
+    fn value(&self, flag: &str) -> Option<&str> {
+        let mut given = self.values.iter().rev();
+        given.find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+
+    fn path(&self, flag: &str) -> Option<std::path::PathBuf> {
+        self.value(flag).map(std::path::PathBuf::from)
+    }
+
+    /// The value of `flag` as a number, if given.
+    fn num<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag)
+            .map(|v| v.parse().unwrap_or_else(|_| usage()))
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+}
+
 /// `repro serve`: the fleet worker entry point. Spawned by the `repro
 /// fleet` daemon; connects back over the given Unix socket and runs
 /// assigned modules until told to shut down. Exit codes: 0 clean shutdown,
 /// 1 lost daemon or bad arguments (the daemon treats both as a death).
 fn run_serve_cmd(args: &[String]) -> ! {
-    let mut opts = tsvd_fleet::WorkerOptions {
-        socket: std::path::PathBuf::new(),
-        worker: 0,
-        incarnation: 0,
-        suite: String::new(),
-        sink_dir: std::path::PathBuf::new(),
-        threads: 2,
-        scale: 0.02,
-        seed: 0,
-        deadline_ms: 30_000,
-        heartbeat_ms: 100,
+    let flags = Flags::parse(
+        args,
+        "--socket --worker --incarnation --suite --sink-dir --threads --scale --seed \
+         --deadline-ms --heartbeat-ms",
+        "",
+        0,
+    );
+    let opts = tsvd_fleet::WorkerOptions {
+        socket: flags.path("--socket").unwrap_or_default(),
+        worker: flags.num("--worker").unwrap_or(0),
+        incarnation: flags.num("--incarnation").unwrap_or(0),
+        suite: flags.value("--suite").unwrap_or_default().to_string(),
+        sink_dir: flags.path("--sink-dir").unwrap_or_default(),
+        threads: flags.num("--threads").unwrap_or(2),
+        scale: flags.num("--scale").unwrap_or(0.02),
+        seed: flags.num("--seed").unwrap_or(0),
+        deadline_ms: flags.num("--deadline-ms").unwrap_or(30_000),
+        heartbeat_ms: flags.num("--heartbeat-ms").unwrap_or(100),
     };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let Some(value) = args.get(i + 1) else {
-            usage()
-        };
-        match flag {
-            "--socket" => opts.socket = std::path::PathBuf::from(value),
-            "--worker" => opts.worker = value.parse().unwrap_or_else(|_| usage()),
-            "--incarnation" => opts.incarnation = value.parse().unwrap_or_else(|_| usage()),
-            "--suite" => opts.suite = value.clone(),
-            "--sink-dir" => opts.sink_dir = std::path::PathBuf::from(value),
-            "--threads" => opts.threads = value.parse().unwrap_or_else(|_| usage()),
-            "--scale" => opts.scale = value.parse().unwrap_or_else(|_| usage()),
-            "--seed" => opts.seed = value.parse().unwrap_or_else(|_| usage()),
-            "--deadline-ms" => opts.deadline_ms = value.parse().unwrap_or_else(|_| usage()),
-            "--heartbeat-ms" => opts.heartbeat_ms = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-        i += 2;
-    }
     if opts.socket.as_os_str().is_empty() || opts.suite.is_empty() {
         usage();
     }
@@ -87,58 +138,29 @@ fn run_serve_cmd(args: &[String]) -> ! {
 /// print both wall-clock times. Exit codes: 0 ok, 1 fleet failure or
 /// reconciliation violation, 2 usage.
 fn run_fleet_cmd(args: &[String]) -> ! {
-    let mut modules = 200usize;
-    let mut workers = 4usize;
-    let mut waves = 2usize;
-    let mut threads = 2usize;
-    let mut scale = 0.02f64;
-    let mut seed = 0x534D_414Cu64;
-    let mut deadline_ms = 30_000u64;
-    let mut suite_arg: Option<String> = None;
-    let mut ledger_path: Option<std::path::PathBuf> = None;
-    let mut sink_dir: Option<std::path::PathBuf> = None;
-    let mut chaos_seed: Option<u64> = None;
-    let mut resume: Option<std::path::PathBuf> = None;
-    let mut compare = false;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--compare" => {
-                compare = true;
-                i += 1;
-                continue;
-            }
-            "--quiet" => {
-                quiet = true;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        let flag = args[i].as_str();
-        let Some(value) = args.get(i + 1) else {
-            usage()
-        };
-        match flag {
-            "--modules" => modules = value.parse().unwrap_or_else(|_| usage()),
-            "--workers" => workers = value.parse().unwrap_or_else(|_| usage()),
-            "--waves" => waves = value.parse().unwrap_or_else(|_| usage()),
-            "--threads" => threads = value.parse().unwrap_or_else(|_| usage()),
-            "--scale" => scale = value.parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = value.parse().unwrap_or_else(|_| usage()),
-            "--deadline-ms" => deadline_ms = value.parse().unwrap_or_else(|_| usage()),
-            "--suite" => suite_arg = Some(value.clone()),
-            "--ledger" => ledger_path = Some(std::path::PathBuf::from(value)),
-            "--sink-dir" => sink_dir = Some(std::path::PathBuf::from(value)),
-            "--chaos" => chaos_seed = Some(value.parse().unwrap_or_else(|_| usage())),
-            "--resume" => resume = Some(std::path::PathBuf::from(value)),
-            _ => usage(),
-        }
-        i += 2;
-    }
+    let flags = Flags::parse(
+        args,
+        "--modules --workers --waves --threads --scale --seed --deadline-ms --suite \
+         --ledger --sink-dir --chaos --resume",
+        "--compare --quiet",
+        0,
+    );
+    let modules = flags.num("--modules").unwrap_or(200);
+    let workers = flags.num("--workers").unwrap_or(4);
+    let waves = flags.num("--waves").unwrap_or(2);
+    let threads = flags.num("--threads").unwrap_or(2);
+    let scale = flags.num("--scale").unwrap_or(0.02);
+    let seed = flags.num("--seed").unwrap_or(0x534D_414C);
+    let deadline_ms = flags.num("--deadline-ms").unwrap_or(30_000);
+    let suite_arg = flags.value("--suite");
+    let ledger_path = flags.path("--ledger");
+    let sink_dir = flags.path("--sink-dir");
+    let chaos_seed = flags.num("--chaos");
+    let resume = flags.path("--resume");
+    let compare = flags.switch("--compare");
+    let quiet = flags.switch("--quiet");
 
-    let spec = match &suite_arg {
+    let spec = match suite_arg {
         Some(text) => tsvd_fleet::SuiteSpec::parse(text).unwrap_or_else(|e| {
             eprintln!("repro fleet: {e}");
             std::process::exit(2);
@@ -282,43 +304,20 @@ fn run_analyze_cmd(args: &[String]) -> ! {
     if args.first().map(String::as_str) == Some("--score") {
         run_score_cmd(&args[1..]);
     }
-    let mut root = std::path::PathBuf::from(".");
-    let mut allowlist_path: Option<std::path::PathBuf> = None;
-    let mut jsonl_path: Option<std::path::PathBuf> = None;
-    let mut traps_path: Option<std::path::PathBuf> = None;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut no_cache = false;
-    let mut threads = 1usize;
-    let mut deny_escapes = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--deny-escapes" => {
-                deny_escapes = true;
-                i += 1;
-            }
-            "--no-cache" => {
-                no_cache = true;
-                i += 1;
-            }
-            flag @ ("--root" | "--allowlist" | "--jsonl" | "--emit-traps" | "--cache-dir"
-            | "--threads") => {
-                let Some(value) = args.get(i + 1) else {
-                    usage()
-                };
-                match flag {
-                    "--root" => root = std::path::PathBuf::from(value),
-                    "--allowlist" => allowlist_path = Some(std::path::PathBuf::from(value)),
-                    "--jsonl" => jsonl_path = Some(std::path::PathBuf::from(value)),
-                    "--emit-traps" => traps_path = Some(std::path::PathBuf::from(value)),
-                    "--cache-dir" => cache_dir = Some(std::path::PathBuf::from(value)),
-                    _ => threads = value.parse().unwrap_or_else(|_| usage()),
-                }
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
+    let flags = Flags::parse(
+        args,
+        "--root --allowlist --jsonl --emit-traps --cache-dir --threads",
+        "--deny-escapes --no-cache",
+        0,
+    );
+    let root = flags.path("--root").unwrap_or_else(|| ".".into());
+    let allowlist_path = flags.path("--allowlist");
+    let jsonl_path = flags.path("--jsonl");
+    let traps_path = flags.path("--emit-traps");
+    let cache_dir = flags.path("--cache-dir");
+    let no_cache = flags.switch("--no-cache");
+    let threads = flags.num("--threads").unwrap_or(1);
+    let deny_escapes = flags.switch("--deny-escapes");
 
     // Artifact cache defaults to `<root>/.tsvd-analyze-cache`; `--no-cache`
     // disables it, `--cache-dir` relocates it. Thread count and cache state
@@ -399,31 +398,14 @@ fn run_analyze_cmd(args: &[String]) -> ! {
 /// suggestions must match the recorded ones exactly. Exit codes: 0 ok,
 /// 1 baseline mismatch, 2 usage or I/O error.
 fn run_fix_cmd(args: &[String]) -> ! {
-    let mut report_path: Option<std::path::PathBuf> = None;
-    let mut root = std::path::PathBuf::from(".");
-    let mut static_path: Option<std::path::PathBuf> = None;
-    let mut jsonl_path: Option<std::path::PathBuf> = None;
-    let mut baseline_path: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let Some(value) = args.get(i + 1) else {
-            usage()
-        };
-        let path = std::path::PathBuf::from(value);
-        match flag {
-            "--report" => report_path = Some(path),
-            "--root" => root = path,
-            "--static" => static_path = Some(path),
-            "--jsonl" => jsonl_path = Some(path),
-            "--baseline" => baseline_path = Some(path),
-            _ => usage(),
-        }
-        i += 2;
-    }
-    let Some(report_path) = report_path else {
+    let flags = Flags::parse(args, "--report --root --static --jsonl --baseline", "", 0);
+    let Some(report_path) = flags.path("--report") else {
         usage()
     };
+    let root = flags.path("--root").unwrap_or_else(|| ".".into());
+    let static_path = flags.path("--static");
+    let jsonl_path = flags.path("--jsonl");
+    let baseline_path = flags.path("--baseline");
 
     // A sink that is not there reads as empty, but a report path that is
     // not there is a typo.
@@ -537,33 +519,10 @@ fn run_fix_cmd(args: &[String]) -> ! {
 /// codes: 0 ok, 1 baseline regression or true-candidate loss, 2 usage or
 /// I/O error.
 fn run_score_cmd(args: &[String]) -> ! {
-    let mut positional: Vec<&String> = Vec::new();
-    let mut baseline_path: Option<std::path::PathBuf> = None;
-    let mut jsonl_path: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            flag @ ("--baseline" | "--jsonl") => {
-                let Some(value) = args.get(i + 1) else {
-                    usage()
-                };
-                let path = std::path::PathBuf::from(value);
-                if flag == "--baseline" {
-                    baseline_path = Some(path);
-                } else {
-                    jsonl_path = Some(path);
-                }
-                i += 2;
-            }
-            _ => {
-                positional.push(&args[i]);
-                i += 1;
-            }
-        }
-    }
-    let [static_path, dynamic_path] = positional.as_slice() else {
-        usage()
-    };
+    let flags = Flags::parse(args, "--baseline --jsonl", "", 2);
+    let (static_path, dynamic_path) = (&flags.positional[0], &flags.positional[1]);
+    let baseline_path = flags.path("--baseline");
+    let jsonl_path = flags.path("--jsonl");
     let (kept, pruned) =
         match tsvd_analyze::score::load_candidates(std::path::Path::new(static_path.as_str())) {
             Ok(c) => c,
@@ -624,12 +583,12 @@ fn run_score_cmd(args: &[String]) -> ! {
 
 /// Runs the chaos storm (`--runs` iterations, default 10) and exits
 /// non-zero if any robustness invariant breaks.
-fn run_chaos_cmd(opts: &ExpOpts) {
+fn run_chaos_cmd(opts: &ExpOpts, runs: Option<usize>) {
     let mut options = tsvd_harness::ChaosOptions::standard();
     options.threads = opts.threads;
     options.seed = options.seed.wrapping_add(opts.seed);
-    if opts.runs > 2 {
-        options.iterations = opts.runs;
+    if let Some(runs) = runs {
+        options.iterations = runs;
     }
     let sink_path =
         std::env::temp_dir().join(format!("tsvd_chaos_sink_{}.jsonl", std::process::id()));
@@ -660,25 +619,24 @@ fn run_chaos_cmd(opts: &ExpOpts) {
     }
 }
 
-fn parse_opts(args: &[String]) -> ExpOpts {
-    let mut opts = ExpOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let Some(value) = args.get(i + 1) else {
-            usage()
-        };
-        match flag {
-            "--modules" => opts.modules = value.parse().unwrap_or_else(|_| usage()),
-            "--runs" => opts.runs = value.parse().unwrap_or_else(|_| usage()),
-            "--seed" => opts.seed = value.parse().unwrap_or_else(|_| usage()),
-            "--scale" => opts.scale = value.parse().unwrap_or_else(|_| usage()),
-            "--threads" => opts.threads = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-        i += 2;
+/// The experiments' options, and `--runs` when it was given: `fig8` and
+/// `chaos` have defaults of their own for it. Zero runs would check
+/// nothing, so it is refused like a number that does not parse.
+fn parse_opts(args: &[String]) -> (ExpOpts, Option<usize>) {
+    let flags = Flags::parse(args, "--modules --runs --seed --scale --threads", "", 0);
+    let runs = flags.num("--runs");
+    if runs == Some(0) {
+        usage();
     }
-    opts
+    let default = ExpOpts::default();
+    let opts = ExpOpts {
+        modules: flags.num("--modules").unwrap_or(default.modules),
+        runs: runs.unwrap_or(default.runs),
+        seed: flags.num("--seed").unwrap_or(default.seed),
+        scale: flags.num("--scale").unwrap_or(default.scale),
+        threads: flags.num("--threads").unwrap_or(default.threads),
+    };
+    (opts, runs)
 }
 
 fn emit(name: &str, tables: Vec<Table>) {
@@ -711,7 +669,12 @@ fn main() {
     if which == "fleet" {
         run_fleet_cmd(&args[1..]);
     }
-    let opts = parse_opts(&args[1..]);
+    let (opts, runs) = parse_opts(&args[1..]);
+    // Figure 8 accumulates over 50 runs unless told otherwise.
+    let fig8_opts = ExpOpts {
+        runs: runs.unwrap_or(50),
+        ..opts.with_modules(opts.modules.min(75))
+    };
 
     let start = std::time::Instant::now();
     match which.as_str() {
@@ -722,13 +685,7 @@ fn main() {
         "table2" => emit("table2", table2::run(&opts)),
         "table3" => emit("table3", table3::run(&opts)),
         "table4" => emit("table4", table4::run(&opts)),
-        "fig8" => {
-            let mut o = opts.with_modules(opts.modules.min(75));
-            if o.runs < 10 {
-                o.runs = 50;
-            }
-            emit("fig8", fig8::run(&o));
-        }
+        "fig8" => emit("fig8", fig8::run(&fig8_opts)),
         "fig9" => emit("fig9", fig9::run(&opts.with_modules(opts.modules.min(100)))),
         "fneg" => emit("fneg", fneg::run(&opts.with_modules(opts.modules.min(100)))),
         "resources" => emit("resources", resources::run(&opts)),
@@ -738,7 +695,7 @@ fn main() {
             validate::run(&opts.with_modules(opts.modules.min(100))),
         ),
         "coverage" => emit("coverage", coverage::run(&opts)),
-        "chaos" => run_chaos_cmd(&opts),
+        "chaos" => run_chaos_cmd(&opts, runs),
         "all" => {
             emit("table2", table2::run(&opts));
             emit("table3", table3::run(&opts));
@@ -747,11 +704,7 @@ fn main() {
                 "table1",
                 table1::run(&opts.with_modules(opts.modules.max(400))),
             );
-            let mut f8 = opts.with_modules(opts.modules.min(75));
-            if f8.runs < 10 {
-                f8.runs = 50;
-            }
-            emit("fig8", fig8::run(&f8));
+            emit("fig8", fig8::run(&fig8_opts));
             emit("fig9", fig9::run(&opts.with_modules(opts.modules.min(100))));
             emit("fneg", fneg::run(&opts.with_modules(opts.modules.min(100))));
             emit("resources", resources::run(&opts));

@@ -179,27 +179,29 @@ fn starved_pool_terminates_degrades_and_keeps_the_violation_on_disk() {
 
     let mut config = TsvdConfig::for_testing();
     config.dynamic_random_p = 1.0; // Delay at every access.
-    config.delay_ns = 200_000_000; // 200 ms delays...
+    config.delay_ns = 20_000_000; // 20 ms delays; the watchdog polls every 0.5 ms beat.
     config.max_delay_per_run_ns = u64::MAX;
     config.max_delay_per_context_ns = u64::MAX;
-    config.watchdog_poll_ns = 2_000_000; // ...polled every 2 ms,
-    config.watchdog_grace_polls = 2;
-    config.watchdog_max_cancellations = 4; // ...degrading quickly.
     config.durable_sink = Some(sink_path.clone());
+    let delay = std::time::Duration::from_nanos(config.delay_ns);
 
     let rt = tsvd::core::Runtime::dynamic_random(config);
     let start = std::time::Instant::now();
     {
         let pool = Pool::with_runtime(2, rt.clone());
-        let dict: Dictionary<u64, u64> = Dictionary::new(&rt);
-        // Many contending tasks on a 2-worker pool: both workers sit in
-        // 200 ms delays back to back — delay-induced starvation.
-        let handles: Vec<_> = (0..16u64)
+        let shared: Dictionary<u64, u64> = Dictionary::new(&rt);
+        // 64 tasks on a 2-worker pool. The shared write can walk into the
+        // other worker's trap; the two calls on a task's own dictionary
+        // are delays nothing can catch, so both workers sit in them back
+        // to back: delay-induced starvation.
+        let handles: Vec<_> = (0..64u64)
             .map(|i| {
-                let d = dict.clone();
+                let shared = shared.clone();
+                let own: Dictionary<u64, u64> = Dictionary::new(&rt);
                 pool.spawn(move || {
-                    d.set(i % 2, i);
-                    let _ = d.get(&(i % 2));
+                    shared.set(i % 2, i);
+                    own.set(0, i);
+                    let _ = own.get(&0);
                 })
             })
             .collect();
@@ -207,17 +209,20 @@ fn starved_pool_terminates_degrades_and_keeps_the_violation_on_disk() {
             h.wait();
         }
     }
-    // Without the watchdog this workload needs 32+ sequential 200 ms
-    // delays (≥6.4 s); cancellations + degradation must finish it fast.
+    // Without the watchdog the private delays alone keep each worker asleep
+    // for 64 × 20 ms = 1.28 s. The watchdog cuts a starved delay every two
+    // polls and goes passive after 16 cuts, well inside one delay's length.
     assert!(
-        start.elapsed() < std::time::Duration::from_secs(6),
+        start.elapsed() < delay * 32,
         "watchdog did not break the starvation (took {:?})",
         start.elapsed()
     );
-    assert!(
-        rt.is_passive(),
+    assert_eq!(
+        rt.watchdog().degrade_reason(),
+        Some(tsvd::core::DegradeReason::RepeatedStarvation),
         "repeated starvation must degrade the runtime to passive monitoring"
     );
+    assert!(rt.is_passive());
     assert_eq!(rt.live_traps(), 0);
 
     let caught = rt.reports().total_occurrences();

@@ -4,9 +4,10 @@
 //! Instrumented collections call [`Runtime::on_call`] right before every
 //! thread-unsafe operation; the runtime executes the trap mechanism of
 //! Fig. 5 — check for conflicting traps, consult the strategy's
-//! `should_delay`, set a trap, sleep, clear the trap — and reports every
-//! collision as a [`Violation`]. The task substrate feeds fork/join/lock
-//! events through [`Runtime::on_sync`] (consumed only by TSVD-HB).
+//! `should_delay`, set a trap, re-check the traps set meanwhile, sleep,
+//! clear the trap — and reports every collision as a [`Violation`]. The
+//! task substrate feeds fork/join/lock events through
+//! [`Runtime::on_sync`] (consumed only by TSVD-HB).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use crate::sink::DurableSink;
 use crate::site::SiteId;
 use crate::stats::RuntimeStats;
 use crate::strategy::{DynamicRandom, Noop, StaticRandom, Strategy, SyncEvent, Tsvd, TsvdHb};
-use crate::trap::{TrapGuard, TrapTable};
+use crate::trap::{TrapEntry, TrapGuard, TrapTable};
 use crate::trap_file::TrapFileData;
 use crate::watchdog::{Watchdog, WorkerRegistration};
 
@@ -150,43 +151,9 @@ impl Runtime {
         self.stats.record_call(site, concurrent);
 
         // check_for_trap: are we colliding with a delayed thread?
-        for trap in self.traps.check_for_trap(&access) {
-            self.stats.record_catch();
-            let violation = Violation {
-                trapped: Party {
-                    site: trap.access.site,
-                    context: trap.access.context,
-                    op_name: trap.access.op_name,
-                    kind: trap.access.kind,
-                    stack: trap.stack.clone(),
-                },
-                hitter: Party {
-                    site: access.site,
-                    context: access.context,
-                    op_name: access.op_name,
-                    kind: access.kind,
-                    stack: self.capture_stack(),
-                },
-                obj: access.obj,
-                time_ns: access.time_ns,
-            };
-            // Write-ahead: the durable record lands before the in-memory
-            // report, so a crash right after the catch still preserves it.
-            // The sink opens its file here, on the first catch, so this is
-            // also where an unopenable path is found out: said once, and
-            // the violation is still reported in memory.
-            if let Some(durable) = &self.durable {
-                if let Err(e) = durable.append(&violation) {
-                    if !self.durable_failed.swap(true, Ordering::Relaxed) {
-                        eprintln!(
-                            "tsvd: durable sink append failed ({e}); \
-                             violations are reported in memory only"
-                        );
-                    }
-                }
-            }
-            self.strategy.on_violation(violation.pair());
-            self.sink.report(violation);
+        let caught = self.traps.check_for_trap(&access);
+        for trap in &caught {
+            self.report_catch(&access, trap);
         }
 
         // should_delay: the strategy decides where and when. The strategy
@@ -199,6 +166,17 @@ impl Runtime {
                 // the watchdog's delayed counters balanced the same way.
                 let entry = self.traps.set_trap(access, self.capture_stack());
                 let guard = TrapGuard::new(&self.traps, entry);
+                // A conflicting trap set between our check and our own
+                // `set_trap` belongs to a thread that could not see ours
+                // either: catch it now, and skip the sleep — the violation
+                // this delay was for is already found.
+                let missed = self.traps.check_earlier(guard.entry(), &caught);
+                if !missed.is_empty() {
+                    for trap in &missed {
+                        self.report_catch(&access, trap);
+                    }
+                    return;
+                }
                 let _delay_scope = self.watchdog.delay_scope();
                 let start_ns = now_ns();
                 let caught = guard.entry().sleep(Duration::from_nanos(delay_ns));
@@ -212,6 +190,47 @@ impl Runtime {
                     .on_delay_complete(&access, start_ns, end_ns, caught);
             }
         }
+    }
+
+    /// `access` collided with `trap`: report the violation, durable sink
+    /// first, and tell the strategy the pair is found.
+    fn report_catch(&self, access: &Access, trap: &TrapEntry) {
+        self.stats.record_catch();
+        let violation = Violation {
+            trapped: Party {
+                site: trap.access.site,
+                context: trap.access.context,
+                op_name: trap.access.op_name,
+                kind: trap.access.kind,
+                stack: trap.stack.clone(),
+            },
+            hitter: Party {
+                site: access.site,
+                context: access.context,
+                op_name: access.op_name,
+                kind: access.kind,
+                stack: self.capture_stack(),
+            },
+            obj: access.obj,
+            time_ns: access.time_ns,
+        };
+        // Write-ahead: the durable record lands before the in-memory
+        // report, so a crash right after the catch still preserves it.
+        // The sink opens its file here, on the first catch, so this is
+        // also where an unopenable path is found out: said once, and
+        // the violation is still reported in memory.
+        if let Some(durable) = &self.durable {
+            if let Err(e) = durable.append(&violation) {
+                if !self.durable_failed.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "tsvd: durable sink append failed ({e}); \
+                         violations are reported in memory only"
+                    );
+                }
+            }
+        }
+        self.strategy.on_violation(violation.pair());
+        self.sink.report(violation);
     }
 
     /// Reports a synchronization event (fork/join/lock). TSVD ignores these
@@ -392,6 +411,47 @@ mod tests {
             }
         }
         panic!("forced collision was not caught in 3 attempts");
+    }
+
+    /// Two threads released by a barrier both delay at one object, each at
+    /// its half of a pair armed from a trap file: whether they arrive a
+    /// delay apart or in the same microsecond, exactly one of them catches
+    /// the other, once, and neither sleeps out its delay.
+    #[test]
+    fn two_threads_trapping_one_object_together_catch_each_other_once() {
+        let mut c = cfg();
+        c.delay_ns = ms_to_ns(1_000);
+        c.max_delay_per_run_ns = u64::MAX;
+        c.max_delay_per_context_ns = u64::MAX;
+        let delay = Duration::from_nanos(c.delay_ns);
+        let (a, b) = (crate::site!(), crate::site!());
+        let armed = TrapFileData::from_pairs(&[crate::near_miss::SitePair::new(a, b)]);
+        for iteration in 0..200 {
+            let rt = Runtime::tsvd(c.clone());
+            rt.import_trap_file(&armed);
+            let start = std::sync::Barrier::new(2);
+            let obj = ObjId(0x5EED);
+            let elapsed: Vec<Duration> = std::thread::scope(|scope| {
+                let workers = [a, b].map(|site| {
+                    let (rt, start) = (&rt, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let t = std::time::Instant::now();
+                        rt.on_call(obj, site, "x.write", OpKind::Write);
+                        t.elapsed()
+                    })
+                });
+                workers.map(|w| w.join().expect("no panic")).to_vec()
+            });
+            assert_eq!(
+                rt.reports().total_occurrences(),
+                1,
+                "iteration {iteration}: one violation"
+            );
+            for e in elapsed {
+                assert!(e < delay, "iteration {iteration}: slept {e:?} of {delay:?}");
+            }
+        }
     }
 
     #[test]

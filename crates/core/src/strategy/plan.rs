@@ -9,12 +9,12 @@
 //! | Verb | Transition | Paper |
 //! |---|---|---|
 //! | [`arm`](DelayPlan::arm) | discovered → armed, both locations at `P_loc = 1` | §3.4.2 |
-//! | [`import`](DelayPlan::import) | armed from a previous run's trap file, best-graded first, under `trap_import_budget` | §3.4.6 |
+//! | [`import`](DelayPlan::import) | a previous run's found pairs → settled; then its pairs armed, best-graded first, under `trap_import_budget` | §3.4.6 |
 //! | [`should_delay`](DelayPlan::should_delay) | armed location → delay with probability `P_loc` | §3.4.5 |
-//! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted | §3.4.5 |
+//! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted, and an imported one among them is settled for the run | §3.4.5 |
 //! | [`retire`](DelayPlan::retire) | armed → pruned: the discovery side proved the pair ordered | §3.4.4 |
 //! | [`found`](DelayPlan::found) | armed → caught: pruned for good, never re-armed | §3.4.1 |
-//! | [`export`](DelayPlan::export) | what is still armed, for the next run | §3.4.6 |
+//! | [`export`](DelayPlan::export) | what is still armed, and every found pair, for the next run | §3.4.6 |
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -60,8 +60,8 @@ impl DelayPlan {
         }
     }
 
-    /// Arms `pair` unless it is armed already or was found buggy. Returns
-    /// `true` if it is newly armed.
+    /// Arms `pair` unless it is armed already or settled: found buggy, or
+    /// imported and decayed out. Returns `true` if it is newly armed.
     pub fn arm(&self, pair: SitePair) -> bool {
         let armed = self.traps.add(pair);
         if armed {
@@ -110,11 +110,13 @@ impl DelayPlan {
             }
         }
         // Decay the delayed location (§3.4.5); when its probability hits
-        // the floor, evict its pairs. The decay is deliberately
-        // per-location, not per-pair-endpoint: punishing the *partner* for
-        // this site's fruitless delays would kill exactly the asymmetric
-        // pairs the tool exists for (a hot reader paired with a rare writer
-        // — the Table 4 singleton-init races).
+        // the floor, evict its pairs (an imported pair evicted here settles
+        // for the run: the run that exported it already paid its delays
+        // without a catch; one discovered in this run may re-arm). The decay
+        // is deliberately per-location, not per-pair-endpoint: punishing the
+        // *partner* for this site's fruitless delays would kill exactly the
+        // asymmetric pairs the tool exists for (a hot reader paired with a
+        // rare writer — the Table 4 singleton-init races).
         if !caught && self.decay.decay(site) {
             self.traps.remove_site(site);
         }
@@ -125,23 +127,26 @@ impl DelayPlan {
         self.traps.mark_found(pair);
     }
 
-    /// The armed pairs, as the next run's trap file.
+    /// The armed pairs and the found ones, as the next run's trap file.
     pub fn export(&self) -> TrapFileData {
-        TrapFileData::from_pairs(&self.traps.pairs())
+        TrapFileData::from_pairs(&self.traps.pairs()).with_found(&self.traps.found())
     }
 
-    /// Arms the pairs of a previous run's trap file, highest confidence
-    /// first: under a finite import budget the static analyzer's
-    /// best-graded candidates get the delay budget. Bulk insertion
-    /// publishes one trap-set snapshot and one decay-table snapshot no
-    /// matter how many pairs the file carries.
+    /// Settles a previous run's found pairs, then arms its pairs, highest
+    /// confidence first: under a finite import budget the static
+    /// analyzer's best-graded candidates get the delay budget, and a pair
+    /// the file also lists as found never arms. Bulk insertion publishes
+    /// one trap-set snapshot and one decay-table snapshot no matter how
+    /// many pairs the file carries.
     pub fn import(&self, data: &TrapFileData) {
         let candidates: Vec<SitePair> = data
             .arming_order()
             .into_iter()
             .filter_map(|index| data.pair_at(index))
             .collect();
-        let inserted = self.traps.add_many(&candidates, self.import_budget);
+        let inserted = self
+            .traps
+            .import(&data.found_pairs(), &candidates, self.import_budget);
         if !inserted.is_empty() {
             self.decay
                 .arm_many(inserted.iter().flat_map(|p| [p.first, p.second]));
@@ -252,6 +257,81 @@ mod tests {
         assert!(second.is_armed(pair(1, 2)) && second.is_armed(pair(3, 4)));
         // Imported pairs delay on their very first occurrence.
         assert_eq!(second.should_delay(site(3)), Some(c.delay_ns));
+    }
+
+    #[test]
+    fn found_pairs_round_trip_through_export_and_import() {
+        let c = config();
+        let first = plan(&c);
+        first.arm(pair(5, 6));
+        first.found(pair(5, 6));
+        first.found(pair(7, 8)); // Caught without ever being armed here.
+        first.arm(pair(9, 10));
+        let file = first.export();
+        assert_eq!(file.pairs.len(), 1);
+        let mut found = file.found_pairs();
+        found.sort();
+        let mut want = vec![pair(5, 6), pair(7, 8)];
+        want.sort();
+        assert_eq!(found, want);
+
+        let second = plan(&c);
+        second.import(&file);
+        assert!(second.is_armed(pair(9, 10)));
+        assert!(!second.arm(pair(5, 6)), "a found pair is settled in run 2");
+        assert_eq!(second.export(), file, "and found again in run 3's file");
+    }
+
+    #[test]
+    fn a_pair_listed_found_and_armed_in_one_file_never_arms() {
+        let mut file = TrapFileData::default();
+        for (a, b) in [(11, 12), (13, 14)] {
+            file.push_with_confidence(
+                (site(a).to_string(), site(b).to_string()),
+                PairOrigin::Static,
+                0.9,
+            );
+        }
+        file.found = vec![(site(11).to_string(), site(12).to_string())];
+        let mut c = config();
+        c.trap_import_budget = 1;
+        let p = plan(&c);
+        p.import(&file);
+        assert!(!p.is_armed(pair(11, 12)), "found wins over the prior");
+        assert!(
+            p.is_armed(pair(13, 14)),
+            "and does not take a place under the budget"
+        );
+    }
+
+    #[test]
+    fn export_spells_each_pair_in_site_text_order_whatever_the_intern_order() {
+        // Intern the lines last-first: every `SitePair` then holds the
+        // higher line as its `first`.
+        let reversed: Vec<SiteId> = (1..=9)
+            .rev()
+            .map(|line| {
+                SiteId::intern(SiteData {
+                    file: "reverse_intern_test.rs",
+                    line,
+                    column: 1,
+                })
+            })
+            .collect();
+        let at = |line: usize| reversed[9 - line];
+        let p = plan(&config());
+        for (a, b) in [(3, 1), (2, 4), (9, 5)] {
+            p.arm(SitePair::new(at(a), at(b)));
+        }
+        p.found(SitePair::new(at(8), at(6)));
+        let text = |line: u32| format!("reverse_intern_test.rs:{line}:1");
+        // What a process that interned the lines first-first writes.
+        let mut want = TrapFileData::default();
+        for (a, b) in [(1, 3), (2, 4), (5, 9)] {
+            want.push((text(a), text(b)), PairOrigin::Dynamic);
+        }
+        want.found = vec![(text(6), text(8))];
+        assert_eq!(p.export(), want);
     }
 
     #[test]

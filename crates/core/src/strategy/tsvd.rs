@@ -247,6 +247,41 @@ mod tests {
         assert_eq!(s.trap_set_len(), 0, "decayed location evicts its pairs");
     }
 
+    /// Arms {site(1), site(2)}, imported or by a near miss, decays
+    /// site(1) out, then shows the same near miss again; returns whether
+    /// it re-armed.
+    fn rearms_after_decaying_out(imported: bool) -> bool {
+        let mut c = config();
+        c.decay_factor = 0.5;
+        c.decay_floor = 0.3;
+        let s = Tsvd::new(&c);
+        let pair = SitePair::new(site(1), site(2));
+        if imported {
+            s.import_trap_file(&TrapFileData::from_pairs(&[pair]));
+        } else {
+            s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
+            s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
+        }
+        assert!(s.is_armed(pair));
+        let a = acc(1, 7, site(1), OpKind::Write, 2);
+        s.on_delay_complete(&a, 0, 1, false);
+        s.on_delay_complete(&a, 2, 3, false);
+        assert_eq!(s.trap_set_len(), 0, "decayed out");
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 10), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 11), true);
+        s.is_armed(pair)
+    }
+
+    #[test]
+    fn an_imported_pair_that_decays_out_stays_out_for_the_run() {
+        assert!(!rearms_after_decaying_out(true));
+    }
+
+    #[test]
+    fn a_discovered_pair_that_decays_out_rearms_on_the_next_near_miss() {
+        assert!(rearms_after_decaying_out(false));
+    }
+
     #[test]
     fn successful_delay_does_not_decay() {
         let mut c = config();

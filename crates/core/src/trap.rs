@@ -14,8 +14,16 @@
 //! empty case is a single atomic load, and stores the (rare) live traps in
 //! shards keyed by object id: the conflict predicate requires *the same
 //! object*, so a checker only ever needs its own object's shard.
+//!
+//! A thread checks the table *before* it sets its own trap, so two threads
+//! that arrive together can both check, both set and both sleep, neither
+//! seeing the other. Every trap therefore carries a sequence number, stamped
+//! under its shard's lock: after setting its trap, an owner re-checks the
+//! traps set before its own ([`TrapTable::check_earlier`]). Of two such
+//! threads the later one finds the earlier one's trap — exactly one of them
+//! catches, once.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,6 +41,9 @@ pub struct TrapEntry {
     pub access: Access,
     /// Stack trace captured when the trap was set (if enabled).
     pub stack: Option<Arc<str>>,
+    /// Order of setting among the traps of one table: of two traps on one
+    /// object, the one with the smaller number was in the table first.
+    seq: u64,
     state: Mutex<TrapState>,
     wake: Condvar,
 }
@@ -46,10 +57,11 @@ struct TrapState {
 }
 
 impl TrapEntry {
-    fn new(access: Access, stack: Option<Arc<str>>) -> Arc<TrapEntry> {
+    fn new(access: Access, stack: Option<Arc<str>>, seq: u64) -> Arc<TrapEntry> {
         Arc::new(TrapEntry {
             access,
             stack,
+            seq,
             state: Mutex::new(TrapState::default()),
             wake: Condvar::new(),
         })
@@ -106,6 +118,8 @@ pub struct TrapTable {
     /// Live traps across all shards. Zero — the common case — makes
     /// [`check_for_trap`](TrapTable::check_for_trap) lock-free.
     live: AtomicUsize,
+    /// The next trap's [`TrapEntry::seq`], drawn under the shard lock.
+    next_seq: AtomicU64,
 }
 
 impl Default for TrapTable {
@@ -125,6 +139,7 @@ impl TrapTable {
         TrapTable {
             shards: (0..shards.max(1)).map(|_| Stripe::default()).collect(),
             live: AtomicUsize::new(0),
+            next_seq: AtomicU64::new(0),
         }
     }
 
@@ -136,15 +151,19 @@ impl TrapTable {
 
     /// Registers a trap for `access` and returns its handle.
     pub fn set_trap(&self, access: Access, stack: Option<Arc<str>>) -> Arc<TrapEntry> {
-        let entry = TrapEntry::new(access, stack);
         // Publish the count before the entry becomes findable: a checker
         // that loads 0 and skips can only miss a trap whose owner has not
-        // finished arming it, which is indistinguishable from the access
-        // having happened just before the trap was set.
+        // finished arming it — and that owner's own re-check
+        // ([`check_earlier`](Self::check_earlier)) finds the checker's trap,
+        // if it set one.
         audit::note_shared_write();
         self.live.fetch_add(1, Ordering::SeqCst);
         audit::note_lock();
-        self.shard(entry.access.obj).lock().push(entry.clone());
+        let mut shard = self.shard(access.obj).lock();
+        // Drawn under the lock: within a shard, sequence order is the order
+        // in which traps became findable.
+        let entry = TrapEntry::new(access, stack, self.next_seq.fetch_add(1, Ordering::Relaxed));
+        shard.push(entry.clone());
         entry
     }
 
@@ -174,6 +193,27 @@ impl TrapTable {
         let mut hit = Vec::new();
         for t in shard.iter() {
             if t.access.conflicts_with(access) {
+                t.catch();
+                hit.push(t.clone());
+            }
+        }
+        hit
+    }
+
+    /// The owner of `own`, a trap just set, re-checks its access against the
+    /// live traps set *before* it: their owners checked the table before
+    /// `own` was findable, so neither side has seen the other. Marks and
+    /// returns every such trap it collides with, leaving out `seen` — the
+    /// traps the owner's check before setting `own` already caught.
+    pub fn check_earlier(&self, own: &TrapEntry, seen: &[Arc<TrapEntry>]) -> Vec<Arc<TrapEntry>> {
+        audit::note_lock();
+        let shard = self.shard(own.access.obj).lock();
+        let mut hit = Vec::new();
+        for t in shard.iter() {
+            if t.seq < own.seq
+                && t.access.conflicts_with(&own.access)
+                && !seen.iter().any(|s| Arc::ptr_eq(s, t))
+            {
                 t.catch();
                 hit.push(t.clone());
             }
@@ -440,6 +480,26 @@ mod tests {
         assert_eq!(table.live_count(), 0);
         table.set_trap(acc(1, 8, OpKind::Write), None);
         assert_eq!(table.live_count(), 1);
+    }
+
+    #[test]
+    fn a_trap_catches_only_the_conflicting_traps_set_before_it() {
+        let table = TrapTable::with_shards(1);
+        let first = table.set_trap(acc(1, 7, OpKind::Write), None);
+        let other_obj = table.set_trap(acc(3, 8, OpKind::Write), None);
+        let second = table.set_trap(acc(2, 7, OpKind::Write), None);
+        assert!(
+            table.check_earlier(&first, &[]).is_empty(),
+            "nothing before it"
+        );
+        let hits = table.check_earlier(&second, &[]);
+        assert_eq!(hits.len(), 1);
+        assert!(Arc::ptr_eq(&hits[0], &first));
+        assert!(first.was_caught() && !second.was_caught() && !other_obj.was_caught());
+        assert!(
+            table.check_earlier(&second, &hits).is_empty(),
+            "a trap the owner already caught is not caught twice"
+        );
     }
 
     #[test]

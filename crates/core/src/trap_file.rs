@@ -5,8 +5,12 @@
 //! allowing delays to be injected at dangerous pairs even on their *first*
 //! occurrence — which is how TSVD catches bugs whose TSVD point executes
 //! only once per test (11 of the 53 Table-2 bugs).
+//!
+//! The file also carries the pairs at which a violation was already found
+//! (§3.4.1): the next run settles them before it arms anything, so a
+//! reported bug is not paid for with delays again, run after run.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::Path;
 
@@ -62,7 +66,7 @@ impl Deserialize for PairOrigin {
 }
 
 /// Serializable snapshot of a trap set.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, Deserialize, PartialEq)]
 pub struct TrapFileData {
     /// Dangerous pairs, as textual site locations (`file:line:column`).
     pub pairs: Vec<(String, String)>,
@@ -88,6 +92,47 @@ pub struct TrapFileData {
     /// join handle a fix should use.
     #[serde(default)]
     pub hb_evidence: Vec<String>,
+    /// Pairs at which a violation was already found, as textual site
+    /// locations. Never armed again: an import settles them before it arms
+    /// `pairs`, so neither a carried pair nor a static prior re-arms a
+    /// reported bug. Files written before the field existed carry none.
+    #[serde(default)]
+    pub found: Vec<(String, String)>,
+}
+
+// Hand-written rather than derived: `found` is left out of the JSON when it
+// is empty, so a file with no found pair is byte-identical to one written
+// before the field existed.
+impl Serialize for TrapFileData {
+    fn to_value(&self) -> serde::Value {
+        let mut map = BTreeMap::new();
+        map.insert("pairs".to_string(), self.pairs.to_value());
+        map.insert("origins".to_string(), self.origins.to_value());
+        map.insert("confidences".to_string(), self.confidences.to_value());
+        map.insert("hb_evidence".to_string(), self.hb_evidence.to_value());
+        if !self.found.is_empty() {
+            map.insert("found".to_string(), self.found.to_value());
+        }
+        serde::Value::Object(map)
+    }
+}
+
+/// A pair's two sites as text, in text order: the spelling does not depend
+/// on the order the exporting process happened to intern the sites in.
+fn pair_text(pair: &SitePair) -> (String, String) {
+    normalize_pair(&pair.first.to_string(), &pair.second.to_string())
+}
+
+/// Re-interns a textual pair, or `None` if its text is corrupt.
+fn parse_pair((a, b): &(String, String)) -> Option<SitePair> {
+    Some(SitePair::new(SiteId::parse(a)?, SiteId::parse(b)?))
+}
+
+/// `pairs` as sorted text, each pair's halves in text order.
+fn sorted_texts(pairs: &[SitePair]) -> Vec<(String, String)> {
+    let mut texts: Vec<(String, String)> = pairs.iter().map(pair_text).collect();
+    texts.sort();
+    texts
 }
 
 impl TrapFileData {
@@ -96,17 +141,24 @@ impl TrapFileData {
         Self::from_pairs_with_origin(pairs, PairOrigin::Dynamic)
     }
 
-    /// Builds a snapshot from in-memory pairs with an explicit origin.
+    /// Builds a snapshot from in-memory pairs with an explicit origin. The
+    /// pairs are written sorted, each one's halves in text order, so two
+    /// processes holding the same set write the same file.
     pub fn from_pairs_with_origin(pairs: &[SitePair], origin: PairOrigin) -> Self {
         TrapFileData {
-            pairs: pairs
-                .iter()
-                .map(|p| (p.first.to_string(), p.second.to_string()))
-                .collect(),
+            pairs: sorted_texts(pairs),
             origins: vec![origin; pairs.len()],
             confidences: Vec::new(),
             hb_evidence: Vec::new(),
+            found: Vec::new(),
         }
+    }
+
+    /// Records `found` as the pairs at which a violation was already found,
+    /// spelled like [`from_pairs`](Self::from_pairs) spells armed pairs.
+    pub fn with_found(mut self, found: &[SitePair]) -> Self {
+        self.found = sorted_texts(found);
+        self
     }
 
     /// The origin of pair `index`; pairs beyond the recorded origins are
@@ -179,8 +231,13 @@ impl TrapFileData {
     /// how many pairs it added — `0` means `self` is unchanged, so a caller
     /// that persists `self` has nothing to write. A pair present in both
     /// keeps `self`'s origin, confidence, and evidence.
-    /// `(a, b)` and `(b, a)` are one pair (halves come in the exporting
-    /// process's intern order); an added pair keeps `other`'s orientation.
+    /// `(a, b)` and `(b, a)` are one pair (files written before halves
+    /// were exported in text order spell them in intern order); an added
+    /// pair keeps `other`'s orientation.
+    ///
+    /// `self.found` is left alone and `other.found` is not taken: a merged
+    /// file is a union of what to arm, across modules, while a found pair
+    /// is a bug of the one module that reported it.
     pub fn merge(&mut self, other: &TrapFileData) -> usize {
         let key = |(a, b): &(String, String)| normalize_pair(a, b);
         let mut known: HashSet<(String, String)> = self.pairs.iter().map(key).collect();
@@ -200,8 +257,7 @@ impl TrapFileData {
 
     /// Re-interns the pair at `index`, or `None` if its text is corrupt.
     pub fn pair_at(&self, index: usize) -> Option<SitePair> {
-        let (a, b) = self.pairs.get(index)?;
-        Some(SitePair::new(SiteId::parse(a)?, SiteId::parse(b)?))
+        parse_pair(self.pairs.get(index)?)
     }
 
     /// Pair indices ordered for arming: highest confidence first. Ties are
@@ -241,10 +297,13 @@ impl TrapFileData {
     /// Re-interns the stored pairs. Pairs whose text cannot be parsed are
     /// skipped — a corrupt line must not poison the whole run.
     pub fn to_pairs(&self) -> Vec<SitePair> {
-        self.pairs
-            .iter()
-            .filter_map(|(a, b)| Some(SitePair::new(SiteId::parse(a)?, SiteId::parse(b)?)))
-            .collect()
+        self.pairs.iter().filter_map(parse_pair).collect()
+    }
+
+    /// Re-interns the found pairs, skipping corrupt text like
+    /// [`to_pairs`](Self::to_pairs).
+    pub fn found_pairs(&self) -> Vec<SitePair> {
+        self.found.iter().filter_map(parse_pair).collect()
     }
 
     /// Writes the snapshot as JSON, crash-safely (see
@@ -327,6 +386,7 @@ mod tests {
             origins: Vec::new(),
             confidences: Vec::new(),
             hb_evidence: Vec::new(),
+            found: Vec::new(),
         };
         let pairs = data.to_pairs();
         assert_eq!(pairs, vec![SitePair::new(site(20), site(21))]);
@@ -367,6 +427,70 @@ mod tests {
         assert!(loaded.origins.is_empty());
         assert_eq!(loaded.origin(0), PairOrigin::Dynamic);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Exactly what a dynamic trap set with one pair was written as before
+    /// the `found` field existed.
+    const PRE_FOUND_FILE: &str = r#"{
+  "confidences": [],
+  "hb_evidence": [],
+  "origins": [
+    "dynamic"
+  ],
+  "pairs": [
+    [
+      "a.rs:1:1",
+      "b.rs:2:2"
+    ]
+  ]
+}"#;
+
+    #[test]
+    fn a_file_with_no_found_pair_is_written_as_before_the_field_existed() {
+        let mut data = TrapFileData::default();
+        data.push(("a.rs:1:1".into(), "b.rs:2:2".into()), PairOrigin::Dynamic);
+        assert_eq!(
+            serde_json::to_string_pretty(&data).expect("json"),
+            PRE_FOUND_FILE
+        );
+    }
+
+    #[test]
+    fn a_pre_found_file_loads_with_no_found_pairs() {
+        let data: TrapFileData = serde_json::from_str(PRE_FOUND_FILE).expect("parse");
+        assert!(data.found.is_empty());
+        assert_eq!(data.pairs.len(), 1);
+    }
+
+    #[test]
+    fn found_pairs_round_trip_through_save_and_load() {
+        let dir = std::env::temp_dir().join(format!("tsvd_trapfile_found_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("traps.json");
+        let data = TrapFileData::from_pairs(&[SitePair::new(site(94), site(95))])
+            .with_found(&[SitePair::new(site(96), site(97))]);
+        data.save(&path).expect("save");
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(text.contains("\"found\""), "{text}");
+        let loaded = TrapFileData::load(&path).expect("load");
+        assert_eq!(loaded, data);
+        assert_eq!(
+            loaded.found_pairs(),
+            vec![SitePair::new(site(96), site(97))]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn merge_leaves_found_pairs_alone() {
+        let mut merged = TrapFileData::default().with_found(&[SitePair::new(site(98), site(99))]);
+        let other = TrapFileData::from_pairs(&[SitePair::new(site(100), site(101))])
+            .with_found(&[SitePair::new(site(102), site(103))]);
+        assert_eq!(merged.merge(&other), 1);
+        assert_eq!(
+            merged.found_pairs(),
+            vec![SitePair::new(site(98), site(99))]
+        );
     }
 
     #[test]

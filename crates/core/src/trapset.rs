@@ -6,6 +6,13 @@
 //! the pair. Membership of a *location* in any pair is what makes
 //! `should_delay` eligible at that location.
 //!
+//! Some pairs are *settled*: they never re-arm for the rest of the run. A
+//! pair is settled when a violation is caught there (this run or, through
+//! the trap file, an earlier one), and when a pair that arrived in a trap
+//! file decays out — the previous run already spent its delays on it, so a
+//! near miss re-arming it at `P = 1` would only spend them again. A pair
+//! *discovered* in this run stays free to re-arm after it decays.
+//!
 //! `contains_site` is consulted on every instrumented access once any pair
 //! is armed, so the set is kept as an immutable snapshot behind an
 //! [`EpochPtr`]: readers pin the epoch (one store to their own slot), load
@@ -24,46 +31,72 @@ use crate::epoch::EpochPtr;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
 
+/// How an armed pair entered the set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arrival {
+    /// A near miss (or a vector-clock race) in this run.
+    Discovered,
+    /// A trap file: an earlier run's pair, or a static prior.
+    Imported,
+}
+
+/// Why a pair never re-arms for the rest of the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settled {
+    /// A violation was caught at the pair; persisted for the next run.
+    Found,
+    /// An imported pair decayed out; forgotten with the run.
+    DecayedOut,
+}
+
 #[derive(Default, Clone)]
 struct Snapshot {
+    /// The armed pairs. `arm` looks a pair up here on every near miss.
     pairs: IdSet<SitePair>,
+    /// The armed pairs that came from a trap file rather than a near miss
+    /// in this run; always a subset of `pairs`.
+    imported: IdSet<SitePair>,
     /// How many pairs each site participates in (for O(1) eligibility).
     site_refs: IdMap<SiteId, usize>,
-    /// Pairs at which a violation has already been caught; never re-added.
-    found: IdSet<SitePair>,
+    /// Pairs that are never re-added.
+    settled: IdMap<SitePair, Settled>,
 }
 
 impl Snapshot {
     /// `true` when adding `pair` would change nothing.
-    fn settled(&self, pair: SitePair) -> bool {
-        self.pairs.contains(&pair) || self.found.contains(&pair)
+    fn unchanged_by_add(&self, pair: SitePair) -> bool {
+        self.pairs.contains(&pair) || self.settled.contains_key(&pair)
     }
 
-    fn insert(&mut self, pair: SitePair) -> bool {
-        if self.found.contains(&pair) {
+    fn insert(&mut self, pair: SitePair, arrival: Arrival) -> bool {
+        if self.unchanged_by_add(pair) {
             return false;
         }
-        if self.pairs.insert(pair) {
-            *self.site_refs.entry(pair.first).or_insert(0) += 1;
-            if pair.second != pair.first {
-                *self.site_refs.entry(pair.second).or_insert(0) += 1;
-            }
-            true
-        } else {
-            false
+        self.pairs.insert(pair);
+        if arrival == Arrival::Imported {
+            self.imported.insert(pair);
         }
+        *self.site_refs.entry(pair.first).or_insert(0) += 1;
+        if pair.second != pair.first {
+            *self.site_refs.entry(pair.second).or_insert(0) += 1;
+        }
+        true
     }
 
-    fn delete(&mut self, pair: SitePair) -> bool {
-        if self.pairs.remove(&pair) {
-            decref(&mut self.site_refs, pair.first);
-            if pair.second != pair.first {
-                decref(&mut self.site_refs, pair.second);
-            }
-            true
-        } else {
-            false
+    fn delete(&mut self, pair: SitePair) -> Option<Arrival> {
+        if !self.pairs.remove(&pair) {
+            return None;
         }
+        let arrival = if self.imported.remove(&pair) {
+            Arrival::Imported
+        } else {
+            Arrival::Discovered
+        };
+        decref(&mut self.site_refs, pair.first);
+        if pair.second != pair.first {
+            decref(&mut self.site_refs, pair.second);
+        }
+        Some(arrival)
     }
 }
 
@@ -102,30 +135,51 @@ impl TrapSet {
         })
     }
 
-    /// Adds `pair` unless it was already found buggy. Returns `true` if the
-    /// pair is newly inserted.
+    /// Adds a discovered `pair` unless it is armed or settled already.
+    /// Returns `true` if the pair is newly inserted.
     pub fn add(&self, pair: SitePair) -> bool {
-        self.write(|s| s.settled(pair).then_some(false), |s| s.insert(pair))
+        self.write(
+            |s| s.unchanged_by_add(pair).then_some(false),
+            |s| s.insert(pair, Arrival::Discovered),
+        )
     }
 
-    /// Adds every pair in `candidates` (in order) that is not already
-    /// present or found buggy, stopping once the set holds `max_len` pairs.
-    /// Returns the pairs actually inserted. One snapshot clone and one
-    /// publish regardless of how many pairs arm — the bulk path for trap
-    /// file imports.
+    /// [`import`](Self::import) with no found pairs.
     pub fn add_many(&self, candidates: &[SitePair], max_len: usize) -> Vec<SitePair> {
+        self.import(&[], candidates, max_len)
+    }
+
+    /// A trap file's pairs: settles every pair in `found` as found buggy,
+    /// then adds every pair in `candidates` (in order) that is not already
+    /// present or settled, stopping once the set holds `max_len` pairs.
+    /// Returns the pairs actually inserted. One snapshot clone and one
+    /// publish regardless of how many pairs settle or arm.
+    pub fn import(
+        &self,
+        found: &[SitePair],
+        candidates: &[SitePair],
+        max_len: usize,
+    ) -> Vec<SitePair> {
         self.write(
             |s| {
-                (s.pairs.len() >= max_len || candidates.iter().all(|&p| s.settled(p)))
-                    .then(Vec::new)
+                let settled = found
+                    .iter()
+                    .all(|p| s.settled.get(p) == Some(&Settled::Found));
+                let full =
+                    s.pairs.len() >= max_len || candidates.iter().all(|&p| s.unchanged_by_add(p));
+                (settled && full).then(Vec::new)
             },
             |s| {
+                for &pair in found {
+                    s.delete(pair);
+                    s.settled.insert(pair, Settled::Found);
+                }
                 let mut inserted = Vec::new();
                 for &pair in candidates {
                     if s.pairs.len() >= max_len {
                         break;
                     }
-                    if s.insert(pair) {
+                    if s.insert(pair, Arrival::Imported) {
                         inserted.push(pair);
                     }
                 }
@@ -134,28 +188,30 @@ impl TrapSet {
         )
     }
 
-    /// Removes `pair` (HB-inferred prune). Returns `true` if it was present.
+    /// Removes `pair` (HB-inferred prune) without settling it. Returns
+    /// `true` if it was present.
     pub fn remove(&self, pair: SitePair) -> bool {
         self.write(
             |s| (!s.pairs.contains(&pair)).then_some(false),
-            |s| s.delete(pair),
+            |s| s.delete(pair).is_some(),
         )
     }
 
     /// Marks `pair` as found buggy: removes it and blocks re-insertion.
     pub fn mark_found(&self, pair: SitePair) {
         self.write(
-            // A found pair is never in `pairs`: `insert` refuses it.
-            |s| s.found.contains(&pair).then_some(()),
+            // A settled pair is never in `pairs`: `insert` refuses it.
+            |s| (s.settled.get(&pair) == Some(&Settled::Found)).then_some(()),
             |s| {
-                s.found.insert(pair);
+                s.settled.insert(pair, Settled::Found);
                 s.delete(pair);
             },
         )
     }
 
     /// Removes every pair containing `site` (decay eviction), returning the
-    /// removed pairs.
+    /// removed pairs. The imported ones among them settle for the rest of
+    /// the run; the discovered ones may re-arm.
     pub fn remove_site(&self, site: SiteId) -> Vec<SitePair> {
         self.write(
             |s| (!s.site_refs.contains_key(&site)).then(Vec::new),
@@ -166,8 +222,10 @@ impl TrapSet {
                     .filter(|p| p.contains(site))
                     .copied()
                     .collect();
-                for pair in &doomed {
-                    s.delete(*pair);
+                for &pair in &doomed {
+                    if s.delete(pair) == Some(Arrival::Imported) {
+                        s.settled.insert(pair, Settled::DecayedOut);
+                    }
                 }
                 doomed
             },
@@ -208,6 +266,18 @@ impl TrapSet {
         self.snapshot.read(|s| s.pairs.iter().copied().collect())
     }
 
+    /// Snapshot of the pairs found buggy, in this run or an imported
+    /// file's (for trap-file export).
+    pub fn found(&self) -> Vec<SitePair> {
+        self.snapshot.read(|s| {
+            s.settled
+                .iter()
+                .filter(|(_, &why)| why == Settled::Found)
+                .map(|(&pair, _)| pair)
+                .collect()
+        })
+    }
+
     /// Number of pairs currently in the set.
     pub fn len(&self) -> usize {
         self.pair_count.load(Ordering::Acquire)
@@ -220,13 +290,13 @@ impl TrapSet {
 
     /// Asserts the internal consistency of the *current* snapshot: the
     /// site-reference counts must be exactly those derived from the pair
-    /// set. Readers racing a writer must only ever observe snapshots that
+    /// set, and every imported pair must be armed. Readers racing a writer must only ever observe snapshots that
     /// pass this check — a torn view would fail it.
     #[cfg(test)]
     fn assert_snapshot_consistent(&self) {
         self.snapshot.read(|s| {
             let mut derived: IdMap<SiteId, usize> = IdMap::default();
-            for p in &s.pairs {
+            for p in s.pairs.iter() {
                 *derived.entry(p.first).or_insert(0) += 1;
                 if p.second != p.first {
                     *derived.entry(p.second).or_insert(0) += 1;
@@ -235,6 +305,10 @@ impl TrapSet {
             assert_eq!(
                 derived, s.site_refs,
                 "snapshot site_refs must match the pair set"
+            );
+            assert!(
+                s.imported.is_subset(&s.pairs),
+                "an imported pair that is not armed"
             );
         });
     }
@@ -253,7 +327,7 @@ fn decref(refs: &mut IdMap<SiteId, usize>, site: SiteId) {
 mod tests {
     use super::*;
     use crate::site::SiteData;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use std::sync::Arc;
 
     fn site(n: u32) -> SiteId {
@@ -360,42 +434,113 @@ mod tests {
         assert_eq!(t.len(), 2);
     }
 
+    #[test]
+    fn import_settles_found_pairs_before_it_arms() {
+        let t = TrapSet::new();
+        let (found, other) = (
+            SitePair::new(site(30), site(31)),
+            SitePair::new(site(32), site(33)),
+        );
+        assert!(t.add(found), "armed by discovery first");
+        let inserted = t.import(&[found], &[found, other], usize::MAX);
+        assert_eq!(inserted, vec![other]);
+        assert!(
+            !t.contains(found),
+            "a found pair is disarmed, then never armed"
+        );
+        assert!(!t.add(found));
+        assert_eq!(t.found(), vec![found]);
+    }
+
+    #[test]
+    fn an_imported_pair_that_decays_out_stays_out_and_a_discovered_one_does_not() {
+        let t = TrapSet::new();
+        let (carried, discovered) = (
+            SitePair::new(site(40), site(41)),
+            SitePair::new(site(40), site(42)),
+        );
+        t.add_many(&[carried], usize::MAX);
+        t.add(discovered);
+        let mut evicted = t.remove_site(site(40));
+        evicted.sort();
+        let mut both = vec![carried, discovered];
+        both.sort();
+        assert_eq!(evicted, both);
+        assert!(!t.add(carried), "the carried pair is settled for the run");
+        assert!(t.add(discovered), "the discovered pair re-arms");
+        assert!(t.found().is_empty(), "decaying out is not a finding");
+        t.mark_found(carried);
+        assert_eq!(t.found(), vec![carried], "a catch still records it");
+    }
+
     /// The obvious implementation the snapshot protocol must agree with.
     #[derive(Default)]
     struct Model {
-        pairs: HashSet<SitePair>,
+        /// Armed pairs, `true` for those that came from a trap file.
+        pairs: HashMap<SitePair, bool>,
         found: HashSet<SitePair>,
+        decayed_out: HashSet<SitePair>,
+        /// Imported pairs evicted so far, settled or not by now.
+        evicted_imports: usize,
     }
 
     impl Model {
-        fn add(&mut self, pair: SitePair) -> bool {
-            !self.found.contains(&pair) && self.pairs.insert(pair)
+        fn insert(&mut self, pair: SitePair, imported: bool) -> bool {
+            if self.found.contains(&pair)
+                || self.decayed_out.contains(&pair)
+                || self.pairs.contains_key(&pair)
+            {
+                return false;
+            }
+            self.pairs.insert(pair, imported);
+            true
         }
 
-        fn add_many(&mut self, candidates: &[SitePair], max_len: usize) -> Vec<SitePair> {
+        fn import(
+            &mut self,
+            found: &[SitePair],
+            candidates: &[SitePair],
+            max_len: usize,
+        ) -> Vec<SitePair> {
+            for &pair in found {
+                self.mark_found(pair);
+            }
             let mut inserted = Vec::new();
             for &pair in candidates {
                 if self.pairs.len() >= max_len {
                     break;
                 }
-                if self.add(pair) {
+                if self.insert(pair, true) {
                     inserted.push(pair);
                 }
             }
             inserted
         }
 
+        fn mark_found(&mut self, pair: SitePair) {
+            self.pairs.remove(&pair);
+            self.decayed_out.remove(&pair);
+            self.found.insert(pair);
+        }
+
         fn remove_site(&mut self, site: SiteId) -> Vec<SitePair> {
             let doomed: Vec<SitePair> = self
                 .pairs
-                .iter()
+                .keys()
                 .filter(|p| p.contains(site))
                 .copied()
                 .collect();
             for pair in &doomed {
-                self.pairs.remove(pair);
+                if self.pairs.remove(pair) == Some(true) {
+                    self.decayed_out.insert(*pair);
+                    self.evicted_imports += 1;
+                }
             }
             doomed
+        }
+
+        fn armed(&self, pair: SitePair) -> bool {
+            self.pairs.contains_key(&pair)
         }
     }
 
@@ -424,27 +569,32 @@ mod tests {
                 match rng.below(16) {
                     0..=6 => {
                         let p = pair(&mut rng);
-                        assert_eq!(set.add(p), model.add(p), "add, {at}");
+                        assert_eq!(set.add(p), model.insert(p, false), "add, {at}");
                     }
                     7 | 8 => {
+                        let found: Vec<SitePair> =
+                            (0..rng.below(3) / 2).map(|_| pair(&mut rng)).collect();
                         let batch: Vec<SitePair> =
                             (0..rng.below(6)).map(|_| pair(&mut rng)).collect();
                         let budget = rng.below(90) as usize;
                         assert_eq!(
-                            set.add_many(&batch, budget),
-                            model.add_many(&batch, budget),
-                            "add_many, {at}"
+                            set.import(&found, &batch, budget),
+                            model.import(&found, &batch, budget),
+                            "import, {at}"
                         );
                     }
                     9..=12 => {
                         let p = pair(&mut rng);
-                        assert_eq!(set.remove(p), model.pairs.remove(&p), "remove, {at}");
+                        assert_eq!(
+                            set.remove(p),
+                            model.pairs.remove(&p).is_some(),
+                            "remove, {at}"
+                        );
                     }
                     13 => {
                         let p = pair(&mut rng);
                         set.mark_found(p);
-                        model.found.insert(p);
-                        model.pairs.remove(&p);
+                        model.mark_found(p);
                     }
                     _ => {
                         let s = sites[rng.below(SITES) as usize];
@@ -456,28 +606,33 @@ mod tests {
                 }
                 assert_eq!(set.len(), model.pairs.len(), "len, {at}");
                 let probe = pair(&mut rng);
-                assert_eq!(
-                    set.contains(probe),
-                    model.pairs.contains(&probe),
-                    "contains, {at}"
-                );
+                assert_eq!(set.contains(probe), model.armed(probe), "contains, {at}");
                 let s = sites[rng.below(SITES) as usize];
                 assert_eq!(
                     set.contains_site(s),
-                    model.pairs.iter().any(|p| p.contains(s)),
+                    model.pairs.keys().any(|p| p.contains(s)),
                     "contains_site, {at}"
                 );
             }
             assert!(!model.found.is_empty(), "seed {seed} must mark pairs found");
-            for &p in &model.found {
+            assert!(
+                model.evicted_imports > 0,
+                "seed {seed} must decay imported pairs out"
+            );
+            for &p in model.found.iter().chain(&model.decayed_out) {
                 assert!(
                     !set.contains(p) && !set.add(p),
-                    "found pair re-armed, seed {seed}"
+                    "settled pair re-armed, seed {seed}"
                 );
             }
+            let mut found = set.found();
+            found.sort();
+            let mut want: Vec<SitePair> = model.found.iter().copied().collect();
+            want.sort();
+            assert_eq!(found, want, "found pairs, seed {seed}");
             let mut armed = set.pairs();
             armed.sort();
-            let mut want: Vec<SitePair> = model.pairs.iter().copied().collect();
+            let mut want: Vec<SitePair> = model.pairs.keys().copied().collect();
             want.sort();
             assert_eq!(armed, want, "final membership, seed {seed}");
             set.assert_snapshot_consistent();

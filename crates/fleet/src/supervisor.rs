@@ -195,6 +195,10 @@ impl From<std::io::Error> for FleetError {
     }
 }
 
+// A `Frame` can carry a whole trap file, so the `Frame` variant is the large
+// one; each event is moved through the channel once, and boxing it would
+// add an allocation to every frame read.
+#[allow(clippy::large_enum_variant)]
 enum Event {
     Hello {
         worker: usize,

@@ -13,7 +13,6 @@
 //! records at run time — the pairs only pre-arm if the site ids agree.
 
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 use tsvd::prelude::*;
 use tsvd_core::{PairOrigin, TrapFileData};
@@ -42,27 +41,17 @@ fn config(seed_shift: u64) -> TsvdConfig {
     config
 }
 
-/// How far the second task's access trails the first's. `on_call` checks
-/// for a live trap and only then sets its own, so two accesses that arrive
-/// inside that window (~10 µs) both sleep and neither catches the other —
-/// a miss that says nothing about seeding. Two pool workers released
-/// together land in it for 0 seeds of 100 on an idle box and for up to 32
-/// of 100 while both cores are still hot from a build, which is when tier-1
-/// runs (EXPERIMENTS.md, PR 12). The stagger is far outside the window and far inside every delay
-/// and near-miss window used below (5 ms and up).
-const STAGGER: Duration = Duration::from_millis(1);
-
-/// One test run: two tasks, one conflicting `Dictionary.set` each.
+/// One test run: two tasks, one conflicting `Dictionary.set` each. The
+/// two pool workers are released together and often arrive microseconds
+/// apart; when both delay, the later one's re-check after setting its trap
+/// catches the earlier one.
 fn run_workload_once(rt: &Arc<Runtime>) {
     let pool = Pool::with_runtime(2, rt.clone());
     let d: Dictionary<u64, u64> = Dictionary::new(rt);
     let d1 = d.clone();
     let d2 = d.clone();
     let a = pool.spawn(move || d1.set(1, 1));
-    let b = pool.spawn(move || {
-        std::thread::sleep(STAGGER);
-        d2.set(2, 2)
-    });
+    let b = pool.spawn(move || d2.set(2, 2));
     a.wait();
     b.wait();
 }

@@ -22,7 +22,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize, Value};
 use tsvd_core::sink::normalize_pair;
-use tsvd_core::{PairOrigin, TrapFileData};
+use tsvd_core::TrapFileData;
 
 /// One static pair candidate, reduced to what scoring needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,8 +33,6 @@ pub struct Candidate {
     /// analyzer JSONL, or the pair origin (`static`/`dynamic`) for trap
     /// files, which do not record reasons.
     pub rule: String,
-    /// The analyzer's confidence (1.0 when the source carries none).
-    pub confidence: f64,
 }
 
 /// Precision tally for one rule.
@@ -88,26 +86,13 @@ fn str_field<'a>(m: &'a BTreeMap<String, Value>, key: &str) -> Option<&'a str> {
     }
 }
 
-fn num_field(m: &BTreeMap<String, Value>, key: &str) -> Option<f64> {
-    match m.get(key)? {
-        Value::Float(f) => Some(*f),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
-    }
-}
-
 fn trap_file_candidates(data: &TrapFileData) -> Vec<Candidate> {
     data.pairs
         .iter()
         .enumerate()
         .map(|(i, (a, b))| Candidate {
             key: normalize_pair(a, b),
-            rule: match data.origins.get(i) {
-                Some(PairOrigin::Static) => "static".to_string(),
-                _ => "dynamic".to_string(),
-            },
-            confidence: data.confidence(i),
+            rule: data.origin(i).as_str().to_string(),
         })
         .collect()
 }
@@ -136,7 +121,6 @@ pub fn load_candidates(path: &Path) -> io::Result<(Vec<Candidate>, Vec<Candidate
         let c = Candidate {
             key: normalize_pair(first, second),
             rule: str_field(&m, "reason").unwrap_or("unknown").to_string(),
-            confidence: num_field(&m, "confidence").unwrap_or(1.0),
         };
         if record == "pair" {
             kept.push(c);
@@ -342,7 +326,6 @@ mod tests {
         Candidate {
             key: normalize_pair(a, b),
             rule: rule.to_string(),
-            confidence: 0.5,
         }
     }
 
@@ -398,7 +381,7 @@ mod tests {
         let (kept, pruned) = load_candidates(&static_path).expect("load");
         assert_eq!(kept.len(), 1);
         assert_eq!(pruned.len(), 1);
-        assert!((kept[0].confidence - 0.8).abs() < 1e-9);
+        assert_eq!(kept[0].rule, "cross-task");
 
         let dyn_path = dir.join("run.jsonl");
         std::fs::write(
@@ -418,7 +401,7 @@ mod tests {
         let mut tf = TrapFileData::default();
         tf.push(
             ("a.rs:1:1".to_string(), "a.rs:2:2".to_string()),
-            PairOrigin::Static,
+            tsvd_core::PairOrigin::Static,
         );
         let tf_path = dir.join("traps.json");
         std::fs::write(&tf_path, serde_json::to_string(&tf).expect("json")).expect("write");

@@ -263,19 +263,6 @@ fn fixture_pairs_become_a_static_trap_file() {
     assert_eq!(tf.count_origin(PairOrigin::Static), 9);
     // Every textual pair must re-intern as real SiteIds.
     assert_eq!(tf.to_pairs().len(), 9);
-    // HB evidence rides along for the repair pass to read back.
-    let labels: Vec<&str> = (0..tf.pairs.len()).map(|i| tf.hb_evidence(i)).collect();
-    assert!(labels.contains(&"window-join:worker"));
-    assert!(labels.contains(&"window-scope"));
-    assert!(labels.contains(&"channel-partial"));
-    // Confidence survives the trap file and drives arming order: the
-    // highest-confidence pairs come first; the channel-partial pair is
-    // the weakest evidence we still arm.
-    let order = tf.arming_order();
-    let confs: Vec<f64> = order.iter().map(|&i| tf.confidence(i)).collect();
-    assert!(confs.windows(2).all(|w| w[0] >= w[1]), "sorted: {confs:?}");
-    assert_eq!(confs[0], 0.8182);
-    assert_eq!(*confs.last().expect("nonempty"), 0.6136);
 }
 
 #[test]
@@ -393,16 +380,7 @@ fn hb_pruning_strictly_improves_precision_at_equal_recall() {
 
     let with_hb = score(&kept, &pruned, &outcomes);
     let mut without_kept = kept.clone();
-    without_kept.extend(
-        pruned
-            .iter()
-            .filter(|c| c.rule == "ordered")
-            .cloned()
-            .map(|mut c| {
-                c.confidence = 0.5;
-                c
-            }),
-    );
+    without_kept.extend(pruned.iter().filter(|c| c.rule == "ordered").cloned());
     let without_pruned: Vec<_> = pruned
         .iter()
         .filter(|c| c.rule != "ordered")

@@ -99,15 +99,6 @@ pub struct TsvdConfig {
     /// Disable concurrent-phase detection ("No concurrent phase detection").
     pub enable_phase_detection: bool,
 
-    // --- Trap-file import budget --------------------------------------------
-    /// Maximum number of pairs armed from an imported trap file. When a
-    /// file carries more candidates than the budget allows, the highest-
-    /// confidence pairs are armed first (ties broken by file order), so a
-    /// statically over-approximated seed spends the delay budget on the
-    /// likeliest races. `usize::MAX` (the default) arms everything.
-    #[serde(default = "default_trap_import_budget")]
-    pub trap_import_budget: usize,
-
     /// Ignored, any value: `Runtime::on_call` has one path and buffers
     /// nothing. The field stays only because `benchmark/` reads it.
     #[serde(default)]
@@ -124,10 +115,6 @@ pub struct TsvdConfig {
     /// durability; slower when violations are frequent).
     #[serde(default)]
     pub durable_sink_fsync: bool,
-}
-
-fn default_trap_import_budget() -> usize {
-    usize::MAX
 }
 
 impl Default for TsvdConfig {
@@ -155,7 +142,6 @@ impl Default for TsvdConfig {
             enable_hb_inference: true,
             enable_windowing: true,
             enable_phase_detection: true,
-            trap_import_budget: default_trap_import_budget(),
             batch_capacity: 0,
             durable_sink: None,
             durable_sink_fsync: false,
@@ -213,14 +199,20 @@ impl TsvdConfig {
         if !(0.0..=1.0).contains(&self.decay_factor) {
             return Err(format!("decay_factor {} not in [0,1]", self.decay_factor));
         }
+        if !(0.0..=1.0).contains(&self.decay_floor) {
+            return Err(format!("decay_floor {} not in [0,1]", self.decay_floor));
+        }
         if !(0.0..=1.0).contains(&self.dynamic_random_p) {
             return Err(format!(
                 "dynamic_random_p {} not in [0,1]",
                 self.dynamic_random_p
             ));
         }
-        if self.hb_blocking_threshold < 0.0 {
-            return Err("hb_blocking_threshold must be non-negative".into());
+        if self.hb_blocking_threshold.is_nan() || self.hb_blocking_threshold < 0.0 {
+            return Err(format!(
+                "hb_blocking_threshold {} must be non-negative",
+                self.hb_blocking_threshold
+            ));
         }
         if self.near_miss_history == 0 {
             return Err("near_miss_history must be at least 1".into());
@@ -230,9 +222,6 @@ impl TsvdConfig {
         }
         if self.trap_shards == 0 || self.stats_shards == 0 {
             return Err("shard counts must be at least 1".into());
-        }
-        if self.trap_import_budget == 0 {
-            return Err("trap_import_budget must be at least 1 (usize::MAX disables it)".into());
         }
         Ok(())
     }
@@ -344,17 +333,12 @@ mod tests {
 
     #[test]
     fn config_without_robustness_fields_still_deserializes() {
-        // Configs persisted before the import-budget/sink fields existed must
-        // load with the defaults instead of erroring.
+        // Configs persisted before the sink fields existed must load with
+        // the defaults instead of erroring.
         let mut value = serde::Serialize::to_value(&TsvdConfig::paper());
         match &mut value {
             serde::Value::Object(map) => {
-                for key in [
-                    "trap_import_budget",
-                    "batch_capacity",
-                    "durable_sink",
-                    "durable_sink_fsync",
-                ] {
+                for key in ["batch_capacity", "durable_sink", "durable_sink_fsync"] {
                     map.remove(key);
                 }
             }
@@ -362,7 +346,6 @@ mod tests {
         }
         let back = <TsvdConfig as serde::Deserialize>::from_value(&value).expect("deserialize");
         assert!(back.durable_sink.is_none());
-        assert_eq!(back.trap_import_budget, usize::MAX);
         assert_eq!(back.batch_capacity, 0);
         // ...and one persisted while `batch_capacity` still selected a path
         // loads too: the value is kept and read by nothing.
@@ -417,6 +400,22 @@ mod tests {
          \"phase_buffer\":16,\"seed\":1936024932,\"stats_shards\":16,\
          \"trap_import_budget\":18446744073709551615,\"trap_shards\":16}";
 
+    /// The same, written while trap-file import still had a budget
+    /// field of its own.
+    const PAPER_WITH_IMPORT_BUDGET: &str = "{\"batch_capacity\":0,\"beat_ns\":25000000,\
+         \"capture_stacks\":false,\"decay_factor\":0.5,\"decay_floor\":0.1,\
+         \"delay_ns\":100000000,\"durable_sink\":null,\
+         \"durable_sink_fsync\":false,\"dynamic_random_p\":0.05,\
+         \"enable_hb_inference\":true,\"enable_phase_detection\":true,\
+         \"enable_windowing\":true,\"hb_blocking_threshold\":0.5,\
+         \"hb_delay_history\":64,\"hb_inference_window\":5,\
+         \"max_delay_per_context_ns\":5000000000,\
+         \"max_delay_per_run_ns\":30000000000,\
+         \"max_tracked_objects\":65536,\"near_miss_history\":5,\
+         \"near_miss_shards\":16,\"near_miss_window_ns\":100000000,\
+         \"phase_buffer\":16,\"seed\":1936024932,\"stats_shards\":16,\
+         \"trap_import_budget\":18446744073709551615,\"trap_shards\":16}";
+
     #[test]
     fn config_written_with_retired_fields_still_loads() {
         let keys = |json: &str| {
@@ -424,11 +423,12 @@ mod tests {
             value.as_object().map_or(0, |map| map.len())
         };
         let paper = serde_json::to_string(&TsvdConfig::paper()).expect("serialize");
-        assert_eq!(keys(&paper), 26);
+        assert_eq!(keys(&paper), 25);
         // The retired keys are skipped, and every kept one is read.
         for (old, fields) in [
             (PAPER_WITH_WATCHDOG_FIELDS, 35),
             (PAPER_WITH_ADAPTIVE_FIELDS, 30),
+            (PAPER_WITH_IMPORT_BUDGET, 26),
         ] {
             assert_eq!(keys(old), fields);
             let back: TsvdConfig = serde_json::from_str(old).expect("unknown keys are skipped");
@@ -476,17 +476,38 @@ mod tests {
                 "phase_buffer",
                 "seed",
                 "stats_shards",
-                "trap_import_budget",
                 "trap_shards",
             ]
         );
     }
 
     #[test]
-    fn validate_rejects_zero_import_budget() {
+    fn validate_rejects_a_nan_blocking_threshold() {
+        // `NaN < 0.0` is false; `hb_gap_ns` would then cast NaN to a zero
+        // gap and count every access after a finished delay as blocked.
         let mut c = TsvdConfig::paper();
-        c.trap_import_budget = 0;
+        c.hb_blocking_threshold = f64::NAN;
         assert!(c.validate().is_err());
+        c.hb_blocking_threshold = -0.5;
+        assert!(c.validate().is_err());
+        c.hb_blocking_threshold = 0.0;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_decay_floor_outside_the_unit_interval() {
+        // `DecayTable::new` clamps the floor, but `NaN.clamp(0, 1)` is NaN,
+        // and a NaN floor never evicts a location.
+        for floor in [f64::NAN, -0.1, 1.5] {
+            let mut c = TsvdConfig::paper();
+            c.decay_floor = floor;
+            assert!(c.validate().is_err(), "decay_floor {floor}");
+        }
+        for floor in [0.0, 0.1, 1.0] {
+            let mut c = TsvdConfig::paper();
+            c.decay_floor = floor;
+            assert!(c.validate().is_ok(), "decay_floor {floor}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! - a global epoch counter `E`;
 //! - one slot per participating thread holding the epoch it pinned, or
-//!   [`NOT_PINNED`];
+//!   `NOT_PINNED`;
 //! - `E` may advance only when every pinned slot equals `E`, so pinned
 //!   readers are never more than one epoch behind;
 //! - garbage retired at epoch `R` is freed once `E ≥ R + 2`: by then every
@@ -25,7 +25,7 @@
 //! Writers drive collection (retirement is on the rare path); readers never
 //! block and never take a lock. A reader's pin is one store to its own
 //! cache line — the only "shared" write on an armed read, and it is flagged
-//! to the [`audit`](crate::audit) so the zero-trap path can prove it does
+//! to the [`audit`] so the zero-trap path can prove it does
 //! not even pay that.
 
 use std::cell::{Cell, RefCell};

@@ -9,7 +9,7 @@
 //! | Verb | Transition | Paper |
 //! |---|---|---|
 //! | [`arm`](DelayPlan::arm) | discovered → armed, both locations at `P_loc = 1` | §3.4.2 |
-//! | [`import`](DelayPlan::import) | a previous run's found pairs → settled; then its pairs armed, best-graded first, under `trap_import_budget` | §3.4.6 |
+//! | [`import`](DelayPlan::import) | a previous run's found pairs → settled; then every other pair armed | §3.4.6 |
 //! | [`should_delay`](DelayPlan::should_delay) | armed location → delay with probability `P_loc` | §3.4.5 |
 //! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted, and an imported one among them is settled for the run | §3.4.5 |
 //! | [`retire`](DelayPlan::retire) | armed → pruned: the discovery side proved the pair ordered | §3.4.4 |
@@ -34,10 +34,6 @@ pub(super) struct DelayPlan {
     decay: DecayTable,
     rng: Mutex<SmallRng>,
     delay_ns: u64,
-    /// Cap on pairs armed from imported trap files (see
-    /// [`TsvdConfig::trap_import_budget`]). Dynamically discovered pairs
-    /// are never budgeted — the cap only rations *seeded* candidates.
-    import_budget: usize,
 }
 
 impl DelayPlan {
@@ -49,7 +45,6 @@ impl DelayPlan {
             decay: DecayTable::new(config.decay_factor, config.decay_floor),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed ^ salt)),
             delay_ns: config.delay_ns,
-            import_budget: config.trap_import_budget,
         }
     }
 
@@ -112,21 +107,14 @@ impl DelayPlan {
         TrapFileData::from_pairs(&self.traps.pairs()).with_found(&self.traps.found())
     }
 
-    /// Settles a previous run's found pairs, then arms its pairs, highest
-    /// confidence first: under a finite import budget the static
-    /// analyzer's best-graded candidates get the delay budget, and a pair
-    /// the file also lists as found never arms. Bulk insertion publishes
-    /// one trap-set snapshot and one decay-table snapshot no matter how
-    /// many pairs the file carries.
+    /// Settles a previous run's found pairs, then arms every other pair the
+    /// file carries, in file order: a pair the file also lists as found
+    /// never arms. Bulk insertion publishes one trap-set snapshot and one
+    /// decay-table snapshot no matter how many pairs the file carries.
     pub fn import(&self, data: &TrapFileData) {
-        let candidates: Vec<SitePair> = data
-            .arming_order()
-            .into_iter()
-            .filter_map(|index| data.pair_at(index))
-            .collect();
         let inserted = self
             .traps
-            .import(&data.found_pairs(), &candidates, self.import_budget);
+            .import(&data.found_pairs(), &data.to_pairs(), usize::MAX);
         if !inserted.is_empty() {
             self.decay
                 .arm_many(inserted.iter().flat_map(|p| [p.first, p.second]));
@@ -266,22 +254,17 @@ mod tests {
     fn a_pair_listed_found_and_armed_in_one_file_never_arms() {
         let mut file = TrapFileData::default();
         for (a, b) in [(11, 12), (13, 14)] {
-            file.push_with_confidence(
+            file.push(
                 (site(a).to_string(), site(b).to_string()),
                 PairOrigin::Static,
-                0.9,
             );
         }
         file.found = vec![(site(11).to_string(), site(12).to_string())];
-        let mut c = config();
-        c.trap_import_budget = 1;
-        let p = plan(&c);
+        let p = plan(&config());
         p.import(&file);
         assert!(!p.is_armed(pair(11, 12)), "found wins over the prior");
-        assert!(
-            p.is_armed(pair(13, 14)),
-            "and does not take a place under the budget"
-        );
+        assert!(p.is_armed(pair(13, 14)), "and the other prior arms");
+        assert_eq!(p.len(), 1);
     }
 
     #[test]
@@ -312,89 +295,6 @@ mod tests {
         }
         want.found = vec![(text(6), text(8))];
         assert_eq!(p.export(), want);
-    }
-
-    #[test]
-    fn import_budget_arms_highest_confidence_first() {
-        let mut file = TrapFileData::default();
-        for (a, b, confidence) in [(60, 61, 0.4), (62, 63, 0.9), (64, 65, 0.7)] {
-            file.push_with_confidence(
-                (site(a).to_string(), site(b).to_string()),
-                PairOrigin::Static,
-                confidence,
-            );
-        }
-        let mut c = config();
-        c.trap_import_budget = 2;
-        let p = plan(&c);
-        p.import(&file);
-        assert_eq!(p.len(), 2);
-        assert!(p.is_armed(pair(62, 63)), "0.9 arms");
-        assert!(p.is_armed(pair(64, 65)), "0.7 arms");
-        assert!(
-            !p.is_armed(pair(60, 61)),
-            "the lowest-confidence pair is the one the budget drops"
-        );
-        // The budget rations seeds, not discovery.
-        assert!(p.arm(pair(1, 2)));
-        assert_eq!(p.len(), 3);
-
-        // Without a budget everything arms, regardless of grade.
-        let all = plan(&config());
-        all.import(&file);
-        assert_eq!(all.len(), 3);
-    }
-
-    #[test]
-    fn import_budget_arms_identical_sets_across_loads() {
-        // Equal-confidence ties under a finite budget must arm the same
-        // pairs on every load of the same trap file — including a permuted
-        // spelling of it, the shape a fleet merge over hash-map iteration
-        // produces.
-        let dir =
-            std::env::temp_dir().join(format!("tsvd_import_determinism_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("traps.json");
-
-        let texts: Vec<(String, String)> = (80..86)
-            .map(|n| (site(n).to_string(), site(n + 10).to_string()))
-            .collect();
-        let mut file = TrapFileData::default();
-        for t in &texts {
-            file.push_with_confidence(t.clone(), PairOrigin::Static, 0.5);
-        }
-        file.save(&path).expect("save");
-
-        let armed_set = |data: &TrapFileData| -> Vec<SitePair> {
-            let mut c = config();
-            c.trap_import_budget = 3;
-            let p = plan(&c);
-            p.import(data);
-            let mut armed: Vec<SitePair> = data
-                .to_pairs()
-                .into_iter()
-                .filter(|&pair| p.is_armed(pair))
-                .collect();
-            armed.sort();
-            armed
-        };
-
-        let first = armed_set(&TrapFileData::load(&path).expect("load 1"));
-        let second = armed_set(&TrapFileData::load(&path).expect("load 2"));
-        assert_eq!(first.len(), 3, "budget caps the import");
-        assert_eq!(first, second, "two loads must arm identical sets");
-
-        // Same pair set, reversed on-disk order: still the identical set.
-        let mut permuted = TrapFileData::default();
-        for t in texts.iter().rev() {
-            permuted.push_with_confidence(t.clone(), PairOrigin::Static, 0.5);
-        }
-        assert_eq!(
-            armed_set(&permuted),
-            first,
-            "arming must not depend on pair order in the file"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

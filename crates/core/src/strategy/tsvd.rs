@@ -23,7 +23,7 @@ use crate::strategy::Strategy;
 use crate::trap_file::TrapFileData;
 
 /// The TSVD delay-injection strategy: near-miss discovery, phase gating and
-/// HB inference in front of the shared [`DelayPlan`].
+/// HB inference in front of the shared `DelayPlan`.
 pub struct Tsvd {
     near_miss: NearMissTracker,
     hb: Option<HbInference>,

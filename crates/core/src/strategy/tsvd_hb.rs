@@ -62,7 +62,7 @@ struct ClockState {
 }
 
 /// The TSVD-HB strategy: vector clocks and per-object access histories in
-/// front of the shared [`DelayPlan`].
+/// front of the shared `DelayPlan`.
 pub struct TsvdHb {
     state: Mutex<ClockState>,
     plan: DelayPlan,

@@ -6,9 +6,15 @@
 //! occurrence — which is how TSVD catches bugs whose TSVD point executes
 //! only once per test (11 of the 53 Table-2 bugs).
 //!
-//! The file also carries the pairs at which a violation was already found
-//! (§3.4.1): the next run settles them before it arms anything, so a
-//! reported bug is not paid for with delays again, run after run.
+//! The file carries exactly what the next run reads: the dangerous pairs,
+//! each pair's origin, and the pairs at which a violation was already found
+//! (§3.4.1). The next run settles the found pairs before it arms anything,
+//! so a reported bug is not paid for with delays again, run after run, and
+//! then arms every other pair in file order.
+//!
+//! Readers skip keys they do not know and default the ones that are
+//! missing, so files written with extra per-pair columns (`confidences`,
+//! `hb_evidence`) still load; those columns are not read.
 
 use std::collections::{BTreeMap, HashSet};
 use std::io;
@@ -72,26 +78,10 @@ pub struct TrapFileData {
     pub pairs: Vec<(String, String)>,
     /// Per-pair origin, parallel to `pairs`. May be shorter than `pairs`
     /// (files written by older builds have no origins at all); missing
-    /// entries are [`PairOrigin::Dynamic`].
+    /// entries are [`PairOrigin::Dynamic`]. Read by the precision score and
+    /// by [`merge`](Self::merge), never by arming: every pair arms alike.
     #[serde(default)]
     pub origins: Vec<PairOrigin>,
-    /// Per-pair analysis confidence in (0, 1], parallel to `pairs`. May be
-    /// shorter than `pairs` (files written before the field existed carry
-    /// none); missing entries are `1.0` — a pair with no recorded evidence
-    /// grade is trusted fully, which is exactly the pre-confidence
-    /// behaviour. Confidence orders trap arming under budget pressure; it
-    /// never gates membership by itself.
-    #[serde(default)]
-    pub confidences: Vec<f64>,
-    /// Per-pair happens-before evidence label from the static analyzer
-    /// (`window-join:<h>`, `window-scope`, `channel-partial`, ...),
-    /// parallel to `pairs`. May be shorter than `pairs` (files written
-    /// before the field existed carry none); missing entries are `"none"`.
-    /// Purely descriptive today — its confidence effect is already baked
-    /// into `confidences` — but repair classification reads it to name the
-    /// join handle a fix should use.
-    #[serde(default)]
-    pub hb_evidence: Vec<String>,
     /// Pairs at which a violation was already found, as textual site
     /// locations. Never armed again: an import settles them before it arms
     /// `pairs`, so neither a carried pair nor a static prior re-arms a
@@ -100,16 +90,13 @@ pub struct TrapFileData {
     pub found: Vec<(String, String)>,
 }
 
-// Hand-written rather than derived: `found` is left out of the JSON when it
-// is empty, so a file with no found pair is byte-identical to one written
-// before the field existed.
+// Hand-written rather than derived: the vendored derive cannot leave a
+// field out, and `found` is left out of the JSON when it is empty.
 impl Serialize for TrapFileData {
     fn to_value(&self) -> serde::Value {
         let mut map = BTreeMap::new();
         map.insert("pairs".to_string(), self.pairs.to_value());
         map.insert("origins".to_string(), self.origins.to_value());
-        map.insert("confidences".to_string(), self.confidences.to_value());
-        map.insert("hb_evidence".to_string(), self.hb_evidence.to_value());
         if !self.found.is_empty() {
             map.insert("found".to_string(), self.found.to_value());
         }
@@ -136,20 +123,13 @@ fn sorted_texts(pairs: &[SitePair]) -> Vec<(String, String)> {
 }
 
 impl TrapFileData {
-    /// Builds a snapshot from in-memory pairs (dynamic origin).
-    pub fn from_pairs(pairs: &[SitePair]) -> Self {
-        Self::from_pairs_with_origin(pairs, PairOrigin::Dynamic)
-    }
-
-    /// Builds a snapshot from in-memory pairs with an explicit origin. The
+    /// Builds a snapshot from in-memory pairs, all of dynamic origin. The
     /// pairs are written sorted, each one's halves in text order, so two
     /// processes holding the same set write the same file.
-    pub fn from_pairs_with_origin(pairs: &[SitePair], origin: PairOrigin) -> Self {
+    pub fn from_pairs(pairs: &[SitePair]) -> Self {
         TrapFileData {
             pairs: sorted_texts(pairs),
-            origins: vec![origin; pairs.len()],
-            confidences: Vec::new(),
-            hb_evidence: Vec::new(),
+            origins: vec![PairOrigin::Dynamic; pairs.len()],
             found: Vec::new(),
         }
     }
@@ -167,62 +147,11 @@ impl TrapFileData {
         self.origins.get(index).copied().unwrap_or_default()
     }
 
-    /// The confidence of pair `index`; pairs beyond the recorded
-    /// confidences are `1.0` (back-compat with files written before the
-    /// field existed).
-    pub fn confidence(&self, index: usize) -> f64 {
-        self.confidences.get(index).copied().unwrap_or(1.0)
-    }
-
-    /// The happens-before evidence label of pair `index`; pairs beyond the
-    /// recorded labels are `"none"` (back-compat with files written before
-    /// the field existed).
-    pub fn hb_evidence(&self, index: usize) -> &str {
-        self.hb_evidence.get(index).map_or("none", String::as_str)
-    }
-
     /// Appends a pair in textual form with its origin.
     pub fn push(&mut self, pair: (String, String), origin: PairOrigin) {
-        self.push_with_confidence(pair, origin, 1.0);
-    }
-
-    /// Appends a pair with an explicit origin and confidence.
-    pub fn push_with_confidence(
-        &mut self,
-        pair: (String, String),
-        origin: PairOrigin,
-        confidence: f64,
-    ) {
-        self.push_full(pair, origin, confidence, "none");
-    }
-
-    /// Appends a pair with origin, confidence, and happens-before evidence.
-    pub fn push_full(
-        &mut self,
-        pair: (String, String),
-        origin: PairOrigin,
-        confidence: f64,
-        hb: &str,
-    ) {
-        // Materialize implicit defaults first so the parallel vectors stay
-        // aligned once a non-default entry appears. Confidences and HB
-        // labels stay lazy until the first non-default value so purely
-        // dynamic files keep their pre-confidence shape on disk.
-        while self.origins.len() < self.pairs.len() {
-            self.origins.push(PairOrigin::Dynamic);
-        }
-        if confidence != 1.0 || !self.confidences.is_empty() {
-            while self.confidences.len() < self.pairs.len() {
-                self.confidences.push(1.0);
-            }
-            self.confidences.push(confidence);
-        }
-        if hb != "none" || !self.hb_evidence.is_empty() {
-            while self.hb_evidence.len() < self.pairs.len() {
-                self.hb_evidence.push("none".to_string());
-            }
-            self.hb_evidence.push(hb.to_string());
-        }
+        // A file with fewer origins than pairs leaves the missing ones
+        // dynamic; spell them out so the new origin lines up with its pair.
+        self.origins.resize(self.pairs.len(), PairOrigin::Dynamic);
         self.pairs.push(pair);
         self.origins.push(origin);
     }
@@ -230,7 +159,7 @@ impl TrapFileData {
     /// Merges `other` into `self`, deduplicating textual pairs, and returns
     /// how many pairs it added — `0` means `self` is unchanged, so a caller
     /// that persists `self` has nothing to write. A pair present in both
-    /// keeps `self`'s origin, confidence, and evidence.
+    /// keeps `self`'s origin.
     /// `(a, b)` and `(b, a)` are one pair (files written before halves
     /// were exported in text order spell them in intern order); an added
     /// pair keeps `other`'s orientation.
@@ -245,46 +174,9 @@ impl TrapFileData {
             .filter(|&i| known.insert(key(&other.pairs[i])))
             .collect();
         for &i in &fresh {
-            self.push_full(
-                other.pairs[i].clone(),
-                other.origin(i),
-                other.confidence(i),
-                other.hb_evidence(i),
-            );
+            self.push(other.pairs[i].clone(), other.origin(i));
         }
         fresh.len()
-    }
-
-    /// Re-interns the pair at `index`, or `None` if its text is corrupt.
-    pub fn pair_at(&self, index: usize) -> Option<SitePair> {
-        parse_pair(self.pairs.get(index)?)
-    }
-
-    /// Pair indices ordered for arming: highest confidence first. Ties are
-    /// broken by content, not position — origin first (a near miss actually
-    /// observed at run time outranks a static prediction graded equally),
-    /// then the lexicographic site-pair text. Merged trap files are
-    /// assembled from per-worker maps whose iteration order varies run to
-    /// run; a positional tie-break would arm *different* equal-confidence
-    /// pairs under a finite `trap_import_budget` depending on merge order.
-    /// Content tie-breaks make the armed set a pure function of the file's
-    /// pair set.
-    pub fn arming_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.pairs.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.confidence(b)
-                .partial_cmp(&self.confidence(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    let rank = |o: PairOrigin| match o {
-                        PairOrigin::Dynamic => 0u8,
-                        PairOrigin::Static => 1u8,
-                    };
-                    rank(self.origin(a)).cmp(&rank(self.origin(b)))
-                })
-                .then_with(|| self.pairs[a].cmp(&self.pairs[b]))
-        });
-        order
     }
 
     /// Number of pairs tagged with `origin`.
@@ -384,8 +276,6 @@ mod tests {
                 (site(20).to_string(), site(21).to_string()),
             ],
             origins: Vec::new(),
-            confidences: Vec::new(),
-            hb_evidence: Vec::new(),
             found: Vec::new(),
         };
         let pairs = data.to_pairs();
@@ -397,8 +287,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tsvd_trapfile_origin_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("traps.json");
-        let mut data = TrapFileData::from_pairs_with_origin(
-            &[SitePair::new(site(40), site(41))],
+        let mut data = TrapFileData::default();
+        data.push(
+            (site(40).to_string(), site(41).to_string()),
             PairOrigin::Static,
         );
         data.push(
@@ -430,7 +321,8 @@ mod tests {
     }
 
     /// Exactly what a dynamic trap set with one pair was written as before
-    /// the `found` field existed.
+    /// the `found` field existed, when every file also carried the
+    /// (always empty here) `confidences` and `hb_evidence` columns.
     const PRE_FOUND_FILE: &str = r#"{
   "confidences": [],
   "hb_evidence": [],
@@ -446,12 +338,22 @@ mod tests {
 }"#;
 
     #[test]
-    fn a_file_with_no_found_pair_is_written_as_before_the_field_existed() {
+    fn a_file_with_no_found_pair_is_written_with_pairs_and_origins_only() {
         let mut data = TrapFileData::default();
         data.push(("a.rs:1:1".into(), "b.rs:2:2".into()), PairOrigin::Dynamic);
         assert_eq!(
             serde_json::to_string_pretty(&data).expect("json"),
-            PRE_FOUND_FILE
+            r#"{
+  "origins": [
+    "dynamic"
+  ],
+  "pairs": [
+    [
+      "a.rs:1:1",
+      "b.rs:2:2"
+    ]
+  ]
+}"#
         );
     }
 
@@ -460,6 +362,96 @@ mod tests {
         let data: TrapFileData = serde_json::from_str(PRE_FOUND_FILE).expect("parse");
         assert!(data.found.is_empty());
         assert_eq!(data.pairs.len(), 1);
+    }
+
+    /// Byte for byte what a fleet run wrote before the trap file lost its
+    /// `confidences` and `hb_evidence` columns: a carried file (one
+    /// dynamic pair, one found pair) merged with three static priors, one
+    /// of them for the found pair.
+    const FILE_WITH_CONFIDENCE_COLUMNS: &str = r#"{
+  "confidences": [
+    1.0,
+    0.6477,
+    0.8182,
+    0.6136
+  ],
+  "found": [
+    [
+      "lib.rs:20:5",
+      "lib.rs:22:9"
+    ]
+  ],
+  "hb_evidence": [
+    "none",
+    "window-join:worker",
+    "none",
+    "channel-partial"
+  ],
+  "origins": [
+    "dynamic",
+    "static",
+    "static",
+    "static"
+  ],
+  "pairs": [
+    [
+      "lib.rs:10:5",
+      "lib.rs:12:9"
+    ],
+    [
+      "lib.rs:30:5",
+      "lib.rs:31:9"
+    ],
+    [
+      "lib.rs:20:5",
+      "lib.rs:22:9"
+    ],
+    [
+      "lib.rs:40:5",
+      "lib.rs:41:9"
+    ]
+  ]
+}"#;
+
+    #[test]
+    fn a_file_with_confidence_columns_loads_and_arms_as_before() {
+        let text = |a: &str, b: &str| (a.to_string(), b.to_string());
+        let data: TrapFileData = serde_json::from_str(FILE_WITH_CONFIDENCE_COLUMNS).expect("parse");
+        assert_eq!(
+            data.pairs,
+            [
+                text("lib.rs:10:5", "lib.rs:12:9"),
+                text("lib.rs:30:5", "lib.rs:31:9"),
+                text("lib.rs:20:5", "lib.rs:22:9"),
+                text("lib.rs:40:5", "lib.rs:41:9"),
+            ]
+        );
+        assert_eq!(
+            data.origins,
+            [
+                PairOrigin::Dynamic,
+                PairOrigin::Static,
+                PairOrigin::Static,
+                PairOrigin::Static
+            ]
+        );
+        assert_eq!(data.found, [text("lib.rs:20:5", "lib.rs:22:9")]);
+
+        // What the runtime exported after importing this file before the
+        // columns went: every pair but the found one armed, the found one
+        // still found.
+        let runtime = crate::Runtime::tsvd(crate::TsvdConfig::for_testing());
+        runtime.import_trap_file(&data);
+        let exported = runtime.export_trap_file().expect("Tsvd persists");
+        assert_eq!(
+            exported.pairs,
+            [
+                text("lib.rs:10:5", "lib.rs:12:9"),
+                text("lib.rs:30:5", "lib.rs:31:9"),
+                text("lib.rs:40:5", "lib.rs:41:9"),
+            ]
+        );
+        assert_eq!(exported.found, data.found);
     }
 
     #[test]
@@ -495,8 +487,9 @@ mod tests {
 
     #[test]
     fn merge_dedupes_and_keeps_origins() {
-        let mut a = TrapFileData::from_pairs_with_origin(
-            &[SitePair::new(site(50), site(51))],
+        let mut a = TrapFileData::default();
+        a.push(
+            (site(50).to_string(), site(51).to_string()),
             PairOrigin::Static,
         );
         let mut b = TrapFileData::from_pairs(&[SitePair::new(site(50), site(51))]);
@@ -537,12 +530,7 @@ mod tests {
         for (i, pair) in other.pairs.iter().enumerate() {
             let swapped = (pair.1.clone(), pair.0.clone());
             if !into.pairs.contains(pair) && !into.pairs.contains(&swapped) {
-                into.push_full(
-                    pair.clone(),
-                    other.origin(i),
-                    other.confidence(i),
-                    other.hb_evidence(i),
-                );
+                into.push(pair.clone(), other.origin(i));
             }
         }
     }
@@ -551,8 +539,7 @@ mod tests {
     fn merge_matches_the_linear_scan_it_replaced_on_random_pair_sets() {
         let mut rng = crate::rng::SplitMix64::new(0x7AA9_F11E);
         // Few distinct sites, so sets overlap, repeat a pair within one
-        // file and across files in both orientations, and mix default with
-        // explicit metadata.
+        // file and across files in both orientations, and mix origins.
         let random_file = |rng: &mut crate::rng::SplitMix64| {
             let mut data = TrapFileData::default();
             for _ in 0..rng.next() % 12 {
@@ -560,11 +547,12 @@ mod tests {
                     format!("m.rs:{}:1", rng.next() % 4),
                     format!("m.rs:{}:1", rng.next() % 4),
                 );
-                match rng.next() % 3 {
-                    0 => data.push(pair, PairOrigin::Dynamic),
-                    1 => data.push_with_confidence(pair, PairOrigin::Static, 0.5),
-                    _ => data.push_full(pair, PairOrigin::Static, 0.25, "window-scope"),
-                }
+                let origin = if rng.below(2) == 0 {
+                    PairOrigin::Dynamic
+                } else {
+                    PairOrigin::Static
+                };
+                data.push(pair, origin);
             }
             data
         };
@@ -581,239 +569,6 @@ mod tests {
                 "round {round}: identical files"
             );
         }
-    }
-
-    #[test]
-    fn confidences_round_trip_through_save_and_load() {
-        let dir = std::env::temp_dir().join(format!("tsvd_trapfile_conf_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("traps.json");
-        let mut data = TrapFileData::default();
-        data.push_with_confidence(
-            (site(60).to_string(), site(61).to_string()),
-            PairOrigin::Static,
-            0.75,
-        );
-        data.push(
-            (site(62).to_string(), site(63).to_string()),
-            PairOrigin::Dynamic,
-        );
-        data.save(&path).expect("save");
-        let loaded = TrapFileData::load(&path).expect("load");
-        assert_eq!(loaded, data);
-        assert!((loaded.confidence(0) - 0.75).abs() < 1e-9);
-        assert!((loaded.confidence(1) - 1.0).abs() < 1e-9);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn dynamic_only_files_keep_the_pre_confidence_shape() {
-        // Pairs pushed with no explicit confidence must not materialize the
-        // confidences vector: the on-disk JSON stays byte-compatible with
-        // what PR-3 builds wrote for dynamic trap sets.
-        let data = TrapFileData::from_pairs(&[SitePair::new(site(64), site(65))]);
-        assert!(data.confidences.is_empty());
-        let mut pushed = TrapFileData::default();
-        pushed.push(
-            (site(66).to_string(), site(67).to_string()),
-            PairOrigin::Dynamic,
-        );
-        assert!(pushed.confidences.is_empty());
-        assert!((pushed.confidence(0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pre_confidence_file_loads_and_merges() {
-        // Acceptance: a trap file written by PR 3 (origins, no confidence
-        // field) still loads, defaults every pair to 1.0, and merges into a
-        // confidence-carrying set without misaligning the parallel vectors.
-        let dir = std::env::temp_dir().join(format!("tsvd_trapfile_pr3_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("traps.json");
-        std::fs::write(
-            &path,
-            r#"{"pairs": [["a.rs:1:1", "b.rs:2:2"]], "origins": ["static"]}"#,
-        )
-        .expect("write");
-        let loaded = TrapFileData::load(&path).expect("load");
-        assert!(loaded.confidences.is_empty());
-        assert!((loaded.confidence(0) - 1.0).abs() < 1e-9);
-
-        let mut target = TrapFileData::default();
-        target.push_with_confidence(
-            ("c.rs:3:3".to_string(), "d.rs:4:4".to_string()),
-            PairOrigin::Static,
-            0.5,
-        );
-        target.merge(&loaded);
-        assert_eq!(target.pairs.len(), 2);
-        assert!((target.confidence(0) - 0.5).abs() < 1e-9);
-        assert!(
-            (target.confidence(1) - 1.0).abs() < 1e-9,
-            "merged pre-confidence pair defaults to full trust"
-        );
-        assert_eq!(target.origin(1), PairOrigin::Static);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn hb_evidence_stays_lazy_and_round_trips() {
-        // Default labels never materialize the vector (pre-HB on-disk shape
-        // preserved); the first real label backfills and round-trips.
-        let mut data = TrapFileData::default();
-        data.push_with_confidence(
-            (site(90).to_string(), site(91).to_string()),
-            PairOrigin::Static,
-            0.8,
-        );
-        assert!(data.hb_evidence.is_empty());
-        assert_eq!(data.hb_evidence(0), "none");
-        data.push_full(
-            (site(92).to_string(), site(93).to_string()),
-            PairOrigin::Static,
-            0.6,
-            "window-join:h",
-        );
-        assert_eq!(data.hb_evidence.len(), 2, "backfilled then appended");
-        assert_eq!(data.hb_evidence(0), "none");
-        assert_eq!(data.hb_evidence(1), "window-join:h");
-
-        let dir = std::env::temp_dir().join(format!("tsvd_trapfile_hb_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("traps.json");
-        data.save(&path).expect("save");
-        let loaded = TrapFileData::load(&path).expect("load");
-        assert_eq!(loaded, data);
-        assert_eq!(loaded.hb_evidence(1), "window-join:h");
-
-        // A pre-HB file (no hb_evidence key) loads with "none" everywhere.
-        std::fs::write(
-            &path,
-            r#"{"pairs": [["a.rs:1:1", "b.rs:2:2"]], "origins": ["static"]}"#,
-        )
-        .expect("write");
-        let old = TrapFileData::load(&path).expect("load");
-        assert!(old.hb_evidence.is_empty());
-        assert_eq!(old.hb_evidence(0), "none");
-
-        // Merging carries the label across.
-        let mut target = old.clone();
-        target.merge(&data);
-        assert_eq!(target.pairs.len(), 3);
-        assert_eq!(target.hb_evidence(2), "window-join:h");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merge_keeps_self_confidence_for_shared_pairs() {
-        let pair = (site(70).to_string(), site(71).to_string());
-        let mut a = TrapFileData::default();
-        a.push_full(pair.clone(), PairOrigin::Static, 0.9, "window-scope");
-        let mut b = TrapFileData::default();
-        b.push_full(pair, PairOrigin::Dynamic, 0.2, "channel-partial");
-        b.push_with_confidence(
-            (site(72).to_string(), site(73).to_string()),
-            PairOrigin::Static,
-            0.4,
-        );
-        assert_eq!(a.merge(&b), 1);
-        assert_eq!(a.pairs.len(), 2);
-        assert!((a.confidence(0) - 0.9).abs() < 1e-9, "self's grade wins");
-        assert_eq!(a.origin(0), PairOrigin::Static, "and self's origin");
-        assert_eq!(a.hb_evidence(0), "window-scope", "and self's evidence");
-        assert!(
-            (a.confidence(1) - 0.4).abs() < 1e-9,
-            "new pair keeps other's"
-        );
-    }
-
-    #[test]
-    fn arming_order_ranks_confidence_then_origin_then_pair_text() {
-        let mut data = TrapFileData::default();
-        // Two equal-confidence static pairs pushed in reverse textual
-        // order, one equal-confidence dynamic pair, one lower-confidence
-        // pair pushed first.
-        data.push_with_confidence(
-            ("z.rs:9:1".to_string(), "z.rs:9:2".to_string()),
-            PairOrigin::Static,
-            0.5,
-        );
-        data.push_with_confidence(
-            ("b.rs:2:1".to_string(), "b.rs:2:2".to_string()),
-            PairOrigin::Static,
-            0.8,
-        );
-        data.push_with_confidence(
-            ("a.rs:1:1".to_string(), "a.rs:1:2".to_string()),
-            PairOrigin::Static,
-            0.8,
-        );
-        data.push_with_confidence(
-            ("y.rs:8:1".to_string(), "y.rs:8:2".to_string()),
-            PairOrigin::Dynamic,
-            0.8,
-        );
-        let order = data.arming_order();
-        let ranked: Vec<&str> = order.iter().map(|&i| data.pairs[i].0.as_str()).collect();
-        // 0.8 ties: the dynamic pair first, then statics by pair text;
-        // the 0.5 pair last despite being pushed first.
-        assert_eq!(ranked, vec!["y.rs:8:1", "a.rs:1:1", "b.rs:2:1", "z.rs:9:1"]);
-    }
-
-    #[test]
-    fn arming_order_is_invariant_under_merge_order() {
-        // Satellite regression: the same pair set assembled in different
-        // orders (as a fleet merge over hash-map iteration would) must
-        // produce the identical arming order, so a finite import budget
-        // arms the identical set.
-        let mk = |n: u32, conf: f64, origin: PairOrigin| {
-            let mut d = TrapFileData::default();
-            d.push_with_confidence(
-                (format!("m{n}.rs:{n}:1"), format!("m{n}.rs:{n}:2")),
-                origin,
-                conf,
-            );
-            d
-        };
-        let parts = [
-            mk(1, 0.7, PairOrigin::Static),
-            mk(2, 0.7, PairOrigin::Static),
-            mk(3, 0.7, PairOrigin::Dynamic),
-            mk(4, 0.9, PairOrigin::Static),
-            mk(5, 0.7, PairOrigin::Static),
-        ];
-        let armed_texts = |merge_order: &[usize]| -> Vec<(String, String)> {
-            let mut merged = TrapFileData::default();
-            for &i in merge_order {
-                merged.merge(&parts[i]);
-            }
-            merged
-                .arming_order()
-                .into_iter()
-                .map(|i| merged.pairs[i].clone())
-                .collect()
-        };
-        let forward = armed_texts(&[0, 1, 2, 3, 4]);
-        let reverse = armed_texts(&[4, 3, 2, 1, 0]);
-        let shuffled = armed_texts(&[2, 4, 0, 3, 1]);
-        assert_eq!(forward, reverse);
-        assert_eq!(forward, shuffled);
-    }
-
-    #[test]
-    fn pair_at_reinterns_and_skips_corrupt_text() {
-        let mut data = TrapFileData::default();
-        data.push(
-            (site(80).to_string(), site(81).to_string()),
-            PairOrigin::Dynamic,
-        );
-        data.push(
-            ("garbage".to_string(), "x:y:z".to_string()),
-            PairOrigin::Dynamic,
-        );
-        assert_eq!(data.pair_at(0), Some(SitePair::new(site(80), site(81))));
-        assert_eq!(data.pair_at(1), None);
-        assert_eq!(data.pair_at(2), None);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! Pool workers register themselves via [`Watchdog::register_worker`] (a
 //! thread-local mark + a counter) and report join-blocking through
 //! [`Watchdog::note_blocked`]; the runtime wraps every injected sleep in a
-//! [`DelayScope`]. All counters are plain atomics — the `OnCall` fast path
+//! `DelayScope`. All counters are plain atomics — the `OnCall` fast path
 //! is untouched except for one relaxed load of the degraded flag.
 //!
 //! [`Runtime::abandon`]: crate::Runtime::abandon

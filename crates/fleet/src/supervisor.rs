@@ -2,7 +2,7 @@
 //!
 //! One event loop owns all scheduling state and the only clock: it blocks
 //! on its event channel until the next 25 ms tick is due, and accept/reader
-//! threads only funnel [`Event`]s into it, so every decision is serialized
+//! threads only funnel `Event`s into it, so every decision is serialized
 //! and every decision is written to the [`crate::ledger`] *before* it takes
 //! effect (write-ahead). Supervision duties:
 //!
@@ -195,10 +195,6 @@ impl From<std::io::Error> for FleetError {
     }
 }
 
-// A `Frame` can carry a whole trap file, so the `Frame` variant is the large
-// one; each event is moved through the channel once, and boxing it would
-// add an allocation to every frame read.
-#[allow(clippy::large_enum_variant)]
 enum Event {
     Hello {
         worker: usize,

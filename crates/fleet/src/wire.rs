@@ -47,7 +47,7 @@ pub struct Assign {
     /// Execution attempt for this (wave, module), 0-based; retries after
     /// worker deaths or failed outcomes increment it.
     pub attempt: u32,
-    /// Merged fleet-wide trap file (confidence-ranked dangerous pairs) to
+    /// Merged fleet-wide trap file (dangerous pairs and their origins) to
     /// pre-arm before the run.
     pub traps: TrapFileData,
 }

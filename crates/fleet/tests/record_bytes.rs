@@ -30,12 +30,7 @@ fn record() -> ViolationRecord {
 fn traps() -> TrapFileData {
     let mut traps = TrapFileData::default();
     traps.push(("a.rs:1:1".into(), "b.rs:2:2".into()), PairOrigin::Dynamic);
-    traps.push_full(
-        ("c.rs:3:3".into(), "d.rs:4:4".into()),
-        PairOrigin::Static,
-        0.375,
-        "window-scope",
-    );
+    traps.push(("c.rs:3:3".into(), "d.rs:4:4".into()), PairOrigin::Static);
     traps
 }
 
@@ -156,10 +151,10 @@ const LEDGER: [&str; 8] = [
 
 const FRAMES: [&str; 6] = [
     r#"{"incarnation":2,"kind":"hello","pid":999,"v":1,"worker":3}"#,
-    r#"{"attempt":2,"index":40,"kind":"assign","traps":{"confidences":[1.0,0.375],"hb_evidence":["none","window-scope"],"origins":["dynamic","static"],"pairs":[["a.rs:1:1","b.rs:2:2"],["c.rs:3:3","d.rs:4:4"]]},"v":1,"wave":1}"#,
+    r#"{"attempt":2,"index":40,"kind":"assign","traps":{"origins":["dynamic","static"],"pairs":[["a.rs:1:1","b.rs:2:2"],["c.rs:3:3","d.rs:4:4"]]},"v":1,"wave":1}"#,
     r#"{"kind":"heartbeat","v":1}"#,
     r#"{"index":40,"kind":"violation","record":{"location_hitter":"crates/café/src/lib.rs:12:9","location_trapped":"crates/café/src/lib.rs:10:5","obj":7,"op_hitter":"Dictionary.get","op_trapped":"Dictionary.set","read_write":true,"schema":1,"time_ns":1234567},"v":1,"wave":1}"#,
-    r#"{"attempt":2,"dangerous_pairs":2,"delays":4,"index":40,"kind":"done","on_calls":56,"outcome":"timed_out","sink":"target/fleet/sinks/w1_m40_a2.jsonl","traps":{"confidences":[1.0,0.375],"hb_evidence":["none","window-scope"],"origins":["dynamic","static"],"pairs":[["a.rs:1:1","b.rs:2:2"],["c.rs:3:3","d.rs:4:4"]]},"v":1,"wall_ns":123,"wave":1}"#,
+    r#"{"attempt":2,"dangerous_pairs":2,"delays":4,"index":40,"kind":"done","on_calls":56,"outcome":"timed_out","sink":"target/fleet/sinks/w1_m40_a2.jsonl","traps":{"origins":["dynamic","static"],"pairs":[["a.rs:1:1","b.rs:2:2"],["c.rs:3:3","d.rs:4:4"]]},"v":1,"wall_ns":123,"wave":1}"#,
     r#"{"kind":"shutdown","v":1}"#,
 ];
 

@@ -1,6 +1,6 @@
 //! Figure 9: sensitivity analysis of every TSVD parameter.
 //!
-//! Eight panels, each sweeping one knob of [`TsvdConfig`] while the rest
+//! Eight panels, each sweeping one knob of [`TsvdConfig`](tsvd_core::TsvdConfig) while the rest
 //! stay at the paper's defaults, reporting bugs found (2 runs) and
 //! overhead. Expected shapes (paper §5.4):
 //!

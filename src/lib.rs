@@ -12,19 +12,19 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! - [`core`](tsvd_core) — the detection algorithms (trap framework,
-//!   near-miss tracking, HB inference, decay, the detector variants);
-//! - [`collections`](tsvd_collections) — instrumented thread-unsafe
-//!   collections (`Dictionary`, `List`, ...);
-//! - [`tasks`](tsvd_tasks) — the task-parallel substrate (pool, first-class
-//!   join handles, `parallel_for_each`, instrumented locks);
-//! - [`vc`](tsvd_vc) — immutable AVL-map vector clocks (TSVD-HB);
-//! - [`workloads`](tsvd_workloads) — the planted-bug benchmark corpus;
-//! - [`harness`](tsvd_harness) — the experiment runner regenerating every
-//!   table and figure of the paper's evaluation;
-//! - [`fleet`](tsvd_fleet) — fault-tolerant multi-process fleet mode:
-//!   supervised workers with retry, quarantine, and a crash-resumable
-//!   write-ahead ledger.
+//! - [`core`] — the detection algorithms (trap framework, near-miss
+//!   tracking, HB inference, decay, the detector variants);
+//! - [`collections`] — instrumented thread-unsafe collections
+//!   (`Dictionary`, `List`, ...);
+//! - [`tasks`] — the task-parallel substrate (pool, first-class join
+//!   handles, `parallel_for_each`, instrumented locks);
+//! - [`vc`] — immutable AVL-map vector clocks (TSVD-HB);
+//! - [`workloads`] — the planted-bug benchmark corpus;
+//! - [`harness`] — the experiment runner regenerating every table and
+//!   figure of the paper's evaluation;
+//! - [`fleet`] — fault-tolerant multi-process fleet mode: supervised
+//!   workers with retry, quarantine, and a crash-resumable write-ahead
+//!   ledger.
 //!
 //! # Examples
 //!

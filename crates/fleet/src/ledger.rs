@@ -256,7 +256,9 @@ impl Ledger {
     }
 }
 
-/// Run state reconstructed by replaying a ledger.
+/// Run state: what the events of a ledger add up to. The live daemon,
+/// `--resume`, [`verify`] and the fleet report all read it, and
+/// [`LedgerState::apply`] is its only transition.
 #[derive(Debug, Default)]
 pub struct LedgerState {
     /// The recorded run parameters.
@@ -267,11 +269,11 @@ pub struct LedgerState {
     pub violations: HashSet<(usize, (String, String))>,
     /// Quarantined modules with their kill counts.
     pub quarantined: HashMap<usize, u32>,
-    /// Worker deaths attributed to each module (reconstructed from
-    /// death-reason retries and quarantine events).
+    /// Worker deaths attributed to each module (from death-reason retries
+    /// and quarantine events).
     pub kills: HashMap<usize, u32>,
-    /// Failed-outcome executions per (wave, module) (reconstructed from
-    /// outcome-reason retries).
+    /// Failed-outcome executions per (wave, module) that were retried
+    /// (from outcome-reason retries).
     pub failures: HashMap<(usize, usize), u32>,
     /// Next attempt number per (wave, module).
     pub attempts: HashMap<(usize, usize), u32>,
@@ -283,43 +285,61 @@ pub struct LedgerState {
     pub finished: bool,
 }
 
-/// Replays events in file order into a [`LedgerState`].
-pub fn replay(events: &[LedgerEvent]) -> LedgerState {
-    let mut state = LedgerState::default();
-    for ev in events {
-        match ev {
-            LedgerEvent::Start(s) => state.start = Some(s.clone()),
+impl LedgerState {
+    /// Folds one event into the state.
+    pub fn apply(&mut self, event: &LedgerEvent) {
+        match event {
+            LedgerEvent::Start(s) => self.start = Some(s.clone()),
             LedgerEvent::Assign(a) => {
-                let next = state.attempts.entry((a.wave, a.index)).or_insert(0);
+                let next = self.attempts.entry((a.wave, a.index)).or_insert(0);
                 *next = (*next).max(a.attempt + 1);
             }
             LedgerEvent::Violation(v) => {
-                state
-                    .violations
+                self.violations
                     .insert((v.index, (v.pair_a.clone(), v.pair_b.clone())));
             }
             LedgerEvent::Done(d) => {
-                state.done.insert((d.wave, d.index), d.clone());
+                self.done.insert((d.wave, d.index), d.clone());
             }
             LedgerEvent::Retry(r) => {
-                state.retries += 1;
+                self.retries += 1;
                 // Kill attribution rides in the retry reason: a worker
                 // death re-queues with a "worker death" reason, a failed
-                // outcome with an "outcome" reason. Resume rebuilds both
-                // counters from them.
+                // outcome with an "outcome" reason.
                 if r.reason.starts_with(RETRY_REASON_DEATH) {
-                    *state.kills.entry(r.index).or_insert(0) += 1;
+                    *self.kills.entry(r.index).or_insert(0) += 1;
                 } else if r.reason.starts_with(RETRY_REASON_OUTCOME) {
-                    *state.failures.entry((r.wave, r.index)).or_insert(0) += 1;
+                    *self.failures.entry((r.wave, r.index)).or_insert(0) += 1;
                 }
             }
             LedgerEvent::Quarantine(q) => {
-                state.quarantined.insert(q.index, q.kills);
-                state.kills.insert(q.index, q.kills);
+                self.quarantined.insert(q.index, q.kills);
+                self.kills.insert(q.index, q.kills);
             }
-            LedgerEvent::Death(_) => state.deaths += 1,
-            LedgerEvent::Finish(_) => state.finished = true,
+            LedgerEvent::Death(_) => self.deaths += 1,
+            LedgerEvent::Finish(_) => self.finished = true,
         }
+    }
+
+    /// Whether module `index` needs no further execution in `wave`: it is
+    /// done in that wave, or quarantined.
+    pub fn resolved(&self, wave: usize, index: usize) -> bool {
+        self.done.contains_key(&(wave, index)) || self.quarantined.contains_key(&index)
+    }
+
+    /// Modules of `wave` not yet [`resolved`](LedgerState::resolved), in
+    /// index order.
+    pub fn pending(&self, wave: usize) -> impl Iterator<Item = usize> + '_ {
+        let modules = self.start.as_ref().map_or(0, |s| s.modules);
+        (0..modules).filter(move |&index| !self.resolved(wave, index))
+    }
+}
+
+/// Replays events in file order into a [`LedgerState`].
+pub fn replay(events: &[LedgerEvent]) -> LedgerState {
+    let mut state = LedgerState::default();
+    for event in events {
+        state.apply(event);
     }
     state
 }

@@ -2,24 +2,31 @@
 //!
 //! One event loop owns all scheduling state and the only clock: it blocks
 //! on its event channel until the next 25 ms tick is due, and accept/reader
-//! threads only funnel `Event`s into it, so every decision is serialized
-//! and every decision is written to the [`crate::ledger`] *before* it takes
-//! effect (write-ahead). Supervision duties:
+//! threads only funnel `Event`s into it, so every decision is serialized.
+//! The run state is a [`LedgerState`], the same value `--resume`, `verify`
+//! and [`replay`] build: every decision goes through one `commit`, which
+//! appends the event to the [`crate::ledger`] and only then applies it
+//! (write-ahead). Run parameters come from the state's start event alone.
+//! Supervision duties:
 //!
-//! - **liveness**: workers heartbeat; a worker silent past the hang
-//!   timeout is killed and treated as dead (the process-wide analogue of
-//!   `ModuleOutcome::TimedOut`);
+//! - **liveness**: workers heartbeat every `heartbeat_ms`; a worker silent
+//!   for 20 heartbeats is killed and treated as dead (the process-wide
+//!   analogue of `ModuleOutcome::TimedOut`);
 //! - **recovery**: a dead worker's in-flight module is re-queued, after
 //!   harvesting the execution's durable sink so no already-caught
 //!   violation is lost to a torn socket write or an abort;
-//! - **quarantine**: a module that kills workers repeatedly is poisoned
-//!   instead of taking the fleet down with it;
+//! - **quarantine**: a module that kills 3 workers is poisoned instead of
+//!   taking the fleet down with it, and one whose outcome fails twice keeps
+//!   its last outcome;
 //! - **degradation**: dead workers respawn under capped exponential
-//!   backoff with deterministic jitter; a slot that cannot spawn retires,
-//!   and the run continues on fewer workers (erroring only when none
-//!   remain with work still pending).
+//!   backoff with deterministic jitter; a slot that fails to spawn 5 times
+//!   in a row retires, and the run continues on fewer workers (erroring
+//!   only when none remain with work still pending).
+//!
+//! The three limits are constants, written into the start event so that a
+//! resumed run and `verify` read the values the run began with.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -48,6 +55,15 @@ use crate::worker::sink_file_name;
 const TICK: Duration = Duration::from_millis(25);
 /// How long a clean finish waits for workers to exit before killing them.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
+/// Heartbeat intervals a worker may stay silent before it counts as hung.
+const HANG_HEARTBEATS: u64 = 20;
+/// Worker deaths a module may cause before quarantine.
+const QUARANTINE_KILL_LIMIT: u32 = 3;
+/// Executions a module gets on failed outcomes (panic, timeout) before its
+/// last outcome is recorded as final.
+const MODULE_ATTEMPT_LIMIT: u32 = 2;
+/// Consecutive spawn failures before a worker slot retires.
+const MAX_SPAWN_FAILURES: u32 = 5;
 
 /// Fleet run configuration.
 #[derive(Debug, Clone)]
@@ -66,17 +82,9 @@ pub struct FleetOptions {
     pub seed: u64,
     /// Per-module deadline, milliseconds.
     pub deadline_ms: u64,
-    /// Worker heartbeat interval, milliseconds.
+    /// Worker heartbeat interval, milliseconds; 20 silent intervals kill
+    /// a worker.
     pub heartbeat_ms: u64,
-    /// Silence past this kills a worker, milliseconds.
-    pub hang_timeout_ms: u64,
-    /// Worker deaths a module may cause before quarantine.
-    pub quarantine_kill_limit: u32,
-    /// Failed-outcome executions (panic/timeout) a module gets before its
-    /// last outcome is recorded as final.
-    pub module_attempt_limit: u32,
-    /// Consecutive spawn failures before a worker slot retires.
-    pub max_spawn_failures: u32,
     /// Fault-injection plan (`--chaos`).
     pub chaos: Option<ChaosPlan>,
     /// Ledger path (write-ahead state; `--resume` target).
@@ -96,7 +104,7 @@ pub struct FleetOptions {
 }
 
 impl FleetOptions {
-    /// Defaults mirroring `RunOptions::standard()` plus supervision knobs.
+    /// Defaults mirroring `RunOptions::standard()` plus the heartbeat.
     pub fn standard(suite: SuiteSpec, ledger: PathBuf, sink_dir: PathBuf) -> FleetOptions {
         FleetOptions {
             suite,
@@ -107,10 +115,6 @@ impl FleetOptions {
             seed: 0x534D_414C,
             deadline_ms: 30_000,
             heartbeat_ms: 100,
-            hang_timeout_ms: 2_000,
-            quarantine_kill_limit: 3,
-            module_attempt_limit: 2,
-            max_spawn_failures: 5,
             chaos: None,
             ledger,
             sink_dir,
@@ -253,21 +257,14 @@ impl Slot {
 
 struct Daemon {
     opts: FleetOptions,
-    start: StartEvent,
     ledger: Ledger,
+    /// The run as its ledger records it; changed only by [`Daemon::commit`].
+    state: LedgerState,
     slots: Vec<Slot>,
     queue: VecDeque<usize>,
     wave: usize,
-    done: HashSet<(usize, usize)>,
-    quarantined: HashSet<usize>,
-    kills: HashMap<usize, u32>,
-    failures: HashMap<(usize, usize), u32>,
-    attempts: HashMap<(usize, usize), u32>,
-    violations: HashSet<(usize, (String, String))>,
     traps: TrapFileData,
     trap_file_writes: usize,
-    retries: usize,
-    deaths: usize,
     begun: Instant,
     spent: WorkerTime,
 }
@@ -288,72 +285,95 @@ fn mean_us(total: Duration, samples: u32) -> f64 {
 }
 
 /// Runs (or resumes) a fleet and blocks until it finishes, degrades to
-/// nothing, or the stop-after hook fires.
+/// nothing, or the stop-after hook fires. Resuming a finished run only
+/// reports it.
 pub fn run_fleet(options: FleetOptions) -> Result<FleetReport, FleetError> {
     let begun = Instant::now();
-    std::fs::create_dir_all(&options.sink_dir)?;
-
-    let (start, ledger, state) = if options.resume {
-        let events =
-            Ledger::load(&options.ledger).map_err(|e| FleetError::Ledger(e.to_string()))?;
-        let state = replay(&events);
+    let ledger_error = |e: std::io::Error| FleetError::Ledger(e.to_string());
+    let resume = options.resume;
+    let (ledger, state, traps) = if resume {
+        let state = replay(&Ledger::load(&options.ledger).map_err(ledger_error)?);
         let start = state
             .start
-            .clone()
+            .as_ref()
             .ok_or_else(|| FleetError::Ledger("ledger has no start event".to_string()))?;
-        let ledger =
-            Ledger::open_append(&options.ledger).map_err(|e| FleetError::Ledger(e.to_string()))?;
-        (start, ledger, Some(state))
-    } else {
-        let start = StartEvent {
-            suite: options.suite.to_arg(),
-            modules: options.suite.modules(),
-            waves: options.waves,
-            workers: options.workers,
-            threads: options.threads,
-            scale: options.scale,
-            seed: options.seed,
-            deadline_ms: options.deadline_ms,
-            quarantine_kill_limit: options.quarantine_kill_limit,
-            module_attempt_limit: options.module_attempt_limit,
-            sink_dir: options.sink_dir.clone(),
-            chaos: options.chaos.as_ref().map(ChaosPlan::to_env),
+        SuiteSpec::parse(&start.suite).map_err(FleetError::Ledger)?;
+        let traps_path = Ledger::traps_path(&options.ledger);
+        let traps = if traps_path.exists() {
+            TrapFileData::load(&traps_path)
+                .map_err(|e| FleetError::Ledger(format!("trap file: {e}")))?
+        } else {
+            TrapFileData::default()
         };
-        let ledger =
-            Ledger::create(&options.ledger).map_err(|e| FleetError::Ledger(e.to_string()))?;
-        ledger.append(&LedgerEvent::Start(start.clone()))?;
-        (start, ledger, None)
+        let ledger = Ledger::open_append(&options.ledger).map_err(ledger_error)?;
+        (ledger, state, traps)
+    } else {
+        let ledger = Ledger::create(&options.ledger).map_err(ledger_error)?;
+        (ledger, LedgerState::default(), TrapFileData::default())
     };
 
     let mut daemon = Daemon {
         opts: options,
-        start,
         ledger,
+        state,
         slots: Vec::new(),
         queue: VecDeque::new(),
         wave: 0,
-        done: HashSet::new(),
-        quarantined: HashSet::new(),
-        kills: HashMap::new(),
-        failures: HashMap::new(),
-        attempts: HashMap::new(),
-        violations: HashSet::new(),
-        traps: TrapFileData::default(),
+        traps,
         trap_file_writes: 0,
-        retries: 0,
-        deaths: 0,
         begun,
         spent: WorkerTime::default(),
     };
-    if let Some(state) = state {
-        daemon.adopt(state)?;
+    if !resume {
+        let opts = &daemon.opts;
+        let start = StartEvent {
+            suite: opts.suite.to_arg(),
+            modules: opts.suite.modules(),
+            waves: opts.waves,
+            workers: opts.workers,
+            threads: opts.threads,
+            scale: opts.scale,
+            seed: opts.seed,
+            deadline_ms: opts.deadline_ms,
+            quarantine_kill_limit: QUARANTINE_KILL_LIMIT,
+            module_attempt_limit: MODULE_ATTEMPT_LIMIT,
+            sink_dir: opts.sink_dir.clone(),
+            chaos: opts.chaos.as_ref().map(ChaosPlan::to_env),
+        };
+        daemon.commit(LedgerEvent::Start(start))?;
+    } else if daemon.state.finished {
+        // Nothing is left to run: no socket, no worker, no ledger line.
+        return Ok(daemon.report(false));
     }
-    daemon.seed_queue();
+    std::fs::create_dir_all(&daemon.start().sink_dir)?;
+    if resume {
+        // Sinks may hold records the old daemon never got to the ledger.
+        daemon.harvest_all_sinks()?;
+    }
+    daemon.advance_wave_if_exhausted();
 
     daemon.supervise()
 }
 
 impl Daemon {
+    /// The one write-ahead step: the event lands in the ledger before the
+    /// state moves, so a resumed daemon never lacks a decision this one
+    /// acted on.
+    fn commit(&mut self, event: LedgerEvent) -> Result<(), FleetError> {
+        self.ledger.append(&event)?;
+        self.state.apply(&event);
+        Ok(())
+    }
+
+    /// The recorded run parameters, committed or replayed before anything
+    /// reads them.
+    fn start(&self) -> &StartEvent {
+        self.state
+            .start
+            .as_ref()
+            .expect("run_fleet holds a start event before the run begins")
+    }
+
     /// The socket path is derived from the ledger path so one fleet = one
     /// namespace on disk.
     fn socket_path(&self) -> PathBuf {
@@ -365,56 +385,6 @@ impl Daemon {
             .unwrap_or_default();
         name.push(".sock");
         self.opts.ledger.with_file_name(name)
-    }
-
-    /// Folds a replayed ledger back into live state (`--resume`), then
-    /// harvests every sink file on disk so records written after the old
-    /// daemon's last ledger append are not lost.
-    fn adopt(&mut self, state: LedgerState) -> Result<(), FleetError> {
-        // The recorded run parameters are authoritative for everything that
-        // affects results; worker count and paths stay operational.
-        self.opts.suite = SuiteSpec::parse(&self.start.suite).map_err(FleetError::Ledger)?;
-        self.opts.waves = self.start.waves;
-        self.opts.threads = self.start.threads;
-        self.opts.scale = self.start.scale;
-        self.opts.seed = self.start.seed;
-        self.opts.deadline_ms = self.start.deadline_ms;
-        self.opts.quarantine_kill_limit = self.start.quarantine_kill_limit;
-        self.opts.module_attempt_limit = self.start.module_attempt_limit;
-        self.opts.sink_dir = self.start.sink_dir.clone();
-        if let Some(chaos) = &self.start.chaos {
-            self.opts.chaos = Some(ChaosPlan::from_env(chaos).map_err(FleetError::Ledger)?);
-        }
-        self.done = state.done.keys().copied().collect();
-        self.quarantined = state.quarantined.keys().copied().collect();
-        self.kills = state.kills;
-        self.failures = state.failures;
-        self.attempts = state.attempts;
-        self.violations = state.violations;
-        self.retries = state.retries;
-        self.deaths = state.deaths;
-        let traps_path = Ledger::traps_path(&self.opts.ledger);
-        if traps_path.exists() {
-            self.traps = TrapFileData::load(&traps_path)
-                .map_err(|e| FleetError::Ledger(format!("trap file: {e}")))?;
-        }
-        self.harvest_all_sinks()?;
-        Ok(())
-    }
-
-    /// Fills the queue with the first wave that still has pending modules.
-    fn seed_queue(&mut self) {
-        for wave in 0..self.start.waves {
-            let pending: Vec<usize> = (0..self.start.modules)
-                .filter(|i| !self.quarantined.contains(i) && !self.done.contains(&(wave, *i)))
-                .collect();
-            if !pending.is_empty() {
-                self.wave = wave;
-                self.queue.extend(pending);
-                return;
-            }
-        }
-        self.wave = self.start.waves;
     }
 
     fn log(&self, msg: std::fmt::Arguments<'_>) {
@@ -468,22 +438,27 @@ impl Daemon {
         let stopped_early = outcome?;
         if !stopped_early {
             self.harvest_all_sinks()?;
-            self.ledger.append(&LedgerEvent::Finish(FinishEvent {
-                completed: self.done.len(),
-                quarantined: self.quarantined.len(),
+            self.commit(LedgerEvent::Finish(FinishEvent {
+                completed: self.state.done.len(),
+                quarantined: self.state.quarantined.len(),
             }))?;
         }
+        Ok(self.report(stopped_early))
+    }
 
-        let mut quarantined: Vec<usize> = self.quarantined.iter().copied().collect();
+    /// The run's counts as the state holds them, with this invocation's
+    /// worker time.
+    fn report(&self, stopped_early: bool) -> FleetReport {
+        let mut quarantined: Vec<usize> = self.state.quarantined.keys().copied().collect();
         quarantined.sort_unstable();
         let wall = self.begun.elapsed();
         let capacity = wall.as_secs_f64() * self.opts.workers.max(1) as f64;
-        Ok(FleetReport {
-            completed: self.done.len(),
+        FleetReport {
+            completed: self.state.done.len(),
             quarantined,
-            violations: self.violations.len(),
-            retries: self.retries,
-            deaths: self.deaths,
+            violations: self.state.violations.len(),
+            retries: self.state.retries,
+            deaths: self.state.deaths,
             wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
             busy_share: self.spent.busy.as_secs_f64() / capacity,
             worker_fixed_us: mean_us(self.spent.fixed, self.spent.dones),
@@ -492,7 +467,7 @@ impl Daemon {
             trap_file_writes: self.trap_file_writes,
             stopped_early,
             ledger: self.opts.ledger.clone(),
-        })
+        }
     }
 
     /// The serialized decision loop. Returns `Ok(true)` if the stop-after
@@ -504,10 +479,10 @@ impl Daemon {
                 return Ok(false);
             }
             if let Some(limit) = self.opts.stop_after_completions {
-                if self.done.len() >= limit {
+                if self.state.done.len() >= limit {
                     self.log(format_args!(
                         "stop-after hook: halting after {} completions",
-                        self.done.len()
+                        self.state.done.len()
                     ));
                     return Ok(true);
                 }
@@ -551,7 +526,7 @@ impl Daemon {
     }
 
     fn run_finished(&self) -> bool {
-        self.wave >= self.start.waves
+        self.wave >= self.start().waves
     }
 
     fn slot_is_current(&self, worker: usize, incarnation: u64) -> bool {
@@ -609,27 +584,23 @@ impl Daemon {
         Ok(())
     }
 
+    /// Commits a violation the run has not seen for this module; a repeat
+    /// (a re-harvested sink, a retried module) is absorbed here.
     fn record_violation(
         &mut self,
         index: usize,
         record: &tsvd_core::ViolationRecord,
     ) -> Result<(), FleetError> {
         let pair = record.pair_key();
-        let key = (index, pair.clone());
-        if self.violations.contains(&key) {
+        if self.state.violations.contains(&(index, pair.clone())) {
             return Ok(());
         }
-        // Write-ahead: the ledger line lands before the in-memory set is
-        // updated, so a crash between the two only re-harvests (dedup
-        // absorbs it), never loses.
-        self.ledger.append(&LedgerEvent::Violation(ViolationEvent {
+        self.commit(LedgerEvent::Violation(ViolationEvent {
             index,
             pair_a: pair.0,
             pair_b: pair.1,
             record: record.clone(),
-        }))?;
-        self.violations.insert(key);
-        Ok(())
+        }))
     }
 
     fn on_done(
@@ -656,27 +627,22 @@ impl Daemon {
             .saturating_sub(busy);
         let outcome = ModuleOutcome::parse(&done.outcome).unwrap_or(ModuleOutcome::Panicked);
         let key = (done.wave, done.index);
-        let failed = outcome != ModuleOutcome::Completed;
-        if failed {
-            let failures = self.failures.entry(key).or_insert(0);
-            *failures += 1;
-            if *failures < self.opts.module_attempt_limit {
-                // Failed outcome with attempts left: re-queue; aggregates
-                // only ever count the final outcome, so a module that
-                // panics once and then completes counts exactly once.
-                self.ledger.append(&LedgerEvent::Retry(RetryEvent {
-                    wave: done.wave,
-                    index: done.index,
-                    attempt: done.attempt,
-                    reason: format!("{RETRY_REASON_OUTCOME} {}", done.outcome),
-                }))?;
-                self.retries += 1;
-                self.queue.push_back(done.index);
-                self.dispatch()?;
-                return Ok(());
-            }
+        let failures = self.state.failures.get(&key).copied().unwrap_or(0);
+        if outcome != ModuleOutcome::Completed && failures + 1 < self.start().module_attempt_limit {
+            // Failed outcome with attempts left: re-queue; aggregates only
+            // ever count the final outcome, so a module that panics once
+            // and then completes counts exactly once.
+            self.commit(LedgerEvent::Retry(RetryEvent {
+                wave: done.wave,
+                index: done.index,
+                attempt: done.attempt,
+                reason: format!("{RETRY_REASON_OUTCOME} {}", done.outcome),
+            }))?;
+            self.queue.push_back(done.index);
+            self.dispatch()?;
+            return Ok(());
         }
-        self.ledger.append(&LedgerEvent::Done(DoneEvent {
+        self.commit(LedgerEvent::Done(DoneEvent {
             wave: done.wave,
             index: done.index,
             worker,
@@ -686,14 +652,13 @@ impl Daemon {
             delays: done.delays,
             on_calls: done.on_calls,
         }))?;
-        self.done.insert(key);
         // The trap file equals the in-memory set at every done: written
         // when a merge grew the set, and only then.
         let added = done.traps.as_ref().map_or(0, |t| self.traps.merge(t));
         if added > 0 {
             self.save_traps();
         }
-        self.advance_wave_if_exhausted()?;
+        self.advance_wave_if_exhausted();
         self.dispatch()?;
         Ok(())
     }
@@ -713,8 +678,7 @@ impl Daemon {
         slot.stream = None;
         slot.incarnation += 1;
         slot.consecutive_deaths += 1;
-        self.deaths += 1;
-        self.ledger.append(&LedgerEvent::Death(DeathEvent {
+        self.commit(LedgerEvent::Death(DeathEvent {
             worker,
             incarnation,
             reason: reason.to_string(),
@@ -728,32 +692,25 @@ impl Daemon {
             // records become ledger violations before any re-queue, which
             // is what makes "no violation lost" chaos-provable.
             let sink = self
-                .opts
+                .start()
                 .sink_dir
                 .join(sink_file_name(wave, index, attempt));
             self.harvest_sink(index, &sink)?;
-            let kills = {
-                let k = self.kills.entry(index).or_insert(0);
-                *k += 1;
-                *k
-            };
-            if kills >= self.opts.quarantine_kill_limit {
-                self.ledger
-                    .append(&LedgerEvent::Quarantine(QuarantineEvent { index, kills }))?;
-                self.quarantined.insert(index);
+            let kills = self.state.kills.get(&index).copied().unwrap_or(0) + 1;
+            if kills >= self.start().quarantine_kill_limit {
+                self.commit(LedgerEvent::Quarantine(QuarantineEvent { index, kills }))?;
                 self.queue.retain(|&i| i != index);
                 self.log(format_args!(
                     "module {index} quarantined after killing {kills} worker(s)"
                 ));
-                self.advance_wave_if_exhausted()?;
+                self.advance_wave_if_exhausted();
             } else {
-                self.ledger.append(&LedgerEvent::Retry(RetryEvent {
+                self.commit(LedgerEvent::Retry(RetryEvent {
                     wave,
                     index,
                     attempt,
                     reason: format!("{RETRY_REASON_DEATH}: {reason}"),
                 }))?;
-                self.retries += 1;
                 self.queue.push_back(index);
             }
         }
@@ -761,10 +718,11 @@ impl Daemon {
         // Capped exponential backoff with deterministic jitter: the retry
         // storm of a crash-looping worker must not starve the event loop,
         // and two slots dying together must not thunder back together.
+        let seed = self.start().seed;
         let slot = &mut self.slots[worker];
         let shift = slot.consecutive_deaths.saturating_sub(1).min(6);
         let base_ms = 50u64 << shift;
-        let jitter_ms = mix(self.start.seed ^ (worker as u64) ^ slot.incarnation) % 50;
+        let jitter_ms = mix(seed ^ (worker as u64) ^ slot.incarnation) % 50;
         slot.respawn_at =
             Some(Instant::now() + Duration::from_millis(base_ms.min(5_000) + jitter_ms));
         Ok(())
@@ -772,7 +730,7 @@ impl Daemon {
 
     fn on_tick(&mut self) -> Result<(), FleetError> {
         let now = Instant::now();
-        let hang = Duration::from_millis(self.opts.hang_timeout_ms);
+        let hang = Duration::from_millis(self.opts.heartbeat_ms.saturating_mul(HANG_HEARTBEATS));
         let socket = self.socket_path();
         for worker in 0..self.slots.len() {
             let slot = &mut self.slots[worker];
@@ -801,22 +759,15 @@ impl Daemon {
             }
         }
         if !self.run_finished() && self.slots.iter().all(|s| s.retired) {
-            let pending = self.pending_in_wave();
+            let pending = self.state.pending(self.wave).count();
             return Err(FleetError::AllWorkersRetired { pending });
         }
-        self.advance_wave_if_exhausted()?;
+        self.advance_wave_if_exhausted();
         self.dispatch()?;
         Ok(())
     }
 
-    fn pending_in_wave(&self) -> usize {
-        (0..self.start.modules)
-            .filter(|i| !self.quarantined.contains(i) && !self.done.contains(&(self.wave, *i)))
-            .count()
-    }
-
-    /// Hands queued modules to every idle connected worker. Assignment is
-    /// write-ahead: the ledger line precedes the frame.
+    /// Hands queued modules to every idle connected worker.
     fn dispatch(&mut self) -> Result<(), FleetError> {
         for worker in 0..self.slots.len() {
             if self.queue.is_empty() {
@@ -829,22 +780,16 @@ impl Daemon {
             let Some(index) = self.queue.pop_front() else {
                 return Ok(());
             };
-            if self.quarantined.contains(&index) || self.done.contains(&(self.wave, index)) {
+            let wave = self.wave;
+            if self.state.resolved(wave, index) {
                 continue;
             }
-            let wave = self.wave;
-            let attempt = {
-                let a = self.attempts.entry((wave, index)).or_insert(0);
-                let attempt = *a;
-                *a += 1;
-                attempt
-            };
-            let incarnation = self.slots[worker].incarnation;
-            self.ledger.append(&LedgerEvent::Assign(AssignEvent {
+            let attempt = self.state.attempts.get(&(wave, index)).map_or(0, |a| *a);
+            self.commit(LedgerEvent::Assign(AssignEvent {
                 wave,
                 index,
                 worker,
-                incarnation,
+                incarnation: self.slots[worker].incarnation,
                 attempt,
             }))?;
             let frame = Frame::Assign(crate::wire::Assign {
@@ -873,36 +818,23 @@ impl Daemon {
         Ok(())
     }
 
-    /// When every module of the current wave is resolved and nothing is in
-    /// flight, move to the next wave (quarantined modules stay excluded).
-    fn advance_wave_if_exhausted(&mut self) -> Result<(), FleetError> {
-        loop {
-            if self.run_finished() || !self.queue.is_empty() {
-                return Ok(());
-            }
-            if self.slots.iter().any(|s| s.current.is_some()) {
-                return Ok(());
-            }
-            if self.pending_in_wave() > 0 {
-                // Pending work that is neither queued nor in flight can
-                // only mean a module bounced back between ticks; re-queue.
-                let wave = self.wave;
-                let missing: Vec<usize> = (0..self.start.modules)
-                    .filter(|i| !self.quarantined.contains(i) && !self.done.contains(&(wave, *i)))
-                    .collect();
-                self.queue.extend(missing);
-                return Ok(());
+    /// When nothing is queued or in flight, queues the current wave's
+    /// pending modules — one that bounced back between ticks — or, with
+    /// none left, moves to the first later wave that has some (quarantined
+    /// modules stay excluded).
+    fn advance_wave_if_exhausted(&mut self) {
+        if !self.queue.is_empty() || self.slots.iter().any(|s| s.current.is_some()) {
+            return;
+        }
+        while !self.run_finished() {
+            self.queue.extend(self.state.pending(self.wave));
+            if !self.queue.is_empty() {
+                return;
             }
             self.wave += 1;
-            if self.run_finished() {
-                return Ok(());
+            if !self.run_finished() {
+                self.log(format_args!("wave {} begins", self.wave));
             }
-            self.log(format_args!("wave {} begins", self.wave));
-            let wave = self.wave;
-            let pending: Vec<usize> = (0..self.start.modules)
-                .filter(|i| !self.quarantined.contains(i) && !self.done.contains(&(wave, *i)))
-                .collect();
-            self.queue.extend(pending);
         }
     }
 
@@ -919,7 +851,7 @@ impl Daemon {
             self.retire(worker, "no worker executable");
             return;
         };
-        let incarnation = self.slots[worker].incarnation;
+        let start = self.start();
         let mut cmd = Command::new(exe);
         cmd.arg("serve")
             .arg("--socket")
@@ -927,30 +859,26 @@ impl Daemon {
             .arg("--worker")
             .arg(worker.to_string())
             .arg("--incarnation")
-            .arg(incarnation.to_string())
+            .arg(self.slots[worker].incarnation.to_string())
             .arg("--suite")
-            .arg(&self.start.suite)
+            .arg(&start.suite)
             .arg("--sink-dir")
-            .arg(&self.start.sink_dir)
+            .arg(&start.sink_dir)
             .arg("--threads")
-            .arg(self.start.threads.to_string())
+            .arg(start.threads.to_string())
             .arg("--scale")
-            .arg(self.start.scale.to_string())
+            .arg(start.scale.to_string())
             .arg("--seed")
-            .arg(self.start.seed.to_string())
+            .arg(start.seed.to_string())
             .arg("--deadline-ms")
-            .arg(self.start.deadline_ms.to_string())
+            .arg(start.deadline_ms.to_string())
             .arg("--heartbeat-ms")
             .arg(self.opts.heartbeat_ms.to_string())
             .stdin(Stdio::null());
-        match &self.opts.chaos {
-            Some(plan) => {
-                cmd.env(CHAOS_ENV, plan.to_env());
-            }
-            None => {
-                cmd.env_remove(CHAOS_ENV);
-            }
-        }
+        match &start.chaos {
+            Some(plan) => cmd.env(CHAOS_ENV, plan),
+            None => cmd.env_remove(CHAOS_ENV),
+        };
         match cmd.spawn() {
             Ok(child) => {
                 let slot = &mut self.slots[worker];
@@ -960,7 +888,7 @@ impl Daemon {
             Err(e) => {
                 let slot = &mut self.slots[worker];
                 slot.spawn_failures += 1;
-                if slot.spawn_failures >= self.opts.max_spawn_failures {
+                if slot.spawn_failures >= MAX_SPAWN_FAILURES {
                     self.retire(worker, &format!("spawn failed repeatedly: {e}"));
                 } else {
                     slot.respawn_at = Some(Instant::now() + Duration::from_millis(200));
@@ -1032,7 +960,7 @@ impl Daemon {
     /// Sweeps the whole sink directory (resume start; run end). After this,
     /// ledger violations are exactly the union of worker sinks.
     fn harvest_all_sinks(&mut self) -> Result<(), FleetError> {
-        for (index, records) in read_sink_dir(&self.opts.sink_dir)? {
+        for (index, records) in read_sink_dir(&self.start().sink_dir)? {
             for record in records {
                 self.record_violation(index, &record)?;
             }
@@ -1107,21 +1035,6 @@ mod tests {
     }
 
     #[test]
-    fn standard_options_are_sane() {
-        let opts = FleetOptions::standard(
-            SuiteSpec::Std {
-                modules: 10,
-                seed: 1,
-            },
-            PathBuf::from("/tmp/l.jsonl"),
-            PathBuf::from("/tmp/sinks"),
-        );
-        assert!(opts.hang_timeout_ms > 3 * opts.heartbeat_ms);
-        assert!(opts.quarantine_kill_limit >= 1);
-        assert!(opts.module_attempt_limit >= 1);
-    }
-
-    #[test]
     fn an_unreadable_sink_fails_the_harvest_and_the_run() {
         let dir = std::env::temp_dir().join(format!("tsvd_sup_unreadable_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1142,13 +1055,13 @@ mod tests {
             scale: opts.scale,
             seed: opts.seed,
             deadline_ms: opts.deadline_ms,
-            quarantine_kill_limit: 3,
-            module_attempt_limit: 2,
+            quarantine_kill_limit: QUARANTINE_KILL_LIMIT,
+            module_attempt_limit: MODULE_ATTEMPT_LIMIT,
             sink_dir: sinks,
             chaos: None,
         };
         Ledger::create(&opts.ledger)
-            .and_then(|ledger| ledger.append(&LedgerEvent::Start(start)))
+            .and_then(|file| file.append(&LedgerEvent::Start(start)))
             .expect("ledger");
         // Resuming harvests every sink before any worker is spawned.
         opts.resume = true;

@@ -145,7 +145,12 @@ fn run_fleet_cmd(args: &[String]) -> ! {
         0,
     );
     let modules = flags.num("--modules").unwrap_or(200);
+    // Zero workers would run nothing and fail a tick later: refused like
+    // a number that does not parse.
     let workers = flags.num("--workers").unwrap_or(4);
+    if workers == 0 {
+        usage();
+    }
     let waves = flags.num("--waves").unwrap_or(2);
     let threads = flags.num("--threads").unwrap_or(2);
     let scale = flags.num("--scale").unwrap_or(0.02);

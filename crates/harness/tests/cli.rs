@@ -80,13 +80,15 @@ fn unknown_subcommands_exit_2() {
     }
 }
 
-/// Zero runs would pass having checked nothing.
+/// Zero runs would pass having checked nothing; a fleet of zero workers
+/// would wait a tick and fail with every module pending.
 #[test]
 fn zero_runs_exit_2() {
     for args in [
         &["chaos", "--runs", "0"][..],
         &["fig8", "--runs", "0"],
         &["all", "--runs", "0"],
+        &["fleet", "--workers", "0"],
     ] {
         assert_usage(args);
     }

@@ -37,6 +37,30 @@ fn assert_reconciled(ledger: &std::path::Path) -> tsvd_fleet::VerifySummary {
     }
 }
 
+/// The report's counts are those of the ledger on disk, replayed.
+fn assert_report_is_the_replay(report: &FleetReport) {
+    let state = replay(&Ledger::load(&report.ledger).expect("load ledger"));
+    let mut quarantined: Vec<usize> = state.quarantined.keys().copied().collect();
+    quarantined.sort_unstable();
+    assert_eq!(
+        (
+            report.completed,
+            report.retries,
+            report.deaths,
+            report.violations,
+            &report.quarantined
+        ),
+        (
+            state.done.len(),
+            state.retries,
+            state.deaths,
+            state.violations.len(),
+            &quarantined
+        ),
+        "report (completed, retries, deaths, violations, quarantined) against the replay"
+    );
+}
+
 /// The sink contract as the directory shows it: a file exists iff a record
 /// was appended. Returns the module index of every sink file.
 fn assert_no_empty_sink(sink_dir: &Path) -> Vec<usize> {
@@ -221,6 +245,7 @@ fn chaos_kills_lose_no_modules_and_no_violations() {
     assert!(summary.sink_pairs > 0);
     assert_no_empty_sink(&dir.join("sinks"));
     assert_trap_file_is_the_daemons_set(&report, 0);
+    assert_report_is_the_replay(&report);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -245,9 +270,7 @@ fn hang_detection_and_quarantine_poison_a_wedging_module() {
         torn_per_mille: 0,
         stall_ms: 10_000,
     });
-    opts.heartbeat_ms = 50;
-    opts.hang_timeout_ms = 400;
-    opts.quarantine_kill_limit = 3;
+    opts.heartbeat_ms = 20; // a 400 ms hang timeout
     let report = run_fleet(opts).expect("stall fleet run");
     assert_eq!(report.quarantined, vec![0], "the module must be poisoned");
     assert_eq!(report.deaths, 3, "one hang-kill per kill-limit strike");
@@ -276,11 +299,12 @@ fn resume_after_daemon_crash_reruns_no_completed_module() {
     assert!(first.completed < 12, "the stop hook must fire mid-run");
     // A daemon that stops cold leaves the trap file as of its last done.
     assert_trap_file_is_the_daemons_set(&first, 0);
+    assert_report_is_the_replay(&first);
 
     // Phase 2: resume from the ledger alone.
     opts.stop_after_completions = None;
     opts.resume = true;
-    let second = run_fleet(opts).expect("resumed run");
+    let second = run_fleet(opts.clone()).expect("resumed run");
     assert!(!second.stopped_early);
     assert_eq!(second.completed, 12, "all modules resolved after resume");
     // The resumed daemon starts from that file and keeps it equal to its
@@ -288,10 +312,24 @@ fn resume_after_daemon_crash_reruns_no_completed_module() {
     let had = first.traps.pairs.len();
     assert_eq!(second.traps.pairs[..had], first.traps.pairs[..]);
     assert_trap_file_is_the_daemons_set(&second, had);
+    assert_report_is_the_replay(&second);
 
     // The verifier's assign-after-done invariant is the proof that resume
     // re-ran zero completed modules; duplicate-done catches double counts.
     assert_reconciled(&ledger);
+
+    // Phase 3: resuming the finished run reports it and writes nothing.
+    let finished = std::fs::read_to_string(&ledger).expect("read ledger");
+    let third = run_fleet(opts).expect("resumed finished run");
+    assert_eq!(
+        std::fs::read_to_string(&ledger).expect("read ledger"),
+        finished
+    );
+    assert!(!third.stopped_early);
+    assert_eq!(third.completed, 12);
+    assert_eq!(third.traps, second.traps);
+    assert_eq!(third.trap_file_writes, 0);
+    assert_report_is_the_replay(&third);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -310,7 +348,6 @@ fn module_that_panics_once_counts_exactly_once() {
     opts.workers = 2;
     opts.waves = 1;
     opts.quiet = true;
-    opts.module_attempt_limit = 2;
     let report = run_fleet(opts).expect("flaky fleet run");
     assert_eq!(report.completed, 3);
     assert_eq!(
@@ -352,8 +389,6 @@ fn module_that_times_out_once_counts_exactly_once() {
     opts.waves = 1;
     opts.quiet = true;
     opts.deadline_ms = 200; // first execution blows this, second is instant
-    opts.hang_timeout_ms = 5_000; // heartbeats keep flowing; no hang-kill
-    opts.module_attempt_limit = 2;
     let report = run_fleet(opts).expect("sleepy fleet run");
     assert_eq!(report.completed, 2);
     assert_eq!(report.deaths, 0, "timeouts are contained, not fatal");
@@ -383,7 +418,6 @@ fn unspawnable_workers_retire_and_the_run_fails_loudly() {
     opts.worker_exe = Some(PathBuf::from("/nonexistent/tsvd-worker"));
     opts.workers = 2;
     opts.waves = 1;
-    opts.max_spawn_failures = 1;
     match run_fleet(opts) {
         Err(FleetError::AllWorkersRetired { pending }) => assert_eq!(pending, 2),
         other => panic!("expected AllWorkersRetired, got {other:?}"),

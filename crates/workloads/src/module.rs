@@ -4,17 +4,26 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tsvd_core::Runtime;
-use tsvd_tasks::Pool;
+use tsvd_tasks::{JoinHandle, Pool};
 
-/// Everything a module body needs to run under detection.
+use crate::scenarios::Filler;
+
+/// Everything a module body needs to run under detection, and the
+/// vocabulary scenario bodies share: paced tasks and a join-all.
+#[derive(Clone)]
 pub struct ModuleCtx {
     /// The detection runtime all instrumented objects report to.
     pub runtime: Arc<Runtime>,
     /// The task pool (synchronization events flow to the runtime).
     pub pool: Arc<Pool>,
-    /// One "beat" of scenario time, derived from the configured delay so
-    /// workload timing scales with the detector's time constants.
+    /// One "beat" of scenario time, the configured `beat_ns`. It is kept
+    /// apart from `delay_ns`, so a delay sweep (Fig. 9 h) leaves the
+    /// workloads' timing alone.
     pub beat: Duration,
+    /// The pause after each iteration of a paced task: a fifth of a beat,
+    /// at least 20 µs. It yields the CPU so concurrently scheduled tasks
+    /// genuinely interleave (required on one core, harmless on more).
+    pub(crate) pace: Duration,
 }
 
 impl ModuleCtx {
@@ -26,6 +35,49 @@ impl ModuleCtx {
             runtime,
             pool,
             beat,
+            pace: (beat / 5).max(Duration::from_micros(20)),
+        }
+    }
+
+    /// Spawns a task that runs `op(i)` for each `i` in `0..n`, pausing one
+    /// pace after each. `op` is the scenario's own closure, so every
+    /// instrumented call in it keeps its site in the scenario's file.
+    pub(crate) fn paced<R>(
+        &self,
+        n: u32,
+        mut op: impl FnMut(u32) -> R + Send + 'static,
+    ) -> JoinHandle<()> {
+        let pace = self.pace;
+        self.pool.spawn(move || {
+            for i in 0..n {
+                let _ = op(i);
+                std::thread::sleep(pace);
+            }
+        })
+    }
+
+    /// [`paced`](Self::paced), with a [`Filler`] tick before each `op`: the
+    /// task's own innocent traffic. The filler is built on the task thread.
+    pub(crate) fn paced_filled<R>(
+        &self,
+        n: u32,
+        mut op: impl FnMut(u32) -> R + Send + 'static,
+    ) -> JoinHandle<()> {
+        let runtime = self.runtime.clone();
+        let mut filler = None;
+        self.paced(n, move |i| {
+            filler.get_or_insert_with(|| Filler::new(&runtime)).tick(i);
+            op(i)
+        })
+    }
+
+    /// Waits for every task in `tasks`. All of them are collected, and so
+    /// spawned, before the first wait, so a lazy iterator of spawns still
+    /// runs its tasks concurrently.
+    pub(crate) fn join_all<T>(&self, tasks: impl IntoIterator<Item = JoinHandle<T>>) {
+        let tasks: Vec<_> = tasks.into_iter().collect();
+        for task in tasks {
+            task.wait();
         }
     }
 }
@@ -95,6 +147,52 @@ impl Module {
         }
     }
 
+    /// A module with `pairs` planted racy pairs that recur within a run,
+    /// so the run that discovers a near miss can catch it.
+    pub(crate) fn racy(
+        name: &'static str,
+        tests: u32,
+        pairs: usize,
+        structure: &'static str,
+        body: impl Fn(&ModuleCtx) + Send + Sync + 'static,
+    ) -> Module {
+        let expectation = Expectation::Buggy {
+            pairs,
+            first_run_catchable: true,
+        };
+        Module::new(name, tests, expectation, true, structure, body)
+    }
+
+    /// A module with one planted pair that only a later run can catch.
+    pub(crate) fn hard(
+        name: &'static str,
+        tests: u32,
+        structure: &'static str,
+        body: impl Fn(&ModuleCtx) + Send + Sync + 'static,
+    ) -> Module {
+        let expectation = Expectation::Buggy {
+            pairs: 1,
+            first_run_catchable: false,
+        };
+        Module::new(name, tests, expectation, true, structure, body)
+    }
+
+    /// A module whose tasks can race nothing.
+    pub(crate) fn clean(
+        name: &'static str,
+        tests: u32,
+        structure: &'static str,
+        body: impl Fn(&ModuleCtx) + Send + Sync + 'static,
+    ) -> Module {
+        Module::new(name, tests, Expectation::Clean, true, structure, body)
+    }
+
+    /// The same module, body shared, under another name.
+    pub(crate) fn with_name(mut self, name: String) -> Module {
+        self.name = name;
+        self
+    }
+
     /// Executes the module's tests under `ctx`.
     pub fn run(&self, ctx: &ModuleCtx) {
         (self.body)(ctx);
@@ -145,8 +243,9 @@ mod tests {
     fn ctx_beat_scales_with_config() {
         let rt = Runtime::noop(TsvdConfig::paper().scaled(0.02));
         let ctx = ModuleCtx::new(rt, 2);
-        // 25 ms paper beat × 0.02 = 0.5 ms.
+        // 25 ms paper beat × 0.02 = 0.5 ms, and a pace of a fifth of it.
         assert_eq!(ctx.beat, Duration::from_micros(500));
+        assert_eq!(ctx.pace, Duration::from_micros(100));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 
 use tsvd_collections::{Dictionary, List, StringBuilder};
 
-use crate::module::{Expectation, Module, ModuleCtx};
-use crate::scenarios::pace;
+use crate::module::{Module, ModuleCtx};
 
 /// Metadata for one Table 4 row.
 #[derive(Debug, Clone, Copy)]
@@ -26,6 +25,20 @@ pub struct ProjectInfo {
     pub paper_tsvs: u32,
 }
 
+impl ProjectInfo {
+    /// The row with its module: named after the project, with one planted
+    /// pair per TSV the paper reports.
+    fn with_module(
+        self,
+        structure: &'static str,
+        body: impl Fn(&ModuleCtx) + Send + Sync + 'static,
+    ) -> Project {
+        let pairs = self.paper_tsvs as usize;
+        let module = Module::racy(self.name, self.tests, pairs, structure, body);
+        Project { info: self, module }
+    }
+}
+
 /// A Table 4 project: metadata plus the reproduction module.
 pub struct Project {
     /// Row metadata.
@@ -34,7 +47,7 @@ pub struct Project {
     pub module: Module,
 }
 
-fn cache_race(name: &'static str, tests: u32, pairs: usize, keys: u32, iters: u32) -> Module {
+fn cache_race(info: ProjectInfo, keys: u32, iters: u32) -> Project {
     // The common open-source shape: a static type/config cache written from
     // concurrently running tests (Sequelocity's TypeCacher,
     // System.Linq.Dynamic's ClassFactory, DateTimeExtensions' locale data).
@@ -42,311 +55,179 @@ fn cache_race(name: &'static str, tests: u32, pairs: usize, keys: u32, iters: u3
     // many times per test run, which is what lets TSVD convert a round-k
     // near miss into a round-k+1 trap ("most instructions execute more than
     // once", §3.4.6).
-    Module::new(
-        name,
-        tests,
-        Expectation::Buggy {
-            pairs,
-            first_run_catchable: true,
-        },
-        true,
-        "Dictionary",
-        move |ctx: &ModuleCtx| {
-            let p = pace(ctx);
-            // 2 unit tests x 3 cache constructions each: the check-then-
-            // insert pattern repeats, so a pair armed by one construction's
-            // near miss traps the next construction's insert.
-            for _round in 0..2 {
-                for _construction in 0..3 {
-                    let type_cache: Dictionary<u32, u64> = Dictionary::new(&ctx.runtime);
-                    let mut handles = Vec::new();
-                    for worker in 0..2 {
-                        let c = type_cache.clone();
-                        handles.push(ctx.pool.spawn(move || {
-                            for i in 0..iters {
-                                let key = (worker * 131 + i) % keys.max(1);
-                                if !c.contains_key(&key) {
-                                    c.set(key, u64::from(key) * 3); // Unlocked insert.
-                                }
-                                let _ = c.get(&key);
-                                std::thread::sleep(p);
-                            }
-                        }));
+    info.with_module("Dictionary", move |ctx: &ModuleCtx| {
+        // 2 unit tests x 3 cache constructions each: the check-then-
+        // insert pattern repeats, so a pair armed by one construction's
+        // near miss traps the next construction's insert.
+        for _construction in 0..2 * 3 {
+            let type_cache: Dictionary<u32, u64> = Dictionary::new(&ctx.runtime);
+            ctx.join_all((0..2).map(|worker| {
+                let c = type_cache.clone();
+                ctx.paced(iters, move |i| {
+                    let key = (worker * 131 + i) % keys.max(1);
+                    if !c.contains_key(&key) {
+                        c.set(key, u64::from(key) * 3); // Unlocked insert.
                     }
-                    for h in handles {
-                        h.wait();
-                    }
-                }
-            }
-        },
-    )
+                    c.get(&key)
+                })
+            }));
+        }
+    })
 }
 
 /// Builds all nine Table 4 projects.
 pub fn projects() -> Vec<Project> {
     vec![
-        Project {
-            info: ProjectInfo {
-                name: "ApplicationInsights",
-                loc_k: 67.5,
-                tests: 934,
-                paper_runs: 2,
-                paper_tsvs: 1,
-            },
-            // Broadcast processor drops telemetry: a shared List of
-            // telemetry items appended by the broadcaster while the flush
-            // path swaps/reads it.
-            module: Module::new(
-                "ApplicationInsights",
-                934,
-                Expectation::Buggy {
-                    pairs: 1,
-                    first_run_catchable: true,
-                },
-                true,
-                "List",
-                |ctx: &ModuleCtx| {
-                    let telemetry: List<u64> = List::new(&ctx.runtime);
-                    let p = pace(ctx);
-                    let t1 = telemetry.clone();
-                    let broadcast = ctx.pool.spawn(move || {
-                        for i in 0..8u64 {
-                            t1.add(i);
-                            std::thread::sleep(p);
-                        }
-                    });
-                    let t2 = telemetry.clone();
-                    let flusher = ctx.pool.spawn(move || {
-                        for _ in 0..4 {
-                            let _ = t2.to_vec();
-                            t2.clear(); // Drops items added in between.
-                            std::thread::sleep(p * 2);
-                        }
-                    });
-                    broadcast.wait();
-                    flusher.wait();
-                },
-            ),
-        },
-        Project {
-            info: ProjectInfo {
+        // Broadcast processor drops telemetry: a shared List of telemetry
+        // items appended by the broadcaster while the flush path swaps/reads
+        // it.
+        ProjectInfo {
+            name: "ApplicationInsights",
+            loc_k: 67.5,
+            tests: 934,
+            paper_runs: 2,
+            paper_tsvs: 1,
+        }
+        .with_module("List", |ctx: &ModuleCtx| {
+            let telemetry: List<u64> = List::new(&ctx.runtime);
+            let t = telemetry.clone();
+            let broadcast = ctx.paced(8, move |i| t.add(u64::from(i)));
+            let p = ctx.pace;
+            let flusher = ctx.pool.spawn(move || {
+                for _ in 0..4 {
+                    let _ = telemetry.to_vec();
+                    telemetry.clear(); // Drops items added in between.
+                    std::thread::sleep(p * 2);
+                }
+            });
+            ctx.join_all([broadcast, flusher]);
+        }),
+        cache_race(
+            ProjectInfo {
                 name: "DateTimeExtensions",
                 loc_k: 3.2,
                 tests: 169,
                 paper_runs: 1,
                 paper_tsvs: 3,
             },
-            module: cache_race("DateTimeExtensions", 169, 3, 4, 8),
-        },
-        Project {
-            info: ProjectInfo {
+            4,
+            8,
+        ),
+        // SelfReferenceEquivalencyAssertionOptions.GetEqualityStrategy: a
+        // strategy memo dictionary read and written without a lock.
+        cache_race(
+            ProjectInfo {
                 name: "FluentAssertions",
                 loc_k: 78.3,
                 tests: 3076,
                 paper_runs: 1,
                 paper_tsvs: 2,
             },
-            // SelfReferenceEquivalencyAssertionOptions.GetEqualityStrategy:
-            // a strategy memo dictionary read and written without a lock.
-            module: cache_race("FluentAssertions", 3076, 2, 3, 8),
-        },
-        Project {
-            info: ProjectInfo {
-                name: "K8s-client",
-                loc_k: 332.3,
-                tests: 76,
-                paper_runs: 2,
-                paper_tsvs: 1,
-            },
-            // Watcher bookkeeping map mutated from the watch callback while
-            // the dispose path clears it.
-            module: Module::new(
-                "K8s-client",
-                76,
-                Expectation::Buggy {
-                    pairs: 1,
-                    first_run_catchable: true,
-                },
-                true,
-                "Dictionary",
-                |ctx: &ModuleCtx| {
-                    let watchers: Dictionary<u32, u64> = Dictionary::new(&ctx.runtime);
-                    let p = pace(ctx);
-                    let w1 = watchers.clone();
-                    let watch = ctx.pool.spawn(move || {
-                        for i in 0..6 {
-                            w1.set(i, u64::from(i));
-                            std::thread::sleep(p);
-                        }
-                    });
-                    let w2 = watchers.clone();
-                    let dispose = ctx.pool.spawn(move || {
-                        std::thread::sleep(p * 3);
-                        w2.clear();
-                    });
-                    watch.wait();
-                    dispose.wait();
-                },
-            ),
-        },
-        Project {
-            info: ProjectInfo {
-                name: "Radical",
-                loc_k: 96.9,
-                tests: 965,
-                paper_runs: 1,
-                paper_tsvs: 3,
-            },
-            // MessageBroker's internal subscription list is not thread
-            // safe: concurrent subscribe / unsubscribe / dispatch.
-            module: Module::new(
-                "Radical",
-                965,
-                Expectation::Buggy {
-                    pairs: 3,
-                    first_run_catchable: true,
-                },
-                true,
-                "List",
-                |ctx: &ModuleCtx| {
-                    let subscriptions: List<u64> = List::new(&ctx.runtime);
-                    let p = pace(ctx);
-                    let s1 = subscriptions.clone();
-                    let subscriber = ctx.pool.spawn(move || {
-                        for i in 0..8u64 {
-                            s1.add(i);
-                            std::thread::sleep(p);
-                        }
-                    });
-                    let s2 = subscriptions.clone();
-                    let unsubscriber = ctx.pool.spawn(move || {
-                        for _ in 0..4 {
-                            let _ = s2.remove_at(0);
-                            std::thread::sleep(p);
-                        }
-                    });
-                    let s3 = subscriptions.clone();
-                    let dispatcher = ctx.pool.spawn(move || {
-                        for _ in 0..8 {
-                            let _ = s3.to_vec(); // Iterate subscribers.
-                            std::thread::sleep(p);
-                        }
-                    });
-                    subscriber.wait();
-                    unsubscriber.wait();
-                    dispatcher.wait();
-                },
-            ),
-        },
-        Project {
-            info: ProjectInfo {
+            3,
+            8,
+        ),
+        // Watcher bookkeeping map mutated from the watch callback while the
+        // dispose path clears it.
+        ProjectInfo {
+            name: "K8s-client",
+            loc_k: 332.3,
+            tests: 76,
+            paper_runs: 2,
+            paper_tsvs: 1,
+        }
+        .with_module("Dictionary", |ctx: &ModuleCtx| {
+            let watchers: Dictionary<u32, u64> = Dictionary::new(&ctx.runtime);
+            let w = watchers.clone();
+            let watch = ctx.paced(6, move |i| w.set(i, u64::from(i)));
+            let p = ctx.pace;
+            let dispose = ctx.pool.spawn(move || {
+                std::thread::sleep(p * 3);
+                watchers.clear();
+            });
+            ctx.join_all([watch, dispose]);
+        }),
+        // MessageBroker's internal subscription list is not thread safe:
+        // concurrent subscribe / unsubscribe / dispatch.
+        ProjectInfo {
+            name: "Radical",
+            loc_k: 96.9,
+            tests: 965,
+            paper_runs: 1,
+            paper_tsvs: 3,
+        }
+        .with_module("List", |ctx: &ModuleCtx| {
+            let subscriptions: List<u64> = List::new(&ctx.runtime);
+            let (s1, s2) = (subscriptions.clone(), subscriptions.clone());
+            ctx.join_all([
+                ctx.paced(8, move |i| s1.add(u64::from(i))),
+                ctx.paced(4, move |_| s2.remove_at(0)),
+                ctx.paced(8, move |_| subscriptions.to_vec()), // Iterate subscribers.
+            ]);
+        }),
+        cache_race(
+            ProjectInfo {
                 name: "Sequelocity",
                 loc_k: 6.6,
                 tests: 209,
                 paper_runs: 1,
                 paper_tsvs: 3,
             },
-            module: cache_race("Sequelocity", 209, 3, 4, 8),
-        },
-        Project {
-            info: ProjectInfo {
-                name: "Statsd",
-                loc_k: 2.5,
-                tests: 34,
-                paper_runs: 2,
-                paper_tsvs: 1,
-            },
-            // Gauge updates: concurrent set on the same metric key — a
-            // same-location write-write pair.
-            module: Module::new(
-                "Statsd",
-                34,
-                Expectation::Buggy {
-                    pairs: 1,
-                    first_run_catchable: true,
-                },
-                true,
-                "Dictionary",
-                |ctx: &ModuleCtx| {
-                    let gauges: Dictionary<u32, u64> = Dictionary::new(&ctx.runtime);
-                    let p = pace(ctx);
-                    let handles: Vec<_> = (0..2)
-                        .map(|w| {
-                            let g = gauges.clone();
-                            ctx.pool.spawn(move || {
-                                for i in 0..6u64 {
-                                    g.set(1, w * 100 + i); // Same gauge, same line.
-                                    std::thread::sleep(p);
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.wait();
-                    }
-                },
-            ),
-        },
-        Project {
-            info: ProjectInfo {
+            4,
+            8,
+        ),
+        // Gauge updates: concurrent set on the same metric key — a
+        // same-location write-write pair.
+        ProjectInfo {
+            name: "Statsd",
+            loc_k: 2.5,
+            tests: 34,
+            paper_runs: 2,
+            paper_tsvs: 1,
+        }
+        .with_module("Dictionary", |ctx: &ModuleCtx| {
+            let gauges: Dictionary<u32, u64> = Dictionary::new(&ctx.runtime);
+            ctx.join_all((0..2).map(|w| {
+                let g = gauges.clone();
+                ctx.paced(6, move |i| g.set(1, w * 100 + u64::from(i))) // Same gauge, same line.
+            }));
+        }),
+        cache_race(
+            ProjectInfo {
                 name: "System.Linq.Dynamic",
                 loc_k: 1.2,
                 tests: 7,
                 paper_runs: 1,
                 paper_tsvs: 1,
             },
-            module: cache_race("System.Linq.Dynamic", 7, 1, 1, 4),
-        },
-        Project {
-            info: ProjectInfo {
-                name: "Thunderstruck",
-                loc_k: 1.1,
-                tests: 52,
-                paper_runs: 1,
-                paper_tsvs: 2,
-            },
-            // ConnectionStringBuffer singleton: check-then-append on a
-            // shared buffer. TSVD found one extra TSV beyond the report.
-            module: Module::new(
-                "Thunderstruck",
-                52,
-                Expectation::Buggy {
-                    pairs: 2,
-                    first_run_catchable: true,
-                },
-                true,
-                "StringBuilder",
-                |ctx: &ModuleCtx| {
-                    let p = pace(ctx);
-                    // 2 unit tests x 3 singleton constructions each: the
-                    // lazy-init pattern repeats within a test, so the pair
-                    // armed by one construction traps the next one's append.
-                    for _round in 0..2 {
-                        for _construction in 0..3 {
-                            let buffer = StringBuilder::new(&ctx.runtime);
-                            let handles: Vec<_> = (0..2)
-                                .map(|w| {
-                                    let b = buffer.clone();
-                                    ctx.pool.spawn(move || {
-                                        for _ in 0..4 {
-                                            if b.is_empty() {
-                                                b.append("Server=db0;"); // Init race.
-                                            }
-                                            let _ = b.to_string();
-                                            let _ = w;
-                                            std::thread::sleep(p);
-                                        }
-                                    })
-                                })
-                                .collect();
-                            for h in handles {
-                                h.wait();
-                            }
+            1,
+            4,
+        ),
+        // ConnectionStringBuffer singleton: check-then-append on a shared
+        // buffer. TSVD found one extra TSV beyond the report.
+        ProjectInfo {
+            name: "Thunderstruck",
+            loc_k: 1.1,
+            tests: 52,
+            paper_runs: 1,
+            paper_tsvs: 2,
+        }
+        .with_module("StringBuilder", |ctx: &ModuleCtx| {
+            // 2 unit tests x 3 singleton constructions each: the lazy-init
+            // pattern repeats within a test, so the pair armed by one
+            // construction traps the next one's append.
+            for _construction in 0..2 * 3 {
+                let buffer = StringBuilder::new(&ctx.runtime);
+                ctx.join_all((0..2).map(|_| {
+                    let b = buffer.clone();
+                    ctx.paced(4, move |_| {
+                        if b.is_empty() {
+                            b.append("Server=db0;"); // Init race.
                         }
-                    }
-                },
-            ),
-        },
+                        b.to_string()
+                    })
+                }));
+            }
+        }),
     ]
 }
 

@@ -1,171 +1,85 @@
 //! Generic planted-TSV patterns matching the Table 1 bug characteristics.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use tsvd_collections::{
     BitArray, Dictionary, HashSet, LinkedDeque, List, Queue, SortedList, Stack, StringBuilder,
 };
 use tsvd_tasks::TsvdMutex;
 
-use crate::module::{Expectation, Module, ModuleCtx};
-use crate::scenarios::{busy_work, pace, Filler};
+use crate::module::{Module, ModuleCtx};
+use crate::scenarios::busy_work;
 
 /// N workers all executing the *same* `List.add` line — the
 /// two-threads-at-one-location shape behind 34 % of the paper's bugs.
 pub fn same_location(workers: u32, iters: u32) -> Module {
-    Module::new(
-        "same-location",
-        1,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
-        "List",
-        move |ctx: &ModuleCtx| {
-            let list: List<u64> = List::new(&ctx.runtime);
-            let p = pace(ctx);
-            let handles: Vec<_> = (0..workers.max(2))
-                .map(|w| {
-                    let l = list.clone();
-                    let rt = ctx.runtime.clone();
-                    ctx.pool.spawn(move || {
-                        let filler = Filler::new(&rt);
-                        for i in 0..iters {
-                            filler.tick(i);
-                            l.add(u64::from(w) << 32 | u64::from(i));
-                            std::thread::sleep(p);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.wait();
-            }
-        },
-    )
+    Module::racy("same-location", 1, 1, "List", move |ctx: &ModuleCtx| {
+        let list: List<u64> = List::new(&ctx.runtime);
+        ctx.join_all((0..workers.max(2)).map(|w| {
+            let l = list.clone();
+            ctx.paced_filled(iters, move |i| l.add(u64::from(w) << 32 | u64::from(i)))
+        }));
+    })
 }
 
 /// Many readers against one occasional writer: the read-write conflict
 /// shape behind 48 % of the paper's bugs (often "locking writes but not
 /// reads").
 pub fn read_write(readers: u32, iters: u32) -> Module {
-    Module::new(
-        "read-write",
-        2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
-        "Dictionary",
-        move |ctx: &ModuleCtx| {
-            let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
-            dict.set(1, 1);
-            let p = pace(ctx);
-            let mut handles = Vec::new();
-            for _ in 0..readers.max(1) {
+    Module::racy("read-write", 2, 1, "Dictionary", move |ctx: &ModuleCtx| {
+        let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
+        dict.set(1, 1);
+        let mut tasks: Vec<_> = (0..readers.max(1))
+            .map(|_| {
                 let d = dict.clone();
-                let rt = ctx.runtime.clone();
-                handles.push(ctx.pool.spawn(move || {
-                    let filler = Filler::new(&rt);
-                    for i in 0..iters {
-                        filler.tick(i);
-                        let _ = d.get(&1);
-                        std::thread::sleep(p);
-                    }
-                }));
-            }
-            let d = dict.clone();
-            let rt = ctx.runtime.clone();
-            handles.push(ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt);
-                for i in 0..iters {
-                    filler.tick(i);
-                    d.set(1, u64::from(i)); // Writer skips the lock readers never had.
-                    std::thread::sleep(p);
-                }
-            }));
-            for h in handles {
-                h.wait();
-            }
-        },
-    )
+                ctx.paced_filled(iters, move |_| d.get(&1))
+            })
+            .collect();
+        // The writer skips the lock the readers never had.
+        tasks.push(ctx.paced_filled(iters, move |i| dict.set(1, u64::from(i))));
+        ctx.join_all(tasks);
+    })
 }
 
 /// Producer/consumer on a thread-unsafe queue: enqueue races dequeue.
 pub fn queue_drain(items: u32) -> Module {
-    Module::new(
-        "queue-drain",
-        2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
-        "Queue",
-        move |ctx: &ModuleCtx| {
-            let queue: Queue<u64> = Queue::new(&ctx.runtime);
-            let p = pace(ctx);
-            let q1 = queue.clone();
-            let rt1 = ctx.runtime.clone();
-            let producer = ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt1);
-                for i in 0..items {
-                    filler.tick(i);
-                    q1.enqueue(u64::from(i));
-                    std::thread::sleep(p);
+    Module::racy("queue-drain", 2, 1, "Queue", move |ctx: &ModuleCtx| {
+        let queue: Queue<u64> = Queue::new(&ctx.runtime);
+        let q = queue.clone();
+        let producer = ctx.paced_filled(items, move |i| q.enqueue(u64::from(i)));
+        let p = ctx.pace;
+        let consumer = ctx.pool.spawn(move || {
+            let mut drained = 0;
+            let mut idle_rounds = 0;
+            while drained < items && idle_rounds < 4 * items {
+                match queue.dequeue() {
+                    Some(_) => drained += 1,
+                    None => idle_rounds += 1,
                 }
-            });
-            let q2 = queue.clone();
-            let consumer = ctx.pool.spawn(move || {
-                let mut drained = 0;
-                let mut idle_rounds = 0;
-                while drained < items && idle_rounds < 4 * items {
-                    match q2.dequeue() {
-                        Some(_) => drained += 1,
-                        None => idle_rounds += 1,
-                    }
-                    std::thread::sleep(p);
-                }
-            });
-            producer.wait();
-            consumer.wait();
-        },
-    )
+                std::thread::sleep(p);
+            }
+        });
+        ctx.join_all([producer, consumer]);
+    })
 }
 
 /// Two tasks appending to one log `StringBuilder`.
 pub fn string_log(iters: u32) -> Module {
-    Module::new(
+    Module::racy(
         "string-log",
         1,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
+        1,
         "StringBuilder",
         move |ctx: &ModuleCtx| {
             let log = StringBuilder::new(&ctx.runtime);
-            let p = pace(ctx);
-            let handles: Vec<_> = ["worker-a", "worker-b"]
-                .into_iter()
-                .map(|tag| {
-                    let l = log.clone();
-                    let rt = ctx.runtime.clone();
-                    ctx.pool.spawn(move || {
-                        let filler = Filler::new(&rt);
-                        for i in 0..iters {
-                            filler.tick(i);
-                            l.append(tag);
-                            let _ = busy_work(i % 3);
-                            std::thread::sleep(p);
-                        }
-                    })
+            ctx.join_all(["worker-a", "worker-b"].map(|tag| {
+                let l = log.clone();
+                ctx.paced_filled(iters, move |i| {
+                    l.append(tag);
+                    busy_work(i % 3)
                 })
-                .collect();
-            for h in handles {
-                h.wait();
-            }
+            }));
         },
     )
 }
@@ -175,52 +89,38 @@ pub fn string_log(iters: u32) -> Module {
 /// its delay budget on the hot path; static/trap-set approaches find the
 /// cold bug.
 pub fn hot_loop(hot_iters: u32, cold_iters: u32) -> Module {
-    Module::new(
-        "hot-loop",
-        3,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
-        "Dictionary",
-        move |ctx: &ModuleCtx| {
-            let shared: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
-            let p = pace(ctx);
-            let hot_done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let s1 = shared.clone();
-            let rt = ctx.runtime.clone();
-            let done = hot_done.clone();
-            let hot = ctx.pool.spawn(move || {
-                let private: Dictionary<u64, u64> = Dictionary::new(&rt);
-                for i in 0..hot_iters {
-                    private.set(u64::from(i % 64), u64::from(i));
-                    if i % 8 == 0 {
-                        std::thread::sleep(p / 4);
-                    }
+    Module::racy("hot-loop", 3, 1, "Dictionary", move |ctx: &ModuleCtx| {
+        let shared: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
+        let p = ctx.pace;
+        let hot_done = Arc::new(AtomicBool::new(false));
+        let (s, rt, done) = (shared.clone(), ctx.runtime.clone(), hot_done.clone());
+        let hot = ctx.pool.spawn(move || {
+            let private: Dictionary<u64, u64> = Dictionary::new(&rt);
+            for i in 0..hot_iters {
+                private.set(u64::from(i % 64), u64::from(i));
+                if i % 8 == 0 {
+                    std::thread::sleep(p / 4);
                 }
-                for i in 0..cold_iters {
-                    s1.set(7, u64::from(i)); // The cold, racy write.
-                    std::thread::sleep(p);
-                }
-                done.store(true, std::sync::atomic::Ordering::Release);
-            });
-            // The cold worker is a background refresher: it keeps updating
-            // the shared entry until the hot worker finishes, so the racy
-            // writes genuinely overlap the hot worker's cold section.
-            let s2 = shared.clone();
-            let cold = ctx.pool.spawn(move || {
-                let mut i = 0u64;
-                while !hot_done.load(std::sync::atomic::Ordering::Acquire) && i < 10_000 {
-                    s2.set(7, 1_000 + i);
-                    std::thread::sleep(p * 2);
-                    i += 1;
-                }
-            });
-            hot.wait();
-            cold.wait();
-        },
-    )
+            }
+            for i in 0..cold_iters {
+                s.set(7, u64::from(i)); // The cold, racy write.
+                std::thread::sleep(p);
+            }
+            done.store(true, Ordering::Release);
+        });
+        // The cold worker is a background refresher: it keeps updating
+        // the shared entry until the hot worker finishes, so the racy
+        // writes genuinely overlap the hot worker's cold section.
+        let cold = ctx.pool.spawn(move || {
+            let mut i = 0u64;
+            while !hot_done.load(Ordering::Acquire) && i < 10_000 {
+                shared.set(7, 1_000 + i);
+                std::thread::sleep(p * 2);
+                i += 1;
+            }
+        });
+        ctx.join_all([hot, cold]);
+    })
 }
 
 /// Both tasks take a lock for part of their work, then write an
@@ -229,42 +129,21 @@ pub fn hot_loop(hot_iters: u32, cold_iters: u32) -> Module {
 /// schedules — the "spurious HB edge" way TSVD-HB loses bugs — while
 /// TSVD's near-miss tracking is undistracted.
 pub fn lock_then_unprotected(iters: u32) -> Module {
-    Module::new(
+    Module::racy(
         "lock-then-unprotected",
         2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
+        1,
         "List",
         move |ctx: &ModuleCtx| {
-            let protected: std::sync::Arc<TsvdMutex<u64>> =
-                std::sync::Arc::new(TsvdMutex::with_runtime(0, ctx.runtime.clone()));
+            let protected = Arc::new(TsvdMutex::with_runtime(0u64, ctx.runtime.clone()));
             let unprotected: List<u64> = List::new(&ctx.runtime);
-            let p = pace(ctx);
-            let handles: Vec<_> = (0..2u64)
-                .map(|w| {
-                    let m = protected.clone();
-                    let l = unprotected.clone();
-                    let rt = ctx.runtime.clone();
-                    ctx.pool.spawn(move || {
-                        let filler = Filler::new(&rt);
-                        for i in 0..iters {
-                            filler.tick(i);
-                            {
-                                let mut g = m.lock();
-                                *g += 1; // Correctly protected counter.
-                            }
-                            l.add(w << 32 | u64::from(i)); // Unprotected!
-                            std::thread::sleep(p);
-                        }
-                    })
+            ctx.join_all((0..2u64).map(|w| {
+                let (m, l) = (protected.clone(), unprotected.clone());
+                ctx.paced_filled(iters, move |i| {
+                    *m.lock() += 1; // Correctly protected counter.
+                    l.add(w << 32 | u64::from(i)); // Unprotected!
                 })
-                .collect();
-            for h in handles {
-                h.wait();
-            }
+            }));
         },
     )
 }
@@ -272,78 +151,35 @@ pub fn lock_then_unprotected(iters: u32) -> Module {
 /// Workers register ids in a shared `HashSet` while a monitor polls
 /// membership — an add/contains read-write race.
 pub fn set_membership(iters: u32) -> Module {
-    Module::new(
-        "set-membership",
-        2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
-        "HashSet",
-        move |ctx: &ModuleCtx| {
-            let registry: HashSet<u64> = HashSet::new(&ctx.runtime);
-            let p = pace(ctx);
-            let r1 = registry.clone();
-            let rt1 = ctx.runtime.clone();
-            let registrar = ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt1);
-                for i in 0..iters {
-                    filler.tick(i);
-                    r1.add(u64::from(i));
-                    std::thread::sleep(p);
-                }
-            });
-            let r2 = registry.clone();
-            let monitor = ctx.pool.spawn(move || {
-                for i in 0..iters {
-                    let _ = r2.contains(&u64::from(i));
-                    std::thread::sleep(p);
-                }
-            });
-            registrar.wait();
-            monitor.wait();
-        },
-    )
+    Module::racy("set-membership", 2, 1, "HashSet", move |ctx: &ModuleCtx| {
+        let registry: HashSet<u64> = HashSet::new(&ctx.runtime);
+        let r = registry.clone();
+        let registrar = ctx.paced_filled(iters, move |i| r.add(u64::from(i)));
+        let monitor = ctx.paced(iters, move |i| registry.contains(&u64::from(i)));
+        ctx.join_all([registrar, monitor]);
+    })
 }
 
 /// A hand-rolled work-stealing deque: the owner pushes/pops at the back
 /// while a thief pops the front — write-write on a thread-unsafe deque.
 pub fn deque_workers(iters: u32) -> Module {
-    Module::new(
+    Module::racy(
         "deque-workers",
         2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
+        1,
         "LinkedDeque",
         move |ctx: &ModuleCtx| {
             let deque: LinkedDeque<u64> = LinkedDeque::new(&ctx.runtime);
-            let p = pace(ctx);
-            let d1 = deque.clone();
-            let rt1 = ctx.runtime.clone();
-            let owner = ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt1);
-                for i in 0..iters {
-                    filler.tick(i);
-                    d1.push_back(u64::from(i));
-                    if i % 3 == 2 {
-                        let _ = d1.pop_back();
-                    }
-                    std::thread::sleep(p);
+            let d = deque.clone();
+            let owner = ctx.paced_filled(iters, move |i| {
+                d.push_back(u64::from(i));
+                if i % 3 == 2 {
+                    let _ = d.pop_back();
                 }
             });
-            let d2 = deque.clone();
-            let thief = ctx.pool.spawn(move || {
-                for _ in 0..iters {
-                    let _ = d2.pop_front(); // Steal without synchronization.
-                    std::thread::sleep(p);
-                }
-            });
-            owner.wait();
-            thief.wait();
+            // Steal without synchronization.
+            let thief = ctx.paced(iters, move |_| deque.pop_front());
+            ctx.join_all([owner, thief]);
         },
     )
 }
@@ -351,118 +187,53 @@ pub fn deque_workers(iters: u32) -> Module {
 /// Feature flags in a shared `BitArray`: a writer toggles bits while a
 /// health checker counts them.
 pub fn bitmap_flags(iters: u32) -> Module {
-    Module::new(
-        "bitmap-flags",
-        1,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
-        "BitArray",
-        move |ctx: &ModuleCtx| {
-            let flags = BitArray::new(&ctx.runtime);
-            flags.resize(128);
-            let p = pace(ctx);
-            let f1 = flags.clone();
-            let rt1 = ctx.runtime.clone();
-            let toggler = ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt1);
-                for i in 0..iters {
-                    filler.tick(i);
-                    f1.flip(usize::from(i as u16 % 128));
-                    std::thread::sleep(p);
-                }
-            });
-            let f2 = flags.clone();
-            let checker = ctx.pool.spawn(move || {
-                for _ in 0..iters {
-                    let _ = f2.count_ones();
-                    std::thread::sleep(p);
-                }
-            });
-            toggler.wait();
-            checker.wait();
-        },
-    )
+    Module::racy("bitmap-flags", 1, 1, "BitArray", move |ctx: &ModuleCtx| {
+        let flags = BitArray::new(&ctx.runtime);
+        flags.resize(128);
+        let f = flags.clone();
+        let toggler = ctx.paced_filled(iters, move |i| f.flip(usize::from(i as u16 % 128)));
+        let checker = ctx.paced(iters, move |_| flags.count_ones());
+        ctx.join_all([toggler, checker]);
+    })
 }
 
 /// A leaderboard in a shared `SortedList`: score updates race the
 /// first/last queries of a display task.
 pub fn sorted_index(iters: u32) -> Module {
-    Module::new(
+    Module::racy(
         "sorted-index",
         2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
+        1,
         "SortedList",
         move |ctx: &ModuleCtx| {
             let board: SortedList<u64, u64> = SortedList::new(&ctx.runtime);
-            let p = pace(ctx);
-            let b1 = board.clone();
-            let rt1 = ctx.runtime.clone();
-            let scorer = ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt1);
-                for i in 0..iters {
-                    filler.tick(i);
-                    b1.set(busy_work(i % 5) % 32, u64::from(i));
-                    std::thread::sleep(p);
-                }
+            let b = board.clone();
+            let scorer =
+                ctx.paced_filled(iters, move |i| b.set(busy_work(i % 5) % 32, u64::from(i)));
+            let display = ctx.paced(iters, move |_| {
+                let _ = board.first();
+                board.last()
             });
-            let b2 = board.clone();
-            let display = ctx.pool.spawn(move || {
-                for _ in 0..iters {
-                    let _ = b2.first();
-                    let _ = b2.last();
-                    std::thread::sleep(p);
-                }
-            });
-            scorer.wait();
-            display.wait();
+            ctx.join_all([scorer, display]);
         },
     )
 }
 
 /// An undo stack shared by two editors: concurrent push/pop — write-write.
 pub fn stack_undo(iters: u32) -> Module {
-    Module::new(
-        "stack-undo",
-        1,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
-        "Stack",
-        move |ctx: &ModuleCtx| {
-            let undo: Stack<u64> = Stack::new(&ctx.runtime);
-            let p = pace(ctx);
-            let handles: Vec<_> = (0..2u64)
-                .map(|w| {
-                    let s = undo.clone();
-                    let rt = ctx.runtime.clone();
-                    ctx.pool.spawn(move || {
-                        let filler = Filler::new(&rt);
-                        for i in 0..iters {
-                            filler.tick(i);
-                            if (u64::from(i) + w) % 2 == 0 {
-                                s.push(w << 32 | u64::from(i));
-                            } else {
-                                let _ = s.pop();
-                            }
-                            std::thread::sleep(p);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.wait();
-            }
-        },
-    )
+    Module::racy("stack-undo", 1, 1, "Stack", move |ctx: &ModuleCtx| {
+        let undo: Stack<u64> = Stack::new(&ctx.runtime);
+        ctx.join_all((0..2u64).map(|w| {
+            let s = undo.clone();
+            ctx.paced_filled(iters, move |i| {
+                if (u64::from(i) + w) % 2 == 0 {
+                    s.push(w << 32 | u64::from(i));
+                } else {
+                    let _ = s.pop();
+                }
+            })
+        }));
+    })
 }
 
 /// An async pipeline built from `then` continuations: stage 1 parses,
@@ -470,18 +241,14 @@ pub fn stack_undo(iters: u32) -> Module {
 /// The publishes of concurrently processed requests race — the
 /// post-`await` continuation shape of Fig. 3/4, via `ContinueWith`.
 pub fn pipeline_continuations(requests: u32) -> Module {
-    Module::new(
+    Module::racy(
         "pipeline-continuations",
         2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
+        1,
         "Dictionary",
         move |ctx: &ModuleCtx| {
             let results: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
-            let p = pace(ctx);
+            let p = ctx.pace;
             let mut finals = Vec::new();
             for req in 0..requests {
                 let r = results.clone();

@@ -8,7 +8,7 @@ use tsvd_collections::{Dictionary, HashSet, List, SortedList, Stack};
 use tsvd_tasks::TsvdMutex;
 
 use crate::module::{Expectation, Module, ModuleCtx};
-use crate::scenarios::{busy_work, pace};
+use crate::scenarios::busy_work;
 
 /// Plain single-threaded CRUD over several collections — the bulk of any
 /// real test corpus. Exercises instrumentation overhead with zero
@@ -25,7 +25,6 @@ pub fn crud(iters: u32) -> Module {
             let list: List<u64> = List::new(&ctx.runtime);
             let set: HashSet<u64> = HashSet::new(&ctx.runtime);
             let sorted: SortedList<u64, u64> = SortedList::new(&ctx.runtime);
-            let p = pace(ctx);
             for i in 0..u64::from(iters) {
                 dict.set(i % 16, i);
                 list.add(i);
@@ -37,7 +36,7 @@ pub fn crud(iters: u32) -> Module {
                 let _ = sorted.first();
                 if i % 4 == 3 {
                     // Stand-in for the I/O and assertions of a real test.
-                    std::thread::sleep(p);
+                    std::thread::sleep(ctx.pace);
                 }
             }
             dict.clear();
@@ -50,37 +49,17 @@ pub fn crud(iters: u32) -> Module {
 /// guarded by the same lock — the Fig. 6 pattern TSVD's HB inference
 /// learns to prune, and the pattern TSVD-HB orders exactly.
 pub fn locked_pair(iters: u32) -> Module {
-    Module::new(
-        "locked-pair",
-        2,
-        Expectation::Clean,
-        true,
-        "Dictionary",
-        move |ctx: &ModuleCtx| {
-            let lock: Arc<TsvdMutex<()>> =
-                Arc::new(TsvdMutex::with_runtime((), ctx.runtime.clone()));
-            let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
-            let p = pace(ctx);
-            let handles: Vec<_> = (0..2u64)
-                .map(|w| {
-                    let lock = lock.clone();
-                    let d = dict.clone();
-                    ctx.pool.spawn(move || {
-                        for i in 0..iters {
-                            {
-                                let _g = lock.lock();
-                                d.set(w, u64::from(i)); // Always under the lock.
-                            }
-                            std::thread::sleep(p);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.wait();
-            }
-        },
-    )
+    Module::clean("locked-pair", 2, "Dictionary", move |ctx: &ModuleCtx| {
+        let lock = Arc::new(TsvdMutex::with_runtime((), ctx.runtime.clone()));
+        let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
+        ctx.join_all((0..2u64).map(|w| {
+            let (lock, d) = (lock.clone(), dict.clone());
+            ctx.paced(iters, move |i| {
+                let _g = lock.lock();
+                d.set(w, u64::from(i)); // Always under the lock.
+            })
+        }));
+    })
 }
 
 /// The writes are ordered by *ad-hoc synchronization* (an atomic flag spin)
@@ -92,35 +71,26 @@ pub fn locked_pair(iters: u32) -> Module {
 /// from a context's previous access, and the second task's one access is
 /// its first. Decay is what retires the pair.
 pub fn adhoc_sync(iters: u32) -> Module {
-    Module::new(
-        "adhoc-sync",
-        2,
-        Expectation::Clean,
-        true,
-        "Dictionary",
-        move |ctx: &ModuleCtx| {
-            let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
-            let p = pace(ctx);
-            for round in 0..iters {
-                let flag = Arc::new(AtomicBool::new(false));
-                let d1 = dict.clone();
-                let f1 = flag.clone();
-                let first = ctx.pool.spawn(move || {
-                    d1.set(1, u64::from(round));
-                    f1.store(true, Ordering::Release); // Hand-rolled signal.
-                });
-                let d2 = dict.clone();
-                let second = ctx.pool.spawn(move || {
-                    while !flag.load(Ordering::Acquire) {
-                        std::thread::sleep(p / 10); // Hand-rolled wait.
-                    }
-                    d2.set(2, u64::from(round)); // Ordered, but invisibly so.
-                });
-                first.wait();
-                second.wait();
-            }
-        },
-    )
+    Module::clean("adhoc-sync", 2, "Dictionary", move |ctx: &ModuleCtx| {
+        let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
+        let p = ctx.pace;
+        for round in 0..iters {
+            let flag = Arc::new(AtomicBool::new(false));
+            let (d, f) = (dict.clone(), flag.clone());
+            let first = ctx.pool.spawn(move || {
+                d.set(1, u64::from(round));
+                f.store(true, Ordering::Release); // Hand-rolled signal.
+            });
+            let d = dict.clone();
+            let second = ctx.pool.spawn(move || {
+                while !flag.load(Ordering::Acquire) {
+                    std::thread::sleep(p / 10); // Hand-rolled wait.
+                }
+                d.set(2, u64::from(round)); // Ordered, but invisibly so.
+            });
+            ctx.join_all([first, second]);
+        }
+    })
 }
 
 /// Sequential phases: a single-threaded initialization writes the
@@ -129,11 +99,9 @@ pub fn adhoc_sync(iters: u32) -> Module {
 /// boundaries can never become violations — the case concurrent-phase
 /// inference (§3.4.3) exists for.
 pub fn sequential_phases(readers: u32, iters: u32) -> Module {
-    Module::new(
+    Module::clean(
         "sequential-phases",
         3,
-        Expectation::Clean,
-        true,
         "Dictionary",
         move |ctx: &ModuleCtx| {
             let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
@@ -142,21 +110,10 @@ pub fn sequential_phases(readers: u32, iters: u32) -> Module {
                 dict.set(i, busy_work(2));
             }
             // Concurrent phase (reads only — allowed by the contract).
-            let p = pace(ctx);
-            let handles: Vec<_> = (0..readers.max(2))
-                .map(|_| {
-                    let d = dict.clone();
-                    ctx.pool.spawn(move || {
-                        for i in 0..iters {
-                            let _ = d.get(&u64::from(i % 16));
-                            std::thread::sleep(p);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.wait();
-            }
+            ctx.join_all((0..readers.max(2)).map(|_| {
+                let d = dict.clone();
+                ctx.paced(iters, move |i| d.get(&u64::from(i % 16)))
+            }));
             // Cleanup phase (sequential writes again).
             dict.clear();
         },
@@ -167,31 +124,24 @@ pub fn sequential_phases(readers: u32, iters: u32) -> Module {
 /// *private* collections, joins them all, then writes again. Everything is
 /// ordered by fork/join edges.
 pub fn fork_join_clean(children: u32, iters: u32) -> Module {
-    Module::new(
-        "fork-join-clean",
-        2,
-        Expectation::Clean,
-        true,
-        "Stack",
-        move |ctx: &ModuleCtx| {
-            let shared: Stack<u64> = Stack::new(&ctx.runtime);
-            shared.push(0); // Parent write before the fork.
-            let handles: Vec<_> = (0..children.max(1))
-                .map(|c| {
-                    let rt = ctx.runtime.clone();
-                    ctx.pool.spawn(move || {
-                        let private: Stack<u64> = Stack::new(&rt);
-                        for i in 0..iters {
-                            private.push(u64::from(c) << 32 | u64::from(i));
-                        }
-                        private.len()
-                    })
+    Module::clean("fork-join-clean", 2, "Stack", move |ctx: &ModuleCtx| {
+        let shared: Stack<u64> = Stack::new(&ctx.runtime);
+        shared.push(0); // Parent write before the fork.
+        let handles: Vec<_> = (0..children.max(1))
+            .map(|c| {
+                let rt = ctx.runtime.clone();
+                ctx.pool.spawn(move || {
+                    let private: Stack<u64> = Stack::new(&rt);
+                    for i in 0..iters {
+                        private.push(u64::from(c) << 32 | u64::from(i));
+                    }
+                    private.len()
                 })
-                .collect();
-            let total: usize = handles.into_iter().map(|h| h.join()).sum();
-            shared.push(total as u64); // Parent write after all joins.
-        },
-    )
+            })
+            .collect();
+        let total: usize = handles.into_iter().map(|h| h.join()).sum();
+        shared.push(total as u64); // Parent write after all joins.
+    })
 }
 
 /// Async-heavy chatter: a swarm of short-lived tasks, each working on its
@@ -201,32 +151,23 @@ pub fn fork_join_clean(children: u32, iters: u32) -> Module {
 /// operations" — the workload that makes vector-clock HB *analysis*
 /// expensive while TSVD's synchronization-blind design stays cheap.
 pub fn async_chatter(tasks: u32, accesses: u32) -> Module {
-    Module::new(
-        "async-chatter",
-        5,
-        Expectation::Clean,
-        true,
-        "Dictionary",
-        move |ctx: &ModuleCtx| {
-            let mut handles = Vec::with_capacity(tasks as usize);
-            for t in 0..tasks {
+    Module::clean("async-chatter", 5, "Dictionary", move |ctx: &ModuleCtx| {
+        let handles: Vec<_> = (0..tasks)
+            .map(|t| {
                 let rt = ctx.runtime.clone();
-                handles.push(ctx.pool.spawn(move || {
+                ctx.pool.spawn(move || {
                     let private: Dictionary<u64, u64> = Dictionary::new(&rt);
                     for i in 0..u64::from(accesses) {
                         private.set(i % 8, i ^ u64::from(t));
                         let _ = private.get(&(i % 8));
                     }
                     private.len()
-                }));
-            }
-            let mut total = 0usize;
-            for h in handles {
-                total += h.join();
-            }
-            assert!(total >= tasks as usize);
-        },
-    )
+                })
+            })
+            .collect();
+        let total: usize = handles.into_iter().map(|h| h.join()).sum();
+        assert!(total >= tasks as usize);
+    })
 }
 
 /// A staged pipeline: stage-1 workers write a hand-off table, everyone
@@ -237,30 +178,22 @@ pub fn async_chatter(tasks: u32, accesses: u32) -> Module {
 /// can never catch anything. This is the module shape behind the paper's
 /// "windowing is the most important factor in reducing overhead".
 pub fn staged_pipeline(objects: u32, stage_gap_beats: u32) -> Module {
-    Module::new(
+    Module::clean(
         "staged-pipeline",
         2,
-        Expectation::Clean,
-        true,
         "Dictionary",
         move |ctx: &ModuleCtx| {
             let tables: Vec<Dictionary<u64, u64>> = (0..objects.max(1))
                 .map(|_| Dictionary::new(&ctx.runtime))
                 .collect();
             let run_stage = |stage: u64| {
-                let handles: Vec<_> = tables
-                    .iter()
-                    .map(|t| {
-                        let t = t.clone();
-                        ctx.pool.spawn(move || {
-                            t.set(stage, busy_work(2));
-                            let _ = t.len();
-                        })
+                ctx.join_all(tables.iter().map(|t| {
+                    let t = t.clone();
+                    ctx.pool.spawn(move || {
+                        t.set(stage, busy_work(2));
+                        let _ = t.len();
                     })
-                    .collect();
-                for h in handles {
-                    h.wait();
-                }
+                }));
             };
             run_stage(1);
             // The inter-stage gap: far beyond the near-miss window.
@@ -273,35 +206,19 @@ pub fn staged_pipeline(objects: u32, stage_gap_beats: u32) -> Module {
 /// Concurrent read-only traffic on a shared collection: reads never
 /// conflict, so this is clean by the contract itself.
 pub fn read_only(readers: u32, iters: u32) -> Module {
-    Module::new(
-        "read-only",
-        1,
-        Expectation::Clean,
-        true,
-        "SortedList",
-        move |ctx: &ModuleCtx| {
-            let table: SortedList<u64, u64> = SortedList::new(&ctx.runtime);
-            for i in 0..32 {
-                table.set(i, i * i);
-            }
-            let p = pace(ctx);
-            let handles: Vec<_> = (0..readers.max(2))
-                .map(|_| {
-                    let t = table.clone();
-                    ctx.pool.spawn(move || {
-                        for i in 0..iters {
-                            let _ = t.get(&u64::from(i % 32));
-                            let _ = t.contains_key(&u64::from(i % 7));
-                            std::thread::sleep(p);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.wait();
-            }
-        },
-    )
+    Module::clean("read-only", 1, "SortedList", move |ctx: &ModuleCtx| {
+        let table: SortedList<u64, u64> = SortedList::new(&ctx.runtime);
+        for i in 0..32 {
+            table.set(i, i * i);
+        }
+        ctx.join_all((0..readers.max(2)).map(|_| {
+            let t = table.clone();
+            ctx.paced(iters, move |i| {
+                let _ = t.get(&u64::from(i % 32));
+                t.contains_key(&u64::from(i % 7))
+            })
+        }));
+    })
 }
 
 #[cfg(test)]

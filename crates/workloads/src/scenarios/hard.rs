@@ -8,8 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use tsvd_collections::{Dictionary, List};
 
-use crate::module::{Expectation, Module, ModuleCtx};
-use crate::scenarios::pace;
+use crate::module::{Module, ModuleCtx};
 
 /// FN category 1: the two racing operations execute close to each other
 /// only under rare schedules (a resource usage vs. its deallocation). In
@@ -20,48 +19,27 @@ use crate::scenarios::pace;
 /// schedule (seeded, per-run counter → deterministic sequence).
 pub fn rare_pair(seed: u64, close_one_in: u32, iters: u32) -> Module {
     let run_counter = Arc::new(AtomicU64::new(0));
-    Module::new(
-        "rare-pair",
-        2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: false,
-        },
-        true,
-        "List",
-        move |ctx: &ModuleCtx| {
-            let run = run_counter.fetch_add(1, Ordering::Relaxed);
-            let mut rng = SmallRng::seed_from_u64(seed ^ run.wrapping_mul(0x9E37_79B9));
-            let close = rng.gen_range(0..close_one_in.max(1)) == 0;
-            let resource: List<u64> = List::new(&ctx.runtime);
-            resource.add(1);
-            let p = pace(ctx);
-            let user = {
-                let r = resource.clone();
-                ctx.pool.spawn(move || {
-                    for i in 0..iters {
-                        r.add(u64::from(i)); // Resource usage.
-                        std::thread::sleep(p);
-                    }
-                })
-            };
-            let deallocator = {
-                let r = resource.clone();
-                // Usually the deallocation happens long after the usage —
-                // far outside the near-miss window.
-                let gap = if close { p } else { p * (40 * iters) };
-                ctx.pool.spawn(move || {
-                    std::thread::sleep(gap);
-                    for _ in 0..iters {
-                        r.clear(); // Resource deallocation.
-                        std::thread::sleep(p);
-                    }
-                })
-            };
-            user.wait();
-            deallocator.wait();
-        },
-    )
+    Module::hard("rare-pair", 2, "List", move |ctx: &ModuleCtx| {
+        let run = run_counter.fetch_add(1, Ordering::Relaxed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ run.wrapping_mul(0x9E37_79B9));
+        let close = rng.gen_range(0..close_one_in.max(1)) == 0;
+        let resource: List<u64> = List::new(&ctx.runtime);
+        resource.add(1);
+        let r = resource.clone();
+        let user = ctx.paced(iters, move |i| r.add(u64::from(i))); // Resource usage.
+                                                                   // Usually the deallocation happens long after the usage — far
+                                                                   // outside the near-miss window.
+        let p = ctx.pace;
+        let gap = if close { p } else { p * (40 * iters) };
+        let deallocator = ctx.pool.spawn(move || {
+            std::thread::sleep(gap);
+            for _ in 0..iters {
+                resource.clear(); // Resource deallocation.
+                std::thread::sleep(p);
+            }
+        });
+        ctx.join_all([user, deallocator]);
+    })
 }
 
 /// FN category 3 driver and §3.4.6 "multiple testing runs": both racy
@@ -69,33 +47,18 @@ pub fn rare_pair(seed: u64, close_one_in: u32, iters: u32) -> Module {
 /// run 1 is also the only chance to catch the bug, so run 1 always misses;
 /// a second run seeded from the trap file delays the first occurrence and
 /// catches it.
-pub fn single_shot(seed: u64) -> Module {
-    Module::new(
-        "single-shot",
-        1,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: false,
-        },
-        true,
-        "Dictionary",
-        move |ctx: &ModuleCtx| {
-            let _ = seed;
-            let settings: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
-            let p = pace(ctx);
-            let s1 = settings.clone();
-            let init = ctx.pool.spawn(move || {
-                s1.set(1, 42); // Executes once per run.
-            });
-            let s2 = settings.clone();
-            let probe = ctx.pool.spawn(move || {
-                std::thread::sleep(p / 2);
-                let _ = s2.contains_key(&1); // Executes once per run.
-            });
-            init.wait();
-            probe.wait();
-        },
-    )
+pub fn single_shot() -> Module {
+    Module::hard("single-shot", 1, "Dictionary", |ctx: &ModuleCtx| {
+        let settings: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
+        let s = settings.clone();
+        let init = ctx.pool.spawn(move || s.set(1, 42)); // Executes once per run.
+        let p = ctx.pace;
+        let probe = ctx.pool.spawn(move || {
+            std::thread::sleep(p / 2);
+            let _ = settings.contains_key(&1); // Executes once per run.
+        });
+        ctx.join_all([init, probe]);
+    })
 }
 
 /// FN category 3 proper: the pair arms (the accesses stray into the
@@ -104,55 +67,40 @@ pub fn single_shot(seed: u64) -> Module {
 /// paper saw these bugs surface only "after a couple of more runs", and so
 /// does this detector: stock TSVD catches the pair in run 2, trapping it
 /// from run 1's trap file (EXPERIMENTS.md: 2 of 24 in run 1, 22 in run 2).
-pub fn slow_partner(seed: u64, fast_iters: u32) -> Module {
-    Module::new(
-        "slow-partner",
-        1,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: false,
-        },
-        true,
-        "Dictionary",
-        move |ctx: &ModuleCtx| {
-            let _ = seed;
-            let shared: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
-            let beat = ctx.beat;
-            let periods = fast_iters.clamp(4, 12);
-            // Both workers tick every beat doing private work (a dense access
-            // stream, so no long gaps exist for HB inference to misread) and
-            // write the shared dictionary on *drifting* periods (10 vs 9
-            // beats). Their first shared ops coincide and arm the pair, but
-            // afterwards the phase between shared ops sweeps 0..4.5 beats:
-            // most traps (4 beats) expire before the partner's next op,
-            // where a delay twice as long would cover every phase — the
-            // §5.3 category-3 shape ("the injected delay was not long enough
-            // to trigger the bug").
-            let spawn_worker = |period: u32, key: u64| {
-                let s = shared.clone();
-                let rt = ctx.runtime.clone();
-                ctx.pool.spawn(move || {
-                    let private: Dictionary<u64, u64> = Dictionary::new(&rt);
-                    for t in 0..periods * 10 {
-                        private.set(u64::from(t % 4), u64::from(t)); // Filler.
-                        if t % period == 0 {
-                            s.set(key, u64::from(t)); // Drifting shared write.
-                        }
-                        std::thread::sleep(beat);
+pub fn slow_partner(fast_iters: u32) -> Module {
+    Module::hard("slow-partner", 1, "Dictionary", move |ctx: &ModuleCtx| {
+        let shared: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
+        let beat = ctx.beat;
+        let periods = fast_iters.clamp(4, 12);
+        // Both workers tick every beat doing private work (a dense access
+        // stream, so no long gaps exist for HB inference to misread) and
+        // write the shared dictionary on *drifting* periods (10 vs 9
+        // beats). Their first shared ops coincide and arm the pair, but
+        // afterwards the phase between shared ops sweeps 0..4.5 beats:
+        // most traps (4 beats) expire before the partner's next op,
+        // where a delay twice as long would cover every phase — the
+        // §5.3 category-3 shape ("the injected delay was not long enough
+        // to trigger the bug").
+        ctx.join_all([(10, 1), (9, 2)].map(|(period, key): (u32, u64)| {
+            let (s, rt) = (shared.clone(), ctx.runtime.clone());
+            ctx.pool.spawn(move || {
+                let private: Dictionary<u64, u64> = Dictionary::new(&rt);
+                for t in 0..periods * 10 {
+                    private.set(u64::from(t % 4), u64::from(t)); // Filler.
+                    if t % period == 0 {
+                        s.set(key, u64::from(t)); // Drifting shared write.
                     }
-                })
-            };
-            let a = spawn_worker(10, 1);
-            let b = spawn_worker(9, 2);
-            a.wait();
-            b.wait();
-        },
-    )
+                    std::thread::sleep(beat);
+                }
+            })
+        }));
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::Expectation;
     use tsvd_core::{Runtime, TsvdConfig};
 
     #[test]
@@ -178,12 +126,12 @@ mod tests {
         let rt = Runtime::noop(TsvdConfig::for_testing());
         let ctx = ModuleCtx::new(rt, 2);
         rare_pair(3, 1, 2).run(&ctx); // close_one_in = 1 → always close → fast.
-        single_shot(3).run(&ctx);
+        single_shot().run(&ctx);
     }
 
     #[test]
     fn single_shot_is_flagged_not_first_run_catchable() {
-        let m = single_shot(1);
+        let m = single_shot();
         assert_eq!(
             m.expectation(),
             Expectation::Buggy {

@@ -11,22 +11,15 @@
 //! - [`clean`] — modules with *no* possible TSV, each stressing a
 //!   different part of a detector (locks, ad-hoc synchronization,
 //!   sequential phases, fork/join ordering, plain sequential CRUD).
+//!
+//! Bodies are written with `ModuleCtx`'s paced tasks and join-all, so each
+//! states only its shared objects, its racing operations, and the waits
+//! that differ from the paced loop.
 
 pub mod buggy;
 pub mod clean;
 pub mod hard;
 pub mod paper_examples;
-
-use std::time::Duration;
-
-use crate::module::ModuleCtx;
-
-/// Per-iteration pause that yields the CPU so concurrently scheduled tasks
-/// genuinely interleave (required on single-core machines, harmless on
-/// larger ones). Scales with the detector's time constants.
-pub(crate) fn pace(ctx: &ModuleCtx) -> Duration {
-    (ctx.beat / 5).max(Duration::from_micros(20))
-}
 
 /// Innocent per-worker instrumentation traffic standing in for the rest of
 /// a real test's collection usage. Racy modules are not all racy code: the

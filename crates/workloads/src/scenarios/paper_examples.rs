@@ -3,49 +3,20 @@
 use tsvd_collections::{Cache, Dictionary, List};
 use tsvd_tasks::parallel_for_each;
 
-use crate::module::{Expectation, Module, ModuleCtx};
-use crate::scenarios::{busy_work, pace, Filler};
+use crate::module::{Module, ModuleCtx};
+use crate::scenarios::{busy_work, Filler};
 
 /// Fig. 1: one thread `dict.Add(key1, v)`, another
 /// `dict.ContainsKey(key2)`. Write-read on different keys of one
 /// dictionary — the "different keys are safe" misconception.
 pub fn dict_racy(iters: u32) -> Module {
-    Module::new(
-        "dict-racy",
-        2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
-        "Dictionary",
-        move |ctx: &ModuleCtx| {
-            let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
-            let p = pace(ctx);
-            let d1 = dict.clone();
-            let rt1 = ctx.runtime.clone();
-            let writer = ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt1);
-                for i in 0..u64::from(iters) {
-                    filler.tick(i as u32);
-                    d1.add(i, busy_work(1));
-                    std::thread::sleep(p);
-                }
-            });
-            let d2 = dict.clone();
-            let rt2 = ctx.runtime.clone();
-            let reader = ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt2);
-                for i in 0..u64::from(iters) {
-                    filler.tick(i as u32);
-                    d2.contains_key(&(1_000 + i));
-                    std::thread::sleep(p);
-                }
-            });
-            writer.wait();
-            reader.wait();
-        },
-    )
+    Module::racy("dict-racy", 2, 1, "Dictionary", move |ctx: &ModuleCtx| {
+        let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);
+        let d = dict.clone();
+        let writer = ctx.paced_filled(iters, move |i| d.add(u64::from(i), busy_work(1)));
+        let reader = ctx.paced_filled(iters, move |i| dict.contains_key(&(1_000 + u64::from(i))));
+        ctx.join_all([writer, reader]);
+    })
 }
 
 /// Fig. 3/4: the `getSqrt` memoization cache. Each call checks the cache,
@@ -57,7 +28,7 @@ pub fn getsqrt_cache(iters: u32) -> Module {
         if cache.contains_key(&x) {
             return cache.get(&x).unwrap_or_default(); // Fetch from cache.
         }
-        let p = pace(ctx);
+        let p = ctx.pace;
         let t = ctx.pool.spawn_fast(move || {
             std::thread::sleep(p); // Background work.
             busy_work(2) ^ x
@@ -67,61 +38,35 @@ pub fn getsqrt_cache(iters: u32) -> Module {
         s
     }
 
-    Module::new(
-        "getsqrt-cache",
-        3,
-        Expectation::Buggy {
-            pairs: 2,
-            first_run_catchable: true,
-        },
-        true,
-        "Cache",
-        move |ctx: &ModuleCtx| {
-            let cache: Cache<u64, u64> = Cache::new(&ctx.runtime);
-            for round in 0..iters {
-                // Two logical requests race through getSqrt concurrently.
-                let a = u64::from(round) * 2;
-                let b = a + 1;
-                let c1 = cache.clone();
-                let c2 = cache.clone();
-                let mc1 = ModuleCtx {
-                    runtime: ctx.runtime.clone(),
-                    pool: ctx.pool.clone(),
-                    beat: ctx.beat,
-                };
-                let mc2 = ModuleCtx {
-                    runtime: ctx.runtime.clone(),
-                    pool: ctx.pool.clone(),
-                    beat: ctx.beat,
-                };
-                let sqrt_a = ctx.pool.spawn(move || get_sqrt(&mc1, &c1, a));
-                let sqrt_b = ctx.pool.spawn(move || get_sqrt(&mc2, &c2, b));
-                let _ = sqrt_a.join() + sqrt_b.join(); // Blocks (Fig. 3 l.15–16).
-            }
-        },
-    )
+    Module::racy("getsqrt-cache", 3, 2, "Cache", move |ctx: &ModuleCtx| {
+        let cache: Cache<u64, u64> = Cache::new(&ctx.runtime);
+        for round in 0..iters {
+            // Two logical requests race through getSqrt concurrently.
+            let a = u64::from(round) * 2;
+            let [sqrt_a, sqrt_b] = [a, a + 1].map(|x| {
+                let (mc, c) = (ctx.clone(), cache.clone());
+                ctx.pool.spawn(move || get_sqrt(&mc, &c, x))
+            });
+            let _ = sqrt_a.join() + sqrt_b.join(); // Blocks (Fig. 3 l.15–16).
+        }
+    })
 }
 
 /// Fig. 10 (a): a device manager's listener creates one async task per
 /// client message; each task writes `GlobalStatus[clientID] = s` — two
 /// near-simultaneous messages corrupt the status dictionary.
 pub fn device_manager(messages: u32) -> Module {
-    Module::new(
+    Module::racy(
         "device-manager",
         2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
+        1,
         "Dictionary",
         move |ctx: &ModuleCtx| {
             let global_status: Dictionary<u32, u64> = Dictionary::new(&ctx.runtime);
-            let p = pace(ctx);
+            let p = ctx.pace;
             let mut handles = Vec::new();
             for msg in 0..messages {
-                let status = global_status.clone();
-                let rt = ctx.runtime.clone();
+                let (status, rt) = (global_status.clone(), ctx.runtime.clone());
                 handles.push(ctx.pool.spawn(move || {
                     // Message parsing/bookkeeping before the status update.
                     let filler = Filler::new(&rt);
@@ -133,9 +78,7 @@ pub fn device_manager(messages: u32) -> Module {
                 // The listener keeps listening between messages.
                 std::thread::sleep(p / 2);
             }
-            for h in handles {
-                h.wait();
-            }
+            ctx.join_all(handles);
         },
     )
 }
@@ -144,26 +87,20 @@ pub fn device_manager(messages: u32) -> Module {
 /// configuration with `Parallel.ForEach`, each iteration writing
 /// `configureCache[host] = cl` — a concurrent-write TSV.
 pub fn network_validation(hosts: u32) -> Module {
-    Module::new(
+    Module::racy(
         "network-validation",
         1,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
+        1,
         "Dictionary",
         move |ctx: &ModuleCtx| {
             let configure_cache: Dictionary<u32, u64> = Dictionary::new(&ctx.runtime);
-            let p = pace(ctx);
-            let cache = configure_cache.clone();
-            let rt = ctx.runtime.clone();
+            let (p, rt) = (ctx.pace, ctx.runtime.clone());
             parallel_for_each(&ctx.pool, 0..hosts, move |host| {
                 let filler = Filler::new(&rt);
                 filler.tick(host);
                 filler.tick(host + 1);
                 std::thread::sleep(p); // GetConfigLevel(host).
-                cache.set(host, busy_work(1)); // configureCache[host] = cl.
+                configure_cache.set(host, busy_work(1)); // configureCache[host] = cl.
             });
         },
     )
@@ -173,45 +110,18 @@ pub fn network_validation(hosts: u32) -> Module {
 /// the same time; the undetermined result propagated and took the service
 /// down for hours.
 pub fn list_sort_race(rounds: u32) -> Module {
-    Module::new(
-        "list-sort-race",
-        2,
-        Expectation::Buggy {
-            pairs: 1,
-            first_run_catchable: true,
-        },
-        true,
-        "List",
-        move |ctx: &ModuleCtx| {
-            let list: List<u64> = List::new(&ctx.runtime);
-            for i in 0..16 {
-                list.add(busy_work(i % 7));
-            }
-            let p = pace(ctx);
-            let l1 = list.clone();
-            let rt1 = ctx.runtime.clone();
-            let sorter_a = ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt1);
-                for r in 0..rounds {
-                    filler.tick(r);
-                    l1.sort();
-                    std::thread::sleep(p);
-                }
-            });
-            let l2 = list.clone();
-            let rt2 = ctx.runtime.clone();
-            let sorter_b = ctx.pool.spawn(move || {
-                let filler = Filler::new(&rt2);
-                for r in 0..rounds {
-                    filler.tick(r);
-                    l2.sort();
-                    std::thread::sleep(p);
-                }
-            });
-            sorter_a.wait();
-            sorter_b.wait();
-        },
-    )
+    Module::racy("list-sort-race", 2, 1, "List", move |ctx: &ModuleCtx| {
+        let list: List<u64> = List::new(&ctx.runtime);
+        for i in 0..16 {
+            list.add(busy_work(i % 7));
+        }
+        // One closure per sorter: two `sort` sites, as the incident's two
+        // threads had.
+        let l = list.clone();
+        let sorter_a = ctx.paced_filled(rounds, move |_| l.sort());
+        let sorter_b = ctx.paced_filled(rounds, move |_| list.sort());
+        ctx.join_all([sorter_a, sorter_b]);
+    })
 }
 
 #[cfg(test)]

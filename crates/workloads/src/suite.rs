@@ -100,9 +100,9 @@ pub fn build_suite(config: SuiteConfig) -> Vec<Module> {
             23 => hard::rare_pair(seed, 8, small.min(3)),
             _ => {
                 if seed.is_multiple_of(3) {
-                    hard::slow_partner(seed, 12)
+                    hard::slow_partner(12)
                 } else {
-                    hard::single_shot(seed)
+                    hard::single_shot()
                 }
             }
         };
@@ -115,18 +115,7 @@ pub fn build_suite(config: SuiteConfig) -> Vec<Module> {
 /// uniquely addressable in reports.
 fn rename(m: Module, index: usize) -> Module {
     let name = format!("m{index:04}:{}", m.name());
-    let expectation = m.expectation();
-    let tests = m.tests();
-    let uses_async = m.uses_async();
-    let structure = m.structure();
-    Module::new(
-        name,
-        tests,
-        expectation,
-        uses_async,
-        structure,
-        move |ctx| m.run(ctx),
-    )
+    m.with_name(name)
 }
 
 #[cfg(test)]

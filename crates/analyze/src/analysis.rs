@@ -39,10 +39,11 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use serde::{Deserialize, Serialize};
 use tsvd_core::access::{api_class, classify_op};
 use tsvd_core::OpKind;
 
-use crate::callgraph::{call_args, GuardMode, Summaries};
+use crate::callgraph::{call_args, GuardMode, Lookups, Summaries};
 use crate::hb::{ChanEvent, HbEvidence, HbIndex, Point, RegionHb};
 use crate::lexer::{tokenize, TokKind, Token};
 use crate::lockset::LockTracker;
@@ -73,7 +74,7 @@ pub(crate) const SPAWN_CALLS: &[&str] = &[
 pub(crate) const MULTI_SPAWN_CALLS: &[&str] = &["parallel_for_each", "parallel_invoke"];
 
 /// Everything the analyzer learned about one file.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FileAnalysis {
     /// Raw-collection escapes (unfiltered; allowlisting happens later).
     pub escapes: Vec<Escape>,
@@ -99,6 +100,25 @@ pub fn analyze_file(file: &str, src: &str) -> FileAnalysis {
 /// `file` must be the analysis-root-relative path with forward slashes —
 /// it is embedded verbatim in site texts.
 pub fn analyze_file_with(file: &str, src: &str, summaries: &Summaries) -> FileAnalysis {
+    analyze_file_in(file, src, &Lookups::new(summaries, file))
+}
+
+/// [`analyze_file_with`], plus every summary name the analysis looked up
+/// with its [`Summaries::dep_digest`]: the analysis holds for as long as
+/// `src` and those digests do.
+pub(crate) fn analyze_file_recorded(
+    file: &str,
+    src: &str,
+    summaries: &Summaries,
+) -> (FileAnalysis, Vec<(String, u64)>) {
+    let lookups = Lookups::new(summaries, file);
+    let analysis = analyze_file_in(file, src, &lookups);
+    (analysis, lookups.into_deps())
+}
+
+/// The per-file pass: summaries are read through `lookups` and nothing
+/// else.
+fn analyze_file_in(file: &str, src: &str, lookups: &Lookups<'_>) -> FileAnalysis {
     let toks = tokenize(src);
     let tree = ScopeTree::build(&toks);
     let evidence = concurrency_evidence(&toks);
@@ -108,7 +128,7 @@ pub fn analyze_file_with(file: &str, src: &str, summaries: &Summaries) -> FileAn
     if let Some(ev) = &evidence {
         out.escapes = find_escapes(file, &toks, &imports, &use_ranges, ev);
     }
-    let pass = find_sites(file, &toks, &tree, &imports, summaries);
+    let pass = find_sites(file, &toks, &tree, &imports, lookups);
     let derived = derive_pairs(&pass.sites, &pass.channeled, &pass.hb);
     out.pairs = derived.kept;
     out.pruned_pairs = derived.pruned;
@@ -416,7 +436,7 @@ fn find_sites<'t>(
     toks: &[Token],
     tree: &'t ScopeTree,
     imports: &HashMap<String, Import>,
-    summaries: &Summaries,
+    lookups: &Lookups<'_>,
 ) -> SitePass<'t> {
     let file_has_task = toks.iter().any(|t| t.is_ident("Task"));
     let mut pass = SitePass {
@@ -449,9 +469,8 @@ fn find_sites<'t>(
                     handle_let(
                         toks,
                         i,
-                        file,
                         imports,
-                        summaries,
+                        lookups,
                         &mut bindings,
                         &mut locks,
                         tree.block_at(i),
@@ -565,11 +584,14 @@ fn find_sites<'t>(
             pass.hb.scopes.push(here(&pass.hb.regions));
         } else {
             // Interprocedural: a plain call to a summarized fn
-            // materializes its wrapper accesses here.
+            // materializes its wrapper accesses on tracked arguments here.
+            // With nothing tracked (a `fn` item's own signature, say) no
+            // access can materialize, so the summary is not looked up: an
+            // edit to it cannot change this file's analysis.
             let after_path = i >= 2 && (toks[i - 2].is_punct('.') || toks[i - 2].is_punct(':'));
             let Some(sum) = spawn_ident
-                .filter(|_| !after_path)
-                .and_then(|callee| summaries.lookup(file, callee))
+                .filter(|_| !after_path && !bindings.is_empty())
+                .and_then(|callee| lookups.lookup(callee))
             else {
                 continue;
             };
@@ -704,13 +726,11 @@ fn push_lock(locks: &mut Vec<(String, GuardMode)>, root: String, mode: GuardMode
 /// wrapper binding (lexical ctor / clone), constructor-returning helper,
 /// lock machinery, and finally — crucially — *shadow removal*: a rebind
 /// whose RHS none of them recognize must not leak the old meaning.
-#[allow(clippy::too_many_arguments)]
 fn handle_let(
     toks: &[Token],
     let_idx: usize,
-    file: &str,
     imports: &HashMap<String, Import>,
-    summaries: &Summaries,
+    lookups: &Lookups<'_>,
     bindings: &mut HashMap<String, Binding>,
     locks: &mut LockTracker,
     block: u32,
@@ -720,7 +740,7 @@ fn handle_let(
         bindings.insert(name, binding);
         return;
     }
-    if let Some((name, binding)) = parse_ctor_return(toks, let_idx, file, summaries) {
+    if let Some((name, binding)) = parse_ctor_return(toks, let_idx, lookups) {
         locks.forget(&name);
         bindings.insert(name, binding);
         return;
@@ -766,8 +786,7 @@ fn single_let_name<'src>(toks: &[Token<'src>], let_idx: usize) -> Option<&'src s
 fn parse_ctor_return(
     toks: &[Token],
     let_idx: usize,
-    file: &str,
-    summaries: &Summaries,
+    lookups: &Lookups<'_>,
 ) -> Option<(String, Binding)> {
     let name = single_let_name(toks, let_idx)?;
     let mut i = let_idx + 1;
@@ -779,7 +798,7 @@ fn parse_ctor_return(
     if callee.kind != TokKind::Ident || !toks.get(i + 1)?.is_punct('(') {
         return None;
     }
-    let class = summaries.lookup(file, callee.text)?.returns_class?;
+    let class = lookups.lookup(callee.text)?.returns_class?;
     Some((
         name.to_string(),
         Binding {

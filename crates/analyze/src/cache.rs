@@ -1,34 +1,49 @@
-//! The analyzer's result cache: one entry per cache directory.
+//! The analyzer's result cache: one entry per cache directory, one record
+//! per analyzed file.
 //!
-//! Everything interprocedural in the analysis (summary propagation) depends
-//! on every file, so the only state of the tree whose result can be reused
-//! without re-deriving anything is *exactly the same tree*. The cache
-//! therefore holds one entry — the merged [`AnalysisReport`] of the last
-//! analyzed tree — keyed by the **workspace digest**: a hash over every
-//! analyzed file's `(relative path, content hash)`, in analysis order. An
-//! unchanged tree replays the entry; any edit, addition, deletion, rename or
-//! reordering changes the digest, misses, and overwrites it.
+//! Summary propagation depends on every file, but a file's own analysis
+//! does not: [`analyze_file_with`](crate::analyze_file_with) reads the
+//! summary set only through `callgraph::Lookups`, the per-file pass's one
+//! view of it, which records every name resolved. So
+//! the analysis is a pure function of the file's path, its source, and what
+//! [`Summaries::lookup`](crate::Summaries::lookup) returned for each
+//! recorded name — including "nothing" and "ambiguous", so a same-named fn
+//! added elsewhere changes the answer. The digest is of the *closed*
+//! (propagated) summary, so a change reached through any number of call
+//! hops changes it too. That is what a [`FileRecord`] carries: path,
+//! [`content_hash`], `deps` (each recorded name with its
+//! `Summaries::dep_digest`), and the analysis.
 //!
-//! The entry ([`ENTRY_FILE`]) is two lines: a header `{schema, ws_digest}`,
-//! then the report as compact JSON. The header is compared, byte for byte,
-//! with the one this build would write *before* the payload is read, so a
-//! stale entry costs one short line. Any read
-//! anomaly — missing file, stale schema, foreign digest, truncated write,
-//! corruption, valid JSON of the wrong shape — is a silent miss: the caller
+//! A run reuses a stored record when the file's path and hash match and
+//! every dep still resolves to the same digest ("early cutoff"); every
+//! other file is analyzed afresh, with its lookups recorded. Fragments and
+//! propagation always run over the whole tree on a miss: they are what the
+//! deps are checked against. The per-file tiers that came before this
+//! entry keyed every file's analysis on the whole-tree digest, so any edit
+//! invalidated all of them and they could not reuse an analysis across an
+//! edit; they were removed for measuring slower than no cache.
+//!
+//! The entry ([`ENTRY_FILE`]) is a header line `{schema}` and then one
+//! record per line, in analysis order. When the stored `(path, hash)`
+//! sequence equals this tree's — same files, same bytes, same order — the
+//! stored records *are* the answer: they are merged and nothing is derived
+//! or written. Any read anomaly —
+//! missing file, stale schema, truncated write, corruption, valid JSON of
+//! the wrong shape — is a silent miss with nothing to reuse: the caller
 //! analyzes afresh and overwrites the entry. The cache can never panic the
 //! analyzer and never serves stale output.
 
-use std::io::Read;
+use std::hash::Hasher;
 use std::path::PathBuf;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
-use crate::report::AnalysisReport;
+use crate::analysis::FileAnalysis;
 
 /// Entry layout version. Bump on any change to what the entry holds, how
-/// the digest is derived, or what the analysis means; old entries then miss
-/// and are overwritten.
-pub const SCHEMA_VERSION: u32 = 2;
+/// the digests are derived, or what the analysis means; old entries then
+/// miss and are overwritten.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// File name of the one entry inside the cache directory.
 pub const ENTRY_FILE: &str = "entry.jsonl";
@@ -36,63 +51,112 @@ pub const ENTRY_FILE: &str = "entry.jsonl";
 /// FNV-1a 64-bit over raw bytes: cheap, dependency-free, and stable across
 /// platforms and runs (unlike `DefaultHasher`, which is seeded).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::default();
+    h.write(bytes);
+    h.finish()
 }
 
-/// The content key of one source file: its bytes, hashed.
+/// [`fnv1a`] as a [`Hasher`], for digesting `Hash` values.
+pub(crate) struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The content key of one source file: its bytes, hashed eight at a time.
 pub fn content_hash(src: &str) -> String {
-    format!("{:016x}", fnv1a(src.as_bytes()))
+    format!("{:016x}", word_hash(src.as_bytes()))
 }
 
-/// The whole-workspace digest over `(relative path, source)` pairs. It is
-/// order-sensitive on purpose: the report lists findings in input-file
-/// order, so the same files in another order are a different result.
-pub fn workspace_digest<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
-    let mut acc = String::new();
-    for (rel, src) in files {
-        acc.push_str(rel);
-        acc.push('\0');
-        acc.push_str(&content_hash(src));
-        acc.push('\n');
+/// A 64-bit hash over little-endian words: four independent lanes over
+/// 32-byte stripes (xxHash64's round, so the lanes' multiplies overlap),
+/// then the tail, the length, and a final avalanche. Stable across
+/// platforms and runs.
+fn word_hash(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    fn round(acc: u64, word: u64) -> u64 {
+        acc.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
     }
-    format!("{:016x}", fnv1a(acc.as_bytes()))
+    fn word(b: &[u8]) -> u64 {
+        let mut w = [0u8; 8];
+        w[..b.len()].copy_from_slice(b);
+        u64::from_le_bytes(w)
+    }
+    let mut lanes = [P1, P2, P3, P1 ^ P2];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
+        }
+    }
+    let mut h = (bytes.len() as u64).wrapping_mul(P3);
+    for lane in lanes {
+        h = round(h, lane);
+    }
+    // A short last word is zero-padded; the length above tells it apart
+    // from real zero bytes.
+    for w in stripes.remainder().chunks(8) {
+        h = round(h, word(w));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
-/// First line of the entry: everything needed to accept or reject it.
-#[derive(Serialize)]
+/// First line of the entry.
+#[derive(Serialize, Deserialize)]
 struct Header {
     schema: u32,
-    ws_digest: String,
 }
 
-/// The header line, newline included, of this build's entry for `ws_digest`.
-fn header_line(ws_digest: &str) -> Option<String> {
-    let mut line = serde_json::to_string(&Header {
-        schema: SCHEMA_VERSION,
-        ws_digest: ws_digest.to_string(),
-    })
-    .ok()?;
-    line.push('\n');
-    Some(line)
+/// One analyzed file, as stored: reusable while its path and
+/// [`content_hash`] match and every dep resolves to the same digest.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+pub struct FileRecord {
+    /// Analysis-root-relative path.
+    pub path: String,
+    /// [`content_hash`] of the source the analysis was made from.
+    pub hash: String,
+    /// Every summary name the analysis looked up, sorted, with its
+    /// `Summaries::dep_digest` at the time.
+    pub deps: Vec<(String, u64)>,
+    /// The file's analysis.
+    pub analysis: FileAnalysis,
 }
 
-/// Reads an entry: as many bytes as the expected header line has, and the
-/// payload only when they are that line.
-fn read_entry(mut entry: impl Read, ws_digest: &str) -> Option<AnalysisReport> {
-    let expected = header_line(ws_digest)?;
-    let mut header = vec![0; expected.len()];
-    entry.read_exact(&mut header).ok()?;
-    if header != expected.as_bytes() {
+/// Parses an entry, its records on up to `threads` workers; `None` on any
+/// anomaly.
+fn parse_entry(text: &str, threads: usize) -> Option<Vec<FileRecord>> {
+    let mut lines = text.lines();
+    let header: Header = serde_json::from_str(lines.next()?).ok()?;
+    if header.schema != SCHEMA_VERSION {
         return None;
     }
-    let mut payload = String::new();
-    entry.read_to_string(&mut payload).ok()?;
-    serde_json::from_str(&payload).ok()
+    let lines: Vec<&str> = lines.collect();
+    crate::fan_out(&lines, threads, |line| serde_json::from_str(line).ok())
+        .into_iter()
+        .collect()
 }
 
 /// The on-disk cache. `dir: None` disables it: every load misses, every
@@ -113,27 +177,29 @@ impl Cache {
         self.dir.as_ref().map(|d| d.join(ENTRY_FILE))
     }
 
-    /// The stored report, if the entry was written by this schema for
-    /// exactly the workspace `ws_digest` names.
-    pub fn load(&self, ws_digest: &str) -> Option<AnalysisReport> {
-        read_entry(std::fs::File::open(self.entry_path()?).ok()?, ws_digest)
+    /// The stored records, if there is an entry this schema can read,
+    /// parsed on up to `threads` workers (`0` or `1` parses inline).
+    pub fn load(&self, threads: usize) -> Option<Vec<FileRecord>> {
+        parse_entry(&std::fs::read_to_string(self.entry_path()?).ok()?, threads)
     }
 
-    /// Stores `report` as the entry for `ws_digest`, crash-safely (see
-    /// [`tsvd_core::save_atomic`]). Best-effort: IO errors are swallowed (a
-    /// cache that cannot write is just a slow cache).
-    pub fn store(&self, ws_digest: &str, report: &AnalysisReport) {
+    /// Stores `records` as the entry, serialized on up to `threads`
+    /// workers, crash-safely (see [`tsvd_core::save_atomic`]). Best-effort:
+    /// IO errors are swallowed (a cache that cannot write is just a slow
+    /// cache).
+    pub fn store(&self, records: &[FileRecord], threads: usize) {
         let Some(dir) = &self.dir else {
             return;
         };
-        // One buffer: the payload is serialized once and the header line
-        // moved in front of it in place.
-        let (Some(header), Ok(mut entry)) = (header_line(ws_digest), serde_json::to_string(report))
-        else {
-            return;
+        let header = Header {
+            schema: SCHEMA_VERSION,
         };
-        entry.insert_str(0, &header);
+        let mut entry = serde_json::to_string(&header).unwrap_or_default();
         entry.push('\n');
+        for line in crate::fan_out(records, threads, serde_json::to_string) {
+            entry.push_str(&line.unwrap_or_default());
+            entry.push('\n');
+        }
         let _ = std::fs::create_dir_all(dir);
         let _ = tsvd_core::save_atomic(&dir.join(ENTRY_FILE), entry);
     }
@@ -149,9 +215,10 @@ mod tests {
         (dir.clone(), Cache::new(Some(dir)))
     }
 
-    /// A report with every record list populated: one unguarded spawn pair,
-    /// one join-ordered (pruned) pair, a raw-collection escape, an await.
-    fn sample_report() -> AnalysisReport {
+    /// A record whose analysis populates every list: one unguarded spawn
+    /// pair, one join-ordered (pruned) pair, a raw-collection escape, an
+    /// await — and a dep.
+    fn sample_record() -> FileRecord {
         let src = "use std::collections::HashMap;\n\
                    use tsvd_collections::Dictionary;\n\
                    async fn f(pool: &Pool) {\n\
@@ -167,26 +234,24 @@ mod tests {
                        e.set(4, 4);\n\
                        tick().await;\n\
                    }\n";
-        let fa = crate::analysis::analyze_file("x.rs", src);
-        let report = AnalysisReport {
-            files_scanned: 1,
-            escapes: fa.escapes,
-            sites: fa.sites,
-            pairs: fa.pairs,
-            pruned_pairs: fa.pruned_pairs,
-            awaits: fa.awaits,
-            ..AnalysisReport::default()
-        };
+        let summaries = crate::Summaries::build(&[("x.rs".to_string(), src.to_string())]);
+        let (analysis, deps) = crate::analysis::analyze_file_recorded("x.rs", src, &summaries);
+        let fa = &analysis;
         assert!(
-            !(report.escapes.is_empty()
-                || report.sites.is_empty()
-                || report.pairs.is_empty()
-                || report.pruned_pairs.is_empty()
-                || report.awaits.is_empty()),
-            "fixture must populate every record list: {}",
-            report.to_jsonl()
+            !(fa.escapes.is_empty()
+                || fa.sites.is_empty()
+                || fa.pairs.is_empty()
+                || fa.pruned_pairs.is_empty()
+                || fa.awaits.is_empty()
+                || deps.is_empty()),
+            "fixture must populate every list: {fa:?} {deps:?}"
         );
-        report
+        FileRecord {
+            path: "x.rs".to_string(),
+            hash: content_hash(src),
+            deps,
+            analysis,
+        }
     }
 
     #[test]
@@ -197,110 +262,40 @@ mod tests {
     }
 
     #[test]
-    fn workspace_digest_covers_content_path_membership_and_order() {
-        let base = workspace_digest([("a.rs", "fn a() {}"), ("b.rs", "fn b() {}")]);
-        assert_eq!(
-            base,
-            workspace_digest([("a.rs", "fn a() {}"), ("b.rs", "fn b() {}")]),
-            "a pure function of its input"
-        );
-        for (what, other) in [
-            (
-                "content",
-                vec![("a.rs", "fn a() {}"), ("b.rs", "fn c() {}")],
-            ),
-            ("rename", vec![("a.rs", "fn a() {}"), ("c.rs", "fn b() {}")]),
-            ("removal", vec![("a.rs", "fn a() {}")]),
-            (
-                "addition",
-                vec![("a.rs", "fn a() {}"), ("b.rs", "fn b() {}"), ("c.rs", "")],
-            ),
-            ("order", vec![("b.rs", "fn b() {}"), ("a.rs", "fn a() {}")]),
-        ] {
-            assert_ne!(base, workspace_digest(other), "{what} must change it");
+    fn content_hash_is_stable_and_sees_every_byte() {
+        // Pinned: a change to the hash must bump SCHEMA_VERSION.
+        assert_eq!(content_hash(""), "c0770020619cf140");
+        assert_eq!(content_hash("fn main() {}\n"), "956aba48a70a9a95");
+        // Every length through two stripes and a tail, every byte position
+        // flipped, and zero bytes appended: all distinct.
+        let base: Vec<u8> = (0..80u8).map(|b| b.wrapping_mul(37)).collect();
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=base.len() {
+            assert!(seen.insert(word_hash(&base[..len])), "length {len}");
+            for at in 0..len {
+                for bit in [0x01, 0x80] {
+                    let mut flipped = base[..len].to_vec();
+                    flipped[at] ^= bit;
+                    assert!(seen.insert(word_hash(&flipped)), "{len}: byte {at}");
+                }
+            }
+            let mut padded = base[..len].to_vec();
+            padded.push(0);
+            assert_ne!(word_hash(&padded), word_hash(&base[..len]), "{len} + 0");
         }
     }
 
     #[test]
-    fn report_round_trips_and_gates_on_workspace_digest() {
+    fn records_round_trip_and_a_store_replaces_the_entry() {
         let (dir, cache) = tmp_cache("roundtrip");
-        let report = sample_report();
-        assert!(cache.load("digest-1").is_none(), "cold");
-        cache.store("digest-1", &report);
-        let back = cache.load("digest-1").expect("warm hit");
-        assert_eq!(back.to_jsonl(), report.to_jsonl());
-        assert_eq!(back.pairs, report.pairs);
-        assert_eq!(back.sites, report.sites);
-        assert_eq!(back.escapes, report.escapes);
-        assert_eq!(back.pruned_pairs, report.pruned_pairs);
-        assert_eq!(back.awaits, report.awaits);
-        // Same entry, different workspace: any file's edit could have
-        // changed the summaries every file's analysis depends on.
-        assert!(cache.load("digest-2").is_none());
+        assert!(cache.load(1).is_none(), "cold");
+        let records = [sample_record(), sample_record()];
+        cache.store(&records, 1);
+        assert_eq!(cache.load(1).expect("warm"), records);
         // A store for another workspace replaces the entry, never adds one.
-        cache.store("digest-2", &AnalysisReport::default());
-        assert!(cache.load("digest-1").is_none());
-        assert!(cache.load("digest-2").is_some());
+        cache.store(&[], 1);
+        assert!(cache.load(1).expect("replaced").is_empty());
         assert_eq!(std::fs::read_dir(&dir).expect("read_dir").count(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Counts the bytes handed out by the reader it wraps.
-    struct Counted<R> {
-        inner: R,
-        bytes: usize,
-    }
-
-    impl<R: Read> Read for Counted<R> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.inner.read(buf)?;
-            self.bytes += n;
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn a_miss_reads_the_header_line_and_nothing_else() {
-        let (dir, cache) = tmp_cache("header_only");
-        let report = sample_report();
-        cache.store("digest-1", &report);
-        let text = std::fs::read(cache.entry_path().expect("path")).expect("read");
-        let header_len = text.iter().position(|&b| b == b'\n').expect("two lines") + 1;
-        assert!(
-            text.len() > 10 * header_len,
-            "the payload dwarfs the header"
-        );
-        // Same-length digest (the real case: digests are 16 hex digits),
-        // a longer one, a shorter one, and the entry of another schema.
-        let other_schema = String::from_utf8(text.clone())
-            .expect("utf-8")
-            .replace(
-                &format!("\"schema\":{SCHEMA_VERSION}"),
-                &format!("\"schema\":{}", SCHEMA_VERSION + 1),
-            )
-            .into_bytes();
-        for (entry, digest) in [
-            (&text, "digest-2"),
-            (&text, "digest-10"),
-            (&text, "digest"),
-            (&other_schema, "digest-1"),
-        ] {
-            let mut counted = Counted {
-                inner: entry.as_slice(),
-                bytes: 0,
-            };
-            assert!(read_entry(&mut counted, digest).is_none(), "{digest}");
-            let expected = header_line(digest).expect("header").len();
-            assert_eq!(counted.bytes, expected, "{digest}: header bytes only");
-        }
-        // The hit reads everything and returns what was stored.
-        let mut counted = Counted {
-            inner: text.as_slice(),
-            bytes: 0,
-        };
-        let back = read_entry(&mut counted, "digest-1").expect("hit");
-        assert_eq!(counted.bytes, text.len());
-        assert_eq!(back.to_jsonl(), report.to_jsonl());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -308,17 +303,17 @@ mod tests {
     fn disabled_cache_is_inert() {
         let cache = Cache::new(None);
         assert!(cache.entry_path().is_none());
-        cache.store("1234", &AnalysisReport::default());
-        assert!(cache.load("1234").is_none());
+        cache.store(&[sample_record()], 1);
+        assert!(cache.load(1).is_none());
     }
 
     #[test]
     fn stale_schema_entries_are_rejected() {
-        // Every header field matches except the schema version — exactly
+        // Every record matches; only the schema version differs — exactly
         // what another build's entry looks like after an upgrade. It must
         // miss, not load.
         let (dir, cache) = tmp_cache("schema");
-        cache.store("1234", &sample_report());
+        cache.store(&[sample_record()], 1);
         let path = cache.entry_path().expect("path");
         let text = std::fs::read_to_string(&path).expect("read");
         let bumped = text.replace(
@@ -327,39 +322,39 @@ mod tests {
         );
         assert_ne!(text, bumped, "fixture must actually change the schema");
         std::fs::write(&path, bumped).expect("write");
-        assert!(cache.load("1234").is_none());
+        assert!(cache.load(1).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_and_truncated_entries_miss_without_panicking() {
         let (dir, cache) = tmp_cache("corrupt");
-        cache.store("1234", &sample_report());
+        cache.store(&[sample_record(), sample_record()], 1);
         let path = cache.entry_path().expect("path");
         let text = std::fs::read_to_string(&path).expect("read");
-        assert!(cache.load("1234").is_some(), "intact entry hits");
-        // Truncated mid-payload (the header survives and matches), inside
-        // the header, and to nothing.
-        let header_len = text.find('\n').expect("two lines");
+        assert!(cache.load(1).is_some(), "intact entry loads");
+        // Truncated mid-record (the header survives), inside the header,
+        // and to nothing.
+        let header_len = text.find('\n').expect("header line");
         for cut in [text.len() / 2, text.len() - 2, header_len / 2, 0] {
             std::fs::write(&path, &text[..cut]).expect("write");
-            assert!(cache.load("1234").is_none(), "cut at {cut}");
+            assert!(cache.load(1).is_none(), "cut at {cut}");
         }
-        // Outright garbage, as the whole file and as the payload.
+        // Outright garbage, as the whole file and as a record.
         std::fs::write(&path, b"\x00\xff not json at all").expect("write");
-        assert!(cache.load("1234").is_none());
+        assert!(cache.load(1).is_none());
         let header = &text[..=header_len];
         std::fs::write(&path, format!("{header}not json at all\n")).expect("write");
-        assert!(cache.load("1234").is_none());
-        // Valid JSON, wrong shape: whole file, header, payload.
+        assert!(cache.load(1).is_none());
+        // Valid JSON, wrong shape: whole file, header, record.
         for wrong in [
             "[1, 2, 3]".to_string(),
             format!("[1, 2, 3]\n{}", &text[header_len + 1..]),
             format!("{header}[1, 2, 3]\n"),
-            format!("{header}{{\"files_scanned\":\"many\"}}\n"),
+            format!("{header}{{\"path\":\"x.rs\",\"hash\":7}}\n"),
         ] {
             std::fs::write(&path, &wrong).expect("write");
-            assert!(cache.load("1234").is_none(), "{wrong:?}");
+            assert!(cache.load(1).is_none(), "{wrong:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -13,8 +13,15 @@
 //! heuristic, bounded (the fixed point caps at [`MAX_HOPS`] call-graph
 //! hops), and resolve callees by bare name — same file first, then a
 //! unique global match; ambiguous names are skipped rather than guessed.
+//!
+//! The per-file pass reads summaries only through a `Lookups` handle,
+//! which records every name it resolves. A file's analysis is therefore a
+//! function of its path, its source, and `Summaries::dep_digest` of each
+//! recorded name — what the analyzer's cache keys a stored analysis on.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use tsvd_core::access::{api_class, classify_op};
@@ -33,7 +40,7 @@ pub const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "TsvdMutex"];
 pub const MAX_HOPS: u32 = 8;
 
 /// How a guard serializes its critical section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GuardMode {
     /// `lock()` / `write()`: mutual exclusion with every other guard.
     Exclusive,
@@ -42,7 +49,7 @@ pub enum GuardMode {
 }
 
 /// One declared parameter of a summarized function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Param {
     /// Declared parameter name.
     pub name: String,
@@ -55,7 +62,7 @@ pub struct Param {
 
 /// One access a function performs (directly or transitively) on one of its
 /// wrapper-typed parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct ParamOp {
     /// Index of the accessed parameter in [`FnSummary::params`].
     pub param: usize,
@@ -85,7 +92,7 @@ pub struct ParamOp {
 
 /// One outgoing call with its bare-ident argument names by position
 /// (`None` for arguments too complex to name).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct CallEdge {
     /// Bare callee name.
     pub callee: String,
@@ -94,7 +101,7 @@ pub struct CallEdge {
 }
 
 /// Everything the interprocedural layer knows about one `fn` item.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct FnSummary {
     /// File the `fn` item lives in (root-relative, forward slashes).
     pub file: Arc<str>,
@@ -192,6 +199,16 @@ impl Summaries {
         None
     }
 
+    /// A digest of what [`lookup`](Self::lookup) resolves `name` to from
+    /// `file`: the whole closed summary, or the fact that nothing (or more
+    /// than one candidate) matched. A file analysis recorded under this
+    /// digest holds for as long as the digest does.
+    pub(crate) fn dep_digest(&self, file: &str, name: &str) -> u64 {
+        let mut h = crate::cache::Fnv64::default();
+        self.lookup(file, name).hash(&mut h);
+        h.finish()
+    }
+
     /// Number of summarized functions (tests / stats).
     pub fn len(&self) -> usize {
         self.all.len()
@@ -266,6 +283,49 @@ impl Summaries {
             }
         }
         gained
+    }
+}
+
+/// The per-file pass's only view of the summaries: [`Summaries::lookup`]
+/// from one file, with every name asked for recorded. Nothing else of the
+/// summary set is reachable through it, so the recorded names are all a
+/// file's analysis depends on beyond its own source.
+pub(crate) struct Lookups<'a> {
+    summaries: &'a Summaries,
+    file: &'a str,
+    names: RefCell<BTreeSet<String>>,
+}
+
+impl<'a> Lookups<'a> {
+    /// A recording view of `summaries` from `file`.
+    pub(crate) fn new(summaries: &'a Summaries, file: &'a str) -> Self {
+        Lookups {
+            summaries,
+            file,
+            names: RefCell::default(),
+        }
+    }
+
+    /// [`Summaries::lookup`] from this handle's file, recorded.
+    pub(crate) fn lookup(&self, name: &str) -> Option<&'a FnSummary> {
+        let mut names = self.names.borrow_mut();
+        if !names.contains(name) {
+            names.insert(name.to_string());
+        }
+        self.summaries.lookup(self.file, name)
+    }
+
+    /// Every recorded name, sorted, with its [`Summaries::dep_digest`].
+    pub(crate) fn into_deps(self) -> Vec<(String, u64)> {
+        let (summaries, file) = (self.summaries, self.file);
+        self.names
+            .into_inner()
+            .into_iter()
+            .map(|name| {
+                let digest = summaries.dep_digest(file, &name);
+                (name, digest)
+            })
+            .collect()
     }
 }
 
@@ -746,94 +806,13 @@ mod tests {
         assert_propagation_matches_the_snapshot_oracle("fixtures", &files);
     }
 
-    /// One random tree of helper functions: a small pool of names (so the
-    /// same name lands in one file twice, or in two files), collection,
-    /// lock and plain parameters, guarded and unguarded and spawned
-    /// accesses, and calls — to itself, backwards and forwards — passing
-    /// its own parameters on in random positions.
-    fn random_call_graph(rng: &mut crate::testrand::Seeded) -> Vec<(String, String)> {
-        const NAMES: &[&str] = &[
-            "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q",
-            "r", "s", "t", "u", "v", "relay", "leaf",
-        ];
-        const TYPES: &[&str] = &[
-            "&Dictionary<u64, u64>",
-            "&Dictionary<u64, u64>",
-            "Arc<Dictionary<u64, u64>>",
-            "Arc<List<u64>>",
-            "&TsvdMutex<u32>",
-            "u64",
-        ];
-        const METHODS: &[&str] = &["set(1, 1)", "get(&1)", "add(2)", "len()", "clear()"];
-        let files = 1 + rng.below(3);
-        (0..files)
-            .map(|f| {
-                let mut src = String::new();
-                for _ in 0..4 + rng.below(9) {
-                    let name = NAMES[rng.below(NAMES.len())];
-                    let params: Vec<(String, &str)> = (0..1 + rng.below(4))
-                        .map(|p| {
-                            // Half the second parameters are locks, so a
-                            // guard often survives a positional hand-on.
-                            let lock_slot = p == 1 && rng.below(2) == 0;
-                            let ty = if lock_slot {
-                                TYPES[4]
-                            } else {
-                                TYPES[rng.below(TYPES.len())]
-                            };
-                            (format!("p{p}"), ty)
-                        })
-                        .collect();
-                    let decl: Vec<String> =
-                        params.iter().map(|(n, t)| format!("{n}: {t}")).collect();
-                    src.push_str(&format!("fn {name}({}) {{\n", decl.join(", ")));
-                    // Guards go first and on a lock when there is one, so
-                    // some of what follows is held under it.
-                    for (p, _) in params.iter().filter(|(_, t)| t.contains("Mutex")) {
-                        if rng.below(2) == 0 {
-                            src.push_str(&format!("    let g = {p}.lock();\n"));
-                        }
-                    }
-                    for _ in 0..1 + rng.below(8) {
-                        let (p, _) = &params[rng.below(params.len())];
-                        match rng.below(8) {
-                            0 => src.push_str(&format!("    let g = {p}.read();\n")),
-                            1 => src.push_str(&format!("    {p}.{};\n", METHODS[rng.below(5)])),
-                            2 => src.push_str(&format!(
-                                "    pool.spawn(move || {p}.{});\n",
-                                METHODS[rng.below(5)]
-                            )),
-                            _ => {
-                                let args: Vec<String> = (0..1 + rng.below(4))
-                                    .map(|k| match rng.below(6) {
-                                        0 => "7".to_string(),
-                                        // Its own parameter of that position.
-                                        1 | 2 => format!("&p{}", k.min(params.len() - 1)),
-                                        3 => {
-                                            format!("{}.clone()", params[rng.below(params.len())].0)
-                                        }
-                                        _ => format!("&{}", params[rng.below(params.len())].0),
-                                    })
-                                    .collect();
-                                let callee = NAMES[rng.below(NAMES.len())];
-                                src.push_str(&format!("    {callee}({});\n", args.join(", ")));
-                            }
-                        }
-                    }
-                    src.push_str("}\n");
-                }
-                (format!("f{f}.rs"), src)
-            })
-            .collect()
-    }
-
     #[test]
     fn two_phase_propagation_equals_the_snapshot_version_on_random_call_graphs() {
         let mut rng = crate::testrand::Seeded::new(0x7073_7664_5f32_3300);
         let mut propagated: Vec<ParamOp> = Vec::new();
         let mut graphs_that_propagate = 0;
         for graph in 0..200 {
-            let files = random_call_graph(&mut rng);
+            let files = crate::testrand::random_call_graph(&mut rng);
             let added =
                 assert_propagation_matches_the_snapshot_oracle(&format!("graph {graph}"), &files);
             graphs_that_propagate += usize::from(!added.is_empty());

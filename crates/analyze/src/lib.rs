@@ -56,7 +56,7 @@ use std::sync::Mutex;
 
 pub use allowlist::{AllowEntry, Allowlist};
 pub use analysis::{analyze_file, analyze_file_with, instrumented_op_literals, FileAnalysis};
-pub use cache::Cache;
+pub use cache::{Cache, FileRecord};
 pub use callgraph::Summaries;
 pub use report::{AnalysisReport, Escape, StaticPair, StaticSite};
 
@@ -123,17 +123,26 @@ pub fn analyze_paths_with(
             }
         }
     }
-    // The digest covers readable files only, so it cannot tell two runs
+    // The records cover readable files only, so they cannot tell two runs
     // apart that differ in what they had to skip: a run with a skipped
     // file neither trusts the entry nor writes one.
     let cache = Cache::new(opts.cache_dir.clone().filter(|_| report.files_skipped == 0));
-    let ws_digest = cache::workspace_digest(
-        sources
+    let hashes: Vec<String> = sources
+        .iter()
+        .map(|(_, src)| cache::content_hash(src))
+        .collect();
+    // A full hit is a stored record for every file, in order, made from
+    // the bytes it has now: the stored records are then the answer.
+    let stored = cache.load(opts.threads);
+    let hit = stored.as_ref().is_some_and(|records| {
+        records
             .iter()
-            .map(|(rel, src)| (rel.as_str(), src.as_str())),
-    );
-    if let Some(hit) = cache.load(&ws_digest) {
-        return Ok(hit);
+            .map(|r| (&r.path, &r.hash))
+            .eq(sources.iter().map(|(rel, _)| rel).zip(&hashes))
+    });
+    let stored = stored.unwrap_or_default();
+    if hit {
+        return Ok(merge(report, stored));
     }
     // Whole-tree function summaries before any per-file pass, so helper
     // calls resolve across files of the same crate. Fragments feed in
@@ -143,11 +152,48 @@ pub fn analyze_paths_with(
         Summaries::file_fragments(rel, src)
     });
     let summaries = Summaries::from_fragments(fragments.into_iter().flatten());
+    // A stored record is moved over when its file's bytes and every
+    // summary it looked up are unchanged; the rest are analyzed afresh.
+    let mut prior: HashMap<String, FileRecord> =
+        stored.into_iter().map(|r| (r.path.clone(), r)).collect();
+    let mut records: Vec<Option<FileRecord>> = sources
+        .iter()
+        .zip(&hashes)
+        .map(|((rel, _), hash)| {
+            prior.remove(rel).filter(|r| {
+                r.hash == *hash
+                    && r.deps
+                        .iter()
+                        .all(|(name, digest)| summaries.dep_digest(rel, name) == *digest)
+            })
+        })
+        .collect();
+    let stale: Vec<usize> = (0..sources.len())
+        .filter(|&i| records[i].is_none())
+        .collect();
     // Merge in input-file order regardless of which worker finished first.
-    let analyses = fan_out(&sources, opts.threads, |(rel, src)| {
-        analysis::analyze_file_with(rel, src, &summaries)
+    let fresh = fan_out(&stale, opts.threads, |&i| {
+        let (rel, src) = &sources[i];
+        let (analysis, deps) = analysis::analyze_file_recorded(rel, src, &summaries);
+        FileRecord {
+            path: rel.clone(),
+            hash: hashes[i].clone(),
+            deps,
+            analysis,
+        }
     });
-    for fa in analyses {
+    for (i, record) in stale.into_iter().zip(fresh) {
+        records[i] = Some(record);
+    }
+    let records: Vec<FileRecord> = records.into_iter().flatten().collect();
+    cache.store(&records, opts.threads);
+    Ok(merge(report, records))
+}
+
+/// The report of a tree from its files' records, in input-file order: the
+/// one merge both a full hit and a fresh or partly reused run go through.
+fn merge(mut report: AnalysisReport, records: Vec<FileRecord>) -> AnalysisReport {
+    for FileRecord { analysis: fa, .. } in records {
         report.files_scanned += 1;
         report.escapes.extend(fa.escapes);
         report.sites.extend(fa.sites);
@@ -158,8 +204,7 @@ pub fn analyze_paths_with(
     dedupe_pairs(&mut report.pairs);
     dedupe_pairs(&mut report.pruned_pairs);
     drop_pruned_twins(&mut report.pruned_pairs, &report.pairs);
-    cache.store(&ws_digest, &report);
-    Ok(report)
+    report
 }
 
 /// `f` over every item on up to `threads` workers (`0` or `1` runs inline),
@@ -175,7 +220,11 @@ pub fn analyze_paths_with(
 /// fan-out that started in that moment was given fresh arenas while the old
 /// ones were still held — `peak_rss_mb` 33–36 MiB one run in eight, against
 /// 29–30 (EXPERIMENTS.md "PR 23").
-fn fan_out<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     let workers = threads.min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
@@ -282,6 +331,90 @@ pub(crate) mod testrand {
                 (0..rng.below(24))
                     .map(|_| pieces[rng.below(pieces.len())])
                     .collect()
+            })
+            .collect()
+    }
+
+    /// The fn names [`random_call_graph`] draws from: few, so the same
+    /// name lands in one file twice, or in two files.
+    pub(crate) const NAMES: &[&str] = &[
+        "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q", "r",
+        "s", "t", "u", "v", "relay", "leaf",
+    ];
+
+    /// One random tree of helper functions: a small pool of names (so the
+    /// same name lands in one file twice, or in two files), collection,
+    /// lock and plain parameters, guarded and unguarded and spawned
+    /// accesses, and calls — to itself, backwards and forwards — passing
+    /// its own parameters on in random positions.
+    pub(crate) fn random_call_graph(rng: &mut Seeded) -> Vec<(String, String)> {
+        const TYPES: &[&str] = &[
+            "&Dictionary<u64, u64>",
+            "&Dictionary<u64, u64>",
+            "Arc<Dictionary<u64, u64>>",
+            "Arc<List<u64>>",
+            "&TsvdMutex<u32>",
+            "u64",
+        ];
+        const METHODS: &[&str] = &["set(1, 1)", "get(&1)", "add(2)", "len()", "clear()"];
+        let files = 1 + rng.below(3);
+        (0..files)
+            .map(|f| {
+                let mut src = String::new();
+                for _ in 0..4 + rng.below(9) {
+                    let name = NAMES[rng.below(NAMES.len())];
+                    let params: Vec<(String, &str)> = (0..1 + rng.below(4))
+                        .map(|p| {
+                            // Half the second parameters are locks, so a
+                            // guard often survives a positional hand-on.
+                            let lock_slot = p == 1 && rng.below(2) == 0;
+                            let ty = if lock_slot {
+                                TYPES[4]
+                            } else {
+                                TYPES[rng.below(TYPES.len())]
+                            };
+                            (format!("p{p}"), ty)
+                        })
+                        .collect();
+                    let decl: Vec<String> =
+                        params.iter().map(|(n, t)| format!("{n}: {t}")).collect();
+                    src.push_str(&format!("fn {name}({}) {{\n", decl.join(", ")));
+                    // Guards go first and on a lock when there is one, so
+                    // some of what follows is held under it.
+                    for (p, _) in params.iter().filter(|(_, t)| t.contains("Mutex")) {
+                        if rng.below(2) == 0 {
+                            src.push_str(&format!("    let g = {p}.lock();\n"));
+                        }
+                    }
+                    for _ in 0..1 + rng.below(8) {
+                        let (p, _) = &params[rng.below(params.len())];
+                        match rng.below(8) {
+                            0 => src.push_str(&format!("    let g = {p}.read();\n")),
+                            1 => src.push_str(&format!("    {p}.{};\n", METHODS[rng.below(5)])),
+                            2 => src.push_str(&format!(
+                                "    pool.spawn(move || {p}.{});\n",
+                                METHODS[rng.below(5)]
+                            )),
+                            _ => {
+                                let args: Vec<String> = (0..1 + rng.below(4))
+                                    .map(|k| match rng.below(6) {
+                                        0 => "7".to_string(),
+                                        // Its own parameter of that position.
+                                        1 | 2 => format!("&p{}", k.min(params.len() - 1)),
+                                        3 => {
+                                            format!("{}.clone()", params[rng.below(params.len())].0)
+                                        }
+                                        _ => format!("&{}", params[rng.below(params.len())].0),
+                                    })
+                                    .collect();
+                                let callee = NAMES[rng.below(NAMES.len())];
+                                src.push_str(&format!("    {callee}({});\n", args.join(", ")));
+                            }
+                        }
+                    }
+                    src.push_str("}\n");
+                }
+                (format!("f{f}.rs"), src)
             })
             .collect()
     }
@@ -597,5 +730,156 @@ fn main() {
         assert!(report.warnings.iter().any(|w| w.starts_with("bad.rs:")));
         assert!(report.warnings.iter().any(|w| w.starts_with("missing.rs:")));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A caller for one file of a random call graph: tracked collections
+    /// and a lock handed to `names` (mostly the file's own fns, so the
+    /// calls resolve) from a spawned task and from the caller, so callee
+    /// summaries materialize as sites and pairs.
+    fn random_caller(rng: &mut testrand::Seeded, names: &[&str], tag: &str) -> String {
+        const FIRST: &[&str] = &["&d", "&d1", "&l", "l1.clone()"];
+        const REST: &[&str] = &["&d", "&d1", "&l", "l1.clone()", "&m", "7"];
+        let mut call = || {
+            let mut args = vec![FIRST[rng.below(FIRST.len())]];
+            args.extend((0..rng.below(3)).map(|_| REST[rng.below(REST.len())]));
+            let name = match rng.below(4) {
+                0 => testrand::NAMES[rng.below(testrand::NAMES.len())],
+                _ => names[rng.below(names.len())],
+            };
+            format!("{name}({})", args.join(", "))
+        };
+        let calls = [call(), call(), call(), call()];
+        format!(
+            "fn call_{tag}(pool: &Pool) {{\n    \
+                 let d = Dictionary::new();\n    \
+                 let l = List::new();\n    \
+                 let m = TsvdMutex::new(0u32);\n    \
+                 let d1 = d.clone();\n    \
+                 let l1 = l.clone();\n    \
+                 pool.spawn(move || {{\n        {};\n        {};\n    }});\n    \
+                 {};\n    \
+                 {};\n\
+             }}\n",
+            calls[0], calls[1], calls[2], calls[3]
+        )
+    }
+
+    /// One random file: a random call graph's first file plus a caller.
+    fn random_file(rng: &mut testrand::Seeded, tag: &str) -> String {
+        let mut src = testrand::random_call_graph(rng).swap_remove(0).1;
+        let names: Vec<&str> = src
+            .lines()
+            .filter_map(|l| l.strip_prefix("fn ")?.split('(').next())
+            .collect();
+        let caller = random_caller(rng, &names, tag);
+        src.push_str(&caller);
+        src
+    }
+
+    /// One random edit: a file rewritten, an inert fn appended, a fn with a
+    /// drawn name added (new matches, new ambiguity), an access flipped
+    /// from read to write, a file deleted or a file added.
+    fn random_edit(rng: &mut testrand::Seeded, files: &mut Vec<(String, String)>, step: usize) {
+        let i = rng.below(files.len());
+        match rng.below(6) {
+            0 => files[i].1 = random_file(rng, &format!("s{step}")),
+            1 => files[i]
+                .1
+                .push_str(&format!("fn inert_{step}(x: u64) -> u64 {{\n    x\n}}\n")),
+            2 => {
+                let name = testrand::NAMES[rng.below(testrand::NAMES.len())];
+                files[i].1.push_str(&format!(
+                    "fn {name}(p0: &Dictionary<u64, u64>) {{\n    p0.set(1, 1);\n}}\n"
+                ));
+            }
+            3 => files[i].1 = files[i].1.replacen("get(&1)", "set(1, 1)", 1),
+            4 if files.len() > 1 => {
+                files.remove(i);
+            }
+            _ => files.push((format!("n{step}.rs"), random_file(rng, &format!("n{step}")))),
+        }
+    }
+
+    #[test]
+    fn cached_equals_uncached_along_random_edit_sequences() {
+        const MARK: &str = "reused:";
+        let dir = std::env::temp_dir().join(format!("tsvd_analyze_diff_{}", std::process::id()));
+        let cache_dir = dir.join(".cache");
+        let mut rng = testrand::Seeded::new(0x6564_6974_5f73_6571);
+        let (mut steps, mut reused_files, mut fresh_files) = (0, 0, 0);
+        let (mut with_sites, mut with_pairs) = (0, 0);
+        for sequence in 0..24 {
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let mut files: Vec<(String, String)> = (0..2 + rng.below(3))
+                .map(|f| (format!("f{f}.rs"), random_file(&mut rng, &format!("f{f}"))))
+                .collect();
+            for step in 0..8 {
+                if step > 0 {
+                    random_edit(&mut rng, &mut files, step);
+                }
+                for entry in std::fs::read_dir(&dir).expect("read_dir") {
+                    let path = entry.expect("entry").path();
+                    if path.extension().is_some_and(|e| e == "rs") {
+                        std::fs::remove_file(path).expect("clear");
+                    }
+                }
+                for (name, src) in &files {
+                    std::fs::write(dir.join(name), src).expect("write");
+                }
+                let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+                // Mark every stored record: a reused one carries its marker
+                // into the report.
+                let cache = Cache::new(Some(cache_dir.clone()));
+                if let Some(mut stored) = cache.load(1) {
+                    for r in &mut stored {
+                        if !r.analysis.awaits.iter().any(|a| a.file.starts_with(MARK)) {
+                            r.analysis.awaits.push(report::AwaitPoint {
+                                file: format!("{MARK}{}", r.path),
+                                line: 0,
+                                column: 0,
+                            });
+                        }
+                    }
+                    cache.store(&stored, 1);
+                }
+                let opts = AnalyzeOptions {
+                    threads: 1 + step % 2,
+                    cache_dir: Some(cache_dir.clone()),
+                };
+                let mut cached = analyze_paths_with(&dir, &names, &opts).expect("cached");
+                let reused = cached
+                    .awaits
+                    .iter()
+                    .filter(|a| a.file.starts_with(MARK))
+                    .count();
+                cached.awaits.retain(|a| !a.file.starts_with(MARK));
+                let uncached = analyze_paths(&dir, &names).expect("uncached");
+                assert_eq!(
+                    cached.to_jsonl(),
+                    uncached.to_jsonl(),
+                    "sequence {sequence} step {step}: {files:#?}"
+                );
+                steps += 1;
+                if step > 0 {
+                    reused_files += reused;
+                    fresh_files += files.len() - reused;
+                }
+                with_pairs += usize::from(!uncached.pairs.is_empty());
+                with_sites += usize::from(!uncached.sites.is_empty());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        // The sequences exercise both sides of the cutoff, on trees with
+        // findings to get wrong. The callers access nothing themselves, so
+        // every site is a callee's access materialized through a summary.
+        assert!(
+            reused_files >= 200
+                && fresh_files >= 150
+                && with_sites >= steps / 2
+                && with_pairs >= steps / 4,
+            "{reused_files} reused, {fresh_files} re-analyzed; of {steps} steps {with_sites} \
+             with sites, {with_pairs} with pairs"
+        );
     }
 }

@@ -2,11 +2,15 @@
 //! fan-out: neither may ever change the report, only how fast it is
 //! produced.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use tsvd_analyze::cache::{ENTRY_FILE, SCHEMA_VERSION};
-use tsvd_analyze::{analyze_paths_with, analyze_workspace_with, AnalysisReport, AnalyzeOptions};
+use tsvd_analyze::report::AwaitPoint;
+use tsvd_analyze::{
+    analyze_paths_with, analyze_workspace_with, AnalysisReport, AnalyzeOptions, Cache,
+};
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -41,22 +45,48 @@ fn entry_names(cache: &Path) -> Vec<String> {
         .collect()
 }
 
-/// Whether analyzing `root` through `cache` is served from the entry. A hit
-/// returns the stored report as-is, so a marker planted in the entry's
-/// payload (its header left valid) comes back exactly when the run hit.
-fn is_hit(root: &Path, cache: &Path) -> bool {
+/// The file-name prefix of the marker [`probe`] plants.
+const MARK: &str = "reused:";
+
+/// Analyzes `root` through `cache` once with a marker planted in every
+/// stored record, then puts the entry back as it was. A reused record is
+/// moved into the report as stored, so the markers that come back name
+/// the files whose stored analysis was reused; `untouched` is whether the
+/// run left the (marked) entry as it found it, which a full hit does.
+fn probe(root: &Path, cache: &Path) -> (BTreeSet<String>, bool) {
     let entry = cache.join(ENTRY_FILE);
-    let Ok(text) = fs::read_to_string(&entry) else {
-        return false;
+    let Ok(original) = fs::read(&entry) else {
+        return (BTreeSet::new(), false);
     };
-    let marked = text.replacen("\"files_scanned\":", "\"files_scanned\":1000", 1);
-    assert_ne!(text, marked, "entry must carry a files_scanned field");
-    fs::write(&entry, marked).expect("plant marker");
-    let hit = analyze(root, 1, Some(cache)).files_scanned >= 1000;
-    if hit {
-        fs::write(&entry, text).expect("restore entry");
+    let store = Cache::new(Some(cache.to_path_buf()));
+    let mut stored = store.load(1).expect("a readable entry");
+    for record in &mut stored {
+        record.analysis.awaits.push(AwaitPoint {
+            file: format!("{MARK}{}", record.path),
+            line: 0,
+            column: 0,
+        });
     }
-    hit
+    store.store(&stored, 1);
+    let marked = fs::read(&entry).expect("marked entry");
+    let report = analyze(root, 1, Some(cache));
+    let reused = report
+        .awaits
+        .iter()
+        .filter_map(|a| a.file.strip_prefix(MARK))
+        .map(str::to_string)
+        .collect();
+    let untouched = fs::read(&entry).expect("entry") == marked;
+    fs::write(&entry, original).expect("restore entry");
+    (reused, untouched)
+}
+
+/// Whether analyzing `root` through `cache` is a full hit: every file's
+/// stored record reused, and nothing written.
+fn is_hit(root: &Path, cache: &Path) -> bool {
+    let files = analyze(root, 1, None).files_scanned as usize;
+    let (reused, untouched) = probe(root, cache);
+    untouched && reused.len() == files
 }
 
 #[test]
@@ -102,10 +132,13 @@ fn corrupted_cache_entries_fall_back_to_fresh_analysis() {
     let reference = jsonl_with(1, Some(&cache));
     let entry = cache.join(ENTRY_FILE);
     let intact = fs::read_to_string(&entry).expect("read entry");
-    // Mangle the entry three ways: truncation, garbage bytes,
-    // valid-JSON-wrong-shape. The engine must treat each as a miss.
-    let mangled: [(&str, Vec<u8>); 3] = [
+    // Mangle the entry four ways: truncation mid-record and at a line
+    // end (every line left parses, one file's record is missing), garbage
+    // bytes, valid-JSON-wrong-shape. The engine must treat each as a miss.
+    let last_line = intact.trim_end().rfind('\n').expect("two lines") + 1;
+    let mangled: [(&str, Vec<u8>); 4] = [
         ("truncated", intact.as_bytes()[..intact.len() / 2].to_vec()),
+        ("cut at a line end", intact.as_bytes()[..last_line].to_vec()),
         ("garbage", b"\x00\xff not json at all".to_vec()),
         ("wrong shape", b"[1, 2, 3]".to_vec()),
     ];
@@ -300,4 +333,107 @@ fn an_unusable_cache_directory_still_yields_the_full_report() {
         assert_eq!(jsonl_with(2, Some(&blocker.join("cache"))), reference);
     }
     fs::remove_dir_all(&parent).ok();
+}
+
+const HELPER: &str = "use tsvd_collections::Dictionary;\n\
+    pub fn helper(d: &Dictionary<u64, u64>) {\n    d.get(&1);\n}\n";
+
+const CALLER: &str = "use tsvd_collections::Dictionary;\n\
+    use tsvd_tasks::Pool;\n\
+    fn run(pool: &Pool) {\n    \
+        let table = Dictionary::new();\n    \
+        let t1 = table.clone();\n    \
+        pool.spawn(move || helper(&t1));\n    \
+        table.set(2, 2);\n\
+    }\n";
+
+const BYSTANDER: &str = "use tsvd_collections::Dictionary;\n\
+    use tsvd_tasks::Pool;\n\
+    fn other(pool: &Pool) {\n    \
+        let cache = Dictionary::new();\n    \
+        let c1 = cache.clone();\n    \
+        pool.spawn(move || c1.set(1, 1));\n    \
+        cache.get(&1);\n\
+    }\n";
+
+/// After each edit the cached report equals the uncached one, and exactly
+/// the files whose bytes and looked-up summaries are unchanged are reused.
+#[test]
+fn an_edit_reanalyzes_exactly_the_files_whose_inputs_changed() {
+    let tree = scratch("deps_tree");
+    let cache = scratch("deps_cache");
+    let write = |name: &str, src: &str| fs::write(tree.join(name), src).expect("write");
+    write("a.rs", HELPER);
+    write("b.rs", CALLER);
+    write("c.rs", BYSTANDER);
+    let first = analyze(&tree, 1, Some(&cache)).to_jsonl();
+    assert!(
+        first.contains("\"file\":\"a.rs\""),
+        "b.rs materializes helper's access"
+    );
+    let mut previous = first;
+    let mut step = |what: &str, edit: &dyn Fn(), reused: &[&str], output_moves: bool| {
+        edit();
+        let (got, _) = probe(&tree, &cache);
+        let want: BTreeSet<String> = reused.iter().map(|f| f.to_string()).collect();
+        assert_eq!(got, want, "{what}: reused");
+        let cached = analyze(&tree, 2, Some(&cache)).to_jsonl();
+        assert_eq!(cached, analyze(&tree, 1, None).to_jsonl(), "{what}");
+        assert_eq!(cached != previous, output_moves, "{what}: output moved");
+        previous = cached;
+    };
+    step(
+        "an inert fn appended to a.rs",
+        &|| {
+            write(
+                "a.rs",
+                &format!("{HELPER}pub fn inert(x: u64) -> u64 {{\n    x + 1\n}}\n"),
+            )
+        },
+        &["b.rs", "c.rs"],
+        false,
+    );
+    step(
+        "helper's get becomes a set",
+        &|| write("a.rs", &HELPER.replace("get(&1)", "set(1, 1)")),
+        &["c.rs"],
+        true,
+    );
+    step(
+        "a same-named fn in c.rs makes b.rs's lookup ambiguous",
+        &|| {
+            write(
+                "c.rs",
+                &format!("{BYSTANDER}{}", &HELPER[HELPER.find("pub").expect("fn")..]),
+            )
+        },
+        &["a.rs"],
+        true,
+    );
+    step(
+        "deleting a.rs resolves b.rs's lookup to c.rs's helper",
+        &|| fs::remove_file(tree.join("a.rs")).expect("delete"),
+        &["c.rs"],
+        true,
+    );
+    fs::remove_dir_all(&tree).ok();
+    fs::remove_dir_all(&cache).ok();
+}
+
+#[test]
+fn deleting_the_callee_reanalyzes_its_caller() {
+    let tree = scratch("delete_tree");
+    let cache = scratch("delete_cache");
+    for (name, src) in [("a.rs", HELPER), ("b.rs", CALLER), ("c.rs", BYSTANDER)] {
+        fs::write(tree.join(name), src).expect("write");
+    }
+    let before = analyze(&tree, 1, Some(&cache)).to_jsonl();
+    fs::remove_file(tree.join("a.rs")).expect("delete");
+    let (reused, _) = probe(&tree, &cache);
+    assert_eq!(reused, BTreeSet::from(["c.rs".to_string()]));
+    let cached = analyze(&tree, 1, Some(&cache)).to_jsonl();
+    assert_eq!(cached, analyze(&tree, 1, None).to_jsonl());
+    assert_ne!(cached, before, "b.rs lost helper's access");
+    fs::remove_dir_all(&tree).ok();
+    fs::remove_dir_all(&cache).ok();
 }

@@ -36,7 +36,7 @@
 //!   the ones whose block encloses it, its loop flag and its HB dominance
 //!   are block queries. The walk itself keeps no depth counter.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -72,6 +72,28 @@ pub(crate) const SPAWN_CALLS: &[&str] = &[
 
 /// Inherently multi-instance spawn calls: the closure runs once per item.
 pub(crate) const MULTI_SPAWN_CALLS: &[&str] = &["parallel_for_each", "parallel_invoke"];
+
+/// Whether `toks[at]` names a plain call: an ident followed by `(`, not a
+/// method or path segment (after `.` or `:`) and not a `fn` item's own
+/// name. Every summary lookup of the per-file pass is gated on it, so
+/// [`call_names`] of a file holds every name its analysis can look up.
+pub(crate) fn is_call_site(toks: &[Token], at: usize) -> bool {
+    toks[at].kind == TokKind::Ident
+        && toks.get(at + 1).is_some_and(|t| t.is_punct('('))
+        && !at.checked_sub(1).is_some_and(|before| {
+            let t = &toks[before];
+            t.is_punct('.') || t.is_punct(':') || t.is_ident("fn")
+        })
+}
+
+/// Every name [`is_call_site`] admits in `toks`, sorted, each once.
+pub(crate) fn call_names(toks: &[Token]) -> Vec<String> {
+    let names: BTreeSet<&str> = (0..toks.len())
+        .filter(|&at| is_call_site(toks, at))
+        .map(|at| toks[at].text)
+        .collect();
+    names.into_iter().map(str::to_string).collect()
+}
 
 /// Everything the analyzer learned about one file.
 #[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -588,9 +610,8 @@ fn find_sites<'t>(
             // With nothing tracked (a `fn` item's own signature, say) no
             // access can materialize, so the summary is not looked up: an
             // edit to it cannot change this file's analysis.
-            let after_path = i >= 2 && (toks[i - 2].is_punct('.') || toks[i - 2].is_punct(':'));
             let Some(sum) = spawn_ident
-                .filter(|_| !after_path && !bindings.is_empty())
+                .filter(|_| !bindings.is_empty() && is_call_site(toks, i - 1))
                 .and_then(|callee| lookups.lookup(callee))
             else {
                 continue;
@@ -794,11 +815,10 @@ fn parse_ctor_return(
         i += 1;
     }
     i += 1;
-    let callee = toks.get(i)?;
-    if callee.kind != TokKind::Ident || !toks.get(i + 1)?.is_punct('(') {
+    if i >= toks.len() || !is_call_site(toks, i) {
         return None;
     }
-    let class = lookups.lookup(callee.text)?.returns_class?;
+    let class = lookups.lookup(toks[i].text)?.returns_class?;
     Some((
         name.to_string(),
         Binding {

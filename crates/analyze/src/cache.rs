@@ -11,15 +11,22 @@
 //! added elsewhere changes the answer. The digest is of the *closed*
 //! (propagated) summary, so a change reached through any number of call
 //! hops changes it too. That is what a [`FileRecord`] carries: path,
-//! [`content_hash`], `deps` (each recorded name with its
-//! `Summaries::dep_digest`), and the analysis.
+//! [`content_hash`], `fns` (the names its file defines), `deps` (each
+//! recorded name with its `Summaries::dep_digest`), `support` (the names
+//! those digests were derived from) and the analysis.
 //!
 //! A run reuses a stored record when the file's path and hash match and
-//! every dep still resolves to the same digest ("early cutoff"); every
-//! other file is analyzed afresh, with its lookups recorded. Fragments and
-//! propagation always run over the whole tree on a miss: they are what the
-//! deps are checked against. The per-file tiers that came before this
-//! entry keyed every file's analysis on the whole-tree digest, so any edit
+//! its deps cannot have moved ("early cutoff"); every other file is
+//! analyzed afresh, with its lookups recorded. Summaries are cut off the
+//! same way: the records' `fns` index the tree without a parse, the names
+//! an edit touched are *dirty*, a record whose `support` holds no dirty
+//! name is moved over without a digest, and the rest are re-digested
+//! against a summary set parsed and propagated only for the names they
+//! and the changed files need. With no usable entry every file is
+//! changed, and the same steps are the whole-tree pass. DESIGN.md
+//! ("Parallel engine and result cache") gives the round and why the
+//! partial set is exact. The per-file tiers that came before this entry
+//! keyed every file's analysis on the whole-tree digest, so any edit
 //! invalidated all of them and they could not reuse an analysis across an
 //! edit; they were removed for measuring slower than no cache.
 //!
@@ -43,7 +50,7 @@ use crate::analysis::FileAnalysis;
 /// Entry layout version. Bump on any change to what the entry holds, how
 /// the digests are derived, or what the analysis means; old entries then
 /// miss and are overwritten.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// File name of the one entry inside the cache directory.
 pub const ENTRY_FILE: &str = "entry.jsonl";
@@ -138,9 +145,18 @@ pub struct FileRecord {
     pub path: String,
     /// [`content_hash`] of the source the analysis was made from.
     pub hash: String,
+    /// The names of the `fn` items the file defines, sorted, each once:
+    /// with every other record's, the tree's name index, read without a
+    /// parse.
+    pub fns: Vec<String>,
     /// Every summary name the analysis looked up, sorted, with its
     /// `Summaries::dep_digest` at the time.
     pub deps: Vec<(String, u64)>,
+    /// The names the deps' closed summaries were derived from, sorted:
+    /// each dep and every name reachable through the call edges of its
+    /// definitions. While no edit touches a definition of any of them,
+    /// the deps cannot have moved.
+    pub support: Vec<String>,
     /// The file's analysis.
     pub analysis: FileAnalysis,
 }
@@ -249,6 +265,8 @@ mod tests {
         FileRecord {
             path: "x.rs".to_string(),
             hash: content_hash(src),
+            fns: vec!["f".to_string()],
+            support: deps.iter().map(|(name, _)| name.clone()).collect(),
             deps,
             analysis,
         }

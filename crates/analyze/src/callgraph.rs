@@ -18,6 +18,8 @@
 //! which records every name it resolves. A file's analysis is therefore a
 //! function of its path, its source, and `Summaries::dep_digest` of each
 //! recorded name — what the analyzer's cache keys a stored analysis on.
+//! A run that needs only some names builds its set through `Reach`, which
+//! parses just the files defining them and what they call.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -27,7 +29,7 @@ use std::sync::Arc;
 use tsvd_core::access::{api_class, classify_op};
 use tsvd_core::OpKind;
 
-use crate::analysis::{MULTI_SPAWN_CALLS, SPAWN_CALLS};
+use crate::analysis::{call_names, is_call_site, MULTI_SPAWN_CALLS, SPAWN_CALLS};
 use crate::lexer::{tokenize, TokKind, Token};
 use crate::scope::ScopeTree;
 
@@ -120,13 +122,19 @@ pub struct FnSummary {
     pub calls: Vec<CallEdge>,
 }
 
-/// All function summaries of one analysis run, indexed by bare name.
+/// The function summaries of one analysis run — the whole tree's, or the
+/// part of it a run needs (see `Reach`) — indexed by bare name.
 #[derive(Debug, Default)]
 pub struct Summaries {
     /// Every summary, in fragment order.
     all: Vec<FnSummary>,
     /// Bare name → positions in `all`, ascending.
     by_name: HashMap<String, Vec<usize>>,
+    /// The names a partial set ([`Reach::summaries`]) was closed over.
+    /// It answers for those alone: any other name may be defined in a file
+    /// it never parsed, so looking one up is an engine bug.
+    #[cfg(debug_assertions)]
+    closed_over: Option<std::collections::HashSet<String>>,
 }
 
 impl Summaries {
@@ -144,14 +152,18 @@ impl Summaries {
     /// Parses one file's pre-propagation function summaries — the per-file
     /// unit of the fan-out, independent of every other file.
     pub fn file_fragments(file: &str, src: &str) -> Vec<FnSummary> {
+        Self::fragments_of(file, &tokenize(src))
+    }
+
+    /// [`file_fragments`](Self::file_fragments) over tokens already lexed.
+    fn fragments_of(file: &str, toks: &[Token]) -> Vec<FnSummary> {
         let file: Arc<str> = Arc::from(file);
-        let toks = tokenize(src);
-        let tree = ScopeTree::build(&toks);
+        let tree = ScopeTree::build(toks);
         let mut out = Vec::new();
         let mut i = 0;
         while i < toks.len() {
             if toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
-                if let Some((summary, next)) = parse_fn(&file, &toks, &tree, i) {
+                if let Some((summary, next)) = parse_fn(&file, toks, &tree, i) {
                     out.push(summary);
                     i = next;
                     continue;
@@ -163,9 +175,14 @@ impl Summaries {
     }
 
     /// Assembles a summary set from per-file fragments and transitively
-    /// closes it. Propagation is a whole-tree fixed point, so it runs once
-    /// over everything — only the parse is per file.
+    /// closes it. Propagation is a fixed point over every fragment given,
+    /// so it runs once over all of them — only the parse is per file.
     pub fn from_fragments(fragments: impl IntoIterator<Item = FnSummary>) -> Self {
+        Self::indexed(fragments).closed()
+    }
+
+    /// Fragments indexed by name, not yet propagated.
+    fn indexed(fragments: impl IntoIterator<Item = FnSummary>) -> Self {
         let all: Vec<FnSummary> = fragments.into_iter().collect();
         let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, summary) in all.iter().enumerate() {
@@ -176,18 +193,34 @@ impl Summaries {
                 }
             }
         }
-        let mut s = Summaries { all, by_name };
-        s.propagate();
-        for summary in &mut s.all {
+        Summaries {
+            all,
+            by_name,
+            #[cfg(debug_assertions)]
+            closed_over: None,
+        }
+    }
+
+    /// Propagates, then drops the call edges nothing reads any more.
+    fn closed(mut self) -> Self {
+        self.propagate();
+        for summary in &mut self.all {
             summary.calls = Vec::new();
         }
-        s
+        self
     }
 
     /// Resolves a bare callee name from `file`: a unique same-file match
     /// first, then a unique global one. Ambiguity resolves to `None` — a
     /// wrong summary is worse than no summary.
     pub fn lookup(&self, file: &str, name: &str) -> Option<&FnSummary> {
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.closed_over
+                .as_ref()
+                .is_none_or(|names| names.contains(name)),
+            "`{name}` looked up from {file}, outside the names the partial set closed over"
+        );
         let all = self.by_name.get(name)?;
         let mut same_file = all.iter().filter(|&&i| &*self.all[i].file == file);
         if let (Some(&i), None) = (same_file.next(), same_file.next()) {
@@ -326,6 +359,174 @@ impl<'a> Lookups<'a> {
                 (name, digest)
             })
             .collect()
+    }
+}
+
+/// What a run reads off a changed file, from one lexing.
+pub(crate) struct ParsedFile {
+    /// Its pre-propagation summaries.
+    pub(crate) fragments: Vec<FnSummary>,
+    /// The fn names they define, sorted, each once: what its record keeps
+    /// so that the next run can index the tree unparsed.
+    pub(crate) fns: Vec<String>,
+    /// The names its per-file pass can look up ([`call_names`]).
+    pub(crate) calls: Vec<String>,
+}
+
+/// Parses one file into a [`ParsedFile`].
+pub(crate) fn parse_file(file: &str, src: &str) -> ParsedFile {
+    let toks = tokenize(src);
+    let fragments = Summaries::fragments_of(file, &toks);
+    let fns: BTreeSet<&str> = fragments.iter().map(|f| f.name.as_str()).collect();
+    ParsedFile {
+        fns: fns.into_iter().map(str::to_string).collect(),
+        calls: call_names(&toks),
+        fragments,
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Files whose fragments the runs on this thread parsed.
+    pub(crate) static FILES_PARSED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The part of the tree's summary set a run needs, parsed on demand.
+///
+/// `defined_in` says which files define a name without parsing any: it is
+/// read off the stored records' `fns` and the changed files' fragments.
+/// Closing over a name parses every file that defines it (each file once)
+/// and follows the call edges of every definition, so the closed names
+/// carry *all* their definitions and all of their callees'. Propagation is
+/// round-synchronous — a summary after round *r* depends only on its
+/// callees after round *r − 1* — so the set [`summaries`](Self::summaries)
+/// builds from them closes to exactly the whole tree's summaries for those
+/// names, and [`Summaries::lookup`] sees the same candidates.
+pub(crate) struct Reach<'a> {
+    sources: &'a [(String, String)],
+    threads: usize,
+    /// Bare fn name → its last entry in `defs`.
+    defined_in: HashMap<&'a str, usize>,
+    /// Every (source, name it defines), each with the entry before it of
+    /// the same name: one chain per name, and no allocation per name.
+    defs: Vec<(usize, Option<usize>)>,
+    /// Per source, its fragments once parsed.
+    fragments: Vec<Option<Vec<FnSummary>>>,
+    /// Every name closed over → the callee names of its definitions,
+    /// sorted, each once.
+    callees: HashMap<String, Vec<String>>,
+}
+
+impl<'a> Reach<'a> {
+    /// A reach over `sources`: `defines` pairs a source index with a name
+    /// it defines, `fragments` holds the fragments already parsed.
+    pub(crate) fn new(
+        sources: &'a [(String, String)],
+        defines: impl IntoIterator<Item = (usize, &'a str)>,
+        fragments: Vec<Option<Vec<FnSummary>>>,
+        threads: usize,
+    ) -> Self {
+        let defines: Vec<(usize, &str)> = defines.into_iter().collect();
+        let mut defined_in = HashMap::with_capacity(defines.len());
+        let mut defs = Vec::with_capacity(defines.len());
+        for (i, name) in defines {
+            defs.push((i, defined_in.insert(name, defs.len())));
+        }
+        Reach {
+            sources,
+            threads,
+            defined_in,
+            defs,
+            fragments,
+            callees: HashMap::new(),
+        }
+    }
+
+    /// Closes over `names`, parsing the files that define a name reached
+    /// on up to `threads` workers. Returns whether any name was new.
+    pub(crate) fn close<'n>(&mut self, names: impl IntoIterator<Item = &'n str>) -> bool {
+        let mut frontier: Vec<String> = names
+            .into_iter()
+            .filter(|name| !self.callees.contains_key(*name))
+            .map(str::to_string)
+            .collect();
+        let grew = !frontier.is_empty();
+        while !frontier.is_empty() {
+            frontier.sort_unstable();
+            frontier.dedup();
+            let mut unparsed: Vec<usize> = frontier
+                .iter()
+                .flat_map(|name| self.files_defining(name))
+                .filter(|&i| self.fragments[i].is_none())
+                .collect();
+            unparsed.sort_unstable();
+            unparsed.dedup();
+            let sources = self.sources;
+            let parsed = crate::fan_out(&unparsed, self.threads, |&i| {
+                let (file, src) = &sources[i];
+                Summaries::file_fragments(file, src)
+            });
+            #[cfg(test)]
+            FILES_PARSED.with(|n| n.set(n.get() + unparsed.len()));
+            for (i, fragments) in unparsed.into_iter().zip(parsed) {
+                self.fragments[i] = Some(fragments);
+            }
+            let mut next = Vec::new();
+            for name in frontier {
+                let calls: BTreeSet<&str> = (self.files_defining(&name))
+                    .flat_map(|i| self.fragments[i].iter().flatten())
+                    .filter(|f| f.name == name)
+                    .flat_map(|f| &f.calls)
+                    .map(|call| call.callee.as_str())
+                    .collect();
+                let calls: Vec<String> = calls.into_iter().map(str::to_string).collect();
+                next.extend(calls.iter().cloned());
+                self.callees.insert(name, calls);
+            }
+            next.retain(|name| !self.callees.contains_key(name));
+            frontier = next;
+        }
+        grew
+    }
+
+    /// The sources that define `name`.
+    fn files_defining(&self, name: &str) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.defined_in.get(name).copied();
+        std::iter::from_fn(move || {
+            let (file, before) = self.defs[at?];
+            at = before;
+            Some(file)
+        })
+    }
+
+    /// The summary set of every name closed over, its fragments in input
+    /// order. It answers lookups of those names exactly as the whole
+    /// tree's set would, and (in debug builds) refuses any other.
+    pub(crate) fn summaries(&self) -> Summaries {
+        let fragments = self.fragments.iter().flatten().flatten();
+        let needed = fragments.filter(|f| self.callees.contains_key(&f.name));
+        let set = Summaries::indexed(needed.cloned());
+        #[cfg(debug_assertions)]
+        let set = Summaries {
+            closed_over: Some(self.callees.keys().cloned().collect()),
+            ..set
+        };
+        set.closed()
+    }
+
+    /// What a file's deps were derived from: each dep name and every name
+    /// reachable from it through its definitions' call edges, sorted.
+    pub(crate) fn support<'s>(&'s self, deps: impl IntoIterator<Item = &'s str>) -> Vec<String> {
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        let mut stack: Vec<&str> = deps.into_iter().collect();
+        while let Some(name) = stack.pop() {
+            if seen.insert(name) {
+                let callees = self.callees.get(name);
+                debug_assert!(callees.is_some(), "dep `{name}` was never closed over");
+                stack.extend(callees.into_iter().flatten().map(String::as_str));
+            }
+        }
+        seen.into_iter().map(str::to_string).collect()
     }
 }
 
@@ -605,13 +806,12 @@ fn summarize_body(
             .get(i.wrapping_sub(1))
             .filter(|p| p.kind == TokKind::Ident)
             .map(|p| p.text);
-        let after_path = i >= 2 && (toks[i - 2].is_punct('.') || toks[i - 2].is_punct(':'));
         if let Some(callee) = prev_ident {
             if SPAWN_CALLS.contains(&callee) {
                 let multi =
                     tree.in_loop(tree.block_at(i), body) || MULTI_SPAWN_CALLS.contains(&callee);
                 spawns.push((i, multi));
-            } else if !after_path && !CALL_KEYWORDS.contains(&callee) {
+            } else if is_call_site(toks, i - 1) && !CALL_KEYWORDS.contains(&callee) {
                 summary.calls.push(CallEdge {
                     callee: callee.to_string(),
                     args: call_args(toks, tree, i),

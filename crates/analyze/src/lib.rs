@@ -62,12 +62,14 @@ pub use report::{AnalysisReport, Escape, StaticPair, StaticSite};
 
 /// Knobs for the analysis engine. The output is byte-identical for every
 /// combination: thread count only changes which worker computes a file,
-/// the cache only changes whether the tree is analyzed at all, and results
-/// always merge in input-file order.
+/// the cache only changes how much of the tree is parsed and analyzed,
+/// and results always merge in input-file order.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
-    /// Worker threads for the two per-file stages (fragments, then the
-    /// per-file analysis); `0` or `1` runs inline.
+    /// Worker threads for the per-file stages: parsing the fragments of
+    /// the files a run needs, then analyzing the files it cannot reuse
+    /// (every file, with no usable cache entry), and the entry's records
+    /// on load and store. `0` or `1` runs inline.
     pub threads: usize,
     /// Result cache directory; `None` disables caching entirely.
     pub cache_dir: Option<PathBuf>,
@@ -144,50 +146,153 @@ pub fn analyze_paths_with(
     if hit {
         return Ok(merge(report, stored));
     }
-    // Whole-tree function summaries before any per-file pass, so helper
-    // calls resolve across files of the same crate. Fragments feed in
-    // input-file order — propagation's output ordering, and therefore every
-    // downstream byte, depends only on that order.
-    let fragments = fan_out(&sources, opts.threads, |(rel, src)| {
-        Summaries::file_fragments(rel, src)
-    });
-    let summaries = Summaries::from_fragments(fragments.into_iter().flatten());
-    // A stored record is moved over when its file's bytes and every
-    // summary it looked up are unchanged; the rest are analyzed afresh.
-    let mut prior: HashMap<String, FileRecord> =
-        stored.into_iter().map(|r| (r.path.clone(), r)).collect();
-    let mut records: Vec<Option<FileRecord>> = sources
-        .iter()
-        .zip(&hashes)
-        .map(|((rel, _), hash)| {
-            prior.remove(rel).filter(|r| {
-                r.hash == *hash
-                    && r.deps
-                        .iter()
-                        .all(|(name, digest)| summaries.dep_digest(rel, name) == *digest)
-            })
-        })
-        .collect();
-    let stale: Vec<usize> = (0..sources.len())
-        .filter(|&i| records[i].is_none())
-        .collect();
-    // Merge in input-file order regardless of which worker finished first.
-    let fresh = fan_out(&stale, opts.threads, |&i| {
-        let (rel, src) = &sources[i];
-        let (analysis, deps) = analysis::analyze_file_recorded(rel, src, &summaries);
-        FileRecord {
-            path: rel.clone(),
-            hash: hashes[i].clone(),
-            deps,
-            analysis,
-        }
-    });
-    for (i, record) in stale.into_iter().zip(fresh) {
-        records[i] = Some(record);
-    }
-    let records: Vec<FileRecord> = records.into_iter().flatten().collect();
+    let records = records_for(&sources, &hashes, stored, opts.threads);
     cache.store(&records, opts.threads);
     Ok(merge(report, records))
+}
+
+/// Every file's record for a run that is not a full hit: each stored
+/// record whose inputs an edit cannot have moved is moved over, and only
+/// the rest are analyzed (see [`cache`]). `stored` may be empty — then
+/// every file is changed, and this is the whole-tree pass.
+fn records_for(
+    sources: &[(String, String)],
+    hashes: &[String],
+    stored: Vec<FileRecord>,
+    threads: usize,
+) -> Vec<FileRecord> {
+    // Changed: no stored record of this path made from these bytes. Only
+    // changed files are parsed up front.
+    let at: HashMap<&str, usize> = stored
+        .iter()
+        .enumerate()
+        .map(|(k, r)| (r.path.as_str(), k))
+        .collect();
+    let kept: Vec<Option<usize>> = sources
+        .iter()
+        .zip(hashes)
+        .map(|((rel, _), hash)| {
+            let k = at.get(rel.as_str()).copied();
+            k.filter(|&k| stored[k].hash == *hash)
+        })
+        .collect();
+    let changed: Vec<usize> = (0..sources.len()).filter(|&i| kept[i].is_none()).collect();
+    let parsed = fan_out(&changed, threads, |&i| {
+        let (rel, src) = &sources[i];
+        callgraph::parse_file(rel, src)
+    });
+    #[cfg(test)]
+    callgraph::FILES_PARSED.with(|n| n.set(n.get() + changed.len()));
+    let mut fragments: Vec<Option<Vec<callgraph::FnSummary>>> =
+        sources.iter().map(|_| None).collect();
+    let mut new_fns: Vec<Vec<String>> = sources.iter().map(|_| Vec::new()).collect();
+    let mut changed_calls: Vec<String> = Vec::new();
+    for (&i, file) in changed.iter().zip(parsed) {
+        fragments[i] = Some(file.fragments);
+        new_fns[i] = file.fns;
+        changed_calls.extend(file.calls);
+    }
+    // Dirty: a name a changed or gone file defined before the edit or
+    // defines after it. A record whose support holds none is moved over
+    // untouched: every definition it was derived from is as it was. (Only
+    // names some support holds are collected; with no entry, none is.)
+    let mut reused = vec![false; stored.len()];
+    for k in kept.iter().flatten() {
+        reused[*k] = true;
+    }
+    let supported: HashSet<&str> = (kept.iter().flatten())
+        .flat_map(|&k| &stored[k].support)
+        .map(String::as_str)
+        .collect();
+    let dirty: HashSet<&str> = (stored.iter().zip(&reused))
+        .filter(|(_, &reused)| !reused)
+        .flat_map(|(r, _)| &r.fns)
+        .chain(new_fns.iter().flatten())
+        .map(String::as_str)
+        .filter(|name| supported.contains(name))
+        .collect();
+    let suspects: Vec<usize> = (0..sources.len())
+        .filter(|&i| {
+            kept[i].is_some_and(|k| stored[k].support.iter().any(|n| dirty.contains(n.as_str())))
+        })
+        .collect();
+    // The partial summary set: closed over every suspect dep and every
+    // name a changed file can look up.
+    let defines = (0..sources.len()).flat_map(|i| {
+        let fns = kept[i].map_or(&new_fns[i], |k| &stored[k].fns);
+        fns.iter().map(move |name| (i, name.as_str()))
+    });
+    let mut reach = callgraph::Reach::new(sources, defines, fragments, threads);
+    let suspect_deps = suspects
+        .iter()
+        .flat_map(|&i| &stored[kept[i].expect("kept")].deps);
+    reach.close(
+        suspect_deps
+            .map(|(name, _)| name.as_str())
+            .chain(changed_calls.iter().map(String::as_str)),
+    );
+    let mut summaries = reach.summaries();
+    // A suspect is moved over when every dep still resolves to the digest
+    // it was analyzed under; otherwise it is stale, and its own call names
+    // join the set before it is re-analyzed.
+    let mut support: Vec<Option<Vec<String>>> = sources.iter().map(|_| None).collect();
+    let mut failed: Vec<usize> = Vec::new();
+    for &i in &suspects {
+        let record = &stored[kept[i].expect("kept")];
+        let rel = &sources[i].0;
+        if record
+            .deps
+            .iter()
+            .all(|(name, digest)| summaries.dep_digest(rel, name) == *digest)
+        {
+            support[i] = Some(reach.support(record.deps.iter().map(|(name, _)| name.as_str())));
+        } else {
+            failed.push(i);
+        }
+    }
+    let failed_calls = fan_out(&failed, threads, |&i| {
+        analysis::call_names(&lexer::tokenize(&sources[i].1))
+    });
+    if reach.close(failed_calls.iter().flatten().map(String::as_str)) {
+        summaries = reach.summaries();
+    }
+    let mut stale = [changed, failed].concat();
+    stale.sort_unstable();
+    let fresh = fan_out(&stale, threads, |&i| {
+        let (rel, src) = &sources[i];
+        let (analysis, deps) = analysis::analyze_file_recorded(rel, src, &summaries);
+        let support = reach.support(deps.iter().map(|(name, _)| name.as_str()));
+        (analysis, deps, support)
+    });
+    // Merge in input-file order regardless of which worker finished first.
+    let mut stored: Vec<Option<FileRecord>> = stored.into_iter().map(Some).collect();
+    let mut records: Vec<Option<FileRecord>> = kept
+        .iter()
+        .zip(support)
+        .map(|(k, support)| {
+            let mut record = stored[(*k)?].take()?;
+            if let Some(support) = support {
+                record.support = support;
+            }
+            Some(record)
+        })
+        .collect();
+    for (i, (analysis, deps, support)) in stale.into_iter().zip(fresh) {
+        let (rel, _) = &sources[i];
+        let fns = match records[i].take() {
+            Some(old) => old.fns,
+            None => std::mem::take(&mut new_fns[i]),
+        };
+        records[i] = Some(FileRecord {
+            path: rel.clone(),
+            hash: hashes[i].clone(),
+            fns,
+            deps,
+            support,
+            analysis,
+        });
+    }
+    records.into_iter().flatten().collect()
 }
 
 /// The report of a tree from its files' records, in input-file order: the
@@ -732,6 +837,69 @@ fn main() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Files whose fragments one run of `analyze_paths_with` parsed.
+    fn files_parsed(root: &Path, files: &[String], cache_dir: &Path) -> usize {
+        let opts = AnalyzeOptions {
+            threads: 2,
+            cache_dir: Some(cache_dir.to_path_buf()),
+        };
+        let before = callgraph::FILES_PARSED.with(|n| n.get());
+        let cached = analyze_paths_with(root, files, &opts).expect("cached");
+        let parsed = callgraph::FILES_PARSED.with(|n| n.get()) - before;
+        let uncached = analyze_paths(root, files).expect("uncached");
+        assert_eq!(cached.to_jsonl(), uncached.to_jsonl());
+        parsed
+    }
+
+    #[test]
+    fn an_edit_parses_only_the_files_its_needed_names_resolve_to() {
+        let dir = std::env::temp_dir().join(format!("tsvd_analyze_parse_{}", std::process::id()));
+        let cache_dir = dir.join(".cache");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let write = |name: &str, src: &str| std::fs::write(dir.join(name), src).expect("write");
+        // a.rs's relay calls into b.rs; c.rs calls a.rs's relay; d.rs
+        // stands apart.
+        let a = "pub fn relay_a(d: &Dictionary<u64, u64>) {\n    \
+                     d.get(&1);\n    bump_b(d);\n}\n";
+        write("a.rs", a);
+        write(
+            "b.rs",
+            "pub fn bump_b(d: &Dictionary<u64, u64>) {\n    d.set(1, 1);\n}\n",
+        );
+        write(
+            "c.rs",
+            "fn run(pool: &Pool) {\n    let t = Dictionary::new();\n    \
+                 let t1 = t.clone();\n    pool.spawn(move || relay_a(&t1));\n    \
+                 t.set(2, 2);\n}\n",
+        );
+        write(
+            "d.rs",
+            "fn other(pool: &Pool) {\n    let o = Dictionary::new();\n    \
+                 let o1 = o.clone();\n    pool.spawn(move || o1.set(1, 1));\n    \
+                 o.get(&1);\n}\n",
+        );
+        let files: Vec<String> = ["a.rs", "b.rs", "c.rs", "d.rs"].map(String::from).to_vec();
+        assert_eq!(
+            files_parsed(&dir, &files, &cache_dir),
+            4,
+            "no entry: every file once"
+        );
+        assert_eq!(
+            files_parsed(&dir, &files, &cache_dir),
+            0,
+            "a full hit parses nothing"
+        );
+        // The edit dirties a.rs's names. c.rs looked one up, so its dep is
+        // needed; relay_a calls bump_b, so b.rs is parsed too. d.rs is not.
+        write(
+            "a.rs",
+            &format!("{a}fn inert(x: u64) -> u64 {{\n    x\n}}\n"),
+        );
+        assert_eq!(files_parsed(&dir, &files, &cache_dir), 2, "a.rs and b.rs");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A caller for one file of a random call graph: tracked collections
     /// and a lock handed to `names` (mostly the file's own fns, so the
     /// calls resolve) from a spawned task and from the caller, so callee
@@ -778,7 +946,9 @@ fn main() {
 
     /// One random edit: a file rewritten, an inert fn appended, a fn with a
     /// drawn name added (new matches, new ambiguity), an access flipped
-    /// from read to write, a file deleted or a file added.
+    /// from read to write, a file deleted or a file added. Half the steps
+    /// then also prepend a line to a file (every position in it shifts) or
+    /// rename one (same bytes, new path).
     fn random_edit(rng: &mut testrand::Seeded, files: &mut Vec<(String, String)>, step: usize) {
         let i = rng.below(files.len());
         match rng.below(6) {
@@ -797,6 +967,12 @@ fn main() {
                 files.remove(i);
             }
             _ => files.push((format!("n{step}.rs"), random_file(rng, &format!("n{step}")))),
+        }
+        let j = rng.below(files.len());
+        match rng.below(4) {
+            0 => files[j].1.insert(0, '\n'),
+            1 => files[j].0 = format!("r{step}.rs"),
+            _ => {}
         }
     }
 

@@ -437,3 +437,113 @@ fn deleting_the_callee_reanalyzes_its_caller() {
     fs::remove_dir_all(&tree).ok();
     fs::remove_dir_all(&cache).ok();
 }
+
+/// The stored record of `path` in `cache`'s entry.
+fn stored_record(cache: &Path, path: &str) -> tsvd_analyze::FileRecord {
+    let records = Cache::new(Some(cache.to_path_buf()))
+        .load(1)
+        .expect("entry");
+    records
+        .into_iter()
+        .find(|r| r.path == path)
+        .expect("a record for the path")
+}
+
+/// Writes `files` into a fresh tree, fills a cache on it (and hands the
+/// cache to `filled`), applies `edit`, and returns the files whose stored
+/// analysis the next run reused. The cached report must equal the uncached
+/// one, and move or stay as `moves` says.
+fn reused_after(
+    tag: &str,
+    files: &[(&str, &str)],
+    filled: &dyn Fn(&Path),
+    edit: &dyn Fn(&Path),
+    moves: bool,
+) -> (BTreeSet<String>, PathBuf, PathBuf) {
+    let tree = scratch(&format!("{tag}_tree"));
+    let cache = scratch(&format!("{tag}_cache"));
+    for (name, src) in files {
+        fs::write(tree.join(name), src).expect("write");
+    }
+    let before = analyze(&tree, 1, Some(&cache)).to_jsonl();
+    filled(&cache);
+    edit(&tree);
+    let (reused, _) = probe(&tree, &cache);
+    let cached = analyze(&tree, 2, Some(&cache)).to_jsonl();
+    assert_eq!(cached, analyze(&tree, 1, None).to_jsonl(), "{tag}");
+    assert_eq!(cached != before, moves, "{tag}: output moved");
+    (reused, tree, cache)
+}
+
+fn names(files: &[&str]) -> BTreeSet<String> {
+    files.iter().map(|f| f.to_string()).collect()
+}
+
+#[test]
+fn a_line_prepended_to_the_helpers_file_reanalyzes_its_callers() {
+    // Every op in helper's summary moves down a line, so the site b.rs
+    // materializes moves with it.
+    let (reused, tree, cache) = reused_after(
+        "prepend",
+        &[("a.rs", HELPER), ("b.rs", CALLER), ("c.rs", BYSTANDER)],
+        &|_| {},
+        &|tree| fs::write(tree.join("a.rs"), format!("\n{HELPER}")).expect("prepend"),
+        true,
+    );
+    assert_eq!(reused, names(&["c.rs"]));
+    fs::remove_dir_all(&tree).ok();
+    fs::remove_dir_all(&cache).ok();
+}
+
+const RELAY: &str = "use tsvd_collections::Dictionary;\n\
+    pub fn relay(d: &Dictionary<u64, u64>) {\n    helper(d);\n}\n";
+
+#[test]
+fn renaming_a_helper_the_callers_support_consulted_reanalyzes_the_caller() {
+    // b.rs looks up relay only; helper is in its support because relay
+    // calls it. Renaming helper empties relay's summary.
+    let caller = CALLER.replace("helper(&t1)", "relay(&t1)");
+    let (reused, tree, cache) = reused_after(
+        "rename",
+        &[
+            ("a.rs", HELPER),
+            ("r.rs", RELAY),
+            ("b.rs", &caller),
+            ("c.rs", BYSTANDER),
+        ],
+        &|cache| {
+            let b = stored_record(cache, "b.rs");
+            let deps: Vec<&str> = b.deps.iter().map(|(name, _)| name.as_str()).collect();
+            assert_eq!(deps, ["relay"]);
+            assert_eq!(b.support, ["helper", "relay"]);
+        },
+        &|tree| {
+            let renamed = HELPER.replace("fn helper", "fn helper_renamed");
+            fs::write(tree.join("a.rs"), renamed).expect("rename");
+        },
+        true,
+    );
+    assert_eq!(reused, names(&["c.rs", "r.rs"]));
+    fs::remove_dir_all(&tree).ok();
+    fs::remove_dir_all(&cache).ok();
+}
+
+#[test]
+fn a_suspect_whose_digests_match_is_moved_over_with_its_support_refreshed() {
+    // helper calls a name nothing defines; the edit calls another one of
+    // the same length. helper's closed summary is unchanged, so b.rs, a
+    // suspect (helper is dirty), keeps its analysis, but what its deps
+    // were derived from is now `mark`, not `note`.
+    let helper = HELPER.replace("d.get(&1);", "d.get(&1);\n    note(d);");
+    let (reused, tree, cache) = reused_after(
+        "refresh",
+        &[("a.rs", &helper), ("b.rs", CALLER), ("c.rs", BYSTANDER)],
+        &|cache| assert_eq!(stored_record(cache, "b.rs").support, ["helper", "note"]),
+        &|tree| fs::write(tree.join("a.rs"), helper.replace("note", "mark")).expect("edit"),
+        false,
+    );
+    assert_eq!(reused, names(&["b.rs", "c.rs"]));
+    assert_eq!(stored_record(&cache, "b.rs").support, ["helper", "mark"]);
+    fs::remove_dir_all(&tree).ok();
+    fs::remove_dir_all(&cache).ok();
+}

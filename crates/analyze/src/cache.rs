@@ -34,14 +34,23 @@
 //! record per line, in analysis order. When the stored `(path, hash)`
 //! sequence equals this tree's — same files, same bytes, same order — the
 //! stored records *are* the answer: they are merged and nothing is derived
-//! or written. Any read anomaly —
+//! or written. Any other run writes the entry anew, but serializes only the
+//! records it changed. A loaded record keeps the line it was parsed from
+//! (an [`EntryRecord`]) until a field of it is written; a record moved over
+//! as it was — one no dirty name reaches, or a suspect whose refreshed
+//! `support` equals the stored one — goes back in as that line. Re-analyzed
+//! records and suspects whose `support` moved are serialized. The writer is
+//! deterministic, so the entry is a function of the tree: a spliced entry
+//! is byte for byte the one a cold run writes. Any read anomaly —
 //! missing file, stale schema, truncated write, corruption, valid JSON of
 //! the wrong shape — is a silent miss with nothing to reuse: the caller
 //! analyzes afresh and overwrites the entry. The cache can never panic the
 //! analyzer and never serves stale output.
 
 use std::hash::Hasher;
+use std::ops::{Deref, DerefMut, Range};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -161,18 +170,94 @@ pub struct FileRecord {
     pub analysis: FileAnalysis,
 }
 
-/// Parses an entry, its records on up to `threads` workers; `None` on any
-/// anomaly.
-fn parse_entry(text: &str, threads: usize) -> Option<Vec<FileRecord>> {
+/// A [`FileRecord`] as it goes into and comes out of the entry: the record
+/// and, while none of its fields has changed since [`Cache::load`] parsed
+/// it, the entry line it was parsed from. [`Cache::store`] writes a record
+/// that still holds its line as those bytes and serializes only the rest.
+/// Reading goes through [`Deref`]; any mutable access
+/// ([`DerefMut`]) drops the line, so a record can never be written from
+/// bytes that no longer describe it.
+pub struct EntryRecord {
+    record: FileRecord,
+    line: Option<StoredLine>,
+}
+
+/// One line of a loaded entry: a byte range into the entry text, which
+/// every record of the load shares (one copy, not a `String` per line).
+struct StoredLine {
+    text: Arc<String>,
+    range: Range<usize>,
+}
+
+impl EntryRecord {
+    /// The record, without its line.
+    pub fn into_record(self) -> FileRecord {
+        self.record
+    }
+
+    /// The stored line this record is written back as, if it still has one.
+    fn line(&self) -> Option<&str> {
+        let line = self.line.as_ref()?;
+        Some(&line.text[line.range.clone()])
+    }
+}
+
+/// A record made this run: it has no stored line, so a store serializes it.
+impl From<FileRecord> for EntryRecord {
+    fn from(record: FileRecord) -> Self {
+        EntryRecord { record, line: None }
+    }
+}
+
+impl Deref for EntryRecord {
+    type Target = FileRecord;
+
+    fn deref(&self) -> &FileRecord {
+        &self.record
+    }
+}
+
+impl DerefMut for EntryRecord {
+    fn deref_mut(&mut self) -> &mut FileRecord {
+        self.line = None;
+        &mut self.record
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Records the stores on this thread serialized.
+    pub(crate) static RECORDS_SERIALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Parses an entry, its records on up to `threads` workers, each keeping
+/// its line of `text`; `None` on any anomaly.
+fn parse_entry(text: String, threads: usize) -> Option<Vec<EntryRecord>> {
+    let text = Arc::new(text);
     let mut lines = text.lines();
     let header: Header = serde_json::from_str(lines.next()?).ok()?;
     if header.schema != SCHEMA_VERSION {
         return None;
     }
-    let lines: Vec<&str> = lines.collect();
-    crate::fan_out(&lines, threads, |line| serde_json::from_str(line).ok())
-        .into_iter()
-        .collect()
+    let ranges: Vec<Range<usize>> = lines
+        .map(|line| {
+            let at = line.as_ptr() as usize - text.as_ptr() as usize;
+            at..at + line.len()
+        })
+        .collect();
+    crate::fan_out(&ranges, threads, |range| {
+        let record = serde_json::from_str(&text[range.clone()]).ok()?;
+        let line = StoredLine {
+            text: Arc::clone(&text),
+            range: range.clone(),
+        };
+        Some(EntryRecord {
+            record,
+            line: Some(line),
+        })
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The on-disk cache. `dir: None` disables it: every load misses, every
@@ -194,26 +279,50 @@ impl Cache {
     }
 
     /// The stored records, if there is an entry this schema can read,
-    /// parsed on up to `threads` workers (`0` or `1` parses inline).
-    pub fn load(&self, threads: usize) -> Option<Vec<FileRecord>> {
-        parse_entry(&std::fs::read_to_string(self.entry_path()?).ok()?, threads)
+    /// parsed on up to `threads` workers (`0` or `1` parses inline). Each
+    /// keeps the line it was parsed from.
+    pub fn load(&self, threads: usize) -> Option<Vec<EntryRecord>> {
+        parse_entry(std::fs::read_to_string(self.entry_path()?).ok()?, threads)
     }
 
-    /// Stores `records` as the entry, serialized on up to `threads`
-    /// workers, crash-safely (see [`tsvd_core::save_atomic`]). Best-effort:
-    /// IO errors are swallowed (a cache that cannot write is just a slow
-    /// cache).
-    pub fn store(&self, records: &[FileRecord], threads: usize) {
+    /// Stores `records` as the entry, crash-safely (see
+    /// [`tsvd_core::save_atomic`]). A record that still holds its stored
+    /// line is written as those bytes; the rest — records made this run,
+    /// and loaded ones whose fields changed — are serialized on up to
+    /// `threads` workers. The writer is deterministic (keys in `BTreeMap`
+    /// order), so a spliced line is the bytes serializing it would give.
+    /// Best-effort: IO errors are swallowed (a cache that cannot write is
+    /// just a slow cache).
+    pub fn store(&self, records: &[EntryRecord], threads: usize) {
         let Some(dir) = &self.dir else {
             return;
         };
+        let changed: Vec<&FileRecord> = (records.iter())
+            .filter(|r| r.line.is_none())
+            .map(|r| &r.record)
+            .collect();
+        #[cfg(test)]
+        RECORDS_SERIALIZED.with(|n| n.set(n.get() + changed.len()));
+        let mut serialized = crate::fan_out(&changed, threads, |r| serde_json::to_string(*r))
+            .into_iter()
+            .map(Result::unwrap_or_default);
         let header = Header {
             schema: SCHEMA_VERSION,
         };
         let mut entry = serde_json::to_string(&header).unwrap_or_default();
         entry.push('\n');
-        for line in crate::fan_out(records, threads, serde_json::to_string) {
-            entry.push_str(&line.unwrap_or_default());
+        for record in records {
+            match record.line() {
+                Some(line) => {
+                    debug_assert_eq!(
+                        Some(line),
+                        serde_json::to_string(&record.record).ok().as_deref(),
+                        "a stored line must be its record's serialization"
+                    );
+                    entry.push_str(line);
+                }
+                None => entry.push_str(&serialized.next().unwrap_or_default()),
+            }
             entry.push('\n');
         }
         let _ = std::fs::create_dir_all(dir);
@@ -307,9 +416,11 @@ mod tests {
     fn records_round_trip_and_a_store_replaces_the_entry() {
         let (dir, cache) = tmp_cache("roundtrip");
         assert!(cache.load(1).is_none(), "cold");
-        let records = [sample_record(), sample_record()];
-        cache.store(&records, 1);
-        assert_eq!(cache.load(1).expect("warm"), records);
+        cache.store(&[sample_record().into(), sample_record().into()], 1);
+        let loaded: Vec<FileRecord> = (cache.load(1).expect("warm").into_iter())
+            .map(EntryRecord::into_record)
+            .collect();
+        assert_eq!(loaded, [sample_record(), sample_record()]);
         // A store for another workspace replaces the entry, never adds one.
         cache.store(&[], 1);
         assert!(cache.load(1).expect("replaced").is_empty());
@@ -318,10 +429,44 @@ mod tests {
     }
 
     #[test]
+    fn a_store_splices_unchanged_lines_and_serializes_changed_records() {
+        let (dir, cache) = tmp_cache("splice");
+        let serialized = || RECORDS_SERIALIZED.with(|n| n.get());
+        let before = serialized();
+        cache.store(&[sample_record().into(), sample_record().into()], 1);
+        assert_eq!(serialized() - before, 2, "records made this run");
+        let path = cache.entry_path().expect("path");
+        let mut stored = cache.load(2).expect("warm");
+        assert!(stored.iter().all(|r| r.line().is_some()));
+        // Reading a field keeps the line; writing one drops it.
+        assert_eq!(stored[0].path, "x.rs");
+        assert!(stored[0].line().is_some());
+        stored[1].support.push("added".to_string());
+        assert!(stored[1].line().is_none());
+        let before = serialized();
+        cache.store(&stored, 2);
+        assert_eq!(serialized() - before, 1, "only the changed record");
+        let loaded: Vec<FileRecord> = (cache.load(1).expect("spliced").into_iter())
+            .map(EntryRecord::into_record)
+            .collect();
+        let mut changed = sample_record();
+        changed.support.push("added".to_string());
+        assert_eq!(loaded, [sample_record(), changed]);
+        // An unchanged round trip writes back the entry it loaded, byte for
+        // byte.
+        let spliced = std::fs::read_to_string(&path).expect("read");
+        let before = serialized();
+        cache.store(&cache.load(1).expect("again"), 1);
+        assert_eq!(serialized(), before, "nothing changed, nothing serialized");
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), spliced);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn disabled_cache_is_inert() {
         let cache = Cache::new(None);
         assert!(cache.entry_path().is_none());
-        cache.store(&[sample_record()], 1);
+        cache.store(&[sample_record().into()], 1);
         assert!(cache.load(1).is_none());
     }
 
@@ -331,7 +476,7 @@ mod tests {
         // what another build's entry looks like after an upgrade. It must
         // miss, not load.
         let (dir, cache) = tmp_cache("schema");
-        cache.store(&[sample_record()], 1);
+        cache.store(&[sample_record().into()], 1);
         let path = cache.entry_path().expect("path");
         let text = std::fs::read_to_string(&path).expect("read");
         let bumped = text.replace(
@@ -347,7 +492,7 @@ mod tests {
     #[test]
     fn corrupt_and_truncated_entries_miss_without_panicking() {
         let (dir, cache) = tmp_cache("corrupt");
-        cache.store(&[sample_record(), sample_record()], 1);
+        cache.store(&[sample_record().into(), sample_record().into()], 1);
         let path = cache.entry_path().expect("path");
         let text = std::fs::read_to_string(&path).expect("read");
         assert!(cache.load(1).is_some(), "intact entry loads");

@@ -56,7 +56,7 @@ use std::sync::Mutex;
 
 pub use allowlist::{AllowEntry, Allowlist};
 pub use analysis::{analyze_file, analyze_file_with, instrumented_op_literals, FileAnalysis};
-pub use cache::{Cache, FileRecord};
+pub use cache::{Cache, EntryRecord, FileRecord};
 pub use callgraph::Summaries;
 pub use report::{AnalysisReport, Escape, StaticPair, StaticSite};
 
@@ -153,14 +153,16 @@ pub fn analyze_paths_with(
 
 /// Every file's record for a run that is not a full hit: each stored
 /// record whose inputs an edit cannot have moved is moved over, and only
-/// the rest are analyzed (see [`cache`]). `stored` may be empty — then
-/// every file is changed, and this is the whole-tree pass.
+/// the rest are analyzed (see [`cache`]). A record moved over unchanged
+/// keeps its stored line; a re-analyzed one, or a moved-over one whose
+/// `support` changed, has none. `stored` may be empty — then every file is
+/// changed, and this is the whole-tree pass.
 fn records_for(
     sources: &[(String, String)],
     hashes: &[String],
-    stored: Vec<FileRecord>,
+    stored: Vec<EntryRecord>,
     threads: usize,
-) -> Vec<FileRecord> {
+) -> Vec<EntryRecord> {
     // Changed: no stored record of this path made from these bytes. Only
     // changed files are parsed up front.
     let at: HashMap<&str, usize> = stored
@@ -265,13 +267,15 @@ fn records_for(
         (analysis, deps, support)
     });
     // Merge in input-file order regardless of which worker finished first.
-    let mut stored: Vec<Option<FileRecord>> = stored.into_iter().map(Some).collect();
-    let mut records: Vec<Option<FileRecord>> = kept
+    // A suspect's support is assigned only when it moved: the assignment
+    // drops the stored line.
+    let mut stored: Vec<Option<EntryRecord>> = stored.into_iter().map(Some).collect();
+    let mut records: Vec<Option<EntryRecord>> = kept
         .iter()
         .zip(support)
         .map(|(k, support)| {
             let mut record = stored[(*k)?].take()?;
-            if let Some(support) = support {
+            if let Some(support) = support.filter(|s| *s != record.support) {
                 record.support = support;
             }
             Some(record)
@@ -280,24 +284,28 @@ fn records_for(
     for (i, (analysis, deps, support)) in stale.into_iter().zip(fresh) {
         let (rel, _) = &sources[i];
         let fns = match records[i].take() {
-            Some(old) => old.fns,
+            Some(old) => old.into_record().fns,
             None => std::mem::take(&mut new_fns[i]),
         };
-        records[i] = Some(FileRecord {
+        let record = FileRecord {
             path: rel.clone(),
             hash: hashes[i].clone(),
             fns,
             deps,
             support,
             analysis,
-        });
+        };
+        records[i] = Some(record.into());
     }
     records.into_iter().flatten().collect()
 }
 
 /// The report of a tree from its files' records, in input-file order: the
 /// one merge both a full hit and a fresh or partly reused run go through.
-fn merge(mut report: AnalysisReport, records: Vec<FileRecord>) -> AnalysisReport {
+fn merge(mut report: AnalysisReport, records: Vec<EntryRecord>) -> AnalysisReport {
+    // Shed the stored lines first: the entry text they share is freed
+    // before the report grows.
+    let records: Vec<FileRecord> = records.into_iter().map(EntryRecord::into_record).collect();
     for FileRecord { analysis: fa, .. } in records {
         report.files_scanned += 1;
         report.escapes.extend(fa.escapes);
@@ -837,18 +845,80 @@ fn main() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Files whose fragments one run of `analyze_paths_with` parsed.
-    fn files_parsed(root: &Path, files: &[String], cache_dir: &Path) -> usize {
+    /// What one run of `analyze_paths_with` added to `counter`, a count of
+    /// work done on this thread. The run must equal the uncached pass.
+    fn counted(
+        counter: &'static std::thread::LocalKey<std::cell::Cell<usize>>,
+        root: &Path,
+        files: &[String],
+        cache_dir: &Path,
+    ) -> usize {
         let opts = AnalyzeOptions {
             threads: 2,
             cache_dir: Some(cache_dir.to_path_buf()),
         };
-        let before = callgraph::FILES_PARSED.with(|n| n.get());
+        let before = counter.with(|n| n.get());
         let cached = analyze_paths_with(root, files, &opts).expect("cached");
-        let parsed = callgraph::FILES_PARSED.with(|n| n.get()) - before;
+        let done = counter.with(|n| n.get()) - before;
         let uncached = analyze_paths(root, files).expect("uncached");
         assert_eq!(cached.to_jsonl(), uncached.to_jsonl());
-        parsed
+        done
+    }
+
+    /// Files whose fragments one run of `analyze_paths_with` parsed.
+    fn files_parsed(root: &Path, files: &[String], cache_dir: &Path) -> usize {
+        counted(&callgraph::FILES_PARSED, root, files, cache_dir)
+    }
+
+    /// Records one run of `analyze_paths_with` serialized into its entry.
+    fn records_serialized(root: &Path, files: &[String], cache_dir: &Path) -> usize {
+        counted(&cache::RECORDS_SERIALIZED, root, files, cache_dir)
+    }
+
+    #[test]
+    fn a_round_serializes_only_the_records_it_changed() {
+        let dir = std::env::temp_dir().join(format!("tsvd_analyze_ser_{}", std::process::id()));
+        let cache_dir = dir.join(".cache");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let write = |name: &str, src: &str| std::fs::write(dir.join(name), src).expect("write");
+        // a.rs's helper calls `note`, which nothing defines; b.rs calls the
+        // helper; c.rs stands apart.
+        let helper = |note: &str| {
+            format!(
+                "pub fn helper(d: &Dictionary<u64, u64>) {{\n    d.get(&1);\n    {note}(d);\n}}\n"
+            )
+        };
+        write("a.rs", &helper("note"));
+        write(
+            "b.rs",
+            "fn run(pool: &Pool) {\n    let t = Dictionary::new();\n    \
+                 let t1 = t.clone();\n    pool.spawn(move || helper(&t1));\n    \
+                 t.set(2, 2);\n}\n",
+        );
+        write(
+            "c.rs",
+            "fn other(pool: &Pool) {\n    let o = Dictionary::new();\n    \
+                 let o1 = o.clone();\n    pool.spawn(move || o1.set(1, 1));\n    \
+                 o.get(&1);\n}\n",
+        );
+        let files: Vec<String> = ["a.rs", "b.rs", "c.rs"].map(String::from).to_vec();
+        let serialized = || records_serialized(&dir, &files, &cache_dir);
+        assert_eq!(serialized(), 3, "no entry: every record");
+        assert_eq!(serialized(), 0, "a full hit writes nothing");
+        // b.rs is a suspect (its support holds helper, which a.rs defines),
+        // but its digests and its support come through as they were.
+        let inert = "fn inert(x: u64) -> u64 {\n    x\n}\n";
+        write("a.rs", &format!("{}{inert}", helper("note")));
+        assert_eq!(serialized(), 1, "the edited file's record only");
+        // helper's closed summary is unchanged, so b.rs keeps its analysis,
+        // but its support moves from note to mark.
+        write("a.rs", &helper("mark"));
+        assert_eq!(serialized(), 2, "a.rs, and b.rs for its support");
+        let stored = Cache::new(Some(cache_dir.clone())).load(1).expect("entry");
+        assert_eq!(stored[1].path, "b.rs");
+        assert_eq!(stored[1].support, ["helper", "mark"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -976,6 +1046,20 @@ fn main() {
         }
     }
 
+    /// Replaces the `.rs` files in `dir` with `files`; their names.
+    fn write_tree(dir: &Path, files: &[(String, String)]) -> Vec<String> {
+        for entry in std::fs::read_dir(dir).expect("read_dir") {
+            let path = entry.expect("entry").path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                std::fs::remove_file(path).expect("clear");
+            }
+        }
+        for (name, src) in files {
+            std::fs::write(dir.join(name), src).expect("write");
+        }
+        files.iter().map(|(n, _)| n.clone()).collect()
+    }
+
     #[test]
     fn cached_equals_uncached_along_random_edit_sequences() {
         const MARK: &str = "reused:";
@@ -994,21 +1078,12 @@ fn main() {
                 if step > 0 {
                     random_edit(&mut rng, &mut files, step);
                 }
-                for entry in std::fs::read_dir(&dir).expect("read_dir") {
-                    let path = entry.expect("entry").path();
-                    if path.extension().is_some_and(|e| e == "rs") {
-                        std::fs::remove_file(path).expect("clear");
-                    }
-                }
-                for (name, src) in &files {
-                    std::fs::write(dir.join(name), src).expect("write");
-                }
-                let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+                let names = write_tree(&dir, &files);
                 // Mark every stored record: a reused one carries its marker
                 // into the report.
                 let cache = Cache::new(Some(cache_dir.clone()));
                 if let Some(mut stored) = cache.load(1) {
-                    for r in &mut stored {
+                    for r in stored.iter_mut().map(|r| &mut **r) {
                         if !r.analysis.awaits.iter().any(|a| a.file.starts_with(MARK)) {
                             r.analysis.awaits.push(report::AwaitPoint {
                                 file: format!("{MARK}{}", r.path),
@@ -1056,6 +1131,58 @@ fn main() {
                 && with_pairs >= steps / 4,
             "{reused_files} reused, {fresh_files} re-analyzed; of {steps} steps {with_sites} \
              with sites, {with_pairs} with pairs"
+        );
+    }
+
+    #[test]
+    fn a_cached_runs_entry_equals_a_cold_runs_along_random_edit_sequences() {
+        // The sequences of the test above, without markers: whatever a
+        // round splices from the stored entry or serializes afresh, the
+        // entry it writes is the one a cold run of the same tree writes.
+        let dir = std::env::temp_dir().join(format!("tsvd_analyze_entry_{}", std::process::id()));
+        let (cache_dir, cold_dir) = (dir.join(".cache"), dir.join(".cold"));
+        let entry = |cache_dir: &Path| std::fs::read(cache_dir.join(cache::ENTRY_FILE));
+        let mut rng = testrand::Seeded::new(0x6564_6974_5f73_6571);
+        let (mut records, mut serialized) = (0, 0);
+        for sequence in 0..24 {
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let mut files: Vec<(String, String)> = (0..2 + rng.below(3))
+                .map(|f| (format!("f{f}.rs"), random_file(&mut rng, &format!("f{f}"))))
+                .collect();
+            for step in 0..8 {
+                if step > 0 {
+                    random_edit(&mut rng, &mut files, step);
+                }
+                let names = write_tree(&dir, &files);
+                let before = cache::RECORDS_SERIALIZED.with(|n| n.get());
+                let opts = AnalyzeOptions {
+                    threads: 1 + step % 2,
+                    cache_dir: Some(cache_dir.clone()),
+                };
+                analyze_paths_with(&dir, &names, &opts).expect("cached");
+                if step > 0 {
+                    records += files.len();
+                    serialized += cache::RECORDS_SERIALIZED.with(|n| n.get()) - before;
+                }
+                std::fs::remove_dir_all(&cold_dir).ok();
+                let cold = AnalyzeOptions {
+                    threads: 1,
+                    cache_dir: Some(cold_dir.clone()),
+                };
+                analyze_paths_with(&dir, &names, &cold).expect("cold");
+                assert!(
+                    entry(&cache_dir).expect("cached entry")
+                        == entry(&cold_dir).expect("cold entry"),
+                    "sequence {sequence} step {step}: {files:#?}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        // Enough lines were spliced for the comparison to cover them.
+        assert!(
+            records - serialized >= 100,
+            "{serialized} of {records} records serialized"
         );
     }
 }

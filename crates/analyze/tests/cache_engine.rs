@@ -60,7 +60,7 @@ fn probe(root: &Path, cache: &Path) -> (BTreeSet<String>, bool) {
     };
     let store = Cache::new(Some(cache.to_path_buf()));
     let mut stored = store.load(1).expect("a readable entry");
-    for record in &mut stored {
+    for record in stored.iter_mut().map(|r| &mut **r) {
         record.analysis.awaits.push(AwaitPoint {
             file: format!("{MARK}{}", record.path),
             line: 0,
@@ -447,6 +447,7 @@ fn stored_record(cache: &Path, path: &str) -> tsvd_analyze::FileRecord {
         .into_iter()
         .find(|r| r.path == path)
         .expect("a record for the path")
+        .into_record()
 }
 
 /// Writes `files` into a fresh tree, fills a cache on it (and hands the

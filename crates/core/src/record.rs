@@ -12,6 +12,7 @@ use std::fmt::Display;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -21,14 +22,17 @@ use parking_lot::Mutex;
 /// truncated hybrid. The temporary is removed if either step fails.
 ///
 /// The temporary lives in the target's own directory because `rename(2)`
-/// is only atomic within a filesystem; its pid suffix keeps concurrent
-/// saver *processes* from clobbering each other's temporaries.
+/// is only atomic within a filesystem. It is named `<file>.tmp.<pid>.<n>`,
+/// `n` a process-wide count of saves, so no two saves share one: not two
+/// processes, and not two threads of one process saving the same path.
 pub fn save_atomic(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
     let file_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "save target has no name"))?;
     let mut tmp_name = OsString::from(file_name);
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
+    let save = SAVES.fetch_add(1, Ordering::Relaxed);
+    tmp_name.push(format!(".tmp.{}.{save}", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
     std::fs::write(&tmp, contents)
         .and_then(|()| std::fs::rename(&tmp, path))
@@ -208,6 +212,35 @@ mod tests {
         let path = dir.join("data.json");
         std::fs::create_dir_all(path.join("occupied")).expect("mkdir target");
         assert!(save_atomic(&path, "x").is_err());
+        assert_eq!(names(&dir), ["data.json"], "no temporary left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_path_each_land_whole() {
+        // Four threads replace one file with contents of different lengths:
+        // every save succeeds, the file is always one save's contents whole,
+        // and no temporary is left.
+        const THREADS: usize = 4;
+        let dir = scratch("concurrent");
+        let path = dir.join("data.json");
+        let contents: Vec<String> = (0..THREADS)
+            .map(|t| char::from(b'a' + t as u8).to_string().repeat(1 + 997 * t))
+            .collect();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for mine in &contents {
+                let (path, contents, start) = (&path, &contents, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..200 {
+                        save_atomic(path, mine).unwrap_or_else(|e| panic!("round {round}: {e}"));
+                        let seen = std::fs::read_to_string(path).expect("read");
+                        assert!(contents.contains(&seen), "torn: {} bytes", seen.len());
+                    }
+                });
+            }
+        });
         assert_eq!(names(&dir), ["data.json"], "no temporary left behind");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -46,8 +46,8 @@ use crate::scope::{ScopeTree, ROOT};
 /// Used region-to-region: an edge `p -> q` means region `p` provably
 /// completes before region `q` starts. Reachability is reflexive
 /// (`reachable(x, x)` is `true`) and, being plain BFS over an adjacency
-/// list, invariant to the order edges were inserted — the property the
-/// feature-gated proptest pins down.
+/// list, invariant to the order edges were inserted — the property
+/// `reachability_is_invariant_to_edge_insertion_order` pins down.
 #[derive(Debug, Default, Clone)]
 pub struct HbGraph {
     adj: Vec<Vec<usize>>,
@@ -498,10 +498,7 @@ mod tests {
 
     #[test]
     fn reachability_is_invariant_to_edge_insertion_order() {
-        // Deterministic exhaustive check over every permutation of a small
-        // edge set — the same property the feature-gated proptest samples
-        // at scale (crates/analyze/tests/proptests.rs), but this one runs
-        // in tier-1.
+        // Every permutation of a small edge set...
         let edges = [(0usize, 1usize), (1, 2), (2, 3), (0, 3), (3, 1)];
         let n = 5;
         let reference = matrix(&build(n, &edges));
@@ -512,6 +509,27 @@ mod tests {
                 "insertion order {order:?} changed reachability"
             );
         });
+        // ...and one seeded shuffle, with a duplicated edge, of each of 256
+        // sampled 12-node graphs of up to 39 edges.
+        let n = 12;
+        for seed in 0..256 {
+            let mut rng = crate::testrand::Seeded::new(seed);
+            let edges: Vec<Edge> = (0..rng.below(40))
+                .map(|_| (rng.below(n), rng.below(n)))
+                .collect();
+            let mut shuffled = edges.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.below(i + 1));
+            }
+            if let Some(&first) = shuffled.first() {
+                shuffled.push(first);
+            }
+            assert_eq!(
+                matrix(&build(n, &shuffled)),
+                matrix(&build(n, &edges)),
+                "seed {seed}: insertion order {shuffled:?} changed reachability"
+            );
+        }
     }
 
     fn build(n: usize, edges: &[(usize, usize)]) -> HbGraph {

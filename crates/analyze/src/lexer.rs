@@ -626,6 +626,13 @@ mod tests {
         use crate::testrand::{soup, LEXER_SOUP};
         for src in soup(0x6c65_7865_7232_3300, LEXER_SOUP, 5000) {
             assert_same_as_oracle(&format!("{src:?}"), &src);
+            // Positions stay 1-based and non-decreasing by line.
+            let mut last_line = 1;
+            for t in tokenize(&src) {
+                assert!(t.line >= 1 && t.col >= 1, "{src:?}: {t:?}");
+                assert!(t.line >= last_line, "{src:?}: {t:?} after line {last_line}");
+                last_line = t.line;
+            }
         }
     }
 

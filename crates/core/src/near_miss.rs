@@ -495,5 +495,16 @@ mod tests {
         assert!(p1.contains(site(1)));
         assert_eq!(p1.other(site(1)), site(2));
         assert_eq!(p1.other(site(2)), site(1));
+        // Construction order never matters, for any two of 50 sites.
+        for a in 0..50 {
+            for b in 0..50 {
+                let p = SitePair::new(site(a), site(b));
+                assert_eq!(p, SitePair::new(site(b), site(a)), "sites {a} and {b}");
+                assert!(
+                    p.contains(site(a)) && p.contains(site(b)),
+                    "sites {a} and {b}"
+                );
+            }
+        }
     }
 }

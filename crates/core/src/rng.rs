@@ -1,11 +1,23 @@
 //! SplitMix64: the workspace's deterministic, dependency-free RNG.
 //!
-//! Fault injection (harness chaos storms, fleet worker kills) and backoff
-//! jitter all need reproducible randomness that two processes can derive
-//! independently from a shared seed. SplitMix64 is the standard choice: one
-//! u64 of state, full-period, and a two-line step function — the same
-//! generator the chaos harness has used since PR 2, hoisted here so every
-//! crate draws from one implementation.
+//! One u64 of state, full-period, and a two-line step function, so two
+//! processes derive the same stream from a shared seed. It drives fault
+//! injection (the harness's chaos storms, the fleet's worker kills, stalls
+//! and torn frames), the fleet's backoff jitter, and the seeded tests:
+//! `strategy_sim`, the property loops under each crate's `tests/`, and the
+//! unit tests' generated inputs.
+//!
+//! The detectors' own random decisions do not draw from it. `DynamicRandom`'s
+//! delay coin and length, `StaticRandom`'s armed-site pick and `DelayPlan`'s
+//! `P_loc` draw use the vendored `rand::rngs::SmallRng` (xoshiro256**), and
+//! so does the rare pair's per-run close-or-far draw in
+//! `tsvd_workloads::scenarios::hard`. Those streams stay where they are
+//! because tests pin them: the `strategy_sim` digest hashes every delay
+//! decision over 256 seeded event streams, and the corpus pin holds each
+//! scenario's calls and sites. Moving them here would change every decision
+//! and re-pin both without adding anything either pin can check. `tsvd-vc`'s
+//! property tests use `SmallRng` too, because that crate sits below this
+//! one.
 
 /// Deterministic splitmix64 generator.
 #[derive(Debug, Clone)]

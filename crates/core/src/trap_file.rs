@@ -242,16 +242,29 @@ mod tests {
 
     #[test]
     fn pairs_round_trip_in_memory() {
-        let pairs = vec![
-            SitePair::new(site(1), site(2)),
-            SitePair::new(site(3), site(3)),
-        ];
-        let data = TrapFileData::from_pairs(&pairs);
-        let mut back = data.to_pairs();
-        back.sort();
-        let mut want = pairs.clone();
-        want.sort();
-        assert_eq!(back, want);
+        let round_trips = |pairs: Vec<SitePair>, what: &str| {
+            let data = TrapFileData::from_pairs(&pairs);
+            let mut back = data.to_pairs();
+            back.sort();
+            let mut want = pairs;
+            want.sort();
+            assert_eq!(back, want, "{what}");
+        };
+        round_trips(
+            vec![
+                SitePair::new(site(1), site(2)),
+                SitePair::new(site(3), site(3)),
+            ],
+            "two pairs",
+        );
+        // Up to 39 pairs over 30 sites, repeats and self-pairs included.
+        for seed in 0..256 {
+            let mut rng = crate::rng::SplitMix64::new(seed);
+            let pairs = (0..rng.below(40))
+                .map(|_| SitePair::new(site(rng.below(30) as u32), site(rng.below(30) as u32)))
+                .collect();
+            round_trips(pairs, &format!("seed {seed}"));
+        }
     }
 
     #[test]

@@ -111,10 +111,6 @@ pub struct TsvdConfig {
     /// a run that catches nothing leaves none. `None` disables the sink.
     #[serde(default)]
     pub durable_sink: Option<std::path::PathBuf>,
-    /// `fsync` the durable sink after each appended violation (maximum
-    /// durability; slower when violations are frequent).
-    #[serde(default)]
-    pub durable_sink_fsync: bool,
 }
 
 impl Default for TsvdConfig {
@@ -144,7 +140,6 @@ impl Default for TsvdConfig {
             enable_phase_detection: true,
             batch_capacity: 0,
             durable_sink: None,
-            durable_sink_fsync: false,
         }
     }
 }
@@ -338,7 +333,7 @@ mod tests {
         let mut value = serde::Serialize::to_value(&TsvdConfig::paper());
         match &mut value {
             serde::Value::Object(map) => {
-                for key in ["batch_capacity", "durable_sink", "durable_sink_fsync"] {
+                for key in ["batch_capacity", "durable_sink"] {
                     map.remove(key);
                 }
             }
@@ -416,6 +411,22 @@ mod tests {
          \"phase_buffer\":16,\"seed\":1936024932,\"stats_shards\":16,\
          \"trap_import_budget\":18446744073709551615,\"trap_shards\":16}";
 
+    /// The same, written while the durable sink still had an `fsync`
+    /// switch (`durable_sink_fsync`) that nothing set.
+    const PAPER_WITH_SINK_FSYNC: &str = "{\"batch_capacity\":0,\"beat_ns\":25000000,\
+         \"capture_stacks\":false,\"decay_factor\":0.5,\"decay_floor\":0.1,\
+         \"delay_ns\":100000000,\"durable_sink\":null,\
+         \"durable_sink_fsync\":false,\"dynamic_random_p\":0.05,\
+         \"enable_hb_inference\":true,\"enable_phase_detection\":true,\
+         \"enable_windowing\":true,\"hb_blocking_threshold\":0.5,\
+         \"hb_delay_history\":64,\"hb_inference_window\":5,\
+         \"max_delay_per_context_ns\":5000000000,\
+         \"max_delay_per_run_ns\":30000000000,\
+         \"max_tracked_objects\":65536,\"near_miss_history\":5,\
+         \"near_miss_shards\":16,\"near_miss_window_ns\":100000000,\
+         \"phase_buffer\":16,\"seed\":1936024932,\"stats_shards\":16,\
+         \"trap_shards\":16}";
+
     #[test]
     fn config_written_with_retired_fields_still_loads() {
         let keys = |json: &str| {
@@ -423,12 +434,13 @@ mod tests {
             value.as_object().map_or(0, |map| map.len())
         };
         let paper = serde_json::to_string(&TsvdConfig::paper()).expect("serialize");
-        assert_eq!(keys(&paper), 25);
+        assert_eq!(keys(&paper), 24);
         // The retired keys are skipped, and every kept one is read.
         for (old, fields) in [
             (PAPER_WITH_WATCHDOG_FIELDS, 35),
             (PAPER_WITH_ADAPTIVE_FIELDS, 30),
             (PAPER_WITH_IMPORT_BUDGET, 26),
+            (PAPER_WITH_SINK_FSYNC, 25),
         ] {
             assert_eq!(keys(old), fields);
             let back: TsvdConfig = serde_json::from_str(old).expect("unknown keys are skipped");
@@ -459,7 +471,6 @@ mod tests {
                 "decay_floor",
                 "delay_ns",
                 "durable_sink",
-                "durable_sink_fsync",
                 "dynamic_random_p",
                 "enable_hb_inference",
                 "enable_phase_detection",

@@ -57,7 +57,7 @@ impl Runtime {
             panic!("invalid TsvdConfig: {msg}");
         }
         let durable = config.durable_sink.as_ref().and_then(|path| {
-            match DurableSink::create(path, config.durable_sink_fsync) {
+            match DurableSink::create(path, false) {
                 Ok(sink) => Some(sink),
                 Err(e) => {
                     // A missing log must not turn detection off entirely.

@@ -10,9 +10,10 @@
 //! Format: JSONL — one [`ViolationRecord`] object per `\n`-terminated line,
 //! written and read through [`crate::record`]: a crash mid-append tears at
 //! most the line being written, which [`DurableSink::load`] skips (with a
-//! warning). `durable_sink_fsync` additionally syncs file data after every
-//! append for power-loss durability; the default trades that for speed,
-//! relying on the OS page cache surviving process death.
+//! warning). [`DurableSink::create`]'s `fsync` additionally syncs file data
+//! after every append for power-loss durability; `Runtime` passes `false`,
+//! trading that for speed and relying on the OS page cache surviving
+//! process death.
 //!
 //! The contract, in three clauses: **a file exists iff a record was
 //! appended** (the first append opens it, so a run that catches nothing

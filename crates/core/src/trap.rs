@@ -32,6 +32,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::access::{Access, ObjId};
 use crate::audit;
 use crate::chunks::{stripe_of, Stripe};
+use crate::clock;
 
 const DEFAULT_SHARDS: usize = 16;
 
@@ -101,13 +102,9 @@ impl TrapEntry {
     /// Sleeps for up to `duration`, returning early if the trap is hit.
     /// Returns `true` if the trap was caught during the sleep.
     pub fn sleep(&self, duration: Duration) -> bool {
-        let deadline = std::time::Instant::now() + duration;
+        let deadline = clock::deadline_after(duration);
         let mut st = self.state.lock();
-        while !st.wake_now {
-            if self.wake.wait_until(&mut st, deadline).timed_out() {
-                break;
-            }
-        }
+        clock::wait_until(&self.wake, &mut st, deadline, |st| st.wake_now);
         st.caught
     }
 }

@@ -35,6 +35,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::clock;
 use crate::config::TsvdConfig;
 use crate::trap::TrapTable;
 
@@ -268,12 +269,11 @@ fn monitor(inner: Arc<WatchdogInner>) {
     let mut starved_polls = 0u32;
     loop {
         {
+            // A whole beat per poll: a wakeup that does not shut the
+            // monitor down keeps it waiting, so it never counts as a poll.
             let mut sd = inner.shutdown.lock();
-            if *sd {
-                return;
-            }
-            inner.wake.wait_for(&mut sd, inner.poll);
-            if *sd {
+            let deadline = clock::deadline_after(inner.poll);
+            if clock::wait_until(&inner.wake, &mut sd, deadline, |sd| *sd) {
                 return;
             }
         }
@@ -465,6 +465,37 @@ mod tests {
         assert!(
             !wd.is_degraded(),
             "one cancellation is not repeated starvation"
+        );
+        wd.shutdown();
+    }
+
+    #[test]
+    fn wakeups_without_shutdown_are_not_polls() {
+        // A long beat, and a nudger that wakes the monitor every
+        // millisecond without asking it to stop: each such wakeup (as a
+        // spurious one would) must leave the monitor waiting out its beat,
+        // so the grace period still takes whole beats.
+        let traps = Arc::new(TrapTable::new());
+        let mut config = TsvdConfig::for_testing();
+        config.beat_ns = clock::ms_to_ns(100);
+        let wd = Arc::new(Watchdog::new(&config, &traps));
+        let stop = Arc::new(AtomicBool::new(false));
+        let nudger = {
+            let (wd, stop) = (wd.clone(), stop.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    wd.inner.wake.notify_all();
+                    clock::pause(Duration::from_millis(1));
+                }
+            })
+        };
+        let (caught, slept) = starving_worker(&wd, &traps, 1);
+        stop.store(true, Ordering::SeqCst);
+        nudger.join().expect("nudger no panic");
+        assert!(!caught, "the starving delay is still cancelled");
+        assert!(
+            slept >= poll_interval(&config),
+            "cancelled after {slept:?}, inside one poll interval"
         );
         wd.shutdown();
     }

@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
+use tsvd_core::clock;
 use tsvd_core::context::ContextId;
 
 /// Internal completion state of a task.
@@ -56,16 +57,6 @@ impl<T> TaskInner<T> {
     /// Returns `true` once the task finished (normally or by panic).
     pub fn is_done(&self) -> bool {
         !matches!(*self.state.lock(), TaskState::Pending)
-    }
-
-    /// Blocks up to `timeout` for completion; returns `true` if done.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let mut st = self.state.lock();
-        if !matches!(*st, TaskState::Pending) {
-            return true;
-        }
-        self.done.wait_for(&mut st, timeout);
-        !matches!(*st, TaskState::Pending)
     }
 
     /// Takes the task's value.
@@ -121,9 +112,18 @@ impl<T> JoinHandle<T> {
     /// analog), so acyclic task dependency graphs can never deadlock.
     /// Reports a `Join` edge to the runtime once the target completes.
     pub fn wait(&self) {
+        // Waits up to `poll` for completion; `true` once the task is done.
+        let done_within = |poll: Duration| {
+            let inner = &*self.inner;
+            let mut st = inner.state.lock();
+            let deadline = clock::deadline_after(poll);
+            clock::wait_until(&inner.done, &mut st, deadline, |st| {
+                !matches!(st, TaskState::Pending)
+            })
+        };
         if let Some(pool) = self.pool.upgrade() {
             pool.enter_blocked_wait();
-            while !self.inner.wait_timeout(Duration::from_micros(500)) {
+            while !done_within(Duration::from_micros(500)) {
                 pool.maybe_inject();
             }
             pool.exit_blocked_wait();
@@ -131,7 +131,7 @@ impl<T> JoinHandle<T> {
         } else {
             // Pool is gone; the task either ran or never will. Avoid
             // hanging forever on an orphaned pending task.
-            while !self.inner.wait_timeout(Duration::from_millis(10)) {
+            while !done_within(Duration::from_millis(10)) {
                 if self.pool.upgrade().is_none() && !self.inner.is_done() {
                     panic!("joined a task whose pool was dropped before it ran");
                 }
@@ -188,24 +188,5 @@ mod tests {
         assert!(inner.is_done());
         let result = panic::catch_unwind(AssertUnwindSafe(|| inner.take()));
         assert!(result.is_err(), "take must resume the task's panic");
-    }
-
-    #[test]
-    fn wait_timeout_expires_when_pending() {
-        let inner: Arc<TaskInner<u32>> = TaskInner::new(context::fresh_id());
-        assert!(!inner.wait_timeout(Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn wait_timeout_wakes_on_completion() {
-        let inner: Arc<TaskInner<u32>> = TaskInner::new(context::fresh_id());
-        let inner2 = inner.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(2));
-            inner2.run(|| 7);
-        });
-        assert!(inner.wait_timeout(Duration::from_secs(5)));
-        t.join().expect("no panic");
-        assert_eq!(inner.take(), 7);
     }
 }

@@ -51,7 +51,7 @@ impl ModuleCtx {
         self.pool.spawn(move || {
             for i in 0..n {
                 let _ = op(i);
-                std::thread::sleep(pace);
+                tsvd_core::clock::pause(pace);
             }
         })
     }

@@ -97,7 +97,7 @@ pub fn projects() -> Vec<Project> {
                 for _ in 0..4 {
                     let _ = telemetry.to_vec();
                     telemetry.clear(); // Drops items added in between.
-                    std::thread::sleep(p * 2);
+                    tsvd_core::clock::pause(p * 2);
                 }
             });
             ctx.join_all([broadcast, flusher]);
@@ -141,7 +141,7 @@ pub fn projects() -> Vec<Project> {
             let watch = ctx.paced(6, move |i| w.set(i, u64::from(i)));
             let p = ctx.pace;
             let dispose = ctx.pool.spawn(move || {
-                std::thread::sleep(p * 3);
+                tsvd_core::clock::pause(p * 3);
                 watchers.clear();
             });
             ctx.join_all([watch, dispose]);

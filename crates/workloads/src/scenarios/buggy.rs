@@ -57,7 +57,7 @@ pub fn queue_drain(items: u32) -> Module {
                     Some(_) => drained += 1,
                     None => idle_rounds += 1,
                 }
-                std::thread::sleep(p);
+                tsvd_core::clock::pause(p);
             }
         });
         ctx.join_all([producer, consumer]);
@@ -99,12 +99,12 @@ pub fn hot_loop(hot_iters: u32, cold_iters: u32) -> Module {
             for i in 0..hot_iters {
                 private.set(u64::from(i % 64), u64::from(i));
                 if i % 8 == 0 {
-                    std::thread::sleep(p / 4);
+                    tsvd_core::clock::pause(p / 4);
                 }
             }
             for i in 0..cold_iters {
                 s.set(7, u64::from(i)); // The cold, racy write.
-                std::thread::sleep(p);
+                tsvd_core::clock::pause(p);
             }
             done.store(true, Ordering::Release);
         });
@@ -115,7 +115,7 @@ pub fn hot_loop(hot_iters: u32, cold_iters: u32) -> Module {
             let mut i = 0u64;
             while !hot_done.load(Ordering::Acquire) && i < 10_000 {
                 shared.set(7, 1_000 + i);
-                std::thread::sleep(p * 2);
+                tsvd_core::clock::pause(p * 2);
                 i += 1;
             }
         });
@@ -253,11 +253,11 @@ pub fn pipeline_continuations(requests: u32) -> Module {
             for req in 0..requests {
                 let r = results.clone();
                 let parse = ctx.pool.spawn(move || {
-                    std::thread::sleep(p); // Parse the request.
+                    tsvd_core::clock::pause(p); // Parse the request.
                     u64::from(req) * 3
                 });
                 let enrich = parse.then(&ctx.pool, move |v| {
-                    std::thread::sleep(p); // Enrich with metadata.
+                    tsvd_core::clock::pause(p); // Enrich with metadata.
                     v + 1
                 });
                 let publish = enrich.then(&ctx.pool, move |v| {
@@ -265,7 +265,7 @@ pub fn pipeline_continuations(requests: u32) -> Module {
                     v
                 });
                 finals.push(publish);
-                std::thread::sleep(p / 2);
+                tsvd_core::clock::pause(p / 2);
             }
             for f in finals {
                 let _ = f.join();

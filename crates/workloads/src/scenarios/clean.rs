@@ -36,7 +36,7 @@ pub fn crud(iters: u32) -> Module {
                 let _ = sorted.first();
                 if i % 4 == 3 {
                     // Stand-in for the I/O and assertions of a real test.
-                    std::thread::sleep(ctx.pace);
+                    tsvd_core::clock::pause(ctx.pace);
                 }
             }
             dict.clear();
@@ -84,7 +84,7 @@ pub fn adhoc_sync(iters: u32) -> Module {
             let d = dict.clone();
             let second = ctx.pool.spawn(move || {
                 while !flag.load(Ordering::Acquire) {
-                    std::thread::sleep(p / 10); // Hand-rolled wait.
+                    tsvd_core::clock::pause(p / 10); // Hand-rolled wait.
                 }
                 d.set(2, u64::from(round)); // Ordered, but invisibly so.
             });
@@ -197,7 +197,7 @@ pub fn staged_pipeline(objects: u32, stage_gap_beats: u32) -> Module {
             };
             run_stage(1);
             // The inter-stage gap: far beyond the near-miss window.
-            std::thread::sleep(ctx.beat * stage_gap_beats.max(8));
+            tsvd_core::clock::pause(ctx.beat * stage_gap_beats.max(8));
             run_stage(2);
         },
     )

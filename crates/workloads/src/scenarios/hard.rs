@@ -32,10 +32,10 @@ pub fn rare_pair(seed: u64, close_one_in: u32, iters: u32) -> Module {
         let p = ctx.pace;
         let gap = if close { p } else { p * (40 * iters) };
         let deallocator = ctx.pool.spawn(move || {
-            std::thread::sleep(gap);
+            tsvd_core::clock::pause(gap);
             for _ in 0..iters {
                 resource.clear(); // Resource deallocation.
-                std::thread::sleep(p);
+                tsvd_core::clock::pause(p);
             }
         });
         ctx.join_all([user, deallocator]);
@@ -54,7 +54,7 @@ pub fn single_shot() -> Module {
         let init = ctx.pool.spawn(move || s.set(1, 42)); // Executes once per run.
         let p = ctx.pace;
         let probe = ctx.pool.spawn(move || {
-            std::thread::sleep(p / 2);
+            tsvd_core::clock::pause(p / 2);
             let _ = settings.contains_key(&1); // Executes once per run.
         });
         ctx.join_all([init, probe]);
@@ -90,7 +90,7 @@ pub fn slow_partner(fast_iters: u32) -> Module {
                     if t % period == 0 {
                         s.set(key, u64::from(t)); // Drifting shared write.
                     }
-                    std::thread::sleep(beat);
+                    tsvd_core::clock::pause(beat);
                 }
             })
         }));

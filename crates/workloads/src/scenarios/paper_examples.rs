@@ -30,7 +30,7 @@ pub fn getsqrt_cache(iters: u32) -> Module {
         }
         let p = ctx.pace;
         let t = ctx.pool.spawn_fast(move || {
-            std::thread::sleep(p); // Background work.
+            tsvd_core::clock::pause(p); // Background work.
             busy_work(2) ^ x
         });
         let s = t.join(); // Resume when done.
@@ -72,11 +72,11 @@ pub fn device_manager(messages: u32) -> Module {
                     let filler = Filler::new(&rt);
                     filler.tick(msg);
                     filler.tick(msg + 1);
-                    std::thread::sleep(p);
+                    tsvd_core::clock::pause(p);
                     status.set(msg % 4, u64::from(msg)); // GlobalStatus[clientID] = s.
                 }));
                 // The listener keeps listening between messages.
-                std::thread::sleep(p / 2);
+                tsvd_core::clock::pause(p / 2);
             }
             ctx.join_all(handles);
         },
@@ -99,7 +99,7 @@ pub fn network_validation(hosts: u32) -> Module {
                 let filler = Filler::new(&rt);
                 filler.tick(host);
                 filler.tick(host + 1);
-                std::thread::sleep(p); // GetConfigLevel(host).
+                tsvd_core::clock::pause(p); // GetConfigLevel(host).
                 configure_cache.set(host, busy_work(1)); // configureCache[host] = cl.
             });
         },

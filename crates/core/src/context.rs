@@ -6,10 +6,18 @@
 //! fork/join happens-before edges connect tasks. The task substrate
 //! (`tsvd-tasks`) therefore installs a logical context id for the duration of
 //! each task; code running outside any task gets a per-OS-thread id.
+//!
+//! A task also carries its [`SpawnCertificate`]: who spawned it and when,
+//! stamped on the spawning thread. That is what the paper's own
+//! interception of task creation (§4) sees, and all the near-miss tracker
+//! needs to tell the parent's pre-spawn initialization from a race: TSVD
+//! still consumes no synchronization event.
 
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::clock::now_ns;
 
 /// Identifier of an execution context (an OS thread or a logical task).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,11 +29,35 @@ impl fmt::Display for ContextId {
     }
 }
 
+/// What a task's spawner certifies about it: the spawning context, and a
+/// [`now_ns`] stamp taken on the spawning thread at the spawn. Every access
+/// the parent made stamped at or before `spawned_ns` happened before the
+/// task started.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpawnCertificate {
+    /// The context that spawned the task.
+    pub parent: ContextId,
+    /// [`now_ns`] on the spawning thread at the spawn.
+    pub spawned_ns: u64,
+}
+
+impl SpawnCertificate {
+    /// Draws the certificate of a task the calling context spawns now.
+    pub fn draw() -> SpawnCertificate {
+        SpawnCertificate {
+            parent: current(),
+            spawned_ns: now_ns(),
+        }
+    }
+}
+
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static THREAD_DEFAULT: ContextId = ContextId(NEXT_ID.fetch_add(1, Ordering::Relaxed));
     static CURRENT: Cell<Option<ContextId>> = const { Cell::new(None) };
+    /// The installed task and its certificate, when it has one.
+    static SPAWN: Cell<Option<(ContextId, SpawnCertificate)>> = const { Cell::new(None) };
 }
 
 /// Allocates a fresh context id (used by the task substrate for each task).
@@ -42,23 +74,36 @@ pub fn current() -> ContextId {
     })
 }
 
-/// Installs `id` as the current context until the returned guard drops.
+/// The spawn certificate of `id`, if `id` is the context installed on the
+/// calling thread and was installed with one.
+pub fn spawn_certificate(id: ContextId) -> Option<SpawnCertificate> {
+    match SPAWN.get() {
+        Some((task, certificate)) if task == id => Some(certificate),
+        _ => None,
+    }
+}
+
+/// Installs `id`, with the certificate of its spawn if it is a task, as
+/// the current context until the returned guard drops.
 ///
 /// Nested entries restore the previous context on drop, so a task that
 /// synchronously runs a child task keeps correct attribution.
-pub fn enter(id: ContextId) -> ContextGuard {
+pub fn enter(id: ContextId, spawn: Option<SpawnCertificate>) -> ContextGuard {
     let prev = CURRENT.with(|c| c.replace(Some(id)));
-    ContextGuard { prev }
+    let prev_spawn = SPAWN.replace(spawn.map(|certificate| (id, certificate)));
+    ContextGuard { prev, prev_spawn }
 }
 
 /// Guard restoring the previous context id on drop. See [`enter`].
 pub struct ContextGuard {
     prev: Option<ContextId>,
+    prev_spawn: Option<(ContextId, SpawnCertificate)>,
 }
 
 impl Drop for ContextGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev));
+        SPAWN.set(self.prev_spawn);
     }
 }
 
@@ -83,16 +128,44 @@ mod tests {
         let outer = current();
         let task = fresh_id();
         {
-            let _g = enter(task);
+            let _g = enter(task, None);
             assert_eq!(current(), task);
             let nested = fresh_id();
             {
-                let _g2 = enter(nested);
+                let _g2 = enter(nested, None);
                 assert_eq!(current(), nested);
             }
             assert_eq!(current(), task, "nested guard restores enclosing task");
         }
         assert_eq!(current(), outer, "outer guard restores thread default");
+    }
+
+    #[test]
+    fn a_spawn_certificate_belongs_to_its_task_and_nesting_restores_it() {
+        let outer = current();
+        assert_eq!(spawn_certificate(outer), None, "a thread default has none");
+        let certificate = SpawnCertificate::draw();
+        assert_eq!(certificate.parent, outer);
+        let (task, child) = (fresh_id(), fresh_id());
+        {
+            let _g = enter(task, Some(certificate));
+            assert_eq!(spawn_certificate(task), Some(certificate));
+            assert_eq!(spawn_certificate(outer), None, "only the installed task's");
+            let inner = SpawnCertificate::draw();
+            assert_eq!(inner.parent, task);
+            assert!(inner.spawned_ns >= certificate.spawned_ns);
+            {
+                let _g2 = enter(child, Some(inner));
+                assert_eq!(spawn_certificate(child), Some(inner));
+                assert_eq!(spawn_certificate(task), None);
+            }
+            assert_eq!(spawn_certificate(task), Some(certificate));
+            {
+                let _g3 = enter(child, None);
+                assert_eq!(spawn_certificate(child), None, "entered without one");
+            }
+        }
+        assert_eq!(spawn_certificate(task), None);
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! locations involved becomes a dangerous-pair candidate that delay injection
 //! will later try to convert into a real, caught violation.
 //!
+//! A near miss is *ordered* when the current access is a task's and the
+//! earlier one is its parent's, stamped at or before the task's spawn (the
+//! task's [`SpawnCertificate`]): the parent's initialization before a
+//! fork. The concurrent phase (§3.4.3) cannot exclude it, because the
+//! children's first accesses interleave in the phase ring; the delay
+//! planner gives such a pair one delay and does not carry it to the next
+//! run.
+//!
 //! The tracker is written to on every instrumented access, so the object is
 //! the unit of locking: a table of cache-line-sized slots, one object per
 //! slot, each behind its own small mutex. A call on an object no other
@@ -24,7 +32,7 @@ use std::collections::VecDeque;
 
 use crate::access::{Access, ObjId, OpKind};
 use crate::chunks::{ChunkTable, Stripe};
-use crate::context::ContextId;
+use crate::context::{self, ContextId, SpawnCertificate};
 use crate::site::SiteId;
 
 /// An unordered pair of static program locations.
@@ -70,6 +78,17 @@ impl SitePair {
             self.first
         }
     }
+}
+
+/// A dangerous pair one access formed, and whether every retained access
+/// it formed the pair with is its parent's pre-spawn access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NearMiss {
+    /// The two locations.
+    pub pair: SitePair,
+    /// Fork-ordered: the earlier access is by the current task's parent,
+    /// stamped at or before the task's spawn.
+    pub ordered: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -131,9 +150,10 @@ impl NearMissTracker {
     }
 
     /// Records `access` and returns the dangerous pairs it forms with
-    /// retained history entries (deduplicated within this call). An access
-    /// that loses its slot to a recently used resident goes unrecorded.
-    pub fn record(&self, access: &Access) -> Vec<SitePair> {
+    /// retained history entries (deduplicated within this call; a pair is
+    /// ordered only if every entry that formed it is). An access that loses
+    /// its slot to a recently used resident goes unrecorded.
+    pub fn record(&self, access: &Access) -> Vec<NearMiss> {
         crate::audit::note_lock();
         let mut slot = self.slots.get(access.obj.0 as usize & self.mask).lock();
         let slot = &mut *slot;
@@ -149,7 +169,9 @@ impl NearMissTracker {
             slot.hist.reserve_exact(self.history);
         }
 
-        let mut pairs = Vec::new();
+        let mut pairs: Vec<NearMiss> = Vec::new();
+        // Read on the first conflict only: most calls form no pair.
+        let mut spawn: Option<Option<SpawnCertificate>> = None;
         for prev in slot.hist.iter() {
             if prev.context == access.context {
                 continue;
@@ -162,9 +184,13 @@ impl NearMissTracker {
                     continue;
                 }
             }
+            let spawn = *spawn.get_or_insert_with(|| context::spawn_certificate(access.context));
+            let ordered =
+                spawn.is_some_and(|c| prev.context == c.parent && prev.time_ns <= c.spawned_ns);
             let pair = SitePair::new(prev.site, access.site);
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
+            match pairs.iter_mut().find(|miss| miss.pair == pair) {
+                Some(miss) => miss.ordered &= ordered,
+                None => pairs.push(NearMiss { pair, ordered }),
             }
         }
 
@@ -221,6 +247,11 @@ mod tests {
         }
     }
 
+    /// The pairs of `misses`, ordered or not.
+    fn pairs_in(misses: Vec<NearMiss>) -> Vec<SitePair> {
+        misses.into_iter().map(|miss| miss.pair).collect()
+    }
+
     fn tracker() -> NearMissTracker {
         NearMissTracker::new(5, Some(WINDOW), 1024)
     }
@@ -229,7 +260,7 @@ mod tests {
     fn conflicting_accesses_within_window_pair_up() {
         let t = tracker();
         assert!(t.record(&acc(1, 7, site(1), OpKind::Write, 0)).is_empty());
-        let pairs = t.record(&acc(2, 7, site(2), OpKind::Read, 50));
+        let pairs = pairs_in(t.record(&acc(2, 7, site(2), OpKind::Read, 50)));
         assert_eq!(pairs, vec![SitePair::new(site(1), site(2))]);
     }
 
@@ -237,7 +268,7 @@ mod tests {
     fn outside_window_is_not_a_near_miss() {
         let t = tracker();
         t.record(&acc(1, 7, site(1), OpKind::Write, 0));
-        let pairs = t.record(&acc(2, 7, site(2), OpKind::Write, 500));
+        let pairs = pairs_in(t.record(&acc(2, 7, site(2), OpKind::Write, 500)));
         assert!(pairs.is_empty());
     }
 
@@ -267,7 +298,7 @@ mod tests {
         // 34 % of the paper's bugs are two threads at one location.
         let t = tracker();
         t.record(&acc(1, 7, site(9), OpKind::Write, 0));
-        let pairs = t.record(&acc(2, 7, site(9), OpKind::Write, 1));
+        let pairs = pairs_in(t.record(&acc(2, 7, site(9), OpKind::Write, 1)));
         assert_eq!(pairs, vec![SitePair::new(site(9), site(9))]);
     }
 
@@ -278,7 +309,7 @@ mod tests {
         t.record(&acc(1, 7, site(2), OpKind::Write, 1));
         t.record(&acc(1, 7, site(3), OpKind::Write, 2));
         // site(1) has been evicted (history = 2), so only 2 pairs form.
-        let pairs = t.record(&acc(2, 7, site(4), OpKind::Write, 3));
+        let pairs = pairs_in(t.record(&acc(2, 7, site(4), OpKind::Write, 3)));
         assert_eq!(pairs.len(), 2);
         assert!(!pairs.contains(&SitePair::new(site(1), site(4))));
     }
@@ -287,7 +318,7 @@ mod tests {
     fn windowless_mode_pairs_regardless_of_age() {
         let t = NearMissTracker::new(5, None, 1024);
         t.record(&acc(1, 7, site(1), OpKind::Write, 0));
-        let pairs = t.record(&acc(2, 7, site(2), OpKind::Write, 60_000));
+        let pairs = pairs_in(t.record(&acc(2, 7, site(2), OpKind::Write, 60_000)));
         assert_eq!(pairs.len(), 1);
     }
 
@@ -296,8 +327,74 @@ mod tests {
         let t = tracker();
         t.record(&acc(1, 7, site(1), OpKind::Write, 0));
         t.record(&acc(1, 7, site(1), OpKind::Write, 1));
-        let pairs = t.record(&acc(2, 7, site(2), OpKind::Write, 2));
+        let pairs = pairs_in(t.record(&acc(2, 7, site(2), OpKind::Write, 2)));
         assert_eq!(pairs.len(), 1, "same pair reported once per call");
+    }
+
+    const PARENT: u64 = 1;
+    const CHILD: u64 = 2;
+    const SIBLING: u64 = 3;
+    const GRANDPARENT: u64 = 4;
+
+    /// CHILD's certificate: PARENT spawned it at 10 ms.
+    const SPAWN: SpawnCertificate = SpawnCertificate {
+        parent: ContextId(PARENT),
+        spawned_ns: 10 * 1_000_000,
+    };
+
+    /// What CHILD's read of object 7 at site(2), 20 ms, forms after each of
+    /// `earlier` (context, time in ms) wrote it at site(1), with `installed`
+    /// entered on this thread.
+    fn child_reads_after(
+        earlier: &[(u64, u64)],
+        installed: Option<(u64, SpawnCertificate)>,
+    ) -> Vec<NearMiss> {
+        let t = tracker();
+        for &(ctx, t_ms) in earlier {
+            t.record(&acc(ctx, 7, site(1), OpKind::Write, t_ms));
+        }
+        let _g = installed.map(|(ctx, spawn)| context::enter(ContextId(ctx), Some(spawn)));
+        t.record(&acc(CHILD, 7, site(2), OpKind::Read, 20))
+    }
+
+    #[test]
+    fn only_the_parents_access_at_or_before_the_spawn_is_ordered() {
+        let as_child = Some((CHILD, SPAWN));
+        for (earlier, ordered) in [
+            ((PARENT, 5), true),
+            ((PARENT, 10), true),
+            ((PARENT, 11), false),
+            ((SIBLING, 5), false),
+            ((GRANDPARENT, 5), false),
+        ] {
+            assert_eq!(
+                child_reads_after(&[earlier], as_child),
+                vec![NearMiss {
+                    pair: SitePair::new(site(1), site(2)),
+                    ordered
+                }],
+                "earlier access {earlier:?}"
+            );
+        }
+        // A thread-default context has no certificate, and a certificate
+        // installed for another task is not this access's.
+        for installed in [None, Some((SIBLING, SPAWN))] {
+            let misses = child_reads_after(&[(PARENT, 5)], installed);
+            assert_eq!(misses.len(), 1);
+            assert!(!misses[0].ordered, "installed {installed:?}");
+        }
+    }
+
+    #[test]
+    fn a_pair_is_ordered_only_if_every_entry_that_formed_it_is() {
+        let as_child = Some((CHILD, SPAWN));
+        let both_before = child_reads_after(&[(PARENT, 5), (PARENT, 8)], as_child);
+        assert_eq!(both_before.len(), 1);
+        assert!(both_before[0].ordered);
+        // The parent wrote again after the spawn: that write races.
+        let one_after = child_reads_after(&[(PARENT, 5), (PARENT, 15)], as_child);
+        assert_eq!(one_after.len(), 1);
+        assert!(!one_after[0].ordered);
     }
 
     const WINDOW: u64 = 100 * 1_000_000;
@@ -368,7 +465,7 @@ mod tests {
 
     /// The pairs each access of `events` formed, call by call.
     fn pairs_of(t: &NearMissTracker, events: &[Access]) -> Vec<Vec<SitePair>> {
-        events.iter().map(|a| t.record(a)).collect()
+        events.iter().map(|a| pairs_in(t.record(a))).collect()
     }
 
     #[test]
@@ -445,7 +542,7 @@ mod tests {
             assert!(lost.is_empty(), "an untracked access pairs with nothing");
         }
         assert_eq!(t.tracked_objects(), 1);
-        let pairs = t.record(&acc(2, 7, site(3), OpKind::Read, 2));
+        let pairs = pairs_in(t.record(&acc(2, 7, site(3), OpKind::Read, 2)));
         assert_eq!(pairs, vec![SitePair::new(site(1), site(3))]);
     }
 
@@ -460,7 +557,7 @@ mod tests {
             t.record(&acc(2, 11, site(2), OpKind::Write, 3)).is_empty(),
             "7's writes by context 1 must not pair with 11's by context 2"
         );
-        let pairs = t.record(&acc(1, 11, site(3), OpKind::Write, 4));
+        let pairs = pairs_in(t.record(&acc(1, 11, site(3), OpKind::Write, 4)));
         assert_eq!(pairs, vec![SitePair::new(site(2), site(3))]);
         // A resident never accessed again loses to its first challenger,
         // and nothing of it is remembered when it comes back: context 1's

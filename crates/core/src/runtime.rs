@@ -70,10 +70,14 @@ impl Runtime {
             }
         });
         let traps = Arc::new(TrapTable::with_shards(config.trap_shards));
+        let mut stats = RuntimeStats::with_shards(config.stats_shards);
+        if let Some(counters) = strategy.ordered_counters() {
+            stats = stats.with_ordered(counters);
+        }
         Arc::new(Runtime {
             strategy,
             sink: ReportSink::new(),
-            stats: RuntimeStats::with_shards(config.stats_shards),
+            stats,
             phase: PhaseBuffer::new(config.phase_buffer),
             watchdog: Watchdog::new(&config, &traps),
             traps,
@@ -670,7 +674,7 @@ mod tests {
         let rt = Runtime::tsvd(c);
         let (a, b, elsewhere) = (crate::site!(), crate::site!(), crate::site!());
         let call = |ctx: u64, obj: u64, site: SiteId| {
-            let _g = context::enter(context::ContextId(ctx));
+            let _g = context::enter(context::ContextId(ctx), None);
             rt.on_call(ObjId(obj), site, "x.write", OpKind::Write);
         };
         let armed = || rt.export_trap_file().expect("tsvd exports").pairs.len();
@@ -752,6 +756,27 @@ mod tests {
             .map(|(site, c)| (site, c.hits))
             .collect();
         assert_eq!(coverage, expected, "in site-index order");
+    }
+
+    #[test]
+    fn the_stats_read_what_the_planner_did_with_ordered_pairs() {
+        let mut c = cfg();
+        c.enable_windowing = false;
+        c.max_delay_per_run_ns = 0; // Plan, never sleep.
+        let rt = Runtime::tsvd(c);
+        let (init, read) = (crate::site!(), crate::site!());
+        let parent = context::current();
+        rt.on_call(ObjId(9), init, "x.write", OpKind::Write);
+        for child in [context::fresh_id(), context::fresh_id()] {
+            let spawn = context::SpawnCertificate::draw();
+            let _g = context::enter(child, Some(spawn));
+            assert_eq!(spawn.parent, parent);
+            rt.on_call(ObjId(9), read, "x.read", OpKind::Read);
+        }
+        let ordered = rt.stats().ordered();
+        assert_eq!((ordered.armed, ordered.settled, ordered.delays), (1, 0, 0));
+        let passive = Runtime::noop(cfg());
+        assert_eq!(passive.stats().ordered(), Default::default());
     }
 
     #[test]

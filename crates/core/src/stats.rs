@@ -18,9 +18,14 @@
 //! sums the planes, so the counts are exact; the call total is the sum of
 //! the hits. The per-context delay ledger is striped by context so
 //! concurrent delayers don't share a lock.
+//!
+//! The fork-ordered near misses' counters ([`OrderedCounts`]) are written
+//! by the strategy's delay planner, which is where those pairs arm and
+//! settle, and read here.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::audit;
 use crate::chunks::{stripe_of, ChunkTable, IdMap, Stripe};
@@ -67,6 +72,54 @@ impl CovCell {
     }
 }
 
+/// What the delay planner did with fork-ordered near misses (a task's
+/// access pairing with its parent's pre-spawn access).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct OrderedCounts {
+    /// Ordered pairs armed.
+    pub armed: u64,
+    /// Ordered pairs settled for the run after their one fruitless delay.
+    pub settled: u64,
+    /// Delays injected at sites whose every armed pair was ordered.
+    pub delays: u64,
+}
+
+/// The atomics behind [`OrderedCounts`]: the planner adds, the runtime's
+/// stats read. Touched on an arm, a settlement or a delay, never on a call
+/// that does none of those.
+#[derive(Debug, Default)]
+pub struct OrderedCounters {
+    armed: AtomicU64,
+    settled: AtomicU64,
+    delays: AtomicU64,
+}
+
+impl OrderedCounters {
+    /// Counts an ordered pair armed.
+    pub fn note_armed(&self) {
+        self.armed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts `pairs` ordered pairs settled.
+    pub fn note_settled(&self, pairs: usize) {
+        self.settled.fetch_add(pairs as u64, Ordering::Relaxed);
+    }
+
+    /// Counts a delay at an ordered-only site.
+    pub fn note_delay(&self) {
+        self.delays.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The counts so far.
+    pub fn counts(&self) -> OrderedCounts {
+        OrderedCounts {
+            armed: self.armed.load(Ordering::Relaxed),
+            settled: self.settled.load(Ordering::Relaxed),
+            delays: self.delays.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// Counters shared by the runtime and its strategy.
 pub struct RuntimeStats {
     delays_injected: AtomicU64,
@@ -80,6 +133,8 @@ pub struct RuntimeStats {
     /// next one, modulo `PLANES`.
     next_plane: AtomicUsize,
     id: u64,
+    /// The strategy's, when it plans delays; zeros otherwise.
+    ordered: Arc<OrderedCounters>,
 }
 
 impl RuntimeStats {
@@ -95,7 +150,14 @@ impl RuntimeStats {
             planes: Default::default(),
             next_plane: AtomicUsize::new(0),
             id: NEXT_STATS.fetch_add(1, Ordering::Relaxed),
+            ordered: Arc::default(),
         }
+    }
+
+    /// Reads the fork-ordered counts from `counters`, a strategy's.
+    pub(crate) fn with_ordered(mut self, counters: Arc<OrderedCounters>) -> Self {
+        self.ordered = counters;
+        self
     }
 
     /// The calling thread's plane, picked on its first call here.
@@ -166,6 +228,11 @@ impl RuntimeStats {
     /// Total synchronization events observed.
     pub fn sync_events(&self) -> u64 {
         self.sync_events.load(Ordering::Relaxed)
+    }
+
+    /// What the delay planner did with fork-ordered near misses.
+    pub fn ordered(&self) -> OrderedCounts {
+        self.ordered.counts()
     }
 
     /// Delay injected by `context` so far (for the per-thread budget).

@@ -29,9 +29,12 @@ pub use static_random::StaticRandom;
 pub use tsvd::Tsvd;
 pub use tsvd_hb::TsvdHb;
 
+use std::sync::Arc;
+
 use crate::access::Access;
 use crate::context::ContextId;
 use crate::near_miss::SitePair;
+use crate::stats::OrderedCounters;
 use crate::trap_file::TrapFileData;
 
 /// A synchronization event, visible only to strategies that ask for it.
@@ -106,6 +109,13 @@ pub trait Strategy: Send + Sync {
 
     /// Imports a previous run's trap file.
     fn import_trap_file(&self, _data: &TrapFileData) {}
+
+    /// The counters of what the strategy's delay planner does with
+    /// fork-ordered near misses, for the runtime's stats to read. Default:
+    /// none, the stats read zeros.
+    fn ordered_counters(&self) -> Option<Arc<OrderedCounters>> {
+        None
+    }
 
     /// Approximate bytes of tracking state the strategy retains (for the
     /// §5.5 resource report). Default: none.

@@ -8,13 +8,16 @@
 //!
 //! | Verb | Transition | Paper |
 //! |---|---|---|
-//! | [`arm`](DelayPlan::arm) | discovered → armed, both locations at `P_loc = 1` | §3.4.2 |
+//! | [`arm`](DelayPlan::arm) | discovered → armed, both locations at `P_loc = 1`; an ordered pair → upgraded, an ordered settlement → lifted | §3.4.2 |
+//! | [`arm_ordered`](DelayPlan::arm_ordered) | fork-ordered near miss → armed as ordered, both locations at `P_loc = 1` | §3.4.3 (deviation) |
 //! | [`import`](DelayPlan::import) | a previous run's found pairs → settled; then every other pair armed | §3.4.6 |
 //! | [`should_delay`](DelayPlan::should_delay) | armed location → delay with probability `P_loc` | §3.4.5 |
-//! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted, and an imported one among them is settled for the run | §3.4.5 |
+//! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted, and an imported or ordered one among them is settled for the run; at a location whose every pair is ordered, no decay: its pairs settle for the run | §3.4.5 |
 //! | [`retire`](DelayPlan::retire) | armed → pruned: the discovery side proved the pair ordered | §3.4.4 |
 //! | [`found`](DelayPlan::found) | armed → caught: pruned for good, never re-armed | §3.4.1 |
-//! | [`export`](DelayPlan::export) | what is still armed, and every found pair, for the next run | §3.4.6 |
+//! | [`export`](DelayPlan::export) | what is still armed but ordered, and every found pair, for the next run | §3.4.6 |
+
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -24,6 +27,7 @@ use crate::config::TsvdConfig;
 use crate::decay::DecayTable;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
+use crate::stats::OrderedCounters;
 use crate::trap_file::TrapFileData;
 use crate::trapset::TrapSet;
 
@@ -34,6 +38,7 @@ pub(super) struct DelayPlan {
     decay: DecayTable,
     rng: Mutex<SmallRng>,
     delay_ns: u64,
+    ordered: Arc<OrderedCounters>,
 }
 
 impl DelayPlan {
@@ -45,14 +50,34 @@ impl DelayPlan {
             decay: DecayTable::new(config.decay_factor, config.decay_floor),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed ^ salt)),
             delay_ns: config.delay_ns,
+            ordered: Arc::default(),
         }
     }
 
     /// Arms `pair` unless it is armed already or settled: found buggy, or
-    /// imported and decayed out. Returns `true` if it is newly armed.
+    /// imported and decayed out. An armed ordered pair becomes an ordinary
+    /// one, and an ordered settlement is lifted: the parent accessed the
+    /// object after the spawn as well, which races for real. Returns `true`
+    /// if it is newly armed.
     pub fn arm(&self, pair: SitePair) -> bool {
         let armed = self.traps.add(pair);
         if armed {
+            self.decay.arm(pair.first);
+            self.decay.arm(pair.second);
+        }
+        armed
+    }
+
+    /// Arms `pair`, a fork-ordered near miss, unless it is armed or settled
+    /// already. It arms at `P_loc = 1` like any pair, because its delay
+    /// stretches the task into overlaps with its siblings that expose
+    /// their races; but a fruitless delay at a location whose every pair
+    /// is ordered settles them instead of decaying, and the next run's trap
+    /// file never carries it. Returns `true` if it is newly armed.
+    pub fn arm_ordered(&self, pair: SitePair) -> bool {
+        let armed = self.traps.add_ordered(pair);
+        if armed {
+            self.ordered.note_armed();
             self.decay.arm(pair.first);
             self.decay.arm(pair.second);
         }
@@ -84,6 +109,15 @@ impl DelayPlan {
     /// A delay injected at `site` finished; `caught` says whether a
     /// conflicting access ran into the trap meanwhile.
     pub fn delay_done(&self, site: SiteId, caught: bool) {
+        // A location whose every pair is ordered gets one delay, not a
+        // ladder: a fruitless one settles its pairs for the run.
+        if self.traps.ordered_only(site) {
+            self.ordered.note_delay();
+            if !caught {
+                self.ordered.note_settled(self.traps.settle_ordered(site));
+            }
+            return;
+        }
         // Decay the delayed location (§3.4.5); when its probability hits
         // the floor, evict its pairs (an imported pair evicted here settles
         // for the run: the run that exported it already paid its delays
@@ -102,7 +136,8 @@ impl DelayPlan {
         self.traps.mark_found(pair);
     }
 
-    /// The armed pairs and the found ones, as the next run's trap file.
+    /// The armed pairs but the ordered ones, and the found ones, as the
+    /// next run's trap file.
     pub fn export(&self) -> TrapFileData {
         TrapFileData::from_pairs(&self.traps.pairs()).with_found(&self.traps.found())
     }
@@ -119,6 +154,11 @@ impl DelayPlan {
             self.decay
                 .arm_many(inserted.iter().flat_map(|p| [p.first, p.second]));
         }
+    }
+
+    /// What this plan did with ordered pairs, for the runtime's stats.
+    pub fn ordered_counters(&self) -> Arc<OrderedCounters> {
+        self.ordered.clone()
     }
 
     /// Number of armed pairs.
@@ -141,6 +181,7 @@ impl DelayPlan {
 mod tests {
     use super::*;
     use crate::site::SiteData;
+    use crate::stats::OrderedCounts;
     use crate::trap_file::PairOrigin;
 
     fn site(n: u32) -> SiteId {
@@ -295,6 +336,111 @@ mod tests {
         }
         want.found = vec![(text(6), text(8))];
         assert_eq!(p.export(), want);
+    }
+
+    fn ordered_counts(p: &DelayPlan) -> OrderedCounts {
+        p.ordered_counters().counts()
+    }
+
+    #[test]
+    fn an_ordered_pair_delays_once_then_settles_for_the_run() {
+        let c = config();
+        let p = plan(&c);
+        assert!(p.arm_ordered(pair(1, 2)));
+        assert!(!p.arm_ordered(pair(1, 2)), "arming twice changes nothing");
+        assert_eq!(p.should_delay(site(2)), Some(c.delay_ns), "armed at P = 1");
+        p.delay_done(site(2), false);
+        assert!(!p.is_armed(pair(1, 2)), "one fruitless delay settles it");
+        assert_eq!(p.should_delay(site(1)), None);
+        assert_eq!(p.should_delay(site(2)), None);
+        assert!(!p.arm_ordered(pair(1, 2)), "an ordered near miss leaves it");
+        let counts = OrderedCounts {
+            armed: 1,
+            settled: 1,
+            delays: 1,
+        };
+        assert_eq!(ordered_counts(&p), counts);
+        assert!(p.export().pairs.is_empty(), "nor is it carried");
+    }
+
+    #[test]
+    fn a_catching_delay_keeps_an_ordered_pair_armed() {
+        let c = config();
+        let p = plan(&c);
+        p.arm_ordered(pair(1, 2));
+        for _ in 0..3 {
+            p.delay_done(site(2), true);
+            assert_eq!(p.should_delay(site(2)), Some(c.delay_ns));
+        }
+        assert!(p.is_armed(pair(1, 2)));
+        assert_eq!(ordered_counts(&p).delays, 3);
+        assert_eq!(ordered_counts(&p).settled, 0);
+    }
+
+    #[test]
+    fn an_unordered_near_miss_arms_the_pair_before_and_after_settlement() {
+        let mut c = config();
+        c.decay_factor = 0.5;
+        c.decay_floor = 0.3;
+        // Before: the armed ordered pair becomes an ordinary one and
+        // climbs down the decay ladder instead of settling.
+        let p = plan(&c);
+        p.arm_ordered(pair(1, 2));
+        assert!(!p.arm(pair(1, 2)), "armed already: upgraded, not re-armed");
+        p.delay_done(site(2), false);
+        assert!(p.is_armed(pair(1, 2)), "decayed to 0.5, not settled");
+        p.delay_done(site(2), false);
+        assert!(!p.is_armed(pair(1, 2)), "evicted at the floor");
+        assert!(p.arm(pair(1, 2)), "a discovered pair re-arms");
+        assert_eq!(ordered_counts(&p).settled, 0);
+        // After: the settlement is lifted and the pair arms at P = 1.
+        let p = plan(&c);
+        p.arm_ordered(pair(3, 4));
+        p.delay_done(site(4), false);
+        assert!(!p.is_armed(pair(3, 4)));
+        assert!(p.arm(pair(3, 4)), "a parent writing after the spawn races");
+        assert_eq!(p.should_delay(site(4)), Some(c.delay_ns));
+        p.delay_done(site(4), false);
+        assert!(p.is_armed(pair(3, 4)), "and decays like any pair");
+        assert!(
+            !p.arm_ordered(pair(3, 4)),
+            "an ordered one leaves it as it is"
+        );
+        p.delay_done(site(4), false);
+        assert!(!p.is_armed(pair(3, 4)));
+        assert_eq!(ordered_counts(&p).delays, 1);
+    }
+
+    #[test]
+    fn a_location_with_an_unordered_pair_decays_and_settles_its_ordered_pairs_at_the_floor() {
+        let mut c = config();
+        c.decay_factor = 0.5;
+        c.decay_floor = 0.3;
+        let p = plan(&c);
+        p.arm_ordered(pair(1, 2));
+        p.arm(pair(2, 3));
+        p.delay_done(site(2), false);
+        assert_eq!(p.len(), 2, "a ladder step, no settlement");
+        p.delay_done(site(2), false);
+        assert_eq!(p.len(), 0, "the floor evicts both");
+        assert!(!p.arm_ordered(pair(1, 2)), "the ordered pair is settled");
+        assert!(p.arm(pair(2, 3)), "the discovered one may re-arm");
+        assert_eq!(ordered_counts(&p).delays, 0);
+    }
+
+    #[test]
+    fn export_omits_ordered_pairs() {
+        let p = plan(&config());
+        p.arm_ordered(pair(1, 2));
+        p.arm(pair(3, 4));
+        p.arm_ordered(pair(5, 6));
+        p.arm(pair(5, 6)); // Upgraded.
+        assert_eq!(p.len(), 3);
+        let mut carried = p.export().to_pairs();
+        carried.sort();
+        let mut want = vec![pair(3, 4), pair(5, 6)];
+        want.sort();
+        assert_eq!(carried, want);
     }
 
     #[test]

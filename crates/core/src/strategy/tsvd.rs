@@ -14,10 +14,13 @@
 //! second run can trap pairs on their first occurrence. All of that is the
 //! [`DelayPlan`]'s, shared with TSVD-HB.
 
+use std::sync::Arc;
+
 use crate::access::Access;
 use crate::config::TsvdConfig;
 use crate::hb_infer::{DelayRecord, HbInference};
 use crate::near_miss::{NearMissTracker, SitePair};
+use crate::stats::OrderedCounters;
 use crate::strategy::plan::DelayPlan;
 use crate::strategy::Strategy;
 use crate::trap_file::TrapFileData;
@@ -91,10 +94,15 @@ impl Strategy for Tsvd {
             }
         }
 
-        // Near-miss tracking: discover new dangerous pairs.
-        for pair in self.near_miss.record(access) {
-            if concurrent && !self.hb.as_ref().is_some_and(|hb| hb.is_inferred(pair)) {
-                self.plan.arm(pair);
+        // Near-miss tracking: discover new dangerous pairs. A fork-ordered
+        // one (the parent's pre-spawn access) gets one delay, not a ladder.
+        for miss in self.near_miss.record(access) {
+            if concurrent && !self.hb.as_ref().is_some_and(|hb| hb.is_inferred(miss.pair)) {
+                if miss.ordered {
+                    self.plan.arm_ordered(miss.pair);
+                } else {
+                    self.plan.arm(miss.pair);
+                }
             }
         }
 
@@ -125,6 +133,10 @@ impl Strategy for Tsvd {
         self.plan.import(data);
     }
 
+    fn ordered_counters(&self) -> Option<Arc<OrderedCounters>> {
+        Some(self.plan.ordered_counters())
+    }
+
     fn memory_bytes(&self) -> usize {
         // Near-miss histories dominate; the plan is tiny; HB inference grows
         // with the contexts seen.
@@ -139,7 +151,7 @@ mod tests {
     use super::*;
     use crate::access::{ObjId, OpKind};
     use crate::clock::ms_to_ns;
-    use crate::context::ContextId;
+    use crate::context::{self, ContextId, SpawnCertificate};
     use crate::site::{SiteData, SiteId};
 
     fn site(n: u32) -> SiteId {
@@ -376,6 +388,43 @@ mod tests {
             off.on_access(&acc(ctx, 7, site(1), OpKind::Read, ctx), true);
         }
         assert_eq!(off.memory_bytes(), before, "one object, one full history");
+    }
+
+    /// `access` as the task `ctx`, spawned by `parent` at `spawned_ms`.
+    fn as_task(s: &Tsvd, access: Access, parent: u64, spawned_ms: u64) -> Option<u64> {
+        let spawn = SpawnCertificate {
+            parent: ContextId(parent),
+            spawned_ns: ms_to_ns(spawned_ms),
+        };
+        let _g = context::enter(access.context, Some(spawn));
+        s.on_access(&access, true)
+    }
+
+    #[test]
+    fn a_parents_pre_spawn_write_costs_each_child_read_one_delay_in_all() {
+        let s = Tsvd::new(&config());
+        let (init, read) = (site(60), site(61));
+        let pair = SitePair::new(init, read);
+        s.on_access(&acc(1, 7, init, OpKind::Write, 0), false);
+        // The first child's read arms the pair and delays at once.
+        let first = acc(2, 7, read, OpKind::Read, 2);
+        assert!(as_task(&s, first, 1, 1).is_some());
+        assert!(s.is_armed(pair));
+        s.on_delay_complete(&first, ms_to_ns(2), ms_to_ns(3), false);
+        assert!(!s.is_armed(pair), "settled by its one fruitless delay");
+        // A sibling's read forms the same ordered near miss: nothing.
+        assert!(as_task(&s, acc(3, 7, read, OpKind::Read, 4), 1, 1).is_none());
+        assert_eq!(s.trap_set_len(), 0);
+        let file = s.export_trap_file().expect("tsvd persists state");
+        assert!(file.pairs.is_empty(), "run 2 does not pay again");
+        let counts = s.ordered_counters().expect("tsvd counts").counts();
+        assert_eq!((counts.armed, counts.settled, counts.delays), (1, 1, 1));
+        // The parent writes again after the spawns: that write races, and
+        // the next child read arms the pair as an ordinary one.
+        s.on_access(&acc(1, 7, init, OpKind::Write, 5), true);
+        assert!(as_task(&s, acc(4, 7, read, OpKind::Read, 6), 1, 1).is_some());
+        assert!(s.is_armed(pair));
+        assert_eq!(s.export_trap_file().expect("tsvd").pairs.len(), 1);
     }
 
     #[test]

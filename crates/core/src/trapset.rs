@@ -13,6 +13,15 @@
 //! near miss re-arming it at `P = 1` would only spend them again. A pair
 //! *discovered* in this run stays free to re-arm after it decays.
 //!
+//! A pair armed by a fork-ordered near miss (a task's access against its
+//! parent's pre-spawn access, see [`NearMiss`](crate::near_miss::NearMiss))
+//! is *ordered*. When a site whose every armed pair is ordered delays and
+//! catches nothing, those pairs settle for the run, with no decay ladder;
+//! an ordered pair is never exported. An unordered near miss of the same
+//! pair arms it as discovered: it upgrades an armed ordered pair, and lifts
+//! an ordered settlement, since a parent that writes again after the spawn
+//! races for real.
+//!
 //! `contains_site` is consulted on every instrumented access once any pair
 //! is armed, so the set is kept as an immutable snapshot behind an
 //! [`EpochPtr`]: readers pin the epoch (one store to their own slot), load
@@ -26,7 +35,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::audit;
-use crate::chunks::{IdMap, IdSet};
+use crate::chunks::IdMap;
 use crate::epoch::EpochPtr;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
@@ -38,6 +47,8 @@ enum Arrival {
     Discovered,
     /// A trap file: an earlier run's pair, or a static prior.
     Imported,
+    /// A fork-ordered near miss in this run, and no unordered one yet.
+    Ordered,
 }
 
 /// Why a pair never re-arms for the rest of the run.
@@ -47,35 +58,52 @@ enum Settled {
     Found,
     /// An imported pair decayed out; forgotten with the run.
     DecayedOut,
+    /// An ordered pair's delay caught nothing; forgotten with the run, and
+    /// lifted by an unordered near miss of the pair.
+    Ordered,
 }
 
 #[derive(Default, Clone)]
 struct Snapshot {
-    /// The armed pairs. `arm` looks a pair up here on every near miss.
-    pairs: IdSet<SitePair>,
-    /// The armed pairs that came from a trap file rather than a near miss
-    /// in this run; always a subset of `pairs`.
-    imported: IdSet<SitePair>,
+    /// The armed pairs and how each arrived. `arm` looks a pair up here on
+    /// every near miss.
+    pairs: IdMap<SitePair, Arrival>,
     /// How many pairs each site participates in (for O(1) eligibility).
     site_refs: IdMap<SiteId, usize>,
-    /// Pairs that are never re-added.
+    /// Pairs that are never re-added (an ordered settlement excepted).
     settled: IdMap<SitePair, Settled>,
 }
 
 impl Snapshot {
-    /// `true` when adding `pair` would change nothing.
-    fn unchanged_by_add(&self, pair: SitePair) -> bool {
-        self.pairs.contains(&pair) || self.settled.contains_key(&pair)
+    /// `true` when `pair` arriving as `arrival` would change nothing. Only
+    /// an unordered near miss may change an armed pair (an ordered one,
+    /// upgraded) or a settled one (settled as ordered, lifted).
+    fn unchanged_by(&self, pair: SitePair, arrival: Arrival) -> bool {
+        if arrival != Arrival::Discovered {
+            return self.pairs.contains_key(&pair) || self.settled.contains_key(&pair);
+        }
+        let armed = self
+            .pairs
+            .get(&pair)
+            .is_some_and(|&a| a != Arrival::Ordered);
+        armed
+            || self
+                .settled
+                .get(&pair)
+                .is_some_and(|&why| why != Settled::Ordered)
     }
 
+    /// Arms `pair`, returning `true` if it was not armed before.
     fn insert(&mut self, pair: SitePair, arrival: Arrival) -> bool {
-        if self.unchanged_by_add(pair) {
+        if self.unchanged_by(pair, arrival) {
             return false;
         }
-        self.pairs.insert(pair);
-        if arrival == Arrival::Imported {
-            self.imported.insert(pair);
+        if let Some(armed) = self.pairs.get_mut(&pair) {
+            *armed = arrival; // An ordered pair, upgraded.
+            return false;
         }
+        self.settled.remove(&pair); // An ordered settlement, lifted.
+        self.pairs.insert(pair, arrival);
         *self.site_refs.entry(pair.first).or_insert(0) += 1;
         if pair.second != pair.first {
             *self.site_refs.entry(pair.second).or_insert(0) += 1;
@@ -84,19 +112,27 @@ impl Snapshot {
     }
 
     fn delete(&mut self, pair: SitePair) -> Option<Arrival> {
-        if !self.pairs.remove(&pair) {
-            return None;
-        }
-        let arrival = if self.imported.remove(&pair) {
-            Arrival::Imported
-        } else {
-            Arrival::Discovered
-        };
+        let arrival = self.pairs.remove(&pair)?;
         decref(&mut self.site_refs, pair.first);
         if pair.second != pair.first {
             decref(&mut self.site_refs, pair.second);
         }
         Some(arrival)
+    }
+
+    /// The armed pairs containing `site`.
+    fn pairs_at(&self, site: SiteId) -> Vec<SitePair> {
+        let at = self.pairs.keys().filter(|p| p.contains(site));
+        at.copied().collect()
+    }
+
+    /// `true` when `site` is armed and every pair armed there is ordered.
+    fn ordered_only(&self, site: SiteId) -> bool {
+        self.site_refs.contains_key(&site)
+            && self
+                .pairs
+                .iter()
+                .all(|(p, &a)| a == Arrival::Ordered || !p.contains(site))
     }
 }
 
@@ -135,12 +171,23 @@ impl TrapSet {
         })
     }
 
-    /// Adds a discovered `pair` unless it is armed or settled already.
-    /// Returns `true` if the pair is newly inserted.
+    /// Adds a discovered `pair` unless it is armed or settled already; an
+    /// ordered pair is upgraded, an ordered settlement lifted. Returns
+    /// `true` if the pair is newly inserted.
     pub fn add(&self, pair: SitePair) -> bool {
+        self.add_as(pair, Arrival::Discovered)
+    }
+
+    /// Adds `pair` as ordered (a fork-ordered near miss) unless it is armed
+    /// or settled already. Returns `true` if the pair is newly inserted.
+    pub fn add_ordered(&self, pair: SitePair) -> bool {
+        self.add_as(pair, Arrival::Ordered)
+    }
+
+    fn add_as(&self, pair: SitePair, arrival: Arrival) -> bool {
         self.write(
-            |s| s.unchanged_by_add(pair).then_some(false),
-            |s| s.insert(pair, Arrival::Discovered),
+            |s| s.unchanged_by(pair, arrival).then_some(false),
+            |s| s.insert(pair, arrival),
         )
     }
 
@@ -165,8 +212,10 @@ impl TrapSet {
                 let settled = found
                     .iter()
                     .all(|p| s.settled.get(p) == Some(&Settled::Found));
-                let full =
-                    s.pairs.len() >= max_len || candidates.iter().all(|&p| s.unchanged_by_add(p));
+                let full = s.pairs.len() >= max_len
+                    || candidates
+                        .iter()
+                        .all(|&p| s.unchanged_by(p, Arrival::Imported));
                 (settled && full).then(Vec::new)
             },
             |s| {
@@ -192,7 +241,7 @@ impl TrapSet {
     /// `true` if it was present.
     pub fn remove(&self, pair: SitePair) -> bool {
         self.write(
-            |s| (!s.pairs.contains(&pair)).then_some(false),
+            |s| (!s.pairs.contains_key(&pair)).then_some(false),
             |s| s.delete(pair).is_some(),
         )
     }
@@ -210,24 +259,51 @@ impl TrapSet {
     }
 
     /// Removes every pair containing `site` (decay eviction), returning the
-    /// removed pairs. The imported ones among them settle for the rest of
-    /// the run; the discovered ones may re-arm.
+    /// removed pairs. The imported and the ordered ones among them settle
+    /// for the rest of the run; the discovered ones may re-arm.
     pub fn remove_site(&self, site: SiteId) -> Vec<SitePair> {
         self.write(
             |s| (!s.site_refs.contains_key(&site)).then(Vec::new),
             |s| {
-                let doomed: Vec<SitePair> = s
-                    .pairs
-                    .iter()
-                    .filter(|p| p.contains(site))
-                    .copied()
-                    .collect();
+                let doomed = s.pairs_at(site);
                 for &pair in &doomed {
-                    if s.delete(pair) == Some(Arrival::Imported) {
-                        s.settled.insert(pair, Settled::DecayedOut);
+                    match s.delete(pair) {
+                        Some(Arrival::Imported) => {
+                            s.settled.insert(pair, Settled::DecayedOut);
+                        }
+                        Some(Arrival::Ordered) => {
+                            s.settled.insert(pair, Settled::Ordered);
+                        }
+                        _ => {}
                     }
                 }
                 doomed
+            },
+        )
+    }
+
+    /// Returns `true` if `site` is armed and every pair armed there is
+    /// ordered.
+    pub fn ordered_only(&self, site: SiteId) -> bool {
+        if self.pair_count.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        self.snapshot.read(|s| s.ordered_only(site))
+    }
+
+    /// If every pair armed at `site` is ordered, removes them all and
+    /// settles them for the run, with no decay step, and returns how many;
+    /// otherwise changes nothing and returns 0.
+    pub fn settle_ordered(&self, site: SiteId) -> usize {
+        self.write(
+            |s| (!s.ordered_only(site)).then_some(0),
+            |s| {
+                let settled = s.pairs_at(site);
+                for &pair in &settled {
+                    s.delete(pair);
+                    s.settled.insert(pair, Settled::Ordered);
+                }
+                settled.len()
             },
         )
     }
@@ -246,7 +322,7 @@ impl TrapSet {
         if self.pair_count.load(Ordering::Acquire) == 0 {
             return false;
         }
-        self.snapshot.read(|s| s.pairs.contains(&pair))
+        self.snapshot.read(|s| s.pairs.contains_key(&pair))
     }
 
     /// Returns the partner locations of every pair containing `site`
@@ -254,16 +330,20 @@ impl TrapSet {
     pub fn partners(&self, site: SiteId) -> Vec<SiteId> {
         self.snapshot.read(|s| {
             s.pairs
-                .iter()
+                .keys()
                 .filter(|p| p.contains(site))
                 .map(|p| p.other(site))
                 .collect()
         })
     }
 
-    /// Snapshot of all pairs (for trap-file export).
+    /// Snapshot of the armed pairs a trap file carries: all but the
+    /// ordered ones, which are forgotten with the run.
     pub fn pairs(&self) -> Vec<SitePair> {
-        self.snapshot.read(|s| s.pairs.iter().copied().collect())
+        self.snapshot.read(|s| {
+            let carried = s.pairs.iter().filter(|(_, &a)| a != Arrival::Ordered);
+            carried.map(|(&pair, _)| pair).collect()
+        })
     }
 
     /// Snapshot of the pairs found buggy, in this run or an imported
@@ -290,13 +370,14 @@ impl TrapSet {
 
     /// Asserts the internal consistency of the *current* snapshot: the
     /// site-reference counts must be exactly those derived from the pair
-    /// set, and every imported pair must be armed. Readers racing a writer must only ever observe snapshots that
-    /// pass this check — a torn view would fail it.
+    /// set, and no pair is both armed and settled. Readers racing a writer
+    /// must only ever observe snapshots that pass this check — a torn view
+    /// would fail it.
     #[cfg(test)]
     fn assert_snapshot_consistent(&self) {
         self.snapshot.read(|s| {
             let mut derived: IdMap<SiteId, usize> = IdMap::default();
-            for p in s.pairs.iter() {
+            for p in s.pairs.keys() {
                 *derived.entry(p.first).or_insert(0) += 1;
                 if p.second != p.first {
                     *derived.entry(p.second).or_insert(0) += 1;
@@ -307,8 +388,8 @@ impl TrapSet {
                 "snapshot site_refs must match the pair set"
             );
             assert!(
-                s.imported.is_subset(&s.pairs),
-                "an imported pair that is not armed"
+                s.pairs.keys().all(|p| !s.settled.contains_key(p)),
+                "a pair both armed and settled"
             );
         });
     }
@@ -476,24 +557,53 @@ mod tests {
     /// The obvious implementation the snapshot protocol must agree with.
     #[derive(Default)]
     struct Model {
-        /// Armed pairs, `true` for those that came from a trap file.
-        pairs: HashMap<SitePair, bool>,
+        /// Armed pairs and how each arrived.
+        pairs: HashMap<SitePair, Arrival>,
         found: HashSet<SitePair>,
         decayed_out: HashSet<SitePair>,
+        ordered_out: HashSet<SitePair>,
         /// Imported pairs evicted so far, settled or not by now.
         evicted_imports: usize,
+        /// Ordered pairs settled so far, lifted or not by now.
+        settled_ordered: usize,
     }
 
     impl Model {
-        fn insert(&mut self, pair: SitePair, imported: bool) -> bool {
-            if self.found.contains(&pair)
-                || self.decayed_out.contains(&pair)
-                || self.pairs.contains_key(&pair)
-            {
+        fn insert(&mut self, pair: SitePair, arrival: Arrival) -> bool {
+            if self.found.contains(&pair) || self.decayed_out.contains(&pair) {
                 return false;
             }
-            self.pairs.insert(pair, imported);
+            let unordered = arrival == Arrival::Discovered;
+            if let Some(armed) = self.pairs.get_mut(&pair) {
+                if unordered && *armed == Arrival::Ordered {
+                    *armed = arrival;
+                }
+                return false;
+            }
+            if self.ordered_out.contains(&pair) && !unordered {
+                return false;
+            }
+            self.ordered_out.remove(&pair);
+            self.pairs.insert(pair, arrival);
             true
+        }
+
+        fn settle_ordered(&mut self, site: SiteId) -> usize {
+            let at: Vec<(SitePair, Arrival)> = self
+                .pairs
+                .iter()
+                .filter(|(p, _)| p.contains(site))
+                .map(|(&p, &a)| (p, a))
+                .collect();
+            if at.is_empty() || at.iter().any(|&(_, a)| a != Arrival::Ordered) {
+                return 0;
+            }
+            for (pair, _) in &at {
+                self.pairs.remove(pair);
+                self.ordered_out.insert(*pair);
+            }
+            self.settled_ordered += at.len();
+            at.len()
         }
 
         fn import(
@@ -510,7 +620,7 @@ mod tests {
                 if self.pairs.len() >= max_len {
                     break;
                 }
-                if self.insert(pair, true) {
+                if self.insert(pair, Arrival::Imported) {
                     inserted.push(pair);
                 }
             }
@@ -520,6 +630,7 @@ mod tests {
         fn mark_found(&mut self, pair: SitePair) {
             self.pairs.remove(&pair);
             self.decayed_out.remove(&pair);
+            self.ordered_out.remove(&pair);
             self.found.insert(pair);
         }
 
@@ -531,9 +642,15 @@ mod tests {
                 .copied()
                 .collect();
             for pair in &doomed {
-                if self.pairs.remove(pair) == Some(true) {
-                    self.decayed_out.insert(*pair);
-                    self.evicted_imports += 1;
+                match self.pairs.remove(pair) {
+                    Some(Arrival::Imported) => {
+                        self.decayed_out.insert(*pair);
+                        self.evicted_imports += 1;
+                    }
+                    Some(Arrival::Ordered) => {
+                        self.ordered_out.insert(*pair);
+                    }
+                    _ => {}
                 }
             }
             doomed
@@ -566,10 +683,32 @@ mod tests {
             let mut model = Model::default();
             for op in 0..OPS {
                 let at = format!("seed {seed}, op {op}");
-                match rng.below(16) {
+                match rng.below(19) {
                     0..=6 => {
                         let p = pair(&mut rng);
-                        assert_eq!(set.add(p), model.insert(p, false), "add, {at}");
+                        let want = model.insert(p, Arrival::Discovered);
+                        assert_eq!(set.add(p), want, "add, {at}");
+                    }
+                    16 | 17 => {
+                        let p = pair(&mut rng);
+                        let want = model.insert(p, Arrival::Ordered);
+                        assert_eq!(set.add_ordered(p), want, "add_ordered, {at}");
+                    }
+                    18 => {
+                        // A site of an armed ordered pair, when there is one.
+                        let mut ordered: Vec<SitePair> = model
+                            .pairs
+                            .iter()
+                            .filter(|(_, &a)| a == Arrival::Ordered)
+                            .map(|(&p, _)| p)
+                            .collect();
+                        ordered.sort();
+                        let s = match ordered.len() as u64 {
+                            0 => sites[rng.below(SITES) as usize],
+                            n => ordered[rng.below(n) as usize].first,
+                        };
+                        let want = model.settle_ordered(s);
+                        assert_eq!(set.settle_ordered(s), want, "settle_ordered, {at}");
                     }
                     7 | 8 => {
                         let found: Vec<SitePair> =
@@ -598,6 +737,12 @@ mod tests {
                     }
                     _ => {
                         let s = sites[rng.below(SITES) as usize];
+                        let ordered_only = model.pairs.iter().any(|(p, _)| p.contains(s))
+                            && model
+                                .pairs
+                                .iter()
+                                .all(|(p, &a)| a == Arrival::Ordered || !p.contains(s));
+                        assert_eq!(set.ordered_only(s), ordered_only, "ordered_only, {at}");
                         let (mut got, mut want) = (set.remove_site(s), model.remove_site(s));
                         got.sort();
                         want.sort();
@@ -619,6 +764,16 @@ mod tests {
                 model.evicted_imports > 0,
                 "seed {seed} must decay imported pairs out"
             );
+            assert!(
+                model.settled_ordered > 0,
+                "seed {seed} must settle ordered pairs"
+            );
+            for &p in &model.ordered_out {
+                assert!(
+                    !set.add_ordered(p),
+                    "ordered settlement re-armed, seed {seed}"
+                );
+            }
             for &p in model.found.iter().chain(&model.decayed_out) {
                 assert!(
                     !set.contains(p) && !set.add(p),
@@ -632,7 +787,8 @@ mod tests {
             assert_eq!(found, want, "found pairs, seed {seed}");
             let mut armed = set.pairs();
             armed.sort();
-            let mut want: Vec<SitePair> = model.pairs.keys().copied().collect();
+            let carried = model.pairs.iter().filter(|(_, &a)| a != Arrival::Ordered);
+            let mut want: Vec<SitePair> = carried.map(|(&p, _)| p).collect();
             want.sort();
             assert_eq!(armed, want, "final membership, seed {seed}");
             set.assert_snapshot_consistent();

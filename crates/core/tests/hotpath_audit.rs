@@ -115,7 +115,7 @@ fn armed_steady_state_locks_only_its_own_two_stripes() {
     let (a, b) = (tsvd_core::site!(), tsvd_core::site!());
     let round = || {
         for (ctx, site) in [(7_001, a), (7_002, b)] {
-            let _g = context::enter(ContextId(ctx));
+            let _g = context::enter(ContextId(ctx), None);
             rt.on_call(ObjId(1), site, "x.write", OpKind::Write);
         }
     };

@@ -6,9 +6,17 @@
 //! (about a second per seed in release).
 //!
 //! One row per (run, family): delays injected, traps caught, milliseconds
-//! slept in delays, and bugs first found in that run. Then a total per run
-//! and a grand total. A change to the delay planner that claims fewer
-//! delays reads them here, next to the bugs it must not lose.
+//! slept in delays, bugs first found in that run, and what the planner did
+//! with fork-ordered near misses (pairs armed, pairs settled, delays at
+//! sites whose every pair was ordered). Then a total per run, a grand
+//! total, and the three figures a delay-policy change is judged by: unique
+//! bugs, milliseconds slept, and the share of that sleep spent in `Clean`
+//! modules, where every delay is wasted.
+//!
+//! Compare builds on those three totals, over repeated runs of each. The
+//! per-family rows cannot tell two builds apart: the pool's scheduling
+//! moves them between two runs of one binary, more than most planner
+//! changes do.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
@@ -16,6 +24,7 @@ use std::time::Duration;
 use tsvd_core::near_miss::SitePair;
 use tsvd_core::{TrapFileData, TsvdConfig};
 use tsvd_harness::runner::{run_module_once, DetectorKind, RunOptions};
+use tsvd_workloads::module::Expectation;
 use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 /// Detector seeds, added to the paper configuration's seed.
@@ -32,6 +41,9 @@ struct Row {
     caught: u64,
     slept_ns: u64,
     new_bugs: u64,
+    ordered_armed: u64,
+    ordered_settled: u64,
+    ordered_delays: u64,
 }
 
 impl Row {
@@ -40,15 +52,21 @@ impl Row {
         self.caught += other.caught;
         self.slept_ns += other.slept_ns;
         self.new_bugs += other.new_bugs;
+        self.ordered_armed += other.ordered_armed;
+        self.ordered_settled += other.ordered_settled;
+        self.ordered_delays += other.ordered_delays;
     }
 
     fn print(&self, run: &str, family: &str) {
         println!(
-            "{run:>5}  {family:28} {:>7} {:>7} {:>10.1} {:>8}",
+            "{run:>5}  {family:28} {:>7} {:>7} {:>10.1} {:>8} {:>7} {:>7} {:>7}",
             self.delays,
             self.caught,
             self.slept_ns as f64 / 1e6,
-            self.new_bugs
+            self.new_bugs,
+            self.ordered_armed,
+            self.ordered_settled,
+            self.ordered_delays
         );
     }
 }
@@ -69,6 +87,7 @@ fn per_run_delay_accounting() {
     };
     // (run, family) → counts, over every seed.
     let mut rows: BTreeMap<(usize, String), Row> = BTreeMap::new();
+    let mut clean_slept_ns = 0u64;
     for seed in SEEDS {
         let mut trap_files: HashMap<String, TrapFileData> = HashMap::new();
         let mut bugs: HashSet<(String, SitePair)> = HashSet::new();
@@ -89,6 +108,10 @@ fn per_run_delay_accounting() {
                     trap_files.get(module.name()),
                 );
                 let stats = executed.runtime.stats();
+                let ordered = stats.ordered();
+                if module.expectation() == Expectation::Clean {
+                    clean_slept_ns += stats.delay_total_ns();
+                }
                 let new_bugs = executed
                     .runtime
                     .reports()
@@ -103,6 +126,9 @@ fn per_run_delay_accounting() {
                         caught: stats.traps_caught(),
                         slept_ns: stats.delay_total_ns(),
                         new_bugs,
+                        ordered_armed: ordered.armed,
+                        ordered_settled: ordered.settled,
+                        ordered_delays: ordered.delays,
                     });
                 if let Some(traps) = executed.runtime.export_trap_file() {
                     trap_files.insert(module.name().to_string(), traps);
@@ -117,8 +143,16 @@ fn per_run_delay_accounting() {
         suite.len()
     );
     println!(
-        "{:>5}  {:28} {:>7} {:>7} {:>10} {:>8}",
-        "run", "family", "delays", "caught", "slept_ms", "new_bugs"
+        "{:>5}  {:28} {:>7} {:>7} {:>10} {:>8} {:>7} {:>7} {:>7}",
+        "run",
+        "family",
+        "delays",
+        "caught",
+        "slept_ms",
+        "new_bugs",
+        "ord_arm",
+        "ord_set",
+        "ord_del"
     );
     let mut per_run = [Row::default(); RUNS];
     for ((run, family), row) in &rows {
@@ -131,4 +165,10 @@ fn per_run_delay_accounting() {
         total.add(*row);
     }
     total.print("all", "(total)");
+    println!(
+        "unique bugs {}, slept {:.1} ms, Clean share of sleep {:.3}",
+        total.new_bugs,
+        total.slept_ns as f64 / 1e6,
+        clean_slept_ns as f64 / total.slept_ns.max(1) as f64
+    );
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use tsvd_core::context::{self, ContextId};
+use tsvd_core::context::{self, ContextId, SpawnCertificate};
 use tsvd_core::{Runtime, SyncEvent};
 
 use crate::task::{JoinHandle, TaskInner};
@@ -200,9 +200,12 @@ impl Pool {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
+        // The certificate is stamped here, on the spawning thread: every
+        // access the parent made before this line is stamped earlier.
+        let spawn = SpawnCertificate::draw();
         let child = context::fresh_id();
         self.inner.emit(SyncEvent::Fork {
-            parent: context::current(),
+            parent: spawn.parent,
             child,
         });
         let task = TaskInner::new(child);
@@ -212,7 +215,7 @@ impl Pool {
         };
         let pool = self.inner.clone();
         let job = move || {
-            let _guard = context::enter(child);
+            let _guard = context::enter(child, Some(spawn));
             // The TaskEnd edge is published before waiters can observe the
             // completion, so a joiner always sees the final clock.
             task.run_with_hook(body, || pool.emit(SyncEvent::TaskEnd { context: child }));
@@ -332,6 +335,49 @@ mod tests {
             rt.stats().sync_events() >= 3,
             "{}",
             rt.stats().sync_events()
+        );
+    }
+
+    /// The certificate a task of `pool` sees, its context, and the stamps
+    /// taken right before the spawn and when the task started.
+    fn certified(pool: &Pool, fast: bool) -> (Option<SpawnCertificate>, ContextId, u64, u64) {
+        let task = || {
+            let me = context::current();
+            (context::spawn_certificate(me), me, tsvd_core::now_ns())
+        };
+        let before = tsvd_core::now_ns();
+        let handle = if fast {
+            pool.spawn_fast(task)
+        } else {
+            pool.spawn(task)
+        };
+        let (certificate, me, started) = handle.join();
+        (certificate, me, before, started)
+    }
+
+    #[test]
+    fn a_task_carries_its_spawners_certificate_stamped_before_it_runs() {
+        let pool = Arc::new(Pool::new(2));
+        for (force_async, fast) in [(true, false), (true, true), (false, true)] {
+            pool.set_force_async(force_async);
+            let (certificate, _, before, started) = certified(&pool, fast);
+            let certificate = certificate.expect("a pool task is certified");
+            assert_eq!(certificate.parent, context::current(), "fast {fast}");
+            assert!(before <= certificate.spawned_ns && certificate.spawned_ns <= started);
+        }
+        // A task spawned by a task names that task, not the thread.
+        pool.set_force_async(true);
+        let p2 = pool.clone();
+        let (outer, nested) = pool
+            .spawn(move || (context::current(), certified(&p2, false)))
+            .join();
+        let (certificate, inner, ..) = nested;
+        assert_eq!(certificate.map(|c| c.parent), Some(outer));
+        assert_ne!(inner, outer);
+        assert_eq!(
+            context::spawn_certificate(context::current()),
+            None,
+            "the spawning thread's own context has none"
         );
     }
 

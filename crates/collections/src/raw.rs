@@ -151,20 +151,32 @@ mod tests {
         assert!(!cell.is_corrupted(), "read-read is allowed by the contract");
     }
 
-    #[test]
-    fn overlapping_writes_latch_corruption() {
-        // Construct a guaranteed overlap (works even on one CPU): thread A
-        // blocks *inside* its write while thread B enters a second write.
-        let cell = RawCell::new(0u64);
+    /// Runs `second` on this thread while another thread is inside a write
+    /// on `cell`: the writer signals from inside its write and leaves only
+    /// after `second` has entered its access and signalled back. A certain
+    /// overlap, on one CPU too, ordered by a handshake instead of sleeps.
+    fn inside_a_write(cell: &RawCell<u64>, second: impl FnOnce(&Barrier)) {
+        let handshake = Barrier::new(2);
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 cell.write(|v| {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    handshake.wait(); // Inside the write.
+                    handshake.wait(); // The second access has entered.
                     *v += 1;
                 });
             });
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            cell.write(|v| *v += 1);
+            handshake.wait();
+            second(&handshake);
+        });
+    }
+
+    #[test]
+    fn overlapping_writes_latch_corruption() {
+        let cell = RawCell::new(0u64);
+        inside_a_write(&cell, |entered| {
+            let section = cell.enter_write();
+            entered.wait();
+            section.perform(|v| *v += 1);
         });
         assert!(cell.is_corrupted(), "write-write overlap must latch");
         assert_eq!(cell.read(|v| *v), 2, "storage itself stays consistent");
@@ -173,15 +185,10 @@ mod tests {
     #[test]
     fn read_during_write_latches_corruption() {
         let cell = RawCell::new(7u64);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                cell.write(|v| {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    *v += 1;
-                });
-            });
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            cell.read(|v| *v);
+        inside_a_write(&cell, |entered| {
+            let section = cell.enter_read();
+            entered.wait();
+            section.perform(|v| *v);
         });
         assert!(cell.is_corrupted(), "torn read must latch");
     }

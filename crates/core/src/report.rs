@@ -152,39 +152,9 @@ impl ReportSink {
         self.inner.lock().all.clone()
     }
 
-    /// Fraction of unique bugs that are read-write conflicts.
-    pub fn read_write_fraction(&self) -> f64 {
-        let inner = self.inner.lock();
-        if inner.occurrences.is_empty() {
-            return 0.0;
-        }
-        let mut seen = IdSet::default();
-        let mut rw = 0usize;
-        for v in &inner.all {
-            if seen.insert(v.pair()) && v.is_read_write() {
-                rw += 1;
-            }
-        }
-        rw as f64 / inner.occurrences.len() as f64
-    }
-
-    /// Fraction of unique bugs whose two locations coincide.
-    pub fn same_location_fraction(&self) -> f64 {
-        let inner = self.inner.lock();
-        if inner.occurrences.is_empty() {
-            return 0.0;
-        }
-        let same = inner
-            .occurrences
-            .keys()
-            .filter(|p| p.first == p.second)
-            .count();
-        same as f64 / inner.occurrences.len() as f64
-    }
-
-    /// Serializable summary of every unique bug, for the build system's
-    /// report log (the deployed tool logs bug locations, operation names,
-    /// and stack traces; §4).
+    /// Summary of every unique bug: locations, operation names and stack
+    /// traces, what the deployed tool logs (§4). The persisted report is
+    /// the durable sink ([`crate::sink`]).
     pub fn export(&self) -> ReportExport {
         let inner = self.inner.lock();
         let mut seen = IdSet::default();
@@ -215,8 +185,8 @@ impl ReportSink {
     }
 }
 
-/// Machine-readable dump of a sink's unique bugs.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// A sink's unique bugs, one entry each.
+#[derive(Debug, Clone)]
 pub struct ReportExport {
     /// Number of unique bugs (distinct location pairs).
     pub unique_bugs: usize,
@@ -227,7 +197,7 @@ pub struct ReportExport {
 }
 
 /// One exported bug.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BugExport {
     /// First static location of the pair (normalized order).
     pub location_a: String,
@@ -247,23 +217,6 @@ pub struct BugExport {
     pub stack_a: Option<String>,
     /// Stack trace of the hitter side, if capture was enabled.
     pub stack_b: Option<String>,
-}
-
-impl ReportExport {
-    /// Writes the export as pretty JSON, atomically (see
-    /// [`save_atomic`](crate::record::save_atomic)).
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        crate::record::save_atomic(path, json)
-    }
-
-    /// Loads an export from JSON.
-    pub fn load(path: &std::path::Path) -> std::io::Result<ReportExport> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 #[cfg(test)]
@@ -330,16 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn fractions() {
-        let sink = ReportSink::new();
-        sink.report(violation(1, 1, OpKind::Write, OpKind::Write)); // same-loc, ww
-        sink.report(violation(2, 3, OpKind::Read, OpKind::Write)); // rw
-        assert!((sink.same_location_fraction() - 0.5).abs() < 1e-9);
-        assert!((sink.read_write_fraction() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn export_round_trips_and_orders() {
+    fn export_dedups_and_orders() {
         let sink = ReportSink::new();
         sink.report(violation(5, 4, OpKind::Read, OpKind::Write));
         sink.report(violation(1, 2, OpKind::Write, OpKind::Write));
@@ -354,15 +298,6 @@ mod tests {
             .find(|b| b.occurrences == 2)
             .expect("one bug caught twice");
         assert!(!repeat.read_write);
-
-        let dir = std::env::temp_dir().join(format!("tsvd_report_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("report.json");
-        export.save(&path).expect("save");
-        let back = ReportExport::load(&path).expect("load");
-        assert_eq!(back.unique_bugs, export.unique_bugs);
-        assert_eq!(back.bugs.len(), export.bugs.len());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

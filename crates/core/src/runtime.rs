@@ -280,12 +280,6 @@ impl Runtime {
         self.strategy.memory_bytes()
     }
 
-    /// Writes the machine-readable bug report to `path` (pretty JSON) —
-    /// the analog of the deployed tool's report log (§4).
-    pub fn write_report(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.sink.export().save(path)
-    }
-
     /// Exports the strategy's persistent trap state, if it keeps any.
     pub fn export_trap_file(&self) -> Option<TrapFileData> {
         self.strategy.export_trap_file()

@@ -1,6 +1,7 @@
 //! The suite runner: executes modules under detectors and aggregates.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,11 +70,11 @@ pub struct RunOptions {
     pub threads: usize,
     /// Number of test runs (trap files carry over between runs).
     pub runs: usize,
-    /// Wall-clock deadline for a single module execution. When set, each
-    /// module runs on a watched thread; blowing the deadline abandons the
-    /// runtime (delays cancelled, injection off) and records a
+    /// Wall-clock deadline for a single module execution. Every module
+    /// runs on a watched thread; blowing the deadline abandons the runtime
+    /// (delays cancelled, injection off) and records a
     /// [`ModuleOutcome::TimedOut`] instead of hanging the suite.
-    pub module_deadline: Option<Duration>,
+    pub module_deadline: Duration,
     /// Statically predicted dangerous pairs (`tsvd-analyze` output),
     /// imported into every module's runtime *in addition to* any carried
     /// trap file. Pre-arms traps before the first dynamic run, the static
@@ -88,9 +89,21 @@ impl RunOptions {
             config: TsvdConfig::paper().scaled(0.02),
             threads: 2,
             runs: 2,
-            module_deadline: Some(Duration::from_secs(30)),
+            module_deadline: Duration::from_secs(30),
             static_priors: None,
         }
+    }
+
+    /// The options run `run` (0-based; fleet wave `run`) executes under:
+    /// a fresh seed per run, as the paper re-runs tools whose sampling
+    /// differs run to run, or Fig. 8's curves could never climb.
+    pub fn for_run(&self, run: usize) -> RunOptions {
+        let mut options = self.clone();
+        options.config.seed = self
+            .config
+            .seed
+            .wrapping_add((run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        options
     }
 
     /// `standard()` with static priors attached.
@@ -218,10 +231,9 @@ impl SuiteOutcome {
     }
 }
 
-/// Runs `module` once under a fresh runtime. Panics in the module body are
-/// contained; with a deadline configured the body runs on a watched thread
-/// and is abandoned (runtime degraded to passive, delays cancelled) when it
-/// overruns.
+/// Runs `module` once under a fresh runtime. The body runs on a watched
+/// thread: a panic is contained, and an overrun of `module_deadline`
+/// abandons it (runtime degraded to passive, delays cancelled).
 pub fn run_module_once(
     module: &Module,
     kind: DetectorKind,
@@ -243,15 +255,36 @@ pub fn run_module_once(
     }
     let ctx = ModuleCtx::new(rt.clone(), options.threads);
     let start = Instant::now();
-    let outcome = match options.module_deadline {
-        None => {
-            let body = std::panic::AssertUnwindSafe(|| module.run(&ctx));
-            match std::panic::catch_unwind(body) {
-                Ok(()) => ModuleOutcome::Completed,
-                Err(_) => ModuleOutcome::Panicked,
+    let (tx, rx) = mpsc::channel::<bool>();
+    let m = module.clone();
+    let watched = std::thread::Builder::new()
+        .name(format!("tsvd-module-{}", m.name()))
+        .spawn(move || {
+            let body = std::panic::AssertUnwindSafe(|| m.run(&ctx));
+            let _ = tx.send(std::panic::catch_unwind(body).is_ok());
+        })
+        .expect("spawn watched module thread");
+    let outcome = match rx.recv_timeout(options.module_deadline) {
+        Ok(returned) => {
+            let _ = watched.join();
+            if returned {
+                ModuleOutcome::Completed
+            } else {
+                ModuleOutcome::Panicked
             }
         }
-        Some(deadline) => run_watched(module, ctx, deadline, &rt),
+        Err(_) => {
+            // Deadline blown. Abandoning cancels every injected delay and
+            // turns injection off, so a module wedged *behind* delays can
+            // drain; give it one more deadline to do so.
+            rt.abandon();
+            if rx.recv_timeout(options.module_deadline).is_ok() {
+                let _ = watched.join();
+            }
+            // If it is still stuck the thread is detached: its pool and
+            // runtime stay alive behind Arcs and the suite moves on.
+            ModuleOutcome::TimedOut
+        }
     };
     let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     ModuleRun {
@@ -261,50 +294,34 @@ pub fn run_module_once(
     }
 }
 
-/// Runs the module body on a watched thread with a wall-clock deadline.
-fn run_watched(
-    module: &Module,
-    ctx: ModuleCtx,
-    deadline: Duration,
-    rt: &Arc<Runtime>,
-) -> ModuleOutcome {
-    let (tx, rx) = mpsc::channel::<bool>();
-    let m = module.clone();
-    let watched = std::thread::Builder::new()
-        .name(format!("tsvd-module-{}", m.name()))
-        .spawn(move || {
-            let body = std::panic::AssertUnwindSafe(|| m.run(&ctx));
-            let ok = std::panic::catch_unwind(body).is_ok();
-            let _ = tx.send(ok);
-        })
-        .expect("spawn watched module thread");
-    match rx.recv_timeout(deadline) {
-        Ok(true) => {
-            let _ = watched.join();
-            ModuleOutcome::Completed
-        }
-        Ok(false) => {
-            let _ = watched.join();
-            ModuleOutcome::Panicked
-        }
-        Err(_) => {
-            // Deadline blown. Abandoning cancels every injected delay and
-            // turns injection off, so a module wedged *behind* delays can
-            // drain; give it one more deadline to do so.
-            rt.abandon();
-            if rx.recv_timeout(deadline).is_ok() {
-                let _ = watched.join();
-            }
-            // If it is still stuck the thread is detached: its pool and
-            // runtime stay alive behind Arcs and the suite moves on.
-            ModuleOutcome::TimedOut
-        }
-    }
+/// One module execution of a pass, as [`run_suite_observed`] hands it on.
+pub struct Execution<'a> {
+    /// Run of the pass, 1-based.
+    pub run: usize,
+    /// The module executed.
+    pub module: &'a Module,
+    /// The execution: runtime, wall time, outcome.
+    pub result: &'a ModuleRun,
+    /// Bugs this execution found first in the pass.
+    pub new_bugs: &'a [BugKey],
 }
 
 /// Runs the whole suite under `kind` for `options.runs` runs, carrying each
 /// module's trap file from run to run (§3.4.6).
 pub fn run_suite(suite: &[Module], kind: DetectorKind, options: &RunOptions) -> SuiteOutcome {
+    run_suite_observed(suite, kind, options, |_| ControlFlow::Continue(()))
+}
+
+/// [`run_suite`], handing each execution to `observe`. Run `k` runs under
+/// [`RunOptions::for_run`]`(k)` with the trap file its module exported in
+/// run `k - 1`, and a bug counts in the run that first finds it. `Break`
+/// ends the pass there; the outcome holds the runs begun.
+pub fn run_suite_observed(
+    suite: &[Module],
+    kind: DetectorKind,
+    options: &RunOptions,
+    mut observe: impl FnMut(&Execution<'_>) -> ControlFlow<()>,
+) -> SuiteOutcome {
     let mut outcome = SuiteOutcome {
         detector: kind.name(),
         runs: Vec::with_capacity(options.runs),
@@ -316,32 +333,26 @@ pub fn run_suite(suite: &[Module], kind: DetectorKind, options: &RunOptions) -> 
     };
     let mut trap_files: HashMap<String, TrapFileData> = HashMap::new();
 
-    for run_idx in 0..options.runs {
-        let mut agg = RunAggregate::default();
-        // Each test run gets fresh randomness (the paper re-runs the same
-        // tools, whose sampling differs run to run); without this the
-        // probabilistic detectors would repeat themselves exactly and
-        // Fig. 8's curves could never climb.
-        let mut run_options = options.clone();
-        run_options.config.seed = options
-            .config
-            .seed
-            .wrapping_add((run_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    'pass: for run_idx in 0..options.runs {
+        let run_options = options.for_run(run_idx);
+        outcome.runs.push(RunAggregate::default());
+        let agg = &mut outcome.runs[run_idx];
         for module in suite {
             let import = trap_files.get(module.name());
             let run = run_module_once(module, kind, &run_options, import);
-            let (rt, wall_ns) = (run.runtime, run.wall_ns);
+            let rt = &run.runtime;
             match run.outcome {
                 ModuleOutcome::Completed => {}
                 ModuleOutcome::Panicked => outcome.panics += 1,
                 ModuleOutcome::TimedOut => outcome.timeouts += 1,
             }
-            agg.wall_ns += wall_ns;
+            agg.wall_ns += run.wall_ns;
             agg.delays += rt.stats().delays_injected();
             agg.delay_ns += rt.stats().delay_total_ns();
             agg.on_calls += rt.stats().on_calls();
             outcome.peak_strategy_bytes =
                 outcome.peak_strategy_bytes.max(rt.strategy_memory_bytes());
+            let found_before = agg.new_bugs.len();
             for (pair, count) in rt.reports().occurrence_counts() {
                 let key: BugKey = (module.name().to_owned(), pair);
                 *outcome.occurrences.entry(key.clone()).or_insert(0) += count;
@@ -353,8 +364,16 @@ pub fn run_suite(suite: &[Module], kind: DetectorKind, options: &RunOptions) -> 
             if let Some(tf) = rt.export_trap_file() {
                 trap_files.insert(module.name().to_owned(), tf);
             }
+            let execution = Execution {
+                run: run_idx + 1,
+                module,
+                result: &run,
+                new_bugs: &agg.new_bugs[found_before..],
+            };
+            if observe(&execution).is_break() {
+                break 'pass;
+            }
         }
-        outcome.runs.push(agg);
     }
     outcome
 }
@@ -399,13 +418,7 @@ mod tests {
     use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
     fn options() -> RunOptions {
-        RunOptions {
-            config: TsvdConfig::paper().scaled(0.02),
-            threads: 2,
-            runs: 2,
-            module_deadline: Some(Duration::from_secs(30)),
-            static_priors: None,
-        }
+        RunOptions::standard()
     }
 
     #[test]
@@ -438,6 +451,30 @@ mod tests {
     }
 
     #[test]
+    fn the_observer_sees_each_execution_under_its_runs_seed_and_can_stop_the_pass() {
+        let suite = build_suite(SuiteConfig {
+            modules: 3,
+            seed: 5,
+        });
+        let opts = options();
+        let mut seen = Vec::new();
+        let outcome = run_suite_observed(&suite, DetectorKind::Noop, &opts, |e| {
+            let seed = e.result.runtime.config().seed;
+            assert_eq!(seed, opts.for_run(e.run - 1).config.seed);
+            seen.push((e.run, e.module.name().to_owned(), seed));
+            if seen.len() == 4 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(seen.len(), 4, "stopped after the first module of run 2");
+        assert_eq!((seen[3].0, &seen[3].1), (2, &seen[0].1));
+        assert_ne!(seen[3].2, seen[0].2, "run 2 is reseeded");
+        assert_eq!(outcome.runs.len(), 2);
+    }
+
+    #[test]
     fn panicking_module_is_contained() {
         use tsvd_workloads::module::{Expectation, Module};
         let m = Module::new("boom", 1, Expectation::Clean, false, "List", |_| {
@@ -460,7 +497,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(400));
         });
         let mut opts = options();
-        opts.module_deadline = Some(Duration::from_millis(50));
+        opts.module_deadline = Duration::from_millis(50);
         let start = Instant::now();
         let run = run_module_once(&m, DetectorKind::Tsvd, &opts, None);
         assert_eq!(run.outcome, ModuleOutcome::TimedOut);

@@ -12,6 +12,9 @@
 //! - **liveness**: workers heartbeat every `heartbeat_ms`; a worker silent
 //!   for 20 heartbeats is killed and treated as dead (the process-wide
 //!   analogue of `ModuleOutcome::TimedOut`);
+//! - **reporting**: violations reach the daemon only through each
+//!   execution's durable sink, harvested into the ledger when the
+//!   execution's `Done` arrives, before the event that resolves it;
 //! - **recovery**: a dead worker's in-flight module is re-queued, after
 //!   harvesting the execution's durable sink so no already-caught
 //!   violation is lost to a torn socket write or an abort;
@@ -80,7 +83,8 @@ pub struct FleetOptions {
     pub scale: f64,
     /// Base suite seed.
     pub seed: u64,
-    /// Per-module deadline, milliseconds.
+    /// Per-module deadline, milliseconds; every module runs watched, so
+    /// it must be positive.
     pub deadline_ms: u64,
     /// Worker heartbeat interval, milliseconds; 20 silent intervals kill
     /// a worker.
@@ -146,7 +150,7 @@ pub struct FleetReport {
     pub busy_share: f64,
     /// Mean microseconds a worker spent on an assignment outside the
     /// module itself: assign written to done read, minus the done frame's
-    /// `wall_ns` — frames, suite lookup, runtime and sink set-up, streaming.
+    /// `wall_ns` — frames, suite lookup, runtime and sink set-up.
     pub worker_fixed_us: f64,
     /// Mean microseconds from reading a worker's done frame to writing its
     /// next assignment — ledger, trap file, dispatch, and at a wave's end
@@ -573,9 +577,6 @@ impl Daemon {
         self.slots[worker].last_seen = Instant::now();
         match frame {
             Frame::Heartbeat => {}
-            Frame::Violation(v) => {
-                self.record_violation(v.index, &v.record)?;
-            }
             Frame::Done(done) => self.on_done(worker, done, read_at)?,
             other => {
                 self.log(format_args!("ignoring unexpected frame {other:?}"));
@@ -625,6 +626,9 @@ impl Daemon {
         self.spent.fixed += read_at
             .saturating_duration_since(slot.assigned_at)
             .saturating_sub(busy);
+        // The sink is the execution's one report: its records reach the
+        // ledger before the retry or done that resolves the assignment.
+        self.harvest_sink(done.wave, done.index, done.attempt)?;
         let outcome = ModuleOutcome::parse(&done.outcome).unwrap_or(ModuleOutcome::Panicked);
         let key = (done.wave, done.index);
         let failures = self.state.failures.get(&key).copied().unwrap_or(0);
@@ -691,11 +695,7 @@ impl Daemon {
             // The execution's durable sink survived the process; its
             // records become ledger violations before any re-queue, which
             // is what makes "no violation lost" chaos-provable.
-            let sink = self
-                .start()
-                .sink_dir
-                .join(sink_file_name(wave, index, attempt));
-            self.harvest_sink(index, &sink)?;
+            self.harvest_sink(wave, index, attempt)?;
             let kills = self.state.kills.get(&index).copied().unwrap_or(0) + 1;
             if kills >= self.start().quarantine_kill_limit {
                 self.commit(LedgerEvent::Quarantine(QuarantineEvent { index, kills }))?;
@@ -949,9 +949,14 @@ impl Daemon {
     }
 
     /// Loads one execution's sink and folds every record into the ledger;
-    /// a sink that cannot be read fails the run.
-    fn harvest_sink(&mut self, index: usize, sink: &std::path::Path) -> Result<(), FleetError> {
-        for record in DurableSink::load(sink)? {
+    /// a sink that cannot be read fails the run. No file: the execution
+    /// caught nothing.
+    fn harvest_sink(&mut self, wave: usize, index: usize, attempt: u32) -> Result<(), FleetError> {
+        let sink = self
+            .start()
+            .sink_dir
+            .join(sink_file_name(wave, index, attempt));
+        for record in DurableSink::load(&sink)? {
             self.record_violation(index, &record)?;
         }
         Ok(())

@@ -5,15 +5,14 @@
 //! newline — JSONL framed twice, so a receiver can both stream-parse and
 //! detect torn writes: a short read against the declared length means the
 //! peer died mid-frame, and the partial payload is discarded rather than
-//! misparsed. The payload grows from the durable-sink format
-//! ([`ViolationRecord`] rides verbatim inside [`ViolationMsg`]) and every
-//! frame carries a `v` schema field so old daemons reject frames from newer
-//! workers instead of guessing ([`WIRE_SCHEMA_VERSION`]).
+//! misparsed. Every frame carries a `v` schema field so old daemons reject
+//! frames from newer workers instead of guessing ([`WIRE_SCHEMA_VERSION`]).
+//! No violation crosses the socket: a worker's catches reach the daemon
+//! only through the execution's durable sink, named in [`Done`].
 
 use std::io::{Read, Write};
 
 use serde::{Deserialize as _, Serialize as _, Value};
-use tsvd_core::sink::ViolationRecord;
 use tsvd_core::trap_file::TrapFileData;
 
 /// Version stamped in every frame's `v` field. Readers accept frames at or
@@ -52,17 +51,6 @@ pub struct Assign {
     pub traps: TrapFileData,
 }
 
-/// Worker → daemon: one caught violation, streamed before [`Done`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ViolationMsg {
-    /// Wave the catch happened in.
-    pub wave: usize,
-    /// Module that caught it.
-    pub index: usize,
-    /// The durable-sink record, schema field included.
-    pub record: ViolationRecord,
-}
-
 /// Worker → daemon: a module execution finished (in any outcome).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Done {
@@ -85,7 +73,8 @@ pub struct Done {
     pub dangerous_pairs: u64,
     /// Trap-file delta learned by this execution, if any.
     pub traps: Option<TrapFileData>,
-    /// Path of the per-execution durable sink the worker wrote.
+    /// Path of the per-execution durable sink the worker wrote; the daemon
+    /// harvests the sink of the assignment it holds for the slot.
     pub sink: String,
 }
 
@@ -98,8 +87,6 @@ pub enum Frame {
     Assign(Assign),
     /// Worker liveness beacon (sent every heartbeat interval).
     Heartbeat,
-    /// A caught violation.
-    Violation(ViolationMsg),
     /// Execution result.
     Done(Done),
     /// Daemon → worker: drain and exit cleanly.
@@ -148,7 +135,6 @@ impl Frame {
             Frame::Hello(p) => ("hello", p.to_value()),
             Frame::Assign(p) => ("assign", p.to_value()),
             Frame::Heartbeat => ("heartbeat", Value::Object(Default::default())),
-            Frame::Violation(p) => ("violation", p.to_value()),
             Frame::Done(p) => ("done", p.to_value()),
             Frame::Shutdown => ("shutdown", Value::Object(Default::default())),
         };
@@ -164,9 +150,6 @@ impl Frame {
             "hello" => Frame::Hello(Hello::from_value(body).map_err(|e| e.to_string())?),
             "assign" => Frame::Assign(Assign::from_value(body).map_err(|e| e.to_string())?),
             "heartbeat" => Frame::Heartbeat,
-            "violation" => {
-                Frame::Violation(ViolationMsg::from_value(body).map_err(|e| e.to_string())?)
-            }
             "done" => Frame::Done(Done::from_value(body).map_err(|e| e.to_string())?),
             "shutdown" => Frame::Shutdown,
             other => return Err(format!("unknown frame kind `{other}`")),
@@ -224,19 +207,6 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Frame> {
 mod tests {
     use super::*;
 
-    fn record() -> ViolationRecord {
-        ViolationRecord {
-            schema: tsvd_core::VIOLATION_SCHEMA_VERSION,
-            location_trapped: "a.rs:1:1".into(),
-            location_hitter: "b.rs:2:2".into(),
-            op_trapped: "x.write".into(),
-            op_hitter: "x.read".into(),
-            obj: 7,
-            time_ns: 42,
-            read_write: true,
-        }
-    }
-
     #[test]
     fn frames_round_trip_through_the_stream() {
         let frames = vec![
@@ -252,11 +222,6 @@ mod tests {
                 traps: TrapFileData::default(),
             }),
             Frame::Heartbeat,
-            Frame::Violation(ViolationMsg {
-                wave: 1,
-                index: 40,
-                record: record(),
-            }),
             Frame::Done(Done {
                 wave: 1,
                 index: 40,
@@ -287,10 +252,10 @@ mod tests {
         let mut buf = Vec::new();
         write_torn_frame(
             &mut buf,
-            &Frame::Violation(ViolationMsg {
-                wave: 0,
-                index: 1,
-                record: record(),
+            &Frame::Hello(Hello {
+                worker: 0,
+                incarnation: 1,
+                pid: 2,
             }),
         )
         .expect("write torn");

@@ -2,14 +2,17 @@
 //!
 //! A worker connects to the daemon's Unix socket, introduces itself with a
 //! `Hello` frame, heartbeats on a side thread, and then loops: receive an
-//! assignment, rebuild the module from the shared suite spec, run it under
-//! a fresh TSVD runtime with a **per-execution durable sink**, and report.
-//! Violations reach the daemon twice by design — write-ahead in the sink
-//! file (survives any death) and streamed as frames (fast path) — so a
-//! worker dying at any instant loses nothing: the daemon harvests the sink.
+//! assignment, rebuild the module from the shared suite spec, run it as
+//! run `wave` of the pass ([`RunOptions::for_run`]) under a fresh TSVD
+//! runtime with a **per-execution durable sink**, and answer with one
+//! `Done` frame. Frames are `Hello`, `Heartbeat` and `Done` up, `Assign`
+//! and `Shutdown` down. Violations travel only through the sink: the
+//! daemon harvests the execution's sink when its `Done` arrives, and
+//! again when the worker dies mid-execution, so a worker dying at any
+//! instant loses nothing the sink holds.
 //!
 //! Under a chaos plan the worker sabotages itself deterministically:
-//! aborting after the module ran but before streaming (`Kill`), wedging
+//! aborting after the module ran but before reporting (`Kill`), wedging
 //! with heartbeats suppressed (`Stall`), or writing half a `Done` frame
 //! (`Torn`). Each exercises a distinct supervisor recovery path.
 
@@ -20,13 +23,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use tsvd_core::{DurableSink, TrapFileData, TsvdConfig};
+use tsvd_core::{TrapFileData, TsvdConfig};
 use tsvd_workloads::module::Module;
 
 use crate::chaos::{ChaosPlan, FaultDecision};
 use crate::runner::{run_module_once, DetectorKind, RunOptions};
 use crate::suites::SuiteSpec;
-use crate::wire::{read_frame, write_frame, write_torn_frame, Done, Frame, Hello, ViolationMsg};
+use crate::wire::{read_frame, write_frame, write_torn_frame, Done, Frame, Hello};
 
 /// Everything a worker process is told on its command line.
 #[derive(Debug, Clone)]
@@ -45,9 +48,10 @@ pub struct WorkerOptions {
     pub threads: usize,
     /// Detector time-constant scale.
     pub scale: f64,
-    /// Base suite seed (per-wave reseeding matches `run_suite`).
+    /// Base suite seed; wave `w` runs under [`RunOptions::for_run`]`(w)`.
     pub seed: u64,
-    /// Per-module deadline, milliseconds (0 = none).
+    /// Per-module deadline, milliseconds (must be positive: every module
+    /// runs watched).
     pub deadline_ms: u64,
     /// Heartbeat interval, milliseconds.
     pub heartbeat_ms: u64,
@@ -161,24 +165,9 @@ pub fn serve_worker(opts: &WorkerOptions) -> Result<(), String> {
             FaultDecision::None => {}
         }
 
-        // Stream the sink back — reading the file we just wrote (rather
-        // than in-memory reports) guarantees frames ⊆ sink, the invariant
-        // reconciliation checks. No file: the module caught nothing.
-        let records = DurableSink::load(&sink_path).map_err(|e| format!("read sink {e}"))?;
         let done = done_frame(&run, &assign, &sink_path);
-        let mut w = writer.lock();
-        for record in records {
-            write_frame(
-                &mut *w,
-                &Frame::Violation(ViolationMsg {
-                    wave: assign.wave,
-                    index: assign.index,
-                    record,
-                }),
-            )
-            .map_err(|e| format!("stream violation: {e}"))?;
-        }
-        write_frame(&mut *w, &Frame::Done(done)).map_err(|e| format!("stream done: {e}"))?;
+        write_frame(&mut *writer.lock(), &Frame::Done(done))
+            .map_err(|e| format!("stream done: {e}"))?;
     }
 }
 
@@ -198,19 +187,18 @@ fn execute(
     traps: &TrapFileData,
 ) -> Execution {
     let mut config = TsvdConfig::paper().scaled(opts.scale);
-    // Waves reseed exactly like `run_suite` runs, so fleet results are
-    // comparable to the sequential baseline module for module.
-    config.seed = opts
-        .seed
-        .wrapping_add((wave as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    config.seed = opts.seed;
     config.durable_sink = Some(sink_path.to_path_buf());
+    // A wave is a run of the pass, so fleet results are comparable to the
+    // sequential baseline module for module.
     let options = RunOptions {
         config,
         threads: opts.threads,
         runs: 1,
-        module_deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
+        module_deadline: Duration::from_millis(opts.deadline_ms),
         static_priors: None,
-    };
+    }
+    .for_run(wave);
     let import = (!traps.pairs.is_empty()).then_some(traps);
     let run = run_module_once(module, DetectorKind::Tsvd, &options, import);
     // Syncs what the module's catches appended; free when it caught none.

@@ -11,7 +11,7 @@ use tsvd_fleet::ledger::{
     AssignEvent, DeathEvent, DoneEvent, FinishEvent, QuarantineEvent, RetryEvent, StartEvent,
     ViolationEvent,
 };
-use tsvd_fleet::wire::{write_frame, Assign, Done, Hello, ViolationMsg};
+use tsvd_fleet::wire::{write_frame, Assign, Done, Hello};
 use tsvd_fleet::{Frame, Ledger, LedgerEvent};
 
 fn record() -> ViolationRecord {
@@ -110,11 +110,6 @@ fn frames() -> Vec<Frame> {
             traps: traps(),
         }),
         Frame::Heartbeat,
-        Frame::Violation(ViolationMsg {
-            wave: 1,
-            index: 40,
-            record: record(),
-        }),
         Frame::Done(Done {
             wave: 1,
             index: 40,
@@ -149,11 +144,10 @@ const LEDGER: [&str; 8] = [
     r#"{"completed":49,"ev":"finish","quarantined":1,"v":1}"#,
 ];
 
-const FRAMES: [&str; 6] = [
+const FRAMES: [&str; 5] = [
     r#"{"incarnation":2,"kind":"hello","pid":999,"v":1,"worker":3}"#,
     r#"{"attempt":2,"index":40,"kind":"assign","traps":{"origins":["dynamic","static"],"pairs":[["a.rs:1:1","b.rs:2:2"],["c.rs:3:3","d.rs:4:4"]]},"v":1,"wave":1}"#,
     r#"{"kind":"heartbeat","v":1}"#,
-    r#"{"index":40,"kind":"violation","record":{"location_hitter":"crates/café/src/lib.rs:12:9","location_trapped":"crates/café/src/lib.rs:10:5","obj":7,"op_hitter":"Dictionary.get","op_trapped":"Dictionary.set","read_write":true,"schema":1,"time_ns":1234567},"v":1,"wave":1}"#,
     r#"{"attempt":2,"dangerous_pairs":2,"delays":4,"index":40,"kind":"done","on_calls":56,"outcome":"timed_out","sink":"target/fleet/sinks/w1_m40_a2.jsonl","traps":{"origins":["dynamic","static"],"pairs":[["a.rs:1:1","b.rs:2:2"],["c.rs:3:3","d.rs:4:4"]]},"v":1,"wall_ns":123,"wave":1}"#,
     r#"{"kind":"shutdown","v":1}"#,
 ];

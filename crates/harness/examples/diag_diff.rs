@@ -6,8 +6,8 @@
 //! ```
 fn main() {
     use std::collections::HashMap;
-    use tsvd_core::TsvdConfig;
-    use tsvd_harness::runner::{run_suite, DetectorKind, RunOptions};
+    use std::ops::ControlFlow;
+    use tsvd_harness::runner::{run_suite_observed, DetectorKind, RunOptions};
     use tsvd_workloads::suite::{build_suite, SuiteConfig};
     let modules: usize = std::env::args()
         .nth(1)
@@ -17,25 +17,18 @@ fn main() {
         modules,
         seed: 0x534D_414C,
     });
-    let options = RunOptions {
-        config: TsvdConfig::paper().scaled(0.02),
-        threads: 2,
-        runs: 2,
-        module_deadline: Some(std::time::Duration::from_secs(30)),
-        static_priors: None,
-    };
+    let options = RunOptions::standard();
     let mut per: HashMap<&'static str, HashMap<String, (usize, usize)>> = HashMap::new();
     for kind in [DetectorKind::Tsvd, DetectorKind::TsvdHb] {
-        let outcome = run_suite(&suite, kind, &options);
         let m = per.entry(kind.name()).or_default();
-        for ((module, _), run) in outcome.bugs {
-            let fam = module.split(':').nth(1).unwrap_or("?").to_string();
-            let e = m.entry(fam).or_default();
-            e.0 += 1;
-            if run == 1 {
-                e.1 += 1;
+        run_suite_observed(&suite, kind, &options, |execution| {
+            let e = m.entry(execution.module.family().to_string()).or_default();
+            e.0 += execution.new_bugs.len();
+            if execution.run == 1 {
+                e.1 += execution.new_bugs.len();
             }
-        }
+            ControlFlow::Continue(())
+        });
     }
     let mut fams: Vec<String> = per.values().flat_map(|m| m.keys().cloned()).collect();
     fams.sort();

@@ -12,7 +12,7 @@ fn main() {
         config: TsvdConfig::paper().scaled(0.02),
         threads: 2,
         runs: 1,
-        module_deadline: Some(std::time::Duration::from_secs(30)),
+        module_deadline: std::time::Duration::from_secs(30),
         static_priors: None,
     };
     for kind in [DetectorKind::Tsvd, DetectorKind::TsvdHb] {

@@ -119,7 +119,8 @@ fn run_serve_cmd(args: &[String]) -> ! {
         deadline_ms: flags.num("--deadline-ms").unwrap_or(30_000),
         heartbeat_ms: flags.num("--heartbeat-ms").unwrap_or(100),
     };
-    if opts.socket.as_os_str().is_empty() || opts.suite.is_empty() {
+    // Every module runs watched: a zero deadline would time out them all.
+    if opts.socket.as_os_str().is_empty() || opts.suite.is_empty() || opts.deadline_ms == 0 {
         usage();
     }
     match tsvd_fleet::serve_worker(&opts) {
@@ -145,17 +146,18 @@ fn run_fleet_cmd(args: &[String]) -> ! {
         0,
     );
     let modules = flags.num("--modules").unwrap_or(200);
-    // Zero workers would run nothing and fail a tick later: refused like
-    // a number that does not parse.
+    // Zero workers would run nothing and fail a tick later, and a zero
+    // deadline would time out every module: refused like a number that
+    // does not parse.
     let workers = flags.num("--workers").unwrap_or(4);
-    if workers == 0 {
+    let deadline_ms = flags.num("--deadline-ms").unwrap_or(30_000);
+    if workers == 0 || deadline_ms == 0 {
         usage();
     }
     let waves = flags.num("--waves").unwrap_or(2);
     let threads = flags.num("--threads").unwrap_or(2);
     let scale = flags.num("--scale").unwrap_or(0.02);
     let seed = flags.num("--seed").unwrap_or(0x534D_414C);
-    let deadline_ms = flags.num("--deadline-ms").unwrap_or(30_000);
     let suite_arg = flags.value("--suite");
     let ledger_path = flags.path("--ledger");
     let sink_dir = flags.path("--sink-dir");
@@ -256,7 +258,7 @@ fn run_fleet_cmd(args: &[String]) -> ! {
             },
             threads,
             runs: waves,
-            module_deadline: Some(std::time::Duration::from_millis(deadline_ms)),
+            module_deadline: std::time::Duration::from_millis(deadline_ms),
             static_priors: None,
         };
         let outcome =

@@ -56,7 +56,7 @@ impl ExpOpts {
             config: self.config(),
             threads: self.threads,
             runs: self.runs,
-            module_deadline: Some(std::time::Duration::from_secs(30)),
+            module_deadline: std::time::Duration::from_secs(30),
             static_priors: None,
         }
     }

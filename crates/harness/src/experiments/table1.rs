@@ -6,15 +6,16 @@
 //! the Large suite analog, with per-violation metadata gathered directly
 //! from each module's report sink.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::ops::ControlFlow;
 
-use tsvd_core::TrapFileData;
+use tsvd_core::near_miss::SitePair;
 use tsvd_workloads::module::Expectation;
 use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 use crate::experiments::ExpOpts;
 use crate::report::{pct, Table};
-use crate::runner::{run_module_once, DetectorKind};
+use crate::runner::{run_suite_observed, DetectorKind};
 
 /// Per-suite aggregates for the Table 1 statistics.
 #[derive(Default)]
@@ -45,82 +46,59 @@ pub fn run(opts: &ExpOpts) -> Vec<Table> {
     // Stack capture is what the stack-trace-pair and stack-depth rows need.
     options.config.capture_stacks = true;
 
-    let mut stats = Stats::default();
-    let mut trap_files: HashMap<String, TrapFileData> = HashMap::new();
-    let mut families: HashSet<String> = HashSet::new();
-
-    for module in &suite {
-        stats.total_tests += u64::from(module.tests());
-        families.insert(family(module.name()));
-    }
-
-    // Dedup across runs: a fresh runtime per run can re-catch a bug the
-    // previous run already found, so bug identity is (module, pair).
-    let mut seen_bugs: HashSet<(String, tsvd_core::near_miss::SitePair)> = HashSet::new();
-    let mut seen_locations: HashSet<(String, tsvd_core::SiteId)> = HashSet::new();
+    let mut stats = Stats {
+        total_tests: suite.iter().map(|m| u64::from(m.tests())).sum(),
+        ..Stats::default()
+    };
+    let families: HashSet<&str> = suite.iter().map(|m| m.family()).collect();
     let mut seen_stack_pairs: HashSet<String> = HashSet::new();
-    let mut occurrences: HashMap<(String, tsvd_core::near_miss::SitePair), usize> = HashMap::new();
-    let mut buggy_module_names: HashSet<String> = HashSet::new();
 
-    for _run in 0..options.runs {
-        for module in &suite {
-            let rt = run_module_once(
-                module,
-                DetectorKind::Tsvd,
-                &options,
-                trap_files.get(module.name()),
-            )
-            .runtime;
-            if let Some(tf) = rt.export_trap_file() {
-                trap_files.insert(module.name().to_owned(), tf);
+    // A bug's properties are read off the catch that first found it in
+    // the pass; stack pairs count over every catch.
+    let outcome = run_suite_observed(&suite, DetectorKind::Tsvd, &options, |execution| {
+        let module = execution.module;
+        let mut fresh: HashSet<SitePair> = execution.new_bugs.iter().map(|(_, p)| *p).collect();
+        for v in execution.result.runtime.reports().violations() {
+            if let (Some(a), Some(b)) = (&v.trapped.stack, &v.hitter.stack) {
+                seen_stack_pairs.insert(format!("{}\u{1}{a}\u{1}{b}", module.name()));
             }
-            let sink = rt.reports();
-            if sink.total_occurrences() == 0 {
+            if !fresh.remove(&v.pair()) {
                 continue;
             }
-            for v in sink.violations() {
-                let pair = v.pair();
-                let key = (module.name().to_owned(), pair);
-                if let (Some(a), Some(b)) = (&v.trapped.stack, &v.hitter.stack) {
-                    seen_stack_pairs.insert(format!("{}\u{1}{a}\u{1}{b}", module.name()));
-                }
-                if !seen_bugs.insert(key) {
-                    continue;
-                }
-                seen_locations.insert((module.name().to_owned(), pair.first));
-                seen_locations.insert((module.name().to_owned(), pair.second));
-                if v.is_read_write() {
-                    stats.read_write_bugs += 1;
-                }
-                if v.is_same_location() {
-                    stats.same_location_bugs += 1;
-                }
-                if module.uses_async() {
-                    stats.async_bugs += 1;
-                }
-                match module.structure() {
-                    "Dictionary" | "Cache" => stats.dictionary_bugs += 1,
-                    "List" => stats.list_bugs += 1,
-                    _ => {}
-                }
-                if let Some(stack) = &v.hitter.stack {
-                    stats.stack_depths.push(stack.lines().count() / 2);
-                }
+            if v.is_read_write() {
+                stats.read_write_bugs += 1;
             }
-            for (pair, count) in sink.occurrence_counts() {
-                *occurrences
-                    .entry((module.name().to_owned(), pair))
-                    .or_insert(0) += count;
+            if v.is_same_location() {
+                stats.same_location_bugs += 1;
             }
-            buggy_module_names.insert(module.name().to_owned());
-            stats.families_with_bugs.insert(family(module.name()));
+            if module.uses_async() {
+                stats.async_bugs += 1;
+            }
+            match module.structure() {
+                "Dictionary" | "Cache" => stats.dictionary_bugs += 1,
+                "List" => stats.list_bugs += 1,
+                _ => {}
+            }
+            if let Some(stack) = &v.hitter.stack {
+                stats.stack_depths.push(stack.lines().count() / 2);
+            }
         }
-    }
-    stats.unique_bugs = seen_bugs.len();
-    stats.unique_locations = seen_locations.len();
+        if !execution.new_bugs.is_empty() {
+            stats.families_with_bugs.insert(module.family().to_owned());
+        }
+        ControlFlow::Continue(())
+    });
+    let locations: HashSet<(&str, tsvd_core::SiteId)> = outcome
+        .bugs
+        .keys()
+        .flat_map(|(module, pair)| [pair.first, pair.second].map(|site| (module.as_str(), site)))
+        .collect();
+    let modules_with_bugs: HashSet<&str> = outcome.bugs.keys().map(|(m, _)| m.as_str()).collect();
+    stats.unique_bugs = outcome.total_bugs();
+    stats.unique_locations = locations.len();
     stats.stack_pairs = seen_stack_pairs.len();
-    stats.occurrences = occurrences.into_values().collect();
-    stats.modules_with_bugs = buggy_module_names.len();
+    stats.occurrences = outcome.occurrences.values().copied().collect();
+    stats.modules_with_bugs = modules_with_bugs.len();
 
     let planted: usize = suite.iter().map(|m| m.expectation().planted_pairs()).sum();
     let buggy_modules = suite
@@ -202,10 +180,6 @@ pub fn run(opts: &ExpOpts) -> Vec<Table> {
     vec![t]
 }
 
-fn family(name: &str) -> String {
-    name.split(':').nth(1).unwrap_or(name).to_string()
-}
-
 fn mean(xs: &[usize]) -> f64 {
     if xs.is_empty() {
         return 0.0;
@@ -231,8 +205,6 @@ mod tests {
         assert_eq!(mean(&[2, 4]), 3.0);
         assert_eq!(median(&mut []), 0);
         assert_eq!(median(&mut [3, 1, 2]), 2);
-        assert_eq!(family("m0001:dict-racy"), "dict-racy");
-        assert_eq!(family("plain"), "plain");
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! overhead. Expected shape: every project's TSVs trigger within 2 runs,
 //! mostly in run 1, at modest overhead.
 
-use tsvd_workloads::module::ModuleCtx;
+use std::ops::ControlFlow;
+
 use tsvd_workloads::opensource::projects;
 
 use crate::experiments::ExpOpts;
 use crate::report::{overhead, Table};
-use crate::runner::{run_module_once, DetectorKind};
+use crate::runner::{run_module_once, run_suite_observed, DetectorKind};
 
 /// Runs the Table 4 open-source evaluation.
 pub fn run(opts: &ExpOpts) -> Vec<Table> {
@@ -25,47 +26,36 @@ pub fn run(opts: &ExpOpts) -> Vec<Table> {
             "overhead",
         ],
     );
-    let options = opts.run_options();
+    let mut options = opts.run_options();
+    options.runs = 2;
 
     for project in projects() {
         // Baseline wall time: one passive run.
-        let rt = DetectorKind::Noop.build(options.config.clone());
-        let ctx = ModuleCtx::new(rt, options.threads);
-        let t0 = std::time::Instant::now();
-        project.module.run(&ctx);
-        let base_ns = t0.elapsed().as_nanos().max(1) as u64;
+        let base_ns = run_module_once(&project.module, DetectorKind::Noop, &options, None)
+            .wall_ns
+            .max(1);
 
-        // Up to two TSVD runs with trap-file carry-over, as in the paper.
-        let mut trap_file = None;
-        let mut found = 0usize;
-        let mut found_run = 0usize;
-        let mut wall_total = 0u64;
-        let mut runs_used = 0usize;
-        for run in 1..=2 {
-            let module_run = run_module_once(
-                &project.module,
-                DetectorKind::Tsvd,
-                &options,
-                trap_file.as_ref(),
-            );
-            let (rt, wall) = (module_run.runtime, module_run.wall_ns);
-            wall_total += wall;
-            runs_used = run;
-            trap_file = rt.export_trap_file();
-            let bugs = rt.reports().unique_bugs();
-            if bugs > 0 {
-                found = bugs;
-                found_run = run;
-                break;
-            }
-        }
-        let ovh = (wall_total as f64 / runs_used as f64 - base_ns as f64) / base_ns as f64 * 100.0;
+        // Up to two TSVD runs with trap-file carry-over, as in the paper;
+        // the pass ends with the run that first finds a TSV.
+        let outcome = run_suite_observed(
+            std::slice::from_ref(&project.module),
+            DetectorKind::Tsvd,
+            &options,
+            |execution| match execution.new_bugs {
+                [] => ControlFlow::Continue(()),
+                _ => ControlFlow::Break(()),
+            },
+        );
+        let runs_used = outcome.runs.len();
+        let found = outcome.total_bugs();
+        let run_ns = outcome.total_wall_ns() as f64 / runs_used as f64;
+        let ovh = (run_ns - base_ns as f64) / base_ns as f64 * 100.0;
         table.row(vec![
             project.info.name.to_string(),
             format!("{:.1}K", project.info.loc_k),
             project.info.tests.to_string(),
             if found > 0 {
-                found_run.to_string()
+                runs_used.to_string()
             } else {
                 "miss".to_string()
             },

@@ -81,7 +81,8 @@ fn unknown_subcommands_exit_2() {
 }
 
 /// Zero runs would pass having checked nothing; a fleet of zero workers
-/// would wait a tick and fail with every module pending.
+/// would wait a tick and fail with every module pending; a zero deadline
+/// would time out every module, since every module runs watched.
 #[test]
 fn zero_runs_exit_2() {
     for args in [
@@ -89,6 +90,16 @@ fn zero_runs_exit_2() {
         &["fig8", "--runs", "0"],
         &["all", "--runs", "0"],
         &["fleet", "--workers", "0"],
+        &["fleet", "--deadline-ms", "0"],
+        &[
+            "serve",
+            "--socket",
+            "s",
+            "--suite",
+            "std:4:7",
+            "--deadline-ms",
+            "0",
+        ],
     ] {
         assert_usage(args);
     }

@@ -1,6 +1,7 @@
 //! Diagnostic: where a two-run TSVD pass spends its delays, per run and per
-//! scenario family, summed over a list of detector seeds. Each module's trap
-//! file is carried from run 1 into run 2, as `run_suite` does (§3.4.6).
+//! scenario family, summed over a list of detector seeds. Each pass is a
+//! `run_suite` pass (trap files carried from run 1 into run 2, §3.4.6) and
+//! this file is only its observer.
 //! Run it manually with
 //! `cargo test --release -p tsvd-harness --test diag_delays -- --nocapture --ignored`
 //! (about a second per seed in release).
@@ -18,12 +19,10 @@
 //! moves them between two runs of one binary, more than most planner
 //! changes do.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
-use tsvd_core::near_miss::SitePair;
-use tsvd_core::{TrapFileData, TsvdConfig};
-use tsvd_harness::runner::{run_module_once, DetectorKind, RunOptions};
+use tsvd_harness::runner::{run_suite_observed, DetectorKind, RunOptions};
 use tsvd_workloads::module::Expectation;
 use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
@@ -78,63 +77,32 @@ fn per_run_delay_accounting() {
         modules: 100,
         seed: 0x534D_414C,
     });
-    let base = RunOptions {
-        config: TsvdConfig::paper().scaled(0.02),
-        threads: 2,
-        runs: RUNS,
-        module_deadline: Some(Duration::from_secs(30)),
-        static_priors: None,
-    };
     // (run, family) → counts, over every seed.
     let mut rows: BTreeMap<(usize, String), Row> = BTreeMap::new();
     let mut clean_slept_ns = 0u64;
     for seed in SEEDS {
-        let mut trap_files: HashMap<String, TrapFileData> = HashMap::new();
-        let mut bugs: HashSet<(String, SitePair)> = HashSet::new();
-        for run in 0..RUNS {
-            // The per-run reseeding `run_suite` does.
-            let mut options = base.clone();
-            options.config.seed = base
-                .config
-                .seed
-                .wrapping_add(seed)
-                .wrapping_add((run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            for module in &suite {
-                let family = module.name().split(':').nth(1).unwrap_or("?");
-                let executed = run_module_once(
-                    module,
-                    DetectorKind::Tsvd,
-                    &options,
-                    trap_files.get(module.name()),
-                );
-                let stats = executed.runtime.stats();
-                let ordered = stats.ordered();
-                if module.expectation() == Expectation::Clean {
-                    clean_slept_ns += stats.delay_total_ns();
-                }
-                let new_bugs = executed
-                    .runtime
-                    .reports()
-                    .bug_pairs()
-                    .into_iter()
-                    .filter(|&pair| bugs.insert((module.name().to_string(), pair)))
-                    .count() as u64;
-                rows.entry((run + 1, family.to_string()))
-                    .or_default()
-                    .add(Row {
-                        delays: stats.delays_injected(),
-                        caught: stats.traps_caught(),
-                        slept_ns: stats.delay_total_ns(),
-                        new_bugs,
-                        ordered_armed: ordered.armed,
-                        ordered_settled: ordered.settled,
-                        ordered_delays: ordered.delays,
-                    });
-                if let Some(traps) = executed.runtime.export_trap_file() {
-                    trap_files.insert(module.name().to_string(), traps);
-                }
+        let mut options = RunOptions::standard();
+        options.runs = RUNS;
+        options.config.seed = options.config.seed.wrapping_add(seed);
+        run_suite_observed(&suite, DetectorKind::Tsvd, &options, |execution| {
+            let stats = execution.result.runtime.stats();
+            let ordered = stats.ordered();
+            if execution.module.expectation() == Expectation::Clean {
+                clean_slept_ns += stats.delay_total_ns();
             }
-        }
+            rows.entry((execution.run, execution.module.family().to_string()))
+                .or_default()
+                .add(Row {
+                    delays: stats.delays_injected(),
+                    caught: stats.traps_caught(),
+                    slept_ns: stats.delay_total_ns(),
+                    new_bugs: execution.new_bugs.len() as u64,
+                    ordered_armed: ordered.armed,
+                    ordered_settled: ordered.settled,
+                    ordered_delays: ordered.delays,
+                });
+            ControlFlow::Continue(())
+        });
     }
 
     println!(

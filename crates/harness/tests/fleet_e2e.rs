@@ -9,6 +9,7 @@ use std::path::{Path, PathBuf};
 
 use tsvd_core::{DurableSink, TrapFileData};
 use tsvd_fleet::ledger::{parse_sink_name, replay, verify, Ledger, LedgerEvent};
+use tsvd_fleet::worker::sink_file_name;
 use tsvd_fleet::{run_fleet, ChaosPlan, FleetError, FleetOptions, FleetReport, SuiteSpec};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -16,6 +17,11 @@ fn test_dir(tag: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
+}
+
+/// The generated suite of `modules` modules dealt from `seed`.
+fn std_suite(modules: usize, seed: u64) -> SuiteSpec {
+    SuiteSpec::Std { modules, seed }
 }
 
 fn options(tag: &str, suite: SuiteSpec) -> (FleetOptions, PathBuf) {
@@ -102,13 +108,7 @@ fn assert_trap_file_is_the_daemons_set(report: &FleetReport, had: usize) {
 #[test]
 fn fleet_runs_a_suite_and_reconciles_exactly() {
     // 25 modules covers one full generator cycle, so planted bugs exist.
-    let (mut opts, dir) = options(
-        "clean",
-        SuiteSpec::Std {
-            modules: 25,
-            seed: 0x54494E59,
-        },
-    );
+    let (mut opts, dir) = options("clean", std_suite(25, 0x54494E59));
     opts.waves = 2;
     let report = run_fleet(opts).expect("fleet run");
     assert!(!report.stopped_early);
@@ -154,6 +154,32 @@ fn fleet_runs_a_suite_and_reconciles_exactly() {
 }
 
 #[test]
+fn a_cold_stop_keeps_every_done_executions_catches_in_the_ledger() {
+    // A daemon that stops cold runs no end-of-run sweep of the sinks, so
+    // a done execution's catches are in the ledger only if the daemon
+    // harvested its sink when the done frame arrived.
+    let (mut opts, dir) = options("harvest", std_suite(25, 0x54494E59));
+    opts.waves = 2;
+    opts.stop_after_completions = Some(40);
+    let report = run_fleet(opts).expect("fleet run");
+    assert!(report.stopped_early);
+    let state = replay(&Ledger::load(&report.ledger).expect("load ledger"));
+    let mut records = 0;
+    for done in state.done.values() {
+        let name = sink_file_name(done.wave, done.index, done.attempt);
+        for record in DurableSink::load(&dir.join("sinks").join(&name)).expect("load sink") {
+            records += 1;
+            assert!(
+                state.violations.contains(&(done.index, record.pair_key())),
+                "{name}: {record:?} is not in the ledger"
+            );
+        }
+    }
+    assert!(records > 0, "the done executions caught nothing to check");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn the_supervisor_keeps_no_clock_thread() {
     // The event loop times its own ticks. Watch this process's thread names
     // (Linux keeps 15 bytes of each) while a fleet runs: its accept thread
@@ -172,13 +198,7 @@ fn the_supervisor_keeps_no_clock_thread() {
     if thread_names().is_empty() {
         return; // no procfs: nothing to watch
     }
-    let (mut opts, dir) = options(
-        "clock",
-        SuiteSpec::Std {
-            modules: 25,
-            seed: 0x54494E59,
-        },
-    );
+    let (mut opts, dir) = options("clock", std_suite(25, 0x54494E59));
     opts.waves = 1;
     let fleet = std::thread::spawn(move || run_fleet(opts).expect("fleet run"));
     let mut seen: Vec<String> = Vec::new();
@@ -200,13 +220,7 @@ fn the_supervisor_keeps_no_clock_thread() {
 
 #[test]
 fn chaos_kills_lose_no_modules_and_no_violations() {
-    let (mut opts, dir) = options(
-        "chaos",
-        SuiteSpec::Std {
-            modules: 25,
-            seed: 0x54494E59,
-        },
-    );
+    let (mut opts, dir) = options("chaos", std_suite(25, 0x54494E59));
     opts.waves = 2;
     // Aggressive kill/torn rates (no stalls: those are exercised separately
     // and would slow this test by design). Roughly 2 in 5 assignments die.
@@ -251,13 +265,7 @@ fn chaos_kills_lose_no_modules_and_no_violations() {
 
 #[test]
 fn hang_detection_and_quarantine_poison_a_wedging_module() {
-    let (mut opts, dir) = options(
-        "stall",
-        SuiteSpec::Std {
-            modules: 1,
-            seed: 7,
-        },
-    );
+    let (mut opts, dir) = options("stall", std_suite(1, 7));
     opts.workers = 1;
     opts.waves = 1;
     // Every assignment stalls: heartbeats stop, the worker wedges for far
@@ -281,13 +289,7 @@ fn hang_detection_and_quarantine_poison_a_wedging_module() {
 
 #[test]
 fn resume_after_daemon_crash_reruns_no_completed_module() {
-    let (mut opts, dir) = options(
-        "resume",
-        SuiteSpec::Std {
-            modules: 12,
-            seed: 3,
-        },
-    );
+    let (mut opts, dir) = options("resume", std_suite(12, 3));
     opts.waves = 1;
     // Phase 1: the daemon "crashes" (stops cold: no finish event, no
     // graceful shutdown) after 5 completions.
@@ -408,13 +410,7 @@ fn module_that_times_out_once_counts_exactly_once() {
 
 #[test]
 fn unspawnable_workers_retire_and_the_run_fails_loudly() {
-    let (mut opts, dir) = options(
-        "retire",
-        SuiteSpec::Std {
-            modules: 2,
-            seed: 1,
-        },
-    );
+    let (mut opts, dir) = options("retire", std_suite(2, 1));
     opts.worker_exe = Some(PathBuf::from("/nonexistent/tsvd-worker"));
     opts.workers = 2;
     opts.waves = 1;

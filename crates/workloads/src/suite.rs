@@ -118,6 +118,17 @@ fn rename(m: Module, index: usize) -> Module {
     m.with_name(name)
 }
 
+impl Module {
+    /// The scenario family a suite module was dealt from: its name without
+    /// the `m{index}:` prefix [`build_suite`] gives it (the whole name for a
+    /// module no suite renamed).
+    pub fn family(&self) -> &str {
+        self.name()
+            .split_once(':')
+            .map_or(self.name(), |(_, family)| family)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +156,15 @@ mod tests {
         let clean = suite.len() - buggy;
         assert_eq!(buggy, 32, "8 of every 25 modules carry a planted bug");
         assert_eq!(clean, 68);
+    }
+
+    #[test]
+    fn a_family_is_the_name_without_the_suite_prefix() {
+        let suite = build_suite(SuiteConfig::tiny());
+        assert_eq!(suite[17].name(), "m0017:dict-racy");
+        assert_eq!(suite[17].family(), "dict-racy");
+        let plain = crate::scenarios::paper_examples::dict_racy(3);
+        assert_eq!(plain.family(), "dict-racy");
     }
 
     #[test]

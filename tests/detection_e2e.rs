@@ -75,7 +75,12 @@ fn caught_violation_report_is_well_formed() {
         assert!(v.hitter.op_name.starts_with("List."));
         assert!(v.trapped.stack.is_some(), "stack capture was enabled");
         assert!(v.hitter.stack.is_some());
-        assert!(v.trapped.site.to_string().contains("detection_e2e.rs"));
+        // `#[track_caller]` sites name the caller, never the wrapper.
+        for v in &violations {
+            for site in [v.trapped.site, v.hitter.site] {
+                assert!(site.to_string().contains("detection_e2e.rs"), "{site}");
+            }
+        }
         true
     });
 }
@@ -253,41 +258,6 @@ fn tsvd_hb_sees_lock_ordering_and_skips_protected_pairs() {
         0,
         "vector clocks order the critical sections; nothing should arm"
     );
-}
-
-#[test]
-fn report_json_export_round_trips() {
-    eventually(3, || {
-        let rt = Runtime::tsvd(test_config());
-        let pool = Pool::with_runtime(2, rt.clone());
-        let dict: Dictionary<u64, u64> = Dictionary::new(&rt);
-        for i in 0..40u64 {
-            let d1 = dict.clone();
-            let a = pool.spawn(move || d1.set(1, i));
-            let d2 = dict.clone();
-            let b = pool.spawn(move || d2.set(2, i));
-            a.wait();
-            b.wait();
-            if rt.reports().unique_bugs() > 0 {
-                break;
-            }
-        }
-        if rt.reports().unique_bugs() == 0 {
-            return false;
-        }
-        let dir = std::env::temp_dir().join(format!("tsvd_e2e_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("bugs.json");
-        rt.write_report(&path).expect("write report");
-        let back = tsvd::core::report::ReportExport::load(&path).expect("load");
-        assert_eq!(back.unique_bugs, rt.reports().unique_bugs());
-        assert!(back
-            .bugs
-            .iter()
-            .all(|b| b.location_a.contains("detection_e2e.rs")));
-        std::fs::remove_dir_all(&dir).ok();
-        true
-    });
 }
 
 #[test]

@@ -14,7 +14,7 @@ fn options(seed_shift: u64) -> RunOptions {
         config,
         threads: 2,
         runs: 1,
-        module_deadline: Some(std::time::Duration::from_secs(30)),
+        module_deadline: std::time::Duration::from_secs(30),
         static_priors: None,
     }
 }

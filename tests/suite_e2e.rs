@@ -1,21 +1,35 @@
 //! Suite-level integration: detectors against the generated corpus and the
 //! Table 4 open-source analogs.
 
+use std::ops::ControlFlow;
+
 use tsvd::harness::runner::{
-    check_no_false_positives, run_module_once, run_suite, DetectorKind, RunOptions,
+    check_no_false_positives, run_suite, run_suite_observed, DetectorKind, RunOptions,
 };
-use tsvd::prelude::*;
+use tsvd::workloads::module::Module;
 use tsvd::workloads::opensource::projects;
 use tsvd::workloads::suite::{build_suite, SuiteConfig};
 
 fn options(runs: usize) -> RunOptions {
     RunOptions {
-        config: TsvdConfig::paper().scaled(0.02),
-        threads: 2,
         runs,
-        module_deadline: Some(std::time::Duration::from_secs(30)),
-        static_priors: None,
+        ..RunOptions::standard()
     }
+}
+
+/// Whether a pass of up to three runs over `module` alone finds a bug; the
+/// pass ends at the first run that does.
+fn caught_within_three_runs(module: &Module) -> bool {
+    let outcome = run_suite_observed(
+        std::slice::from_ref(module),
+        DetectorKind::Tsvd,
+        &options(3),
+        |execution| match execution.new_bugs {
+            [] => ControlFlow::Continue(()),
+            _ => ControlFlow::Break(()),
+        },
+    );
+    outcome.total_bugs() > 0
 }
 
 #[test]
@@ -60,37 +74,21 @@ fn open_source_projects_are_caught_within_three_runs() {
     // Paper: all Table 4 TSVs trigger within 2 runs. Allow one extra run
     // of slack for scheduler noise on small machines, and require the
     // clear majority of projects to be caught.
-    let opts = options(1);
-    let mut caught = 0;
-    let mut total = 0;
-    for project in projects() {
-        total += 1;
-        let mut trap_file = None;
-        for _run in 0..3 {
-            let rt = run_module_once(
-                &project.module,
-                DetectorKind::Tsvd,
-                &opts,
-                trap_file.as_ref(),
-            )
-            .runtime;
-            trap_file = rt.export_trap_file();
-            if rt.reports().unique_bugs() > 0 {
-                caught += 1;
-                break;
-            }
-        }
-    }
+    let projects = projects();
+    let caught = projects
+        .iter()
+        .filter(|project| caught_within_three_runs(&project.module))
+        .count();
     assert!(
-        caught >= total - 2,
-        "only {caught}/{total} open-source analogs caught in 3 runs"
+        caught >= projects.len() - 2,
+        "only {caught}/{} open-source analogs caught in 3 runs",
+        projects.len()
     );
 }
 
 #[test]
 fn new_collection_scenarios_are_caught_within_three_runs() {
     use tsvd::workloads::scenarios::buggy;
-    let opts = options(1);
     let scenarios = [
         buggy::set_membership(10),
         buggy::deque_workers(10),
@@ -98,18 +96,10 @@ fn new_collection_scenarios_are_caught_within_three_runs() {
         buggy::sorted_index(10),
         buggy::stack_undo(10),
     ];
-    let mut caught = 0;
-    for m in &scenarios {
-        let mut trap_file = None;
-        for _run in 0..3 {
-            let rt = run_module_once(m, DetectorKind::Tsvd, &opts, trap_file.as_ref()).runtime;
-            trap_file = rt.export_trap_file();
-            if rt.reports().unique_bugs() > 0 {
-                caught += 1;
-                break;
-            }
-        }
-    }
+    let caught = scenarios
+        .iter()
+        .filter(|m| caught_within_three_runs(m))
+        .count();
     assert!(
         caught >= scenarios.len() - 1,
         "only {caught}/{} new scenarios caught",

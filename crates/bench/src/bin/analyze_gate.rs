@@ -256,7 +256,6 @@ fn measure_all(files: usize, mode: &str) -> BenchFile {
 
 impl Baseline for BenchFile {
     const NAME: &'static str = "analyze";
-    const UNIT: &'static str = "uncached@1";
     /// 2: normalized by `uncached @ 1`, not `cold @ 1`.
     const SCHEMA_VERSION: u32 = 2;
 
@@ -321,10 +320,9 @@ impl Baseline for BenchFile {
     /// when the scheduler keeps the workers on one of them for a while), so
     /// it compares only between machines that both have four cores.
     fn rows(&self) -> Vec<Row> {
-        let row = |e: &Entry| Row {
-            label: format!("{} @ {}", e.mode, e.threads),
-            normalized: e.normalized,
-            needs_cores: e.threads,
+        let row = |e: &Entry| {
+            let label = format!("{} @ {}", e.mode, e.threads);
+            Row::ratio(label, e.normalized, e.threads)
         };
         self.entries.iter().map(row).collect()
     }

@@ -88,7 +88,6 @@ struct BenchFile {
 
 impl Baseline for BenchFile {
     const NAME: &'static str = "oncall";
-    const UNIT: &'static str = "noop";
     /// 2: per-row medians of per-round ratios to `noop` at the row's thread
     /// count (1 stored two-row geomeans of fastest-of-five cells ÷ `noop @ 1`).
     const SCHEMA_VERSION: u32 = 2;
@@ -183,10 +182,9 @@ impl Baseline for BenchFile {
     }
 
     fn rows(&self) -> Vec<Row> {
-        let row = |e: &Entry| Row {
-            label: format!("{}/{} @ {}", e.shape, e.detector, e.threads),
-            normalized: e.normalized,
-            needs_cores: e.threads,
+        let row = |e: &Entry| {
+            let label = format!("{}/{} @ {}", e.shape, e.detector, e.threads);
+            Row::ratio(label, e.normalized, e.threads)
         };
         let gated = |e: &&Entry| e.detector != "noop";
         self.entries.iter().filter(gated).map(row).collect()

@@ -1,10 +1,10 @@
 //! The skeleton the CI regression gates share (`oncall_gate`,
-//! `analyze_gate`): `--write PATH | --check PATH [--quick]`, one baseline
-//! file per gate, and one way to compare against it. A bin supplies a
-//! [`Baseline`] — how to measure, its invariants, its gated rows — and calls
-//! [`run`].
+//! `analyze_gate`, `suite_gate`): `--write PATH | --check PATH [--quick]`,
+//! one baseline file per gate, and one way to compare against it. A bin
+//! supplies a [`Baseline`] — how to measure, its invariants, its gated rows
+//! and each row's [`Bound`] — and calls [`run`].
 //!
-//! Raw times are machine-dependent, so a gated row is a *ratio* to a unit
+//! Raw times are machine-dependent, so a gated time is a *ratio* to a unit
 //! row of the same measurement. A measurement is a handful of interleaved
 //! rounds, every row once per round, and a row's stored value is the
 //! [`median`] of its per-round ratios to *that round's* unit. Ratios are
@@ -21,6 +21,26 @@ use serde::{Deserialize, Serialize, Value};
 
 /// Allowed growth of a normalized ratio before `--check` fails.
 pub const REGRESSION_TOLERANCE: f64 = 1.15;
+
+/// How far a row may move from its baseline value before `--check` fails:
+/// in the worse direction only, as a factor of the baseline value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Lower is better: at most this factor of the baseline.
+    AtMost(f64),
+    /// Higher is better: at least this factor of the baseline.
+    AtLeast(f64),
+}
+
+impl Bound {
+    /// `true` when `now` is worse than `was` beyond the bound.
+    fn broken(self, now: f64, was: f64) -> bool {
+        match self {
+            Bound::AtMost(factor) => now > was * factor,
+            Bound::AtLeast(factor) => now < was * factor,
+        }
+    }
+}
 
 /// Cores this machine offers.
 pub fn nproc() -> u32 {
@@ -45,6 +65,21 @@ pub struct Row {
     /// times slower where they do, so a row compares only between machines
     /// that both have this many; `1` always compares.
     pub needs_cores: u32,
+    /// How far the row may move from the baseline's.
+    pub bound: Bound,
+}
+
+impl Row {
+    /// A time in units of the unit row, which may grow by
+    /// [`REGRESSION_TOLERANCE`].
+    pub fn ratio(label: String, normalized: f64, needs_cores: u32) -> Row {
+        Row {
+            label,
+            normalized,
+            needs_cores,
+            bound: Bound::AtMost(REGRESSION_TOLERANCE),
+        }
+    }
 }
 
 /// A gate's baseline file: what one measurement produces, persists and is
@@ -53,8 +88,6 @@ pub struct Row {
 pub trait Baseline: Serialize + Deserialize {
     /// The gate's name in messages (`"oncall"`).
     const NAME: &'static str;
-    /// What the rows are ratios to (`"uncached@1"`).
-    const UNIT: &'static str;
     /// Bumped when the stored numbers change meaning. `--check` refuses a
     /// file of another version: its ratios are in another unit.
     const SCHEMA_VERSION: u32;
@@ -89,9 +122,9 @@ fn load<B: Baseline>(path: &str) -> Result<B, String> {
 }
 
 /// Everything `current` fails, as `(what, message)`: `what` is
-/// `"invariants"` or the label of a row over tolerance. Compares every
+/// `"invariants"` or the label of a row outside its bound. Compares every
 /// stored row both machines could run in parallel with the current one of
-/// the same label; regressions only, faster is fine. Says what held.
+/// the same label; regressions only, better is fine. Says what held.
 fn failures<B: Baseline>(stored: &B, current: &B) -> Vec<(String, String)> {
     let mut failures = Vec::new();
     match current.check_invariants() {
@@ -117,25 +150,27 @@ fn failures<B: Baseline>(stored: &B, current: &B) -> Vec<(String, String)> {
         );
     }
     let now = current.rows();
-    let percent = (REGRESSION_TOLERANCE - 1.0) * 100.0;
     let before = failures.len();
     for was in &compared {
         let message = match now.iter().find(|row| row.label == was.label) {
             None => format!("{} missing from current run", was.label),
-            Some(row) if row.normalized > was.normalized * REGRESSION_TOLERANCE => format!(
-                "{} regressed: {:.3}x {} (baseline {:.3}x, tolerance {percent:.0}%)",
-                was.label,
-                row.normalized,
-                B::UNIT,
-                was.normalized
-            ),
+            Some(row) if was.bound.broken(row.normalized, was.normalized) => {
+                let allowed = match was.bound {
+                    Bound::AtMost(factor) => format!("at most {factor:.2}x"),
+                    Bound::AtLeast(factor) => format!("at least {factor:.2}x"),
+                };
+                format!(
+                    "{} regressed: {:.3} (baseline {:.3}, {allowed} of it)",
+                    was.label, row.normalized, was.normalized
+                )
+            }
             Some(_) => continue,
         };
         failures.push((was.label.clone(), message));
     }
     if failures.len() == before {
         eprintln!(
-            "baseline: {} rows within {percent:.0}% of stored normalized ratios",
+            "baseline: {} rows within their bounds of the stored values",
             compared.len()
         );
     }

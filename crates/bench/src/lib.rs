@@ -5,7 +5,7 @@
 //! The gate is the only caller; the benchmark of record's `core.on_call.*`
 //! probes time the same call on their own loop.
 //!
-//! [`gate`] is the `--write | --check` skeleton the two CI gate bins share.
+//! [`gate`] is the `--write | --check` skeleton the three CI gate bins share.
 
 pub mod gate;
 

@@ -11,7 +11,11 @@
 //! stamped on the spawning thread. That is what the paper's own
 //! interception of task creation (§4) sees, and all the near-miss tracker
 //! needs to tell the parent's pre-spawn initialization from a race: TSVD
-//! still consumes no synchronization event.
+//! still consumes no synchronization event. Next to the certificate,
+//! [`enter`] stamps when the task started on the thread that runs it
+//! ([`started_ns`]): the origin of the task's first gap for happens-before
+//! inference (§3.4.4), which otherwise has no previous access to measure
+//! from.
 
 use std::cell::Cell;
 use std::fmt;
@@ -56,8 +60,9 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     static THREAD_DEFAULT: ContextId = ContextId(NEXT_ID.fetch_add(1, Ordering::Relaxed));
     static CURRENT: Cell<Option<ContextId>> = const { Cell::new(None) };
-    /// The installed task and its certificate, when it has one.
-    static SPAWN: Cell<Option<(ContextId, SpawnCertificate)>> = const { Cell::new(None) };
+    /// The installed task, its certificate and when it started on this
+    /// thread, when it has a certificate.
+    static SPAWN: Cell<Option<(ContextId, SpawnCertificate, u64)>> = const { Cell::new(None) };
 }
 
 /// Allocates a fresh context id (used by the task substrate for each task).
@@ -78,26 +83,37 @@ pub fn current() -> ContextId {
 /// calling thread and was installed with one.
 pub fn spawn_certificate(id: ContextId) -> Option<SpawnCertificate> {
     match SPAWN.get() {
-        Some((task, certificate)) if task == id => Some(certificate),
+        Some((task, certificate, _)) if task == id => Some(certificate),
+        _ => None,
+    }
+}
+
+/// The [`now_ns`] stamp taken when `id` was entered on the calling thread,
+/// if `id` is the installed context and was entered with a certificate.
+/// A thread's default context has none.
+pub fn started_ns(id: ContextId) -> Option<u64> {
+    match SPAWN.get() {
+        Some((task, _, started)) if task == id => Some(started),
         _ => None,
     }
 }
 
 /// Installs `id`, with the certificate of its spawn if it is a task, as
-/// the current context until the returned guard drops.
+/// the current context until the returned guard drops. A task's entry is
+/// stamped with [`now_ns`] (see [`started_ns`]).
 ///
 /// Nested entries restore the previous context on drop, so a task that
 /// synchronously runs a child task keeps correct attribution.
 pub fn enter(id: ContextId, spawn: Option<SpawnCertificate>) -> ContextGuard {
     let prev = CURRENT.with(|c| c.replace(Some(id)));
-    let prev_spawn = SPAWN.replace(spawn.map(|certificate| (id, certificate)));
+    let prev_spawn = SPAWN.replace(spawn.map(|certificate| (id, certificate, now_ns())));
     ContextGuard { prev, prev_spawn }
 }
 
 /// Guard restoring the previous context id on drop. See [`enter`].
 pub struct ContextGuard {
     prev: Option<ContextId>,
-    prev_spawn: Option<(ContextId, SpawnCertificate)>,
+    prev_spawn: Option<(ContextId, SpawnCertificate, u64)>,
 }
 
 impl Drop for ContextGuard {
@@ -166,6 +182,34 @@ mod tests {
             }
         }
         assert_eq!(spawn_certificate(task), None);
+    }
+
+    #[test]
+    fn a_tasks_start_stamp_is_taken_at_entry_and_nests_and_restores_like_its_certificate() {
+        let outer = current();
+        assert_eq!(started_ns(outer), None, "a thread default has none");
+        let (task, child) = (fresh_id(), fresh_id());
+        let certificate = SpawnCertificate::draw();
+        let before = now_ns();
+        let guard = enter(task, Some(certificate));
+        let started = started_ns(task).expect("a certified task is stamped");
+        assert!(certificate.spawned_ns <= before && before <= started);
+        assert!(started <= now_ns());
+        assert_eq!(started_ns(outer), None, "only the installed task's");
+        {
+            let _g2 = enter(child, Some(SpawnCertificate::draw()));
+            let inner = started_ns(child).expect("stamped");
+            assert!(inner >= started);
+            assert_eq!(started_ns(task), None);
+        }
+        assert_eq!(started_ns(task), Some(started), "restored, not re-stamped");
+        {
+            let _g3 = enter(child, None);
+            assert_eq!(started_ns(child), None, "a plain context is not stamped");
+        }
+        assert_eq!(started_ns(task), Some(started));
+        drop(guard);
+        assert_eq!(started_ns(task), None);
     }
 
     #[test]

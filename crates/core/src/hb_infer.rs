@@ -19,6 +19,13 @@
 //! finished one. By transitivity, the next `k_hb` accesses of `Thd2` are also
 //! treated as happening after `loc1`.
 //!
+//! A task's first access has no previous access of its own; its `t0` is
+//! when the task started on the thread that runs it
+//! ([`context::started_ns`]), so a task that waited on its worker through a
+//! sibling's delay before its first access is blocked by that delay like
+//! any other gap. A context with no start stamp (an OS thread's default)
+//! has no `t0` for its first access, and infers nothing from it.
+//!
 //! `on_access` runs on every instrumented call, so there is no global lock:
 //! per-context state is lock-striped by context, each stripe on a cache
 //! line of its own so that neighbouring contexts' calls share nothing, and
@@ -33,7 +40,7 @@ use parking_lot::RwLock;
 
 use crate::audit;
 use crate::chunks::{IdMap, IdSet, Stripe};
-use crate::context::ContextId;
+use crate::context::{self, ContextId};
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
 
@@ -55,7 +62,8 @@ pub struct DelayRecord {
 
 #[derive(Debug, Default)]
 struct ThreadState {
-    /// Timestamp of this context's previous access (`t0`), if any.
+    /// Timestamp of this context's previous access (`t0`), if any; before
+    /// its first access, its start stamp, if it is a task.
     last_access_ns: Option<u64>,
     /// Transitivity budget: source site and remaining accesses that inherit
     /// the happens-after edge.
@@ -122,11 +130,15 @@ impl HbInference {
 
     /// Observes an access by `context` at `site` at time `now_ns`, returning
     /// the site pairs newly inferred to be HB-ordered (and therefore to be
-    /// pruned from the trap set).
+    /// pruned from the trap set). Called on `context`'s own thread, where
+    /// the start stamp of its first access is read.
     pub fn on_access(&self, context: ContextId, site: SiteId, now_ns: u64) -> Vec<SitePair> {
         audit::note_lock();
         let mut threads = self.threads[context.0 as usize % STRIPES].lock();
-        let state = threads.entry(context).or_default();
+        let state = threads.entry(context).or_insert_with(|| ThreadState {
+            last_access_ns: context::started_ns(context),
+            pending_source: None,
+        });
         let last = state.last_access_ns.replace(now_ns);
 
         // Transitivity: this access inherits a previously inferred source.
@@ -326,6 +338,71 @@ mod tests {
         assert!(e
             .on_access(ContextId(2), site(21), ms_to_ns(110))
             .is_empty());
+    }
+
+    /// Runs `first_access` as a task entered on this thread, handing it
+    /// the task's context and start stamp. The stamp is real time, so the
+    /// records a test makes are placed relative to it, and the contexts
+    /// they name are fresh ids: a literal one may be the task's.
+    fn as_started_task<R>(first_access: impl FnOnce(ContextId, u64) -> R) -> R {
+        let task = context::fresh_id();
+        let _g = context::enter(task, Some(context::SpawnCertificate::draw()));
+        first_access(task, context::started_ns(task).expect("stamped"))
+    }
+
+    #[test]
+    fn first_gap_from_a_tasks_start_that_spans_a_delay_infers_the_edge() {
+        let e = engine();
+        let pairs = as_started_task(|task, started| {
+            // A sibling delays while the task sits on its worker, and the
+            // task's first access comes after the delay ends.
+            e.record_delay(DelayRecord {
+                site: site(1),
+                context: context::fresh_id(),
+                start_ns: started + ms_to_ns(5),
+                end_ns: started + ms_to_ns(105),
+            });
+            e.on_access(task, site(21), started + ms_to_ns(110))
+        });
+        assert_eq!(pairs, vec![SitePair::new(site(1), site(21))]);
+    }
+
+    #[test]
+    fn first_gap_of_a_task_started_after_the_delay_infers_nothing() {
+        let e = engine();
+        // The delay ends before the task starts: queue wait behind it, had
+        // the origin been the spawn, would read as a causal gap.
+        e.record_delay(DelayRecord {
+            site: site(1),
+            context: context::fresh_id(),
+            start_ns: 0,
+            end_ns: crate::clock::now_ns(),
+        });
+        crate::clock::pause(std::time::Duration::from_millis(1));
+        let pairs =
+            as_started_task(|task, started| e.on_access(task, site(21), started + ms_to_ns(110)));
+        assert!(pairs.is_empty(), "{pairs:?}");
+    }
+
+    #[test]
+    fn first_gap_of_a_plain_thread_context_is_unchanged() {
+        let e = engine();
+        let plain = context::fresh_id();
+        let _g = context::enter(plain, None);
+        e.record_delay(DelayRecord {
+            site: site(1),
+            context: context::fresh_id(),
+            start_ns: 0,
+            end_ns: ms_to_ns(100),
+        });
+        // Entered without a certificate: no start stamp, no first gap.
+        assert!(e.on_access(plain, site(21), ms_to_ns(110)).is_empty());
+        // Nor does the stamp of the task installed on its thread lend a
+        // context one.
+        let other = context::fresh_id();
+        let pairs =
+            as_started_task(|_, started| e.on_access(other, site(22), started + ms_to_ns(500)));
+        assert!(pairs.is_empty(), "{pairs:?}");
     }
 
     #[test]

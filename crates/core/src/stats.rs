@@ -78,10 +78,14 @@ impl CovCell {
 pub struct OrderedCounts {
     /// Ordered pairs armed.
     pub armed: u64,
-    /// Ordered pairs settled for the run after their one fruitless delay.
+    /// Ordered pairs settled after their one fruitless delay.
     pub settled: u64,
     /// Delays injected at sites whose every armed pair was ordered.
     pub delays: u64,
+    /// Ordered settlements a trap file carried in from the previous run.
+    pub carried: u64,
+    /// Ordered near misses that a carried settlement kept from arming.
+    pub kept_out: u64,
 }
 
 /// The atomics behind [`OrderedCounts`]: the planner adds, the runtime's
@@ -92,6 +96,8 @@ pub struct OrderedCounters {
     armed: AtomicU64,
     settled: AtomicU64,
     delays: AtomicU64,
+    carried: AtomicU64,
+    kept_out: AtomicU64,
 }
 
 impl OrderedCounters {
@@ -110,12 +116,24 @@ impl OrderedCounters {
         self.delays.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts `pairs` ordered settlements carried in by an import.
+    pub fn note_carried(&self, pairs: usize) {
+        self.carried.fetch_add(pairs as u64, Ordering::Relaxed);
+    }
+
+    /// Counts an ordered near miss a carried settlement kept out.
+    pub fn note_kept_out(&self) {
+        self.kept_out.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// The counts so far.
     pub fn counts(&self) -> OrderedCounts {
         OrderedCounts {
             armed: self.armed.load(Ordering::Relaxed),
             settled: self.settled.load(Ordering::Relaxed),
             delays: self.delays.load(Ordering::Relaxed),
+            carried: self.carried.load(Ordering::Relaxed),
+            kept_out: self.kept_out.load(Ordering::Relaxed),
         }
     }
 }

@@ -10,12 +10,12 @@
 //! |---|---|---|
 //! | [`arm`](DelayPlan::arm) | discovered → armed, both locations at `P_loc = 1`; an ordered pair → upgraded, an ordered settlement → lifted | §3.4.2 |
 //! | [`arm_ordered`](DelayPlan::arm_ordered) | fork-ordered near miss → armed as ordered, both locations at `P_loc = 1` | §3.4.3 (deviation) |
-//! | [`import`](DelayPlan::import) | a previous run's found pairs → settled; then every other pair armed | §3.4.6 |
+//! | [`import`](DelayPlan::import) | a previous run's found pairs → settled; its ordered settlements → settled as ordered; then every other pair armed | §3.4.6 |
 //! | [`should_delay`](DelayPlan::should_delay) | armed location → delay with probability `P_loc` | §3.4.5 |
-//! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted, and an imported or ordered one among them is settled for the run; at a location whose every pair is ordered, no decay: its pairs settle for the run | §3.4.5 |
+//! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted, an imported one among them settled for the run and an ordered one settled as ordered; at a location whose every pair is ordered, no decay: its pairs settle as ordered | §3.4.5 |
 //! | [`retire`](DelayPlan::retire) | armed → pruned: the discovery side proved the pair ordered | §3.4.4 |
 //! | [`found`](DelayPlan::found) | armed → caught: pruned for good, never re-armed | §3.4.1 |
-//! | [`export`](DelayPlan::export) | what is still armed but ordered, and every found pair, for the next run | §3.4.6 |
+//! | [`export`](DelayPlan::export) | what is still armed but ordered, every found pair and every ordered settlement, for the next run | §3.4.6 |
 
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ use crate::near_miss::SitePair;
 use crate::site::SiteId;
 use crate::stats::OrderedCounters;
 use crate::trap_file::TrapFileData;
-use crate::trapset::TrapSet;
+use crate::trapset::{OrderedArrival, TrapSet};
 
 /// Trap set, per-location delay probabilities and the delay length of one
 /// detector instance.
@@ -73,15 +73,22 @@ impl DelayPlan {
     /// stretches the task into overlaps with its siblings that expose
     /// their races; but a fruitless delay at a location whose every pair
     /// is ordered settles them instead of decaying, and the next run's trap
-    /// file never carries it. Returns `true` if it is newly armed.
+    /// file carries the settlement, not the pair. Returns `true` if it is
+    /// newly armed.
     pub fn arm_ordered(&self, pair: SitePair) -> bool {
-        let armed = self.traps.add_ordered(pair);
-        if armed {
-            self.ordered.note_armed();
-            self.decay.arm(pair.first);
-            self.decay.arm(pair.second);
+        match self.traps.add_ordered(pair) {
+            OrderedArrival::Armed => {
+                self.ordered.note_armed();
+                self.decay.arm(pair.first);
+                self.decay.arm(pair.second);
+                true
+            }
+            OrderedArrival::KeptOut => {
+                self.ordered.note_kept_out();
+                false
+            }
+            OrderedArrival::Unchanged => false,
         }
-        armed
     }
 
     /// Prunes `pair`: its two locations are ordered. Unlike
@@ -136,20 +143,28 @@ impl DelayPlan {
         self.traps.mark_found(pair);
     }
 
-    /// The armed pairs but the ordered ones, and the found ones, as the
-    /// next run's trap file.
+    /// The armed pairs but the ordered ones, the found ones and the ordered
+    /// settlements, as the next run's trap file.
     pub fn export(&self) -> TrapFileData {
-        TrapFileData::from_pairs(&self.traps.pairs()).with_found(&self.traps.found())
+        TrapFileData::from_pairs(&self.traps.pairs())
+            .with_found(&self.traps.found())
+            .with_ordered(&self.traps.ordered())
     }
 
-    /// Settles a previous run's found pairs, then arms every other pair the
-    /// file carries, in file order: a pair the file also lists as found
-    /// never arms. Bulk insertion publishes one trap-set snapshot and one
-    /// decay-table snapshot no matter how many pairs the file carries.
+    /// Settles a previous run's found pairs, then its ordered settlements
+    /// but the found ones, then arms every other pair the file carries, in
+    /// file order: a pair the file also lists as found or ordered never
+    /// arms, though an unordered near miss may still lift an ordered one.
+    /// Bulk insertion publishes one trap-set snapshot and one decay-table
+    /// snapshot no matter how many pairs the file carries.
     pub fn import(&self, data: &TrapFileData) {
-        let inserted = self
-            .traps
-            .import(&data.found_pairs(), &data.to_pairs(), usize::MAX);
+        let (inserted, carried) = self.traps.import(
+            &data.found_pairs(),
+            &data.ordered_pairs(),
+            &data.to_pairs(),
+            usize::MAX,
+        );
+        self.ordered.note_carried(carried);
         if !inserted.is_empty() {
             self.decay
                 .arm_many(inserted.iter().flat_map(|p| [p.first, p.second]));
@@ -358,9 +373,100 @@ mod tests {
             armed: 1,
             settled: 1,
             delays: 1,
+            ..OrderedCounts::default()
         };
         assert_eq!(ordered_counts(&p), counts);
-        assert!(p.export().pairs.is_empty(), "nor is it carried");
+        let file = p.export();
+        assert!(file.pairs.is_empty(), "nor is it armed in the next run");
+        assert_eq!(
+            file.ordered_pairs(),
+            [pair(1, 2)],
+            "its settlement is carried"
+        );
+    }
+
+    #[test]
+    fn an_ordered_settlement_is_carried_through_export_and_import() {
+        let c = config();
+        let first = plan(&c);
+        first.arm_ordered(pair(1, 2));
+        first.delay_done(site(2), false);
+        first.arm(pair(3, 4));
+        let file = first.export();
+        assert_eq!(file.to_pairs(), [pair(3, 4)]);
+        assert_eq!(file.ordered_pairs(), [pair(1, 2)]);
+
+        let second = plan(&c);
+        second.import(&file);
+        assert!(second.is_armed(pair(3, 4)));
+        assert!(!second.is_armed(pair(1, 2)), "settled, not armed");
+        assert_eq!(ordered_counts(&second).carried, 1);
+        assert_eq!(second.export(), file, "and carried on to run 3");
+    }
+
+    #[test]
+    fn a_carried_settlement_keeps_an_ordered_near_miss_out_and_an_unordered_one_lifts_it() {
+        let c = config();
+        let first = plan(&c);
+        first.arm_ordered(pair(1, 2));
+        first.delay_done(site(2), false);
+        let second = plan(&c);
+        second.import(&first.export());
+        for _ in 0..3 {
+            assert!(!second.arm_ordered(pair(1, 2)), "run 2 does not pay again");
+            assert_eq!(second.should_delay(site(2)), None);
+        }
+        let counts = ordered_counts(&second);
+        assert_eq!((counts.carried, counts.kept_out, counts.armed), (1, 3, 0));
+        assert!(
+            second.arm(pair(1, 2)),
+            "a parent writing after the spawn races"
+        );
+        assert_eq!(second.should_delay(site(2)), Some(c.delay_ns));
+        assert_eq!(second.export().to_pairs(), [pair(1, 2)]);
+        assert!(
+            second.export().ordered.is_empty(),
+            "the lifted one is not carried"
+        );
+        assert_eq!(ordered_counts(&second).kept_out, 3);
+    }
+
+    #[test]
+    fn a_caught_ordered_pair_still_armed_is_not_carried_and_found_wins() {
+        let c = config();
+        let first = plan(&c);
+        first.arm_ordered(pair(1, 2));
+        first.delay_done(site(2), true);
+        assert!(
+            first.is_armed(pair(1, 2)),
+            "a catching delay keeps it armed"
+        );
+        let file = first.export();
+        assert!(file.pairs.is_empty() && file.ordered.is_empty(), "{file:?}");
+
+        // A pair a file lists both as found and as ordered is found.
+        let mut both = TrapFileData::default()
+            .with_found(&[pair(5, 6)])
+            .with_ordered(&[pair(5, 6), pair(7, 8)]);
+        both.push(
+            (site(5).to_string(), site(6).to_string()),
+            PairOrigin::Static,
+        );
+        let second = plan(&c);
+        second.import(&both);
+        assert_eq!(second.len(), 0);
+        assert_eq!(ordered_counts(&second).carried, 1, "only (7, 8)");
+        assert!(
+            !second.arm(pair(5, 6)),
+            "found: not even an unordered near miss"
+        );
+        assert!(
+            second.arm(pair(7, 8)),
+            "ordered: an unordered near miss lifts it"
+        );
+        let file = second.export();
+        assert_eq!(file.found_pairs(), [pair(5, 6)]);
+        assert!(file.ordered.is_empty());
     }
 
     #[test]
@@ -429,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn export_omits_ordered_pairs() {
+    fn export_omits_armed_ordered_pairs() {
         let p = plan(&config());
         p.arm_ordered(pair(1, 2));
         p.arm(pair(3, 4));

@@ -7,10 +7,13 @@
 //! only once per test (11 of the 53 Table-2 bugs).
 //!
 //! The file carries exactly what the next run reads: the dangerous pairs,
-//! each pair's origin, and the pairs at which a violation was already found
-//! (§3.4.1). The next run settles the found pairs before it arms anything,
-//! so a reported bug is not paid for with delays again, run after run, and
-//! then arms every other pair in file order.
+//! each pair's origin, the pairs at which a violation was already found
+//! (§3.4.1), and the fork-ordered pairs whose one delay already caught
+//! nothing. The next run settles the found pairs and then the ordered ones
+//! before it arms anything, so neither a reported bug nor a pair run 1
+//! found fruitless is paid for with delays again, run after run, and then
+//! arms every other pair in file order. An unordered near miss still lifts
+//! an ordered settlement in the next run, as it does within a run.
 //!
 //! Readers skip keys they do not know and default the ones that are
 //! missing, so files written with extra per-pair columns (`confidences`,
@@ -88,17 +91,26 @@ pub struct TrapFileData {
     /// reported bug. Files written before the field existed carry none.
     #[serde(default)]
     pub found: Vec<(String, String)>,
+    /// Fork-ordered pairs whose one delay caught nothing, as textual site
+    /// locations. An import settles them as ordered before it arms `pairs`
+    /// (a found pair stays found), so an ordered near miss of one arms
+    /// nothing in the next run, and an unordered one lifts it. Files
+    /// written before the field existed carry none.
+    #[serde(default)]
+    pub ordered: Vec<(String, String)>,
 }
 
 // Hand-written rather than derived: the vendored derive cannot leave a
-// field out, and `found` is left out of the JSON when it is empty.
+// field out, and `found` and `ordered` are left out of the JSON when empty.
 impl Serialize for TrapFileData {
     fn to_value(&self) -> serde::Value {
         let mut map = BTreeMap::new();
         map.insert("pairs".to_string(), self.pairs.to_value());
         map.insert("origins".to_string(), self.origins.to_value());
-        if !self.found.is_empty() {
-            map.insert("found".to_string(), self.found.to_value());
+        for (key, pairs) in [("found", &self.found), ("ordered", &self.ordered)] {
+            if !pairs.is_empty() {
+                map.insert(key.to_string(), pairs.to_value());
+            }
         }
         serde::Value::Object(map)
     }
@@ -131,6 +143,7 @@ impl TrapFileData {
             pairs: sorted_texts(pairs),
             origins: vec![PairOrigin::Dynamic; pairs.len()],
             found: Vec::new(),
+            ordered: Vec::new(),
         }
     }
 
@@ -138,6 +151,13 @@ impl TrapFileData {
     /// spelled like [`from_pairs`](Self::from_pairs) spells armed pairs.
     pub fn with_found(mut self, found: &[SitePair]) -> Self {
         self.found = sorted_texts(found);
+        self
+    }
+
+    /// Records `ordered` as the ordered settlements, spelled like
+    /// [`from_pairs`](Self::from_pairs) spells armed pairs.
+    pub fn with_ordered(mut self, ordered: &[SitePair]) -> Self {
+        self.ordered = sorted_texts(ordered);
         self
     }
 
@@ -164,9 +184,10 @@ impl TrapFileData {
     /// were exported in text order spell them in intern order); an added
     /// pair keeps `other`'s orientation.
     ///
-    /// `self.found` is left alone and `other.found` is not taken: a merged
-    /// file is a union of what to arm, across modules, while a found pair
-    /// is a bug of the one module that reported it.
+    /// `self.found` and `self.ordered` are left alone, and `other`'s are
+    /// not taken: a merged file is a union of what to arm, across modules,
+    /// while a found pair is a bug of the one module that reported it, and
+    /// an ordered settlement is that one module's evidence.
     pub fn merge(&mut self, other: &TrapFileData) -> usize {
         let key = |(a, b): &(String, String)| normalize_pair(a, b);
         let mut known: HashSet<(String, String)> = self.pairs.iter().map(key).collect();
@@ -196,6 +217,12 @@ impl TrapFileData {
     /// [`to_pairs`](Self::to_pairs).
     pub fn found_pairs(&self) -> Vec<SitePair> {
         self.found.iter().filter_map(parse_pair).collect()
+    }
+
+    /// Re-interns the ordered settlements, skipping corrupt text like
+    /// [`to_pairs`](Self::to_pairs).
+    pub fn ordered_pairs(&self) -> Vec<SitePair> {
+        self.ordered.iter().filter_map(parse_pair).collect()
     }
 
     /// Writes the snapshot as JSON, crash-safely (see
@@ -290,6 +317,7 @@ mod tests {
             ],
             origins: Vec::new(),
             found: Vec::new(),
+            ordered: Vec::new(),
         };
         let pairs = data.to_pairs();
         assert_eq!(pairs, vec![SitePair::new(site(20), site(21))]);
@@ -496,6 +524,84 @@ mod tests {
             merged.found_pairs(),
             vec![SitePair::new(site(98), site(99))]
         );
+    }
+
+    #[test]
+    fn merge_leaves_carried_ordered_settlements_alone() {
+        let mut merged =
+            TrapFileData::default().with_ordered(&[SitePair::new(site(104), site(105))]);
+        let other = TrapFileData::from_pairs(&[SitePair::new(site(106), site(107))])
+            .with_ordered(&[SitePair::new(site(108), site(109))]);
+        assert_eq!(merged.merge(&other), 1);
+        assert_eq!(
+            merged.ordered_pairs(),
+            vec![SitePair::new(site(104), site(105))],
+            "one module's settlement is not the fleet's"
+        );
+        let mut fleet = TrapFileData::default();
+        fleet.merge(&other);
+        assert!(fleet.ordered.is_empty());
+    }
+
+    #[test]
+    fn carried_ordered_settlements_round_trip_through_save_and_load() {
+        let dir =
+            std::env::temp_dir().join(format!("tsvd_trapfile_ordered_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("traps.json");
+        let data = TrapFileData::from_pairs(&[SitePair::new(site(110), site(111))])
+            .with_ordered(&[SitePair::new(site(112), site(113))]);
+        data.save(&path).expect("save");
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(
+            text.contains("\"ordered\"") && !text.contains("\"found\""),
+            "{text}"
+        );
+        let loaded = TrapFileData::load(&path).expect("load");
+        assert_eq!(loaded, data);
+        assert_eq!(
+            loaded.ordered_pairs(),
+            vec![SitePair::new(site(112), site(113))]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Byte for byte what a module's trap file was written as before
+    /// ordered settlements were carried: one armed pair and one found pair.
+    const PRE_ORDERED_FILE: &str = r#"{
+  "found": [
+    [
+      "lib.rs:20:5",
+      "lib.rs:22:9"
+    ]
+  ],
+  "origins": [
+    "dynamic"
+  ],
+  "pairs": [
+    [
+      "lib.rs:10:5",
+      "lib.rs:12:9"
+    ]
+  ]
+}"#;
+
+    #[test]
+    fn a_file_written_before_ordered_settlements_were_carried_loads_unchanged() {
+        let data: TrapFileData = serde_json::from_str(PRE_ORDERED_FILE).expect("parse");
+        assert!(data.ordered.is_empty());
+        assert_eq!(data.pairs.len(), 1);
+        assert_eq!(data.found.len(), 1);
+        assert_eq!(
+            serde_json::to_string_pretty(&data).expect("json"),
+            PRE_ORDERED_FILE,
+            "and is written back byte for byte"
+        );
+        let runtime = crate::Runtime::tsvd(crate::TsvdConfig::for_testing());
+        runtime.import_trap_file(&data);
+        let exported = runtime.export_trap_file().expect("Tsvd persists");
+        assert_eq!((exported.pairs, exported.found), (data.pairs, data.found));
+        assert!(exported.ordered.is_empty());
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //! A pair armed by a fork-ordered near miss (a task's access against its
 //! parent's pre-spawn access, see [`NearMiss`](crate::near_miss::NearMiss))
 //! is *ordered*. When a site whose every armed pair is ordered delays and
-//! catches nothing, those pairs settle for the run, with no decay ladder;
-//! an ordered pair is never exported. An unordered near miss of the same
-//! pair arms it as discovered: it upgrades an armed ordered pair, and lifts
-//! an ordered settlement, since a parent that writes again after the spawn
-//! races for real.
+//! catches nothing, those pairs settle, with no decay ladder; an armed
+//! ordered pair is never exported, but an ordered settlement is carried to
+//! the next run, which imports it settled. An unordered near miss of the
+//! same pair arms it as discovered: it upgrades an armed ordered pair, and
+//! lifts an ordered settlement, carried or not, since a parent that writes
+//! again after the spawn races for real.
 //!
 //! `contains_site` is consulted on every instrumented access once any pair
 //! is armed, so the set is kept as an immutable snapshot behind an
@@ -58,9 +59,21 @@ enum Settled {
     Found,
     /// An imported pair decayed out; forgotten with the run.
     DecayedOut,
-    /// An ordered pair's delay caught nothing; forgotten with the run, and
-    /// lifted by an unordered near miss of the pair.
-    Ordered,
+    /// An ordered pair's delay caught nothing, in this run or (`carried`)
+    /// an earlier one whose trap file this run imported; carried to the
+    /// next run, and lifted by an unordered near miss of the pair.
+    Ordered { carried: bool },
+}
+
+/// What an ordered near miss did to the set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OrderedArrival {
+    /// The pair was newly armed as ordered.
+    Armed,
+    /// The pair was armed or settled already; nothing changed.
+    Unchanged,
+    /// A settlement carried from an earlier run kept the pair out.
+    KeptOut,
 }
 
 #[derive(Default, Clone)]
@@ -90,7 +103,20 @@ impl Snapshot {
             || self
                 .settled
                 .get(&pair)
-                .is_some_and(|&why| why != Settled::Ordered)
+                .is_some_and(|why| !matches!(why, Settled::Ordered { .. }))
+    }
+
+    /// What an ordered near miss of `pair` does when it changes nothing.
+    fn ordered_noop(&self, pair: SitePair) -> Option<OrderedArrival> {
+        if !self.unchanged_by(pair, Arrival::Ordered) {
+            return None;
+        }
+        let carried = Some(&Settled::Ordered { carried: true });
+        Some(if self.settled.get(&pair) == carried {
+            OrderedArrival::KeptOut
+        } else {
+            OrderedArrival::Unchanged
+        })
     }
 
     /// Arms `pair`, returning `true` if it was not armed before.
@@ -175,53 +201,70 @@ impl TrapSet {
     /// ordered pair is upgraded, an ordered settlement lifted. Returns
     /// `true` if the pair is newly inserted.
     pub fn add(&self, pair: SitePair) -> bool {
-        self.add_as(pair, Arrival::Discovered)
-    }
-
-    /// Adds `pair` as ordered (a fork-ordered near miss) unless it is armed
-    /// or settled already. Returns `true` if the pair is newly inserted.
-    pub fn add_ordered(&self, pair: SitePair) -> bool {
-        self.add_as(pair, Arrival::Ordered)
-    }
-
-    fn add_as(&self, pair: SitePair, arrival: Arrival) -> bool {
         self.write(
-            |s| s.unchanged_by(pair, arrival).then_some(false),
-            |s| s.insert(pair, arrival),
+            |s| s.unchanged_by(pair, Arrival::Discovered).then_some(false),
+            |s| s.insert(pair, Arrival::Discovered),
         )
     }
 
-    /// [`import`](Self::import) with no found pairs.
+    /// Adds `pair` as ordered (a fork-ordered near miss) unless it is armed
+    /// or settled already, and says which.
+    pub fn add_ordered(&self, pair: SitePair) -> OrderedArrival {
+        self.write(
+            |s| s.ordered_noop(pair),
+            |s| match s.ordered_noop(pair) {
+                Some(noop) => noop,
+                None => {
+                    s.insert(pair, Arrival::Ordered);
+                    OrderedArrival::Armed
+                }
+            },
+        )
+    }
+
+    /// [`import`](Self::import) with no found or ordered pairs.
     pub fn add_many(&self, candidates: &[SitePair], max_len: usize) -> Vec<SitePair> {
-        self.import(&[], candidates, max_len)
+        self.import(&[], &[], candidates, max_len).0
     }
 
     /// A trap file's pairs: settles every pair in `found` as found buggy,
-    /// then adds every pair in `candidates` (in order) that is not already
-    /// present or settled, stopping once the set holds `max_len` pairs.
-    /// Returns the pairs actually inserted. One snapshot clone and one
-    /// publish regardless of how many pairs settle or arm.
+    /// then every other pair in `ordered` that is neither armed nor settled
+    /// as a carried ordered settlement, then adds every pair in
+    /// `candidates` (in order) that is not already present or settled,
+    /// stopping once the set holds `max_len` pairs. Returns the pairs
+    /// actually inserted and how many ordered settlements it carried in.
+    /// One snapshot clone and one publish regardless of how many pairs
+    /// settle or arm.
     pub fn import(
         &self,
         found: &[SitePair],
+        ordered: &[SitePair],
         candidates: &[SitePair],
         max_len: usize,
-    ) -> Vec<SitePair> {
+    ) -> (Vec<SitePair>, usize) {
         self.write(
             |s| {
                 let settled = found
                     .iter()
-                    .all(|p| s.settled.get(p) == Some(&Settled::Found));
+                    .all(|p| s.settled.get(p) == Some(&Settled::Found))
+                    && ordered.iter().all(|p| s.unchanged_by(*p, Arrival::Ordered));
                 let full = s.pairs.len() >= max_len
                     || candidates
                         .iter()
                         .all(|&p| s.unchanged_by(p, Arrival::Imported));
-                (settled && full).then(Vec::new)
+                (settled && full).then(|| (Vec::new(), 0))
             },
             |s| {
                 for &pair in found {
                     s.delete(pair);
                     s.settled.insert(pair, Settled::Found);
+                }
+                let mut carried = 0;
+                for &pair in ordered {
+                    if !s.unchanged_by(pair, Arrival::Ordered) {
+                        s.settled.insert(pair, Settled::Ordered { carried: true });
+                        carried += 1;
+                    }
                 }
                 let mut inserted = Vec::new();
                 for &pair in candidates {
@@ -232,7 +275,7 @@ impl TrapSet {
                         inserted.push(pair);
                     }
                 }
-                inserted
+                (inserted, carried)
             },
         )
     }
@@ -272,7 +315,7 @@ impl TrapSet {
                             s.settled.insert(pair, Settled::DecayedOut);
                         }
                         Some(Arrival::Ordered) => {
-                            s.settled.insert(pair, Settled::Ordered);
+                            s.settled.insert(pair, Settled::Ordered { carried: false });
                         }
                         _ => {}
                     }
@@ -292,7 +335,7 @@ impl TrapSet {
     }
 
     /// If every pair armed at `site` is ordered, removes them all and
-    /// settles them for the run, with no decay step, and returns how many;
+    /// settles them, with no decay step, and returns how many;
     /// otherwise changes nothing and returns 0.
     pub fn settle_ordered(&self, site: SiteId) -> usize {
         self.write(
@@ -301,7 +344,7 @@ impl TrapSet {
                 let settled = s.pairs_at(site);
                 for &pair in &settled {
                     s.delete(pair);
-                    s.settled.insert(pair, Settled::Ordered);
+                    s.settled.insert(pair, Settled::Ordered { carried: false });
                 }
                 settled.len()
             },
@@ -338,7 +381,7 @@ impl TrapSet {
     }
 
     /// Snapshot of the armed pairs a trap file carries: all but the
-    /// ordered ones, which are forgotten with the run.
+    /// ordered ones, whose single delay has not settled them yet.
     pub fn pairs(&self) -> Vec<SitePair> {
         self.snapshot.read(|s| {
             let carried = s.pairs.iter().filter(|(_, &a)| a != Arrival::Ordered);
@@ -349,10 +392,20 @@ impl TrapSet {
     /// Snapshot of the pairs found buggy, in this run or an imported
     /// file's (for trap-file export).
     pub fn found(&self) -> Vec<SitePair> {
+        self.settled_where(|why| why == Settled::Found)
+    }
+
+    /// Snapshot of the ordered settlements, made in this run or carried
+    /// from an imported file's (for trap-file export).
+    pub fn ordered(&self) -> Vec<SitePair> {
+        self.settled_where(|why| matches!(why, Settled::Ordered { .. }))
+    }
+
+    fn settled_where(&self, keep: impl Fn(Settled) -> bool) -> Vec<SitePair> {
         self.snapshot.read(|s| {
             s.settled
                 .iter()
-                .filter(|(_, &why)| why == Settled::Found)
+                .filter(|(_, &why)| keep(why))
                 .map(|(&pair, _)| pair)
                 .collect()
         })
@@ -523,8 +576,8 @@ mod tests {
             SitePair::new(site(32), site(33)),
         );
         assert!(t.add(found), "armed by discovery first");
-        let inserted = t.import(&[found], &[found, other], usize::MAX);
-        assert_eq!(inserted, vec![other]);
+        let (inserted, carried) = t.import(&[found], &[], &[found, other], usize::MAX);
+        assert_eq!((inserted, carried), (vec![other], 0));
         assert!(
             !t.contains(found),
             "a found pair is disarmed, then never armed"
@@ -561,11 +614,16 @@ mod tests {
         pairs: HashMap<SitePair, Arrival>,
         found: HashSet<SitePair>,
         decayed_out: HashSet<SitePair>,
-        ordered_out: HashSet<SitePair>,
+        /// Ordered settlements, each with whether an import carried it in.
+        ordered_out: HashMap<SitePair, bool>,
         /// Imported pairs evicted so far, settled or not by now.
         evicted_imports: usize,
         /// Ordered pairs settled so far, lifted or not by now.
         settled_ordered: usize,
+        /// Ordered settlements imported so far, and ordered near misses
+        /// they kept out.
+        carried: usize,
+        kept_out: usize,
     }
 
     impl Model {
@@ -580,12 +638,22 @@ mod tests {
                 }
                 return false;
             }
-            if self.ordered_out.contains(&pair) && !unordered {
+            if self.ordered_out.contains_key(&pair) && !unordered {
                 return false;
             }
             self.ordered_out.remove(&pair);
             self.pairs.insert(pair, arrival);
             true
+        }
+
+        fn add_ordered(&mut self, pair: SitePair) -> OrderedArrival {
+            if self.insert(pair, Arrival::Ordered) {
+                OrderedArrival::Armed
+            } else if self.ordered_out.get(&pair) == Some(&true) {
+                OrderedArrival::KeptOut
+            } else {
+                OrderedArrival::Unchanged
+            }
         }
 
         fn settle_ordered(&mut self, site: SiteId) -> usize {
@@ -600,7 +668,7 @@ mod tests {
             }
             for (pair, _) in &at {
                 self.pairs.remove(pair);
-                self.ordered_out.insert(*pair);
+                self.ordered_out.insert(*pair, false);
             }
             self.settled_ordered += at.len();
             at.len()
@@ -609,11 +677,24 @@ mod tests {
         fn import(
             &mut self,
             found: &[SitePair],
+            ordered: &[SitePair],
             candidates: &[SitePair],
             max_len: usize,
-        ) -> Vec<SitePair> {
+        ) -> (Vec<SitePair>, usize) {
             for &pair in found {
                 self.mark_found(pair);
+            }
+            let mut carried = 0;
+            for &pair in ordered {
+                let known = self.pairs.contains_key(&pair)
+                    || self.found.contains(&pair)
+                    || self.decayed_out.contains(&pair)
+                    || self.ordered_out.contains_key(&pair);
+                if !known {
+                    self.ordered_out.insert(pair, true);
+                    self.carried += 1;
+                    carried += 1;
+                }
             }
             let mut inserted = Vec::new();
             for &pair in candidates {
@@ -624,7 +705,7 @@ mod tests {
                     inserted.push(pair);
                 }
             }
-            inserted
+            (inserted, carried)
         }
 
         fn mark_found(&mut self, pair: SitePair) {
@@ -648,7 +729,7 @@ mod tests {
                         self.evicted_imports += 1;
                     }
                     Some(Arrival::Ordered) => {
-                        self.ordered_out.insert(*pair);
+                        self.ordered_out.insert(*pair, false);
                     }
                     _ => {}
                 }
@@ -691,7 +772,8 @@ mod tests {
                     }
                     16 | 17 => {
                         let p = pair(&mut rng);
-                        let want = model.insert(p, Arrival::Ordered);
+                        let want = model.add_ordered(p);
+                        model.kept_out += usize::from(want == OrderedArrival::KeptOut);
                         assert_eq!(set.add_ordered(p), want, "add_ordered, {at}");
                     }
                     18 => {
@@ -711,14 +793,22 @@ mod tests {
                         assert_eq!(set.settle_ordered(s), want, "settle_ordered, {at}");
                     }
                     7 | 8 => {
+                        // The import-settled op: a trap file's found
+                        // pairs, its ordered settlements (a pair may be
+                        // both, or also a candidate), then its pairs.
                         let found: Vec<SitePair> =
                             (0..rng.below(3) / 2).map(|_| pair(&mut rng)).collect();
+                        let mut ordered: Vec<SitePair> =
+                            (0..rng.below(4)).map(|_| pair(&mut rng)).collect();
+                        if rng.below(4) == 0 {
+                            ordered.extend(found.first());
+                        }
                         let batch: Vec<SitePair> =
                             (0..rng.below(6)).map(|_| pair(&mut rng)).collect();
                         let budget = rng.below(90) as usize;
                         assert_eq!(
-                            set.import(&found, &batch, budget),
-                            model.import(&found, &batch, budget),
+                            set.import(&found, &ordered, &batch, budget),
+                            model.import(&found, &ordered, &batch, budget),
                             "import, {at}"
                         );
                     }
@@ -768,12 +858,23 @@ mod tests {
                 model.settled_ordered > 0,
                 "seed {seed} must settle ordered pairs"
             );
-            for &p in &model.ordered_out {
-                assert!(
-                    !set.add_ordered(p),
-                    "ordered settlement re-armed, seed {seed}"
-                );
+            assert!(
+                model.carried > 0 && model.kept_out > 0,
+                "seed {seed} must carry ordered settlements in and keep a near miss out"
+            );
+            for (&p, &carried) in &model.ordered_out {
+                let want = if carried {
+                    OrderedArrival::KeptOut
+                } else {
+                    OrderedArrival::Unchanged
+                };
+                assert_eq!(set.add_ordered(p), want, "ordered settlement, seed {seed}");
             }
+            let mut ordered = set.ordered();
+            ordered.sort();
+            let mut want: Vec<SitePair> = model.ordered_out.keys().copied().collect();
+            want.sort();
+            assert_eq!(ordered, want, "ordered settlements, seed {seed}");
             for &p in model.found.iter().chain(&model.decayed_out) {
                 assert!(
                     !set.contains(p) && !set.add(p),

@@ -382,6 +382,47 @@ mod tests {
     }
 
     #[test]
+    fn a_task_is_start_stamped_when_it_starts_on_its_worker_not_at_its_spawn() {
+        let pool = Pool::new(1);
+        // The one worker is busy for 20 ms, so the second task waits in the
+        // queue: its start stamp is taken after that, not at its spawn.
+        let busy = pool.spawn(|| {
+            tsvd_core::clock::pause(std::time::Duration::from_millis(20));
+            tsvd_core::now_ns()
+        });
+        let queued = pool.spawn(|| {
+            let me = context::current();
+            let started = context::started_ns(me).expect("a pool task is stamped");
+            (context::spawn_certificate(me), started, tsvd_core::now_ns())
+        });
+        // Not `join`: a join that blocks the pool's every thread injects a
+        // relief worker, which would start the queued task at once.
+        while !busy.is_done() {
+            tsvd_core::clock::pause(std::time::Duration::from_millis(1));
+        }
+        let busy_done = busy.join();
+        let (certificate, started, first_access) = queued.join();
+        let spawned = certificate.expect("certified").spawned_ns;
+        assert!(
+            spawned < busy_done && busy_done <= started && started <= first_access,
+            "{spawned} {busy_done} {started} {first_access}"
+        );
+        assert_eq!(
+            context::started_ns(context::current()),
+            None,
+            "the spawning thread's own context has none"
+        );
+        // An inlined fast task is stamped as well: it starts where it runs.
+        pool.set_force_async(false);
+        let before = tsvd_core::now_ns();
+        let started = pool
+            .spawn_fast(|| context::started_ns(context::current()))
+            .join()
+            .expect("stamped");
+        assert!(before <= started);
+    }
+
+    #[test]
     fn spawn_fast_inlines_without_force_async() {
         let pool = Pool::new(2);
         pool.set_force_async(false);

@@ -31,16 +31,15 @@
 //! milliseconds slept, bugs first found in that run, and what the planner
 //! did with fork-ordered near misses: pairs armed (`ord_arm`), pairs settled
 //! (`ord_set`), delays at sites whose every armed pair was ordered
-//! (`ord_del`), settlements the trap file carried in from run 1
-//! (`carried`) and ordered near misses a carried settlement kept from
-//! arming (`kept_out`). Then a total per run, a grand total, and the
-//! gate's numbers. `ord_del` undercounts when two readers delay at one
-//! site at once: the second delay finishes after the first has settled the
-//! pair, so `delay_done` no longer sees an ordered-only site and takes the
-//! decay path (`read-only` run 1 reads 191 ordered delays of 379). Compare
-//! builds on the totals over repeated runs: the pool's scheduling moves a
-//! family's row between two runs of one binary more than most planner
-//! changes do.
+//! (`ord_del`), delays there not injected because another context's delay
+//! was running at the site (`ord_skip`), settlements the trap file carried
+//! in from run 1 (`carried`) and ordered near misses a carried settlement
+//! kept from arming (`kept_out`); and the HB edges the trap file carried in
+//! from run 1's inference (`inf_car`) and the near misses they kept from
+//! arming (`inf_out`). Then a total per run, a grand total, and the gate's
+//! numbers. Compare builds on the totals over repeated runs: the pool's
+//! scheduling moves a family's row between two runs of one binary more
+//! than most planner changes do.
 
 use std::collections::{BTreeMap, HashSet};
 use std::ops::ControlFlow;
@@ -90,8 +89,11 @@ struct Counts {
     ordered_armed: u64,
     ordered_settled: u64,
     ordered_delays: u64,
+    ordered_skipped: u64,
     carried: u64,
     kept_out: u64,
+    inferred_carried: u64,
+    inferred_kept_out: u64,
 }
 
 impl Counts {
@@ -103,13 +105,16 @@ impl Counts {
         self.ordered_armed += other.ordered_armed;
         self.ordered_settled += other.ordered_settled;
         self.ordered_delays += other.ordered_delays;
+        self.ordered_skipped += other.ordered_skipped;
         self.carried += other.carried;
         self.kept_out += other.kept_out;
+        self.inferred_carried += other.inferred_carried;
+        self.inferred_kept_out += other.inferred_kept_out;
     }
 
     fn print(&self, run: &str, family: &str) {
         println!(
-            "{run:>5}  {family:24} {:>7} {:>7} {:>10.1} {:>8} {:>7} {:>7} {:>7} {:>7} {:>8}",
+            "{run:>5}  {family:24} {:>7} {:>7} {:>10.1} {:>8} {:>7} {:>7} {:>7} {:>8} {:>7} {:>8} {:>7} {:>7}",
             self.delays,
             self.caught,
             self.slept_ns as f64 / 1e6,
@@ -117,8 +122,11 @@ impl Counts {
             self.ordered_armed,
             self.ordered_settled,
             self.ordered_delays,
+            self.ordered_skipped,
             self.carried,
-            self.kept_out
+            self.kept_out,
+            self.inferred_carried,
+            self.inferred_kept_out
         );
     }
 }
@@ -189,8 +197,11 @@ fn measure_passes(quick: bool) -> Passes {
                     ordered_armed: ordered.armed,
                     ordered_settled: ordered.settled,
                     ordered_delays: ordered.delays,
+                    ordered_skipped: ordered.skipped,
                     carried: ordered.carried,
                     kept_out: ordered.kept_out,
+                    inferred_carried: ordered.inferred_carried,
+                    inferred_kept_out: ordered.inferred_kept_out,
                 });
                 ControlFlow::Continue(())
             });
@@ -333,7 +344,7 @@ fn print_table(quick: bool) {
         suite().len()
     );
     println!(
-        "{:>5}  {:24} {:>7} {:>7} {:>10} {:>8} {:>7} {:>7} {:>7} {:>7} {:>8}",
+        "{:>5}  {:24} {:>7} {:>7} {:>10} {:>8} {:>7} {:>7} {:>7} {:>8} {:>7} {:>8} {:>7} {:>7}",
         "run",
         "family",
         "delays",
@@ -343,8 +354,11 @@ fn print_table(quick: bool) {
         "ord_arm",
         "ord_set",
         "ord_del",
+        "ord_skip",
         "carried",
-        "kept_out"
+        "kept_out",
+        "inf_car",
+        "inf_out"
     );
     let mut per_run = [Counts::default(); RUNS];
     for ((run, family), row) in &passes.rows {

@@ -26,12 +26,18 @@
 //! any other gap. A context with no start stamp (an OS thread's default)
 //! has no `t0` for its first access, and infers nothing from it.
 //!
+//! Inferred edges outlive the run: the trap file carries them (§3.4.6), and
+//! the next run [`import`](HbInference::import)s them as *carried* edges,
+//! which keep their pairs out of the trap set from the first near miss on.
+//! A carried edge inferred again becomes this run's, as if it were new, so
+//! a pair the trap file also arms is pruned exactly when it was before.
+//!
 //! `on_access` runs on every instrumented call, so there is no global lock:
 //! per-context state is lock-striped by context, each stripe on a cache
 //! line of its own so that neighbouring contexts' calls share nothing, and
 //! the delay history and inferred-edge set are read-mostly, each mirrored by
 //! an atomic count so the common call — a short gap, or no delay finished
-//! yet — and `is_inferred` on an empty set touch neither.
+//! yet — and `inference` on an empty set touch neither.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,7 +45,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::RwLock;
 
 use crate::audit;
-use crate::chunks::{IdMap, IdSet, Stripe};
+use crate::chunks::{IdMap, Stripe};
 use crate::context::{self, ContextId};
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
@@ -60,6 +66,15 @@ pub struct DelayRecord {
     pub end_ns: u64,
 }
 
+/// Where an inferred HB edge came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inference {
+    /// Inferred in this run.
+    Run,
+    /// Carried in by the previous run's trap file, not inferred again yet.
+    Carried,
+}
+
 #[derive(Debug, Default)]
 struct ThreadState {
     /// Timestamp of this context's previous access (`t0`), if any; before
@@ -74,9 +89,9 @@ struct ThreadState {
 pub struct HbInference {
     threads: Box<[Stripe<IdMap<ContextId, ThreadState>>]>,
     delays: RwLock<VecDeque<DelayRecord>>,
-    /// All edges inferred so far, as normalized pairs. A pair in this set is
-    /// never re-added to the trap set.
-    inferred: RwLock<IdSet<SitePair>>,
+    /// All edges inferred so far or carried in, as normalized pairs. A pair
+    /// in this map is never re-added to the trap set by a near miss.
+    inferred: RwLock<IdMap<SitePair, Inference>>,
     /// Lengths of `delays` and `inferred`, readable without their locks.
     delay_count: AtomicUsize,
     inferred_count: AtomicUsize,
@@ -181,7 +196,7 @@ impl HbInference {
         let pair = SitePair::new(src, site);
         audit::note_lock();
         let mut inferred = self.inferred.write();
-        if !inferred.insert(pair) {
+        if inferred.insert(pair, Inference::Run) == Some(Inference::Run) {
             return Vec::new();
         }
         audit::note_shared_write();
@@ -189,13 +204,33 @@ impl HbInference {
         vec![pair]
     }
 
-    /// Returns `true` if `pair` has been inferred HB-ordered.
-    pub fn is_inferred(&self, pair: SitePair) -> bool {
+    /// Seeds the inferred edges with `pairs`, a previous run's, as carried;
+    /// returns how many were new.
+    pub fn import(&self, pairs: &[SitePair]) -> usize {
+        if pairs.is_empty() {
+            return 0;
+        }
+        let mut inferred = self.inferred.write();
+        let before = inferred.len();
+        for &pair in pairs {
+            inferred.entry(pair).or_insert(Inference::Carried);
+        }
+        self.inferred_count.store(inferred.len(), Ordering::Release);
+        inferred.len() - before
+    }
+
+    /// Where `pair`'s HB edge came from, or `None` if it has none.
+    pub fn inference(&self, pair: SitePair) -> Option<Inference> {
         if self.inferred_count.load(Ordering::Acquire) == 0 {
-            return false;
+            return None;
         }
         audit::note_lock();
-        self.inferred.read().contains(&pair)
+        self.inferred.read().get(&pair).copied()
+    }
+
+    /// Every edge inferred or carried in, for the next run's trap file.
+    pub fn pairs(&self) -> Vec<SitePair> {
+        self.inferred.read().keys().copied().collect()
     }
 
     /// Total number of inferred edges (stats).
@@ -209,7 +244,7 @@ impl HbInference {
         let states: usize = self.threads.iter().map(|s| s.lock().capacity()).sum();
         states * std::mem::size_of::<(ContextId, ThreadState)>()
             + self.delays.read().capacity() * std::mem::size_of::<DelayRecord>()
-            + self.inferred.read().capacity() * std::mem::size_of::<SitePair>()
+            + self.inferred.read().capacity() * std::mem::size_of::<(SitePair, Inference)>()
     }
 }
 
@@ -249,7 +284,10 @@ mod tests {
         // Thd2's next access at 130 ms: gap 120 ms ≥ 50 ms, t0 ≤ t1_end.
         let pairs = e.on_access(t2, site(21), ms_to_ns(130));
         assert_eq!(pairs, vec![SitePair::new(site(1), site(21))]);
-        assert!(e.is_inferred(SitePair::new(site(1), site(21))));
+        assert_eq!(
+            e.inference(SitePair::new(site(1), site(21))),
+            Some(Inference::Run)
+        );
     }
 
     #[test]
@@ -488,6 +526,37 @@ mod tests {
             }
         }
         assert_eq!(e.inferred_count(), 1);
+    }
+
+    #[test]
+    fn carried_edges_are_known_from_the_start_and_become_the_runs_when_inferred_again() {
+        let e = engine();
+        let (carried, other) = (
+            SitePair::new(site(1), site(21)),
+            SitePair::new(site(3), site(4)),
+        );
+        assert_eq!(e.inference(carried), None);
+        assert_eq!(e.import(&[carried, other, carried]), 2);
+        assert_eq!(e.import(&[carried]), 0, "known already");
+        assert_eq!(e.inference(carried), Some(Inference::Carried));
+        assert_eq!(e.inferred_count(), 2);
+        // The same inference as `long_gap_overlapping_delay_infers_edge`:
+        // it is reported, so a pair armed by the trap file is pruned.
+        let t2 = ContextId(2);
+        e.on_access(t2, site(20), ms_to_ns(10));
+        e.record_delay(DelayRecord {
+            site: site(1),
+            context: ContextId(1),
+            start_ns: ms_to_ns(20),
+            end_ns: ms_to_ns(120),
+        });
+        assert_eq!(e.on_access(t2, site(21), ms_to_ns(130)), vec![carried]);
+        assert_eq!(e.inference(carried), Some(Inference::Run));
+        let mut pairs = e.pairs();
+        pairs.sort();
+        let mut want = vec![carried, other];
+        want.sort();
+        assert_eq!(pairs, want, "both go on to the next run");
     }
 
     #[test]

@@ -159,9 +159,13 @@ impl Runtime {
 
         // should_delay: the strategy decides where and when. The strategy
         // always sees the access (near-miss and HB state keep learning),
-        // but a degraded runtime never injects the delay.
+        // but a degraded runtime never injects the delay. A delay asked for
+        // and not injected is handed back, so the strategy can release
+        // what it holds for it.
         if let Some(delay_ns) = self.strategy.on_access(&access, concurrent) {
-            if !self.watchdog.is_degraded() && self.delay_budget_allows(access.context, delay_ns) {
+            if self.watchdog.is_degraded() || !self.delay_budget_allows(access.context, delay_ns) {
+                self.strategy.on_delay_skipped(&access);
+            } else {
                 // RAII from here: the guard clears the trap and restores the
                 // live count even if anything below unwinds; the scope keeps
                 // the watchdog's delayed counters balanced the same way.
@@ -176,6 +180,7 @@ impl Runtime {
                     for trap in &missed {
                         self.report_catch(&access, trap);
                     }
+                    self.strategy.on_delay_skipped(&access);
                     return;
                 }
                 let _delay_scope = self.watchdog.delay_scope();
@@ -769,6 +774,10 @@ mod tests {
         }
         let ordered = rt.stats().ordered();
         assert_eq!((ordered.armed, ordered.settled, ordered.delays), (1, 0, 0));
+        // The budget refused the first child's delay, and its claim on the
+        // site went with it: the second child's delay was asked for (and
+        // refused) too, not skipped.
+        assert_eq!(ordered.skipped, 0);
         let passive = Runtime::noop(cfg());
         assert_eq!(passive.stats().ordered(), Default::default());
     }

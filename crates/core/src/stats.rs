@@ -19,9 +19,10 @@
 //! the hits. The per-context delay ledger is striped by context so
 //! concurrent delayers don't share a lock.
 //!
-//! The fork-ordered near misses' counters ([`OrderedCounts`]) are written
-//! by the strategy's delay planner, which is where those pairs arm and
-//! settle, and read here.
+//! The ordered pairs' counters ([`OrderedCounts`]: fork-ordered near
+//! misses, and HB edges carried in from the previous run) are written by
+//! the strategy, where those pairs arm, settle or are kept out, and read
+//! here.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -72,8 +73,9 @@ impl CovCell {
     }
 }
 
-/// What the delay planner did with fork-ordered near misses (a task's
-/// access pairing with its parent's pre-spawn access).
+/// What the strategy did with ordered pairs: fork-ordered near misses (a
+/// task's access pairing with its parent's pre-spawn access), and the HB
+/// edges the previous run inferred (§3.4.4).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OrderedCounts {
     /// Ordered pairs armed.
@@ -86,11 +88,18 @@ pub struct OrderedCounts {
     pub carried: u64,
     /// Ordered near misses that a carried settlement kept from arming.
     pub kept_out: u64,
+    /// Delays at an ordered-only site not injected because another
+    /// context's delay was running there.
+    pub skipped: u64,
+    /// Inferred HB edges a trap file carried in from the previous run.
+    pub inferred_carried: u64,
+    /// Near misses that a carried HB edge kept from arming.
+    pub inferred_kept_out: u64,
 }
 
-/// The atomics behind [`OrderedCounts`]: the planner adds, the runtime's
-/// stats read. Touched on an arm, a settlement or a delay, never on a call
-/// that does none of those.
+/// The atomics behind [`OrderedCounts`]: the strategy adds, the runtime's
+/// stats read. Touched on an arm, a settlement, a delay, a skipped delay, an
+/// import or a near miss kept out, never on a call that does none of those.
 #[derive(Debug, Default)]
 pub struct OrderedCounters {
     armed: AtomicU64,
@@ -98,6 +107,9 @@ pub struct OrderedCounters {
     delays: AtomicU64,
     carried: AtomicU64,
     kept_out: AtomicU64,
+    skipped: AtomicU64,
+    inferred_carried: AtomicU64,
+    inferred_kept_out: AtomicU64,
 }
 
 impl OrderedCounters {
@@ -126,6 +138,22 @@ impl OrderedCounters {
         self.kept_out.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts a delay at an ordered-only site skipped while another ran.
+    pub fn note_skipped(&self) {
+        self.skipped.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts `pairs` inferred HB edges carried in by an import.
+    pub fn note_inferred_carried(&self, pairs: usize) {
+        self.inferred_carried
+            .fetch_add(pairs as u64, Ordering::Relaxed);
+    }
+
+    /// Counts a near miss a carried HB edge kept out.
+    pub fn note_inferred_kept_out(&self) {
+        self.inferred_kept_out.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// The counts so far.
     pub fn counts(&self) -> OrderedCounts {
         OrderedCounts {
@@ -134,6 +162,9 @@ impl OrderedCounters {
             delays: self.delays.load(Ordering::Relaxed),
             carried: self.carried.load(Ordering::Relaxed),
             kept_out: self.kept_out.load(Ordering::Relaxed),
+            skipped: self.skipped.load(Ordering::Relaxed),
+            inferred_carried: self.inferred_carried.load(Ordering::Relaxed),
+            inferred_kept_out: self.inferred_kept_out.load(Ordering::Relaxed),
         }
     }
 }
@@ -248,7 +279,7 @@ impl RuntimeStats {
         self.sync_events.load(Ordering::Relaxed)
     }
 
-    /// What the delay planner did with fork-ordered near misses.
+    /// What the strategy did with ordered pairs.
     pub fn ordered(&self) -> OrderedCounts {
         self.ordered.counts()
     }

@@ -94,6 +94,14 @@ pub trait Strategy: Send + Sync {
     /// conflicting access collided with the trap during the sleep.
     fn on_delay_complete(&self, access: &Access, start_ns: u64, end_ns: u64, caught: bool);
 
+    /// Called instead of [`on_delay_complete`](Self::on_delay_complete)
+    /// when the runtime did not inject the delay `on_access` asked for: the
+    /// watchdog or the delay budget refused it, or the trap caught a
+    /// collision before its sleep. Every delay `on_access` asks for ends in
+    /// exactly one of the two, unless the call unwinds first. Default:
+    /// ignored.
+    fn on_delay_skipped(&self, _access: &Access) {}
+
     /// Called for every synchronization event. Default: ignored (the whole
     /// point of TSVD).
     fn on_sync(&self, _event: &SyncEvent) {}
@@ -110,9 +118,9 @@ pub trait Strategy: Send + Sync {
     /// Imports a previous run's trap file.
     fn import_trap_file(&self, _data: &TrapFileData) {}
 
-    /// The counters of what the strategy's delay planner does with
-    /// fork-ordered near misses, for the runtime's stats to read. Default:
-    /// none, the stats read zeros.
+    /// The counters of what the strategy does with ordered pairs
+    /// (fork-ordered near misses, carried HB edges), for the runtime's
+    /// stats to read. Default: none, the stats read zeros.
     fn ordered_counters(&self) -> Option<Arc<OrderedCounters>> {
         None
     }

@@ -10,26 +10,30 @@
 //! |---|---|---|
 //! | [`arm`](DelayPlan::arm) | discovered → armed, both locations at `P_loc = 1`; an ordered pair → upgraded, an ordered settlement → lifted | §3.4.2 |
 //! | [`arm_ordered`](DelayPlan::arm_ordered) | fork-ordered near miss → armed as ordered, both locations at `P_loc = 1` | §3.4.3 (deviation) |
-//! | [`import`](DelayPlan::import) | a previous run's found pairs → settled; its ordered settlements → settled as ordered; then every other pair armed | §3.4.6 |
-//! | [`should_delay`](DelayPlan::should_delay) | armed location → delay with probability `P_loc` | §3.4.5 |
-//! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted, an imported one among them settled for the run and an ordered one settled as ordered; at a location whose every pair is ordered, no decay: its pairs settle as ordered | §3.4.5 |
+//! | [`import`](DelayPlan::import) | a previous run's found pairs → settled; its ordered settlements → settled as ordered; then every other pair armed. TSVD seeds its HB inference with the file's inferred edges first, so a near miss of one never arms | §3.4.6 |
+//! | [`should_delay`](DelayPlan::should_delay) | armed location → delay with probability `P_loc`; at a location whose every pair is ordered, one delay at a time: the context that delays claims the location, and another that gets there meanwhile does not delay | §3.4.5 |
+//! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted, an imported one among them settled for the run and an ordered one settled as ordered; at a location whose every pair is ordered, no decay: its pairs settle as ordered. The claim is released | §3.4.5 |
+//! | [`withdraw`](DelayPlan::withdraw) | a delay `should_delay` granted but the runtime did not inject → its claim released | — |
 //! | [`retire`](DelayPlan::retire) | armed → pruned: the discovery side proved the pair ordered | §3.4.4 |
 //! | [`found`](DelayPlan::found) | armed → caught: pruned for good, never re-armed | §3.4.1 |
 //! | [`export`](DelayPlan::export) | what is still armed but ordered, every found pair and every ordered settlement, for the next run | §3.4.6 |
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::chunks::IdMap;
 use crate::config::TsvdConfig;
+use crate::context::ContextId;
 use crate::decay::DecayTable;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
 use crate::stats::OrderedCounters;
 use crate::trap_file::TrapFileData;
-use crate::trapset::{OrderedArrival, TrapSet};
+use crate::trapset::{ArmedSite, OrderedArrival, TrapSet};
 
 /// Trap set, per-location delay probabilities and the delay length of one
 /// detector instance.
@@ -39,6 +43,11 @@ pub(super) struct DelayPlan {
     rng: Mutex<SmallRng>,
     delay_ns: u64,
     ordered: Arc<OrderedCounters>,
+    /// Ordered-only locations with a delay running, each with the context
+    /// that runs it.
+    running: Mutex<IdMap<SiteId, ContextId>>,
+    /// `running`'s length, readable without its lock.
+    running_count: AtomicUsize,
 }
 
 impl DelayPlan {
@@ -51,6 +60,8 @@ impl DelayPlan {
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed ^ salt)),
             delay_ns: config.delay_ns,
             ordered: Arc::default(),
+            running: Mutex::default(),
+            running_count: AtomicUsize::new(0),
         }
     }
 
@@ -100,31 +111,66 @@ impl DelayPlan {
 
     /// `should_delay`: the delay to inject at `site` now — members of the
     /// trap set delay with probability `P_loc`, always for `delay_ns` (the
-    /// paper's one `delay_time`, which Fig. 9 h sweeps per run).
+    /// paper's one `delay_time`, which Fig. 9 h sweeps per run). At a
+    /// location whose every pair is ordered, `context` claims the location
+    /// for its delay, and until [`delay_done`](Self::delay_done) or
+    /// [`withdraw`](Self::withdraw) releases it no other context delays
+    /// there: the pairs' one delay is running.
     #[inline]
-    pub fn should_delay(&self, site: SiteId) -> Option<u64> {
-        if !self.traps.contains_site(site) {
-            return None;
-        }
+    pub fn should_delay(&self, site: SiteId, context: ContextId) -> Option<u64> {
+        let armed = self.traps.armed_site(site)?;
         let p = self.decay.probability(site);
         if p < 1.0 && self.rng.lock().gen::<f64>() >= p {
+            return None;
+        }
+        if armed == ArmedSite::OrderedOnly && !self.claim(site, context) {
+            self.ordered.note_skipped();
             return None;
         }
         Some(self.delay_ns)
     }
 
-    /// A delay injected at `site` finished; `caught` says whether a
+    /// Claims ordered-only `site` for `context`'s delay; `false` if another
+    /// context's delay holds it.
+    fn claim(&self, site: SiteId, context: ContextId) -> bool {
+        let mut running = self.running.lock();
+        let holder = *running.entry(site).or_insert(context);
+        self.running_count.store(running.len(), Ordering::Release);
+        holder == context
+    }
+
+    /// `context`'s delay at `site`, granted by
+    /// [`should_delay`](Self::should_delay), was not injected (the budget
+    /// or the watchdog refused it, or a catch before its sleep made it
+    /// moot), or has finished: its claim on the location, if it holds one,
+    /// is released. Free when no claim is held at all, which is every call
+    /// of a run with no ordered pair.
+    pub fn withdraw(&self, site: SiteId, context: ContextId) {
+        if self.running_count.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let mut running = self.running.lock();
+        if running.get(&site) == Some(&context) {
+            running.remove(&site);
+            self.running_count.store(running.len(), Ordering::Release);
+        }
+    }
+
+    /// `context`'s delay at `site` finished; `caught` says whether a
     /// conflicting access ran into the trap meanwhile.
-    pub fn delay_done(&self, site: SiteId, caught: bool) {
+    pub fn delay_done(&self, site: SiteId, context: ContextId, caught: bool) {
         // A location whose every pair is ordered gets one delay, not a
-        // ladder: a fruitless one settles its pairs for the run.
-        if self.traps.ordered_only(site) {
+        // ladder: a fruitless one settles its pairs for the run, before the
+        // claim is released, so no second context delays in between.
+        if self.traps.armed_site(site) == Some(ArmedSite::OrderedOnly) {
             self.ordered.note_delay();
             if !caught {
                 self.ordered.note_settled(self.traps.settle_ordered(site));
             }
+            self.withdraw(site, context);
             return;
         }
+        self.withdraw(site, context);
         // Decay the delayed location (§3.4.5); when its probability hits
         // the floor, evict its pairs (an imported pair evicted here settles
         // for the run: the run that exported it already paid its delays
@@ -176,6 +222,11 @@ impl DelayPlan {
         self.ordered.clone()
     }
 
+    /// The same counters, for the discovery side to add to.
+    pub fn counters(&self) -> &OrderedCounters {
+        &self.ordered
+    }
+
     /// Number of armed pairs.
     pub fn len(&self) -> usize {
         self.traps.len()
@@ -207,6 +258,9 @@ mod tests {
         })
     }
 
+    /// The context every single-context test delays as.
+    const ME: ContextId = ContextId(1);
+
     fn pair(a: u32, b: u32) -> SitePair {
         SitePair::new(site(a), site(b))
     }
@@ -223,12 +277,12 @@ mod tests {
     fn only_armed_sites_delay() {
         let c = config();
         let p = plan(&c);
-        assert_eq!(p.should_delay(site(1)), None);
+        assert_eq!(p.should_delay(site(1), ME), None);
         assert!(p.arm(pair(1, 2)));
         assert!(!p.arm(pair(1, 2)), "arming twice changes nothing");
-        assert_eq!(p.should_delay(site(1)), Some(c.delay_ns));
-        assert_eq!(p.should_delay(site(2)), Some(c.delay_ns));
-        assert_eq!(p.should_delay(site(3)), None);
+        assert_eq!(p.should_delay(site(1), ME), Some(c.delay_ns));
+        assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));
+        assert_eq!(p.should_delay(site(3), ME), None);
         assert_eq!(p.len(), 1);
     }
 
@@ -240,15 +294,15 @@ mod tests {
         let p = plan(&c);
         p.arm(pair(1, 2));
         for _ in 0..10 {
-            p.delay_done(site(1), true);
+            p.delay_done(site(1), ME, true);
         }
         assert!(p.is_armed(pair(1, 2)), "catching delays never decay");
         // Two fruitless delays at site(1): 1.0 → 0.5 → 0.25 < 0.3 → evict.
-        p.delay_done(site(1), false);
+        p.delay_done(site(1), ME, false);
         assert_eq!(p.len(), 1);
-        p.delay_done(site(1), false);
+        p.delay_done(site(1), ME, false);
         assert_eq!(p.len(), 0, "decayed location evicts its pairs");
-        assert_eq!(p.should_delay(site(2)), None);
+        assert_eq!(p.should_delay(site(2), ME), None);
     }
 
     #[test]
@@ -280,7 +334,7 @@ mod tests {
         second.import(&first.export());
         assert!(second.is_armed(pair(1, 2)) && second.is_armed(pair(3, 4)));
         // Imported pairs delay on their very first occurrence.
-        assert_eq!(second.should_delay(site(3)), Some(c.delay_ns));
+        assert_eq!(second.should_delay(site(3), ME), Some(c.delay_ns));
     }
 
     #[test]
@@ -363,11 +417,15 @@ mod tests {
         let p = plan(&c);
         assert!(p.arm_ordered(pair(1, 2)));
         assert!(!p.arm_ordered(pair(1, 2)), "arming twice changes nothing");
-        assert_eq!(p.should_delay(site(2)), Some(c.delay_ns), "armed at P = 1");
-        p.delay_done(site(2), false);
+        assert_eq!(
+            p.should_delay(site(2), ME),
+            Some(c.delay_ns),
+            "armed at P = 1"
+        );
+        p.delay_done(site(2), ME, false);
         assert!(!p.is_armed(pair(1, 2)), "one fruitless delay settles it");
-        assert_eq!(p.should_delay(site(1)), None);
-        assert_eq!(p.should_delay(site(2)), None);
+        assert_eq!(p.should_delay(site(1), ME), None);
+        assert_eq!(p.should_delay(site(2), ME), None);
         assert!(!p.arm_ordered(pair(1, 2)), "an ordered near miss leaves it");
         let counts = OrderedCounts {
             armed: 1,
@@ -390,7 +448,7 @@ mod tests {
         let c = config();
         let first = plan(&c);
         first.arm_ordered(pair(1, 2));
-        first.delay_done(site(2), false);
+        first.delay_done(site(2), ME, false);
         first.arm(pair(3, 4));
         let file = first.export();
         assert_eq!(file.to_pairs(), [pair(3, 4)]);
@@ -409,12 +467,12 @@ mod tests {
         let c = config();
         let first = plan(&c);
         first.arm_ordered(pair(1, 2));
-        first.delay_done(site(2), false);
+        first.delay_done(site(2), ME, false);
         let second = plan(&c);
         second.import(&first.export());
         for _ in 0..3 {
             assert!(!second.arm_ordered(pair(1, 2)), "run 2 does not pay again");
-            assert_eq!(second.should_delay(site(2)), None);
+            assert_eq!(second.should_delay(site(2), ME), None);
         }
         let counts = ordered_counts(&second);
         assert_eq!((counts.carried, counts.kept_out, counts.armed), (1, 3, 0));
@@ -422,7 +480,7 @@ mod tests {
             second.arm(pair(1, 2)),
             "a parent writing after the spawn races"
         );
-        assert_eq!(second.should_delay(site(2)), Some(c.delay_ns));
+        assert_eq!(second.should_delay(site(2), ME), Some(c.delay_ns));
         assert_eq!(second.export().to_pairs(), [pair(1, 2)]);
         assert!(
             second.export().ordered.is_empty(),
@@ -436,7 +494,7 @@ mod tests {
         let c = config();
         let first = plan(&c);
         first.arm_ordered(pair(1, 2));
-        first.delay_done(site(2), true);
+        first.delay_done(site(2), ME, true);
         assert!(
             first.is_armed(pair(1, 2)),
             "a catching delay keeps it armed"
@@ -470,13 +528,55 @@ mod tests {
     }
 
     #[test]
+    fn an_ordered_only_location_runs_one_delay_at_a_time() {
+        let c = config();
+        let p = plan(&c);
+        let other = ContextId(2);
+        p.arm_ordered(pair(1, 2));
+        assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));
+        assert_eq!(p.should_delay(site(2), other), None, "ME's delay runs");
+        assert_eq!(p.should_delay(site(2), other), None);
+        p.delay_done(site(2), ME, true);
+        assert_eq!(
+            p.should_delay(site(2), other),
+            Some(c.delay_ns),
+            "a catch keeps the pair armed, and the claim is released"
+        );
+        p.delay_done(site(2), other, false);
+        assert!(!p.is_armed(pair(1, 2)));
+        let counts = ordered_counts(&p);
+        assert_eq!((counts.delays, counts.skipped, counts.settled), (2, 2, 1));
+        // A location with an unordered pair claims nothing.
+        p.arm(pair(3, 4));
+        assert_eq!(p.should_delay(site(3), ME), Some(c.delay_ns));
+        assert_eq!(p.should_delay(site(3), other), Some(c.delay_ns));
+        assert_eq!(ordered_counts(&p).skipped, 2);
+    }
+
+    #[test]
+    fn a_withdrawn_delay_releases_its_claim_and_only_its_own() {
+        let c = config();
+        let p = plan(&c);
+        let other = ContextId(2);
+        p.arm_ordered(pair(1, 2));
+        assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));
+        p.withdraw(site(2), other);
+        assert_eq!(p.should_delay(site(2), other), None, "not other's claim");
+        p.withdraw(site(2), ME);
+        assert_eq!(p.should_delay(site(2), other), Some(c.delay_ns));
+        assert!(p.is_armed(pair(1, 2)), "a withdrawn delay settles nothing");
+        let counts = ordered_counts(&p);
+        assert_eq!((counts.delays, counts.skipped, counts.settled), (0, 1, 0));
+    }
+
+    #[test]
     fn a_catching_delay_keeps_an_ordered_pair_armed() {
         let c = config();
         let p = plan(&c);
         p.arm_ordered(pair(1, 2));
         for _ in 0..3 {
-            p.delay_done(site(2), true);
-            assert_eq!(p.should_delay(site(2)), Some(c.delay_ns));
+            p.delay_done(site(2), ME, true);
+            assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));
         }
         assert!(p.is_armed(pair(1, 2)));
         assert_eq!(ordered_counts(&p).delays, 3);
@@ -493,26 +593,26 @@ mod tests {
         let p = plan(&c);
         p.arm_ordered(pair(1, 2));
         assert!(!p.arm(pair(1, 2)), "armed already: upgraded, not re-armed");
-        p.delay_done(site(2), false);
+        p.delay_done(site(2), ME, false);
         assert!(p.is_armed(pair(1, 2)), "decayed to 0.5, not settled");
-        p.delay_done(site(2), false);
+        p.delay_done(site(2), ME, false);
         assert!(!p.is_armed(pair(1, 2)), "evicted at the floor");
         assert!(p.arm(pair(1, 2)), "a discovered pair re-arms");
         assert_eq!(ordered_counts(&p).settled, 0);
         // After: the settlement is lifted and the pair arms at P = 1.
         let p = plan(&c);
         p.arm_ordered(pair(3, 4));
-        p.delay_done(site(4), false);
+        p.delay_done(site(4), ME, false);
         assert!(!p.is_armed(pair(3, 4)));
         assert!(p.arm(pair(3, 4)), "a parent writing after the spawn races");
-        assert_eq!(p.should_delay(site(4)), Some(c.delay_ns));
-        p.delay_done(site(4), false);
+        assert_eq!(p.should_delay(site(4), ME), Some(c.delay_ns));
+        p.delay_done(site(4), ME, false);
         assert!(p.is_armed(pair(3, 4)), "and decays like any pair");
         assert!(
             !p.arm_ordered(pair(3, 4)),
             "an ordered one leaves it as it is"
         );
-        p.delay_done(site(4), false);
+        p.delay_done(site(4), ME, false);
         assert!(!p.is_armed(pair(3, 4)));
         assert_eq!(ordered_counts(&p).delays, 1);
     }
@@ -525,9 +625,9 @@ mod tests {
         let p = plan(&c);
         p.arm_ordered(pair(1, 2));
         p.arm(pair(2, 3));
-        p.delay_done(site(2), false);
+        p.delay_done(site(2), ME, false);
         assert_eq!(p.len(), 2, "a ladder step, no settlement");
-        p.delay_done(site(2), false);
+        p.delay_done(site(2), ME, false);
         assert_eq!(p.len(), 0, "the floor evicts both");
         assert!(!p.arm_ordered(pair(1, 2)), "the ordered pair is settled");
         assert!(p.arm(pair(2, 3)), "the discovered one may re-arm");
@@ -556,8 +656,8 @@ mod tests {
         let p = plan(&c);
         p.arm(pair(1, 2));
         for caught in [false, false, false, true, false] {
-            p.delay_done(site(2), caught);
-            assert_eq!(p.should_delay(site(2)), Some(c.delay_ns));
+            p.delay_done(site(2), ME, caught);
+            assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));
         }
     }
 }

@@ -12,13 +12,15 @@
 //! that catches nothing (§3.4.5). Planning and injection happen in the same
 //! run (§3.4.6); the trap set additionally persists to a trap file so a
 //! second run can trap pairs on their first occurrence. All of that is the
-//! [`DelayPlan`]'s, shared with TSVD-HB.
+//! [`DelayPlan`]'s, shared with TSVD-HB. The trap file also carries the HB
+//! edges inferred here, so the second run keeps their pairs out from their
+//! first near miss instead of paying a delay to infer them again.
 
 use std::sync::Arc;
 
 use crate::access::Access;
 use crate::config::TsvdConfig;
-use crate::hb_infer::{DelayRecord, HbInference};
+use crate::hb_infer::{DelayRecord, HbInference, Inference};
 use crate::near_miss::{NearMissTracker, SitePair};
 use crate::stats::OrderedCounters;
 use crate::strategy::plan::DelayPlan;
@@ -95,18 +97,25 @@ impl Strategy for Tsvd {
         }
 
         // Near-miss tracking: discover new dangerous pairs. A fork-ordered
-        // one (the parent's pre-spawn access) gets one delay, not a ladder.
+        // one (the parent's pre-spawn access) gets one delay, not a ladder;
+        // an inferred one, this run's or carried in, none.
         for miss in self.near_miss.record(access) {
-            if concurrent && !self.hb.as_ref().is_some_and(|hb| hb.is_inferred(miss.pair)) {
-                if miss.ordered {
+            if !concurrent {
+                continue;
+            }
+            match self.hb.as_ref().and_then(|hb| hb.inference(miss.pair)) {
+                Some(Inference::Carried) => self.plan.counters().note_inferred_kept_out(),
+                Some(Inference::Run) => {}
+                None if miss.ordered => {
                     self.plan.arm_ordered(miss.pair);
-                } else {
+                }
+                None => {
                     self.plan.arm(miss.pair);
                 }
             }
         }
 
-        self.plan.should_delay(access.site)
+        self.plan.should_delay(access.site, access.context)
     }
 
     fn on_delay_complete(&self, access: &Access, start_ns: u64, end_ns: u64, caught: bool) {
@@ -118,7 +127,11 @@ impl Strategy for Tsvd {
                 end_ns,
             });
         }
-        self.plan.delay_done(access.site, caught);
+        self.plan.delay_done(access.site, access.context, caught);
+    }
+
+    fn on_delay_skipped(&self, access: &Access) {
+        self.plan.withdraw(access.site, access.context);
     }
 
     fn on_violation(&self, pair: SitePair) {
@@ -126,10 +139,20 @@ impl Strategy for Tsvd {
     }
 
     fn export_trap_file(&self) -> Option<TrapFileData> {
-        Some(self.plan.export())
+        let file = self.plan.export();
+        Some(match &self.hb {
+            Some(hb) => file.with_inferred(&hb.pairs()),
+            None => file,
+        })
     }
 
+    /// Seeds HB inference with the file's inferred edges before the plan
+    /// arms anything, so a near miss of one never arms in this run.
     fn import_trap_file(&self, data: &TrapFileData) {
+        if let Some(hb) = &self.hb {
+            let carried = hb.import(&data.inferred_pairs());
+            self.plan.counters().note_inferred_carried(carried);
+        }
         self.plan.import(data);
     }
 
@@ -425,6 +448,78 @@ mod tests {
         assert!(as_task(&s, acc(4, 7, read, OpKind::Read, 6), 1, 1).is_some());
         assert!(s.is_armed(pair));
         assert_eq!(s.export_trap_file().expect("tsvd").pairs.len(), 1);
+    }
+
+    #[test]
+    fn two_children_at_an_ordered_only_site_take_one_delay_between_them() {
+        let s = Tsvd::new(&config());
+        let (init, read) = (site(62), site(63));
+        s.on_access(&acc(1, 8, init, OpKind::Write, 0), false);
+        let first = acc(2, 8, read, OpKind::Read, 2);
+        assert!(as_task(&s, first, 1, 1).is_some(), "armed, and delays");
+        // A sibling reads while the first child's delay runs: no delay.
+        let second = acc(3, 8, read, OpKind::Read, 3);
+        assert!(as_task(&s, second, 1, 1).is_none());
+        s.on_delay_complete(&first, ms_to_ns(2), ms_to_ns(3), false);
+        assert!(!s.is_armed(SitePair::new(init, read)), "settled");
+        let counts = s.ordered_counters().expect("tsvd counts").counts();
+        assert_eq!((counts.delays, counts.skipped, counts.settled), (1, 1, 1));
+    }
+
+    /// A run in which delay propagation retires {site(1), site(2)}, as in
+    /// `hb_inference_prunes_pair`; returns its trap file.
+    fn file_of_a_run_that_inferred_the_pair() -> TrapFileData {
+        let s = Tsvd::new(&config());
+        s.on_access(&acc(1, 7, site(1), OpKind::Write, 0), true);
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 1), true);
+        s.on_delay_complete(
+            &acc(1, 7, site(1), OpKind::Write, 10),
+            ms_to_ns(10),
+            ms_to_ns(110),
+            false,
+        );
+        s.on_access(&acc(2, 7, site(2), OpKind::Write, 110), true);
+        s.export_trap_file().expect("tsvd persists state")
+    }
+
+    #[test]
+    fn a_carried_inference_keeps_the_next_runs_near_miss_from_arming() {
+        let pair = SitePair::new(site(1), site(2));
+        let file = file_of_a_run_that_inferred_the_pair();
+        assert!(file.pairs.is_empty(), "retired, not carried as armed");
+        assert_eq!(file.inferred_pairs(), [pair]);
+        let s2 = Tsvd::new(&config());
+        s2.import_trap_file(&file);
+        s2.on_access(&acc(5, 9, site(1), OpKind::Write, 0), true);
+        assert!(s2
+            .on_access(&acc(6, 9, site(2), OpKind::Write, 1), true)
+            .is_none());
+        assert!(!s2.is_armed(pair), "no delay to learn it again");
+        let counts = s2.ordered_counters().expect("tsvd counts").counts();
+        assert_eq!((counts.inferred_carried, counts.inferred_kept_out), (1, 1));
+        assert_eq!(s2.export_trap_file().expect("tsvd").inferred, file.inferred);
+        // A file that also lists the pair as armed still arms it.
+        let mut armed = file.clone();
+        armed.push(
+            (site(1).to_string(), site(2).to_string()),
+            crate::trap_file::PairOrigin::Static,
+        );
+        let s3 = Tsvd::new(&config());
+        s3.import_trap_file(&armed);
+        assert!(s3.is_armed(pair));
+    }
+
+    #[test]
+    fn tsvd_hb_ignores_a_carried_inference() {
+        use crate::strategy::TsvdHb;
+        let pair = SitePair::new(site(1), site(2));
+        let file = file_of_a_run_that_inferred_the_pair();
+        let hb = TsvdHb::new(&config());
+        hb.import_trap_file(&file);
+        hb.on_access(&acc(5, 9, site(1), OpKind::Write, 0), true);
+        hb.on_access(&acc(6, 9, site(2), OpKind::Write, 1), true);
+        assert!(hb.is_armed(pair), "concurrent by its clocks: armed");
+        assert!(hb.export_trap_file().expect("tsvd-hb").inferred.is_empty());
     }
 
     #[test]

@@ -128,11 +128,15 @@ impl Strategy for TsvdHb {
                 hist.pop_front();
             }
         }
-        self.plan.should_delay(access.site)
+        self.plan.should_delay(access.site, access.context)
     }
 
     fn on_delay_complete(&self, access: &Access, _start_ns: u64, _end_ns: u64, caught: bool) {
-        self.plan.delay_done(access.site, caught);
+        self.plan.delay_done(access.site, access.context, caught);
+    }
+
+    fn on_delay_skipped(&self, access: &Access) {
+        self.plan.withdraw(access.site, access.context);
     }
 
     fn on_sync(&self, event: &SyncEvent) {

@@ -8,12 +8,14 @@
 //!
 //! The file carries exactly what the next run reads: the dangerous pairs,
 //! each pair's origin, the pairs at which a violation was already found
-//! (§3.4.1), and the fork-ordered pairs whose one delay already caught
-//! nothing. The next run settles the found pairs and then the ordered ones
-//! before it arms anything, so neither a reported bug nor a pair run 1
-//! found fruitless is paid for with delays again, run after run, and then
-//! arms every other pair in file order. An unordered near miss still lifts
-//! an ordered settlement in the next run, as it does within a run.
+//! (§3.4.1), the fork-ordered pairs whose one delay already caught
+//! nothing, and the HB edges TSVD inferred (§3.4.4). The next run seeds its
+//! HB inference with those edges, settles the found pairs and then the
+//! ordered ones before it arms anything, so neither a reported bug nor a
+//! pair run 1 found fruitless or ordered is paid for with delays again, run
+//! after run, and then arms every other pair in file order. An unordered
+//! near miss still lifts an ordered settlement in the next run, as it does
+//! within a run; an inferred edge keeps every near miss of its pair out.
 //!
 //! Readers skip keys they do not know and default the ones that are
 //! missing, so files written with extra per-pair columns (`confidences`,
@@ -98,16 +100,28 @@ pub struct TrapFileData {
     /// written before the field existed carry none.
     #[serde(default)]
     pub ordered: Vec<(String, String)>,
+    /// HB edges TSVD's delay propagation inferred (§3.4.4), as textual site
+    /// locations. TSVD's import seeds its inference with them, so a near
+    /// miss of one arms nothing in the next run; a pair `pairs` also lists
+    /// still arms. TSVD-HB ignores them. Files written before the field
+    /// existed carry none.
+    #[serde(default)]
+    pub inferred: Vec<(String, String)>,
 }
 
 // Hand-written rather than derived: the vendored derive cannot leave a
-// field out, and `found` and `ordered` are left out of the JSON when empty.
+// field out, and `found`, `ordered` and `inferred` are left out of the JSON
+// when empty.
 impl Serialize for TrapFileData {
     fn to_value(&self) -> serde::Value {
         let mut map = BTreeMap::new();
         map.insert("pairs".to_string(), self.pairs.to_value());
         map.insert("origins".to_string(), self.origins.to_value());
-        for (key, pairs) in [("found", &self.found), ("ordered", &self.ordered)] {
+        for (key, pairs) in [
+            ("found", &self.found),
+            ("ordered", &self.ordered),
+            ("inferred", &self.inferred),
+        ] {
             if !pairs.is_empty() {
                 map.insert(key.to_string(), pairs.to_value());
             }
@@ -144,6 +158,7 @@ impl TrapFileData {
             origins: vec![PairOrigin::Dynamic; pairs.len()],
             found: Vec::new(),
             ordered: Vec::new(),
+            inferred: Vec::new(),
         }
     }
 
@@ -158,6 +173,13 @@ impl TrapFileData {
     /// [`from_pairs`](Self::from_pairs) spells armed pairs.
     pub fn with_ordered(mut self, ordered: &[SitePair]) -> Self {
         self.ordered = sorted_texts(ordered);
+        self
+    }
+
+    /// Records `inferred` as the inferred HB edges, spelled like
+    /// [`from_pairs`](Self::from_pairs) spells armed pairs.
+    pub fn with_inferred(mut self, inferred: &[SitePair]) -> Self {
+        self.inferred = sorted_texts(inferred);
         self
     }
 
@@ -184,10 +206,11 @@ impl TrapFileData {
     /// were exported in text order spell them in intern order); an added
     /// pair keeps `other`'s orientation.
     ///
-    /// `self.found` and `self.ordered` are left alone, and `other`'s are
-    /// not taken: a merged file is a union of what to arm, across modules,
-    /// while a found pair is a bug of the one module that reported it, and
-    /// an ordered settlement is that one module's evidence.
+    /// `self.found`, `self.ordered` and `self.inferred` are left alone, and
+    /// `other`'s are not taken: a merged file is a union of what to arm,
+    /// across modules, while a found pair is a bug of the one module that
+    /// reported it, and an ordered settlement or an inferred edge is that
+    /// one module's evidence.
     pub fn merge(&mut self, other: &TrapFileData) -> usize {
         let key = |(a, b): &(String, String)| normalize_pair(a, b);
         let mut known: HashSet<(String, String)> = self.pairs.iter().map(key).collect();
@@ -223,6 +246,12 @@ impl TrapFileData {
     /// [`to_pairs`](Self::to_pairs).
     pub fn ordered_pairs(&self) -> Vec<SitePair> {
         self.ordered.iter().filter_map(parse_pair).collect()
+    }
+
+    /// Re-interns the inferred HB edges, skipping corrupt text like
+    /// [`to_pairs`](Self::to_pairs).
+    pub fn inferred_pairs(&self) -> Vec<SitePair> {
+        self.inferred.iter().filter_map(parse_pair).collect()
     }
 
     /// Writes the snapshot as JSON, crash-safely (see
@@ -318,6 +347,7 @@ mod tests {
             origins: Vec::new(),
             found: Vec::new(),
             ordered: Vec::new(),
+            inferred: Vec::new(),
         };
         let pairs = data.to_pairs();
         assert_eq!(pairs, vec![SitePair::new(site(20), site(21))]);
@@ -566,6 +596,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn inferred_edges_round_trip_through_save_and_load_and_merge_takes_none() {
+        let dir =
+            std::env::temp_dir().join(format!("tsvd_trapfile_inferred_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("traps.json");
+        let edges = [
+            SitePair::new(site(116), site(117)),
+            SitePair::new(site(114), site(115)),
+        ];
+        let data =
+            TrapFileData::from_pairs(&[SitePair::new(site(110), site(111))]).with_inferred(&edges);
+        assert_eq!(
+            data.inferred,
+            [
+                (site(114).to_string(), site(115).to_string()),
+                (site(116).to_string(), site(117).to_string()),
+            ],
+            "sorted text pairs"
+        );
+        data.save(&path).expect("save");
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(
+            text.contains("\"inferred\"") && !text.contains("\"ordered\""),
+            "{text}"
+        );
+        let loaded = TrapFileData::load(&path).expect("load");
+        assert_eq!(loaded, data);
+        let mut back = loaded.inferred_pairs();
+        back.sort();
+        let mut want = edges.to_vec();
+        want.sort();
+        assert_eq!(back, want);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let mut fleet = TrapFileData::default().with_inferred(&edges[..1]);
+        assert_eq!(fleet.merge(&data), 1);
+        assert_eq!(
+            fleet.inferred_pairs(),
+            edges[..1],
+            "one module's inference is not the fleet's"
+        );
+    }
+
     /// Byte for byte what a module's trap file was written as before
     /// ordered settlements were carried: one armed pair and one found pair.
     const PRE_ORDERED_FILE: &str = r#"{
@@ -589,7 +663,7 @@ mod tests {
     #[test]
     fn a_file_written_before_ordered_settlements_were_carried_loads_unchanged() {
         let data: TrapFileData = serde_json::from_str(PRE_ORDERED_FILE).expect("parse");
-        assert!(data.ordered.is_empty());
+        assert!(data.ordered.is_empty() && data.inferred.is_empty());
         assert_eq!(data.pairs.len(), 1);
         assert_eq!(data.found.len(), 1);
         assert_eq!(
@@ -601,7 +675,7 @@ mod tests {
         runtime.import_trap_file(&data);
         let exported = runtime.export_trap_file().expect("Tsvd persists");
         assert_eq!((exported.pairs, exported.found), (data.pairs, data.found));
-        assert!(exported.ordered.is_empty());
+        assert!(exported.ordered.is_empty() && exported.inferred.is_empty());
     }
 
     #[test]

@@ -23,7 +23,11 @@
 //! lifts an ordered settlement, carried or not, since a parent that writes
 //! again after the spawn races for real.
 //!
-//! `contains_site` is consulted on every instrumented access once any pair
+//! Each site keeps a count of the pairs it is in and of the ordered ones
+//! among them, so [`armed_site`](TrapSet::armed_site) tells whether a site
+//! may delay and whether its every pair is ordered in one lookup.
+//!
+//! `armed_site` is consulted on every instrumented access once any pair
 //! is armed, so the set is kept as an immutable snapshot behind an
 //! [`EpochPtr`]: readers pin the epoch (one store to their own slot), load
 //! the pointer, and look up without any lock. Mutations read before they
@@ -65,6 +69,34 @@ enum Settled {
     Ordered { carried: bool },
 }
 
+/// How a site takes part in the armed pairs: what `should_delay` reads in
+/// the one snapshot read it makes per call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArmedSite {
+    /// At least one pair armed at the site is not ordered.
+    Unordered,
+    /// Every pair armed at the site is ordered.
+    OrderedOnly,
+}
+
+/// A site's share of the armed pairs: how many it is in, and how many of
+/// those are ordered.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct SiteRefs {
+    pairs: usize,
+    ordered: usize,
+}
+
+impl SiteRefs {
+    fn armed(self) -> ArmedSite {
+        if self.ordered == self.pairs {
+            ArmedSite::OrderedOnly
+        } else {
+            ArmedSite::Unordered
+        }
+    }
+}
+
 /// What an ordered near miss did to the set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderedArrival {
@@ -81,8 +113,9 @@ struct Snapshot {
     /// The armed pairs and how each arrived. `arm` looks a pair up here on
     /// every near miss.
     pairs: IdMap<SitePair, Arrival>,
-    /// How many pairs each site participates in (for O(1) eligibility).
-    site_refs: IdMap<SiteId, usize>,
+    /// How many pairs each site participates in, and how many of them are
+    /// ordered (for O(1) eligibility). A site in no pair has no entry.
+    site_refs: IdMap<SiteId, SiteRefs>,
     /// Pairs that are never re-added (an ordered settlement excepted).
     settled: IdMap<SitePair, Settled>,
 }
@@ -126,24 +159,40 @@ impl Snapshot {
         }
         if let Some(armed) = self.pairs.get_mut(&pair) {
             *armed = arrival; // An ordered pair, upgraded.
+            self.count(pair, |refs| refs.ordered -= 1);
             return false;
         }
         self.settled.remove(&pair); // An ordered settlement, lifted.
         self.pairs.insert(pair, arrival);
-        *self.site_refs.entry(pair.first).or_insert(0) += 1;
-        if pair.second != pair.first {
-            *self.site_refs.entry(pair.second).or_insert(0) += 1;
-        }
+        let ordered = usize::from(arrival == Arrival::Ordered);
+        self.count(pair, |refs| {
+            refs.pairs += 1;
+            refs.ordered += ordered;
+        });
         true
     }
 
     fn delete(&mut self, pair: SitePair) -> Option<Arrival> {
         let arrival = self.pairs.remove(&pair)?;
-        decref(&mut self.site_refs, pair.first);
-        if pair.second != pair.first {
-            decref(&mut self.site_refs, pair.second);
-        }
+        let ordered = usize::from(arrival == Arrival::Ordered);
+        self.count(pair, |refs| {
+            refs.pairs -= 1;
+            refs.ordered -= ordered;
+        });
         Some(arrival)
+    }
+
+    /// Applies `change` to the counts of `pair`'s sites (once for a
+    /// self-pair), dropping a site that is left in no pair.
+    fn count(&mut self, pair: SitePair, change: impl Fn(&mut SiteRefs)) {
+        let both = [pair.first, pair.second];
+        for &site in &both[..if pair.first == pair.second { 1 } else { 2 }] {
+            let refs = self.site_refs.entry(site).or_default();
+            change(refs);
+            if refs.pairs == 0 {
+                self.site_refs.remove(&site);
+            }
+        }
     }
 
     /// The armed pairs containing `site`.
@@ -154,11 +203,7 @@ impl Snapshot {
 
     /// `true` when `site` is armed and every pair armed there is ordered.
     fn ordered_only(&self, site: SiteId) -> bool {
-        self.site_refs.contains_key(&site)
-            && self
-                .pairs
-                .iter()
-                .all(|(p, &a)| a == Arrival::Ordered || !p.contains(site))
+        self.site_refs.get(&site).map(|refs| refs.armed()) == Some(ArmedSite::OrderedOnly)
     }
 }
 
@@ -325,15 +370,6 @@ impl TrapSet {
         )
     }
 
-    /// Returns `true` if `site` is armed and every pair armed there is
-    /// ordered.
-    pub fn ordered_only(&self, site: SiteId) -> bool {
-        if self.pair_count.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        self.snapshot.read(|s| s.ordered_only(site))
-    }
-
     /// If every pair armed at `site` is ordered, removes them all and
     /// settles them, with no decay step, and returns how many;
     /// otherwise changes nothing and returns 0.
@@ -353,11 +389,19 @@ impl TrapSet {
 
     /// Returns `true` if `site` participates in at least one pair.
     pub fn contains_site(&self, site: SiteId) -> bool {
+        self.armed_site(site).is_some()
+    }
+
+    /// How `site` is armed, or `None` if it is in no pair: one snapshot
+    /// read answers both whether the site may delay and whether every pair
+    /// there is ordered.
+    #[inline]
+    pub fn armed_site(&self, site: SiteId) -> Option<ArmedSite> {
         if self.pair_count.load(Ordering::Acquire) == 0 {
-            return false;
+            return None;
         }
         self.snapshot
-            .read(|s| s.site_refs.get(&site).is_some_and(|&n| n > 0))
+            .read(|s| s.site_refs.get(&site).map(|refs| refs.armed()))
     }
 
     /// Returns `true` if `pair` is currently in the set.
@@ -429,11 +473,13 @@ impl TrapSet {
     #[cfg(test)]
     fn assert_snapshot_consistent(&self) {
         self.snapshot.read(|s| {
-            let mut derived: IdMap<SiteId, usize> = IdMap::default();
-            for p in s.pairs.keys() {
-                *derived.entry(p.first).or_insert(0) += 1;
-                if p.second != p.first {
-                    *derived.entry(p.second).or_insert(0) += 1;
+            let mut derived: IdMap<SiteId, SiteRefs> = IdMap::default();
+            for (p, &a) in &s.pairs {
+                let both = [p.first, p.second];
+                for &site in &both[..if p.first == p.second { 1 } else { 2 }] {
+                    let refs = derived.entry(site).or_default();
+                    refs.pairs += 1;
+                    refs.ordered += usize::from(a == Arrival::Ordered);
                 }
             }
             assert_eq!(
@@ -445,15 +491,6 @@ impl TrapSet {
                 "a pair both armed and settled"
             );
         });
-    }
-}
-
-fn decref(refs: &mut IdMap<SiteId, usize>, site: SiteId) {
-    if let Some(n) = refs.get_mut(&site) {
-        *n = n.saturating_sub(1);
-        if *n == 0 {
-            refs.remove(&site);
-        }
     }
 }
 
@@ -827,12 +864,18 @@ mod tests {
                     }
                     _ => {
                         let s = sites[rng.below(SITES) as usize];
-                        let ordered_only = model.pairs.iter().any(|(p, _)| p.contains(s))
-                            && model
-                                .pairs
-                                .iter()
-                                .all(|(p, &a)| a == Arrival::Ordered || !p.contains(s));
-                        assert_eq!(set.ordered_only(s), ordered_only, "ordered_only, {at}");
+                        let at_s: Vec<Arrival> = model
+                            .pairs
+                            .iter()
+                            .filter(|(p, _)| p.contains(s))
+                            .map(|(_, &a)| a)
+                            .collect();
+                        let want = match at_s.iter().all(|&a| a == Arrival::Ordered) {
+                            _ if at_s.is_empty() => None,
+                            true => Some(ArmedSite::OrderedOnly),
+                            false => Some(ArmedSite::Unordered),
+                        };
+                        assert_eq!(set.armed_site(s), want, "armed_site, {at}");
                         let (mut got, mut want) = (set.remove_site(s), model.remove_site(s));
                         got.sort();
                         want.sort();

@@ -73,7 +73,7 @@ fn noop_mutations_take_no_lock_and_publish_nothing() {
         assert!(!traps.add(armed), "already armed");
         assert!(!traps.remove(absent), "never armed");
         decay.arm(a); // already at 1.0
-        assert!(!hb.is_inferred(armed), "nothing inferred yet");
+        assert_eq!(hb.inference(armed), None, "nothing inferred yet");
     };
 
     // Each of the three snapshot answers pins the epoch — one store to this

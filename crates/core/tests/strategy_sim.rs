@@ -299,12 +299,14 @@ fn trace<P: Planner>(seed: u64, digest: &mut Digest) {
 /// All [`SEEDS`] per-seed digests folded into one. Re-derive it with
 /// `cargo test -p tsvd-core --test strategy_sim decision_trace -- --nocapture`
 /// (the per-seed digests are printed) only for a change that is *meant* to
-/// move a delay decision. Last moved when trap-file import lost its budget:
-/// odd seeds had imported under a budget of 3, and now every seed imports
-/// the whole file. The value is the one the older code gives with only
-/// that budget taken out of this function, so arming in file order with no
-/// cap decides exactly what the confidence-ordered import with no cap did.
-const TRACE_DIGEST: u64 = 0x60DD_59C9_ECBE_C87A;
+/// move a delay decision. Last moved when TSVD's trap file began to carry
+/// its inferred HB edges: the second run here starts from the first run's
+/// file, so a near miss of a pair the first run inferred no longer arms in
+/// it. With the import of those edges taken out of `Tsvd` alone, the code
+/// gives the value pinned before (`0x60DD_59C9_ECBE_C87A`), so nothing else
+/// in the change — the one-delay claim at ordered-only sites included, as
+/// these streams have no fork-ordered pair — moved a decision.
+const TRACE_DIGEST: u64 = 0xB8EE_536F_00E6_662F;
 
 #[test]
 fn decision_trace_is_pinned() {

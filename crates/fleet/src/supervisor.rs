@@ -213,7 +213,8 @@ enum Event {
     Frame {
         worker: usize,
         incarnation: u64,
-        frame: Frame,
+        /// Boxed: a done frame carries a whole trap file.
+        frame: Box<Frame>,
         /// When the reader thread had it, before any wait in the channel.
         read_at: Instant,
     },
@@ -511,7 +512,7 @@ impl Daemon {
                     incarnation,
                     frame,
                     read_at,
-                }) => self.on_frame(worker, incarnation, frame, read_at)?,
+                }) => self.on_frame(worker, incarnation, *frame, read_at)?,
                 Ok(Event::Eof {
                     worker,
                     incarnation,
@@ -1007,7 +1008,7 @@ fn reader_thread(conn: UnixStream, tx: mpsc::Sender<Event>) {
                     .send(Event::Frame {
                         worker,
                         incarnation,
-                        frame,
+                        frame: Box::new(frame),
                         read_at: Instant::now(),
                     })
                     .is_err()

@@ -65,11 +65,15 @@ pub fn locked_pair(iters: u32) -> Module {
 /// The writes are ordered by *ad-hoc synchronization* (an atomic flag spin)
 /// that no synchronization-monitoring detector models — the "numerous
 /// concurrent libraries, volatile variables, and others" problem of §2.3.
-/// TSVD-HB believes the accesses are concurrent and wastes delays, and so,
-/// measured, does TSVD: its delay-propagation inference prunes nothing here
-/// (the same delays with it on and off), because it measures a blocking gap
-/// from a context's previous access, and the second task's one access is
-/// its first. Decay is what retires the pair.
+/// TSVD-HB believes the accesses are concurrent and wastes delays. TSVD's
+/// delay-propagation inference retires the in-round pair, the first task's
+/// `set` against the second's, after one delay: the second task spins
+/// through that delay, and the gap before its one access is measured from
+/// when it started on its worker. The trap file carries the inferred edge,
+/// so run 2 pays nothing for it. What still sleeps is the cross-round pair,
+/// the second task's `set` against its own of the next round: that is
+/// ordered only through the parent's join, which TSVD does not see by
+/// design, and only decay retires it.
 pub fn adhoc_sync(iters: u32) -> Module {
     Module::clean("adhoc-sync", 2, "Dictionary", move |ctx: &ModuleCtx| {
         let dict: Dictionary<u64, u64> = Dictionary::new(&ctx.runtime);

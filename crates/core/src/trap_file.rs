@@ -199,18 +199,18 @@ impl TrapFileData {
     }
 
     /// Merges `other` into `self`, deduplicating textual pairs, and returns
-    /// how many pairs it added — `0` means `self` is unchanged, so a caller
-    /// that persists `self` has nothing to write. A pair present in both
-    /// keeps `self`'s origin.
+    /// how many pairs it added — `0` means `self` is unchanged. A pair
+    /// present in both keeps `self`'s origin.
     /// `(a, b)` and `(b, a)` are one pair (files written before halves
     /// were exported in text order spell them in intern order); an added
     /// pair keeps `other`'s orientation.
     ///
-    /// `self.found`, `self.ordered` and `self.inferred` are left alone, and
-    /// `other`'s are not taken: a merged file is a union of what to arm,
-    /// across modules, while a found pair is a bug of the one module that
-    /// reported it, and an ordered settlement or an inferred edge is that
-    /// one module's evidence.
+    /// Its one caller is `run_module_once` in `tsvd-fleet`, which merges
+    /// static priors into the trap file a module carries. `self.found`,
+    /// `self.ordered` and `self.inferred` are left alone, and `other`'s are
+    /// not taken: priors are what to arm, while a found pair is a bug of
+    /// the one module that reported it, and an ordered settlement or an
+    /// inferred edge is that one module's evidence.
     pub fn merge(&mut self, other: &TrapFileData) -> usize {
         let key = |(a, b): &(String, String)| normalize_pair(a, b);
         let mut known: HashSet<(String, String)> = self.pairs.iter().map(key).collect();
@@ -545,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_leaves_found_pairs_alone() {
+    fn merging_priors_leaves_the_carried_found_pairs_alone() {
         let mut merged = TrapFileData::default().with_found(&[SitePair::new(site(98), site(99))]);
         let other = TrapFileData::from_pairs(&[SitePair::new(site(100), site(101))])
             .with_found(&[SitePair::new(site(102), site(103))]);
@@ -557,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_leaves_carried_ordered_settlements_alone() {
+    fn merging_priors_leaves_the_carried_ordered_settlements_alone() {
         let mut merged =
             TrapFileData::default().with_ordered(&[SitePair::new(site(104), site(105))]);
         let other = TrapFileData::from_pairs(&[SitePair::new(site(106), site(107))])
@@ -566,11 +566,11 @@ mod tests {
         assert_eq!(
             merged.ordered_pairs(),
             vec![SitePair::new(site(104), site(105))],
-            "one module's settlement is not the fleet's"
+            "the priors' settlement is not the module's"
         );
-        let mut fleet = TrapFileData::default();
-        fleet.merge(&other);
-        assert!(fleet.ordered.is_empty());
+        let mut priors_only = TrapFileData::default();
+        priors_only.merge(&other);
+        assert!(priors_only.ordered.is_empty());
     }
 
     #[test]
@@ -597,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn inferred_edges_round_trip_through_save_and_load_and_merge_takes_none() {
+    fn inferred_edges_round_trip_through_save_and_load_and_priors_bring_none() {
         let dir =
             std::env::temp_dir().join(format!("tsvd_trapfile_inferred_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -631,12 +631,12 @@ mod tests {
         assert_eq!(back, want);
         std::fs::remove_dir_all(&dir).ok();
 
-        let mut fleet = TrapFileData::default().with_inferred(&edges[..1]);
-        assert_eq!(fleet.merge(&data), 1);
+        let mut carried = TrapFileData::default().with_inferred(&edges[..1]);
+        assert_eq!(carried.merge(&data), 1);
         assert_eq!(
-            fleet.inferred_pairs(),
+            carried.inferred_pairs(),
             edges[..1],
-            "one module's inference is not the fleet's"
+            "the priors' inference is not the module's"
         );
     }
 

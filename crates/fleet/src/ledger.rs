@@ -8,17 +8,23 @@
 //! state: completed modules are never re-run, deduplicated violations are
 //! never double-counted, in-flight modules are re-queued. The ledger goes
 //! through the durable sink's record layer ([`tsvd_core::record`]) in the
-//! wire's envelope (tagged `ev`), and the merged trap file that rides
-//! alongside is saved with [`tsvd_core::TrapFileData::save`]'s temp+rename
-//! pattern.
+//! wire's envelope (tagged `ev`).
+//!
+//! The ledger is also where a module's trap file lives between waves
+//! (§3.4.6): a done event records the file its execution exported, and the
+//! assignment of module m in wave k carries m's file from the latest
+//! earlier wave whose done recorded one ([`LedgerState::carried`]) — the
+//! rule the in-process runner keeps from run to run. A live daemon, a
+//! resumed one and the report read it from the same replay.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize as _, Serialize as _, Value};
 use tsvd_core::record::{read_jsonl, JsonlFile};
 use tsvd_core::sink::{normalize_pair, DurableSink, ViolationRecord};
+use tsvd_core::trap_file::TrapFileData;
 
 use crate::wire::{envelope, open_envelope};
 
@@ -85,7 +91,7 @@ pub struct ViolationEvent {
 }
 
 /// A module execution reached a final outcome.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Deserialize)]
 pub struct DoneEvent {
     /// Wave of the execution.
     pub wave: usize,
@@ -103,6 +109,32 @@ pub struct DoneEvent {
     pub delays: u64,
     /// `OnCall`s in the counted execution.
     pub on_calls: u64,
+    /// The trap file the counted execution exported, which the module's
+    /// next wave imports. Ledgers written before the field existed carry
+    /// none, and their resumed waves start from an empty file.
+    #[serde(default)]
+    pub traps: Option<TrapFileData>,
+}
+
+// Hand-written rather than derived: the vendored derive cannot leave a
+// field out, and `traps` is left out of the line when there is none, so a
+// done without a file reads as it did before the field existed.
+impl serde::Serialize for DoneEvent {
+    fn to_value(&self) -> Value {
+        let mut map = BTreeMap::new();
+        map.insert("wave".to_string(), self.wave.to_value());
+        map.insert("index".to_string(), self.index.to_value());
+        map.insert("worker".to_string(), self.worker.to_value());
+        map.insert("attempt".to_string(), self.attempt.to_value());
+        map.insert("outcome".to_string(), self.outcome.to_value());
+        map.insert("wall_ns".to_string(), self.wall_ns.to_value());
+        map.insert("delays".to_string(), self.delays.to_value());
+        map.insert("on_calls".to_string(), self.on_calls.to_value());
+        if let Some(traps) = &self.traps {
+            map.insert("traps".to_string(), traps.to_value());
+        }
+        Value::Object(map)
+    }
 }
 
 /// A module execution will be re-run (worker death or failed outcome).
@@ -244,16 +276,6 @@ impl Ledger {
     pub fn load(path: &Path) -> io::Result<Vec<LedgerEvent>> {
         read_jsonl(path, LedgerEvent::from_json)
     }
-
-    /// Companion path of the atomically-saved merged trap file.
-    pub fn traps_path(path: &Path) -> PathBuf {
-        let mut name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_default();
-        name.push(".traps.json");
-        path.with_file_name(name)
-    }
 }
 
 /// Run state: what the events of a ledger add up to. The live daemon,
@@ -263,8 +285,12 @@ impl Ledger {
 pub struct LedgerState {
     /// The recorded run parameters.
     pub start: Option<StartEvent>,
-    /// Final outcome per (wave, module).
+    /// Final outcome per (wave, module), without its trap file: that is
+    /// kept once per module, in `carry`.
     pub done: HashMap<(usize, usize), DoneEvent>,
+    /// Per module, the wave of the latest done that recorded a trap file,
+    /// and that file.
+    pub carry: HashMap<usize, (usize, TrapFileData)>,
     /// Deduplicated violations: (module, normalized location pair).
     pub violations: HashSet<(usize, (String, String))>,
     /// Quarantined modules with their kill counts.
@@ -299,7 +325,23 @@ impl LedgerState {
                     .insert((v.index, (v.pair_a.clone(), v.pair_b.clone())));
             }
             LedgerEvent::Done(d) => {
-                self.done.insert((d.wave, d.index), d.clone());
+                // A module's waves are done in order, so the last file in
+                // the ledger is the latest.
+                if let Some(traps) = &d.traps {
+                    self.carry.insert(d.index, (d.wave, traps.clone()));
+                }
+                let done = DoneEvent {
+                    wave: d.wave,
+                    index: d.index,
+                    worker: d.worker,
+                    attempt: d.attempt,
+                    outcome: d.outcome.clone(),
+                    wall_ns: d.wall_ns,
+                    delays: d.delays,
+                    on_calls: d.on_calls,
+                    traps: None,
+                };
+                self.done.insert((d.wave, d.index), done);
             }
             LedgerEvent::Retry(r) => {
                 self.retries += 1;
@@ -325,6 +367,18 @@ impl LedgerState {
     /// done in that wave, or quarantined.
     pub fn resolved(&self, wave: usize, index: usize) -> bool {
         self.done.contains_key(&(wave, index)) || self.quarantined.contains_key(&index)
+    }
+
+    /// The trap file module `index` imports in `wave`: the one recorded by
+    /// its done of the latest earlier wave that recorded one, or `None` —
+    /// always in wave 0 — when no earlier done did. Only the latest file
+    /// is kept, so the answer is exact for every wave after the module's
+    /// latest done: every wave the daemon can still assign it in.
+    pub fn carried(&self, wave: usize, index: usize) -> Option<&TrapFileData> {
+        self.carry
+            .get(&index)
+            .filter(|(recorded, _)| *recorded < wave)
+            .map(|(_, traps)| traps)
     }
 
     /// Modules of `wave` not yet [`resolved`](LedgerState::resolved), in
@@ -589,6 +643,7 @@ mod tests {
             wall_ns: 1,
             delays: 0,
             on_calls: 0,
+            traps: None,
         }
     }
 
@@ -832,6 +887,114 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A trap file that says which execution exported it.
+    fn file(tag: &str) -> TrapFileData {
+        let mut traps = TrapFileData::default();
+        traps.push(
+            (format!("{tag}.rs:1:1"), format!("{tag}.rs:2:2")),
+            Default::default(),
+        );
+        traps.ordered = vec![(format!("{tag}.rs:3:3"), format!("{tag}.rs:4:4"))];
+        traps
+    }
+
+    fn done_with(wave: usize, index: usize, traps: Option<TrapFileData>) -> LedgerEvent {
+        LedgerEvent::Done(DoneEvent {
+            traps,
+            ..done_event(wave, index)
+        })
+    }
+
+    /// Three waves of two modules: module 0 records a file in waves 0 and
+    /// 2 but none in wave 1, module 1 only in wave 1.
+    fn carry_events(dir: &Path) -> Vec<LedgerEvent> {
+        vec![
+            LedgerEvent::Start(StartEvent {
+                modules: 2,
+                waves: 4,
+                ..start_event(dir)
+            }),
+            done_with(0, 0, Some(file("w0m0"))),
+            done_with(0, 1, None),
+            done_with(1, 1, Some(file("w1m1"))),
+            done_with(1, 0, None),
+            done_with(2, 0, Some(file("w2m0"))),
+            done_with(2, 1, None),
+        ]
+    }
+
+    #[test]
+    fn a_module_carries_the_file_of_its_latest_earlier_wave_that_recorded_one() {
+        let dir = temp_dir("carry");
+        let events = carry_events(&dir);
+        let mut state = LedgerState::default();
+        state.apply(&events[0]);
+        assert_eq!(state.carried(0, 0), None, "wave 0 carries nothing");
+        for event in &events[1..3] {
+            state.apply(event);
+        }
+        assert_eq!(state.carried(0, 0), None, "wave 0 carries nothing");
+        assert_eq!(state.carried(1, 0), Some(&file("w0m0")));
+        assert_eq!(state.carried(1, 1), None, "no earlier done recorded one");
+        for event in &events[3..5] {
+            state.apply(event);
+        }
+        assert_eq!(
+            state.carried(2, 0),
+            Some(&file("w0m0")),
+            "wave 1 recorded none: wave 0's file"
+        );
+        assert_eq!(state.carried(2, 1), Some(&file("w1m1")));
+        for event in &events[5..] {
+            state.apply(event);
+        }
+        assert_eq!(state.carried(3, 0), Some(&file("w2m0")), "the latest wave");
+        assert_eq!(state.carried(3, 1), Some(&file("w1m1")));
+        // One file per module, none in the done map.
+        assert_eq!(state.carry.len(), 2);
+        assert!(state.done.values().all(|d| d.traps.is_none()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_replayed_ledger_carries_what_the_live_state_carried() {
+        let dir = temp_dir("carry_replay");
+        let path = dir.join("ledger.jsonl");
+        let events = carry_events(&dir);
+        let ledger = Ledger::create(&path).expect("create");
+        for ev in &events {
+            ledger.append(ev).expect("append");
+        }
+        // The live daemon's state: each event applied as it is committed.
+        let mut live = LedgerState::default();
+        for ev in &events {
+            live.apply(ev);
+        }
+        let loaded = Ledger::load(&path).expect("load");
+        assert_eq!(loaded, events, "every file survives the line");
+        let replayed = replay(&loaded);
+        assert_eq!(live.carry, replayed.carry);
+        for wave in 0..4 {
+            for index in 0..2 {
+                assert_eq!(live.carried(wave, index), replayed.carried(wave, index));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_done_line_written_before_traps_existed_loads_and_carries_nothing() {
+        let line = r#"{"attempt":1,"delays":4,"ev":"done","index":17,"on_calls":321,"outcome":"completed","v":1,"wall_ns":98765,"wave":1,"worker":2}"#;
+        let event = LedgerEvent::from_json(line).expect("parse");
+        let LedgerEvent::Done(done) = &event else {
+            panic!("not a done: {event:?}");
+        };
+        assert_eq!(done.traps, None);
+        assert_eq!(event.to_json(), line, "and writes back the same line");
+        let state = replay(&[event]);
+        assert_eq!(state.carried(2, 17), None);
+    }
+
     #[test]
     fn verify_flags_duplicate_done_and_assign_after_done() {
         let dir = temp_dir("verify_dup");
@@ -875,11 +1038,5 @@ mod tests {
         assert_eq!(parse_sink_name("w1_m42.jsonl"), None);
         assert_eq!(parse_sink_name("ledger.jsonl"), None);
         assert_eq!(parse_sink_name("w1_m42_a3_x.jsonl"), None);
-    }
-
-    #[test]
-    fn traps_path_is_a_sibling() {
-        let p = Ledger::traps_path(Path::new("/x/ledger.jsonl"));
-        assert_eq!(p, Path::new("/x/ledger.jsonl.traps.json"));
     }
 }

@@ -15,6 +15,10 @@
 //! - **reporting**: violations reach the daemon only through each
 //!   execution's durable sink, harvested into the ledger when the
 //!   execution's `Done` arrives, before the event that resolves it;
+//! - **carrying**: the done event records the trap file the execution
+//!   exported, and each assignment carries the module's own latest file
+//!   ([`LedgerState::carried`]), so wave k starts from what wave k - 1
+//!   learned about that module, as run k of `run_suite` does;
 //! - **recovery**: a dead worker's in-flight module is re-queued, after
 //!   harvesting the execution's durable sink so no already-caught
 //!   violation is lost to a torn socket write or an abort;
@@ -40,7 +44,6 @@ use std::time::{Duration, Instant};
 
 use tsvd_core::rng::mix;
 use tsvd_core::sink::DurableSink;
-use tsvd_core::trap_file::TrapFileData;
 
 use crate::chaos::{ChaosPlan, CHAOS_ENV};
 use crate::ledger::{
@@ -153,15 +156,9 @@ pub struct FleetReport {
     /// `wall_ns` — frames, suite lookup, runtime and sink set-up.
     pub worker_fixed_us: f64,
     /// Mean microseconds from reading a worker's done frame to writing its
-    /// next assignment — ledger, trap file, dispatch, and at a wave's end
-    /// the wait for the other workers.
+    /// next assignment — ledger, dispatch, and at a wave's end the wait for
+    /// the other workers.
     pub turnaround_us: f64,
-    /// The merged trap set as the daemon last held it; the trap file on
-    /// disk holds the same.
-    pub traps: TrapFileData,
-    /// Times this invocation wrote the trap file: once per done frame that
-    /// brought a pair the set did not have.
-    pub trap_file_writes: usize,
     /// `true` if the stop-after-completions test hook ended the run early.
     pub stopped_early: bool,
     /// Ledger path (for `verify` / `--resume`).
@@ -268,8 +265,6 @@ struct Daemon {
     slots: Vec<Slot>,
     queue: VecDeque<usize>,
     wave: usize,
-    traps: TrapFileData,
-    trap_file_writes: usize,
     begun: Instant,
     spent: WorkerTime,
 }
@@ -296,25 +291,18 @@ pub fn run_fleet(options: FleetOptions) -> Result<FleetReport, FleetError> {
     let begun = Instant::now();
     let ledger_error = |e: std::io::Error| FleetError::Ledger(e.to_string());
     let resume = options.resume;
-    let (ledger, state, traps) = if resume {
+    let (ledger, state) = if resume {
         let state = replay(&Ledger::load(&options.ledger).map_err(ledger_error)?);
         let start = state
             .start
             .as_ref()
             .ok_or_else(|| FleetError::Ledger("ledger has no start event".to_string()))?;
         SuiteSpec::parse(&start.suite).map_err(FleetError::Ledger)?;
-        let traps_path = Ledger::traps_path(&options.ledger);
-        let traps = if traps_path.exists() {
-            TrapFileData::load(&traps_path)
-                .map_err(|e| FleetError::Ledger(format!("trap file: {e}")))?
-        } else {
-            TrapFileData::default()
-        };
         let ledger = Ledger::open_append(&options.ledger).map_err(ledger_error)?;
-        (ledger, state, traps)
+        (ledger, state)
     } else {
         let ledger = Ledger::create(&options.ledger).map_err(ledger_error)?;
-        (ledger, LedgerState::default(), TrapFileData::default())
+        (ledger, LedgerState::default())
     };
 
     let mut daemon = Daemon {
@@ -324,8 +312,6 @@ pub fn run_fleet(options: FleetOptions) -> Result<FleetReport, FleetError> {
         slots: Vec::new(),
         queue: VecDeque::new(),
         wave: 0,
-        traps,
-        trap_file_writes: 0,
         begun,
         spent: WorkerTime::default(),
     };
@@ -468,8 +454,6 @@ impl Daemon {
             busy_share: self.spent.busy.as_secs_f64() / capacity,
             worker_fixed_us: mean_us(self.spent.fixed, self.spent.dones),
             turnaround_us: mean_us(self.spent.turnaround, self.spent.turnarounds),
-            traps: self.traps.clone(),
-            trap_file_writes: self.trap_file_writes,
             stopped_early,
             ledger: self.opts.ledger.clone(),
         }
@@ -652,17 +636,12 @@ impl Daemon {
             index: done.index,
             worker,
             attempt: done.attempt,
-            outcome: done.outcome.clone(),
+            outcome: done.outcome,
             wall_ns: done.wall_ns,
             delays: done.delays,
             on_calls: done.on_calls,
+            traps: done.traps,
         }))?;
-        // The trap file equals the in-memory set at every done: written
-        // when a merge grew the set, and only then.
-        let added = done.traps.as_ref().map_or(0, |t| self.traps.merge(t));
-        if added > 0 {
-            self.save_traps();
-        }
         self.advance_wave_if_exhausted();
         self.dispatch()?;
         Ok(())
@@ -797,7 +776,7 @@ impl Daemon {
                 wave,
                 index,
                 attempt,
-                traps: self.traps.clone(),
+                traps: self.state.carried(wave, index).cloned().unwrap_or_default(),
             });
             let slot = &mut self.slots[worker];
             let ok = slot
@@ -973,14 +952,6 @@ impl Daemon {
         }
         Ok(())
     }
-
-    fn save_traps(&mut self) {
-        self.trap_file_writes += 1;
-        let path = Ledger::traps_path(&self.opts.ledger);
-        if let Err(e) = self.traps.save(&path) {
-            self.log(format_args!("trap file save failed: {e}"));
-        }
-    }
 }
 
 fn reader_thread(conn: UnixStream, tx: mpsc::Sender<Event>) {
@@ -1031,6 +1002,7 @@ fn reader_thread(conn: UnixStream, tx: mpsc::Sender<Event>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsvd_core::trap_file::TrapFileData;
 
     #[test]
     fn fleet_error_display_is_informative() {
@@ -1038,6 +1010,114 @@ mod tests {
         assert!(e.to_string().contains("3 module(s)"));
         let e = FleetError::Ledger("boom".into());
         assert!(e.to_string().contains("boom"));
+    }
+
+    /// A resumed daemon's state and `slots` connected workers, each with
+    /// the far end of its socket, over a ledger of `events`.
+    fn resumed_daemon(
+        dir: &std::path::Path,
+        events: &[LedgerEvent],
+        slots: usize,
+    ) -> (Daemon, Vec<UnixStream>) {
+        let path = dir.join("ledger.jsonl");
+        let ledger = Ledger::create(&path).expect("ledger");
+        for event in events {
+            ledger.append(event).expect("append");
+        }
+        let state = replay(&Ledger::load(&path).expect("load"));
+        let start = state.start.as_ref().expect("start");
+        let suite = SuiteSpec::parse(&start.suite).expect("suite");
+        let mut opts = FleetOptions::standard(suite, path.clone(), start.sink_dir.clone());
+        opts.quiet = true;
+        let mut daemon = Daemon {
+            opts,
+            ledger: Ledger::open_append(&path).expect("reopen"),
+            state,
+            slots: Vec::new(),
+            queue: VecDeque::new(),
+            wave: 0,
+            begun: Instant::now(),
+            spent: WorkerTime::default(),
+        };
+        let mut peers = Vec::new();
+        for _ in 0..slots {
+            let (ours, theirs) = UnixStream::pair().expect("socket pair");
+            let mut slot = Slot::new();
+            slot.stream = Some(ours);
+            daemon.slots.push(slot);
+            peers.push(theirs);
+        }
+        (daemon, peers)
+    }
+
+    #[test]
+    fn a_resumed_daemon_assigns_each_module_its_own_last_file() {
+        let dir = std::env::temp_dir().join(format!("tsvd_sup_carry_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let file = |tag: &str| TrapFileData {
+            found: vec![(format!("{tag}.rs:1:1"), format!("{tag}.rs:2:2"))],
+            ..TrapFileData::default()
+        };
+        let done = |wave, index, traps| {
+            LedgerEvent::Done(DoneEvent {
+                wave,
+                index,
+                worker: 0,
+                attempt: 0,
+                outcome: "completed".into(),
+                wall_ns: 1,
+                delays: 0,
+                on_calls: 0,
+                traps,
+            })
+        };
+        let events = [
+            LedgerEvent::Start(StartEvent {
+                suite: "std:3:1".into(),
+                modules: 3,
+                waves: 3,
+                workers: 3,
+                threads: 1,
+                scale: 0.02,
+                seed: 1,
+                deadline_ms: 1_000,
+                quarantine_kill_limit: QUARANTINE_KILL_LIMIT,
+                module_attempt_limit: MODULE_ATTEMPT_LIMIT,
+                sink_dir: dir.join("sinks"),
+                chaos: None,
+            }),
+            done(0, 0, Some(file("m0w0"))),
+            done(0, 1, Some(file("m1w0"))),
+            done(0, 2, None),
+            done(1, 0, None),
+            done(1, 1, Some(file("m1w1"))),
+            done(1, 2, None),
+        ];
+        let (mut daemon, mut peers) = resumed_daemon(&dir, &events, 3);
+        daemon.advance_wave_if_exhausted();
+        assert_eq!(daemon.wave, 2, "waves 0 and 1 are done");
+        daemon.dispatch().expect("dispatch");
+        let carried: Vec<(usize, TrapFileData)> = peers
+            .iter_mut()
+            .map(|peer| match read_frame(peer).expect("assign frame") {
+                Frame::Assign(a) => {
+                    assert_eq!(a.wave, 2);
+                    (a.index, a.traps)
+                }
+                other => panic!("expected an assignment, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            carried,
+            [
+                (0, file("m0w0")),
+                (1, file("m1w1")),
+                (2, TrapFileData::default()),
+            ],
+            "module 0's wave 1 recorded no file, so wave 0's; module 2 never recorded one"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

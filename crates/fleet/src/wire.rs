@@ -46,8 +46,9 @@ pub struct Assign {
     /// Execution attempt for this (wave, module), 0-based; retries after
     /// worker deaths or failed outcomes increment it.
     pub attempt: u32,
-    /// Merged fleet-wide trap file (dangerous pairs and their origins) to
-    /// pre-arm before the run.
+    /// The module's own trap file to import before the run: the one its
+    /// latest earlier wave exported, as the ledger recorded it (see
+    /// [`crate::ledger::LedgerState::carried`]); empty in wave 0.
     pub traps: TrapFileData,
 }
 
@@ -69,9 +70,10 @@ pub struct Done {
     pub delays: u64,
     /// `OnCall`s observed.
     pub on_calls: u64,
-    /// Dangerous pairs in the trap-file delta (near-miss summary).
+    /// Dangerous pairs in the exported trap file (near-miss summary).
     pub dangerous_pairs: u64,
-    /// Trap-file delta learned by this execution, if any.
+    /// The trap file this execution exported, if any: the ledger records
+    /// it with the done, and the module's next wave imports it.
     pub traps: Option<TrapFileData>,
     /// Path of the per-execution durable sink the worker wrote; the daemon
     /// harvests the sink of the assignment it holds for the slot.

@@ -4,11 +4,12 @@
 //! `Hello` frame, heartbeats on a side thread, and then loops: receive an
 //! assignment, rebuild the module from the shared suite spec, run it as
 //! run `wave` of the pass ([`RunOptions::for_run`]) under a fresh TSVD
-//! runtime with a **per-execution durable sink**, and answer with one
-//! `Done` frame. Frames are `Hello`, `Heartbeat` and `Done` up, `Assign`
-//! and `Shutdown` down. Violations travel only through the sink: the
-//! daemon harvests the execution's sink when its `Done` arrives, and
-//! again when the worker dies mid-execution, so a worker dying at any
+//! runtime with a **per-execution durable sink**, importing the trap file
+//! the assignment carries, and answer with one `Done` frame that carries
+//! the file the run exported. Frames are `Hello`, `Heartbeat` and `Done`
+//! up, `Assign` and `Shutdown` down. Violations travel only through the
+//! sink: the daemon harvests the execution's sink when its `Done` arrives,
+//! and again when the worker dies mid-execution, so a worker dying at any
 //! instant loses nothing the sink holds.
 //!
 //! Under a chaos plan the worker sabotages itself deterministically:
@@ -199,8 +200,7 @@ fn execute(
         static_priors: None,
     }
     .for_run(wave);
-    let import = (!traps.pairs.is_empty()).then_some(traps);
-    let run = run_module_once(module, DetectorKind::Tsvd, &options, import);
+    let run = run_module_once(module, DetectorKind::Tsvd, &options, carried(traps));
     // Syncs what the module's catches appended; free when it caught none.
     run.runtime.flush_durable_sink();
     Execution {
@@ -210,6 +210,17 @@ fn execute(
         on_calls: run.runtime.stats().on_calls(),
         traps: run.runtime.export_trap_file(),
     }
+}
+
+/// The carried file to import, or `None` when it holds nothing: a file
+/// with only found pairs, ordered settlements or inferred edges still
+/// keeps what an earlier wave learned from being paid for again.
+fn carried(traps: &TrapFileData) -> Option<&TrapFileData> {
+    let empty = traps.pairs.is_empty()
+        && traps.found.is_empty()
+        && traps.ordered.is_empty()
+        && traps.inferred.is_empty();
+    (!empty).then_some(traps)
 }
 
 fn done_frame(run: &Execution, assign: &crate::wire::Assign, sink_path: &Path) -> Done {
@@ -234,6 +245,40 @@ fn done_frame(run: &Execution, assign: &crate::wire::Assign, sink_path: &Path) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsvd_workloads::module::Expectation;
+
+    #[test]
+    fn a_carried_file_with_only_ordered_settlements_is_imported() {
+        let dir = std::env::temp_dir().join(format!("tsvd_worker_ordered_{}", std::process::id()));
+        let opts = WorkerOptions {
+            socket: dir.join("unused.sock"),
+            worker: 0,
+            incarnation: 0,
+            suite: "std:1:1".into(),
+            sink_dir: dir.clone(),
+            threads: 1,
+            scale: 0.02,
+            seed: 1,
+            deadline_ms: 10_000,
+            heartbeat_ms: 100,
+        };
+        let module = Module::new("idle", 1, Expectation::Clean, false, "List", |_| {});
+        let settled = ("ordered.rs:1:1".to_string(), "ordered.rs:2:2".to_string());
+        let traps = TrapFileData {
+            ordered: vec![settled.clone()],
+            ..TrapFileData::default()
+        };
+        let sink = dir.join(sink_file_name(1, 0, 0));
+        let run = execute(&module, &opts, 1, &sink, &traps);
+        let exported = run.traps.expect("TSVD exports a file");
+        assert_eq!(
+            exported.ordered,
+            [settled],
+            "the settlement was imported, so the run exports it again"
+        );
+        assert!(carried(&TrapFileData::default()).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn sink_names_match_the_reconciler() {

@@ -72,6 +72,7 @@ fn ledger_events() -> Vec<LedgerEvent> {
             wall_ns: 98_765,
             delays: 4,
             on_calls: 321,
+            traps: None,
         }),
         LedgerEvent::Retry(RetryEvent {
             wave: 0,
@@ -90,6 +91,26 @@ fn ledger_events() -> Vec<LedgerEvent> {
             quarantined: 1,
         }),
     ]
+}
+
+/// A done that recorded the file its execution exported: every list a
+/// trap file can hold.
+fn done_with_traps() -> LedgerEvent {
+    let mut traps = traps();
+    traps.found = vec![("e.rs:5:5".into(), "f.rs:6:6".into())];
+    traps.ordered = vec![("g.rs:7:7".into(), "h.rs:8:8".into())];
+    traps.inferred = vec![("i.rs:9:9".into(), "j.rs:10:10".into())];
+    LedgerEvent::Done(DoneEvent {
+        wave: 0,
+        index: 17,
+        worker: 1,
+        attempt: 0,
+        outcome: "completed".into(),
+        wall_ns: 55_555,
+        delays: 2,
+        on_calls: 123,
+        traps: Some(traps),
+    })
 }
 
 fn ledger_lines() -> Vec<String> {
@@ -144,6 +165,8 @@ const LEDGER: [&str; 8] = [
     r#"{"completed":49,"ev":"finish","quarantined":1,"v":1}"#,
 ];
 
+const DONE_WITH_TRAPS: &str = r#"{"attempt":0,"delays":2,"ev":"done","index":17,"on_calls":123,"outcome":"completed","traps":{"found":[["e.rs:5:5","f.rs:6:6"]],"inferred":[["i.rs:9:9","j.rs:10:10"]],"ordered":[["g.rs:7:7","h.rs:8:8"]],"origins":["dynamic","static"],"pairs":[["a.rs:1:1","b.rs:2:2"],["c.rs:3:3","d.rs:4:4"]]},"v":1,"wall_ns":55555,"wave":0,"worker":1}"#;
+
 const FRAMES: [&str; 5] = [
     r#"{"incarnation":2,"kind":"hello","pid":999,"v":1,"worker":3}"#,
     r#"{"attempt":2,"index":40,"kind":"assign","traps":{"origins":["dynamic","static"],"pairs":[["a.rs:1:1","b.rs:2:2"],["c.rs:3:3","d.rs:4:4"]]},"v":1,"wave":1}"#,
@@ -178,6 +201,22 @@ fn ledger_lines_are_byte_identical() {
         std::fs::read_to_string(&path).expect("read"),
         lines(&LEDGER)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_done_with_a_trap_file_is_byte_identical() {
+    assert_eq!(done_with_traps().to_json(), DONE_WITH_TRAPS);
+    let dir = scratch("done_traps");
+    let path = dir.join("ledger.jsonl");
+    Ledger::create(&path)
+        .and_then(|ledger| ledger.append(&done_with_traps()))
+        .expect("append");
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("read"),
+        lines(&[DONE_WITH_TRAPS])
+    );
+    assert_eq!(Ledger::load(&path).expect("load"), [done_with_traps()]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

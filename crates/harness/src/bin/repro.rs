@@ -246,6 +246,22 @@ fn run_fleet_cmd(args: &[String]) -> ! {
             std::process::exit(1);
         }
     }
+    // Per wave, from the done events: what each wave's executions cost,
+    // so the drop a carried trap file buys in the next wave shows.
+    let mut per_wave: std::collections::BTreeMap<usize, (usize, u64, u64)> = Default::default();
+    for done in state.done.values() {
+        let wave = per_wave.entry(done.wave).or_default();
+        wave.0 += 1;
+        wave.1 += done.delays;
+        wave.2 += done.wall_ns;
+    }
+    for (wave, (executions, delays, wall_ns)) in &per_wave {
+        println!(
+            "wave {wave}: {executions} execution(s), {delays} delay(s) injected, \
+             {:.0} ms in modules",
+            *wall_ns as f64 / 1e6
+        );
+    }
     println!("[ledger: {}]", report.ledger.display());
 
     if compare {
@@ -319,7 +335,7 @@ fn run_analyze_cmd(args: &[String]) -> ! {
     let root = flags.path("--root").unwrap_or_else(|| ".".into());
     let allowlist_path = flags.path("--allowlist");
     let jsonl_path = flags.path("--jsonl");
-    let traps_path = flags.path("--emit-traps");
+    let emit_traps = flags.path("--emit-traps");
     let cache_dir = flags.path("--cache-dir");
     let no_cache = flags.switch("--no-cache");
     let threads = flags.num("--threads").unwrap_or(1);
@@ -371,7 +387,7 @@ fn run_analyze_cmd(args: &[String]) -> ! {
         }
         println!("[jsonl report: {}]", p.display());
     }
-    if let Some(p) = &traps_path {
+    if let Some(p) = &emit_traps {
         if let Err(e) = report.to_trap_file().save(p) {
             eprintln!("repro analyze: cannot write {}: {e}", p.display());
             std::process::exit(2);

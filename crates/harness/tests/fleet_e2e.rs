@@ -4,7 +4,7 @@
 //! Each test gets its own temp directory (ledger + socket + sinks) so they
 //! can run concurrently.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 use tsvd_core::{DurableSink, TrapFileData};
@@ -87,22 +87,85 @@ fn assert_no_empty_sink(sink_dir: &Path) -> Vec<usize> {
     indices
 }
 
-/// The trap file equals the daemon's set, and was written at most once per
-/// pair this invocation added to the `had` it started from.
-fn assert_trap_file_is_the_daemons_set(report: &FleetReport, had: usize) {
-    let path = Ledger::traps_path(&report.ledger);
-    let on_disk = match TrapFileData::load(&path) {
-        Ok(data) => data,
-        Err(_) if report.traps.pairs.is_empty() => TrapFileData::default(),
-        Err(e) => panic!("trap file {}: {e}", path.display()),
-    };
-    assert_eq!(on_disk, report.traps);
-    assert!(
-        report.trap_file_writes <= report.traps.pairs.len() - had,
-        "{} writes for {} new pair(s)",
-        report.trap_file_writes,
-        report.traps.pairs.len() - had
-    );
+/// Every done recorded the trap file its execution exported (TSVD always
+/// exports one), and the ledger replays to one file per module: the one
+/// its latest done recorded, which its next wave would import. Returns
+/// the distinct (module, pair) near misses armed, as the recorded files
+/// list them: still armed, found, or settled as ordered.
+fn assert_ledger_carries_each_modules_file(ledger: &Path) -> usize {
+    let events = Ledger::load(ledger).expect("load ledger");
+    let mut latest: HashMap<usize, (usize, TrapFileData)> = HashMap::new();
+    let mut armed = BTreeSet::new();
+    for event in &events {
+        if let LedgerEvent::Done(done) = event {
+            let traps = done.traps.clone().unwrap_or_else(|| {
+                panic!("wave {} module {} recorded no file", done.wave, done.index)
+            });
+            let lists = [&traps.pairs, &traps.found, &traps.ordered];
+            armed.extend(lists.into_iter().flatten().map(|p| (done.index, p.clone())));
+            latest.insert(done.index, (done.wave, traps));
+        }
+    }
+    let state = replay(&events);
+    assert_eq!(state.carry, latest);
+    let waves = state.start.as_ref().expect("start event").waves;
+    for (index, (_, traps)) in &latest {
+        assert_eq!(state.carried(waves, *index), Some(traps));
+    }
+    armed.len()
+}
+
+/// Every assignment of wave 1 or later that the ledger records after its
+/// first `first_events` events carries, by the replayed ledger, the file
+/// the first daemon's ledger holds for its module, and the file its done
+/// recorded still holds that file's found pairs (an imported found pair
+/// stays found). A wave that re-finds a bug holds it too, so this is
+/// consistency, not proof: the supervisor's unit tests read the file off
+/// the assignment itself. Returns the found pairs so checked.
+fn assert_resumed_waves_imported_the_first_ledgers_files(
+    ledger: &Path,
+    first_events: usize,
+) -> usize {
+    let events = Ledger::load(ledger).expect("load ledger");
+    let first = replay(&events[..first_events]);
+    let mut imported: HashMap<(usize, usize), TrapFileData> = HashMap::new();
+    let mut state = replay(&events[..first_events]);
+    for event in &events[first_events..] {
+        if let LedgerEvent::Assign(a) = event {
+            if a.wave > 0 {
+                let file = state.carried(a.wave, a.index).cloned();
+                assert!(
+                    file.is_some(),
+                    "wave {} module {}: no file",
+                    a.wave,
+                    a.index
+                );
+                assert_eq!(file.as_ref(), first.carried(a.wave, a.index));
+                imported.insert((a.wave, a.index), file.unwrap_or_default());
+            }
+        }
+        state.apply(event);
+    }
+    let mut checked = 0;
+    for ((wave, index), file) in &imported {
+        let recorded = &state.done[&(*wave, *index)];
+        assert_eq!(recorded.traps, None, "the state keeps files in `carry`");
+        let exported = events[first_events..]
+            .iter()
+            .find_map(|e| match e {
+                LedgerEvent::Done(d) if (d.wave, d.index) == (*wave, *index) => d.traps.as_ref(),
+                _ => None,
+            })
+            .expect("the resumed wave's done recorded a file");
+        for pair in &file.found {
+            assert!(
+                exported.found.contains(pair),
+                "wave {wave} module {index}: the carried found pair {pair:?} was not imported"
+            );
+            checked += 1;
+        }
+    }
+    checked
 }
 
 #[test]
@@ -143,8 +206,10 @@ fn fleet_runs_a_suite_and_reconciles_exactly() {
         "the std suite has clean modules, and they leave no sink"
     );
 
-    assert!(report.traps.pairs.len() > 1, "near misses arm pairs");
-    assert_trap_file_is_the_daemons_set(&report, 0);
+    assert!(
+        assert_ledger_carries_each_modules_file(&report.ledger) > 1,
+        "near misses arm pairs"
+    );
 
     // Where a worker-second went: three finite numbers, one of them a share.
     assert!(report.busy_share > 0.0 && report.busy_share <= 1.0);
@@ -258,7 +323,7 @@ fn chaos_kills_lose_no_modules_and_no_violations() {
     assert_eq!(summary.violations, summary.sink_pairs);
     assert!(summary.sink_pairs > 0);
     assert_no_empty_sink(&dir.join("sinks"));
-    assert_trap_file_is_the_daemons_set(&report, 0);
+    assert_ledger_carries_each_modules_file(&report.ledger);
     assert_report_is_the_replay(&report);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -289,38 +354,44 @@ fn hang_detection_and_quarantine_poison_a_wedging_module() {
 
 #[test]
 fn resume_after_daemon_crash_reruns_no_completed_module() {
-    let (mut opts, dir) = options("resume", std_suite(12, 3));
-    opts.waves = 1;
+    let (mut opts, dir) = options("resume", std_suite(25, 0x54494E59));
+    opts.waves = 2;
     // Phase 1: the daemon "crashes" (stops cold: no finish event, no
-    // graceful shutdown) after 5 completions.
-    opts.stop_after_completions = Some(5);
+    // graceful shutdown) after 30 completions: wave 0 is done, wave 1 has
+    // begun.
+    opts.stop_after_completions = Some(30);
     let ledger = opts.ledger.clone();
     let first = run_fleet(opts.clone()).expect("first (crashing) run");
     assert!(first.stopped_early);
-    assert!(first.completed >= 5);
-    assert!(first.completed < 12, "the stop hook must fire mid-run");
-    // A daemon that stops cold leaves the trap file as of its last done.
-    assert_trap_file_is_the_daemons_set(&first, 0);
+    assert!(first.completed >= 30);
+    assert!(first.completed < 50, "the stop hook must fire mid-run");
+    // A daemon that stops cold leaves each module's file as of its last
+    // done in the ledger.
+    assert_ledger_carries_each_modules_file(&ledger);
     assert_report_is_the_replay(&first);
+    let first_events = Ledger::load(&ledger).expect("load ledger").len();
 
     // Phase 2: resume from the ledger alone.
     opts.stop_after_completions = None;
     opts.resume = true;
     let second = run_fleet(opts.clone()).expect("resumed run");
     assert!(!second.stopped_early);
-    assert_eq!(second.completed, 12, "all modules resolved after resume");
-    // The resumed daemon starts from that file and keeps it equal to its
-    // set, writing only for pairs the first daemon had not seen.
-    let had = first.traps.pairs.len();
-    assert_eq!(second.traps.pairs[..had], first.traps.pairs[..]);
-    assert_trap_file_is_the_daemons_set(&second, had);
+    assert_eq!(second.completed, 50, "all modules resolved after resume");
+    // The resumed daemon gives each module of wave 1 the file the first
+    // daemon's ledger carries for it, and the worker imports it.
+    assert!(
+        assert_resumed_waves_imported_the_first_ledgers_files(&ledger, first_events) > 0,
+        "a resumed module carried a found pair"
+    );
+    assert_ledger_carries_each_modules_file(&ledger);
     assert_report_is_the_replay(&second);
 
     // The verifier's assign-after-done invariant is the proof that resume
     // re-ran zero completed modules; duplicate-done catches double counts.
     assert_reconciled(&ledger);
 
-    // Phase 3: resuming the finished run reports it and writes nothing.
+    // Phase 3: resuming the finished run reports it and writes nothing:
+    // the ledger, and so every file it carries, stays byte-identical.
     let finished = std::fs::read_to_string(&ledger).expect("read ledger");
     let third = run_fleet(opts).expect("resumed finished run");
     assert_eq!(
@@ -328,9 +399,7 @@ fn resume_after_daemon_crash_reruns_no_completed_module() {
         finished
     );
     assert!(!third.stopped_early);
-    assert_eq!(third.completed, 12);
-    assert_eq!(third.traps, second.traps);
-    assert_eq!(third.trap_file_writes, 0);
+    assert_eq!(third.completed, 50);
     assert_report_is_the_replay(&third);
     std::fs::remove_dir_all(&dir).ok();
 }

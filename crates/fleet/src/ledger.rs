@@ -326,21 +326,11 @@ impl LedgerState {
             }
             LedgerEvent::Done(d) => {
                 // A module's waves are done in order, so the last file in
-                // the ledger is the latest.
-                if let Some(traps) = &d.traps {
-                    self.carry.insert(d.index, (d.wave, traps.clone()));
+                // the ledger is the latest; the done keeps none of its own.
+                let mut done = d.clone();
+                if let Some(traps) = done.traps.take() {
+                    self.carry.insert(d.index, (d.wave, traps));
                 }
-                let done = DoneEvent {
-                    wave: d.wave,
-                    index: d.index,
-                    worker: d.worker,
-                    attempt: d.attempt,
-                    outcome: d.outcome.clone(),
-                    wall_ns: d.wall_ns,
-                    delays: d.delays,
-                    on_calls: d.on_calls,
-                    traps: None,
-                };
                 self.done.insert((d.wave, d.index), done);
             }
             LedgerEvent::Retry(r) => {

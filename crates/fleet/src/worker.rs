@@ -200,7 +200,7 @@ fn execute(
         static_priors: None,
     }
     .for_run(wave);
-    let run = run_module_once(module, DetectorKind::Tsvd, &options, carried(traps));
+    let run = run_module_once(module, DetectorKind::Tsvd, &options, Some(traps));
     // Syncs what the module's catches appended; free when it caught none.
     run.runtime.flush_durable_sink();
     Execution {
@@ -210,17 +210,6 @@ fn execute(
         on_calls: run.runtime.stats().on_calls(),
         traps: run.runtime.export_trap_file(),
     }
-}
-
-/// The carried file to import, or `None` when it holds nothing: a file
-/// with only found pairs, ordered settlements or inferred edges still
-/// keeps what an earlier wave learned from being paid for again.
-fn carried(traps: &TrapFileData) -> Option<&TrapFileData> {
-    let empty = traps.pairs.is_empty()
-        && traps.found.is_empty()
-        && traps.ordered.is_empty()
-        && traps.inferred.is_empty();
-    (!empty).then_some(traps)
 }
 
 fn done_frame(run: &Execution, assign: &crate::wire::Assign, sink_path: &Path) -> Done {
@@ -276,7 +265,6 @@ mod tests {
             [settled],
             "the settlement was imported, so the run exports it again"
         );
-        assert!(carried(&TrapFileData::default()).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

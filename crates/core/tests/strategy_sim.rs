@@ -4,11 +4,11 @@
 //!
 //! Every stream is a pure function of its seed ([`SplitMix64`]), each
 //! invariant runs over [`SEEDS`] of them, and a failure names the seed.
-//! The last two tests are trace oracles: the per-event decision sequence of
-//! both detectors, hashed per seed and pinned, so a refactor of the delay
+//! The last three tests are trace oracles: the per-event decision sequence
+//! of both detectors, hashed per seed and pinned, so a refactor of the delay
 //! planner that moves one decision — an arm, a prune, a `P_loc` draw — on
-//! any of the streams fails here; and StaticRandom's delays on the same
-//! streams.
+//! any of the streams fails here; the trap files both runs of those traces
+//! export, byte for byte; and StaticRandom's delays on the same streams.
 
 use std::sync::Once;
 
@@ -19,7 +19,7 @@ use tsvd_core::phase::PhaseBuffer;
 use tsvd_core::rng::SplitMix64;
 use tsvd_core::site::{SiteData, SiteId};
 use tsvd_core::strategy::{StaticRandom, Strategy, SyncEvent, Tsvd, TsvdHb};
-use tsvd_core::trap_file::TrapFileData;
+use tsvd_core::trap_file::{PairOrigin, TrapFileData};
 use tsvd_core::TsvdConfig;
 
 /// Streams per invariant.
@@ -274,7 +274,11 @@ impl Digest {
     }
 
     fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
@@ -321,6 +325,51 @@ fn decision_trace_is_pinned() {
     assert_eq!(
         all.0, TRACE_DIGEST,
         "decision trace moved: {:#018x} (per-seed digests above)",
+        all.0
+    );
+}
+
+/// The trap files of [`trace`]'s two runs on the stream of `seed`, as the
+/// JSON a save writes: the file the first run exports, and the one the
+/// second exports after it imported that file and ran. The second run's
+/// file also lists the first's inferred edges as static priors, as a fleet
+/// merge can, so a pair both armed and inferred is exercised too.
+fn export_trace<P: Planner>(seed: u64, digest: &mut Digest) {
+    let (first, _) = run::<P>(seed ^ 0x5EED_0000, 120);
+    let config = TsvdConfig::for_testing();
+    let s = P::build(&config);
+    let carried = first.export_trap_file().expect("persists");
+    let mut priors = TrapFileData::default();
+    for pair in &carried.inferred {
+        priors.push(pair.clone(), PairOrigin::Static);
+    }
+    let mut imported = carried.clone();
+    imported.merge(&priors);
+    s.import_trap_file(&imported);
+    drive(&s, &config, &events(seed, 300), |_, _| {});
+    for file in [carried, s.export_trap_file().expect("persists")] {
+        let json = serde_json::to_string(&file).expect("a trap file serializes");
+        digest.bytes(json.as_bytes());
+    }
+}
+
+/// Both detectors' [`export_trace`] over all [`SEEDS`], folded into one.
+/// [`TRACE_DIGEST`] pins the decisions, not what a run hands the next:
+/// this pins every list of both files — the armed pairs, the found ones,
+/// the ordered settlements and the inferred edges, a pair in two lists at
+/// once included.
+const EXPORT_DIGEST: u64 = 0x2EB6_7598_3A97_DFC1;
+
+#[test]
+fn exported_trap_files_are_pinned() {
+    let mut all = Digest::new();
+    for seed in 0..SEEDS {
+        export_trace::<Tsvd>(seed, &mut all);
+        export_trace::<TsvdHb>(seed, &mut all);
+    }
+    assert_eq!(
+        all.0, EXPORT_DIGEST,
+        "exported trap files moved: {:#018x}",
         all.0
     );
 }

@@ -15,8 +15,11 @@
 //!   the `Noop` pass's, each seed a round whose two passes share the box's
 //!   state.
 //!
-//! `--write BENCH_suite.json [--quick]` persists a measurement; `--check
-//! BENCH_suite.json [--quick]` measures again and fails (exit 1) if unique
+//! `--write BENCH_suite.json [--quick]` measures five times and persists,
+//! per gated row, the median of the five (and every measurement's `Clean`
+//! violations, and the lowest recall, so an invariant that broke once
+//! refuses the write); `--check BENCH_suite.json [--quick]` measures again
+//! and fails (exit 1) if unique
 //! bugs fell more than 2 %, sleep grew more than 5 % or `slowdown_x` more
 //! than 15 %, or if an invariant broke: no violation in a `Clean` module,
 //! and every `first_run_catchable` module caught in every seed's pass. The
@@ -28,15 +31,20 @@
 //!
 //! `--table [--quick]` prints where the sleep goes instead: one row per
 //! (run, family), summed over the seeds — delays injected, traps caught,
-//! milliseconds slept, bugs first found in that run, and what the planner
-//! did with fork-ordered near misses: pairs armed (`ord_arm`), pairs settled
-//! (`ord_set`), delays at sites whose every armed pair was ordered
-//! (`ord_del`), delays there not injected because another context's delay
-//! was running at the site (`ord_skip`), settlements the trap file carried
-//! in from run 1 (`carried`) and ordered near misses a carried settlement
-//! kept from arming (`kept_out`); and the HB edges the trap file carried in
-//! from run 1's inference (`inf_car`) and the near misses they kept from
-//! arming (`inf_out`). Then a total per run, a grand total, and the gate's
+//! milliseconds slept, bugs first found in that run, and what became of the
+//! dangerous pairs, read off each module's pair table at the end of its
+//! run ([`PairCounts`]). First the end states: pairs still armed, by how
+//! they arrived — a near miss (`arm_disc`), the trap file (`arm_imp`), a
+//! fork-ordered near miss (`arm_ord`); pairs found buggy (`found`);
+//! imported pairs that decayed out (`decayed`); ordered settlements made
+//! in this run (`set_here`) and carried in from run 1 (`set_car`); HB edges
+//! inferred in this run (`edge_run`) and carried in and not inferred again
+//! (`edge_car`). Then the events no end state records: delays at sites
+//! whose every armed pair was ordered (`ord_del`), delays there not
+//! injected because another context's delay was running at the site
+//! (`ord_skip`), ordered near misses a carried settlement kept from arming
+//! (`set_out`), and near misses a carried HB edge kept from arming
+//! (`edge_out`). Then a total per run, a grand total, and the gate's
 //! numbers. Compare builds on the totals over repeated runs: the pool's
 //! scheduling moves a family's row between two runs of one binary more
 //! than most planner changes do.
@@ -48,6 +56,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use tsvd_bench::gate::{self, median, Baseline, Bound, Row};
+use tsvd_core::trapset::PairCounts;
 use tsvd_fleet::runner::{run_suite, run_suite_observed, DetectorKind, RunOptions};
 use tsvd_workloads::module::Expectation;
 use tsvd_workloads::suite::{build_suite, SuiteConfig};
@@ -79,6 +88,31 @@ fn suite() -> Vec<Module> {
     })
 }
 
+/// The table's [`PairCounts`] columns, in [`pair_columns`]' order.
+const PAIR_COLUMNS: [&str; 13] = [
+    "arm_disc", "arm_imp", "arm_ord", "found", "decayed", "set_here", "set_car", "edge_run",
+    "edge_car", "ord_del", "ord_skip", "set_out", "edge_out",
+];
+
+/// `counts` as the table's [`PAIR_COLUMNS`].
+fn pair_columns(counts: PairCounts) -> [u64; 13] {
+    [
+        counts.armed_discovered,
+        counts.armed_imported,
+        counts.armed_ordered,
+        counts.found,
+        counts.decayed_out,
+        counts.settled_here,
+        counts.settled_carried,
+        counts.edge_run,
+        counts.edge_carried,
+        counts.ordered_delays,
+        counts.ordered_skipped,
+        counts.settlement_kept_out,
+        counts.edge_kept_out,
+    ]
+}
+
 /// One (run, family) row of the table.
 #[derive(Default, Clone, Copy)]
 struct Counts {
@@ -86,14 +120,7 @@ struct Counts {
     caught: u64,
     slept_ns: u64,
     new_bugs: u64,
-    ordered_armed: u64,
-    ordered_settled: u64,
-    ordered_delays: u64,
-    ordered_skipped: u64,
-    carried: u64,
-    kept_out: u64,
-    inferred_carried: u64,
-    inferred_kept_out: u64,
+    pairs: [u64; 13],
 }
 
 impl Counts {
@@ -102,31 +129,19 @@ impl Counts {
         self.caught += other.caught;
         self.slept_ns += other.slept_ns;
         self.new_bugs += other.new_bugs;
-        self.ordered_armed += other.ordered_armed;
-        self.ordered_settled += other.ordered_settled;
-        self.ordered_delays += other.ordered_delays;
-        self.ordered_skipped += other.ordered_skipped;
-        self.carried += other.carried;
-        self.kept_out += other.kept_out;
-        self.inferred_carried += other.inferred_carried;
-        self.inferred_kept_out += other.inferred_kept_out;
+        for (sum, n) in self.pairs.iter_mut().zip(other.pairs) {
+            *sum += n;
+        }
     }
 
     fn print(&self, run: &str, family: &str) {
+        let pairs: String = self.pairs.iter().map(|n| format!(" {n:>8}")).collect();
         println!(
-            "{run:>5}  {family:24} {:>7} {:>7} {:>10.1} {:>8} {:>7} {:>7} {:>7} {:>8} {:>7} {:>8} {:>7} {:>7}",
+            "{run:>5}  {family:24} {:>7} {:>7} {:>10.1} {:>8}{pairs}",
             self.delays,
             self.caught,
             self.slept_ns as f64 / 1e6,
             self.new_bugs,
-            self.ordered_armed,
-            self.ordered_settled,
-            self.ordered_delays,
-            self.ordered_skipped,
-            self.carried,
-            self.kept_out,
-            self.inferred_carried,
-            self.inferred_kept_out
         );
     }
 }
@@ -180,8 +195,8 @@ fn measure_passes(quick: bool) -> Passes {
         let mut tsvd_pass = || {
             let start = Instant::now();
             run_suite_observed(&suite, DetectorKind::Tsvd, &options, |execution| {
-                let (module, stats) = (execution.module, execution.result.runtime.stats());
-                let ordered = stats.ordered();
+                let runtime = &execution.result.runtime;
+                let (module, stats) = (execution.module, runtime.stats());
                 if module.expectation() == Expectation::Clean {
                     passes.clean_slept_ns += stats.delay_total_ns();
                 }
@@ -194,14 +209,7 @@ fn measure_passes(quick: bool) -> Passes {
                     caught: stats.traps_caught(),
                     slept_ns: stats.delay_total_ns(),
                     new_bugs: execution.new_bugs.len() as u64,
-                    ordered_armed: ordered.armed,
-                    ordered_settled: ordered.settled,
-                    ordered_delays: ordered.delays,
-                    ordered_skipped: ordered.skipped,
-                    carried: ordered.carried,
-                    kept_out: ordered.kept_out,
-                    inferred_carried: ordered.inferred_carried,
-                    inferred_kept_out: ordered.inferred_kept_out,
+                    pairs: pair_columns(runtime.pair_counts()),
                 });
                 ControlFlow::Continue(())
             });
@@ -333,6 +341,41 @@ impl Baseline for BenchFile {
             row("slowdown_x", self.slowdown_x, Bound::AtMost(MAX_SLOWDOWN)),
         ]
     }
+
+    /// A stored value one measurement's noise put at an end of its spread
+    /// leaves a later `--check` no headroom on that side.
+    const WRITE_MEASUREMENTS: usize = 5;
+
+    fn combine(measurements: Vec<BenchFile>) -> BenchFile {
+        let of = |value: fn(&BenchFile) -> f64| median(measurements.iter().map(value));
+        let first = &measurements[0];
+        let file = BenchFile {
+            schema_version: first.schema_version,
+            mode: first.mode.clone(),
+            nproc: first.nproc,
+            seeds: first.seeds,
+            unique_bugs: of(|m| m.unique_bugs as f64) as u64,
+            slept_ms: of(|m| m.slept_ms),
+            clean_share: of(|m| m.clean_share),
+            slowdown_x: of(|m| m.slowdown_x),
+            clean_violations: measurements
+                .iter()
+                .flat_map(|m| m.clean_violations.iter().cloned())
+                .collect(),
+            catchable_recall: measurements
+                .iter()
+                .map(|m| m.catchable_recall)
+                .fold(1.0, f64::min),
+        };
+        eprintln!(
+            "  median of {}: {} unique bugs, {:.1} ms slept, slowdown {:.3}x",
+            measurements.len(),
+            file.unique_bugs,
+            file.slept_ms,
+            file.slowdown_x
+        );
+        file
+    }
 }
 
 /// `--table [--quick]`: the per-(run, family) rows and the gate's numbers.
@@ -343,22 +386,10 @@ fn print_table(quick: bool) {
         passes.seeds,
         suite().len()
     );
+    let pairs: String = PAIR_COLUMNS.iter().map(|c| format!(" {c:>8}")).collect();
     println!(
-        "{:>5}  {:24} {:>7} {:>7} {:>10} {:>8} {:>7} {:>7} {:>7} {:>8} {:>7} {:>8} {:>7} {:>7}",
-        "run",
-        "family",
-        "delays",
-        "caught",
-        "slept_ms",
-        "new_bugs",
-        "ord_arm",
-        "ord_set",
-        "ord_del",
-        "ord_skip",
-        "carried",
-        "kept_out",
-        "inf_car",
-        "inf_out"
+        "{:>5}  {:24} {:>7} {:>7} {:>10} {:>8}{pairs}",
+        "run", "family", "delays", "caught", "slept_ms", "new_bugs"
     );
     let mut per_run = [Counts::default(); RUNS];
     for ((run, family), row) in &passes.rows {

@@ -26,18 +26,21 @@
 //! any other gap. A context with no start stamp (an OS thread's default)
 //! has no `t0` for its first access, and infers nothing from it.
 //!
-//! Inferred edges outlive the run: the trap file carries them (§3.4.6), and
-//! the next run [`import`](HbInference::import)s them as *carried* edges,
-//! which keep their pairs out of the trap set from the first near miss on.
-//! A carried edge inferred again becomes this run's, as if it were new, so
-//! a pair the trap file also arms is pruned exactly when it was before.
+//! This engine keeps only the timing: it names the pair an access is
+//! attributed to, and the edge itself is a fact of the pair's record in
+//! the [pair table](crate::trapset). Inferred edges outlive the run there:
+//! the trap file carries them (§3.4.6), and the next run imports them as
+//! *carried* edges, which keep their pairs out of the trap set from the
+//! first near miss on. A carried edge inferred again becomes this run's, as
+//! if it were new, so a pair the trap file also arms is pruned exactly when
+//! it was before.
 //!
 //! `on_access` runs on every instrumented call, so there is no global lock:
 //! per-context state is lock-striped by context, each stripe on a cache
 //! line of its own so that neighbouring contexts' calls share nothing, and
-//! the delay history and inferred-edge set are read-mostly, each mirrored by
-//! an atomic count so the common call — a short gap, or no delay finished
-//! yet — and `inference` on an empty set touch neither.
+//! the delay history is read-mostly, mirrored by an atomic count so the
+//! common call — a short gap, or no delay finished yet — does not touch
+//! it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,12 +92,8 @@ struct ThreadState {
 pub struct HbInference {
     threads: Box<[Stripe<IdMap<ContextId, ThreadState>>]>,
     delays: RwLock<VecDeque<DelayRecord>>,
-    /// All edges inferred so far or carried in, as normalized pairs. A pair
-    /// in this map is never re-added to the trap set by a near miss.
-    inferred: RwLock<IdMap<SitePair, Inference>>,
-    /// Lengths of `delays` and `inferred`, readable without their locks.
+    /// `delays`' length, readable without its lock.
     delay_count: AtomicUsize,
-    inferred_count: AtomicUsize,
     /// `δ_hb · delay_time` in nanoseconds.
     gap_ns: u64,
     /// `k_hb`.
@@ -110,9 +109,7 @@ impl HbInference {
         HbInference {
             threads: (0..STRIPES).map(|_| Stripe::default()).collect(),
             delays: RwLock::default(),
-            inferred: RwLock::default(),
             delay_count: AtomicUsize::new(0),
-            inferred_count: AtomicUsize::new(0),
             gap_ns,
             transitivity,
             delay_history: delay_history.max(1),
@@ -144,10 +141,11 @@ impl HbInference {
     }
 
     /// Observes an access by `context` at `site` at time `now_ns`, returning
-    /// the site pairs newly inferred to be HB-ordered (and therefore to be
-    /// pruned from the trap set). Called on `context`'s own thread, where
+    /// the pair it is attributed to: the access happens after the delayed
+    /// location, so the pair is HB-ordered. Every attributed access returns
+    /// its pair, a repeat included. Called on `context`'s own thread, where
     /// the start stamp of its first access is read.
-    pub fn on_access(&self, context: ContextId, site: SiteId, now_ns: u64) -> Vec<SitePair> {
+    pub fn on_access(&self, context: ContextId, site: SiteId, now_ns: u64) -> Option<SitePair> {
         audit::note_lock();
         let mut threads = self.threads[context.0 as usize % STRIPES].lock();
         let state = threads.entry(context).or_insert_with(|| ThreadState {
@@ -188,63 +186,15 @@ impl HbInference {
                 }
             }
         }
-        drop(threads);
-
-        let Some(src) = source else {
-            return Vec::new();
-        };
-        let pair = SitePair::new(src, site);
-        audit::note_lock();
-        let mut inferred = self.inferred.write();
-        if inferred.insert(pair, Inference::Run) == Some(Inference::Run) {
-            return Vec::new();
-        }
-        audit::note_shared_write();
-        self.inferred_count.store(inferred.len(), Ordering::Release);
-        vec![pair]
-    }
-
-    /// Seeds the inferred edges with `pairs`, a previous run's, as carried;
-    /// returns how many were new.
-    pub fn import(&self, pairs: &[SitePair]) -> usize {
-        if pairs.is_empty() {
-            return 0;
-        }
-        let mut inferred = self.inferred.write();
-        let before = inferred.len();
-        for &pair in pairs {
-            inferred.entry(pair).or_insert(Inference::Carried);
-        }
-        self.inferred_count.store(inferred.len(), Ordering::Release);
-        inferred.len() - before
-    }
-
-    /// Where `pair`'s HB edge came from, or `None` if it has none.
-    pub fn inference(&self, pair: SitePair) -> Option<Inference> {
-        if self.inferred_count.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        audit::note_lock();
-        self.inferred.read().get(&pair).copied()
-    }
-
-    /// Every edge inferred or carried in, for the next run's trap file.
-    pub fn pairs(&self) -> Vec<SitePair> {
-        self.inferred.read().keys().copied().collect()
-    }
-
-    /// Total number of inferred edges (stats).
-    pub fn inferred_count(&self) -> usize {
-        self.inferred_count.load(Ordering::Acquire)
+        source.map(|src| SitePair::new(src, site))
     }
 
     /// Bytes held (for the §5.5 resource report): one state per context ever
-    /// seen — none is ever removed — the retained delay records, the edges.
+    /// seen — none is ever removed — and the retained delay records.
     pub fn approx_bytes(&self) -> usize {
         let states: usize = self.threads.iter().map(|s| s.lock().capacity()).sum();
         states * std::mem::size_of::<(ContextId, ThreadState)>()
             + self.delays.read().capacity() * std::mem::size_of::<DelayRecord>()
-            + self.inferred.read().capacity() * std::mem::size_of::<(SitePair, Inference)>()
     }
 }
 
@@ -273,7 +223,7 @@ mod tests {
         let t1 = ContextId(1);
         let t2 = ContextId(2);
         // Thd2 establishes its previous access at t0 = 10 ms.
-        assert!(e.on_access(t2, site(20), ms_to_ns(10)).is_empty());
+        assert!(e.on_access(t2, site(20), ms_to_ns(10)).is_none());
         // Thd1 delays at loc1 from 20 ms to 120 ms.
         e.record_delay(DelayRecord {
             site: site(1),
@@ -282,12 +232,8 @@ mod tests {
             end_ns: ms_to_ns(120),
         });
         // Thd2's next access at 130 ms: gap 120 ms ≥ 50 ms, t0 ≤ t1_end.
-        let pairs = e.on_access(t2, site(21), ms_to_ns(130));
-        assert_eq!(pairs, vec![SitePair::new(site(1), site(21))]);
-        assert_eq!(
-            e.inference(SitePair::new(site(1), site(21))),
-            Some(Inference::Run)
-        );
+        let pair = e.on_access(t2, site(21), ms_to_ns(130));
+        assert_eq!(pair, Some(SitePair::new(site(1), site(21))));
     }
 
     #[test]
@@ -302,7 +248,7 @@ mod tests {
             end_ns: ms_to_ns(30),
         });
         // Gap of 25 ms < 50 ms threshold.
-        assert!(e.on_access(t2, site(21), ms_to_ns(35)).is_empty());
+        assert!(e.on_access(t2, site(21), ms_to_ns(35)).is_none());
     }
 
     #[test]
@@ -317,7 +263,7 @@ mod tests {
             end_ns: ms_to_ns(5),
         });
         e.on_access(t2, site(20), ms_to_ns(10));
-        assert!(e.on_access(t2, site(21), ms_to_ns(200)).is_empty());
+        assert!(e.on_access(t2, site(21), ms_to_ns(200)).is_none());
     }
 
     #[test]
@@ -343,8 +289,8 @@ mod tests {
         });
         // Each thread's next access right after its own sleep: the gap is
         // self-inflicted and must not mint an HB edge.
-        assert!(e.on_access(t1, site(11), ms_to_ns(104)).is_empty());
-        assert!(e.on_access(t2, site(21), ms_to_ns(105)).is_empty());
+        assert!(e.on_access(t1, site(11), ms_to_ns(104)).is_none());
+        assert!(e.on_access(t2, site(21), ms_to_ns(105)).is_none());
     }
 
     #[test]
@@ -360,7 +306,7 @@ mod tests {
             start_ns: ms_to_ns(20),
             end_ns: ms_to_ns(120),
         });
-        assert!(e.on_access(t1, site(21), ms_to_ns(130)).is_empty());
+        assert!(e.on_access(t1, site(21), ms_to_ns(130)).is_none());
     }
 
     #[test]
@@ -373,9 +319,7 @@ mod tests {
             end_ns: ms_to_ns(100),
         });
         // No previous access for Thd2 → no gap → no inference.
-        assert!(e
-            .on_access(ContextId(2), site(21), ms_to_ns(110))
-            .is_empty());
+        assert!(e.on_access(ContextId(2), site(21), ms_to_ns(110)).is_none());
     }
 
     /// Runs `first_access` as a task entered on this thread, handing it
@@ -402,7 +346,7 @@ mod tests {
             });
             e.on_access(task, site(21), started + ms_to_ns(110))
         });
-        assert_eq!(pairs, vec![SitePair::new(site(1), site(21))]);
+        assert_eq!(pairs, Some(SitePair::new(site(1), site(21))));
     }
 
     #[test]
@@ -419,7 +363,7 @@ mod tests {
         crate::clock::pause(std::time::Duration::from_millis(1));
         let pairs =
             as_started_task(|task, started| e.on_access(task, site(21), started + ms_to_ns(110)));
-        assert!(pairs.is_empty(), "{pairs:?}");
+        assert!(pairs.is_none(), "{pairs:?}");
     }
 
     #[test]
@@ -434,13 +378,13 @@ mod tests {
             end_ns: ms_to_ns(100),
         });
         // Entered without a certificate: no start stamp, no first gap.
-        assert!(e.on_access(plain, site(21), ms_to_ns(110)).is_empty());
+        assert!(e.on_access(plain, site(21), ms_to_ns(110)).is_none());
         // Nor does the stamp of the task installed on its thread lend a
         // context one.
         let other = context::fresh_id();
         let pairs =
             as_started_task(|_, started| e.on_access(other, site(22), started + ms_to_ns(500)));
-        assert!(pairs.is_empty(), "{pairs:?}");
+        assert!(pairs.is_none(), "{pairs:?}");
     }
 
     #[test]
@@ -461,7 +405,7 @@ mod tests {
             end_ns: ms_to_ns(110),
         });
         let pairs = e.on_access(t2, site(21), ms_to_ns(120));
-        assert_eq!(pairs, vec![SitePair::new(site(2), site(21))]);
+        assert_eq!(pairs, Some(SitePair::new(site(2), site(21))));
     }
 
     #[test]
@@ -477,15 +421,15 @@ mod tests {
         });
         // Triggering access inherits the edge...
         let p0 = e.on_access(t2, site(21), ms_to_ns(130));
-        assert_eq!(p0.len(), 1);
+        assert!(p0.is_some());
         // ...and the next k_hb = 2 accesses do as well.
         let p1 = e.on_access(t2, site(22), ms_to_ns(131));
-        assert_eq!(p1, vec![SitePair::new(site(1), site(22))]);
+        assert_eq!(p1, Some(SitePair::new(site(1), site(22))));
         let p2 = e.on_access(t2, site(23), ms_to_ns(132));
-        assert_eq!(p2, vec![SitePair::new(site(1), site(23))]);
+        assert_eq!(p2, Some(SitePair::new(site(1), site(23))));
         // The budget is then exhausted.
         let p3 = e.on_access(t2, site(24), ms_to_ns(133));
-        assert!(p3.is_empty());
+        assert!(p3.is_none());
     }
 
     #[test]
@@ -499,14 +443,15 @@ mod tests {
             start_ns: ms_to_ns(20),
             end_ns: ms_to_ns(120),
         });
-        assert_eq!(e.on_access(t2, site(21), ms_to_ns(130)).len(), 1);
-        assert!(e.on_access(t2, site(22), ms_to_ns(131)).is_empty());
+        assert!(e.on_access(t2, site(21), ms_to_ns(130)).is_some());
+        assert!(e.on_access(t2, site(22), ms_to_ns(131)).is_none());
     }
 
     #[test]
-    fn duplicate_edges_reported_once() {
+    fn a_repeated_attribution_names_its_pair_again() {
         // Zero transitivity so leftover k_hb budget from one round cannot
-        // mint extra edges in the next.
+        // attribute extra accesses in the next. Whether the edge is new is
+        // the pair table's to say.
         let e = HbInference::new(ms_to_ns(50), 0, 64);
         let t2 = ContextId(2);
         for round in 0..3u64 {
@@ -518,45 +463,13 @@ mod tests {
                 start_ns: ms_to_ns(base + 20),
                 end_ns: ms_to_ns(base + 120),
             });
-            let pairs = e.on_access(t2, site(21), ms_to_ns(base + 130));
-            if round == 0 {
-                assert_eq!(pairs.len(), 1);
-            } else {
-                assert!(pairs.is_empty(), "edge already known");
-            }
+            let pair = e.on_access(t2, site(21), ms_to_ns(base + 130));
+            assert_eq!(
+                pair,
+                Some(SitePair::new(site(1), site(21))),
+                "round {round}"
+            );
         }
-        assert_eq!(e.inferred_count(), 1);
-    }
-
-    #[test]
-    fn carried_edges_are_known_from_the_start_and_become_the_runs_when_inferred_again() {
-        let e = engine();
-        let (carried, other) = (
-            SitePair::new(site(1), site(21)),
-            SitePair::new(site(3), site(4)),
-        );
-        assert_eq!(e.inference(carried), None);
-        assert_eq!(e.import(&[carried, other, carried]), 2);
-        assert_eq!(e.import(&[carried]), 0, "known already");
-        assert_eq!(e.inference(carried), Some(Inference::Carried));
-        assert_eq!(e.inferred_count(), 2);
-        // The same inference as `long_gap_overlapping_delay_infers_edge`:
-        // it is reported, so a pair armed by the trap file is pruned.
-        let t2 = ContextId(2);
-        e.on_access(t2, site(20), ms_to_ns(10));
-        e.record_delay(DelayRecord {
-            site: site(1),
-            context: ContextId(1),
-            start_ns: ms_to_ns(20),
-            end_ns: ms_to_ns(120),
-        });
-        assert_eq!(e.on_access(t2, site(21), ms_to_ns(130)), vec![carried]);
-        assert_eq!(e.inference(carried), Some(Inference::Run));
-        let mut pairs = e.pairs();
-        pairs.sort();
-        let mut want = vec![carried, other];
-        want.sort();
-        assert_eq!(pairs, want, "both go on to the next run");
     }
 
     #[test]
@@ -575,10 +488,9 @@ mod tests {
         // delay, the other's previous access came after it ended.
         assert_eq!(
             e.on_access(t2, site(21), ms_to_ns(130)),
-            vec![SitePair::new(site(1), site(21))]
+            Some(SitePair::new(site(1), site(21)))
         );
-        assert!(e.on_access(t18, site(31), ms_to_ns(131)).is_empty());
-        assert_eq!(e.inferred_count(), 1);
+        assert!(e.on_access(t18, site(31), ms_to_ns(131)).is_none());
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::stats::RuntimeStats;
 use crate::strategy::{DynamicRandom, Noop, StaticRandom, Strategy, SyncEvent, Tsvd, TsvdHb};
 use crate::trap::{TrapEntry, TrapGuard, TrapTable};
 use crate::trap_file::TrapFileData;
+use crate::trapset::PairCounts;
 use crate::watchdog::{Watchdog, WorkerRegistration};
 
 /// A detection runtime: strategy + trap table + report sink + statistics.
@@ -70,14 +71,10 @@ impl Runtime {
             }
         });
         let traps = Arc::new(TrapTable::with_shards(config.trap_shards));
-        let mut stats = RuntimeStats::with_shards(config.stats_shards);
-        if let Some(counters) = strategy.ordered_counters() {
-            stats = stats.with_ordered(counters);
-        }
         Arc::new(Runtime {
             strategy,
             sink: ReportSink::new(),
-            stats,
+            stats: RuntimeStats::with_shards(config.stats_shards),
             phase: PhaseBuffer::new(config.phase_buffer),
             watchdog: Watchdog::new(&config, &traps),
             traps,
@@ -283,6 +280,12 @@ impl Runtime {
     /// Approximate bytes of tracking state the strategy retains.
     pub fn strategy_memory_bytes(&self) -> usize {
         self.strategy.memory_bytes()
+    }
+
+    /// What became of the strategy's dangerous pairs so far (zeros for a
+    /// strategy without a pair table).
+    pub fn pair_counts(&self) -> PairCounts {
+        self.strategy.pair_counts()
     }
 
     /// Exports the strategy's persistent trap state, if it keeps any.
@@ -758,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn the_stats_read_what_the_planner_did_with_ordered_pairs() {
+    fn the_runtime_reads_the_ordered_pairs_off_the_pair_table() {
         let mut c = cfg();
         c.enable_windowing = false;
         c.max_delay_per_run_ns = 0; // Plan, never sleep.
@@ -772,14 +775,21 @@ mod tests {
             assert_eq!(spawn.parent, parent);
             rt.on_call(ObjId(9), read, "x.read", OpKind::Read);
         }
-        let ordered = rt.stats().ordered();
-        assert_eq!((ordered.armed, ordered.settled, ordered.delays), (1, 0, 0));
+        let counts = rt.pair_counts();
+        assert_eq!(
+            (
+                counts.armed_ordered,
+                counts.settled_here,
+                counts.ordered_delays
+            ),
+            (1, 0, 0)
+        );
         // The budget refused the first child's delay, and its claim on the
         // site went with it: the second child's delay was asked for (and
         // refused) too, not skipped.
-        assert_eq!(ordered.skipped, 0);
+        assert_eq!(counts.ordered_skipped, 0);
         let passive = Runtime::noop(cfg());
-        assert_eq!(passive.stats().ordered(), Default::default());
+        assert_eq!(passive.pair_counts(), PairCounts::default());
     }
 
     #[test]

@@ -19,14 +19,12 @@
 //! the hits. The per-context delay ledger is striped by context so
 //! concurrent delayers don't share a lock.
 //!
-//! The ordered pairs' counters ([`OrderedCounts`]: fork-ordered near
-//! misses, and HB edges carried in from the previous run) are written by
-//! the strategy, where those pairs arm, settle or are kept out, and read
-//! here.
+//! What became of the dangerous pairs is not counted here: the strategy's
+//! pair table holds it ([`PairCounts`](crate::trapset::PairCounts), read
+//! through [`Runtime::pair_counts`](crate::Runtime::pair_counts)).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use crate::audit;
 use crate::chunks::{stripe_of, ChunkTable, IdMap, Stripe};
@@ -73,102 +71,6 @@ impl CovCell {
     }
 }
 
-/// What the strategy did with ordered pairs: fork-ordered near misses (a
-/// task's access pairing with its parent's pre-spawn access), and the HB
-/// edges the previous run inferred (§3.4.4).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct OrderedCounts {
-    /// Ordered pairs armed.
-    pub armed: u64,
-    /// Ordered pairs settled after their one fruitless delay.
-    pub settled: u64,
-    /// Delays injected at sites whose every armed pair was ordered.
-    pub delays: u64,
-    /// Ordered settlements a trap file carried in from the previous run.
-    pub carried: u64,
-    /// Ordered near misses that a carried settlement kept from arming.
-    pub kept_out: u64,
-    /// Delays at an ordered-only site not injected because another
-    /// context's delay was running there.
-    pub skipped: u64,
-    /// Inferred HB edges a trap file carried in from the previous run.
-    pub inferred_carried: u64,
-    /// Near misses that a carried HB edge kept from arming.
-    pub inferred_kept_out: u64,
-}
-
-/// The atomics behind [`OrderedCounts`]: the strategy adds, the runtime's
-/// stats read. Touched on an arm, a settlement, a delay, a skipped delay, an
-/// import or a near miss kept out, never on a call that does none of those.
-#[derive(Debug, Default)]
-pub struct OrderedCounters {
-    armed: AtomicU64,
-    settled: AtomicU64,
-    delays: AtomicU64,
-    carried: AtomicU64,
-    kept_out: AtomicU64,
-    skipped: AtomicU64,
-    inferred_carried: AtomicU64,
-    inferred_kept_out: AtomicU64,
-}
-
-impl OrderedCounters {
-    /// Counts an ordered pair armed.
-    pub fn note_armed(&self) {
-        self.armed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `pairs` ordered pairs settled.
-    pub fn note_settled(&self, pairs: usize) {
-        self.settled.fetch_add(pairs as u64, Ordering::Relaxed);
-    }
-
-    /// Counts a delay at an ordered-only site.
-    pub fn note_delay(&self) {
-        self.delays.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `pairs` ordered settlements carried in by an import.
-    pub fn note_carried(&self, pairs: usize) {
-        self.carried.fetch_add(pairs as u64, Ordering::Relaxed);
-    }
-
-    /// Counts an ordered near miss a carried settlement kept out.
-    pub fn note_kept_out(&self) {
-        self.kept_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a delay at an ordered-only site skipped while another ran.
-    pub fn note_skipped(&self) {
-        self.skipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `pairs` inferred HB edges carried in by an import.
-    pub fn note_inferred_carried(&self, pairs: usize) {
-        self.inferred_carried
-            .fetch_add(pairs as u64, Ordering::Relaxed);
-    }
-
-    /// Counts a near miss a carried HB edge kept out.
-    pub fn note_inferred_kept_out(&self) {
-        self.inferred_kept_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The counts so far.
-    pub fn counts(&self) -> OrderedCounts {
-        OrderedCounts {
-            armed: self.armed.load(Ordering::Relaxed),
-            settled: self.settled.load(Ordering::Relaxed),
-            delays: self.delays.load(Ordering::Relaxed),
-            carried: self.carried.load(Ordering::Relaxed),
-            kept_out: self.kept_out.load(Ordering::Relaxed),
-            skipped: self.skipped.load(Ordering::Relaxed),
-            inferred_carried: self.inferred_carried.load(Ordering::Relaxed),
-            inferred_kept_out: self.inferred_kept_out.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Counters shared by the runtime and its strategy.
 pub struct RuntimeStats {
     delays_injected: AtomicU64,
@@ -182,8 +84,6 @@ pub struct RuntimeStats {
     /// next one, modulo `PLANES`.
     next_plane: AtomicUsize,
     id: u64,
-    /// The strategy's, when it plans delays; zeros otherwise.
-    ordered: Arc<OrderedCounters>,
 }
 
 impl RuntimeStats {
@@ -199,14 +99,7 @@ impl RuntimeStats {
             planes: Default::default(),
             next_plane: AtomicUsize::new(0),
             id: NEXT_STATS.fetch_add(1, Ordering::Relaxed),
-            ordered: Arc::default(),
         }
-    }
-
-    /// Reads the fork-ordered counts from `counters`, a strategy's.
-    pub(crate) fn with_ordered(mut self, counters: Arc<OrderedCounters>) -> Self {
-        self.ordered = counters;
-        self
     }
 
     /// The calling thread's plane, picked on its first call here.
@@ -277,11 +170,6 @@ impl RuntimeStats {
     /// Total synchronization events observed.
     pub fn sync_events(&self) -> u64 {
         self.sync_events.load(Ordering::Relaxed)
-    }
-
-    /// What the strategy did with ordered pairs.
-    pub fn ordered(&self) -> OrderedCounts {
-        self.ordered.counts()
     }
 
     /// Delay injected by `context` so far (for the per-thread budget).

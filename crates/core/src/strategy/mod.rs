@@ -29,13 +29,11 @@ pub use static_random::StaticRandom;
 pub use tsvd::Tsvd;
 pub use tsvd_hb::TsvdHb;
 
-use std::sync::Arc;
-
 use crate::access::Access;
 use crate::context::ContextId;
 use crate::near_miss::SitePair;
-use crate::stats::OrderedCounters;
 use crate::trap_file::TrapFileData;
+use crate::trapset::PairCounts;
 
 /// A synchronization event, visible only to strategies that ask for it.
 ///
@@ -118,11 +116,10 @@ pub trait Strategy: Send + Sync {
     /// Imports a previous run's trap file.
     fn import_trap_file(&self, _data: &TrapFileData) {}
 
-    /// The counters of what the strategy does with ordered pairs
-    /// (fork-ordered near misses, carried HB edges), for the runtime's
-    /// stats to read. Default: none, the stats read zeros.
-    fn ordered_counters(&self) -> Option<Arc<OrderedCounters>> {
-        None
+    /// What became of the dangerous pairs so far, read off the strategy's
+    /// pair table. Default: zeros, for a strategy without one.
+    fn pair_counts(&self) -> PairCounts {
+        PairCounts::default()
     }
 
     /// Approximate bytes of tracking state the strategy retains (for the

@@ -4,22 +4,28 @@
 //! [`Tsvd`](super::Tsvd) and [`TsvdHb`](super::TsvdHb) differ only in how
 //! they *discover* pairs — near misses and inferred happens-before on one
 //! side, vector clocks on the other. What happens to a pair from then on is
-//! one policy, stated here once, as the pair's lifecycle:
+//! one policy, the pair's lifecycle: one record per pair in the
+//! [`TrapSet`], and one transition, [`PairRecord::on`], per event:
 //!
-//! | Verb | Transition | Paper |
-//! |---|---|---|
-//! | [`arm`](DelayPlan::arm) | discovered → armed, both locations at `P_loc = 1`; an ordered pair → upgraded, an ordered settlement → lifted | §3.4.2 |
-//! | [`arm_ordered`](DelayPlan::arm_ordered) | fork-ordered near miss → armed as ordered, both locations at `P_loc = 1` | §3.4.3 (deviation) |
-//! | [`import`](DelayPlan::import) | a previous run's found pairs → settled; its ordered settlements → settled as ordered; then every other pair armed. TSVD seeds its HB inference with the file's inferred edges first, so a near miss of one never arms | §3.4.6 |
-//! | [`should_delay`](DelayPlan::should_delay) | armed location → delay with probability `P_loc`; at a location whose every pair is ordered, one delay at a time: the context that delays claims the location, and another that gets there meanwhile does not delay | §3.4.5 |
-//! | [`delay_done`](DelayPlan::delay_done) | fruitless delay → `P_loc` decays; at the floor the location's pairs are evicted, an imported one among them settled for the run and an ordered one settled as ordered; at a location whose every pair is ordered, no decay: its pairs settle as ordered. The claim is released | §3.4.5 |
-//! | [`withdraw`](DelayPlan::withdraw) | a delay `should_delay` granted but the runtime did not inject → its claim released | — |
-//! | [`retire`](DelayPlan::retire) | armed → pruned: the discovery side proved the pair ordered | §3.4.4 |
-//! | [`found`](DelayPlan::found) | armed → caught: pruned for good, never re-armed | §3.4.1 |
-//! | [`export`](DelayPlan::export) | what is still armed but ordered, every found pair and every ordered settlement, for the next run | §3.4.6 |
+//! | Event | From | Transition | Paper |
+//! |---|---|---|---|
+//! | `NearMiss` ([`arm`](DelayPlan::arm)) | a near miss; none when the pair has an HB edge | free → armed, both locations at `P_loc = 1`; an armed ordered pair → upgraded, an ordered settlement → lifted. A fork-ordered one: free → armed as ordered | §3.4.2, §3.4.3 (deviation) |
+//! | `ImportFound`, `ImportOrdered`, `ImportInferred`, `ImportArmed` ([`import`](DelayPlan::import)) | a previous run's trap file | → settled found; free → settled as ordered, carried; an edge-less pair gets a carried edge (TSVD only); then free → armed | §3.4.6 |
+//! | `SettleOrdered` ([`delay_done`](DelayPlan::delay_done)) | a fruitless delay at a location whose every pair is ordered | armed ordered → settled as ordered, no decay | §3.4.5 (deviation) |
+//! | `Evict` ([`delay_done`](DelayPlan::delay_done)) | a fruitless delay that decays `P_loc` to the floor | armed → free if discovered, settled decayed-out if imported, settled as ordered if ordered | §3.4.5 |
+//! | `Inferred` ([`inferred`](DelayPlan::inferred)) | delay propagation proved the pair ordered | → edge of this run; armed → free | §3.4.4 |
+//! | `Found` ([`found`](DelayPlan::found)) | a violation caught at the pair | → settled found, never re-armed | §3.4.1 |
+//!
+//! Per location, not per pair: [`should_delay`](DelayPlan::should_delay)
+//! delays an armed location with probability `P_loc`, and at a location
+//! whose every pair is ordered one delay at a time — the context that
+//! delays claims the location, another that gets there meanwhile does not
+//! delay, and [`delay_done`](DelayPlan::delay_done) or
+//! [`withdraw`](DelayPlan::withdraw) releases the claim.
+//! [`export`](DelayPlan::export) writes the table as the next run's trap
+//! file (§3.4.6).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -29,11 +35,11 @@ use crate::chunks::IdMap;
 use crate::config::TsvdConfig;
 use crate::context::ContextId;
 use crate::decay::DecayTable;
+use crate::hb_infer::Inference;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
-use crate::stats::OrderedCounters;
 use crate::trap_file::TrapFileData;
-use crate::trapset::{ArmedSite, OrderedArrival, TrapSet};
+use crate::trapset::{ArmedSite, PairCounts, PairEvent, PairState, Settled, TrapSet};
 
 /// Trap set, per-location delay probabilities and the delay length of one
 /// detector instance.
@@ -42,12 +48,26 @@ pub(super) struct DelayPlan {
     decay: DecayTable,
     rng: Mutex<SmallRng>,
     delay_ns: u64,
-    ordered: Arc<OrderedCounters>,
     /// Ordered-only locations with a delay running, each with the context
     /// that runs it.
     running: Mutex<IdMap<SiteId, ContextId>>,
     /// `running`'s length, readable without its lock.
     running_count: AtomicUsize,
+    /// What no record keeps, indexed by [`Tally`].
+    tallies: [AtomicU64; 4],
+}
+
+/// The events no record keeps, in [`PairCounts`]' order.
+#[derive(Clone, Copy)]
+enum Tally {
+    /// A delay at a location whose every armed pair is ordered.
+    OrderedDelay,
+    /// A delay there not injected because another context's ran.
+    OrderedSkipped,
+    /// An ordered near miss a carried ordered settlement kept out.
+    SettlementKeptOut,
+    /// A near miss a carried HB edge kept out.
+    EdgeKeptOut,
 }
 
 impl DelayPlan {
@@ -59,19 +79,40 @@ impl DelayPlan {
             decay: DecayTable::new(config.decay_factor, config.decay_floor),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed ^ salt)),
             delay_ns: config.delay_ns,
-            ordered: Arc::default(),
             running: Mutex::default(),
             running_count: AtomicUsize::new(0),
+            tallies: Default::default(),
         }
     }
 
-    /// Arms `pair` unless it is armed already or settled: found buggy, or
-    /// imported and decayed out. An armed ordered pair becomes an ordinary
-    /// one, and an ordered settlement is lifted: the parent accessed the
-    /// object after the spawn as well, which races for real. Returns `true`
-    /// if it is newly armed.
-    pub fn arm(&self, pair: SitePair) -> bool {
-        let armed = self.traps.add(pair);
+    fn note(&self, tally: Tally) {
+        self.tallies[tally as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A near miss of `pair`, fork-ordered or not: arms it unless it is
+    /// armed already, settled, or HB-ordered. An ordered pair arms at
+    /// `P_loc = 1` like any pair, because its delay stretches the task into
+    /// overlaps with its siblings that expose their races; but a fruitless
+    /// delay at a location whose every pair is ordered settles them instead
+    /// of decaying. An unordered near miss upgrades an armed ordered pair
+    /// and lifts an ordered settlement: the parent accessed the object
+    /// after the spawn as well, which races for real. Returns `true` if the
+    /// pair is newly armed.
+    pub fn arm(&self, pair: SitePair, ordered: bool) -> bool {
+        let event = PairEvent::NearMiss { ordered };
+        let before = self.traps.apply(pair, event);
+        let Some(after) = before.on(event) else {
+            let carried = PairState::Settled(Settled::Ordered { carried: true });
+            match before.edge {
+                Some(Inference::Carried) => self.note(Tally::EdgeKeptOut),
+                None if ordered && before.state == carried => {
+                    self.note(Tally::SettlementKeptOut);
+                }
+                _ => {}
+            }
+            return false;
+        };
+        let armed = before.arrival().is_none() && after.arrival().is_some();
         if armed {
             self.decay.arm(pair.first);
             self.decay.arm(pair.second);
@@ -79,34 +120,11 @@ impl DelayPlan {
         armed
     }
 
-    /// Arms `pair`, a fork-ordered near miss, unless it is armed or settled
-    /// already. It arms at `P_loc = 1` like any pair, because its delay
-    /// stretches the task into overlaps with its siblings that expose
-    /// their races; but a fruitless delay at a location whose every pair
-    /// is ordered settles them instead of decaying, and the next run's trap
-    /// file carries the settlement, not the pair. Returns `true` if it is
-    /// newly armed.
-    pub fn arm_ordered(&self, pair: SitePair) -> bool {
-        match self.traps.add_ordered(pair) {
-            OrderedArrival::Armed => {
-                self.ordered.note_armed();
-                self.decay.arm(pair.first);
-                self.decay.arm(pair.second);
-                true
-            }
-            OrderedArrival::KeptOut => {
-                self.ordered.note_kept_out();
-                false
-            }
-            OrderedArrival::Unchanged => false,
-        }
-    }
-
-    /// Prunes `pair`: its two locations are ordered. Unlike
-    /// [`found`](Self::found) this does not block re-arming; the discovery
-    /// side remembers what it proved.
-    pub fn retire(&self, pair: SitePair) {
-        self.traps.remove(pair);
+    /// Delay propagation proved `pair` ordered: an armed pair is pruned,
+    /// and no near miss arms it again in this run or, through the trap
+    /// file, the next. A repeat is one snapshot read.
+    pub fn inferred(&self, pair: SitePair) {
+        self.traps.apply(pair, PairEvent::Inferred);
     }
 
     /// `should_delay`: the delay to inject at `site` now — members of the
@@ -124,7 +142,7 @@ impl DelayPlan {
             return None;
         }
         if armed == ArmedSite::OrderedOnly && !self.claim(site, context) {
-            self.ordered.note_skipped();
+            self.note(Tally::OrderedSkipped);
             return None;
         }
         Some(self.delay_ns)
@@ -163,22 +181,20 @@ impl DelayPlan {
         // ladder: a fruitless one settles its pairs for the run, before the
         // claim is released, so no second context delays in between.
         if self.traps.armed_site(site) == Some(ArmedSite::OrderedOnly) {
-            self.ordered.note_delay();
+            self.note(Tally::OrderedDelay);
             if !caught {
-                self.ordered.note_settled(self.traps.settle_ordered(site));
+                self.traps.settle_ordered(site);
             }
             self.withdraw(site, context);
             return;
         }
         self.withdraw(site, context);
         // Decay the delayed location (§3.4.5); when its probability hits
-        // the floor, evict its pairs (an imported pair evicted here settles
-        // for the run: the run that exported it already paid its delays
-        // without a catch; one discovered in this run may re-arm). The decay
-        // is deliberately per-location, not per-pair-endpoint: punishing the
-        // *partner* for this site's fruitless delays would kill exactly the
-        // asymmetric pairs the tool exists for (a hot reader paired with a
-        // rare writer — the Table 4 singleton-init races).
+        // the floor, evict its pairs. The decay is deliberately
+        // per-location, not per-pair-endpoint: punishing the *partner* for
+        // this site's fruitless delays would kill exactly the asymmetric
+        // pairs the tool exists for (a hot reader paired with a rare writer
+        // — the Table 4 singleton-init races).
         if !caught && self.decay.decay(site) {
             self.traps.remove_site(site);
         }
@@ -186,45 +202,55 @@ impl DelayPlan {
 
     /// "A violation is already found at the pair" — prune it for good.
     pub fn found(&self, pair: SitePair) {
-        self.traps.mark_found(pair);
+        self.traps.apply(pair, PairEvent::Found);
     }
 
-    /// The armed pairs but the ordered ones, the found ones and the ordered
-    /// settlements, as the next run's trap file.
+    /// The table as the next run's trap file.
     pub fn export(&self) -> TrapFileData {
-        TrapFileData::from_pairs(&self.traps.pairs())
-            .with_found(&self.traps.found())
-            .with_ordered(&self.traps.ordered())
+        self.traps.export()
     }
 
-    /// Settles a previous run's found pairs, then its ordered settlements
-    /// but the found ones, then arms every other pair the file carries, in
-    /// file order: a pair the file also lists as found or ordered never
-    /// arms, though an unordered near miss may still lift an ordered one.
-    /// Bulk insertion publishes one trap-set snapshot and one decay-table
-    /// snapshot no matter how many pairs the file carries.
-    pub fn import(&self, data: &TrapFileData) {
-        let (inserted, carried) = self.traps.import(
-            &data.found_pairs(),
-            &data.ordered_pairs(),
-            &data.to_pairs(),
-            usize::MAX,
-        );
-        self.ordered.note_carried(carried);
+    /// Settles a previous run's found pairs, then its ordered settlements,
+    /// gives the pairs of its inferred edges a carried edge when `edges`
+    /// says this detector reads them, then arms every other pair the file
+    /// carries, in file order. Bulk insertion publishes one table snapshot
+    /// and one decay-table snapshot no matter how many pairs the file
+    /// carries.
+    pub fn import(&self, data: &TrapFileData, edges: bool) {
+        let lists = [
+            (data.found_pairs(), PairEvent::ImportFound),
+            (data.ordered_pairs(), PairEvent::ImportOrdered),
+            (
+                if edges {
+                    data.inferred_pairs()
+                } else {
+                    Vec::new()
+                },
+                PairEvent::ImportInferred,
+            ),
+        ];
+        let settle: Vec<(SitePair, PairEvent)> = lists
+            .iter()
+            .flat_map(|(pairs, event)| pairs.iter().map(move |&p| (p, *event)))
+            .collect();
+        let inserted = self.traps.import(&settle, &data.to_pairs(), usize::MAX);
         if !inserted.is_empty() {
             self.decay
                 .arm_many(inserted.iter().flat_map(|p| [p.first, p.second]));
         }
     }
 
-    /// What this plan did with ordered pairs, for the runtime's stats.
-    pub fn ordered_counters(&self) -> Arc<OrderedCounters> {
-        self.ordered.clone()
-    }
-
-    /// The same counters, for the discovery side to add to.
-    pub fn counters(&self) -> &OrderedCounters {
-        &self.ordered
+    /// The table's histogram and the events no record keeps.
+    pub fn counts(&self) -> PairCounts {
+        let [ordered_delays, ordered_skipped, settlement_kept_out, edge_kept_out] =
+            self.tallies.each_ref().map(|n| n.load(Ordering::Relaxed));
+        PairCounts {
+            ordered_delays,
+            ordered_skipped,
+            settlement_kept_out,
+            edge_kept_out,
+            ..self.traps.counts()
+        }
     }
 
     /// Number of armed pairs.
@@ -247,7 +273,6 @@ impl DelayPlan {
 mod tests {
     use super::*;
     use crate::site::SiteData;
-    use crate::stats::OrderedCounts;
     use crate::trap_file::PairOrigin;
 
     fn site(n: u32) -> SiteId {
@@ -278,8 +303,8 @@ mod tests {
         let c = config();
         let p = plan(&c);
         assert_eq!(p.should_delay(site(1), ME), None);
-        assert!(p.arm(pair(1, 2)));
-        assert!(!p.arm(pair(1, 2)), "arming twice changes nothing");
+        assert!(p.arm(pair(1, 2), false));
+        assert!(!p.arm(pair(1, 2), false), "arming twice changes nothing");
         assert_eq!(p.should_delay(site(1), ME), Some(c.delay_ns));
         assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));
         assert_eq!(p.should_delay(site(3), ME), None);
@@ -292,7 +317,7 @@ mod tests {
         c.decay_factor = 0.5;
         c.decay_floor = 0.3;
         let p = plan(&c);
-        p.arm(pair(1, 2));
+        p.arm(pair(1, 2), false);
         for _ in 0..10 {
             p.delay_done(site(1), ME, true);
         }
@@ -306,32 +331,37 @@ mod tests {
     }
 
     #[test]
-    fn retired_pairs_may_rearm_and_found_pairs_never_do() {
+    fn inferred_pairs_rearm_only_from_a_file_and_found_pairs_never_do() {
         let p = plan(&config());
-        p.arm(pair(1, 2));
-        p.retire(pair(1, 2));
+        p.arm(pair(1, 2), false);
+        p.inferred(pair(1, 2));
         assert!(!p.is_armed(pair(1, 2)));
-        assert!(p.arm(pair(1, 2)), "retire leaves re-arming to discovery");
-        p.found(pair(1, 2));
-        assert!(!p.is_armed(pair(1, 2)));
-        assert!(!p.arm(pair(1, 2)), "a found pair is pruned for good");
+        assert!(!p.arm(pair(1, 2), false), "an HB-ordered pair stays out");
         let mut file = TrapFileData::default();
         file.push(
             (site(1).to_string(), site(2).to_string()),
             PairOrigin::Dynamic,
         );
-        p.import(&file);
+        p.import(&file, true);
+        assert!(p.is_armed(pair(1, 2)), "a file's pair arms all the same");
+        p.found(pair(1, 2));
+        assert!(!p.is_armed(pair(1, 2)));
+        assert!(!p.arm(pair(1, 2), false), "a found pair is pruned for good");
+        p.import(&file, true);
         assert_eq!(p.len(), 0, "not even a trap file re-arms it");
+        let file = p.export();
+        assert_eq!(file.found_pairs(), [pair(1, 2)]);
+        assert_eq!(file.inferred_pairs(), [pair(1, 2)], "and it keeps its edge");
     }
 
     #[test]
     fn export_import_round_trip_prearms_pairs() {
         let c = config();
         let first = plan(&c);
-        first.arm(pair(1, 2));
-        first.arm(pair(3, 4));
+        first.arm(pair(1, 2), false);
+        first.arm(pair(3, 4), false);
         let second = plan(&c);
-        second.import(&first.export());
+        second.import(&first.export(), true);
         assert!(second.is_armed(pair(1, 2)) && second.is_armed(pair(3, 4)));
         // Imported pairs delay on their very first occurrence.
         assert_eq!(second.should_delay(site(3), ME), Some(c.delay_ns));
@@ -341,10 +371,10 @@ mod tests {
     fn found_pairs_round_trip_through_export_and_import() {
         let c = config();
         let first = plan(&c);
-        first.arm(pair(5, 6));
+        first.arm(pair(5, 6), false);
         first.found(pair(5, 6));
         first.found(pair(7, 8)); // Caught without ever being armed here.
-        first.arm(pair(9, 10));
+        first.arm(pair(9, 10), false);
         let file = first.export();
         assert_eq!(file.pairs.len(), 1);
         let mut found = file.found_pairs();
@@ -354,9 +384,12 @@ mod tests {
         assert_eq!(found, want);
 
         let second = plan(&c);
-        second.import(&file);
+        second.import(&file, true);
         assert!(second.is_armed(pair(9, 10)));
-        assert!(!second.arm(pair(5, 6)), "a found pair is settled in run 2");
+        assert!(
+            !second.arm(pair(5, 6), false),
+            "a found pair is settled in run 2"
+        );
         assert_eq!(second.export(), file, "and found again in run 3's file");
     }
 
@@ -371,7 +404,7 @@ mod tests {
         }
         file.found = vec![(site(11).to_string(), site(12).to_string())];
         let p = plan(&config());
-        p.import(&file);
+        p.import(&file, true);
         assert!(!p.is_armed(pair(11, 12)), "found wins over the prior");
         assert!(p.is_armed(pair(13, 14)), "and the other prior arms");
         assert_eq!(p.len(), 1);
@@ -394,7 +427,7 @@ mod tests {
         let at = |line: usize| reversed[9 - line];
         let p = plan(&config());
         for (a, b) in [(3, 1), (2, 4), (9, 5)] {
-            p.arm(SitePair::new(at(a), at(b)));
+            p.arm(SitePair::new(at(a), at(b)), false);
         }
         p.found(SitePair::new(at(8), at(6)));
         let text = |line: u32| format!("reverse_intern_test.rs:{line}:1");
@@ -407,16 +440,12 @@ mod tests {
         assert_eq!(p.export(), want);
     }
 
-    fn ordered_counts(p: &DelayPlan) -> OrderedCounts {
-        p.ordered_counters().counts()
-    }
-
     #[test]
     fn an_ordered_pair_delays_once_then_settles_for_the_run() {
         let c = config();
         let p = plan(&c);
-        assert!(p.arm_ordered(pair(1, 2)));
-        assert!(!p.arm_ordered(pair(1, 2)), "arming twice changes nothing");
+        assert!(p.arm(pair(1, 2), true));
+        assert!(!p.arm(pair(1, 2), true), "arming twice changes nothing");
         assert_eq!(
             p.should_delay(site(2), ME),
             Some(c.delay_ns),
@@ -426,14 +455,13 @@ mod tests {
         assert!(!p.is_armed(pair(1, 2)), "one fruitless delay settles it");
         assert_eq!(p.should_delay(site(1), ME), None);
         assert_eq!(p.should_delay(site(2), ME), None);
-        assert!(!p.arm_ordered(pair(1, 2)), "an ordered near miss leaves it");
-        let counts = OrderedCounts {
-            armed: 1,
-            settled: 1,
-            delays: 1,
-            ..OrderedCounts::default()
+        assert!(!p.arm(pair(1, 2), true), "an ordered near miss leaves it");
+        let counts = PairCounts {
+            settled_here: 1,
+            ordered_delays: 1,
+            ..PairCounts::default()
         };
-        assert_eq!(ordered_counts(&p), counts);
+        assert_eq!(p.counts(), counts);
         let file = p.export();
         assert!(file.pairs.is_empty(), "nor is it armed in the next run");
         assert_eq!(
@@ -447,18 +475,18 @@ mod tests {
     fn an_ordered_settlement_is_carried_through_export_and_import() {
         let c = config();
         let first = plan(&c);
-        first.arm_ordered(pair(1, 2));
+        first.arm(pair(1, 2), true);
         first.delay_done(site(2), ME, false);
-        first.arm(pair(3, 4));
+        first.arm(pair(3, 4), false);
         let file = first.export();
         assert_eq!(file.to_pairs(), [pair(3, 4)]);
         assert_eq!(file.ordered_pairs(), [pair(1, 2)]);
 
         let second = plan(&c);
-        second.import(&file);
+        second.import(&file, true);
         assert!(second.is_armed(pair(3, 4)));
         assert!(!second.is_armed(pair(1, 2)), "settled, not armed");
-        assert_eq!(ordered_counts(&second).carried, 1);
+        assert_eq!(second.counts().settled_carried, 1);
         assert_eq!(second.export(), file, "and carried on to run 3");
     }
 
@@ -466,18 +494,25 @@ mod tests {
     fn a_carried_settlement_keeps_an_ordered_near_miss_out_and_an_unordered_one_lifts_it() {
         let c = config();
         let first = plan(&c);
-        first.arm_ordered(pair(1, 2));
+        first.arm(pair(1, 2), true);
         first.delay_done(site(2), ME, false);
         let second = plan(&c);
-        second.import(&first.export());
+        second.import(&first.export(), true);
         for _ in 0..3 {
-            assert!(!second.arm_ordered(pair(1, 2)), "run 2 does not pay again");
+            assert!(!second.arm(pair(1, 2), true), "run 2 does not pay again");
             assert_eq!(second.should_delay(site(2), ME), None);
         }
-        let counts = ordered_counts(&second);
-        assert_eq!((counts.carried, counts.kept_out, counts.armed), (1, 3, 0));
+        let counts = second.counts();
+        assert_eq!(
+            (
+                counts.settled_carried,
+                counts.settlement_kept_out,
+                counts.armed_ordered
+            ),
+            (1, 3, 0)
+        );
         assert!(
-            second.arm(pair(1, 2)),
+            second.arm(pair(1, 2), false),
             "a parent writing after the spawn races"
         );
         assert_eq!(second.should_delay(site(2), ME), Some(c.delay_ns));
@@ -486,14 +521,14 @@ mod tests {
             second.export().ordered.is_empty(),
             "the lifted one is not carried"
         );
-        assert_eq!(ordered_counts(&second).kept_out, 3);
+        assert_eq!(second.counts().settlement_kept_out, 3);
     }
 
     #[test]
     fn a_caught_ordered_pair_still_armed_is_not_carried_and_found_wins() {
         let c = config();
         let first = plan(&c);
-        first.arm_ordered(pair(1, 2));
+        first.arm(pair(1, 2), true);
         first.delay_done(site(2), ME, true);
         assert!(
             first.is_armed(pair(1, 2)),
@@ -503,23 +538,21 @@ mod tests {
         assert!(file.pairs.is_empty() && file.ordered.is_empty(), "{file:?}");
 
         // A pair a file lists both as found and as ordered is found.
-        let mut both = TrapFileData::default()
-            .with_found(&[pair(5, 6)])
-            .with_ordered(&[pair(5, 6), pair(7, 8)]);
+        let mut both = TrapFileData::from_lists(&[], &[pair(5, 6)], &[pair(5, 6), pair(7, 8)], &[]);
         both.push(
             (site(5).to_string(), site(6).to_string()),
             PairOrigin::Static,
         );
         let second = plan(&c);
-        second.import(&both);
+        second.import(&both, true);
         assert_eq!(second.len(), 0);
-        assert_eq!(ordered_counts(&second).carried, 1, "only (7, 8)");
+        assert_eq!(second.counts().settled_carried, 1, "only (7, 8)");
         assert!(
-            !second.arm(pair(5, 6)),
+            !second.arm(pair(5, 6), false),
             "found: not even an unordered near miss"
         );
         assert!(
-            second.arm(pair(7, 8)),
+            second.arm(pair(7, 8), false),
             "ordered: an unordered near miss lifts it"
         );
         let file = second.export();
@@ -532,7 +565,7 @@ mod tests {
         let c = config();
         let p = plan(&c);
         let other = ContextId(2);
-        p.arm_ordered(pair(1, 2));
+        p.arm(pair(1, 2), true);
         assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));
         assert_eq!(p.should_delay(site(2), other), None, "ME's delay runs");
         assert_eq!(p.should_delay(site(2), other), None);
@@ -544,13 +577,20 @@ mod tests {
         );
         p.delay_done(site(2), other, false);
         assert!(!p.is_armed(pair(1, 2)));
-        let counts = ordered_counts(&p);
-        assert_eq!((counts.delays, counts.skipped, counts.settled), (2, 2, 1));
+        let counts = p.counts();
+        assert_eq!(
+            (
+                counts.ordered_delays,
+                counts.ordered_skipped,
+                counts.settled_here
+            ),
+            (2, 2, 1)
+        );
         // A location with an unordered pair claims nothing.
-        p.arm(pair(3, 4));
+        p.arm(pair(3, 4), false);
         assert_eq!(p.should_delay(site(3), ME), Some(c.delay_ns));
         assert_eq!(p.should_delay(site(3), other), Some(c.delay_ns));
-        assert_eq!(ordered_counts(&p).skipped, 2);
+        assert_eq!(p.counts().ordered_skipped, 2);
     }
 
     #[test]
@@ -558,29 +598,36 @@ mod tests {
         let c = config();
         let p = plan(&c);
         let other = ContextId(2);
-        p.arm_ordered(pair(1, 2));
+        p.arm(pair(1, 2), true);
         assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));
         p.withdraw(site(2), other);
         assert_eq!(p.should_delay(site(2), other), None, "not other's claim");
         p.withdraw(site(2), ME);
         assert_eq!(p.should_delay(site(2), other), Some(c.delay_ns));
         assert!(p.is_armed(pair(1, 2)), "a withdrawn delay settles nothing");
-        let counts = ordered_counts(&p);
-        assert_eq!((counts.delays, counts.skipped, counts.settled), (0, 1, 0));
+        let counts = p.counts();
+        assert_eq!(
+            (
+                counts.ordered_delays,
+                counts.ordered_skipped,
+                counts.settled_here
+            ),
+            (0, 1, 0)
+        );
     }
 
     #[test]
     fn a_catching_delay_keeps_an_ordered_pair_armed() {
         let c = config();
         let p = plan(&c);
-        p.arm_ordered(pair(1, 2));
+        p.arm(pair(1, 2), true);
         for _ in 0..3 {
             p.delay_done(site(2), ME, true);
             assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));
         }
         assert!(p.is_armed(pair(1, 2)));
-        assert_eq!(ordered_counts(&p).delays, 3);
-        assert_eq!(ordered_counts(&p).settled, 0);
+        assert_eq!(p.counts().ordered_delays, 3);
+        assert_eq!(p.counts().settled_here, 0);
     }
 
     #[test]
@@ -591,30 +638,36 @@ mod tests {
         // Before: the armed ordered pair becomes an ordinary one and
         // climbs down the decay ladder instead of settling.
         let p = plan(&c);
-        p.arm_ordered(pair(1, 2));
-        assert!(!p.arm(pair(1, 2)), "armed already: upgraded, not re-armed");
+        p.arm(pair(1, 2), true);
+        assert!(
+            !p.arm(pair(1, 2), false),
+            "armed already: upgraded, not re-armed"
+        );
         p.delay_done(site(2), ME, false);
         assert!(p.is_armed(pair(1, 2)), "decayed to 0.5, not settled");
         p.delay_done(site(2), ME, false);
         assert!(!p.is_armed(pair(1, 2)), "evicted at the floor");
-        assert!(p.arm(pair(1, 2)), "a discovered pair re-arms");
-        assert_eq!(ordered_counts(&p).settled, 0);
+        assert!(p.arm(pair(1, 2), false), "a discovered pair re-arms");
+        assert_eq!(p.counts().settled_here, 0);
         // After: the settlement is lifted and the pair arms at P = 1.
         let p = plan(&c);
-        p.arm_ordered(pair(3, 4));
+        p.arm(pair(3, 4), true);
         p.delay_done(site(4), ME, false);
         assert!(!p.is_armed(pair(3, 4)));
-        assert!(p.arm(pair(3, 4)), "a parent writing after the spawn races");
+        assert!(
+            p.arm(pair(3, 4), false),
+            "a parent writing after the spawn races"
+        );
         assert_eq!(p.should_delay(site(4), ME), Some(c.delay_ns));
         p.delay_done(site(4), ME, false);
         assert!(p.is_armed(pair(3, 4)), "and decays like any pair");
         assert!(
-            !p.arm_ordered(pair(3, 4)),
+            !p.arm(pair(3, 4), true),
             "an ordered one leaves it as it is"
         );
         p.delay_done(site(4), ME, false);
         assert!(!p.is_armed(pair(3, 4)));
-        assert_eq!(ordered_counts(&p).delays, 1);
+        assert_eq!(p.counts().ordered_delays, 1);
     }
 
     #[test]
@@ -623,24 +676,25 @@ mod tests {
         c.decay_factor = 0.5;
         c.decay_floor = 0.3;
         let p = plan(&c);
-        p.arm_ordered(pair(1, 2));
-        p.arm(pair(2, 3));
+        p.arm(pair(1, 2), true);
+        p.arm(pair(2, 3), false);
         p.delay_done(site(2), ME, false);
         assert_eq!(p.len(), 2, "a ladder step, no settlement");
         p.delay_done(site(2), ME, false);
         assert_eq!(p.len(), 0, "the floor evicts both");
-        assert!(!p.arm_ordered(pair(1, 2)), "the ordered pair is settled");
-        assert!(p.arm(pair(2, 3)), "the discovered one may re-arm");
-        assert_eq!(ordered_counts(&p).delays, 0);
+        assert!(!p.arm(pair(1, 2), true), "the ordered pair is settled");
+        assert!(p.arm(pair(2, 3), false), "the discovered one may re-arm");
+        let counts = p.counts();
+        assert_eq!((counts.ordered_delays, counts.settled_here), (0, 1));
     }
 
     #[test]
     fn export_omits_armed_ordered_pairs() {
         let p = plan(&config());
-        p.arm_ordered(pair(1, 2));
-        p.arm(pair(3, 4));
-        p.arm_ordered(pair(5, 6));
-        p.arm(pair(5, 6)); // Upgraded.
+        p.arm(pair(1, 2), true);
+        p.arm(pair(3, 4), false);
+        p.arm(pair(5, 6), true);
+        p.arm(pair(5, 6), false); // Upgraded.
         assert_eq!(p.len(), 3);
         let mut carried = p.export().to_pairs();
         carried.sort();
@@ -654,7 +708,7 @@ mod tests {
         let mut c = config();
         c.decay_factor = 0.0; // Keep P at 1 so every hit delays.
         let p = plan(&c);
-        p.arm(pair(1, 2));
+        p.arm(pair(1, 2), false);
         for caught in [false, false, false, true, false] {
             p.delay_done(site(2), ME, caught);
             assert_eq!(p.should_delay(site(2), ME), Some(c.delay_ns));

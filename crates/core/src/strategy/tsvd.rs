@@ -12,20 +12,19 @@
 //! that catches nothing (§3.4.5). Planning and injection happen in the same
 //! run (§3.4.6); the trap set additionally persists to a trap file so a
 //! second run can trap pairs on their first occurrence. All of that is the
-//! [`DelayPlan`]'s, shared with TSVD-HB. The trap file also carries the HB
-//! edges inferred here, so the second run keeps their pairs out from their
-//! first near miss instead of paying a delay to infer them again.
-
-use std::sync::Arc;
+//! [`DelayPlan`]'s, shared with TSVD-HB. The plan's pair table also keeps
+//! the HB edges inferred here, and its trap file carries them, so the
+//! second run keeps their pairs out from their first near miss instead of
+//! paying a delay to infer them again.
 
 use crate::access::Access;
 use crate::config::TsvdConfig;
-use crate::hb_infer::{DelayRecord, HbInference, Inference};
+use crate::hb_infer::{DelayRecord, HbInference};
 use crate::near_miss::{NearMissTracker, SitePair};
-use crate::stats::OrderedCounters;
 use crate::strategy::plan::DelayPlan;
 use crate::strategy::Strategy;
 use crate::trap_file::TrapFileData;
+use crate::trapset::PairCounts;
 
 /// The TSVD delay-injection strategy: near-miss discovery, phase gating and
 /// HB inference in front of the shared `DelayPlan`.
@@ -71,11 +70,6 @@ impl Tsvd {
     pub fn is_armed(&self, pair: SitePair) -> bool {
         self.plan.is_armed(pair)
     }
-
-    /// Number of HB edges inferred so far (stats / tests).
-    pub fn inferred_hb_edges(&self) -> usize {
-        self.hb.as_ref().map_or(0, |hb| hb.inferred_count())
-    }
 }
 
 impl Strategy for Tsvd {
@@ -88,30 +82,20 @@ impl Strategy for Tsvd {
         // ablation switch off, every phase counts as concurrent.
         let concurrent = concurrent || !self.phase_detection;
 
-        // HB inference: prune pairs whose locations this access proves (by
-        // delay propagation) to be ordered.
+        // HB inference: the pair this access proves (by delay propagation)
+        // to be ordered is pruned, and keeps its edge.
         if let Some(hb) = &self.hb {
-            for pair in hb.on_access(access.context, access.site, access.time_ns) {
-                self.plan.retire(pair);
+            if let Some(pair) = hb.on_access(access.context, access.site, access.time_ns) {
+                self.plan.inferred(pair);
             }
         }
 
         // Near-miss tracking: discover new dangerous pairs. A fork-ordered
         // one (the parent's pre-spawn access) gets one delay, not a ladder;
-        // an inferred one, this run's or carried in, none.
+        // one with an edge, this run's or carried in, none.
         for miss in self.near_miss.record(access) {
-            if !concurrent {
-                continue;
-            }
-            match self.hb.as_ref().and_then(|hb| hb.inference(miss.pair)) {
-                Some(Inference::Carried) => self.plan.counters().note_inferred_kept_out(),
-                Some(Inference::Run) => {}
-                None if miss.ordered => {
-                    self.plan.arm_ordered(miss.pair);
-                }
-                None => {
-                    self.plan.arm(miss.pair);
-                }
+            if concurrent {
+                self.plan.arm(miss.pair, miss.ordered);
             }
         }
 
@@ -139,25 +123,17 @@ impl Strategy for Tsvd {
     }
 
     fn export_trap_file(&self) -> Option<TrapFileData> {
-        let file = self.plan.export();
-        Some(match &self.hb {
-            Some(hb) => file.with_inferred(&hb.pairs()),
-            None => file,
-        })
+        Some(self.plan.export())
     }
 
-    /// Seeds HB inference with the file's inferred edges before the plan
-    /// arms anything, so a near miss of one never arms in this run.
+    /// Imports the file's inferred edges too, when HB inference is on, so
+    /// a near miss of one never arms in this run.
     fn import_trap_file(&self, data: &TrapFileData) {
-        if let Some(hb) = &self.hb {
-            let carried = hb.import(&data.inferred_pairs());
-            self.plan.counters().note_inferred_carried(carried);
-        }
-        self.plan.import(data);
+        self.plan.import(data, self.hb.is_some());
     }
 
-    fn ordered_counters(&self) -> Option<Arc<OrderedCounters>> {
-        Some(self.plan.ordered_counters())
+    fn pair_counts(&self) -> PairCounts {
+        self.plan.counts()
     }
 
     fn memory_bytes(&self) -> usize {
@@ -352,7 +328,8 @@ mod tests {
             !s.is_armed(SitePair::new(site(1), site(2))),
             "HB-inferred pair must leave the trap set"
         );
-        assert!(s.inferred_hb_edges() >= 1);
+        let counts = s.pair_counts();
+        assert_eq!((counts.edge_run, counts.armed_discovered), (1, 0));
         // And the near miss does not re-arm it.
         s.on_access(&acc(1, 7, site(1), OpKind::Write, 111), true);
         s.on_access(&acc(2, 7, site(2), OpKind::Write, 112), true);
@@ -374,7 +351,7 @@ mod tests {
         );
         s.on_access(&acc(2, 7, site(2), OpKind::Write, 110), true);
         assert!(s.is_armed(SitePair::new(site(1), site(2))));
-        assert_eq!(s.inferred_hb_edges(), 0);
+        assert_eq!(s.pair_counts().edge_run, 0);
     }
 
     #[test]
@@ -440,8 +417,15 @@ mod tests {
         assert_eq!(s.trap_set_len(), 0);
         let file = s.export_trap_file().expect("tsvd persists state");
         assert!(file.pairs.is_empty(), "run 2 does not pay again");
-        let counts = s.ordered_counters().expect("tsvd counts").counts();
-        assert_eq!((counts.armed, counts.settled, counts.delays), (1, 1, 1));
+        let counts = s.pair_counts();
+        assert_eq!(
+            (
+                counts.armed_ordered,
+                counts.settled_here,
+                counts.ordered_delays
+            ),
+            (0, 1, 1)
+        );
         // The parent writes again after the spawns: that write races, and
         // the next child read arms the pair as an ordinary one.
         s.on_access(&acc(1, 7, init, OpKind::Write, 5), true);
@@ -462,8 +446,15 @@ mod tests {
         assert!(as_task(&s, second, 1, 1).is_none());
         s.on_delay_complete(&first, ms_to_ns(2), ms_to_ns(3), false);
         assert!(!s.is_armed(SitePair::new(init, read)), "settled");
-        let counts = s.ordered_counters().expect("tsvd counts").counts();
-        assert_eq!((counts.delays, counts.skipped, counts.settled), (1, 1, 1));
+        let counts = s.pair_counts();
+        assert_eq!(
+            (
+                counts.ordered_delays,
+                counts.ordered_skipped,
+                counts.settled_here
+            ),
+            (1, 1, 1)
+        );
     }
 
     /// A run in which delay propagation retires {site(1), site(2)}, as in
@@ -495,8 +486,8 @@ mod tests {
             .on_access(&acc(6, 9, site(2), OpKind::Write, 1), true)
             .is_none());
         assert!(!s2.is_armed(pair), "no delay to learn it again");
-        let counts = s2.ordered_counters().expect("tsvd counts").counts();
-        assert_eq!((counts.inferred_carried, counts.inferred_kept_out), (1, 1));
+        let counts = s2.pair_counts();
+        assert_eq!((counts.edge_carried, counts.edge_kept_out), (1, 1));
         assert_eq!(s2.export_trap_file().expect("tsvd").inferred, file.inferred);
         // A file that also lists the pair as armed still arms it.
         let mut armed = file.clone();

@@ -29,6 +29,7 @@ use crate::site::SiteId;
 use crate::strategy::plan::DelayPlan;
 use crate::strategy::{Strategy, SyncEvent};
 use crate::trap_file::TrapFileData;
+use crate::trapset::PairCounts;
 
 /// One remembered access for the race check: context, its local timestamp
 /// at the access, the location, and the read/write kind.
@@ -115,7 +116,7 @@ impl Strategy for TsvdHb {
                     && prev.kind.conflicts_with(access.kind)
                     && vc.get(prev.context.0) < prev.stamp
                 {
-                    self.plan.arm(SitePair::new(prev.site, access.site));
+                    self.plan.arm(SitePair::new(prev.site, access.site), false);
                 }
             }
             hist.push_back(ObjAccess {
@@ -197,8 +198,13 @@ impl Strategy for TsvdHb {
         Some(self.plan.export())
     }
 
+    /// Ignores the file's inferred edges: its clocks decide order.
     fn import_trap_file(&self, data: &TrapFileData) {
-        self.plan.import(data);
+        self.plan.import(data, false);
+    }
+
+    fn pair_counts(&self) -> PairCounts {
+        self.plan.counts()
     }
 
     fn memory_bytes(&self) -> usize {

@@ -153,34 +153,25 @@ impl TrapFileData {
     /// pairs are written sorted, each one's halves in text order, so two
     /// processes holding the same set write the same file.
     pub fn from_pairs(pairs: &[SitePair]) -> Self {
+        Self::from_lists(pairs, &[], &[], &[])
+    }
+
+    /// [`from_pairs`](Self::from_pairs) of `pairs`, with `found`, `ordered`
+    /// and `inferred` as the found pairs, the ordered settlements and the
+    /// inferred HB edges, each spelled like the armed pairs.
+    pub fn from_lists(
+        pairs: &[SitePair],
+        found: &[SitePair],
+        ordered: &[SitePair],
+        inferred: &[SitePair],
+    ) -> Self {
         TrapFileData {
             pairs: sorted_texts(pairs),
             origins: vec![PairOrigin::Dynamic; pairs.len()],
-            found: Vec::new(),
-            ordered: Vec::new(),
-            inferred: Vec::new(),
+            found: sorted_texts(found),
+            ordered: sorted_texts(ordered),
+            inferred: sorted_texts(inferred),
         }
-    }
-
-    /// Records `found` as the pairs at which a violation was already found,
-    /// spelled like [`from_pairs`](Self::from_pairs) spells armed pairs.
-    pub fn with_found(mut self, found: &[SitePair]) -> Self {
-        self.found = sorted_texts(found);
-        self
-    }
-
-    /// Records `ordered` as the ordered settlements, spelled like
-    /// [`from_pairs`](Self::from_pairs) spells armed pairs.
-    pub fn with_ordered(mut self, ordered: &[SitePair]) -> Self {
-        self.ordered = sorted_texts(ordered);
-        self
-    }
-
-    /// Records `inferred` as the inferred HB edges, spelled like
-    /// [`from_pairs`](Self::from_pairs) spells armed pairs.
-    pub fn with_inferred(mut self, inferred: &[SitePair]) -> Self {
-        self.inferred = sorted_texts(inferred);
-        self
     }
 
     /// The origin of pair `index`; pairs beyond the recorded origins are
@@ -530,8 +521,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tsvd_trapfile_found_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("traps.json");
-        let data = TrapFileData::from_pairs(&[SitePair::new(site(94), site(95))])
-            .with_found(&[SitePair::new(site(96), site(97))]);
+        let data = TrapFileData::from_lists(
+            &[SitePair::new(site(94), site(95))],
+            &[SitePair::new(site(96), site(97))],
+            &[],
+            &[],
+        );
         data.save(&path).expect("save");
         let text = std::fs::read_to_string(&path).expect("read");
         assert!(text.contains("\"found\""), "{text}");
@@ -546,9 +541,14 @@ mod tests {
 
     #[test]
     fn merging_priors_leaves_the_carried_found_pairs_alone() {
-        let mut merged = TrapFileData::default().with_found(&[SitePair::new(site(98), site(99))]);
-        let other = TrapFileData::from_pairs(&[SitePair::new(site(100), site(101))])
-            .with_found(&[SitePair::new(site(102), site(103))]);
+        let mut merged =
+            TrapFileData::from_lists(&[], &[SitePair::new(site(98), site(99))], &[], &[]);
+        let other = TrapFileData::from_lists(
+            &[SitePair::new(site(100), site(101))],
+            &[SitePair::new(site(102), site(103))],
+            &[],
+            &[],
+        );
         assert_eq!(merged.merge(&other), 1);
         assert_eq!(
             merged.found_pairs(),
@@ -559,9 +559,13 @@ mod tests {
     #[test]
     fn merging_priors_leaves_the_carried_ordered_settlements_alone() {
         let mut merged =
-            TrapFileData::default().with_ordered(&[SitePair::new(site(104), site(105))]);
-        let other = TrapFileData::from_pairs(&[SitePair::new(site(106), site(107))])
-            .with_ordered(&[SitePair::new(site(108), site(109))]);
+            TrapFileData::from_lists(&[], &[], &[SitePair::new(site(104), site(105))], &[]);
+        let other = TrapFileData::from_lists(
+            &[SitePair::new(site(106), site(107))],
+            &[],
+            &[SitePair::new(site(108), site(109))],
+            &[],
+        );
         assert_eq!(merged.merge(&other), 1);
         assert_eq!(
             merged.ordered_pairs(),
@@ -579,8 +583,12 @@ mod tests {
             std::env::temp_dir().join(format!("tsvd_trapfile_ordered_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("traps.json");
-        let data = TrapFileData::from_pairs(&[SitePair::new(site(110), site(111))])
-            .with_ordered(&[SitePair::new(site(112), site(113))]);
+        let data = TrapFileData::from_lists(
+            &[SitePair::new(site(110), site(111))],
+            &[],
+            &[SitePair::new(site(112), site(113))],
+            &[],
+        );
         data.save(&path).expect("save");
         let text = std::fs::read_to_string(&path).expect("read");
         assert!(
@@ -607,7 +615,7 @@ mod tests {
             SitePair::new(site(114), site(115)),
         ];
         let data =
-            TrapFileData::from_pairs(&[SitePair::new(site(110), site(111))]).with_inferred(&edges);
+            TrapFileData::from_lists(&[SitePair::new(site(110), site(111))], &[], &[], &edges);
         assert_eq!(
             data.inferred,
             [
@@ -631,7 +639,7 @@ mod tests {
         assert_eq!(back, want);
         std::fs::remove_dir_all(&dir).ok();
 
-        let mut carried = TrapFileData::default().with_inferred(&edges[..1]);
+        let mut carried = TrapFileData::from_lists(&[], &[], &[], &edges[..1]);
         assert_eq!(carried.merge(&data), 1);
         assert_eq!(
             carried.inferred_pairs(),

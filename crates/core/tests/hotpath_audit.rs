@@ -1,9 +1,10 @@
 //! Proof of what `Runtime::on_call` locks and writes: a call on the
 //! zero-trap path takes exactly two locks and makes exactly two shared
 //! writes; the armed path's no-op mutations — what a rediscovered near miss
-//! asks for — take no lock and publish nothing; and a call on an object no
-//! other thread calls locks only what is its own and leaves the phase ring
-//! alone between bursts.
+//! asks for — take no lock and publish nothing, and neither does a near
+//! miss a carried HB edge keeps out; and a call on an object no other
+//! thread calls locks only what is its own and leaves the phase ring alone
+//! between bursts.
 //!
 //! Every lock acquisition and shared write on the runtime's access paths is
 //! annotated with `audit::note_lock` / `audit::note_shared_write` (see
@@ -16,10 +17,9 @@
 
 use tsvd_core::context::{self, ContextId};
 use tsvd_core::decay::DecayTable;
-use tsvd_core::hb_infer::HbInference;
 use tsvd_core::near_miss::SitePair;
-use tsvd_core::trapset::TrapSet;
-use tsvd_core::{audit, epoch, ObjId, OpKind, Runtime, TsvdConfig};
+use tsvd_core::trapset::{PairEvent, TrapSet};
+use tsvd_core::{audit, epoch, ObjId, OpKind, Runtime, TrapFileData, TsvdConfig};
 
 #[test]
 fn quiescent_single_thread_call_takes_two_locks_and_makes_two_shared_writes() {
@@ -59,9 +59,9 @@ fn noop_mutations_take_no_lock_and_publish_nothing() {
     let (armed, absent) = (SitePair::new(a, b), SitePair::new(a, c));
     let traps = TrapSet::new();
     let decay = DecayTable::new(0.5, 0.05);
-    let hb = HbInference::new(1_000_000, 5, 64);
+    let near_miss = PairEvent::NearMiss { ordered: false };
     audit::reset();
-    assert!(traps.add(armed));
+    assert!(traps.apply(armed, near_miss).arrival().is_none());
     decay.arm(a);
     decay.arm(b);
     assert!(
@@ -70,15 +70,14 @@ fn noop_mutations_take_no_lock_and_publish_nothing() {
     );
 
     let rediscover = || {
-        assert!(!traps.add(armed), "already armed");
-        assert!(!traps.remove(absent), "never armed");
+        assert!(traps.apply(armed, near_miss).arrival().is_some(), "armed");
+        traps.apply(absent, PairEvent::Evict); // never armed
         decay.arm(a); // already at 1.0
-        assert_eq!(hb.inference(armed), None, "nothing inferred yet");
     };
 
     // Each of the three snapshot answers pins the epoch — one store to this
     // thread's own slot, what any snapshot read costs — and nothing else is
-    // written; the empty inferred set is answered from its atomic count.
+    // written.
     audit::reset();
     rediscover();
     assert_eq!(
@@ -98,7 +97,8 @@ fn noop_mutations_take_no_lock_and_publish_nothing() {
 
     // Control: the same calls, when they do change something, are visible.
     audit::reset();
-    assert!(traps.remove(armed));
+    traps.apply(armed, PairEvent::Evict);
+    assert!(traps.is_empty());
     decay.remove(a);
     assert_eq!(audit::lock_acquisitions(), 2, "effective writes lock");
     assert!(audit::shared_writes() >= 2);
@@ -136,6 +136,44 @@ fn armed_steady_state_locks_only_its_own_two_stripes() {
          no trap-set or decay writer lock, no coverage lock, no global HB mutex"
     );
     assert_eq!(rt.stats().on_calls(), 216);
+}
+
+#[test]
+fn a_near_miss_a_carried_edge_keeps_out_locks_nothing_of_its_own() {
+    // The alternation of `armed_steady_state_locks_only_its_own_two_stripes`,
+    // on a pair the trap file carries an inferred HB edge for: every near
+    // miss is kept out by it, and the edge is read in the same snapshot
+    // read that would arm the pair.
+    let mut cfg = TsvdConfig::for_testing();
+    cfg.max_delay_per_run_ns = 0;
+    let rt = Runtime::tsvd(cfg);
+    let (a, b) = (tsvd_core::site!(), tsvd_core::site!());
+    rt.import_trap_file(&TrapFileData {
+        inferred: vec![(a.to_string(), b.to_string())],
+        ..TrapFileData::default()
+    });
+    let round = || {
+        for (ctx, site) in [(7_101, a), (7_102, b)] {
+            let _g = context::enter(ContextId(ctx), None);
+            rt.on_call(ObjId(2), site, "x.write", OpKind::Write);
+        }
+    };
+    for _ in 0..8 {
+        round();
+    }
+    let armed = rt.export_trap_file().expect("tsvd exports").pairs.len();
+    assert_eq!(armed, 0, "the carried edge keeps {{a, b}} out");
+
+    audit::reset();
+    for _ in 0..100 {
+        round();
+    }
+    assert_eq!(
+        audit::lock_acquisitions(),
+        2 * 200,
+        "per call: the context's HB stripe and the object's near-miss slot — \
+         the edge is read without a lock"
+    );
 }
 
 #[test]

@@ -110,7 +110,7 @@ fn hb_inference_edges_are_justified() {
         }
         for step in 0..range(&mut rng, 1, 60) {
             let (ctx, s, t) = (rng.below(3), range(&mut rng, 4, 8) as u32, rng.below(1_000));
-            for pair in e.on_access(ContextId(ctx), site(s), t) {
+            if let Some(pair) = e.on_access(ContextId(ctx), site(s), t) {
                 // One endpoint is the access; the other must be a delayed site.
                 let partner = pair.other(site(s));
                 assert!(

@@ -342,11 +342,11 @@ impl Baseline for BenchFile {
         ]
     }
 
-    /// A stored value one measurement's noise put at an end of its spread
-    /// leaves a later `--check` no headroom on that side.
-    const WRITE_MEASUREMENTS: usize = 5;
-
-    fn combine(measurements: Vec<BenchFile>) -> BenchFile {
+    /// The median of five: a stored value one measurement's noise put at
+    /// an end of its spread leaves a later `--check` no headroom on that
+    /// side.
+    fn measure_for_write(measure: impl Fn() -> BenchFile) -> BenchFile {
+        let measurements: Vec<BenchFile> = (0..5).map(|_| measure()).collect();
         let of = |value: fn(&BenchFile) -> f64| median(measurements.iter().map(value));
         let first = &measurements[0];
         let file = BenchFile {

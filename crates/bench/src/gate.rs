@@ -14,8 +14,9 @@
 //! What is left over is slower than a measurement, so `--check` measures
 //! again before it fails anything, and fails only what failed both times.
 //! A gate whose rows spread wider than that may have `--write` measure
-//! several times and store one [`Baseline::combine`]d measurement
-//! (`suite_gate`: the per-row median of five).
+//! several times and store one combined measurement
+//! ([`Baseline::measure_for_write`]; `suite_gate`: the per-row median of
+//! five).
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -105,15 +106,10 @@ pub trait Baseline: Serialize + Deserialize {
     /// The gated rows.
     fn rows(&self) -> Vec<Row>;
 
-    /// Measurements `--write` takes and [`combine`](Self::combine)s into the
-    /// stored one.
-    const WRITE_MEASUREMENTS: usize = 1;
-
-    /// The measurement `--write` stores, out of
-    /// [`WRITE_MEASUREMENTS`](Self::WRITE_MEASUREMENTS) of them: the first,
-    /// unless a gate says otherwise.
-    fn combine(mut measurements: Vec<Self>) -> Self {
-        measurements.swap_remove(0)
+    /// The measurement `--write` stores, made with `measure`: one, unless
+    /// a gate says otherwise.
+    fn measure_for_write(measure: impl Fn() -> Self) -> Self {
+        measure()
     }
 }
 
@@ -217,7 +213,7 @@ pub fn run<B: Baseline>() -> ExitCode {
     };
     match (bad_usage, write_path, check_path) {
         (false, Some(path), None) => {
-            let current = B::combine((0..B::WRITE_MEASUREMENTS).map(|_| measure()).collect());
+            let current = B::measure_for_write(measure);
             match current.check_invariants() {
                 Ok(held) => eprintln!("invariants: {held}"),
                 Err(e) => {
